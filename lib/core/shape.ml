@@ -12,14 +12,7 @@ let independent_subset n rays =
       if List.length chosen = n then List.rev chosen
       else
         let candidate = Array.of_list (List.map Array.copy (r :: chosen)) in
-        (* rank via fraction-free determinant of a maximal square minor is
-           overkill; use rational row reduction through Cone's public
-           interface indirectly: build a matrix and test rank by checking
-           whether adding r keeps the rows of a square completion
-           independent. Simplest exact check: Gram-style via Intmat.det on
-           the square matrix once we have n rows, and incremental check by
-           solving. We keep it simple: accept r if the (k+1)-row matrix has
-           a non-zero (k+1)x(k+1) minor. *)
+        (* keep r iff the k rows r :: chosen have a non-zero k×k minor *)
         let k = Array.length candidate in
         let dims = Array.length r in
         let has_nonzero_minor =

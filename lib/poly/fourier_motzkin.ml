@@ -1,5 +1,13 @@
 module Ints = Tiles_util.Ints
 
+(* On a [Constr.compare]-sorted list, constraints with equal (gcd-normalised)
+   coefficient vectors are adjacent with ascending constants: the first of
+   each run, a·x + b >= 0 with the smallest b, implies the others. *)
+let rec prune_sorted = function
+  | a :: b :: tl when a.Constr.coeffs = b.Constr.coeffs -> prune_sorted (a :: tl)
+  | a :: tl -> a :: prune_sorted tl
+  | [] -> []
+
 let eliminate cs ~var =
   let pos = ref [] and neg = ref [] and zero = ref [] in
   List.iter
@@ -25,8 +33,9 @@ let eliminate cs ~var =
           !neg)
       !pos
   in
-  List.sort_uniq Constr.compare
-    (List.filter (fun c -> not (Constr.is_tautology c)) (!zero @ combos))
+  prune_sorted
+    (List.sort_uniq Constr.compare
+       (List.filter (fun c -> not (Constr.is_tautology c)) (!zero @ combos)))
 
 let eliminate_all_but cs ~dim ~keep =
   let rec go cs var =
@@ -39,7 +48,9 @@ let eliminate_all_but cs ~dim ~keep =
 type projection = { dim : int; systems : Constr.t list array }
 
 let project cs ~dim =
-  let systems = Array.make (max dim 1) cs in
+  let systems =
+    Array.make (max dim 1) (prune_sorted (List.sort_uniq Constr.compare cs))
+  in
   for k = dim - 2 downto 0 do
     systems.(k) <- eliminate systems.(k + 1) ~var:(k + 1)
   done;

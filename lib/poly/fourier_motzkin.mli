@@ -8,7 +8,11 @@
 
 val eliminate : Constr.t list -> var:int -> Constr.t list
 (** Eliminate one variable. Tautologies are dropped; a contradiction (the
-    rational relaxation is empty) is kept so emptiness remains visible. *)
+    rational relaxation is empty) is kept so emptiness remains visible.
+    Of the constraints sharing one (gcd-normalised) coefficient vector
+    only the tightest is kept: the others are implied, so every integer
+    bound is unchanged while the system stops growing with parallel
+    copies. *)
 
 val eliminate_all_but : Constr.t list -> dim:int -> keep:int list -> Constr.t list
 (** Eliminate every variable not listed in [keep]. *)
@@ -18,6 +22,8 @@ type projection
     [> k] eliminated. *)
 
 val project : Constr.t list -> dim:int -> projection
+(** The top system [S_(n-1)] is the input, pruned like {!eliminate}'s
+    output. *)
 
 val bounds : projection -> var:int -> prefix:Tiles_util.Vec.t -> (int * int) option
 (** [bounds p ~var:k ~prefix] — numeric [lo, hi] range for [x_k] once

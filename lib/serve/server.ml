@@ -632,16 +632,18 @@ let serve_socket ?config ?metrics_out ~path () =
     let ic = Unix.in_channel_of_descr fd in
     let oc = Unix.out_channel_of_descr fd in
     let out_lock = Mutex.create () in
+    let closed = ref false in
     let respond j =
       Mutex.lock out_lock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock out_lock)
         (fun () ->
-          try
-            output_string oc (Json.to_line j);
-            output_char oc '\n';
-            flush oc
-          with Sys_error _ | Unix.Unix_error _ -> ())
+          if not !closed then
+            try
+              output_string oc (Json.to_line j);
+              output_char oc '\n';
+              flush oc
+            with Sys_error _ | Unix.Unix_error _ -> ())
     in
     let rec loop () =
       match input_line ic with
@@ -664,7 +666,12 @@ let serve_socket ?config ?metrics_out ~path () =
         end
     in
     loop ();
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+    (* a job of this tenant still in flight must not answer into the
+       descriptor once the next accepted connection reuses its number *)
+    Mutex.lock out_lock;
+    closed := true;
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Mutex.unlock out_lock
   in
   let rec accept_loop () =
     if not (Atomic.get stop) then begin

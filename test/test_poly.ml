@@ -147,6 +147,63 @@ let prop_fm_soundness =
         let elim = FM.eliminate cs ~var:1 in
         List.for_all (fun c -> Constr.holds c point) elim)
 
+(* Random 2-D and 3-D systems clipped to the box [-4, 4]^n. Each "twin"
+   re-adds a row scaled by k with its constant moved, so parallel
+   constraints that the elimination must prune appear from the start. *)
+let arb_boxed_system =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 2 3 in
+      let row = pair (array_size (return n) (int_range (-3) 3)) (int_range (-6) 6) in
+      let* rows = list_size (int_range 1 6) row in
+      let* twins =
+        list_size (int_range 0 3)
+          (triple (int_range 0 5) (int_range 1 3) (int_range (-4) 4))
+      in
+      let twin (i, k, shift) =
+        let a, b = List.nth rows (i mod List.length rows) in
+        (Array.map (fun x -> k * x) a, (k * b) + shift)
+      in
+      return (n, rows @ List.map twin twins))
+  in
+  let print (n, rows) =
+    Printf.sprintf "n=%d %s" n
+      (String.concat "; "
+         (List.map (fun (a, b) -> Printf.sprintf "%s>=%d" (Vec.to_string a) b) rows))
+  in
+  QCheck.make ~print gen
+
+let prop_fm_enumeration_exact =
+  (* iter_points (FM bounds) finds exactly the brute-force point set, and
+     no projected system keeps two constraints with one coefficient vector *)
+  QCheck.Test.make ~name:"FM enumeration exact vs brute force" ~count:300
+    arb_boxed_system (fun (n, rows) ->
+      let box = List.init n (fun _ -> (-4, 4)) in
+      let p =
+        Polyhedron.inter (Polyhedron.box box)
+          (Polyhedron.make ~dim:n (List.map (fun (a, b) -> Constr.ge a b) rows))
+      in
+      let enumerated = Polyhedron.points p in
+      let brute = ref [] in
+      let x = Array.make n 0 in
+      let rec go k =
+        if k = n then (if Polyhedron.member p x then brute := Vec.copy x :: !brute)
+        else
+          for v = -4 to 4 do
+            x.(k) <- v;
+            go (k + 1)
+          done
+      in
+      go 0;
+      let proj = Polyhedron.projection p in
+      let distinct_coeffs cs =
+        let keys = List.map (fun c -> Array.init n (Constr.coeff c)) cs in
+        List.length (List.sort_uniq compare keys) = List.length keys
+      in
+      enumerated = List.rev !brute
+      && List.for_all (fun k -> distinct_coeffs (FM.system proj ~var:k))
+           (List.init n Fun.id))
+
 (* ---------- Cone ---------- *)
 
 let test_first_orthant () =
@@ -273,6 +330,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_fm_bounds;
           Alcotest.test_case "unbounded" `Quick test_fm_unbounded;
           q prop_fm_soundness;
+          q prop_fm_enumeration_exact;
         ] );
       ( "polyhedron",
         [

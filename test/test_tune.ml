@@ -140,6 +140,46 @@ let test_predictor_bounded_sor () =
     (Plan.make ~m:2 nest (Tiles_apps.Sor.nonrect ~x:20 ~y:15 ~z:4))
     ~kernel
 
+(* Planning cost, pinned by counts rather than time: without FM's
+   redundancy pruning this Jacobi cone-family tile polyhedron has 118
+   constraints, and every tune that meets it pays for them ~54 times. *)
+let test_jacobi_cone_tile_space_compact () =
+  let p = Tiles_apps.Jacobi.make ~t_steps:4 ~size:6 in
+  let nest = Tiles_apps.Jacobi.nest p in
+  let cand =
+    {
+      Candidate.shape = "cone";
+      rows = [ [| 3; -1; -1 |]; [| 1; 1; -1 |]; [| 1; -1; 1 |] ];
+      factors = [| 12; 20; 2 |];
+      m = 2;
+    }
+  in
+  let ts = Tiles_core.Tile_space.make nest.Nest.space (Candidate.tiling cand) in
+  let n =
+    List.length (Tiles_poly.Polyhedron.constraints ts.Tiles_core.Tile_space.poly)
+  in
+  if n > 40 then Alcotest.failf "tile polyhedron has %d constraints (> 40)" n
+
+let test_jacobi_tune_pinned () =
+  let p = Tiles_apps.Jacobi.make ~t_steps:4 ~size:6 in
+  let options =
+    {
+      Tune.default_options with
+      Tune.procs = 2;
+      factors = [ 2 ];
+      top_k = 3;
+      workers = 1;
+      cache_dir = None;
+    }
+  in
+  let r =
+    Tune.search ~options ~nest:(Tiles_apps.Jacobi.nest p)
+      ~kernel:(Tiles_apps.Jacobi.kernel p) ~net ()
+  in
+  Alcotest.(check int) "generated" 16 r.Tune.generated;
+  Alcotest.(check string) "best" "rect m=0 f=[2,5,9]"
+    (Candidate.label r.Tune.best.Tune.cand)
+
 let test_predictor_bounded_jacobi () =
   let p = Tiles_apps.Jacobi.make ~t_steps:16 ~size:24 in
   let nest = Tiles_apps.Jacobi.nest p in
@@ -361,6 +401,19 @@ let test_cache_key_sensitivity () =
     (Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
        ~backend:"sim")
 
+(* Committed digest of one SOR configuration's key: a change to how
+   [Polyhedron.make] normalises the nest's constraints, or to the key's
+   rendering, would orphan every tune cache already on disk. *)
+let test_cache_key_pinned () =
+  let p = Tiles_apps.Sor.make ~m_steps:12 ~size:24 in
+  let nest = Tiles_apps.Sor.nest p in
+  let kernel = Tiles_apps.Sor.kernel p in
+  let tiling = Tiles_apps.Sor.nonrect ~x:6 ~y:9 ~z:3 in
+  Alcotest.(check string) "sor 12/24 nonrect 6x9x3 key"
+    "32c25291d149d0eb17eb25052f619435"
+    (Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
+       ~backend:"sim")
+
 let sample_score =
   {
     Cache.completion = 0.125;
@@ -457,6 +510,8 @@ let () =
           Alcotest.test_case "adi legal" `Quick test_candidates_legal_adi;
           Alcotest.test_case "budget" `Quick test_candidates_respect_budget;
           Alcotest.test_case "inner subtiles" `Quick test_inner_candidates;
+          Alcotest.test_case "jacobi cone tile space compact" `Quick
+            test_jacobi_cone_tile_space_compact;
         ] );
       ( "predictor",
         [
@@ -475,11 +530,13 @@ let () =
           Alcotest.test_case "result invariants" `Slow
             test_simulated_sorted_and_scored;
           Alcotest.test_case "shm backend" `Slow test_shm_backend_search;
+          Alcotest.test_case "jacobi 4/6 pinned" `Quick test_jacobi_tune_pinned;
         ] );
       ( "cache",
         [
           Alcotest.test_case "hits identical" `Quick test_cache_hits_identical;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
+          Alcotest.test_case "key pinned" `Quick test_cache_key_pinned;
           Alcotest.test_case "corrupt entries are misses" `Quick
             test_cache_corrupt_entry_is_miss;
           Alcotest.test_case "concurrent stores" `Quick
