@@ -13,7 +13,7 @@
                                     Jacobi at 58 and 1219 sim ranks
      bench/main.exe perf            run distributions + analytic-model residuals
      bench/main.exe micro           Bechamel micro-benchmarks
-     bench/main.exe kernels         walker throughput: reference vs strength vs fast vs native
+     bench/main.exe kernels         walker throughput: reference vs fast vs native
      bench/main.exe serve           compile-service load test: throughput,
                                     per-class latency, coalesce/cache counters
      bench/main.exe everything      all of the above
@@ -438,7 +438,11 @@ let ablation_overlap () =
         ~kernel:spec.E.kernel ~net ()
     in
     let b = mk false and o = mk true in
-    let eff r = Tiles_mpisim.Trace.efficiency r.Executor.stats in
+    let eff r =
+      let s = Tiles_mpisim.Trace.aggregate r.Executor.stats in
+      s.Tiles_obs.Stats.total_compute
+      /. (float_of_int s.Tiles_obs.Stats.nprocs *. s.Tiles_obs.Stats.completion)
+    in
     Table.add_row t
       [
         label; variant;
@@ -1061,7 +1065,7 @@ let micro () =
 
 (* ---------------- walker throughput (kernels) ---------------- *)
 
-(* Wall-clock throughput of the four tile walkers on the real apps. The
+(* Wall-clock throughput of the tile walkers on the real apps. The
    sim backend in Full mode executes every rank's compute/pack/unpack
    work on one thread with zero transport cost, so elapsed wall time
    isolates walker cost from scheduling and parallel speedup:
@@ -1069,50 +1073,32 @@ let micro () =
    payload, both against the same elapsed wall clock. When the native
    walker cannot compile (no C compiler on the box) its row fell back to
    the fast path; the JSON records the reason so the numbers are never
-   silently mislabelled.
-
-   Each configuration also sweeps the walker's inner subtile shapes
-   ([--inner] on the CLI): the fast variants re-walk the same tile as a
-   sequence of cache-resident subtiles, bit-identical to the unblocked
-   walk, and the table reports the best blocked shape next to the
-   unblocked row ("x unbl" is the intra-tile blocking ratio). The small
-   configurations are cache-resident and exist as correctness smoke; the
-   wide-tile configuration is the one whose per-rank working set
-   actually exceeds L2, where blocking can pay on machines whose
-   last-level cache does not already swallow the whole tile. *)
+   silently mislabelled. The small configurations are cache-resident;
+   the wide-tile one has a per-rank working set far past L2. *)
 let kernels_target () =
   let module Walker = Tiles_runtime.Walker in
   let module Metric = Tiles_obs.Metric in
-  pf
-    "\n\
-     === Kernels — walker throughput (reference vs strength vs fast vs \
-     native) ===\n";
-  pf "(each cell is 1 warmup + N measured Full-mode runs on the sim backend;\n";
-  pf " 'inner' rows re-run the same walk blocked into cache-resident subtiles)\n";
+  pf "\n=== Kernels — walker throughput (reference vs fast vs native) ===\n";
+  pf "(each cell is 1 warmup + N measured Full-mode runs on the sim backend)\n";
   let warmup = 1 in
-  (* (app, variant, size1, size2, outer tile, repeats, inner sweep) *)
+  (* (app, variant, size1, size2, tile, repeats) *)
   let suite =
     [
-      ("sor", "nonrect", 32, 64, (8, 16, 16), 4, [ [| 4; 8; 16 |] ]);
-      ("jacobi", "nonrect", 16, 48, (4, 12, 12), 4, [ [| 4; 6; 12 |] ]);
-      ("adi", "nr3", 16, 40, (4, 10, 10), 4, [ [| 4; 5; 10 |] ]);
-      (* wide tile: 8x512x512 doubles = 16.8 MB per rank tile, far past
-         L2 — the configuration the two-level story is about *)
-      ( "sor", "nonrect", 8, 512, (8, 512, 512), 2,
-        [ [| 8; 16; 512 |]; [| 8; 32; 512 |]; [| 8; 64; 64 |] ] );
+      ("sor", "nonrect", 32, 64, (8, 16, 16), 4);
+      ("jacobi", "nonrect", 16, 48, (4, 12, 12), 4);
+      ("adi", "nr3", 16, 40, (4, 10, 10), 4);
+      (* wide tile: 8x512x512 doubles = 16.8 MB per rank tile *)
+      ("sor", "nonrect", 8, 512, (8, 512, 512), 2);
     ]
   in
   let t =
     Table.create
       ~header:
-        [
-          "config"; "procs"; "walker"; "inner"; "Mpoint/s"; "stddev"; "MB/s";
-          "x ref"; "x unbl";
-        ]
+        [ "config"; "procs"; "walker"; "Mpoint/s"; "stddev"; "MB/s"; "x ref" ]
   in
   let records = ref [] in
   List.iter
-    (fun (app, variant, size1, size2, (x, y, z), repeats, sweep) ->
+    (fun (app, variant, size1, size2, (x, y, z), repeats) ->
       let nest, kernel, tiling, m =
         match app with
         | "sor" ->
@@ -1145,114 +1131,40 @@ let kernels_target () =
       | Some reason ->
         pf "note: %s: native walker fell back to fast (%s)\n" label reason
       | None -> ());
-      let run_once ?inner walker =
+      let run_once walker =
         let t0 = Unix.gettimeofday () in
         let r =
-          Executor.run ?inner ~walker ~mode:Executor.Full ~plan ~kernel ~net
-            ()
+          Executor.run ~walker ~mode:Executor.Full ~plan ~kernel ~net ()
         in
         let dt = Unix.gettimeofday () -. t0 in
         ( float_of_int r.Executor.points_computed /. dt,
           float_of_int r.Executor.stats.Sim.bytes /. dt )
       in
-      (* one walker's unblocked walk and its blocked sweep are sampled
-         round-robin (unblocked, shape 1, shape 2, ..., repeat) so slow
-         clock drift on a shared box lands evenly on every configuration
-         instead of manufacturing a blocking "speedup" — the ratio
-         column compares samples taken seconds, not minutes, apart *)
-      let measure walker shapes =
-        let configs = None :: List.map Option.some shapes in
+      let measure walker =
         let samples =
-          List.init (warmup + repeats) (fun round ->
-              List.map
-                (fun inner -> (round, inner, run_once ?inner walker))
-                configs)
+          List.init (warmup + repeats) (fun _ -> run_once walker)
+          |> List.filteri (fun i _ -> i >= warmup)
         in
-        let measured =
-          List.concat_map
-            (List.filter (fun (round, _, _) -> round >= warmup))
-            samples
-        in
-        List.map
-          (fun inner ->
-            let mine =
-              List.filter_map
-                (fun (_, i, s) -> if i = inner then Some s else None)
-                measured
-            in
-            ( inner,
-              ( Metric.of_values (List.map fst mine),
-                Metric.of_values (List.map snd mine) ) ))
-          configs
+        ( Metric.of_values (List.map fst samples),
+          Metric.of_values (List.map snd samples) )
       in
-      let results =
-        List.map
-          (fun w ->
-            let shapes = if w = Walker.Reference then [] else sweep in
-            (w, measure w shapes))
-          Walker.all_variants
-      in
+      let results = List.map (fun w -> (w, measure w)) Walker.all_variants in
       let ref_pps =
-        (fst (List.assoc None (List.assoc Walker.Reference results)))
-          .Metric.mean
-      in
-      let shape_str b =
-        String.concat "x" (List.map string_of_int (Array.to_list b))
-      in
-      let row ~inner ~unbl_pps (w, ((pps : Metric.summary), bps)) =
-        Table.add_row t
-          [
-            label;
-            string_of_int (Plan.nprocs plan);
-            Walker.variant_to_string w;
-            inner;
-            Printf.sprintf "%.2f" (pps.Metric.mean /. 1e6);
-            Printf.sprintf "%.2f" (pps.Metric.stddev /. 1e6);
-            Printf.sprintf "%.1f" (bps.Metric.mean /. 1e6);
-            Printf.sprintf "%.2fx" (pps.Metric.mean /. ref_pps);
-            Printf.sprintf "%.2fx" (pps.Metric.mean /. unbl_pps);
-          ]
+        (fst (List.assoc Walker.Reference results)).Metric.mean
       in
       let walker_json =
         List.map
-          (fun (w, by_inner) ->
-            let ((pps : Metric.summary), bps) = List.assoc None by_inner in
-            let blocked =
-              List.filter_map
-                (fun (inner, m) ->
-                  match inner with Some b -> Some (b, m) | None -> None)
-                by_inner
-            in
-            let unbl_pps = pps.Metric.mean in
-            row ~inner:"-" ~unbl_pps (w, (pps, bps));
-            let best =
-              List.fold_left
-                (fun acc (b, (bp, bb)) ->
-                  match acc with
-                  | Some (_, (ap, _)) when ap.Metric.mean >= bp.Metric.mean ->
-                    acc
-                  | _ -> Some (b, (bp, bb)))
-                None blocked
-            in
-            (match best with
-            | Some (b, m) -> row ~inner:(shape_str b) ~unbl_pps (w, m)
-            | None -> ());
-            let sweep_json =
-              List.map
-                (fun (b, ((bp : Metric.summary), bb)) ->
-                  Json.Obj
-                    [
-                      ( "shape",
-                        Json.List
-                          (List.map (fun v -> Json.Int v) (Array.to_list b))
-                      );
-                      ("points_per_s", Metric.summary_to_json bp);
-                      ("packed_bytes_per_s", Metric.summary_to_json bb);
-                      ( "speedup_vs_unblocked",
-                        Json.Float (bp.Metric.mean /. unbl_pps) );
-                    ])
-                blocked
-            in
+          (fun (w, ((pps : Metric.summary), (bps : Metric.summary))) ->
+            Table.add_row t
+              [
+                label;
+                string_of_int (Plan.nprocs plan);
+                Walker.variant_to_string w;
+                Printf.sprintf "%.2f" (pps.Metric.mean /. 1e6);
+                Printf.sprintf "%.2f" (pps.Metric.stddev /. 1e6);
+                Printf.sprintf "%.1f" (bps.Metric.mean /. 1e6);
+                Printf.sprintf "%.2fx" (pps.Metric.mean /. ref_pps);
+              ];
             ( Walker.variant_to_string w,
               Json.Obj
                 ([
@@ -1261,24 +1173,6 @@ let kernels_target () =
                    ( "speedup_vs_reference",
                      Json.Float (pps.Metric.mean /. ref_pps) );
                  ]
-                @ (if blocked = [] then []
-                   else
-                     [
-                       ("inner_sweep", Json.List sweep_json);
-                       ( "best_inner",
-                         match best with
-                         | Some (b, _) ->
-                           Json.List
-                             (List.map
-                                (fun v -> Json.Int v)
-                                (Array.to_list b))
-                         | None -> Json.Null );
-                       ( "intra_tile_blocking_ratio",
-                         Json.Float
-                           (match best with
-                           | Some (_, (bp, _)) -> bp.Metric.mean /. unbl_pps
-                           | None -> 1.0) );
-                     ])
                 @
                 match (w, native_fallback) with
                 | Walker.Native, Some reason ->

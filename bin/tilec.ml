@@ -219,30 +219,28 @@ let walker_arg =
   Arg.(value
        & opt
            (enum
-              [ ("reference", Walker.Reference);
-                ("strength", Walker.Strength_reduced);
-                ("fast", Walker.Fastpath);
-                ("native", Walker.Native) ])
+              (List.map
+                 (fun w -> (Walker.variant_to_string w, w))
+                 Walker.all_variants))
            Walker.Fastpath
        & info [ "walker" ] ~docv:"W"
            ~doc:"Tile-execution engine: $(b,reference) (per-point oracle), \
-                 $(b,strength) (strength-reduced rows), $(b,fast) \
-                 (strength-reduced + contiguous-row blits and unrolled row \
-                 bodies; the default) or $(b,native) (row bodies compiled \
-                 to machine code through the system C compiler at plan \
-                 time; falls back to $(b,fast) with a notice when no \
-                 compiler is available). All four produce bit-identical \
-                 results.")
+                 $(b,fast) (strength-reduced rows with contiguous-row \
+                 blits and unrolled row bodies; the default) or \
+                 $(b,native) (row bodies compiled to machine code through \
+                 the system C compiler at plan time; falls back to \
+                 $(b,fast) with a notice when no compiler is available). \
+                 All three produce bit-identical results.")
 
 (* when the native walker cannot actually run natively, say so once on
    stderr (and record the reason in exported metadata) instead of
    silently timing the fast path *)
-let native_fallback ?inner ~plan ~kernel ~check walker =
+let native_fallback ~plan ~kernel ~check walker =
   match walker with
   | Walker.Native -> (
     if check then Some "check mode validates LDS reads in OCaml"
     else
-      match Tiles_runtime.Native_kernel.build ?inner ~plan ~kernel () with
+      match Tiles_runtime.Native_kernel.build ~plan ~kernel () with
       | Ok _ -> None
       | Error reason -> Some reason)
   | _ -> None
@@ -260,47 +258,15 @@ let check_reads_arg =
          ~doc:"Validate every LDS read against NaN poisoning even in the \
                fast walkers (the reference walker always validates).")
 
-(* the walker's inner subtile shape, e.g. --inner 4,16,16; parsed by
-   Cmdliner so a malformed shape is a usage error *)
-let inner_conv =
-  let parse s =
-    match
-      List.map
-        (fun p -> int_of_string (String.trim p))
-        (String.split_on_char ',' (String.trim s))
-    with
-    | exception _ ->
-      Error (`Msg "expected comma-separated integers, e.g. 4,16,16")
-    | [] -> Error (`Msg "empty inner subtile shape")
-    | xs when List.exists (fun x -> x < 1) xs ->
-      Error (`Msg "inner subtile extents must be >= 1")
-    | xs -> Ok (Array.of_list xs)
-  in
-  let print ppf b =
-    Format.pp_print_string ppf
-      (String.concat "," (List.map string_of_int (Array.to_list b)))
-  in
-  Arg.conv ~docv:"B,B,…" (parse, print)
-
-let inner_arg =
-  Arg.(value & opt (some inner_conv) None & info [ "inner" ] ~docv:"B,B,…"
-         ~doc:"Walk each rank tile as a lexicographic sequence of \
-               cache-resident subtiles of this shape (TTIS extents, one \
-               per dimension, clamped to the tile box). Results and \
-               message sets are bit-identical to the unblocked walk — \
-               only intra-tile locality changes, so only wall-clock \
-               backends (shm, simulate --full wall time) speed up. The \
-               reference walker ignores it.")
-
 let run_meta inst ~variant ~xyz:(x, y, z) ~nprocs ~backend ~overlap
     ?(net = Netmodel.fast_ethernet_cluster) ?(walker = Walker.Fastpath)
-    ?walker_fallback ?inner ~size1 ~size2 () =
+    ?walker_fallback ~size1 ~size2 () =
   Tiles_obs.Runmeta.make ~app:inst.app_name ~variant ~size1 ~size2
     ~tile:(x, y, z) ~nprocs ~backend:(backend_name backend) ~overlap
     ~netmodel:(match backend with
       | `Sim -> Netmodel.model_id net
       | `Shm -> "-")
-    ~walker:(Walker.variant_to_string walker) ?walker_fallback ?inner ()
+    ~walker:(Walker.variant_to_string walker) ?walker_fallback ()
 
 (* ---------------- subcommands ---------------- *)
 
@@ -416,19 +382,18 @@ let simulate_cmd =
                  (open in chrome://tracing or Perfetto).")
   in
   let run app size1 size2 variant xyz full trace overlap trace_out walker
-      check_reads inner net =
+      check_reads net =
     guard @@ fun () ->
     let inst, plan = build_plan app size1 size2 variant xyz in
     let mode = if full then Executor.Full else Executor.Timing in
     let trace = trace || trace_out <> None in
     let fallback =
-      native_fallback ?inner ~plan ~kernel:inst.kernel ~check:check_reads
-        walker
+      native_fallback ~plan ~kernel:inst.kernel ~check:check_reads walker
     in
     warn_native_fallback fallback;
     let r =
-      Executor.run ~walker ~check:check_reads ?inner ~mode ~overlap ~trace
-        ~plan ~kernel:inst.kernel ~net ()
+      Executor.run ~walker ~check:check_reads ~mode ~overlap ~trace ~plan
+        ~kernel:inst.kernel ~net ()
     in
     Printf.printf "app %s (%s), %d processes, %d tiles, %d points\n"
       inst.app_name variant (Plan.nprocs plan) r.Executor.tiles_executed
@@ -452,20 +417,20 @@ let simulate_cmd =
       Printf.printf "max |parallel - sequential| = %g\n" err
     end;
     if trace then begin
-      let u = Tiles_mpisim.Trace.utilisation r.Executor.stats in
+      let st = Tiles_mpisim.Trace.aggregate r.Executor.stats in
+      let completion = st.Stats.completion in
       Printf.printf "machine efficiency %.0f%%\n"
-        (100. *. Tiles_mpisim.Trace.efficiency r.Executor.stats);
-      Array.iteri
-        (fun rank x ->
+        (100. *. st.Stats.total_compute
+        /. (float_of_int st.Stats.nprocs *. completion));
+      Array.iter
+        (fun (x : Stats.rank) ->
           Printf.printf
             "  rank %-3d compute %6.2fms  send %6.2fms  wait %6.2fms  idle \
              %6.2fms\n"
-            rank
-            (1e3 *. x.Tiles_mpisim.Trace.compute)
-            (1e3 *. x.Tiles_mpisim.Trace.send)
-            (1e3 *. x.Tiles_mpisim.Trace.wait)
-            (1e3 *. x.Tiles_mpisim.Trace.idle))
-        u
+            x.Stats.rank (1e3 *. x.Stats.compute) (1e3 *. x.Stats.send)
+            (1e3 *. x.Stats.wait)
+            (1e3 *. Float.max 0. (completion -. x.Stats.busy -. x.Stats.wait)))
+        st.Stats.ranks
     end;
     match trace_out with
     | None -> ()
@@ -474,7 +439,7 @@ let simulate_cmd =
         ~process_name:(Printf.sprintf "tilec %s (sim)" inst.app_name)
         ~meta:(run_meta inst ~variant ~xyz ~nprocs:(Plan.nprocs plan)
                  ~backend:`Sim ~overlap ~net ~walker
-                 ?walker_fallback:fallback ?inner ~size1 ~size2 ())
+                 ?walker_fallback:fallback ~size1 ~size2 ())
         ~nprocs:(Plan.nprocs plan) ~path r.Executor.stats.Sim.trace;
       Printf.eprintf "wrote %s\n" path
   in
@@ -482,7 +447,7 @@ let simulate_cmd =
     (Cmd.info "simulate" ~doc:"Execute the plan on the simulated cluster.")
     Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
           $ full_arg $ trace_arg $ overlap_arg $ trace_out_arg $ walker_arg
-          $ check_reads_arg $ inner_arg $ net_arg)
+          $ check_reads_arg $ net_arg)
 
 let trace_cmd =
   let out_arg =
@@ -500,28 +465,27 @@ let trace_cmd =
                  (shm).")
   in
   let run app size1 size2 variant xyz backend out svg overlap walker
-      check_reads inner net =
+      check_reads net =
     guard @@ fun () ->
     let inst, plan = build_plan app size1 size2 variant xyz in
     let nprocs = Plan.nprocs plan in
     let fallback =
-      native_fallback ?inner ~plan ~kernel:inst.kernel ~check:check_reads
-        walker
+      native_fallback ~plan ~kernel:inst.kernel ~check:check_reads walker
     in
     warn_native_fallback fallback;
     let spans, stats =
       match backend with
       | `Sim ->
         let r =
-          Executor.run ~walker ~check:check_reads ?inner ~mode:Executor.Full
+          Executor.run ~walker ~check:check_reads ~mode:Executor.Full
             ~overlap ~trace:true ~plan ~kernel:inst.kernel ~net ()
         in
         (r.Executor.stats.Sim.trace,
          Tiles_mpisim.Trace.aggregate r.Executor.stats)
       | `Shm ->
         let r =
-          Shm_executor.run ~walker ~check:check_reads ?inner ~trace:true
-            ~overlap ~plan ~kernel:inst.kernel ()
+          Shm_executor.run ~walker ~check:check_reads ~trace:true ~overlap
+            ~plan ~kernel:inst.kernel ()
         in
         Printf.printf "max |parallel - sequential| = %g\n"
           r.Shm_executor.max_abs_err;
@@ -531,7 +495,7 @@ let trace_cmd =
     Chrome.write
       ~process_name:(Printf.sprintf "tilec %s (%s)" inst.app_name backend_str)
       ~meta:(run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net
-               ~walker ?walker_fallback:fallback ?inner ~size1 ~size2 ())
+               ~walker ?walker_fallback:fallback ~size1 ~size2 ())
       ~nprocs ~path:out spans;
     Printf.eprintf "wrote %s\n" out;
     (match svg with
@@ -551,7 +515,7 @@ let trace_cmd =
              an optional SVG timeline) with aggregate statistics.")
     Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
           $ backend_arg $ out_arg $ svg_arg $ overlap_arg $ walker_arg
-          $ check_reads_arg $ inner_arg $ net_arg)
+          $ check_reads_arg $ net_arg)
 
 let analyze_cmd =
   let app_opt_arg =
@@ -654,7 +618,7 @@ let analyze_cmd =
       Printf.eprintf "wrote %s\n" path
   in
   let run app size1 size2 variant xyz backend overlap from stream json out svg
-      top inner net =
+      top net =
     guard @@ fun () ->
     if stream && (out <> None || svg <> None || from <> None) then
       failwith
@@ -679,8 +643,8 @@ let analyze_cmd =
       let backend_str = backend_name backend in
       let title = Printf.sprintf "%s on %s" inst.app_name backend_str in
       let meta =
-        run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net ?inner
-          ~size1 ~size2 ()
+        run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net ~size1
+          ~size2 ()
       in
       match backend with
       | `Sim ->
@@ -692,8 +656,8 @@ let analyze_cmd =
             ~nprocs ()
         in
         let r =
-          Executor.run ?inner ~mode:Executor.Timing ~overlap ~recorder:rc
-            ~plan ~kernel:inst.kernel ~net ()
+          Executor.run ~mode:Executor.Timing ~overlap ~recorder:rc ~plan
+            ~kernel:inst.kernel ~net ()
         in
         let completion = r.Executor.stats.Sim.completion in
         if stream then
@@ -718,8 +682,7 @@ let analyze_cmd =
             ~trace:true ~nprocs ()
         in
         let r =
-          Shm_executor.run ?inner ~recorder:rc ~overlap ~plan
-            ~kernel:inst.kernel ()
+          Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel:inst.kernel ()
         in
         Printf.eprintf "max |parallel - sequential| = %g\n"
           r.Shm_executor.max_abs_err;
@@ -748,7 +711,7 @@ let analyze_cmd =
              O(ranks)-memory aggregation at thousand-rank scale.")
     Term.(const run $ app_opt_arg $ size1_arg $ size2_arg $ variant_arg
           $ xyz_args $ backend_arg $ overlap_arg $ from_arg $ stream_arg
-          $ json_arg $ out_arg $ svg_arg $ top_arg $ inner_arg $ net_arg)
+          $ json_arg $ out_arg $ svg_arg $ top_arg $ net_arg)
 
 let tune_cmd =
   let module Tune = Tiles_tune.Tune in
@@ -790,7 +753,7 @@ let tune_cmd =
            ~doc:"Restrict the mapping dimension (default: search all).")
   in
   let run app size1 size2 procs factors top workers cache json overlap backend
-      m inner net =
+      m net =
     guard @@ fun () ->
     let inst = instance app ~size1 ~size2 in
     let options =
@@ -803,10 +766,6 @@ let tune_cmd =
         overlap;
         backend = (match backend with `Sim -> Tune.Sim | `Shm -> Tune.Shm);
         mapping_dims = Option.map (fun m -> [ m ]) m;
-        inner =
-          (match inner with
-          | Some b -> Tune.Inner_fixed (Some b)
-          | None -> Tune.Inner_search);
       }
     in
     let r =
@@ -853,30 +812,17 @@ let tune_cmd =
       Tiles_util.Table.print t;
       let best = r.Tune.best in
       Printf.printf "\nbest: %s\n" (Tiles_tune.Candidate.label best.Tune.cand);
-      (match best.Tune.inner with
-      | Some b ->
-        Printf.printf "inner subtile: %s (predicted locality %.2fx)\n"
-          (String.concat "x" (List.map string_of_int (Array.to_list b)))
-          best.Tune.predicted.Predictor.inner_locality
-      | None -> Printf.printf "inner subtile: none (unblocked walk)\n");
-      (match r.Tune.inner_residual with
-      | Some e ->
-        Printf.printf
-          "inner locality residual: predicted %.2fx, observed %.2fx\n"
-          e.Tiles_obs.Residual.predicted e.Tiles_obs.Residual.observed
-      | None -> ());
       let plan = Tune.plan_of ~nest:inst.nest best.Tune.cand in
       print_string (Plan.summary plan)
     end
   in
   Cmd.v
     (Cmd.info "tune"
-       ~doc:"Search tile shape, tile size, mapping dimension and the \
-             walker's inner subtile shape for the fastest plan under a \
-             processor budget.")
+       ~doc:"Search tile shape, tile size and mapping dimension for the \
+             fastest plan under a processor budget.")
     Term.(const run $ app_arg $ size1_arg $ size2_arg $ procs_arg
           $ factors_arg $ top_arg $ workers_arg $ cache_arg $ json_arg
-          $ overlap_arg $ backend_arg $ m_arg $ inner_arg $ net_arg)
+          $ overlap_arg $ backend_arg $ m_arg $ net_arg)
 
 let perf_cmd =
   let module Metric = Tiles_obs.Metric in
@@ -926,7 +872,7 @@ let perf_cmd =
                  baselines get an $(b,-overlap) file-name suffix.")
   in
   let run app size1 size2 variant xyz backend repeats warmup record check dir
-      json counters_only inflate overlap walker inner net_base =
+      json counters_only inflate overlap walker net_base =
     (* --inflate scales the simulator's network model; the shm backend has
        no model to scale, so the combination is a usage error, not a
        silently ignored flag *)
@@ -944,7 +890,7 @@ let perf_cmd =
     let inst, plan = build_plan app size1 size2 variant xyz in
     let nprocs = Plan.nprocs plan in
     let fallback =
-      native_fallback ?inner ~plan ~kernel:inst.kernel ~check:false walker
+      native_fallback ~plan ~kernel:inst.kernel ~check:false walker
     in
     (* the sim backend times virtual events and never runs a walker, so
        a missing C compiler is only worth a warning where it changes
@@ -971,7 +917,7 @@ let perf_cmd =
         (* the sim backend measures in Timing mode (virtual time, no data
            movement), so [walker] only matters here *)
         let r =
-          Shm_executor.run ~walker ?inner ~trace:true ~overlap ~plan
+          Shm_executor.run ~walker ~trace:true ~overlap ~plan
             ~kernel:inst.kernel ()
         in
         last_speedup := r.Shm_executor.wall_speedup;
@@ -982,7 +928,7 @@ let perf_cmd =
     let dist = Stats.distributions ~warmup runs in
     let meta =
       run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net ~walker
-        ?walker_fallback:fallback ?inner ~size1 ~size2 ()
+        ?walker_fallback:fallback ~size1 ~size2 ()
     in
     let current = Baseline.make ~meta ~stats ~timings:dist in
     let path = Baseline.default_path ~dir ~meta in
@@ -1095,7 +1041,7 @@ let perf_cmd =
             (const run $ app_arg $ size1_arg $ size2_arg $ variant_arg
              $ xyz_args $ backend_arg $ repeats_arg $ warmup_arg $ record_arg
              $ check_arg $ dir_arg $ json_arg $ counters_arg $ inflate_arg
-             $ overlap_arg $ walker_arg $ inner_arg $ net_arg))
+             $ overlap_arg $ walker_arg $ net_arg))
 
 let serve_cmd =
   let module Server = Tiles_serve.Server in

@@ -5,14 +5,14 @@
    read through precomputed flat tap offsets with no guards; boundary
    rows guard each tap with [in_space] and fall back to the boundary
    function in original coordinates. Tap offsets arrive as LDS *cell*
-   deltas exactly as the strength-reduced OCaml path uses them, so the
-   two paths address identically and results are bit-for-bit equal. *)
+   deltas exactly as the fast OCaml path uses them, so the two paths
+   address identically and results are bit-for-bit equal. *)
 
 module Plan = Tiles_core.Plan
 
 let entry_symbol = "tilec_row"
 
-let generate ?inner ~plan ~kernel ~skew ~reads ~uses_j () =
+let generate ~plan ~kernel ~skew ~reads ~uses_j () =
   let width = kernel.Ckernel.width in
   let body = List.map (fun l -> "  " ^ l) kernel.Ckernel.body in
   let store =
@@ -48,28 +48,8 @@ let generate ?inner ~plan ~kernel ~skew ~reads ~uses_j () =
     @ loop (per_point ~interior)
     @ [ "}" ]
   in
-  (* The inner subtile shape is part of this object's identity: the
-     walker drives the compiled row over subtile row segments, so an
-     object built for one schedule must never be cache-hit by another.
-     Baking the shape into the source extends the content address
-     (Native_kernel digests the full text) without changing the row
-     ABI. *)
-  let inner_tag =
-    match inner with
-    | None -> [ "/* walk schedule: unblocked (no inner subtile) */" ]
-    | Some b ->
-      [
-        Printf.sprintf "/* walk schedule: inner subtile shape [%s] */"
-          (String.concat ", " (Array.to_list (Array.map string_of_int b)));
-        Printf.sprintf "static const long tilec_inner[] = { %s };"
-          (String.concat ", " (Array.to_list (Array.map string_of_int b)));
-        "static const long *tilec_inner_ref "
-        ^ "__attribute__((unused)) = tilec_inner;";
-      ]
-  in
   let prelude =
-    inner_tag
-    @ Emit_common.tables ~plan ~kernel ~skew ~reads
+    Emit_common.tables ~plan ~kernel ~skew ~reads
     @ [
         {|/* boundary-aware tap read: guard in skewed coordinates, boundary
    values in original coordinates (boundary() un-skews internally) */

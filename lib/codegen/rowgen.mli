@@ -16,13 +16,12 @@
     iteration space (the walker's convexity check) — interior rows read
     unguarded, boundary rows guard each tap with [in_space] and fall
     back to the kernel's boundary function. Addressing matches the
-    strength-reduced OCaml path slot for slot, and the float operations
+    fast OCaml path slot for slot, and the float operations
     are the kernel's C body verbatim, so results are bit-identical. *)
 
 val entry_symbol : string
 
 val generate :
-  ?inner:int array ->
   plan:Tiles_core.Plan.t ->
   kernel:Ckernel.t ->
   skew:Tiles_linalg.Intmat.t ->
@@ -32,8 +31,4 @@ val generate :
   string
 (** [reads] are the kernel's (skewed) read offsets in compute order;
     [skew] the cumulative skew matrix (identity if unskewed) used to
-    recover original coordinates for [J(k)] and boundary lookups.
-    [inner] is the walker's inner subtile shape, baked into the source
-    text so that differently-blocked walk schedules content-address to
-    distinct objects (the row ABI itself is shape-independent: the
-    walker passes subtile row segments). *)
+    recover original coordinates for [J(k)] and boundary lookups. *)

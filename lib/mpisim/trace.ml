@@ -1,58 +1,3 @@
-module Span = Tiles_obs.Span
-
-type utilisation = {
-  compute : float;
-  pack : float;
-  send : float;
-  wait : float;
-  unpack : float;
-  idle : float;
-}
-
-let utilisation (stats : Sim.stats) =
-  if stats.Sim.trace = [] then invalid_arg "Trace.utilisation: no trace";
-  let nprocs = Array.length stats.Sim.rank_clocks in
-  let compute = Array.make nprocs 0. in
-  let pack = Array.make nprocs 0. in
-  let send = Array.make nprocs 0. in
-  let wait = Array.make nprocs 0. in
-  let unpack = Array.make nprocs 0. in
-  List.iter
-    (fun { Sim.rank; t0; t1; kind } ->
-      let d = t1 -. t0 in
-      match kind with
-      | Span.Compute -> compute.(rank) <- compute.(rank) +. d
-      | Span.Pack -> pack.(rank) <- pack.(rank) +. d
-      | Span.Send -> send.(rank) <- send.(rank) +. d
-      | Span.Wait -> wait.(rank) <- wait.(rank) +. d
-      | Span.Unpack -> unpack.(rank) <- unpack.(rank) +. d)
-    stats.Sim.trace;
-  Array.init nprocs (fun r ->
-      {
-        compute = compute.(r);
-        pack = pack.(r);
-        send = send.(r);
-        wait = wait.(r);
-        unpack = unpack.(r);
-        idle =
-          Float.max 0.
-            (stats.Sim.completion -. compute.(r) -. pack.(r) -. send.(r)
-           -. wait.(r) -. unpack.(r));
-      })
-
-let efficiency stats =
-  let u = utilisation stats in
-  let total = Array.fold_left (fun acc x -> acc +. x.compute) 0. u in
-  total
-  /. (float_of_int (Array.length u) *. stats.Sim.completion)
-
-let critical_rank (stats : Sim.stats) =
-  let best = ref 0 in
-  Array.iteri
-    (fun r t -> if t > stats.Sim.rank_clocks.(!best) then best := r)
-    stats.Sim.rank_clocks;
-  !best
-
 let aggregate (stats : Sim.stats) =
   let nprocs = Array.length stats.Sim.rank_clocks in
   (* with message edges available, the causal critical path through the

@@ -129,22 +129,12 @@ let netmodel_suffix (meta : Runmeta.t) =
       id;
     Buffer.contents b
 
-(* a blocked walk lands in the file name too: blocked wall-clock
-   baselines must never be compared against unblocked ones (or vice
-   versa), and perf --check enforces the same through meta_diff below *)
-let inner_suffix (meta : Runmeta.t) =
-  match meta.Runmeta.inner with
-  | None -> ""
-  | Some b ->
-    "-inner-"
-    ^ String.concat "x" (List.map string_of_int (Array.to_list b))
-
 let default_path ~dir ~(meta : Runmeta.t) =
   Filename.concat dir
-    (Printf.sprintf "%s-%s-%s%s%s%s.json" meta.Runmeta.app meta.Runmeta.variant
+    (Printf.sprintf "%s-%s-%s%s%s.json" meta.Runmeta.app meta.Runmeta.variant
        meta.Runmeta.backend
        (if meta.Runmeta.overlap then "-overlap" else "")
-       (inner_suffix meta) (netmodel_suffix meta))
+       (netmodel_suffix meta))
 
 (* ---------------- comparison ---------------- *)
 
@@ -180,12 +170,6 @@ let meta_diff (a : Runmeta.t) (b : Runmeta.t) =
       d "nprocs" (fun m -> string_of_int m.Runmeta.nprocs);
       d "backend" (fun m -> m.Runmeta.backend);
       d "netmodel" (fun m -> m.Runmeta.netmodel);
-      d "inner"
-        (fun m ->
-          match m.Runmeta.inner with
-          | None -> "-"
-          | Some b ->
-            String.concat "x" (List.map string_of_int (Array.to_list b)));
     ]
 
 let compare ?(rel_threshold = 0.05) ?(k_sigma = 3.)

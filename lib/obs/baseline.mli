@@ -43,12 +43,11 @@ val load : path:string -> (t, string) result
 val default_path : dir:string -> meta:Runmeta.t -> string
 (** [dir/<app>-<variant>-<backend>.json], with an [-overlap] suffix after
     the backend for overlapped runs — the layout the CI gate and the
-    README document. A blocked walker adds an [-inner-BxBxB] suffix and a
-    non-default network model id is appended too (sanitised to
-    [[-a-zA-Z0-9]]), so e.g. a [--net contended:snd=2] or [--inner 4,8,8]
+    README document. A non-default network model id is appended too
+    (sanitised to [[-a-zA-Z0-9]]), so e.g. a [--net contended:snd=2]
     baseline lives in its own file and [perf --check] never compares
-    timings across network models or across blocked/unblocked walks
-    (the metadata comparison rejects the pairing as well). *)
+    timings across network models (the metadata comparison rejects the
+    pairing as well). *)
 
 (** {2 Comparison} *)
 

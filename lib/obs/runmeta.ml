@@ -14,17 +14,16 @@ type t = {
   netmodel : string;
   walker : string;
   walker_fallback : string option;
-  inner : int array option;
   job_id : string option;
   queued_s : float;
 }
 
 let make ~app ~variant ~size1 ~size2 ~tile ~nprocs ~backend ?(overlap = false)
-    ~netmodel ?(walker = "fast") ?walker_fallback ?inner ?job_id
-    ?(queued_s = 0.) () =
+    ~netmodel ?(walker = "fast") ?walker_fallback ?job_id ?(queued_s = 0.)
+    () =
   {
     app; variant; size1; size2; tile; nprocs; backend; overlap; netmodel;
-    walker; walker_fallback; inner; job_id; queued_s;
+    walker; walker_fallback; job_id; queued_s;
   }
 
 let to_json t =
@@ -50,14 +49,6 @@ let to_json t =
     @ (if t.walker <> "fast" then [ ("walker", Json.Str t.walker) ] else [])
     @ (match t.walker_fallback with
       | Some reason -> [ ("walker_fallback", Json.Str reason) ]
-      | None -> [])
-    (* the inner subtile shape only appears when blocked, so unblocked
-       artifacts keep the pre-1.4 byte layout *)
-    @ (match t.inner with
-      | Some b ->
-        [ ( "inner",
-            Json.List (List.map (fun x -> Json.Int x) (Array.to_list b)) )
-        ]
       | None -> [])
     @ (match t.job_id with
       | Some id -> [ ("job_id", Json.Str id) ]
@@ -104,19 +95,6 @@ let of_json j =
   let walker_fallback =
     Option.bind (Json.member "walker_fallback" j) Json.to_str_opt
   in
-  (* absent before schema 1.4: every earlier run walked unblocked *)
-  let* inner =
-    match Json.member "inner" j with
-    | None -> Ok None
-    | Some (Json.List xs) ->
-      let rec ints acc = function
-        | [] -> Ok (Some (Array.of_list (List.rev acc)))
-        | Json.Int x :: rest -> ints (x :: acc) rest
-        | _ -> Error "run metadata: \"inner\" must be a list of ints"
-      in
-      ints [] xs
-    | Some _ -> Error "run metadata: \"inner\" must be a list of ints"
-  in
   (* like [overlap]: files written before the serve daemon existed carry
      no job attribution — absent defaults to None / 0. *)
   let job_id = Option.bind (Json.member "job_id" j) Json.to_str_opt in
@@ -128,5 +106,5 @@ let of_json j =
   Ok
     {
       app; variant; size1; size2; tile; nprocs; backend; overlap; netmodel;
-      walker; walker_fallback; inner; job_id; queued_s;
+      walker; walker_fallback; job_id; queued_s;
     }

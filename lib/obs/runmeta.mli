@@ -20,16 +20,14 @@ type t = {
   backend : string;    (** sim | shm *)
   overlap : bool;      (** §5 overlapped schedule *)
   netmodel : string;   (** network-model name, "-" for wall-clock runs *)
-  walker : string;     (** walker variant used (reference | strength |
-                           fast | native); "fast" for pre-1.3 files *)
+  walker : string;     (** walker variant used (reference | fast |
+                           native); "fast" for pre-1.3 files. Older
+                           files may name the retired "strength"
+                           walker; the string is kept as read. *)
   walker_fallback : string option;
       (** when a native walker was requested but could not be used
           (no C compiler, no C kernel body, check mode), the reason it
           fell back to the fast path; [None] otherwise *)
-  inner : int array option;
-      (** the walker's cache-resident inner subtile shape; [None] = the
-          unblocked walk (and for pre-1.4 files, which had no inner
-          blocking) *)
   job_id : string option;
       (** the serve-daemon job this run belongs to; [None] for
           standalone runs *)
@@ -50,17 +48,15 @@ val make :
   netmodel:string ->
   ?walker:string ->
   ?walker_fallback:string ->
-  ?inner:int array ->
   ?job_id:string ->
   ?queued_s:float ->
   unit ->
   t
 (** [overlap] defaults to false; files written before the field existed
     parse as blocking runs. [walker] defaults to ["fast"] and is omitted
-    from {!to_json} at that default; [walker_fallback] / [inner] /
-    [job_id] / [queued_s] likewise default to [None] / [None] / [None] /
-    [0.] when absent, so walker-, inner- and serve-unaware artifacts
-    stay byte-identical. *)
+    from {!to_json} at that default; [walker_fallback] / [job_id] /
+    [queued_s] likewise default to [None] / [None] / [0.] when absent, so
+    walker- and serve-unaware artifacts stay byte-identical. *)
 
 val to_json : t -> Tiles_util.Json.t
 (** Flat object including a [tilec_version] field. *)

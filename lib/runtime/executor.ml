@@ -14,11 +14,11 @@ type result = {
   tiles_executed : int;
 }
 
-let run ?walker ?check ?inner ?(mode = Full) ?(overlap = false)
+let run ?walker ?check ?(mode = Full) ?(overlap = false)
     ?(trace = false) ?recorder ~plan ~kernel ~net () =
   let pmode = match mode with Full -> Protocol.Full | Timing -> Protocol.Timing in
   let shared =
-    Protocol.prepare ?walker ?check ?inner ~mode:pmode ~plan ~kernel
+    Protocol.prepare ?walker ?check ~mode:pmode ~plan ~kernel
       ~flop_time:net.Netmodel.flop_time ~pack_time:net.Netmodel.pack_time ()
   in
   let comms =

@@ -37,7 +37,6 @@ type result = {
 val run :
   ?walker:Walker.variant ->
   ?check:bool ->
-  ?inner:int array ->
   ?mode:mode ->
   ?overlap:bool ->
   ?trace:bool ->
@@ -51,12 +50,9 @@ val run :
     plan's nest.
 
     [walker]/[check] (defaults {!Walker.Fastpath}, [false]) select the
-    tile-execution engine and its NaN-read validation, and [inner] the
-    optional cache-resident subtile shape; see {!Protocol.prepare}.
-    [Timing] mode never touches data, so they only matter in [Full]
-    mode (in particular the simulator charges per-point flop time, so
-    [inner] changes wall-clock walker throughput, never the simulated
-    completion).
+    tile-execution engine and its NaN-read validation; see
+    {!Protocol.prepare}. [Timing] mode never touches data, so they only
+    matter in [Full] mode.
 
     [overlap] (default false) runs {!Protocol.rank_program} in its
     overlapped §5 schedule (receives pre-posted per tile) and switches

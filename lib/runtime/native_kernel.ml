@@ -137,17 +137,16 @@ let load_path so =
           Ok fn
         | exception Failure msg -> Error ("dlopen: " ^ msg)))
 
-(* Render the source and its content address. The digest covers source
-   (which bakes in the inner subtile shape — see Rowgen), compiler and
-   flags: any of them changing must miss the cache, not load a stale
-   object. *)
-let source_and_path ?inner ~plan ~kernel () =
+(* Render the source and its content address. The digest covers source,
+   compiler and flags: any of them changing must miss the cache, not
+   load a stale object. *)
+let source_and_path ~plan ~kernel () =
   match kernel.Kernel.ckernel with
   | None ->
     Error (Printf.sprintf "kernel %s has no C body" kernel.Kernel.name)
   | Some ck ->
     let src =
-      Rowgen.generate ?inner ~plan ~kernel:ck ~skew:kernel.Kernel.skew
+      Rowgen.generate ~plan ~kernel:ck ~skew:kernel.Kernel.skew
         ~reads:kernel.Kernel.reads ~uses_j:kernel.Kernel.uses_j ()
     in
     let so =
@@ -159,11 +158,8 @@ let source_and_path ?inner ~plan ~kernel () =
     in
     Ok (src, so)
 
-let object_path ?inner ~plan ~kernel () =
-  Result.map snd (source_and_path ?inner ~plan ~kernel ())
-
-let build ?inner ~plan ~kernel () =
-  match source_and_path ?inner ~plan ~kernel () with
+let build ~plan ~kernel () =
+  match source_and_path ~plan ~kernel () with
   | Error e -> Error e
   | Ok (src, so) ->
     if not (available ()) then Error "no C compiler available"

@@ -19,26 +19,7 @@ val available : unit -> bool
     compiler is not on [PATH] (resolved once per process). *)
 
 val build :
-  ?inner:int array ->
-  plan:Tiles_core.Plan.t ->
-  kernel:Kernel.t ->
-  unit ->
-  (fn, string) result
-(** [inner] is the walker's inner subtile shape; it is baked into the
-    generated source, so differently-blocked schedules content-address
-    to distinct shared objects and never collide in the cache. *)
-
-val object_path :
-  ?inner:int array ->
-  plan:Tiles_core.Plan.t ->
-  kernel:Kernel.t ->
-  unit ->
-  (string, string) result
-(** The content-addressed [.so] path [build] would use (no compiler
-    required, nothing is compiled): the digest covers compiler, flags
-    and the rendered source including the inner shape. [Error] when
-    the kernel has no C body. Exposed so tests can assert two inner
-    shapes key distinct objects. *)
+  plan:Tiles_core.Plan.t -> kernel:Kernel.t -> unit -> (fn, string) result
 
 val row :
   fn ->

@@ -46,7 +46,6 @@ type shared = {
   mode : mode;
   walker : Walker.variant;
   check : bool;
-  inner : int array option;  (* subtile shape for every rank's walker *)
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;
@@ -88,8 +87,8 @@ let minsucc_ts mapping ~pid ~pred_ts dss =
   | [] -> None
   | first :: rest -> Some (List.fold_left min first rest)
 
-let prepare ?(walker = Walker.Fastpath) ?(check = false) ?inner ~mode ~plan
-    ~kernel ~flop_time ~pack_time () =
+let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
+    ~flop_time ~pack_time () =
   let n = Tiling.dim plan.Plan.tiling in
   if kernel.Kernel.dim <> n then invalid_arg "Protocol.prepare: kernel dimension";
   if
@@ -111,7 +110,6 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ?inner ~mode ~plan
     mode;
     walker;
     check;
-    inner;
     flop_time;
     pack_time;
     grid;
@@ -135,8 +133,8 @@ let rank_program ?(overlap = false) shared comms rank =
     match shared.mode with
     | Full ->
       Some
-        (Walker.make ?inner:shared.inner ~plan ~kernel ~rank ~ntiles
-           ~variant:shared.walker ~check:shared.check ())
+        (Walker.make ~plan ~kernel ~rank ~ntiles ~variant:shared.walker
+           ~check:shared.check ())
     | Timing -> None
   in
   let la =

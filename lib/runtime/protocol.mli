@@ -57,7 +57,6 @@ type shared = {
   mode : mode;
   walker : Walker.variant;
   check : bool;
-  inner : int array option;  (** subtile shape for every rank's walker *)
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;  (** shared result mirror (disjoint writes) *)
@@ -68,7 +67,6 @@ type shared = {
 val prepare :
   ?walker:Walker.variant ->
   ?check:bool ->
-  ?inner:int array ->
   mode:mode ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
@@ -82,11 +80,7 @@ val prepare :
     [?walker] (default {!Walker.Fastpath}) selects the tile-execution
     engine; [?check] (default false) makes the fast walkers validate
     every LDS read against NaN poisoning like the reference walker
-    does. [?inner] is the optional subtile shape handed to every
-    rank's {!Walker.make}: the compute loop walks cache-resident
-    subtiles while pack/unpack/write-back stay on the plain slab
-    order, so the message set, tags and byte counts are identical to
-    the unblocked run in both schedules. *)
+    does. *)
 
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain (including the untimed LDS→DS

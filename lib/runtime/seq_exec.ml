@@ -1,5 +1,4 @@
 module Polyhedron = Tiles_poly.Polyhedron
-module Constr = Tiles_poly.Constr
 module FM = Tiles_poly.Fourier_motzkin
 module Vec = Tiles_util.Vec
 module A1 = Bigarray.Array1
@@ -31,47 +30,12 @@ let reference_run ~space ~kernel =
   Grid.load_boxed grid data;
   grid
 
-(* Absolute [min, max] of each coordinate over the space: project the
-   constraint system with coordinate k rotated to the front, whose
-   level-0 bounds then need no prefix. Drives the subtile grid of the
-   blocked sequential walk. *)
-let bounding_box ~space =
-  let n = Polyhedron.dim space in
-  let cs = Polyhedron.constraints space in
-  Array.init n (fun k ->
-      let rotate c =
-        let coeffs =
-          Array.init n (fun i ->
-              Constr.coeff c (if i = 0 then k else if i <= k then i - 1 else i))
-        in
-        Constr.make ~coeffs ~const:(Constr.const c)
-      in
-      let proj = FM.project (List.map rotate cs) ~dim:n in
-      match FM.bounds proj ~var:0 ~prefix:(Array.make n 0) with
-      | Some (lo, hi) -> (lo, hi)
-      | None -> invalid_arg "Seq_exec: empty iteration space")
-
-(* The sequential walk runs in the kernel's (skewed) coordinates, where
-   dependences are lexicographic-positive but not necessarily
-   componentwise nonnegative — the condition a rectangular subtile
-   schedule needs. Blocking is therefore applied only when every read
-   offset is componentwise >= 0; otherwise the walk silently stays
-   unblocked (results are bit-identical either way — blocking is purely
-   a schedule choice). *)
-let blockable ~kernel =
-  List.for_all
-    (fun d -> Array.for_all (fun x -> x >= 0) d)
-    kernel.Kernel.reads
-
 (* Strength-reduced sequential walk: rows of the iteration space are
    enumerated through the Fourier–Motzkin projection chain (the innermost
    level is the original system, so whole rows are members); the grid's
    dense row-major box makes each tap's flat-index delta a global
-   constant, so interior rows read with pure index arithmetic. With
-   [inner] the walk visits axis-aligned subtiles of the bounding box in
-   lexicographic order, clipping each level's range to the subtile —
-   exact for an axis-aligned clip, like the distributed walker's. *)
-let fast_run ~variant ~check ~inner ~space ~kernel =
+   constant, so interior rows read with pure index arithmetic. *)
+let fast_run ~check ~space ~kernel =
   let n = Polyhedron.dim space in
   let width = kernel.Kernel.width in
   let grid = Grid.create space ~width in
@@ -100,12 +64,7 @@ let fast_run ~variant ~check ~inner ~space ~kernel =
      field folded in — a different ABI from the walker's cell deltas;
      the native row kernels therefore don't apply here and [Native]
      runs the same row bodies as [Fastpath] *)
-  let row_body =
-    if
-      (variant = Walker.Fastpath || variant = Walker.Native) && not check
-    then kernel.Kernel.row
-    else None
-  in
+  let row_body = if check then None else kernel.Kernel.row in
   let uses_j = kernel.Kernel.uses_j in
   let nan_error i =
     failwith
@@ -179,15 +138,10 @@ let fast_run ~variant ~check ~inner ~space ~kernel =
       j.(n - 1) <- start
     end
   in
-  let rec go clip k =
+  let rec go k =
     match FM.bounds proj ~var:k ~prefix:j with
     | None -> ()
     | Some (blo, bhi) ->
-      let blo, bhi =
-        match clip with
-        | None -> (blo, bhi)
-        | Some (clo, chi) -> (max blo clo.(k), min bhi chi.(k))
-      in
       if blo <= bhi then
         if k = n - 1 then begin
           j.(k) <- blo;
@@ -196,43 +150,18 @@ let fast_run ~variant ~check ~inner ~space ~kernel =
         else
           for x = blo to bhi do
             j.(k) <- x;
-            go clip (k + 1)
+            go (k + 1)
           done
   in
-  (match inner with
-  | Some b when blockable ~kernel ->
-    let box = bounding_box ~space in
-    let clo = Array.make n 0 and chi = Array.make n 0 in
-    let rec blocks k =
-      if k = n then go (Some (clo, chi)) 0
-      else begin
-        let lo0, hi0 = box.(k) in
-        let bk = max 1 b.(k) in
-        let x = ref lo0 in
-        while !x <= hi0 do
-          clo.(k) <- !x;
-          chi.(k) <- min (!x + bk - 1) hi0;
-          blocks (k + 1);
-          x := !x + bk
-        done
-      end
-    in
-    blocks 0
-  | _ -> go None 0);
+  go 0;
   grid
 
-let run ?(variant = Walker.Fastpath) ?(check = false) ?inner ~space ~kernel ()
-    =
+let run ?(variant = Walker.Fastpath) ?(check = false) ~space ~kernel () =
   if Polyhedron.dim space <> kernel.Kernel.dim then
     invalid_arg "Seq_exec.run: dimension";
-  (match inner with
-  | Some b when Array.length b <> Polyhedron.dim space ->
-    invalid_arg "Seq_exec.run: inner shape dimension mismatch"
-  | _ -> ());
   match variant with
   | Walker.Reference -> reference_run ~space ~kernel
-  | Walker.Strength_reduced | Walker.Fastpath | Walker.Native ->
-    fast_run ~variant ~check ~inner ~space ~kernel
+  | Walker.Fastpath | Walker.Native -> fast_run ~check ~space ~kernel
 
 let modelled_time ~space ~net =
   float_of_int (Polyhedron.count_points space)

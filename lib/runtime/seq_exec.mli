@@ -3,7 +3,7 @@
     correctness oracle for the distributed executor and the baseline of
     the speedup measurements.
 
-    Three walkers mirror {!Walker.variant}: [Reference] is the original
+    The walkers mirror {!Walker.variant}: [Reference] is the original
     per-point loop ([Polyhedron.iter_points] + bounds-checked [Grid]
     accesses), the fast variants enumerate contiguous rows through the
     Fourier–Motzkin projection chain and read taps through precomputed
@@ -13,23 +13,13 @@
 val run :
   ?variant:Walker.variant ->
   ?check:bool ->
-  ?inner:int array ->
   space:Tiles_poly.Polyhedron.t ->
   kernel:Kernel.t ->
   unit ->
   Grid.t
 (** [variant] defaults to {!Walker.Fastpath}; [check] (default false)
     makes the fast variants validate reads against NaN poisoning (and
-    disables the unrolled row bodies so every read is inspected).
-
-    [inner] blocks the fast sequential walk into axis-aligned subtiles
-    of the given shape when the kernel's read offsets are componentwise
-    nonnegative in the walk's (skewed) coordinates — the condition a
-    rectangular schedule needs here, unlike the distributed walker's
-    TTIS walk where legality is structural. When the offsets don't
-    allow it the walk silently stays unblocked; results are
-    bit-identical either way. [Reference] always walks unblocked (it is
-    the oracle). *)
+    disables the unrolled row bodies so every read is inspected). *)
 
 val modelled_time :
   space:Tiles_poly.Polyhedron.t -> net:Tiles_mpisim.Netmodel.t -> float

@@ -191,7 +191,7 @@ end
 
 let watchdog_period = 0.02
 
-let run ?walker ?check ?inner ?(trace = false) ?recorder ?(overlap = false)
+let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
     ?(send_queue = 4) ?(recv_timeout = 30.) ~plan ~kernel () =
   if not (recv_timeout > 0.) then
     invalid_arg
@@ -199,7 +199,7 @@ let run ?walker ?check ?inner ?(trace = false) ?recorder ?(overlap = false)
        disable the watchdog)";
   let nprocs = Mapping.nprocs plan.Plan.mapping in
   let shared =
-    Protocol.prepare ?walker ?check ?inner ~mode:Protocol.Full ~plan ~kernel
+    Protocol.prepare ?walker ?check ~mode:Protocol.Full ~plan ~kernel
       ~flop_time:0. ~pack_time:0. ()
   in
   let boxes =

@@ -128,7 +128,6 @@ end
 val run :
   ?walker:Walker.variant ->
   ?check:bool ->
-  ?inner:int array ->
   ?trace:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   ?overlap:bool ->
@@ -139,10 +138,8 @@ val run :
   unit ->
   result
 (** Always Full mode (the whole point is the real data flow).
-    [walker]/[check]/[inner] select the tile-execution engine, its
-    NaN-read validation and the optional cache-resident subtile shape
-    exactly as in {!Protocol.prepare} (the sequential oracle always
-    runs unblocked, so the comparison crosses schedules). [trace]
+    [walker]/[check] select the tile-execution engine and its NaN-read
+    validation exactly as in {!Protocol.prepare}. [trace]
     (default false) records per-rank wall-clock spans. [recorder]
     supplies a caller-created recorder instead (matching [nprocs]
     required; [trace] is then the recorder's flag) — e.g. a

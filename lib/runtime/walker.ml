@@ -14,22 +14,20 @@ module Lds = Tiles_core.Lds
 module Plan = Tiles_core.Plan
 module A1 = Bigarray.Array1
 
-type variant = Reference | Strength_reduced | Fastpath | Native
+type variant = Reference | Fastpath | Native
 
 let variant_to_string = function
   | Reference -> "reference"
-  | Strength_reduced -> "strength"
   | Fastpath -> "fast"
   | Native -> "native"
 
 let variant_of_string = function
   | "reference" -> Some Reference
-  | "strength" -> Some Strength_reduced
   | "fast" -> Some Fastpath
   | "native" -> Some Native
   | _ -> None
 
-let all_variants = [ Reference; Strength_reduced; Fastpath; Native ]
+let all_variants = [ Reference; Fastpath; Native ]
 
 let compiled_member space =
   let cs =
@@ -73,45 +71,17 @@ let compile_level cs ~var =
     cs;
   { ca; cc; cp }
 
-(* A compiled walk plan: the slab projection chain plus the subtile
-   schedule. The projection is the pulled-back space constraints over
-   the symbolic prefix [vs | j'] intersected with the tile box
-   [0, v-1], eliminated level by level. The tile corner enters through
-   the prefix at bounds time and the slab/subtile clips are
-   axis-aligned, so they clamp each level's range at evaluation time —
-   one projection serves every tile AND every slab AND every subtile.
-   [origins] is the lex-ordered sequence of subtile boxes (lo, hi)
-   covering the local box: a single full-box entry when no inner shape
-   was requested, one entry per cache-resident subtile otherwise. *)
-type cplan = { chain : clevel array; origins : (int array * int array) array }
-
-(* Subtile corners in lexicographic order, upper corners clamped to the
-   tile box. Innermost index varies fastest, so the schedule visits
-   subtiles in the same lex order the rows inside them use. *)
-let subtile_origins ~n ~v ~inner =
-  match inner with
-  | None -> [| (Array.make n 0, Array.map (fun vk -> vk - 1) v) |]
-  | Some b ->
-    let counts = Array.init n (fun k -> (v.(k) + b.(k) - 1) / b.(k)) in
-    let total = Array.fold_left ( * ) 1 counts in
-    Array.init total (fun idx ->
-        let lo = Array.make n 0 and hi = Array.make n 0 in
-        let r = ref idx in
-        for k = n - 1 downto 0 do
-          let ok = !r mod counts.(k) in
-          r := !r / counts.(k);
-          lo.(k) <- ok * b.(k);
-          hi.(k) <- min (((ok + 1) * b.(k)) - 1) (v.(k) - 1)
-        done;
-        (lo, hi))
-
-(* The compiled plan depends on (pull_w, pull_bden, v) — which every
-   rank of a plan shares — AND on the inner subtile shape: two walkers
-   blocked differently walk different schedules and must never share a
-   memo entry ([] encodes "no inner"). Memoised process-wide (guarded:
-   shm ranks build walkers from their own domains). *)
+(* The compiled walk plan: the pulled-back space constraints over the
+   symbolic prefix [vs | j'] intersected with the tile box [0, v-1],
+   eliminated level by level. The tile corner enters through the prefix
+   at bounds time and slab clips are axis-aligned lower bounds, so they
+   clamp each level's range at evaluation time — one projection serves
+   every tile AND every slab. The plan depends only on (pull_w,
+   pull_bden, v), which every rank of a plan shares. Memoised
+   process-wide (guarded: shm ranks build walkers from their own
+   domains). *)
 let plan_memo :
-    (int array array * int array * int array * int array, cplan) Hashtbl.t =
+    (int array array * int array * int array, clevel array) Hashtbl.t =
   Hashtbl.create 8
 
 let plan_memo_mu = Mutex.create ()
@@ -122,9 +92,8 @@ let memo_entries () =
     ~finally:(fun () -> Mutex.unlock plan_memo_mu)
     (fun () -> Hashtbl.length plan_memo)
 
-let shared_plan ~n ~pull_w ~pull_bden ~v ~inner =
-  let inner_key = match inner with None -> [||] | Some b -> b in
-  let key = (pull_w, pull_bden, v, inner_key) in
+let shared_plan ~n ~pull_w ~pull_bden ~v =
+  let key = (pull_w, pull_bden, v) in
   Mutex.lock plan_memo_mu;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock plan_memo_mu)
@@ -153,9 +122,8 @@ let shared_plan ~n ~pull_w ~pull_bden ~v ~inner =
           Array.init n (fun k ->
               compile_level (FM.system p ~var:(n + k)) ~var:(n + k))
         in
-        let compiled = { chain; origins = subtile_origins ~n ~v ~inner } in
-        Hashtbl.add plan_memo key compiled;
-        compiled)
+        Hashtbl.add plan_memo key chain;
+        chain)
 
 type t = {
   variant : variant;
@@ -202,13 +170,7 @@ type t = {
      coefficient arrays — [FM.bounds] walks a boxed constraint list
      with per-coefficient calls, far too slow for a per-row operation *)
   proj : clevel array;
-  (* the inner subtile shape (clamped to the tile box) and the derived
-     lex-ordered subtile schedule; a single full-box entry when
-     unblocked, so the compute loop has one shape either way *)
-  inner : int array option;
-  origins : (int array * int array) array;
   box_lo : int array;  (* all zeros: the unclipped slab corner *)
-  box_hi : int array;  (* v - 1: the unclipped upper clamp *)
   (* scratch (one walker per rank; never shared across domains) *)
   vs : int array;  (* V·tile *)
   jpre : int array;  (* FM prefix: [vs | j'] (2n entries) *)
@@ -222,7 +184,7 @@ type t = {
   out : float array;
 }
 
-let make ?inner ~plan ~kernel ~rank ~ntiles ~variant ~check () =
+let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let tiling = plan.Plan.tiling in
   let comm = plan.Plan.comm in
   let tspace = plan.Plan.tspace in
@@ -255,31 +217,6 @@ let make ?inner ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   in
   let reads = Array.of_list kernel.Kernel.reads in
   let reads' = Array.map (Intmat.apply tiling.Tiling.h') reads in
-  (* Inner subtile shape: clamp to the tile box so [b] and [min b v]
-     key the same plan. Legality is structural — H' = diag(v)·H, so a
-     legal tiling (H·d >= 0) gives componentwise-nonnegative TTIS
-     dependences and any rectangular subtile schedule in lex order is a
-     topological order — but we verify the consequence directly per
-     kernel rather than trust the caller's plan. *)
-  let inner =
-    match inner with
-    | None -> None
-    | Some b ->
-      if Array.length b <> n then
-        invalid_arg "Walker.make: inner shape dimension mismatch";
-      Array.iter
-        (fun bk -> if bk < 1 then invalid_arg "Walker.make: inner size < 1")
-        b;
-      let b = Array.mapi (fun k bk -> min bk tiling.Tiling.v.(k)) b in
-      if
-        Array.exists2 (fun bk vk -> bk < vk) b tiling.Tiling.v
-        && Array.exists (Array.exists (fun x -> x < 0)) reads'
-      then
-        invalid_arg
-          "Walker.make: inner blocking needs componentwise-nonnegative \
-           TTIS read offsets (illegal tiling for this kernel)";
-      Some b
-  in
   let coff = Array.make n 0 in
   for k = 1 to n - 1 do
     coff.(k) <- coff.(k - 1) + tiling.Tiling.c.(k - 1)
@@ -351,13 +288,10 @@ let make ?inner ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     | Native when check ->
       (None, Some "check mode validates LDS reads in OCaml")
     | Native -> (
-      match Native_kernel.build ?inner ~plan ~kernel () with
+      match Native_kernel.build ~plan ~kernel () with
       | Ok fn -> (Some fn, None)
       | Error reason -> (None, Some reason))
-    | Reference | Strength_reduced | Fastpath -> (None, None)
-  in
-  let cplan =
-    shared_plan ~n ~pull_w ~pull_bden ~v:tiling.Tiling.v ~inner
+    | Reference | Fastpath -> (None, None)
   in
   {
     variant;
@@ -388,11 +322,8 @@ let make ?inner ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     cslope;
     native;
     fallback;
-    proj = cplan.chain;
-    inner;
-    origins = cplan.origins;
+    proj = shared_plan ~n ~pull_w ~pull_bden ~v:tiling.Tiling.v;
     box_lo = Array.make n 0;
-    box_hi = Array.map (fun vk -> vk - 1) tiling.Tiling.v;
     vs = Array.make n 0;
     jpre = Array.make (2 * n) 0;
     jp = Array.make n 0;
@@ -408,10 +339,6 @@ let make ?inner ~plan ~kernel ~rank ~ntiles ~variant ~check () =
 let variant t = t.variant
 let lds_total t = t.shape.Lds.total
 let fallback_reason t = t.fallback
-let inner t = t.inner
-
-(* fast variants whose pack/unpack/write-back may use contiguous blits *)
-let blits t = match t.variant with Fastpath | Native -> true | _ -> false
 
 (* LDS cell index of TTIS point [j'] at trel = 0 (Table 1 with the
    tile-relative shift split off: adding [trel * t.tshift] gives the
@@ -489,14 +416,12 @@ let clevel_bounds (lv : clevel) (pre : int array) ~var ~blo ~bhi =
   end
   else false
 
-(* Row-wise enumeration of the box clip [lo <= j' <= hi] of [tile], in
+(* Row-wise enumeration of the slab [j' >= lo] of [tile], in
    lexicographic TTIS order. Mirrors Tile_space.count_clipped: the
    Fourier–Motzkin chain's innermost level is the original system, so
    every residue-aligned point of [start, bhi] is a slab member — rows
-   need no per-point membership test. Slab callers pass [hi = box_hi]
-   (a no-op clamp: the chain already carries the tile box); the subtile
-   schedule passes each subtile's corners. *)
-let iter_rows t ~tile ~lo ~hi f =
+   need no per-point membership test. *)
+let iter_rows t ~tile ~lo f =
   let n = t.n in
   let tiling = t.tiling in
   let c = tiling.Tiling.c in
@@ -511,10 +436,9 @@ let iter_rows t ~tile ~lo ~hi f =
   let rec go k =
     if clevel_bounds proj.(k) pre ~var:(n + k) ~blo ~bhi then begin
       (* the chain was projected against the full tile box; the slab
-         and subtile clips are axis-aligned, so they clamp the level's
-         range here (a level emptied by the clamps is skipped by
+         clip is an axis-aligned lower bound, so it clamps the level's
+         range here (a level emptied by the clamp is skipped by
          [start <= bhi]) *)
-      if !bhi > hi.(k) then bhi := hi.(k);
       let bhi = !bhi in
       if !blo < lo.(k) then blo := lo.(k);
       let start =
@@ -619,7 +543,7 @@ let reference_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
         Grid.set grid j f la.{(cell * width) + f}
       done)
 
-(* ---------------- strength-reduced paths ------------------------------ *)
+(* ---------------- fast paths ----------------------------------------- *)
 
 (* Which pulled constraints can go negative at some tap somewhere in
    [tile]'s bounding box? Exact integer minimisation over the local box
@@ -687,9 +611,7 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
   done;
   let na = tile_active t in
   let tile_int = na = 0 in
-  let rowfn =
-    if blits t && not t.check then kernel.Kernel.row else None
-  in
+  let rowfn = if t.check then None else kernel.Kernel.row in
   (* guarded segment [a, b] of the row at LDS cell [base]: per-tap
      membership, boundary values outside the space. Defined outside the
      row callback so the closures are allocated once per tile. *)
@@ -778,32 +700,16 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
         boundary_seg base (s1 + 1) (len - 1)
       end
   in
-  (* Walk the subtile schedule (a single full-box entry when
-     unblocked): rectangular subtiles in lex order, rows in lex order
-     within each — a topological order of the TTIS dependences, so the
-     per-point work is identical to the unblocked walk and results are
-     bit-for-bit equal. Pack/unpack/write-back stay on the plain slab
-     order, so message contents never see the blocking. *)
-  Array.iter (fun (slo, shi) -> iter_rows t ~tile ~lo:slo ~hi:shi row)
-    t.origins;
+  iter_rows t ~tile ~lo:t.box_lo row;
   !points
 
 let fast_pack t ~trel ~tile ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
   let width = t.width in
   let count = ref 0 in
-  iter_rows t ~tile ~lo ~hi:t.box_hi (fun ~j' ~len ->
+  iter_rows t ~tile ~lo (fun ~j' ~len ->
       let cell = cell0 t j' + (trel * t.tshift) in
-      if blits t then
-        Fbuf.blit ~src:la ~src_pos:(cell * width) ~dst:buf
-          ~dst_pos:(!count * width) ~len:(len * width)
-      else begin
-        let src = ref (cell * width) and dst = ref (!count * width) in
-        for _s = 0 to (len * width) - 1 do
-          buf.{!dst} <- la.{!src};
-          incr src;
-          incr dst
-        done
-      end;
+      Fbuf.blit ~src:la ~src_pos:(cell * width) ~dst:buf
+        ~dst_pos:(!count * width) ~len:(len * width);
       count := !count + len);
   !count
 
@@ -817,19 +723,10 @@ let fast_unpack t ~trel ~pred_tile ~ds ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
   done;
   let shift = (trel * t.tshift) - !dshift in
   let count = ref 0 in
-  iter_rows t ~tile:pred_tile ~lo ~hi:t.box_hi (fun ~j' ~len ->
+  iter_rows t ~tile:pred_tile ~lo (fun ~j' ~len ->
       let cell = cell0 t j' + shift in
-      if blits t then
-        Fbuf.blit ~src:buf ~src_pos:(!count * width) ~dst:la
-          ~dst_pos:(cell * width) ~len:(len * width)
-      else begin
-        let src = ref (!count * width) and dst = ref (cell * width) in
-        for _s = 0 to (len * width) - 1 do
-          la.{!dst} <- buf.{!src};
-          incr src;
-          incr dst
-        done
-      end;
+      Fbuf.blit ~src:buf ~src_pos:(!count * width) ~dst:la
+        ~dst_pos:(cell * width) ~len:(len * width);
       count := !count + len);
   !count
 
@@ -842,11 +739,11 @@ let fast_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
     gstep := !gstep + (gstr.(k) * t.jstep.(k))
   done;
   let gstep = !gstep in
-  iter_rows t ~tile ~lo:t.box_lo ~hi:t.box_hi (fun ~j' ~len ->
+  iter_rows t ~tile ~lo:t.box_lo (fun ~j' ~len ->
       let cell = cell0 t j' + (trel * t.tshift) in
       set_global t j' t.jrow;
       let g = ref (Grid.index grid t.jrow 0) in
-      if blits t && gstep = width then
+      if gstep = width then
         Fbuf.blit ~src:la ~src_pos:(cell * width) ~dst:gdata ~dst_pos:!g
           ~len:(len * width)
       else begin
@@ -865,20 +762,19 @@ let fast_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
 let compute_tile t ~trel ~tile ~la =
   match t.variant with
   | Reference -> reference_compute t ~trel ~tile ~la
-  | Strength_reduced | Fastpath | Native -> fast_compute t ~trel ~tile ~la
+  | Fastpath | Native -> fast_compute t ~trel ~tile ~la
 
 let pack_slab t ~trel ~tile ~lo ~la ~buf =
   match t.variant with
   | Reference -> reference_pack t ~trel ~tile ~lo ~la ~buf
-  | Strength_reduced | Fastpath | Native -> fast_pack t ~trel ~tile ~lo ~la ~buf
+  | Fastpath | Native -> fast_pack t ~trel ~tile ~lo ~la ~buf
 
 let unpack_slab t ~trel ~pred_tile ~ds ~lo ~la ~buf =
   match t.variant with
   | Reference -> reference_unpack t ~trel ~pred_tile ~ds ~lo ~la ~buf
-  | Strength_reduced | Fastpath | Native ->
-    fast_unpack t ~trel ~pred_tile ~ds ~lo ~la ~buf
+  | Fastpath | Native -> fast_unpack t ~trel ~pred_tile ~ds ~lo ~la ~buf
 
 let write_back t ~trel ~tile ~la grid =
   match t.variant with
   | Reference -> reference_write_back t ~trel ~tile ~la grid
-  | Strength_reduced | Fastpath | Native -> fast_write_back t ~trel ~tile ~la grid
+  | Fastpath | Native -> fast_write_back t ~trel ~tile ~la grid

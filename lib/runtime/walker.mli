@@ -25,12 +25,10 @@ type variant =
       (** the original per-point walker ([Lds.map] + bounds-checked
           indexing per tap); always validates against NaN reads.
           Kept as the correctness oracle. *)
-  | Strength_reduced
-      (** row enumeration + precomputed linear indices, scalar loops *)
   | Fastpath
-      (** [Strength_reduced] plus: contiguous-row blit pack/unpack, and
-          the kernel's unrolled [row] body on interior rows (width-1
-          kernels). The default. *)
+      (** row enumeration + precomputed linear indices, contiguous-row
+          blit pack/unpack, and the kernel's unrolled [row] body on
+          interior rows (width-1 kernels). The default. *)
   | Native
       (** [Fastpath] whose per-row work runs in a C-compiled,
           [dlopen]'d kernel built at plan time from the kernel's
@@ -42,7 +40,7 @@ type variant =
 val variant_to_string : variant -> string
 
 val variant_of_string : string -> variant option
-(** Accepts ["reference"], ["strength"], ["fast"], ["native"]. *)
+(** Accepts ["reference"], ["fast"], ["native"]. *)
 
 val all_variants : variant list
 
@@ -53,7 +51,6 @@ val compiled_member : Tiles_poly.Polyhedron.t -> int array -> bool
 type t
 
 val make :
-  ?inner:int array ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
   rank:int ->
@@ -66,33 +63,14 @@ val make :
     (uninitialised-cell poisoning) like the reference walker does; the
     fast variants skip the check — and become eligible for the unrolled
     row bodies — when it is false. [Reference] validates regardless.
-    [Native] compiles (or loads from cache) its row kernel here.
-
-    [inner] is an optional subtile shape in TTIS local coordinates
-    (one extent per dimension, clamped to the tile box [0, v-1]): the
-    fast variants then walk each tile as a lexicographic sequence of
-    cache-resident rectangular subtiles instead of one long row sweep.
-    Because a legal tiling has componentwise-nonnegative TTIS
-    dependences (H' = diag(v)·H), any rectangular subtile schedule in
-    lex order is a topological order, so the computed values — and the
-    pack/unpack/write-back traversals, which stay on the plain slab
-    order — are bit-identical to the unblocked walk. [Reference]
-    ignores [inner] (it is the unblocked oracle). Raises
-    [Invalid_argument] on a shape with the wrong dimension, a
-    non-positive extent, or a kernel whose TTIS read offsets would make
-    the blocked order illegal. *)
+    [Native] compiles (or loads from cache) its row kernel here. *)
 
 val variant : t -> variant
 
-val inner : t -> int array option
-(** The subtile shape the walker was built with, clamped to the tile
-    box; [None] when walking unblocked. *)
-
 val memo_entries : unit -> int
 (** Number of process-wide compiled walk plans currently memoised. The
-    memo key covers the pulled-back constraint system, the tile box
-    AND the inner subtile shape — exposed so tests can assert that
-    differently-blocked walkers never share a plan. *)
+    memo key covers the pulled-back constraint system and the tile
+    box, so every rank of a plan shares one entry. *)
 
 val fallback_reason : t -> string option
 (** [Some reason] when [Native] was requested but the walker is running

@@ -27,7 +27,6 @@ type t = {
   backend : string;
   overlap : bool;
   walker : Walker.variant;
-  inner : int array option;
   priority : float;
   procs : int;
   factors : int list;
@@ -98,26 +97,8 @@ let of_json j =
       | None ->
         Error
           (Printf.sprintf
-             "unknown walker %S (reference | strength | fast | native)" s))
+             "unknown walker %S (reference | fast | native)" s))
     | Some _ -> Error "field \"walker\" must be a string"
-  in
-  let* inner =
-    match Json.member "inner" j with
-    | None | Some Json.Null -> Ok None
-    | Some (Json.List items) ->
-      let rec ints acc = function
-        | [] ->
-          let b = Array.of_list (List.rev acc) in
-          if Array.length b = 0 then
-            Error "field \"inner\" must be a non-empty list of integers"
-          else if Array.exists (fun x -> x < 1) b then
-            Error "field \"inner\" extents must be >= 1"
-          else Ok (Some b)
-        | Json.Int i :: rest -> ints (i :: acc) rest
-        | _ -> Error "field \"inner\" must be a list of integers"
-      in
-      ints [] items
-    | Some _ -> Error "field \"inner\" must be a list of integers"
   in
   let* priority =
     match Json.member "priority" j with
@@ -143,7 +124,7 @@ let of_json j =
   Ok
     {
       id; op; app; size1; size2; variant; tile; backend; overlap; walker;
-      inner; priority; procs; factors;
+      priority; procs; factors;
     }
 
 let to_json t =
@@ -160,11 +141,6 @@ let to_json t =
       ("backend", Json.Str t.backend);
       ("overlap", Json.Bool t.overlap);
       ("walker", Json.Str (Walker.variant_to_string t.walker));
-      ( "inner",
-        match t.inner with
-        | None -> Json.Null
-        | Some b ->
-          Json.List (List.map (fun x -> Json.Int x) (Array.to_list b)) );
       ("priority", Json.Float t.priority);
       ("procs", Json.Int t.procs);
       ("factors", Json.List (List.map (fun f -> Json.Int f) t.factors));

@@ -35,9 +35,6 @@ type t = {
   backend : string;  (** ["sim"] or ["shm"]; [execute] only *)
   overlap : bool;
   walker : Tiles_runtime.Walker.variant;
-  inner : int array option;
-      (** walker subtile shape ([simulate]/[execute]/[tune]); [None]
-          walks each rank tile unblocked *)
   priority : float;
   procs : int;  (** tune: processor budget *)
   factors : int list;  (** tune: mapped-dimension factor sweep *)

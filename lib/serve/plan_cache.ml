@@ -35,12 +35,11 @@ let create ~capacity =
     compiles = 0;
   }
 
-let key ~(resolved : Registry.resolved) ~net ~overlap ~backend ~walker ~inner =
+let key ~(resolved : Registry.resolved) ~net ~overlap ~backend ~walker =
   (* same content addressing as the tune score cache, plus the walker:
      the plan itself is walker-independent, but the cache identifies the
-     full compiled configuration a job names — including the walker's
-     inner subtile shape, which is baked into native kernels *)
-  Tiles_tune.Cache.key ~inner ~nest:resolved.Registry.nest
+     full compiled configuration a job names *)
+  Tiles_tune.Cache.key ~nest:resolved.Registry.nest
     ~tiling:resolved.Registry.tiling ~m:resolved.Registry.m
     ~kernel:resolved.Registry.kernel ~net ~overlap ~backend
   ^ "-" ^ walker

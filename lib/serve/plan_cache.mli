@@ -5,8 +5,8 @@
     tile-space bounds and processor assignment — is a first-class,
     reusable artifact, not something recomputed per request. The daemon
     keys plans exactly like [Tune.Cache] v4 keys scores (nest, tiling,
-    mapping dimension, kernel, network model, overlap, backend, inner
-    subtile shape) plus the walker variant, so a million small queries
+    mapping dimension, kernel, network model, overlap, backend) plus
+    the walker variant, so a million small queries
     against the same configuration amortize one compile.
 
     Bounded LRU: at most [capacity] plans are retained; inserting into a
@@ -31,12 +31,9 @@ val key :
   overlap:bool ->
   backend:string ->
   walker:string ->
-  inner:int array option ->
   string
 (** The [Tune.Cache] v4 digest of the resolved configuration, extended
-    with the walker variant. [inner] is the walker's subtile shape —
-    part of the configuration a job names (blocked native kernels are
-    compiled per shape). *)
+    with the walker variant. *)
 
 val find_or_compile :
   t -> key:string -> (unit -> Tiles_core.Plan.t) ->

@@ -150,7 +150,7 @@ let run_meta ~(job : Job.t) ~net ~nprocs ~job_id ~queued_s =
          | "sim" -> Netmodel.model_id net
          | _ -> "-")
        ~walker:(Walker.variant_to_string job.Job.walker)
-       ?inner:job.Job.inner ~job_id ~queued_s ())
+       ~job_id ~queued_s ())
 
 let sim_payload (r : Executor.result) =
   [
@@ -203,9 +203,8 @@ let run_job t (ticket : ticket) : outcome =
   | Job.Simulate ->
     let rc = streaming_recorder ~sim:true in
     let res =
-      Executor.run ?inner:job.Job.inner ~mode:Executor.Timing
-        ~overlap:job.Job.overlap ~recorder:rc ~plan ~kernel
-        ~net:t.config.net ()
+      Executor.run ~mode:Executor.Timing ~overlap:job.Job.overlap
+        ~recorder:rc ~plan ~kernel ~net:t.config.net ()
     in
     fold_waits rc;
     {
@@ -220,8 +219,8 @@ let run_job t (ticket : ticket) : outcome =
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.shm_gate)
         (fun () ->
-          Shm_executor.run ?inner:job.Job.inner ~walker:job.Job.walker
-            ~overlap:job.Job.overlap ~recorder:rc ~plan ~kernel ())
+          Shm_executor.run ~walker:job.Job.walker ~overlap:job.Job.overlap
+            ~recorder:rc ~plan ~kernel ())
     in
     fold_waits rc;
     {
@@ -242,9 +241,9 @@ let run_job t (ticket : ticket) : outcome =
   | Job.Execute ->
     let rc = streaming_recorder ~sim:true in
     let res =
-      Executor.run ?inner:job.Job.inner ~walker:job.Job.walker
-        ~mode:Executor.Full ~overlap:job.Job.overlap ~recorder:rc ~plan
-        ~kernel ~net:t.config.net ()
+      Executor.run ~walker:job.Job.walker ~mode:Executor.Full
+        ~overlap:job.Job.overlap ~recorder:rc ~plan ~kernel
+        ~net:t.config.net ()
     in
     fold_waits rc;
     let err =
@@ -274,10 +273,6 @@ let run_job t (ticket : ticket) : outcome =
         workers = 1;  (* the pool is the only source of parallelism *)
         cache_dir = t.config.tune_cache_dir;
         overlap = job.Job.overlap;
-        inner =
-          (match job.Job.inner with
-          | Some b -> Tune.Inner_fixed (Some b)
-          | None -> Tune.Inner_search);
         backend = Tune.Sim;
       }
     in
@@ -407,7 +402,6 @@ let submit t ~respond (job : Job.t) =
       Plan_cache.key ~resolved ~net:t.config.net ~overlap:job.Job.overlap
         ~backend:job.Job.backend
         ~walker:(Walker.variant_to_string job.Job.walker)
-        ~inner:job.Job.inner
     in
     let ckey = coalesce_key job ~pkey in
     let verdict =

@@ -36,7 +36,7 @@ let open_dir dir =
 
 let dir t = t.dir
 
-let key ~inner ~nest ~tiling ~m ~kernel ~net ~overlap ~backend =
+let key ~nest ~tiling ~m ~kernel ~net ~overlap ~backend =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   let addf x = add "%Lx;" (Int64.bits_of_float x) in
@@ -76,13 +76,9 @@ let key ~inner ~nest ~tiling ~m ~kernel ~net ~overlap ~backend =
     (match c.Netmodel.uplink with None -> add "-" | Some u -> addf u));
   add "|overlap:%b" overlap;
   add "|backend:%s" backend;
-  (* the subtile shape changes the walked (and, on the shm backend,
-     measured) configuration, so blocked scores never alias unblocked
-     ones — this is why version went to 4 *)
-  add "|inner:";
-  (match inner with
-  | None -> add "-"
-  | Some b -> Array.iter (fun x -> add "%d," x) b);
+  (* the retired walker subtile shape's "unblocked" suffix, kept so
+     every existing v4 tune-cache and plan-cache key stays valid *)
+  add "|inner:-";
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let path t k = Filename.concat t.dir (k ^ ".score")

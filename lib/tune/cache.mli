@@ -34,7 +34,6 @@ val open_dir : string -> t
 val dir : t -> string
 
 val key :
-  inner:int array option ->
   nest:Tiles_loop.Nest.t ->
   tiling:Tiles_core.Tiling.t ->
   m:int ->
@@ -43,11 +42,6 @@ val key :
   overlap:bool ->
   backend:string ->
   string
-(** [inner] is the walker's cache-resident subtile shape; [None] keys
-    the unblocked walk. Blocked and unblocked configurations score
-    identically on the simulator (it charges uniform per-point flop
-    time) but differently on the wall-clock shm backend, so the shape is
-    part of the digest either way. *)
 
 val find : t -> string -> score option
 (** [None] on a missing, truncated, corrupt or stale-schema entry — a

@@ -205,64 +205,3 @@ let generate ~nest ~procs ~factors ?mapping_dims () =
         (List.sort_uniq compare factors))
     grids;
   List.sort_uniq compare !out
-
-(* ---------------- inner subtile candidates ---------------- *)
-
-let default_inner_budget = 1 lsl 18 (* 256 KiB: comfortably inside L2 *)
-
-(* all positive divisors of [x], ascending *)
-let divisors x = List.filter (fun d -> x mod d = 0) (List.init x (fun i -> i + 1))
-
-(* at most [cap] values from [ds] (ascending), keeping the extremes and a
-   geometric spread in between — the search doesn't need every divisor of
-   a large extent, just a logarithmic ladder of working-set sizes *)
-let spread cap ds =
-  let a = Array.of_list ds in
-  let len = Array.length a in
-  if len <= cap then ds
-  else
-    List.sort_uniq compare
-      (List.init cap (fun i -> a.(i * (len - 1) / (cap - 1))))
-
-let inner_candidates ?(budget_bytes = default_inner_budget)
-    ?(max_candidates = 8) ~width (v : int array) =
-  if Array.exists (fun x -> x < 1) v then
-    invalid_arg "Candidate.inner_candidates: tile extent < 1";
-  let cell = 8 * max 1 width in
-  let tile_ws = Array.fold_left (fun a x -> a * x) cell v in
-  (* a tile that already fits the cache budget can't gain from blocking *)
-  if tile_ws <= budget_bytes then [ None ]
-  else begin
-    let per_dim = Array.map (fun x -> spread 6 (divisors x)) v in
-    let n = Array.length v in
-    let shapes = ref [] in
-    let rec go k b =
-      if k = n then begin
-        let ws = Array.fold_left (fun a x -> a * x) cell b in
-        let blocked = Array.exists2 (fun bk vk -> bk < vk) b v in
-        if blocked && ws <= budget_bytes then
-          shapes := (ws, Array.copy b) :: !shapes
-      end
-      else
-        List.iter
-          (fun d ->
-            b.(k) <- d;
-            go (k + 1) b)
-          per_dim.(k)
-    in
-    go 0 (Array.make n 1);
-    (* prefer the largest cache-resident subtiles (least per-subtile halo
-       revisiting), tie-broken lexicographically for determinism *)
-    let ranked =
-      List.sort
-        (fun (wa, ba) (wb, bb) ->
-          match compare wb wa with 0 -> compare ba bb | c -> c)
-        !shapes
-    in
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | (_, b) :: rest -> Some b :: take (k - 1) rest
-    in
-    None :: take (max 1 max_candidates) ranked
-  end

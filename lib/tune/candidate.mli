@@ -45,21 +45,3 @@ val generate :
     all). Every returned candidate's measured process count is [<= procs];
     grids that cannot reach the budget keep their closest-from-below
     adjustment. Duplicates are removed. *)
-
-val inner_candidates :
-  ?budget_bytes:int ->
-  ?max_candidates:int ->
-  width:int ->
-  int array ->
-  int array option list
-(** [inner_candidates ~width v] — pruned inner subtile shapes for a tile
-    box [v] (the tiling's TTIS extents, {!Tiles_core.Tiling.t.v}):
-    per-dimension divisors of the outer tile extent (a geometric spread,
-    not every divisor), crossed and kept only while the subtile working
-    set [∏ b_k × width × 8] bytes fits [budget_bytes] (default 256 KiB —
-    comfortably cache-resident). The unblocked walk [None] always leads
-    the list; when the whole tile already fits the budget it is the
-    {e only} entry, since blocking cannot create locality the tile
-    already has. At most [max_candidates] (default 8) blocked shapes are
-    returned, largest working set first — the shapes with the least
-    halo-revisiting overhead. *)

@@ -17,43 +17,8 @@ type estimate = {
   comm_wire : float;
   total : float;
   predicted_speedup : float;
-  inner_locality : float;
   refined : bool;
 }
-
-(* ---------------- inner-locality term ---------------- *)
-
-(* The discrete-event simulator charges a uniform per-point flop time, so
-   cache blocking never moves [total] — the locality term exists to RANK
-   inner subtile shapes (and to be compared, as a residual, against the
-   measured blocked/unblocked wall-clock ratio). The model is a crude
-   stream argument: a tile whose working set spills L2 pays a DRAM factor
-   on its sweeps; a cache-resident subtile recovers it, minus the
-   surface-to-volume fraction of subtile boundary cells that get touched
-   from memory again by the neighbouring subtile. *)
-
-let l2_bytes = 1 lsl 20
-let dram_gain = 1.6
-
-let locality ?inner ~width (plan : Plan.t) =
-  let v = plan.Plan.tiling.Tiling.v in
-  let cell = 8. *. float_of_int (max 1 width) in
-  let ws_tile = float_of_int (Tiling.tile_size plan.Plan.tiling) *. cell in
-  if ws_tile <= float_of_int l2_bytes then 1.0
-  else
-    match inner with
-    | None -> 1.0
-    | Some b ->
-      let b = Array.mapi (fun k bk -> max 1 (min bk v.(k))) b in
-      let ws_sub =
-        Array.fold_left (fun a x -> a *. float_of_int x) cell b
-      in
-      if ws_sub > float_of_int l2_bytes then 1.0
-      else
-        let surface =
-          Array.fold_left (fun a x -> a +. (1. /. float_of_int x)) 0. b
-        in
-        Float.max 1.0 (dram_gain *. (1. -. surface))
 
 (* schedule skeleton shared by both passes *)
 let skeleton (plan : Plan.t) =
@@ -72,7 +37,7 @@ let ntiles_of plan =
   float_of_int
     (max 1 (Polyhedron.count_points plan.Plan.tspace.Tile_space.poly))
 
-let predict ?(width = 1) ?inner (plan : Plan.t) ~net =
+let predict ?(width = 1) (plan : Plan.t) ~net =
   let tile_points = float_of_int (Tiling.tile_size plan.Plan.tiling) in
   let tile_compute = tile_points *. net.Netmodel.flop_time in
   let w = float_of_int width in
@@ -105,7 +70,6 @@ let predict ?(width = 1) ?inner (plan : Plan.t) ~net =
     comm_wire;
     total;
     predicted_speedup = seq /. total;
-    inner_locality = locality ?inner ~width plan;
     refined = false;
   }
 
@@ -114,7 +78,7 @@ let fields e =
 
 let source e = if e.refined then "predictor.refine" else "predictor.predict"
 
-let refine ?(width = 1) ?inner (plan : Plan.t) ~net =
+let refine ?(width = 1) (plan : Plan.t) ~net =
   let tile_points = float_of_int (Tiling.tile_size plan.Plan.tiling) in
   let w = float_of_int width in
   let steps, chain, fill = skeleton plan in
@@ -182,6 +146,5 @@ let refine ?(width = 1) ?inner (plan : Plan.t) ~net =
     comm_wire;
     total;
     predicted_speedup = seq /. total;
-    inner_locality = locality ?inner ~width plan;
     refined = true;
   }

@@ -37,30 +37,15 @@ type estimate = {
   comm_wire : float;  (** α latency + β transfer, per fill hop *)
   total : float;  (** predicted completion, seconds *)
   predicted_speedup : float;
-  inner_locality : float;
-      (** predicted intra-tile speedup factor of walking the tile as
-          cache-resident subtiles ([>= 1.0]; [1.0] = no benefit: walk
-          unblocked, tile already cache-resident, or subtile still
-          spilling). Deliberately {e not} folded into [total]: the
-          simulator charges uniform per-point flop time, so blocking
-          moves wall clock but never simulated completion — the term
-          exists to rank inner shapes and to be compared against the
-          measured blocked/unblocked ratio as a residual. *)
   refined : bool;  (** whether this came from {!refine} *)
 }
 
 val predict :
-  ?width:int ->
-  ?inner:int array ->
-  Tiles_core.Plan.t ->
-  net:Tiles_mpisim.Netmodel.t ->
-  estimate
+  ?width:int -> Tiles_core.Plan.t -> net:Tiles_mpisim.Netmodel.t -> estimate
 (** Cheap pass: [steps × (tile_compute + comm_cpu) + fill × comm_wire],
     with the slab volume over-approximated by the unclipped TTIS count.
     [width] is the kernel's fields-per-point (default 1); it scales the
-    communicated bytes and the pack/unpack CPU charge. [inner] is the
-    walker's subtile shape (clamped to the tile box); it only sets
-    [inner_locality]. *)
+    communicated bytes and the pack/unpack CPU charge. *)
 
 val fields : estimate -> (string * float) list
 (** The estimate's externally comparable quantities, keyed like
@@ -73,11 +58,7 @@ val source : estimate -> string
     ["predictor.refine"] depending on {!estimate.refined}. *)
 
 val refine :
-  ?width:int ->
-  ?inner:int array ->
-  Tiles_core.Plan.t ->
-  net:Tiles_mpisim.Netmodel.t ->
-  estimate
+  ?width:int -> Tiles_core.Plan.t -> net:Tiles_mpisim.Netmodel.t -> estimate
 (** Exact-volume pass:
     [crit_compute + chain × comm_cpu + fill × (avg_tile_compute + comm_wire)]
     where [crit_compute] counts the longest chain's real iterations and

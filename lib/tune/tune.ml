@@ -8,13 +8,10 @@ module Executor = Tiles_runtime.Executor
 module Shm_executor = Tiles_runtime.Shm_executor
 module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
-module Residual = Tiles_obs.Residual
 
 type backend = Sim | Shm
 
 let backend_label = function Sim -> "sim" | Shm -> "shm"
-
-type inner_choice = Inner_search | Inner_fixed of int array option
 
 type options = {
   procs : int;
@@ -25,7 +22,6 @@ type options = {
   overlap : bool;
   backend : backend;
   mapping_dims : int list option;
-  inner : inner_choice;
 }
 
 let default_options =
@@ -38,14 +34,12 @@ let default_options =
     overlap = false;
     backend = Sim;
     mapping_dims = None;
-    inner = Inner_search;
   }
 
 type scored = {
   cand : Candidate.t;
   nprocs : int;
   tile_size : int;
-  inner : int array option;
   predicted : Predictor.estimate;
   score : Cache.score option;
   from_cache : bool;
@@ -58,7 +52,6 @@ type result = {
   generated : int;
   feasible : int;
   cache_hits : int;
-  inner_residual : Residual.entry option;
 }
 
 let plan_of ~nest cand = Plan.make ~m:cand.Candidate.m nest (Candidate.tiling cand)
@@ -93,15 +86,13 @@ let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
   let jobs = Array.of_list jobs in
   let out = Array.make (Array.length jobs) None in
   let eval i =
-    let _, plan, inner = jobs.(i) in
+    let _, plan = jobs.(i) in
     let score =
       match backend with
       | Sim ->
         score_of_run
-          (Executor.run ?inner ~mode:Executor.Timing ~overlap ~plan ~kernel
-             ~net ())
-      | Shm ->
-        score_of_shm_run (Shm_executor.run ?inner ~overlap ~plan ~kernel ())
+          (Executor.run ~mode:Executor.Timing ~overlap ~plan ~kernel ~net ())
+      | Shm -> score_of_shm_run (Shm_executor.run ~overlap ~plan ~kernel ())
     in
     out.(i) <- Some score
   in
@@ -131,7 +122,7 @@ let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
        (fun i s ->
          match s with
          | Some s ->
-           let k, _, _ = jobs.(i) in
+           let k, _ = jobs.(i) in
            (k, s)
          | None -> failwith "Tune.evaluate_parallel: job skipped")
        out)
@@ -189,64 +180,29 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
           cand;
           nprocs;
           tile_size;
-          inner = None;
           predicted;
           score = None;
           from_cache = false;
         })
       (rest @ tail)
   in
-  (* ---------------- inner (subtile) dimension of the search -------- *)
-  let inner_opts_of plan =
-    match options.inner with
-    | Inner_fixed i -> [ i ]
-    | Inner_search ->
-      Candidate.inner_candidates ~width plan.Plan.tiling.Tiling.v
-  in
-  (* the simulator charges uniform per-point flop time, so every inner
-     shape completes identically there: rank analytically and simulate
-     once. The shm backend measures real wall clock, so it pays for the
-     full (outer × inner) product. The candidate list leads with [None]
-     and the comparison is strict, so ties go to the unblocked walk. *)
-  let choose_inner plan =
-    List.fold_left
-      (fun (bi, bl) i ->
-        let l =
-          (Predictor.predict ~width ?inner:i plan ~net)
-            .Predictor.inner_locality
-        in
-        if l > bl then (i, l) else (bi, bl))
-      (None, 1.0) (inner_opts_of plan)
-    |> fst
-  in
   let survivors = List.mapi (fun idx s -> (idx, s)) survivors in
-  let jobs =
-    List.concat_map
-      (fun ((_, (_, plan, _, _, _)) as s) ->
-        let inners =
-          match options.backend with
-          | Sim -> [ choose_inner plan ]
-          | Shm -> inner_opts_of plan
-        in
-        List.map (fun i -> (s, i)) inners)
-      survivors
-  in
   (* force the shared nest-space projection memo before domains race on it *)
   ignore (Polyhedron.count_points nest.Nest.space);
   let cache = Option.map Cache.open_dir options.cache_dir in
   let keyed =
     List.map
-      (fun (((_, (cand, plan, _, _, _)), i) as job) ->
+      (fun ((_, (cand, plan, _, _, _)) as job) ->
         let key =
           Option.map
             (fun _ ->
-              Cache.key ~inner:i ~nest ~tiling:plan.Plan.tiling
-                ~m:cand.Candidate.m ~kernel ~net ~overlap:options.overlap
+              Cache.key ~nest ~tiling:plan.Plan.tiling ~m:cand.Candidate.m
+                ~kernel ~net ~overlap:options.overlap
                 ~backend:(backend_label options.backend))
             cache
         in
         (job, key))
-      jobs
+      survivors
   in
   let hits, misses =
     List.partition_map
@@ -263,9 +219,7 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
   let miss_scores =
     evaluate_parallel ~workers:options.workers ~kernel ~net
       ~overlap:options.overlap ~backend:options.backend
-      (List.map
-         (fun (((_, (_, plan, _, _, _)), i), key) -> (key, plan, i))
-         misses)
+      (List.map (fun ((_, (_, plan, _, _, _)), key) -> (key, plan)) misses)
   in
   (match cache with
   | Some c ->
@@ -280,102 +234,27 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
       misses miss_scores
     @ List.map (fun (job, score) -> (job, score, true)) hits
   in
-  (* fold the per-(outer, inner) scores back to one scored per survivor:
-     the best inner shape wins; remember the measured blocked/unblocked
-     ratio when both walks were actually run (shm backend) *)
-  let scored_of (cand, plan, _, nprocs, tile_size) inner score from_cache =
-    {
-      cand;
-      nprocs;
-      tile_size;
-      inner;
-      predicted = Predictor.refine ~width ?inner plan ~net;
-      score = Some score;
-      from_cache;
-    }
+  (* back to survivor order, so the stable sort breaks completion ties
+     the same way whether a score was a cache hit or a fresh run *)
+  let simulated =
+    List.sort (fun ((i, _), _, _) ((j, _), _, _) -> compare i j) all_scored
+    |> List.map (fun ((_, (cand, _, predicted, nprocs, tile_size)), sc, hit) ->
+           {
+             cand;
+             nprocs;
+             tile_size;
+             predicted;
+             score = Some sc;
+             from_cache = hit;
+           })
+    |> List.sort (fun a b ->
+           match (a.score, b.score) with
+           | Some x, Some y -> compare x.Cache.completion y.Cache.completion
+           | _ -> 0)
   in
-  let simulated_with_obs =
-    List.filter_map
-      (fun (idx, s) ->
-        let mine =
-          List.filter_map
-            (fun (((idx', _), i), score, from_cache) ->
-              if idx' = idx then Some (i, score, from_cache) else None)
-            all_scored
-        in
-        match mine with
-        | [] -> None
-        | first :: rest ->
-          let best =
-            List.fold_left
-              (fun ((_, bs, _) as b) ((_, s, _) as x) ->
-                if s.Cache.completion < bs.Cache.completion then x else b)
-              first rest
-          in
-          let bi, bscore, bcache = best in
-          let observed =
-            match bi with
-            | None -> None
-            | Some _ ->
-              List.find_map
-                (fun (i, s, _) ->
-                  if i = None && bscore.Cache.completion > 0. then
-                    Some (s.Cache.completion /. bscore.Cache.completion)
-                  else None)
-                mine
-          in
-          Some (scored_of s bi bscore bcache, observed))
-      survivors
-  in
-  let simulated_with_obs =
-    List.sort
-      (fun (a, _) (b, _) ->
-        match (a.score, b.score) with
-        | Some x, Some y -> compare x.Cache.completion y.Cache.completion
-        | _ -> 0)
-      simulated_with_obs
-  in
-  let simulated = List.map fst simulated_with_obs in
-  match simulated_with_obs with
+  match simulated with
   | [] -> failwith "Tune.search: no feasible candidate"
-  | (best, best_obs) :: _ ->
-    (* residual of the analytic inner-locality term against a measured
-       ratio: the shm backend already measured both walks; on the
-       simulator backend (completion is inner-invariant) probe the
-       winning plan's real wall clock in Full mode, blocked vs not *)
-    let inner_residual =
-      match best.inner with
-      | None -> None
-      | Some b ->
-        let observed =
-          match (options.backend, best_obs) with
-          | Shm, obs -> obs
-          | Sim, _ ->
-            let plan = plan_of ~nest best.cand in
-            let time inner =
-              let t0 = Unix.gettimeofday () in
-              ignore
-                (Executor.run ?inner ~mode:Executor.Full
-                   ~overlap:options.overlap ~plan ~kernel ~net ());
-              Unix.gettimeofday () -. t0
-            in
-            let t_blocked = time (Some b) in
-            let t_unblocked = time None in
-            if t_blocked > 0. && t_unblocked > 0. then
-              Some (t_unblocked /. t_blocked)
-            else None
-        in
-        Option.map
-          (fun observed ->
-            {
-              Residual.label = Candidate.label best.cand;
-              source = Predictor.source best.predicted;
-              field = "inner_locality";
-              predicted = best.predicted.Predictor.inner_locality;
-              observed;
-            })
-          observed
-    in
+  | best :: _ ->
     {
       best;
       simulated;
@@ -383,7 +262,6 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
       generated;
       feasible = List.length feasible;
       cache_hits;
-      inner_residual;
     }
 
 (* ---------------- JSON rendering ---------------- *)
@@ -399,7 +277,6 @@ let estimate_json (e : Predictor.estimate) =
       ("comm_wire_s", Json.Float e.Predictor.comm_wire);
       ("total_s", Json.Float e.Predictor.total);
       ("speedup", Json.Float e.Predictor.predicted_speedup);
-      ("inner_locality", Json.Float e.Predictor.inner_locality);
     ]
 
 let score_json (s : Cache.score) =
@@ -430,26 +307,10 @@ let scored_json s =
       ("m", Json.Int c.Candidate.m);
       ("nprocs", Json.Int s.nprocs);
       ("tile_size", Json.Int s.tile_size);
-      ( "inner",
-        match s.inner with
-        | None -> Json.Null
-        | Some b ->
-          Json.List (List.map (fun x -> Json.Int x) (Array.to_list b)) );
       ("predicted", estimate_json s.predicted);
       ( "simulated",
         match s.score with Some sc -> score_json sc | None -> Json.Null );
       ("from_cache", Json.Bool s.from_cache);
-    ]
-
-let residual_json (r : Residual.entry) =
-  Json.Obj
-    [
-      ("label", Json.Str r.Residual.label);
-      ("source", Json.Str r.Residual.source);
-      ("field", Json.Str r.Residual.field);
-      ("predicted", Json.Float r.Residual.predicted);
-      ("observed", Json.Float r.Residual.observed);
-      ("rel_error", Json.Float (Residual.rel_error r));
     ]
 
 let result_json r =
@@ -461,8 +322,4 @@ let result_json r =
       ("generated", Json.Int r.generated);
       ("feasible", Json.Int r.feasible);
       ("cache_hits", Json.Int r.cache_hits);
-      ( "inner_residual",
-        match r.inner_residual with
-        | None -> Json.Null
-        | Some e -> residual_json e );
     ]

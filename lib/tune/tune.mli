@@ -27,19 +27,6 @@ type backend = Sim | Shm
 val backend_label : backend -> string
 (** ["sim"] / ["shm"] — the rendering used in cache keys and reports. *)
 
-type inner_choice =
-  | Inner_search
-      (** search the walker's inner subtile shape too: the (outer ×
-          inner) product, with the inner axis pruned by
-          {!Candidate.inner_candidates}. On the [Sim] backend the
-          simulator's completion is inner-invariant (uniform per-point
-          flop time), so the inner shape is chosen analytically by
-          {!Predictor}'s [inner_locality] term and the survivor is
-          simulated once; the [Shm] backend measures every (outer,
-          inner) pair's wall clock. *)
-  | Inner_fixed of int array option
-      (** pin the walker's subtile shape ([None] = always unblocked) *)
-
 type options = {
   procs : int;  (** processor budget (the paper's 16-node cluster) *)
   factors : int list;  (** mapping-dimension tile-factor sweep *)
@@ -50,21 +37,17 @@ type options = {
   overlap : bool;  (** §5 overlapped schedule (both backends) *)
   backend : backend;  (** what scores the survivors *)
   mapping_dims : int list option;  (** restrict searched [m] (default all) *)
-  inner : inner_choice;  (** inner subtile axis of the search *)
 }
 
 val default_options : options
 (** 16 processors, factors [2,4,6,8,10,16,25], top 12, as many workers as
     recommended domains (capped at 8), no cache, blocking sends, [Sim]
-    backend, all mapping dimensions, inner shape searched. *)
+    backend, all mapping dimensions. *)
 
 type scored = {
   cand : Candidate.t;
   nprocs : int;
   tile_size : int;
-  inner : int array option;
-      (** chosen walker subtile shape; [None] = unblocked walk (always
-          the case for predictor-pruned entries) *)
   predicted : Predictor.estimate;
   score : Cache.score option;  (** [None] iff predictor-pruned *)
   from_cache : bool;
@@ -77,12 +60,6 @@ type result = {
   generated : int;  (** raw candidates *)
   feasible : int;   (** candidates whose plan constructed *)
   cache_hits : int;
-  inner_residual : Tiles_obs.Residual.entry option;
-      (** the predictor's [inner_locality] term for the winning
-          configuration vs an observed blocked/unblocked ratio — the
-          shm backend's measured completions, or (simulator backend) a
-          Full-mode wall-clock probe of the winning plan. [None] when
-          the winner walks unblocked. *)
 }
 
 val search :

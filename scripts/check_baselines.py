@@ -19,11 +19,10 @@ falls back to the merge base with origin/main, then to HEAD^.
 import subprocess
 import sys
 
-# Files that define LDS cell addressing or row execution — including
-# the two-level subtile decomposition (walker.ml) and how the subtile
-# shape is baked into generated row kernels (rowgen.ml, native_kernel.ml)
-# and threaded into rank programs (protocol.ml, executor entry points).
-# A change to any of these invalidates the committed perf artifacts.
+# Files that define LDS cell addressing or row execution — the walker,
+# the generated native row kernels (rowgen.ml, native_kernel.ml) and the
+# rank programs and executor entry points that drive them. A change to
+# any of these invalidates the committed perf artifacts.
 WATCHED = {
     "lib/runtime/walker.ml",
     "lib/runtime/kernel.ml",

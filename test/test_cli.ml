@@ -160,6 +160,19 @@ let test_simulate_trace_out () =
   if not (contains doc {|"traceEvents"|}) then
     Alcotest.fail "simulate --trace did not write a Chrome trace"
 
+(* the per-rank utilisation report reads the aggregate Stats record;
+   pinned so the figures stay those of the simulated schedule *)
+let test_simulate_utilisation () =
+  let args = "simulate --app sor -M 12 -N 16 --utilisation" in
+  check_ok args
+    [
+      "machine efficiency 3%\n";
+      "  rank 0   compute   0.05ms  send   0.37ms  wait   0.00ms  idle   \
+       0.92ms\n";
+      "  rank 6   compute   0.01ms  send   0.00ms  wait   1.13ms  idle   \
+       0.00ms\n";
+    ]
+
 (* --backend is a Cmdliner enum: an unknown value must be rejected up
    front with a diagnostic that lists the valid backends *)
 let test_trace_bad_backend () =
@@ -264,6 +277,11 @@ let test_exit_codes () =
   (* usage errors: Cmdliner's cli_error *)
   check_exit "trace --app sor --backend lan" 124;
   check_exit "perf --app sor --backend shm --inflate 2.0" 124;
+  (* retired options: two-level tiling and the strength walker *)
+  List.iter
+    (fun cmd -> check_exit (cmd ^ " --app sor --inner 2,2,2") 124)
+    [ "simulate"; "trace"; "analyze"; "perf"; "tune" ];
+  check_exit "simulate --app sor --walker strength" 124;
   check_exit "serve --workers 0" 1
 
 let test_exit_code_regression () =
@@ -483,6 +501,8 @@ let () =
           Alcotest.test_case "illegal tiling error" `Quick test_illegal_tiling;
           Alcotest.test_case "trace both backends" `Quick test_trace;
           Alcotest.test_case "simulate --trace" `Quick test_simulate_trace_out;
+          Alcotest.test_case "simulate --utilisation" `Quick
+            test_simulate_utilisation;
           Alcotest.test_case "trace bad backend" `Quick test_trace_bad_backend;
           Alcotest.test_case "trace overlap shm" `Quick test_trace_overlap_shm;
           Alcotest.test_case "perf inflate+shm usage error" `Quick

@@ -1,6 +1,7 @@
 module Fbuf = Tiles_util.Fbuf
 module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
+module Stats = Tiles_obs.Stats
 
 let net = Netmodel.fast_ethernet_cluster
 
@@ -170,8 +171,42 @@ let test_zero_nprocs () =
   Alcotest.check_raises "invalid" (Invalid_argument "Sim.run: nprocs")
     (fun () -> ignore (Sim.run ~nprocs:0 ~net (fun _ -> ())))
 
+(* per-rank time accounting from the aggregate Stats record: every
+   rank's components plus its idle time (completion - busy - wait) cover
+   the whole schedule, none is negative, and the machine efficiency
+   total_compute / (nprocs * completion) lies in (0, 1] *)
+let check_stats_accounting (st : Stats.t) =
+  Array.iter
+    (fun (c : Stats.rank) ->
+      let idle = st.Stats.completion -. c.Stats.busy -. c.Stats.wait in
+      let sum =
+        c.Stats.compute +. c.Stats.pack +. c.Stats.send +. c.Stats.wait
+        +. c.Stats.unpack +. idle
+      in
+      Alcotest.(check (float 1e-9))
+        (Printf.sprintf "rank %d components sum to completion" c.Stats.rank)
+        st.Stats.completion sum;
+      List.iter
+        (fun (part, v) ->
+          if v < -.1e-12 then
+            Alcotest.failf "rank %d: negative %s time %.3e" c.Stats.rank part
+              v)
+        [
+          ("compute", c.Stats.compute);
+          ("pack", c.Stats.pack);
+          ("send", c.Stats.send);
+          ("wait", c.Stats.wait);
+          ("unpack", c.Stats.unpack);
+          ("idle", idle);
+        ])
+    st.Stats.ranks;
+  let e =
+    st.Stats.total_compute
+    /. (float_of_int st.Stats.nprocs *. st.Stats.completion)
+  in
+  Alcotest.(check bool) "efficiency in (0,1]" true (e > 0. && e <= 1.)
+
 let test_trace_and_utilisation () =
-  let module Trace = Tiles_mpisim.Trace in
   let stats =
     Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
         if r = 0 then begin
@@ -184,19 +219,18 @@ let test_trace_and_utilisation () =
         end)
   in
   Alcotest.(check bool) "trace recorded" true (stats.Sim.trace <> []);
-  let u = Trace.utilisation stats in
-  Alcotest.(check (float 1e-9)) "rank0 compute" 1.0 u.(0).Trace.compute;
-  Alcotest.(check (float 1e-9)) "rank1 compute" 0.5 u.(1).Trace.compute;
-  Alcotest.(check bool) "rank1 waited" true (u.(1).Trace.wait > 0.9);
-  Alcotest.(check bool) "efficiency in (0,1]" true
-    (let e = Trace.efficiency stats in
-     e > 0. && e <= 1.);
-  Alcotest.(check int) "critical rank" 1 (Trace.critical_rank stats)
+  let st = Tiles_mpisim.Trace.aggregate stats in
+  Alcotest.(check (float 1e-9)) "rank0 compute" 1.0
+    st.Stats.ranks.(0).Stats.compute;
+  Alcotest.(check (float 1e-9)) "rank1 compute" 0.5
+    st.Stats.ranks.(1).Stats.compute;
+  Alcotest.(check bool) "rank1 waited" true
+    (st.Stats.ranks.(1).Stats.wait > 0.9);
+  check_stats_accounting st
 
 (* on a real traced run (SOR through the executor), every rank's
    utilisation components must account for the whole schedule *)
 let test_traced_sor_utilisation () =
-  let module Trace = Tiles_mpisim.Trace in
   let module Plan = Tiles_core.Plan in
   let module Executor = Tiles_runtime.Executor in
   let p = Tiles_apps.Sor.make ~m_steps:12 ~size:16 in
@@ -208,33 +242,9 @@ let test_traced_sor_utilisation () =
     Executor.run ~mode:Executor.Timing ~trace:true ~plan
       ~kernel:(Tiles_apps.Sor.kernel p) ~net ()
   in
-  let stats = r.Executor.stats in
-  let u = Trace.utilisation stats in
-  Alcotest.(check bool) "several ranks" true (Array.length u > 1);
-  Array.iteri
-    (fun rank c ->
-      let sum =
-        c.Trace.compute +. c.Trace.pack +. c.Trace.send +. c.Trace.wait
-        +. c.Trace.unpack +. c.Trace.idle
-      in
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "rank %d components sum to completion" rank)
-        stats.Sim.completion sum;
-      List.iter
-        (fun (part, v) ->
-          if v < -.1e-12 then
-            Alcotest.failf "rank %d: negative %s time %.3e" rank part v)
-        [
-          ("compute", c.Trace.compute);
-          ("pack", c.Trace.pack);
-          ("send", c.Trace.send);
-          ("wait", c.Trace.wait);
-          ("unpack", c.Trace.unpack);
-          ("idle", c.Trace.idle);
-        ])
-    u;
-  let e = Trace.efficiency stats in
-  Alcotest.(check bool) "efficiency in [0,1]" true (e >= 0. && e <= 1.)
+  let st = Tiles_mpisim.Trace.aggregate r.Executor.stats in
+  Alcotest.(check bool) "several ranks" true (st.Stats.nprocs > 1);
+  check_stats_accounting st
 
 let test_trace_off_by_default () =
   let stats = Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0) in

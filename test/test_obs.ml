@@ -440,6 +440,36 @@ let test_baseline_roundtrip_and_load () =
       (Astring.String.is_infix ~affix:"line 2" e));
   Sys.remove path
 
+(* Files written while two-level tiling and the strength walker existed
+   must keep loading: schema 1.4 metadata may carry "inner" (now an
+   ignored unknown field) and name the retired "strength" walker (kept
+   as read). *)
+let read_fixture name =
+  let ic = open_in_bin (Filename.concat "fixtures" name) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  match Json.parse s with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: %s" name e
+
+let test_retired_fields_still_load () =
+  (match Runmeta.of_json (read_fixture "runmeta-1.4-inner-strength.json") with
+  | Ok m ->
+    Alcotest.(check string) "walker kept as read" "strength" m.Runmeta.walker;
+    Alcotest.(check string) "app" "jacobi" m.Runmeta.app
+  | Error e -> Alcotest.failf "runmeta fixture rejected: %s" e);
+  let inner_baseline = "sor-nonrect-sim-inner-3x4x4.json" in
+  (match Json.member "metadata" (read_fixture inner_baseline) with
+  | Some meta -> (
+    match Runmeta.of_json meta with
+    | Ok m -> Alcotest.(check int) "nprocs" 22 m.Runmeta.nprocs
+    | Error e -> Alcotest.failf "baseline metadata rejected: %s" e)
+  | None -> Alcotest.fail "baseline fixture has no metadata");
+  match Baseline.load ~path:(Filename.concat "fixtures" inner_baseline) with
+  | Ok b ->
+    Alcotest.(check string) "baseline app" "sor" b.Baseline.meta.Runmeta.app
+  | Error e -> Alcotest.failf "inner baseline rejected: %s" e
+
 let test_baseline_refuses_newer_schema () =
   let b = baseline_of ~completions:[ 1.0 ] () in
   let bumped =
@@ -765,6 +795,8 @@ let () =
           Alcotest.test_case "runmeta serve fields" `Quick
             test_runmeta_serve_fields;
           Alcotest.test_case "save/load" `Quick test_baseline_roundtrip_and_load;
+          Alcotest.test_case "retired fields still load" `Quick
+            test_retired_fields_still_load;
           Alcotest.test_case "newer schema refused" `Quick
             test_baseline_refuses_newer_schema;
           Alcotest.test_case "noise tolerated" `Quick

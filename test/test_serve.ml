@@ -101,7 +101,7 @@ let test_plan_cache_hits () =
   let r = resolved_exn ~app:"sor" () in
   let key =
     Plan_cache.key ~resolved:r ~net ~overlap:false ~backend:"sim"
-      ~walker:"fast" ~inner:None
+      ~walker:"fast"
   in
   let compiles = ref 0 in
   let compile () =
@@ -121,8 +121,8 @@ let test_plan_cache_hits () =
 
 let test_plan_cache_key_discriminates () =
   let r = resolved_exn ~app:"sor" () in
-  let k ?(inner = None) ~overlap ~backend ~walker () =
-    Plan_cache.key ~resolved:r ~net ~overlap ~backend ~walker ~inner
+  let k ~overlap ~backend ~walker () =
+    Plan_cache.key ~resolved:r ~net ~overlap ~backend ~walker
   in
   let base = k ~overlap:false ~backend:"sim" ~walker:"fast" () in
   check_bool "overlap changes key" true
@@ -131,15 +131,11 @@ let test_plan_cache_key_discriminates () =
     (base <> k ~overlap:false ~backend:"shm" ~walker:"fast" ());
   check_bool "walker changes key" true
     (base <> k ~overlap:false ~backend:"sim" ~walker:"reference" ());
-  check_bool "inner shape changes key" true
-    (base
-    <> k ~inner:(Some [| 2; 2; 2 |]) ~overlap:false ~backend:"sim"
-         ~walker:"fast" ());
   let r2 = resolved_exn ~app:"jacobi" () in
   check_bool "app changes key" true
     (base
     <> Plan_cache.key ~resolved:r2 ~net ~overlap:false ~backend:"sim"
-         ~walker:"fast" ~inner:None)
+         ~walker:"fast")
 
 let test_plan_cache_eviction () =
   let c = Plan_cache.create ~capacity:2 in
@@ -190,7 +186,7 @@ let test_job_roundtrip () =
   let line =
     {|{"id":"j7","op":"execute","app":"jacobi","size1":10,"size2":14,
        "variant":"rect","tile":[2,3,4],"backend":"shm","overlap":true,
-       "walker":"strength","priority":2.5,"procs":8,"factors":[2,4]}|}
+       "walker":"native","priority":2.5,"procs":8,"factors":[2,4]}|}
   in
   let j =
     match Json.parse line with
@@ -204,6 +200,7 @@ let test_job_roundtrip () =
   check_bool "op" true (j.Job.op = Job.Execute);
   check_str "backend" "shm" j.Job.backend;
   check_bool "overlap" true j.Job.overlap;
+  check_bool "walker" true (j.Job.walker = Tiles_runtime.Walker.Native);
   Alcotest.(check (float 0.0)) "priority" 2.5 j.Job.priority;
   (* to_json parses back to the same record *)
   match Job.of_json (Job.to_json j) with
@@ -487,6 +484,49 @@ let test_handle_line_protocol () =
     check_str "plan id" "p1" (str_field "id" p)
   | _ -> Alcotest.fail "unexpected response shapes");
   Server.shutdown t
+
+(* the retired strength walker is an unknown walker now: a structured
+   error response carrying the job id, not a silent substitution *)
+let test_strength_walker_rejected () =
+  let t = Server.create ~config:(stalled_config ()) () in
+  let respond, got = collector () in
+  check_bool "handled" true
+    (Server.handle_line t ~respond
+       {|{"id":"w1","op":"plan","app":"sor","walker":"strength"}|}
+    = `Handled);
+  (match got () with
+  | [ e ] ->
+    check_str "status" "error" (str_field "status" e);
+    check_str "id" "w1" (str_field "id" e);
+    let msg = str_field "error" e in
+    check_bool ("unknown walker: " ^ msg) true
+      (Astring.String.is_infix ~affix:"unknown walker \"strength\"" msg)
+  | rs -> Alcotest.failf "expected one response, got %d" (List.length rs));
+  Server.shutdown t
+
+(* "inner" (the retired walker subtile shape) is an unknown field now and
+   ignored like any other: a job line carrying it gets the same response
+   as the same line without it *)
+let test_inner_field_ignored () =
+  let serve line =
+    let t = Server.create ~config:(stalled_config ()) () in
+    let respond, got = collector () in
+    check_bool "handled" true (Server.handle_line t ~respond line = `Handled);
+    ignore (Server.step t);
+    Server.shutdown t;
+    match got () with
+    | [ r ] ->
+      check_str "status" "ok" (str_field "status" r);
+      payload_fingerprint r
+    | rs -> Alcotest.failf "expected one response, got %d" (List.length rs)
+  in
+  let base =
+    {|"id":"i1","op":"simulate","app":"sor","size1":12,"size2":16,|}
+    ^ {|"tile":[3,4,4]|}
+  in
+  check_str "same response"
+    (serve ("{" ^ base ^ "}"))
+    (serve ("{" ^ base ^ {|,"inner":[2,2,2]}|}))
 
 let test_simulate_deterministic_and_cached () =
   (* two identical simulate jobs, submitted sequentially (no coalescing
@@ -787,6 +827,10 @@ let () =
             test_unknown_app_is_error_response;
           Alcotest.test_case "protocol lines" `Quick
             test_handle_line_protocol;
+          Alcotest.test_case "strength walker rejected" `Quick
+            test_strength_walker_rejected;
+          Alcotest.test_case "inner field ignored" `Quick
+            test_inner_field_ignored;
           Alcotest.test_case "simulate cached+deterministic" `Quick
             test_simulate_deterministic_and_cached;
           Alcotest.test_case "wait reservoir bounded" `Quick

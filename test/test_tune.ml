@@ -64,53 +64,6 @@ let test_candidates_respect_budget () =
       | exception (Invalid_argument _ | Failure _) -> ())
     (Candidate.generate ~nest ~procs:4 ~factors:[ 2; 3 ] ())
 
-(* ---------------- inner subtile candidates ---------------- *)
-
-let test_inner_candidates () =
-  let ws width b = 8 * max 1 width * Array.fold_left ( * ) 1 b in
-  (* a tile that already fits the budget searches nothing: the unblocked
-     walk is the only candidate, so small configurations pay zero extra
-     measurement cost *)
-  (match Candidate.inner_candidates ~width:1 [| 4; 8; 8 |] with
-  | [ None ] -> ()
-  | l -> Alcotest.failf "cache-resident tile generated %d candidates"
-           (List.length l));
-  (* a big tile: None leads, every blocked shape divides the tile, fits
-     the budget and is distinct *)
-  let v = [| 8; 256; 512 |] in
-  let budget_bytes = 1 lsl 18 in
-  (match Candidate.inner_candidates ~budget_bytes ~width:2 v with
-  | None :: (_ :: _ as blocked) ->
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (function
-        | None -> Alcotest.fail "None must appear only once, leading"
-        | Some b ->
-          Alcotest.(check int) "dimension" (Array.length v) (Array.length b);
-          Array.iteri
-            (fun k bk ->
-              Alcotest.(check bool) "divides the tile" true
-                (bk >= 1 && v.(k) mod bk = 0))
-            b;
-          Alcotest.(check bool) "fits the budget" true
-            (ws 2 b <= budget_bytes);
-          let key = String.concat "," (List.map string_of_int (Array.to_list b)) in
-          Alcotest.(check bool) "distinct" false (Hashtbl.mem seen key);
-          Hashtbl.add seen key ())
-      blocked;
-    Alcotest.(check bool) "bounded" true (List.length blocked <= 8)
-  | _ -> Alcotest.fail "large tile must offer blocked candidates after None");
-  (* the predictor prefers the largest cache-fitting subtile and never
-     rewards a spilling one *)
-  let p = Tiles_apps.Sor.make ~m_steps:12 ~size:24 in
-  let nest = Tiles_apps.Sor.nest p in
-  let plan =
-    Plan.make ~m:Tiles_apps.Sor.mapping_dim nest
-      (Tiles_apps.Sor.rect ~x:8 ~y:24 ~z:24)
-  in
-  let loc inner = (Predictor.predict ~width:1 ?inner plan ~net).Predictor.inner_locality in
-  Alcotest.(check (float 0.)) "unblocked locality is neutral" 1.0 (loc None)
-
 (* ---------------- predictor vs simulator ---------------- *)
 
 (* both passes exist to rank candidates, not to hit the clock exactly;
@@ -370,27 +323,22 @@ let test_cache_key_sensitivity () =
   let nest = Tiles_apps.Sor.nest p in
   let kernel = Tiles_apps.Sor.kernel p in
   let tiling = Tiles_apps.Sor.nonrect ~x:6 ~y:9 ~z:3 in
-  let key = Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net
+  let key = Cache.key ~nest ~tiling ~m:2 ~kernel ~net
       ~overlap:false ~backend:"sim" in
   let variants =
     [
-      Cache.key ~inner:None ~nest ~tiling ~m:1 ~kernel ~net ~overlap:false
+      Cache.key ~nest ~tiling ~m:1 ~kernel ~net ~overlap:false
         ~backend:"sim";
-      Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:true
+      Cache.key ~nest ~tiling ~m:2 ~kernel ~net ~overlap:true
         ~backend:"sim";
-      Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
+      Cache.key ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
         ~backend:"shm";
-      Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel
+      Cache.key ~nest ~tiling ~m:2 ~kernel
         ~net:{ net with Netmodel.latency = net.Netmodel.latency *. 2. }
         ~overlap:false ~backend:"sim";
-      Cache.key ~inner:None ~nest
+      Cache.key ~nest
         ~tiling:(Tiles_apps.Sor.nonrect ~x:6 ~y:9 ~z:4)
         ~m:2 ~kernel ~net ~overlap:false ~backend:"sim";
-      (* the walker's subtile shape is part of the configuration *)
-      Cache.key ~inner:(Some [| 2; 4; 4 |]) ~nest ~tiling ~m:2 ~kernel ~net
-        ~overlap:false ~backend:"sim";
-      Cache.key ~inner:(Some [| 2; 4; 2 |]) ~nest ~tiling ~m:2 ~kernel ~net
-        ~overlap:false ~backend:"sim";
     ]
   in
   List.iteri
@@ -398,7 +346,7 @@ let test_cache_key_sensitivity () =
       if k = key then Alcotest.failf "variant %d collides with base key" i)
     variants;
   Alcotest.(check string) "key is deterministic" key
-    (Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
+    (Cache.key ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
        ~backend:"sim")
 
 (* Committed digest of one SOR configuration's key: a change to how
@@ -411,7 +359,7 @@ let test_cache_key_pinned () =
   let tiling = Tiles_apps.Sor.nonrect ~x:6 ~y:9 ~z:3 in
   Alcotest.(check string) "sor 12/24 nonrect 6x9x3 key"
     "32c25291d149d0eb17eb25052f619435"
-    (Cache.key ~inner:None ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
+    (Cache.key ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
        ~backend:"sim")
 
 let sample_score =
@@ -509,7 +457,6 @@ let () =
           Alcotest.test_case "jacobi legal" `Quick test_candidates_legal_jacobi;
           Alcotest.test_case "adi legal" `Quick test_candidates_legal_adi;
           Alcotest.test_case "budget" `Quick test_candidates_respect_budget;
-          Alcotest.test_case "inner subtiles" `Quick test_inner_candidates;
           Alcotest.test_case "jacobi cone tile space compact" `Quick
             test_jacobi_cone_tile_space_compact;
         ] );

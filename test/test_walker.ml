@@ -111,8 +111,6 @@ let test_check_modes () =
   in
   Alcotest.(check bool) "reference always validates" true
     (fires ~variant:Walker.Reference ~check:false);
-  Alcotest.(check bool) "strength + check validates" true
-    (fires ~variant:Walker.Strength_reduced ~check:true);
   Alcotest.(check bool) "fast + check validates" true
     (fires ~variant:Walker.Fastpath ~check:true);
   Alcotest.(check bool) "fast without check skips validation" false
@@ -279,19 +277,18 @@ let build_case app vi (x, y, z) =
     let p = A.make ~t_steps:5 ~size:9 in
     build (A.nest p) A.mapping_dim A.variants (A.kernel p)
 
-let run_with ?inner backend ~overlap ~walker (plan, kernel) =
+let run_with backend ~overlap ~walker (plan, kernel) =
   match backend with
   | Sim_backend ->
     let r =
-      Executor.run ?inner ~walker ~mode:Executor.Full ~overlap ~plan ~kernel
-        ~net ()
+      Executor.run ~walker ~mode:Executor.Full ~overlap ~plan ~kernel ~net ()
     in
     ( Option.get r.Executor.grid,
       r.Executor.stats.Sim.messages,
       r.Executor.stats.Sim.bytes,
       r.Executor.points_computed )
   | Shm_backend ->
-    let r = Shm.run ?inner ~walker ~overlap ~plan ~kernel () in
+    let r = Shm.run ~walker ~overlap ~plan ~kernel () in
     (r.Shm.grid, r.Shm.messages, r.Shm.bytes, r.Shm.points_computed)
 
 let gen_case =
@@ -310,143 +307,36 @@ let print_case (app, vi, (x, y, z), overlap, backend) =
     (match app with `Sor -> "sor" | `Jacobi -> "jacobi" | `Adi -> "adi")
     vi x y z overlap (backend_name backend)
 
-(* ---------- inner subtile blocking ---------- *)
+(* ---------- walk-plan memo ---------- *)
 
-module Native_kernel = Tiles_runtime.Native_kernel
-
-(* Two inner shapes must content-address distinct native shared objects
-   and memoise distinct compiled walk plans: the subtile shape is baked
-   into the generated C and into the walker's process-wide plan memo
-   key, so a blocked schedule can never be served a kernel (or a strength
-   table) compiled for a different blocking. *)
-let test_inner_distinct_keys () =
-  let module Sor = Tiles_apps.Sor in
-  let p = Sor.make ~m_steps:6 ~size:9 in
-  let plan =
-    Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.rect ~x:3 ~y:9 ~z:9)
-  in
-  let kernel = Sor.kernel p in
-  let path inner =
-    match Native_kernel.object_path ?inner ~plan ~kernel () with
-    | Ok p -> p
-    | Error e -> Alcotest.fail ("object_path: " ^ e)
-  in
-  let unblocked = path None in
-  let b1 = path (Some [| 2; 4; 4 |]) in
-  let b2 = path (Some [| 2; 4; 2 |]) in
-  Alcotest.(check bool) "blocked .so differs from unblocked" true
-    (b1 <> unblocked && b2 <> unblocked);
-  Alcotest.(check bool) "the two blockings differ" true (b1 <> b2);
-  (* plan memoisation: a nest/tiling used nowhere else in this process,
-     so the entry-count delta is exactly the number of distinct
-     (plan, inner) configurations built — repeats add nothing *)
+(* The compiled Fourier–Motzkin walk plan depends only on the pulled-back
+   constraints and the tile box, which every rank of a plan shares: a
+   nest/tiling used nowhere else in this process adds exactly one memo
+   entry however many ranks build walkers, and rebuilding adds none. *)
+let test_plan_memo_shared () =
   let nest = pascal_nest 15 10 in
   let plan = Plan.make nest (Tiling.rectangular [ 3; 5 ]) in
-  let tlo, thi = Mapping.chain plan.Plan.mapping 0 in
-  let mk ?inner () =
-    ignore
-      (Walker.make ?inner ~plan ~kernel:pascal_kernel ~rank:0
-         ~ntiles:(thi - tlo + 1) ~variant:Walker.Fastpath ~check:false ())
+  let mapping = plan.Plan.mapping in
+  let nprocs = Mapping.nprocs mapping in
+  Alcotest.(check bool) "plan is multi-rank" true (nprocs > 1);
+  let build_all () =
+    for rank = 0 to nprocs - 1 do
+      let tlo, thi = Mapping.chain mapping rank in
+      ignore
+        (Walker.make ~plan ~kernel:pascal_kernel ~rank ~ntiles:(thi - tlo + 1)
+           ~variant:Walker.Fastpath ~check:false ())
+    done
   in
   let before = Walker.memo_entries () in
-  mk ();
-  mk ~inner:[| 2; 3 |] ();
-  mk ~inner:[| 3; 2 |] ();
-  Alcotest.(check int) "three configurations, three plans" (before + 3)
+  build_all ();
+  Alcotest.(check int) "one plan for every rank" (before + 1)
     (Walker.memo_entries ());
-  mk ~inner:[| 2; 3 |] ();
-  mk ();
-  Alcotest.(check int) "repeats are memo hits" (before + 3)
+  build_all ();
+  Alcotest.(check int) "rebuilds are memo hits" (before + 1)
     (Walker.memo_entries ())
 
-(* a subtile shape per dimension: width-1 slivers, half extents, the
-   degenerate inner == outer (must behave exactly like unblocked) and a
-   small fixed block all appear *)
-let inner_of_sel v sel =
-  Array.mapi
-    (fun k vk ->
-      match sel.(k mod Array.length sel) mod 4 with
-      | 0 -> 1
-      | 1 -> max 1 (vk / 2)
-      | 2 -> vk
-      | _ -> min vk 3)
-    v
-
-let gen_inner_case =
-  QCheck.Gen.(
-    let* app = oneofl [ `Sor; `Jacobi; `Adi ] in
-    let* vi = int_range 0 3 in
-    let* x = int_range 3 6 in
-    let* y = int_range 6 9 in
-    let* z = int_range 6 9 in
-    let* overlap = bool in
-    let* backend = oneofl [ Sim_backend; Shm_backend ] in
-    let* s0 = int_range 0 3 in
-    let* s1 = int_range 0 3 in
-    let* s2 = int_range 0 3 in
-    return (app, vi, (x, y, z), overlap, backend, [| s0; s1; s2 |]))
-
-let print_inner_case (app, vi, (x, y, z), overlap, backend, sel) =
-  Printf.sprintf "%s variant#%d %dx%dx%d overlap:%b backend:%s sel:%d,%d,%d"
-    (match app with `Sor -> "sor" | `Jacobi -> "jacobi" | `Adi -> "adi")
-    vi x y z overlap (backend_name backend) sel.(0) sel.(1) sel.(2)
-
-(* the tentpole's correctness property: a subtiled fast or native walk is
-   bit-identical — grids AND protocol counters — to the unblocked
-   reference oracle, for random apps x tilings x legal inner shapes *)
-let prop_inner_bit_identical =
-  QCheck.Test.make
-    ~name:"subtiled fast/native = unblocked reference (grids + counters)"
-    ~count:10
-    (QCheck.make ~print:print_inner_case gen_inner_case)
-    (fun (app, vi, factors, overlap, backend, sel) ->
-      match build_case app vi factors with
-      | None -> QCheck.assume_fail ()
-      | Some (space, plan, kernel) ->
-        let inner = inner_of_sel plan.Plan.tiling.Tiling.v sel in
-        let gr, mr, br, pr =
-          run_with backend ~overlap ~walker:Walker.Reference (plan, kernel)
-        in
-        List.for_all
-          (fun walker ->
-            let g, m, b, p =
-              run_with ~inner backend ~overlap ~walker (plan, kernel)
-            in
-            Grid.max_abs_diff g gr space = 0.
-            && m = mr && b = br && p = pr)
-          [ Walker.Fastpath; Walker.Native ])
-
-(* deterministic spot check on all three apps: sequential subtiled walk
-   equals the reference oracle, including width-1 slivers and the
-   degenerate inner == outer shape *)
-let test_inner_seq_identical () =
-  let check_app name space kernel dim =
-    let reference = Seq_exec.run ~variant:Walker.Reference ~space ~kernel () in
-    List.iter
-      (fun inner ->
-        let g =
-          Seq_exec.run ~inner ~variant:Walker.Fastpath ~space ~kernel ()
-        in
-        Alcotest.(check (float 0.))
-          (Printf.sprintf "%s: inner %s = reference" name
-             (String.concat "x"
-                (List.map string_of_int (Array.to_list inner))))
-          0.
-          (Grid.max_abs_diff g reference space))
-      [ Array.make dim 1; Array.make dim 3; Array.make dim 1000 ]
-  in
-  let module Sor = Tiles_apps.Sor in
-  let p = Sor.make ~m_steps:6 ~size:10 in
-  check_app "sor" (Sor.nest p).Nest.space (Sor.kernel p) 3;
-  let module Jacobi = Tiles_apps.Jacobi in
-  let p = Jacobi.make ~t_steps:5 ~size:9 in
-  check_app "jacobi" (Jacobi.nest p).Nest.space (Jacobi.kernel p) 3;
-  let module Adi = Tiles_apps.Adi in
-  let p = Adi.make ~t_steps:5 ~size:9 in
-  check_app "adi" (Adi.nest p).Nest.space (Adi.kernel p) 3
-
 let prop_walkers_bit_identical =
-  QCheck.Test.make ~name:"fast/strength/native = reference (grids + counters)"
+  QCheck.Test.make ~name:"fast/native = reference (grids + counters)"
     ~count:10
     (QCheck.make ~print:print_case gen_case)
     (fun (app, vi, factors, overlap, backend) ->
@@ -463,7 +353,7 @@ let prop_walkers_bit_identical =
             in
             Grid.max_abs_diff g gr space = 0.
             && m = mr && b = br && p = pr)
-          [ Walker.Strength_reduced; Walker.Fastpath; Walker.Native ])
+          [ Walker.Fastpath; Walker.Native ])
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -476,14 +366,9 @@ let () =
             test_seq_variants_identical;
           q prop_walkers_bit_identical;
         ] );
-      ( "inner",
-        [
-          Alcotest.test_case "distinct cache keys and plans" `Quick
-            test_inner_distinct_keys;
-          Alcotest.test_case "sequential subtiled = reference" `Quick
-            test_inner_seq_identical;
-          q prop_inner_bit_identical;
-        ] );
+      ( "memo",
+        [ Alcotest.test_case "walk plan shared across ranks" `Quick
+            test_plan_memo_shared ] );
       ( "validation",
         [ Alcotest.test_case "check modes" `Quick test_check_modes ] );
       ( "native",
