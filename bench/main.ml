@@ -1074,9 +1074,13 @@ let micro () =
    walker cannot compile (no C compiler on the box) its row fell back to
    the fast path; the JSON records the reason so the numbers are never
    silently mislabelled. The small configurations are cache-resident;
-   the wide-tile one has a per-rank working set far past L2. *)
+   the wide-tile one has a per-rank working set far past L2. A second
+   table times the sequential oracle ([Seq_exec]) on each config's whole
+   space, reference vs fast, in interleaved rounds so host drift cannot
+   manufacture the ratio. *)
 let kernels_target () =
   let module Walker = Tiles_runtime.Walker in
+  let module Seq_exec = Tiles_runtime.Seq_exec in
   let module Metric = Tiles_obs.Metric in
   pf "\n=== Kernels — walker throughput (reference vs fast vs native) ===\n";
   pf "(each cell is 1 warmup + N measured Full-mode runs on the sim backend)\n";
@@ -1095,6 +1099,10 @@ let kernels_target () =
     Table.create
       ~header:
         [ "config"; "procs"; "walker"; "Mpoint/s"; "stddev"; "MB/s"; "x ref" ]
+  in
+  let ts =
+    Table.create
+      ~header:[ "config"; "points"; "seq walk"; "Mpoint/s"; "stddev"; "x ref" ]
   in
   let records = ref [] in
   List.iter
@@ -1180,9 +1188,50 @@ let kernels_target () =
                 | _ -> []) ))
           results
       in
-      records := (label, Json.Obj walker_json) :: !records)
+      let space = nest.Tiles_loop.Nest.space in
+      let npoints = Tiles_poly.Polyhedron.count_points space in
+      let seq_once variant =
+        let t0 = Unix.gettimeofday () in
+        ignore (Seq_exec.run ~variant ~space ~kernel ());
+        float_of_int npoints /. (Unix.gettimeofday () -. t0)
+      in
+      let rounds =
+        List.init (warmup + repeats) (fun _ ->
+            let r = seq_once Walker.Reference in
+            (r, seq_once Walker.Fastpath))
+        |> List.filteri (fun i _ -> i >= warmup)
+      in
+      let seq_ref = Metric.of_values (List.map fst rounds) in
+      let seq_fast = Metric.of_values (List.map snd rounds) in
+      let seq_json =
+        List.map
+          (fun (w, (pps : Metric.summary)) ->
+            let speedup = pps.Metric.mean /. seq_ref.Metric.mean in
+            Table.add_row ts
+              [
+                label;
+                string_of_int npoints;
+                Walker.variant_to_string w;
+                Printf.sprintf "%.2f" (pps.Metric.mean /. 1e6);
+                Printf.sprintf "%.2f" (pps.Metric.stddev /. 1e6);
+                Printf.sprintf "%.2fx" speedup;
+              ];
+            ( Walker.variant_to_string w,
+              Json.Obj
+                [
+                  ("points_per_s", Metric.summary_to_json pps);
+                  ("speedup_vs_reference", Json.Float speedup);
+                ] ))
+          [ (Walker.Reference, seq_ref); (Walker.Fastpath, seq_fast) ]
+      in
+      records :=
+        (label, Json.Obj (walker_json @ [ ("seq", Json.Obj seq_json) ]))
+        :: !records)
     suite;
   emit t;
+  pf "\nSequential oracle (Seq_exec) over the whole space; [native] runs the\n";
+  pf "same OCaml row bodies as [fast], so it has no row of its own:\n";
+  emit ts;
   List.iter (fun (k, j) -> emit_json k j) (List.rev !records)
 
 (* ---------------- serve load generator ---------------- *)

@@ -1,5 +1,7 @@
 module Polyhedron = Tiles_poly.Polyhedron
+module Constr = Tiles_poly.Constr
 module FM = Tiles_poly.Fourier_motzkin
+module Ints = Tiles_util.Ints
 module Vec = Tiles_util.Vec
 module A1 = Bigarray.Array1
 
@@ -34,7 +36,12 @@ let reference_run ~space ~kernel =
    enumerated through the Fourier–Motzkin projection chain (the innermost
    level is the original system, so whole rows are members); the grid's
    dense row-major box makes each tap's flat-index delta a global
-   constant, so interior rows read with pure index arithmetic. *)
+   constant. Each row splits into three segments, the same split as
+   {!Walker}'s [row_interior_span]: a boundary prefix and suffix, whose
+   points may read outside the space and go through the guarded
+   per-point path ([member] test per tap, [boundary] values outside),
+   and the interior run between them, whose taps all land in the space
+   and read with pure index arithmetic. *)
 let fast_run ~check ~space ~kernel =
   let n = Polyhedron.dim space in
   let width = kernel.Kernel.width in
@@ -42,7 +49,6 @@ let fast_run ~check ~space ~kernel =
   let gdata = Grid.data grid in
   let gstr = Grid.strides grid in
   let reads = Array.of_list kernel.Kernel.reads in
-  let nrd = Array.length reads in
   let member = Walker.compiled_member space in
   (* flat-index (slot) delta of tap i: constant over the whole box *)
   let deltas =
@@ -55,9 +61,20 @@ let fast_run ~check ~space ~kernel =
         !acc)
       reads
   in
+  (* per space constraint a·x + c >= 0: the coefficients, and the
+     constant less the largest tap shift max_r a·d_r. Every tap of point
+     j lands in the space iff a·j + shifted >= 0 for every constraint. *)
+  let cons = Array.of_list (Polyhedron.constraints space) in
+  let coeffs = Array.map (fun c -> Array.init n (Constr.coeff c)) cons in
+  let shifted =
+    Array.map2
+      (fun c a ->
+        Constr.const c
+        - Array.fold_left (fun acc d -> max acc (Vec.dot a d)) min_int reads)
+      cons coeffs
+  in
   let proj = FM.project (Polyhedron.constraints space) ~dim:n in
   let j = Array.make n 0 in
-  let jend = Array.make n 0 in
   let src = Array.make n 0 in
   let out = Array.make width 0. in
   (* the sequential walk has no LDS, so taps are *slot* deltas with the
@@ -65,77 +82,72 @@ let fast_run ~check ~space ~kernel =
      the native row kernels therefore don't apply here and [Native]
      runs the same row bodies as [Fastpath] *)
   let row_body = if check then None else kernel.Kernel.row in
-  let uses_j = kernel.Kernel.uses_j in
   let nan_error i =
     failwith
       (Printf.sprintf
          "Seq_exec: read of uninitialised grid cell at iteration %s read %d"
          (Vec.to_string j) i)
   in
-  let do_row len =
-    let g0 = Grid.index grid j 0 in
-    Array.blit j 0 jend 0 n;
-    jend.(n - 1) <- j.(n - 1) + len - 1;
-    let interior = ref true in
-    let i = ref 0 in
-    while !interior && !i < nrd do
-      let d = reads.(!i) in
-      for k = 0 to n - 1 do
-        src.(k) <- j.(k) - d.(k)
+  (* slot of the current point; the read closures below are built once
+     per run and follow it *)
+  let cur = ref 0 in
+  let interior_read i field =
+    let v = A1.unsafe_get gdata (!cur + deltas.(i) + field) in
+    if check && Float.is_nan v then nan_error i;
+    v
+  in
+  let guarded_read i field =
+    let d = reads.(i) in
+    for k = 0 to n - 1 do
+      src.(k) <- j.(k) - d.(k)
+    done;
+    if member src then interior_read i field
+    else kernel.Kernel.boundary src field
+  in
+  (* points [a, b] of the row starting at [start] with slot [g0] *)
+  let points ~read ~start ~g0 a b =
+    cur := g0 + (a * width);
+    for s = a to b do
+      j.(n - 1) <- start + s;
+      kernel.Kernel.compute ~read ~j ~out;
+      for f = 0 to width - 1 do
+        A1.unsafe_set gdata (!cur + f) (Array.unsafe_get out f)
       done;
-      if not (member src) then interior := false
-      else begin
-        for k = 0 to n - 1 do
-          src.(k) <- jend.(k) - d.(k)
-        done;
-        if not (member src) then interior := false
-      end;
+      cur := !cur + width
+    done
+  in
+  (* interior steps [s0, s1] of the [len]-point row starting at [j]
+     (empty when s0 > s1): each constraint is linear in the step s *)
+  let interior_span len =
+    let s0 = ref 0 and s1 = ref (len - 1) in
+    let i = ref 0 in
+    while !s0 <= !s1 && !i < Array.length coeffs do
+      let a = coeffs.(!i) in
+      let base = ref shifted.(!i) in
+      for k = 0 to n - 1 do
+        base := !base + (a.(k) * j.(k))
+      done;
+      let slope = a.(n - 1) in
+      if slope > 0 then s0 := max !s0 (Ints.cdiv (- !base) slope)
+      else if slope < 0 then s1 := min !s1 (Ints.fdiv !base (- slope))
+      else if !base < 0 then s0 := len;
       incr i
     done;
-    if !interior && row_body <> None then
-      (* width = 1 (enforced by Kernel.make), so slots = cells *)
-      (Option.get row_body) ~la:gdata ~dst:g0 ~taps:deltas ~len
-    else if !interior then begin
-      let cur = ref g0 in
-      let read i field =
-        let v = A1.unsafe_get gdata (!cur + deltas.(i) + field) in
-        if check && Float.is_nan v then nan_error i;
-        v
-      in
-      for s = 0 to len - 1 do
-        if uses_j || check then j.(n - 1) <- jend.(n - 1) - len + 1 + s;
-        kernel.Kernel.compute ~read ~j ~out;
-        for f = 0 to width - 1 do
-          A1.unsafe_set gdata (!cur + f) (Array.unsafe_get out f)
-        done;
-        cur := !cur + width
-      done;
-      j.(n - 1) <- jend.(n - 1) - len + 1
-    end
+    (!s0, !s1)
+  in
+  let do_row len =
+    let start = j.(n - 1) in
+    let g0 = Grid.index grid j 0 in
+    let s0, s1 = interior_span len in
+    if s0 > s1 then points ~read:guarded_read ~start ~g0 0 (len - 1)
     else begin
-      let cur = ref g0 in
-      let read i field =
-        let d = reads.(i) in
-        for k = 0 to n - 1 do
-          src.(k) <- j.(k) - d.(k)
-        done;
-        if member src then begin
-          let v = gdata.{!cur + deltas.(i) + field} in
-          if check && Float.is_nan v then nan_error i;
-          v
-        end
-        else kernel.Kernel.boundary src field
-      in
-      let start = j.(n - 1) in
-      for s = 0 to len - 1 do
-        j.(n - 1) <- start + s;
-        kernel.Kernel.compute ~read ~j ~out;
-        for f = 0 to width - 1 do
-          gdata.{!cur + f} <- out.(f)
-        done;
-        cur := !cur + width
-      done;
-      j.(n - 1) <- start
+      points ~read:guarded_read ~start ~g0 0 (s0 - 1);
+      (match row_body with
+      | Some row ->
+        (* width = 1 (enforced by Kernel.make), so slots = cells *)
+        row ~la:gdata ~dst:(g0 + s0) ~taps:deltas ~len:(s1 - s0 + 1)
+      | None -> points ~read:interior_read ~start ~g0 s0 s1);
+      points ~read:guarded_read ~start ~g0 (s1 + 1) (len - 1)
     end
   in
   let rec go k =

@@ -203,7 +203,7 @@ let prop_executor_equivalence =
           let r = Executor.run ~mode:Executor.Full ~plan ~kernel ~net () in
           let seq = Seq_exec.run ~space ~kernel () in
           (match r.Executor.grid with
-          | Some g -> Grid.max_abs_diff g seq space < 1e-9
+          | Some g -> Grid.max_abs_diff g seq space = 0.
           | None -> false)
         | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ())
       | _ -> QCheck.assume_fail ())
@@ -223,7 +223,7 @@ let prop_executor_overlap_equivalence =
           in
           let seq = Seq_exec.run ~space ~kernel () in
           (match r.Executor.grid with
-          | Some g -> Grid.max_abs_diff g seq space < 1e-9
+          | Some g -> Grid.max_abs_diff g seq space = 0.
           | None -> false)
         | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ())
       | _ -> QCheck.assume_fail ())

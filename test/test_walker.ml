@@ -81,6 +81,185 @@ let test_seq_variants_identical () =
   let p = Adi.make ~t_steps:5 ~size:9 in
   check_app "adi" (Adi.nest p).Nest.space (Adi.kernel p)
 
+(* ---------- property: the sequential row split = boxed oracle ---------- *)
+
+module Constr = Tiles_poly.Constr
+module Intmat = Tiles_linalg.Intmat
+
+(* a lexicographically positive read offset in [-2, 3]^n, so every
+   in-space read of the sequential walk sees an already computed point;
+   offsets along the row axis reach up to 3 *)
+let gen_read n =
+  QCheck.Gen.(
+    let* p = int_range 0 (n - 1) in
+    let* lead = int_range 1 3 in
+    let* tail = list_repeat (n - 1 - p) (int_range (-2) 2) in
+    return (Array.of_list (List.init p (fun _ -> 0) @ (lead :: tail))))
+
+(* a box (last extent 1-3 about half the time: rows shorter than a tap's
+   reach), optionally skewed by a unit lower-triangular matrix and
+   optionally cut by one half-space that keeps its low corner *)
+let gen_space n =
+  QCheck.Gen.(
+    let* lo = list_repeat n (int_range (-2) 2) in
+    let* ext = list_repeat (n - 1) (int_range 1 6) in
+    let* last = oneof [ int_range 1 3; int_range 4 9 ] in
+    let box =
+      Polyhedron.box (List.map2 (fun l e -> (l, l + e - 1)) lo (ext @ [ last ]))
+    in
+    let* skew = list_repeat (n * n) (int_range (-1) 2) in
+    let* skewed = bool in
+    let t =
+      if skewed then
+        Intmat.of_rows
+          (List.init n (fun r ->
+               List.init n (fun c ->
+                   if r = c then 1
+                   else if c < r then List.nth skew ((r * n) + c)
+                   else 0)))
+      else Intmat.identity n
+    in
+    let space = Polyhedron.transform_unimodular t box in
+    let* a = list_repeat n (int_range (-2) 2) in
+    let* off = int_range 0 3 in
+    let* cut = bool in
+    let a = Array.of_list a in
+    if cut && Array.exists (( <> ) 0) a then
+      let corner = Intmat.apply t (Array.of_list lo) in
+      let c = off - Tiles_util.Vec.dot a corner in
+      return (Polyhedron.add space (Constr.make ~coeffs:a ~const:c))
+    else return space)
+
+let rand_boundary j f =
+  let n = Array.length j in
+  0.5 +. (0.1 *. float_of_int ((((j.(0) * 7) + (j.(n - 1) * 3) + f) mod 11)))
+
+(* width 1: out = 0.1 + Σ c_r·read r (+ a j term when there is no row
+   body); the row body does the same float operations in the same order *)
+let width1_kernel n reads coeffs ~with_row =
+  let nr = Array.length coeffs in
+  let compute ~read ~j ~out =
+    let acc = ref 0.1 in
+    for r = 0 to nr - 1 do
+      acc := !acc +. (coeffs.(r) *. read r 0)
+    done;
+    out.(0) <-
+      (if with_row then !acc
+       else !acc +. (0.001 *. float_of_int j.(n - 1)))
+  in
+  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
+    for i = dst to dst + len - 1 do
+      let acc = ref 0.1 in
+      for r = 0 to nr - 1 do
+        acc :=
+          !acc +. (coeffs.(r) *. Bigarray.Array1.unsafe_get la (i + taps.(r)))
+      done;
+      Bigarray.Array1.unsafe_set la i !acc
+    done
+  in
+  if with_row then
+    Kernel.make ~name:"rand-row" ~dim:n ~uses_j:false ~row ~reads
+      ~boundary:rand_boundary ~compute ()
+  else
+    Kernel.make ~name:"rand" ~dim:n ~reads ~boundary:rand_boundary ~compute ()
+
+(* width 2, shaped like ADI: both fields read through every tap, a
+   coefficient that depends on j *)
+let width2_kernel n reads =
+  let nr = List.length reads in
+  Kernel.make ~name:"rand-adi" ~dim:n ~width:2 ~reads
+    ~boundary:(fun j f -> rand_boundary j f +. (3. *. float_of_int f))
+    ~compute:(fun ~read ~j ~out ->
+      let a = 0.1 +. (0.01 *. float_of_int (j.(n - 1) mod 5)) in
+      let x = ref (read 0 0) and b = ref (read 0 1) in
+      for r = 1 to nr - 1 do
+        x := !x +. (read r 0 *. a /. read r 1);
+        b := !b -. (a *. a /. read r 1)
+      done;
+      out.(0) <- !x;
+      out.(1) <- !b)
+    ()
+
+let gen_seq_case =
+  QCheck.Gen.(
+    let* n = int_range 2 3 in
+    let* space = gen_space n in
+    let* nr = int_range 1 4 in
+    let* reads = list_repeat nr (gen_read n) in
+    let* coeffs = list_repeat nr (float_bound_inclusive 0.3) in
+    let* shape = oneofl [ `Plain; `Row; `Wide ] in
+    let kernel =
+      match shape with
+      | `Plain -> width1_kernel n reads (Array.of_list coeffs) ~with_row:false
+      | `Row -> width1_kernel n reads (Array.of_list coeffs) ~with_row:true
+      | `Wide -> width2_kernel n reads
+    in
+    return (space, kernel))
+
+let print_seq_case (space, kernel) =
+  Format.asprintf "%a@ kernel %s reads %s" Polyhedron.pp space
+    kernel.Kernel.name
+    (String.concat " " (List.map Tiles_util.Vec.to_string kernel.Kernel.reads))
+
+let prop_seq_split_bit_identical =
+  QCheck.Test.make ~name:"sequential row split = reference (random spaces)"
+    ~count:300
+    (QCheck.make ~print:print_seq_case gen_seq_case)
+    (fun (space, kernel) ->
+      let reference =
+        Seq_exec.run ~variant:Walker.Reference ~space ~kernel ()
+      in
+      List.for_all
+        (fun (variant, check) ->
+          Grid.max_abs_diff
+            (Seq_exec.run ~variant ~check ~space ~kernel ())
+            reference space
+          = 0.)
+        [
+          (Walker.Fastpath, false); (Walker.Native, false);
+          (Walker.Fastpath, true); (Walker.Native, true);
+        ])
+
+(* The row split must actually route interior points to the row body:
+   wrap SOR's body so it counts the points it covers. That count is
+   exactly the number of points whose every tap is a member of the
+   space — and not zero, so a split that degrades to the per-point path
+   everywhere cannot pass silently. *)
+let test_seq_interior_rows_taken () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:10 in
+  let space = (Sor.nest p).Nest.space in
+  let sor = Sor.kernel p in
+  let body = Option.get sor.Kernel.row in
+  let covered = ref 0 in
+  let kernel =
+    {
+      sor with
+      Kernel.row =
+        Some
+          (fun ~la ~dst ~taps ~len ->
+            covered := !covered + len;
+            body ~la ~dst ~taps ~len);
+    }
+  in
+  let interior =
+    Polyhedron.fold_points space ~init:0 ~f:(fun acc j ->
+        if
+          List.for_all
+            (fun d -> Polyhedron.member space (Tiles_util.Vec.sub j d))
+            kernel.Kernel.reads
+        then acc + 1
+        else acc)
+  in
+  let g = Seq_exec.run ~space ~kernel () in
+  Alcotest.(check bool) "some points are interior" true (interior > 0);
+  Alcotest.(check int) "row body covers exactly the interior points" interior
+    !covered;
+  Alcotest.(check (float 0.)) "and the grid is the oracle's" 0.
+    (Grid.max_abs_diff g
+       (Seq_exec.run ~variant:Walker.Reference ~space ~kernel ())
+       space)
+
 (* ---------- NaN-read validation modes ---------- *)
 
 (* Build a walker for a rank whose first tile needs halo data, give it a
@@ -364,6 +543,9 @@ let () =
         [
           Alcotest.test_case "sequential walkers identical" `Quick
             test_seq_variants_identical;
+          q prop_seq_split_bit_identical;
+          Alcotest.test_case "sequential interior rows take the row body"
+            `Quick test_seq_interior_rows_taken;
           q prop_walkers_bit_identical;
         ] );
       ( "memo",
