@@ -487,6 +487,88 @@ let test_tune_json () =
       {|"label"|}; {|"completion_s"|}; {|"predicted"|};
     ]
 
+(* The option names each subcommand accepts, as [--help=plain] lists
+   them. Flags are shared across subcommands through common terms, so a
+   change to one of those terms must not silently add or drop a flag on
+   any subcommand: e.g. [simulate] has no [--backend] and [tune] no
+   [--variant]. *)
+let cli_surface =
+  let spec = [ "--app"; "-n"; "-N"; "-t"; "-M" ] in
+  let tiling = [ "--variant"; "-x"; "-y"; "-z" ] in
+  let std = [ "--help"; "--version" ] in
+  [
+    ("plan", spec @ tiling @ std);
+    ("cone", spec @ std);
+    ("emit-mpi", spec @ tiling @ [ "-o"; "--output" ] @ std);
+    ("emit-seq", spec @ tiling @ [ "-o"; "--output" ] @ std);
+    ("emit-pseq", [ "--app"; "-o"; "--output" ] @ tiling @ std);
+    ( "simulate",
+      spec @ tiling
+      @ [ "--check-reads"; "--full"; "--net"; "--overlap"; "--trace";
+          "--utilisation"; "--walker" ]
+      @ std );
+    ( "trace",
+      spec @ tiling
+      @ [ "--backend"; "--check-reads"; "--net"; "--out"; "--overlap";
+          "--svg"; "--walker" ]
+      @ std );
+    ( "analyze",
+      spec @ tiling
+      @ [ "--backend"; "--from"; "--json"; "--net"; "--out"; "--overlap";
+          "--stream"; "--svg"; "--top" ]
+      @ std );
+    ( "tune",
+      spec
+      @ [ "--backend"; "--cache"; "--factors"; "--json"; "-m"; "--net";
+          "--overlap"; "--procs"; "--top"; "--workers" ]
+      @ std );
+    ( "perf",
+      spec @ tiling
+      @ [ "--backend"; "--check"; "--counters-only"; "--dir"; "--inflate";
+          "--json"; "--net"; "--overlap"; "--record"; "--repeats";
+          "--walker"; "--warmup" ]
+      @ std );
+    ( "serve",
+      [ "--cache-capacity"; "--capacity"; "--metrics-out"; "--net";
+        "--socket"; "--tune-cache"; "--workers" ]
+      @ std );
+  ]
+
+(* option names from one subcommand's plain help: option lines are
+   indented exactly seven spaces ("       -n N, -N N (absent=32)"); doc
+   text is indented further, so a wrapped "--from" in prose never counts *)
+let help_options sub =
+  let status, out = run (sub ^ " --help=plain") in
+  if status <> Unix.WEXITED 0 then
+    Alcotest.failf "tilec %s --help=plain failed:\n%s" sub out;
+  let is_name_char c =
+    match c with
+    | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' -> true
+    | _ -> false
+  in
+  let name_of item =
+    let n = String.length item in
+    let rec stop i = if i < n && is_name_char item.[i] then stop (i + 1) else i in
+    String.sub item 0 (stop 0)
+  in
+  String.split_on_char '\n' out
+  |> List.filter (fun l ->
+         String.length l > 8 && String.sub l 0 8 = "       -")
+  |> List.concat_map (fun l ->
+         Astring.String.cuts ~sep:", " (String.trim l)
+         |> List.filter (fun item -> item <> "" && item.[0] = '-')
+         |> List.map name_of)
+  |> List.sort_uniq compare
+
+let test_cli_surface () =
+  List.iter
+    (fun (sub, expected) ->
+      Alcotest.(check (list string))
+        (sub ^ " options")
+        (List.sort_uniq compare expected)
+        (help_options sub))
+    cli_surface
+
 let () =
   Alcotest.run "tilec_cli"
     [
@@ -519,5 +601,6 @@ let () =
           Alcotest.test_case "regression exit 2" `Quick
             test_exit_code_regression;
           Alcotest.test_case "serve pipe e2e" `Quick test_serve_pipe;
+          Alcotest.test_case "option surface" `Quick test_cli_surface;
         ] );
     ]

@@ -470,6 +470,36 @@ let test_retired_fields_still_load () =
     Alcotest.(check string) "baseline app" "sor" b.Baseline.meta.Runmeta.app
   | Error e -> Alcotest.failf "inner baseline rejected: %s" e
 
+(* Runmeta files from before the overlap flag (schema 1.1) and before
+   the walker field (1.2) load with the documented defaults — blocking,
+   fast walker, no fallback, no job — and name the same baseline file a
+   current run of that configuration would. *)
+let test_old_runmeta_defaults () =
+  let load name =
+    match Runmeta.of_json (read_fixture name) with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "%s rejected: %s" name e
+  in
+  let check_defaults name (m : Runmeta.t) =
+    Alcotest.(check string) (name ^ " walker") "fast" m.Runmeta.walker;
+    Alcotest.(check (option string))
+      (name ^ " fallback") None m.Runmeta.walker_fallback;
+    Alcotest.(check (option string)) (name ^ " job") None m.Runmeta.job_id;
+    Alcotest.(check (float 0.)) (name ^ " queued") 0. m.Runmeta.queued_s
+  in
+  let pre_overlap = load "runmeta-1.1-pre-overlap.json" in
+  check_defaults "1.1" pre_overlap;
+  Alcotest.(check bool) "1.1 blocking" false pre_overlap.Runmeta.overlap;
+  Alcotest.(check string) "1.1 path" "perf/baselines/sor-nonrect-sim.json"
+    (Baseline.default_path ~dir:"perf/baselines" ~meta:pre_overlap);
+  let pre_walker = load "runmeta-1.2-overlap.json" in
+  check_defaults "1.2" pre_walker;
+  Alcotest.(check bool) "1.2 overlap kept" true pre_walker.Runmeta.overlap;
+  Alcotest.(check int) "1.2 nprocs" 43 pre_walker.Runmeta.nprocs;
+  Alcotest.(check string) "1.2 path"
+    "perf/baselines/jacobi-rect-shm-overlap.json"
+    (Baseline.default_path ~dir:"perf/baselines" ~meta:pre_walker)
+
 let test_baseline_refuses_newer_schema () =
   let b = baseline_of ~completions:[ 1.0 ] () in
   let bumped =
@@ -797,6 +827,8 @@ let () =
           Alcotest.test_case "save/load" `Quick test_baseline_roundtrip_and_load;
           Alcotest.test_case "retired fields still load" `Quick
             test_retired_fields_still_load;
+          Alcotest.test_case "pre-1.3 runmeta defaults" `Quick
+            test_old_runmeta_defaults;
           Alcotest.test_case "newer schema refused" `Quick
             test_baseline_refuses_newer_schema;
           Alcotest.test_case "noise tolerated" `Quick

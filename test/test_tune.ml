@@ -362,6 +362,33 @@ let test_cache_key_pinned () =
     (Cache.key ~nest ~tiling ~m:2 ~kernel ~net ~overlap:false
        ~backend:"sim")
 
+(* A v4 entry committed under the pinned digest above (sor 12/24
+   nonrect 6x9x3, m = 2, the paper's network, blocking, sim): a tune
+   cache already on disk must keep answering with the exact floats it
+   stored. *)
+let test_cache_v4_fixture () =
+  let p = Tiles_apps.Sor.make ~m_steps:12 ~size:24 in
+  let key =
+    Cache.key ~nest:(Tiles_apps.Sor.nest p)
+      ~tiling:(Tiles_apps.Sor.nonrect ~x:6 ~y:9 ~z:3)
+      ~m:2 ~kernel:(Tiles_apps.Sor.kernel p) ~net ~overlap:false
+      ~backend:"sim"
+  in
+  Alcotest.(check string) "pinned digest" "32c25291d149d0eb17eb25052f619435"
+    key;
+  match Cache.find (Cache.open_dir "fixtures/tune-cache-v4") key with
+  | None -> Alcotest.fail "v4 fixture entry not found"
+  | Some s ->
+    let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f) in
+    Alcotest.(check string) "completion bits" "3f6291928f0e5059"
+      (bits s.Cache.completion);
+    Alcotest.(check string) "speedup bits" "3fd3842078fffc7e"
+      (bits s.Cache.speedup);
+    Alcotest.(check int) "messages" 122 s.Cache.messages;
+    Alcotest.(check int) "bytes" 10944 s.Cache.bytes;
+    Alcotest.(check int) "points" 6912 s.Cache.points_computed;
+    Alcotest.(check int) "tiles" 78 s.Cache.tiles_executed
+
 let sample_score =
   {
     Cache.completion = 0.125;
@@ -484,6 +511,7 @@ let () =
           Alcotest.test_case "hits identical" `Quick test_cache_hits_identical;
           Alcotest.test_case "key sensitivity" `Quick test_cache_key_sensitivity;
           Alcotest.test_case "key pinned" `Quick test_cache_key_pinned;
+          Alcotest.test_case "v4 fixture entry" `Quick test_cache_v4_fixture;
           Alcotest.test_case "corrupt entries are misses" `Quick
             test_cache_corrupt_entry_is_miss;
           Alcotest.test_case "concurrent stores" `Quick
