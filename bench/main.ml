@@ -25,6 +25,8 @@ module Table = Tiles_util.Table
 module Json = Tiles_util.Json
 module Netmodel = Tiles_mpisim.Netmodel
 module E = Tiles_apps.Experiment
+module Registry = Tiles_apps.Registry
+module Run_spec = Tiles_apps.Run_spec
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
 module Tiling = Tiles_core.Tiling
@@ -860,25 +862,10 @@ let perf_target () =
   let records = ref [] in
   List.iter
     (fun (app, variant, size1, size2, ((x, y, z) as tile)) ->
-      let nest, kernel, tiling, m =
-        match app with
-        | "sor" ->
-          let p = Tiles_apps.Sor.make ~m_steps:size1 ~size:size2 in
-          ( Tiles_apps.Sor.nest p, Tiles_apps.Sor.kernel p,
-            (List.assoc variant Tiles_apps.Sor.variants) ~x ~y ~z,
-            Tiles_apps.Sor.mapping_dim )
-        | "jacobi" ->
-          let p = Tiles_apps.Jacobi.make ~t_steps:size1 ~size:size2 in
-          ( Tiles_apps.Jacobi.nest p, Tiles_apps.Jacobi.kernel p,
-            (List.assoc variant Tiles_apps.Jacobi.variants) ~x ~y ~z,
-            Tiles_apps.Jacobi.mapping_dim )
-        | _ ->
-          let p = Tiles_apps.Adi.make ~t_steps:size1 ~size:size2 in
-          ( Tiles_apps.Adi.nest p, Tiles_apps.Adi.kernel p,
-            (List.assoc variant Tiles_apps.Adi.variants) ~x ~y ~z,
-            Tiles_apps.Adi.mapping_dim )
-      in
-      let plan = Plan.make ~m nest tiling in
+      let spec = { (Run_spec.default app) with variant; size1; size2; tile } in
+      let r = Result.fold ~ok:Fun.id ~error:failwith (Run_spec.resolve spec) in
+      let kernel = r.Registry.kernel in
+      let plan = Plan.make ~m:r.Registry.m r.Registry.nest r.Registry.tiling in
       let label = Printf.sprintf "%s/%s x=%d y=%d z=%d" app variant x y z in
       let last_speedup = ref nan in
       let run_once () =
@@ -927,11 +914,7 @@ let perf_target () =
         @ entries (Predictor.source p) (Predictor.fields p)
         @ entries (Predictor.source r) (Predictor.fields r)
         @ entries "model" (Model.fields mo);
-      let meta =
-        Runmeta.make ~app ~variant ~size1 ~size2 ~tile
-          ~nprocs:(Plan.nprocs plan) ~backend:"sim"
-          ~netmodel:"fast_ethernet_cluster" ()
-      in
+      let meta = Run_spec.runmeta ~nprocs:(Plan.nprocs plan) spec in
       records :=
         (label,
          Json.Obj
@@ -1106,26 +1089,13 @@ let kernels_target () =
   in
   let records = ref [] in
   List.iter
-    (fun (app, variant, size1, size2, (x, y, z), repeats) ->
-      let nest, kernel, tiling, m =
-        match app with
-        | "sor" ->
-          let p = Tiles_apps.Sor.make ~m_steps:size1 ~size:size2 in
-          ( Tiles_apps.Sor.nest p, Tiles_apps.Sor.kernel p,
-            (List.assoc variant Tiles_apps.Sor.variants) ~x ~y ~z,
-            Tiles_apps.Sor.mapping_dim )
-        | "jacobi" ->
-          let p = Tiles_apps.Jacobi.make ~t_steps:size1 ~size:size2 in
-          ( Tiles_apps.Jacobi.nest p, Tiles_apps.Jacobi.kernel p,
-            (List.assoc variant Tiles_apps.Jacobi.variants) ~x ~y ~z,
-            Tiles_apps.Jacobi.mapping_dim )
-        | _ ->
-          let p = Tiles_apps.Adi.make ~t_steps:size1 ~size:size2 in
-          ( Tiles_apps.Adi.nest p, Tiles_apps.Adi.kernel p,
-            (List.assoc variant Tiles_apps.Adi.variants) ~x ~y ~z,
-            Tiles_apps.Adi.mapping_dim )
+    (fun (app, variant, size1, size2, ((x, y, z) as tile), repeats) ->
+      let r =
+        Result.fold ~ok:Fun.id ~error:failwith
+          (Registry.resolve ~app ~size1 ~size2 ~variant ~tile)
       in
-      let plan = Plan.make ~m nest tiling in
+      let nest = r.Registry.nest and kernel = r.Registry.kernel in
+      let plan = Plan.make ~m:r.Registry.m nest r.Registry.tiling in
       let label =
         Printf.sprintf "%s/%s %d/%d x=%d y=%d z=%d" app variant size1 size2 x
           y z

@@ -56,72 +56,8 @@ module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
 module Nest = Tiles_loop.Nest
 
-type app_instance = {
-  app_name : string;
-  nest : Nest.t;
-  kernel : Tiles_runtime.Kernel.t;
-  ckernel : Tiles_codegen.Ckernel.t;
-  creads : Tiles_util.Vec.t list;
-  skew : Tiles_linalg.Intmat.t option;
-  m : int;
-  tiling_of : string -> x:int -> y:int -> z:int -> Tiles_core.Tiling.t;
-  pspace : unit -> Tiles_poly.Pspace.t;
-}
-
-let instance app ~size1 ~size2 =
-  match app with
-  | "sor" ->
-    let p = Tiles_apps.Sor.make ~m_steps:size1 ~size:size2 in
-    {
-      app_name = "sor";
-      nest = Tiles_apps.Sor.nest p;
-      kernel = Tiles_apps.Sor.kernel p;
-      ckernel = Tiles_apps.Sor.ckernel;
-      creads = Tiles_apps.Sor.skewed_reads;
-      skew = Some Tiles_apps.Sor.skew_matrix;
-      m = Tiles_apps.Sor.mapping_dim;
-      tiling_of =
-        (fun v ~x ~y ~z ->
-          match List.assoc_opt v Tiles_apps.Sor.variants with
-          | Some mk -> mk ~x ~y ~z
-          | None -> failwith ("unknown SOR variant " ^ v));
-      pspace = Tiles_apps.Sor.pspace;
-    }
-  | "jacobi" ->
-    let p = Tiles_apps.Jacobi.make ~t_steps:size1 ~size:size2 in
-    {
-      app_name = "jacobi";
-      nest = Tiles_apps.Jacobi.nest p;
-      kernel = Tiles_apps.Jacobi.kernel p;
-      ckernel = Tiles_apps.Jacobi.ckernel;
-      creads = Tiles_apps.Jacobi.skewed_reads;
-      skew = Some Tiles_apps.Jacobi.skew_matrix;
-      m = Tiles_apps.Jacobi.mapping_dim;
-      tiling_of =
-        (fun v ~x ~y ~z ->
-          match List.assoc_opt v Tiles_apps.Jacobi.variants with
-          | Some mk -> mk ~x ~y ~z
-          | None -> failwith ("unknown Jacobi variant " ^ v));
-      pspace = Tiles_apps.Jacobi.pspace;
-    }
-  | "adi" ->
-    let p = Tiles_apps.Adi.make ~t_steps:size1 ~size:size2 in
-    {
-      app_name = "adi";
-      nest = Tiles_apps.Adi.nest p;
-      kernel = Tiles_apps.Adi.kernel p;
-      ckernel = Tiles_apps.Adi.ckernel;
-      creads = Tiles_apps.Adi.creads;
-      skew = None;
-      m = Tiles_apps.Adi.mapping_dim;
-      tiling_of =
-        (fun v ~x ~y ~z ->
-          match List.assoc_opt v Tiles_apps.Adi.variants with
-          | Some mk -> mk ~x ~y ~z
-          | None -> failwith ("unknown ADI variant " ^ v));
-      pspace = Tiles_apps.Adi.pspace;
-    }
-  | other -> failwith ("unknown app " ^ other ^ " (sor | jacobi | adi)")
+module Registry = Tiles_apps.Registry
+module Run_spec = Tiles_apps.Run_spec
 
 (* Exit codes: each failure class gets its own code (see the header
    comment) so scripts and CI can react without parsing stderr.
@@ -156,40 +92,6 @@ let app_arg =
   Arg.(required & opt (some string) None & info [ "app" ] ~docv:"NAME"
          ~doc:"Algorithm: sor, jacobi or adi.")
 
-let size1_arg =
-  Arg.(value & opt int 24 & info [ "t"; "M" ] ~docv:"N"
-         ~doc:"Time-like extent (M for SOR, T for Jacobi/ADI).")
-
-let size2_arg =
-  Arg.(value & opt int 32 & info [ "n"; "N" ] ~docv:"N"
-         ~doc:"Spatial extent (N, or I=J).")
-
-let variant_arg =
-  Arg.(value & opt string "nonrect" & info [ "variant" ] ~docv:"V"
-         ~doc:"Tiling variant (rect, nonrect; for ADI: rect, nr1, nr2, nr3).")
-
-let xyz_args =
-  let x = Arg.(value & opt int 6 & info [ "x" ] ~doc:"Tile factor x.") in
-  let y = Arg.(value & opt int 8 & info [ "y" ] ~doc:"Tile factor y.") in
-  let z = Arg.(value & opt int 8 & info [ "z" ] ~doc:"Tile factor z.") in
-  Term.(const (fun x y z -> (x, y, z)) $ x $ y $ z)
-
-let build_plan app size1 size2 variant (x, y, z) =
-  let inst = instance app ~size1 ~size2 in
-  let tiling = inst.tiling_of variant ~x ~y ~z in
-  (inst, Plan.make ~m:inst.m inst.nest tiling)
-
-(* an unknown --backend must be a Cmdliner usage error listing sim|shm,
-   not a raw exception from deep inside the run *)
-let backend_arg =
-  Arg.(value
-       & opt (enum [ ("sim", `Sim); ("shm", `Shm) ]) `Sim
-       & info [ "backend" ] ~docv:"B"
-           ~doc:"Execution backend: $(b,sim) (discrete-event simulator, \
-                 virtual time) or $(b,shm) (real OCaml domains, wall time).")
-
-let backend_name = function `Sim -> "sim" | `Shm -> "shm"
-
 (* which network model the simulator charges communication under; parsed
    once by Cmdliner so a bad spec is a usage error, not a runtime one *)
 let net_conv =
@@ -213,24 +115,94 @@ let net_arg =
                  explicitly and shows up as nic-queue time in \
                  $(b,analyze).")
 
-(* which tile-execution engine runs the data movement and arithmetic;
-   only meaningful where real data flows (simulate --full, trace, shm) *)
-let walker_arg =
-  Arg.(value
-       & opt
-           (enum
-              (List.map
-                 (fun w -> (Walker.variant_to_string w, w))
-                 Walker.all_variants))
-           Walker.Fastpath
-       & info [ "walker" ] ~docv:"W"
-           ~doc:"Tile-execution engine: $(b,reference) (per-point oracle), \
-                 $(b,fast) (strength-reduced rows with contiguous-row \
-                 blits and unrolled row bodies; the default) or \
-                 $(b,native) (row bodies compiled to machine code through \
-                 the system C compiler at plan time; falls back to \
-                 $(b,fast) with a notice when no compiler is available). \
-                 All three produce bit-identical results.")
+(* The run spec's knobs a subcommand exposes as flags; the others keep
+   their {!Run_spec.default}. *)
+type knob = Sizes | Tiling | Backend | Overlap | Net | Walker
+
+(* the one Cmdliner term for a {!Run_spec.t}: a new spec knob is a field
+   there plus one flag here *)
+let spec_term ?app:(app_t = app_arg) knobs =
+  let d = Run_spec.default "" in
+  let knob k default arg = if List.mem k knobs then arg else Term.const default in
+  let size1 =
+    Arg.(value & opt int d.size1 & info [ "t"; "M" ] ~docv:"N"
+           ~doc:"Time-like extent (M for SOR, T for Jacobi/ADI).")
+  in
+  let size2 =
+    Arg.(value & opt int d.size2 & info [ "n"; "N" ] ~docv:"N"
+           ~doc:"Spatial extent (N, or I=J).")
+  in
+  let variant =
+    Arg.(value & opt string d.variant & info [ "variant" ] ~docv:"V"
+           ~doc:"Tiling variant (rect, nonrect; for ADI: rect, nr1, nr2, \
+                 nr3).")
+  in
+  let tile =
+    let x0, y0, z0 = d.tile in
+    let x = Arg.(value & opt int x0 & info [ "x" ] ~doc:"Tile factor x.") in
+    let y = Arg.(value & opt int y0 & info [ "y" ] ~doc:"Tile factor y.") in
+    let z = Arg.(value & opt int z0 & info [ "z" ] ~doc:"Tile factor z.") in
+    Term.(const (fun x y z -> (x, y, z)) $ x $ y $ z)
+  in
+  (* an unknown --backend must be a Cmdliner usage error listing sim|shm,
+     not a raw exception from deep inside the run *)
+  let backend =
+    Arg.(value
+         & opt (enum [ ("sim", Run_spec.Sim); ("shm", Run_spec.Shm) ]) d.backend
+         & info [ "backend" ] ~docv:"B"
+             ~doc:"Execution backend: $(b,sim) (discrete-event simulator, \
+                   virtual time) or $(b,shm) (real OCaml domains, wall \
+                   time).")
+  in
+  let overlap =
+    Arg.(value & flag & info [ "overlap" ]
+           ~doc:"Use the §5 overlapped schedule (the paper's future work): \
+                 pre-posted receives and non-blocking sends on the sim \
+                 backend, a bounded per-rank send stage on shm. Perf \
+                 baselines get an $(b,-overlap) file-name suffix.")
+  in
+  (* which tile-execution engine runs the data movement and arithmetic;
+     only meaningful where real data flows (simulate --full, trace, shm) *)
+  let walker =
+    Arg.(value
+         & opt
+             (enum
+                (List.map
+                   (fun w -> (Walker.variant_to_string w, w))
+                   Walker.all_variants))
+             d.walker
+         & info [ "walker" ] ~docv:"W"
+             ~doc:"Tile-execution engine: $(b,reference) (per-point oracle), \
+                   $(b,fast) (strength-reduced rows with contiguous-row \
+                   blits and unrolled row bodies; the default) or \
+                   $(b,native) (row bodies compiled to machine code through \
+                   the system C compiler at plan time; falls back to \
+                   $(b,fast) with a notice when no compiler is available). \
+                   All three produce bit-identical results.")
+  in
+  let spec app size1 size2 (variant, tile) backend overlap net walker =
+    { Run_spec.app; variant; size1; size2; tile; backend; overlap; net; walker }
+  in
+  Term.(const spec $ app_t
+        $ knob Sizes d.size1 size1 $ knob Sizes d.size2 size2
+        $ knob Tiling (d.variant, d.tile)
+            (const (fun v t -> (v, t)) $ variant $ tile)
+        $ knob Backend d.backend backend $ knob Overlap d.overlap overlap
+        $ knob Net d.net net_arg $ knob Walker d.walker walker)
+
+(* resolution failures (unknown app or variant, bad sizes, an illegal or
+   singular tiling) reach [guard] as one-line errors *)
+let resolve spec = Result.fold ~ok:Fun.id ~error:failwith (Run_spec.resolve spec)
+
+let build_plan spec =
+  let r = resolve spec in
+  (r, Plan.make ~m:r.Registry.m r.Registry.nest r.Registry.tiling)
+
+(* the app's nest and kernel alone, for subcommands that name no tiling *)
+let instance (spec : Run_spec.t) =
+  let app = Result.fold ~ok:Fun.id ~error:failwith (Registry.find spec.app) in
+  let nest, kernel = app.Registry.instance ~size1:spec.size1 ~size2:spec.size2 in
+  (app, nest, kernel)
 
 (* when the native walker cannot actually run natively, say so once on
    stderr (and record the reason in exported metadata) instead of
@@ -258,108 +230,84 @@ let check_reads_arg =
          ~doc:"Validate every LDS read against NaN poisoning even in the \
                fast walkers (the reference walker always validates).")
 
-let run_meta inst ~variant ~xyz:(x, y, z) ~nprocs ~backend ~overlap
-    ?(net = Netmodel.fast_ethernet_cluster) ?(walker = Walker.Fastpath)
-    ?walker_fallback ~size1 ~size2 () =
-  Tiles_obs.Runmeta.make ~app:inst.app_name ~variant ~size1 ~size2
-    ~tile:(x, y, z) ~nprocs ~backend:(backend_name backend) ~overlap
-    ~netmodel:(match backend with
-      | `Sim -> Netmodel.model_id net
-      | `Shm -> "-")
-    ~walker:(Walker.variant_to_string walker) ?walker_fallback ()
-
 (* ---------------- subcommands ---------------- *)
 
 let plan_cmd =
-  let run app size1 size2 variant xyz =
+  let run spec =
     guard @@ fun () ->
-    let _, plan = build_plan app size1 size2 variant xyz in
+    let _, plan = build_plan spec in
     print_string (Plan.summary plan);
     Printf.printf "  wavefront steps   : %d\n" (Schedule.steps plan);
     Printf.printf "  t(j_max)          : %d\n" (Schedule.last_point_step plan)
   in
   Cmd.v (Cmd.info "plan" ~doc:"Derive and print the parallelisation plan.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args)
+    Term.(const run $ spec_term [ Sizes; Tiling ])
 
 let cone_cmd =
-  let run app size1 size2 =
+  let run spec =
     guard @@ fun () ->
-    let inst = instance app ~size1 ~size2 in
-    let cone = Nest.tiling_cone inst.nest in
+    let _, nest, _ = instance spec in
+    let cone = Nest.tiling_cone nest in
     Printf.printf "dependence columns: %s\n"
-      (Format.asprintf "%a" Tiles_loop.Dependence.pp inst.nest.Nest.deps);
+      (Format.asprintf "%a" Tiles_loop.Dependence.pp nest.Nest.deps);
     Printf.printf "tiling cone extreme rays:\n";
     List.iter
       (fun r -> Printf.printf "  %s\n" (Tiles_util.Vec.to_string r))
       (Tiles_poly.Cone.extreme_rays cone)
   in
   Cmd.v (Cmd.info "cone" ~doc:"Print the algorithm's tiling cone.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg)
+    Term.(const run $ spec_term [ Sizes ])
 
 let output_arg =
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
          ~doc:"Output file (stdout if absent).")
 
-let emit gen =
-  fun app size1 size2 variant xyz output ->
+let write_source output src =
+  match output with
+  | None -> print_string src
+  | Some path ->
+    let oc = open_out path in
+    output_string oc src;
+    close_out oc;
+    Printf.eprintf "wrote %s\n" path
+
+let emit_cmd name ~doc gen =
+  let run spec output =
     guard @@ fun () ->
-    let inst, plan = build_plan app size1 size2 variant xyz in
-    let src = gen inst plan in
-    match output with
-    | None -> print_string src
-    | Some path ->
-      let oc = open_out path in
-      output_string oc src;
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
+    let r, plan = build_plan spec in
+    let app = r.Registry.app in
+    write_source output
+      (gen ~plan ~kernel:app.Registry.ckernel ~reads:app.Registry.creads
+         ?skew:app.Registry.skew ())
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ spec_term [ Sizes; Tiling ] $ output_arg)
 
 let emit_mpi_cmd =
-  let run =
-    emit (fun inst plan ->
-        Tiles_codegen.Mpigen.generate ~plan ~kernel:inst.ckernel
-          ~reads:inst.creads ?skew:inst.skew ())
-  in
-  Cmd.v
-    (Cmd.info "emit-mpi" ~doc:"Generate the data-parallel MPI C program.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
-          $ output_arg)
+  emit_cmd "emit-mpi" ~doc:"Generate the data-parallel MPI C program."
+    Tiles_codegen.Mpigen.generate
+
+let emit_seq_cmd =
+  emit_cmd "emit-seq" ~doc:"Generate the sequential tiled C program."
+    Tiles_codegen.Seqgen.generate
 
 let emit_pseq_cmd =
-  let run app variant xyz output =
+  let run spec output =
     guard @@ fun () ->
-    (* sizes are irrelevant for the parametric generator; use small
-       placeholders for the app instance *)
-    let inst = instance app ~size1:8 ~size2:8 in
-    let (x, y, z) = xyz in
-    let tiling = inst.tiling_of variant ~x ~y ~z in
-    let src =
-      Tiles_codegen.Pseqgen.generate ~pspace:(inst.pspace ()) ~tiling
-        ~kernel:inst.ckernel ~reads:inst.creads ?skew:inst.skew ()
-    in
-    match output with
-    | None -> print_string src
-    | Some path ->
-      let oc = open_out path in
-      output_string oc src;
-      close_out oc;
-      Printf.eprintf "wrote %s\n" path
+    (* sizes are irrelevant for the parametric generator; resolve at small
+       placeholders *)
+    let r = resolve { spec with Run_spec.size1 = 8; size2 = 8 } in
+    let app = r.Registry.app in
+    write_source output
+      (Tiles_codegen.Pseqgen.generate ~pspace:(app.Registry.pspace ())
+         ~tiling:r.Registry.tiling ~kernel:app.Registry.ckernel
+         ~reads:app.Registry.creads ?skew:app.Registry.skew ())
   in
   Cmd.v
     (Cmd.info "emit-pseq"
        ~doc:"Generate the parametric sequential tiled C program (problem \
              sizes become command-line arguments of the emitted binary).")
-    Term.(const run $ app_arg $ variant_arg $ xyz_args $ output_arg)
-
-let emit_seq_cmd =
-  let run =
-    emit (fun inst plan ->
-        Tiles_codegen.Seqgen.generate ~plan ~kernel:inst.ckernel
-          ~reads:inst.creads ?skew:inst.skew ())
-  in
-  Cmd.v
-    (Cmd.info "emit-seq" ~doc:"Generate the sequential tiled C program.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
-          $ output_arg)
+    Term.(const run $ spec_term [ Tiling ] $ output_arg)
 
 let simulate_cmd =
   let full_arg =
@@ -371,32 +319,27 @@ let simulate_cmd =
     Arg.(value & flag & info [ "utilisation" ]
            ~doc:"Trace the run and print the per-rank busy/wait breakdown.")
   in
-  let overlap_arg =
-    Arg.(value & flag & info [ "overlap" ]
-           ~doc:"Use non-blocking (overlapped) sends (the paper's future-work \
-                 schedule).")
-  in
   let trace_out_arg =
     Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
            ~doc:"Write the traced run as Chrome trace-event JSON to $(docv) \
                  (open in chrome://tracing or Perfetto).")
   in
-  let run app size1 size2 variant xyz full trace overlap trace_out walker
-      check_reads net =
+  let run (spec : Run_spec.t) full trace trace_out check_reads =
     guard @@ fun () ->
-    let inst, plan = build_plan app size1 size2 variant xyz in
+    let res, plan = build_plan spec in
+    let kernel = res.Registry.kernel and space = res.Registry.nest.Nest.space in
     let mode = if full then Executor.Full else Executor.Timing in
     let trace = trace || trace_out <> None in
     let fallback =
-      native_fallback ~plan ~kernel:inst.kernel ~check:check_reads walker
+      native_fallback ~plan ~kernel ~check:check_reads spec.walker
     in
     warn_native_fallback fallback;
     let r =
-      Executor.run ~walker ~check:check_reads ~mode ~overlap ~trace ~plan
-        ~kernel:inst.kernel ~net ()
+      Executor.run ~walker:spec.walker ~check:check_reads ~mode
+        ~overlap:spec.overlap ~trace ~plan ~kernel ~net:spec.net ()
     in
     Printf.printf "app %s (%s), %d processes, %d tiles, %d points\n"
-      inst.app_name variant (Plan.nprocs plan) r.Executor.tiles_executed
+      spec.app spec.variant (Plan.nprocs plan) r.Executor.tiles_executed
       r.Executor.points_computed;
     Printf.printf "simulated time %.6f s, modelled sequential %.6f s, \
                    speedup %.2f\n"
@@ -408,10 +351,10 @@ let simulate_cmd =
       Printf.printf "nic/uplink queueing %.6f s total across ranks\n"
         r.Executor.stats.Sim.queue_seconds;
     if full then begin
-      let seq = Seq_exec.run ~space:inst.nest.Nest.space ~kernel:inst.kernel () in
+      let seq = Seq_exec.run ~space ~kernel () in
       let err =
         match r.Executor.grid with
-        | Some g -> Grid.max_abs_diff g seq inst.nest.Nest.space
+        | Some g -> Grid.max_abs_diff g seq space
         | None -> infinity
       in
       Printf.printf "max |parallel - sequential| = %g\n" err
@@ -436,18 +379,16 @@ let simulate_cmd =
     | None -> ()
     | Some path ->
       Chrome.write
-        ~process_name:(Printf.sprintf "tilec %s (sim)" inst.app_name)
-        ~meta:(run_meta inst ~variant ~xyz ~nprocs:(Plan.nprocs plan)
-                 ~backend:`Sim ~overlap ~net ~walker
-                 ?walker_fallback:fallback ~size1 ~size2 ())
+        ~process_name:(Printf.sprintf "tilec %s (sim)" spec.app)
+        ~meta:(Run_spec.runmeta ?walker_fallback:fallback
+                 ~nprocs:(Plan.nprocs plan) spec)
         ~nprocs:(Plan.nprocs plan) ~path r.Executor.stats.Sim.trace;
       Printf.eprintf "wrote %s\n" path
   in
   Cmd.v
     (Cmd.info "simulate" ~doc:"Execute the plan on the simulated cluster.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
-          $ full_arg $ trace_arg $ overlap_arg $ trace_out_arg $ walker_arg
-          $ check_reads_arg $ net_arg)
+    Term.(const run $ spec_term [ Sizes; Tiling; Overlap; Net; Walker ]
+          $ full_arg $ trace_arg $ trace_out_arg $ check_reads_arg)
 
 let trace_cmd =
   let out_arg =
@@ -458,44 +399,38 @@ let trace_cmd =
     Arg.(value & opt (some string) None & info [ "svg" ] ~docv:"FILE"
            ~doc:"Also render the per-rank timeline as SVG to $(docv).")
   in
-  let overlap_arg =
-    Arg.(value & flag & info [ "overlap" ]
-           ~doc:"Run the §5 overlapped schedule: pre-posted receives, \
-                 non-blocking sends (sim) / a bounded per-rank send stage \
-                 (shm).")
-  in
-  let run app size1 size2 variant xyz backend out svg overlap walker
-      check_reads net =
+  let run (spec : Run_spec.t) out svg check_reads =
     guard @@ fun () ->
-    let inst, plan = build_plan app size1 size2 variant xyz in
+    let res, plan = build_plan spec in
+    let kernel = res.Registry.kernel in
     let nprocs = Plan.nprocs plan in
     let fallback =
-      native_fallback ~plan ~kernel:inst.kernel ~check:check_reads walker
+      native_fallback ~plan ~kernel ~check:check_reads spec.walker
     in
     warn_native_fallback fallback;
     let spans, stats =
-      match backend with
-      | `Sim ->
+      match spec.backend with
+      | Run_spec.Sim ->
         let r =
-          Executor.run ~walker ~check:check_reads ~mode:Executor.Full
-            ~overlap ~trace:true ~plan ~kernel:inst.kernel ~net ()
+          Executor.run ~walker:spec.walker ~check:check_reads
+            ~mode:Executor.Full ~overlap:spec.overlap ~trace:true ~plan
+            ~kernel ~net:spec.net ()
         in
         (r.Executor.stats.Sim.trace,
          Tiles_mpisim.Trace.aggregate r.Executor.stats)
-      | `Shm ->
+      | Run_spec.Shm ->
         let r =
-          Shm_executor.run ~walker ~check:check_reads ~trace:true ~overlap
-            ~plan ~kernel:inst.kernel ()
+          Shm_executor.run ~walker:spec.walker ~check:check_reads ~trace:true
+            ~overlap:spec.overlap ~plan ~kernel ()
         in
         Printf.printf "max |parallel - sequential| = %g\n"
           r.Shm_executor.max_abs_err;
         (r.Shm_executor.trace, r.Shm_executor.stats)
     in
-    let backend_str = backend_name backend in
+    let backend_str = Run_spec.backend_to_string spec.backend in
     Chrome.write
-      ~process_name:(Printf.sprintf "tilec %s (%s)" inst.app_name backend_str)
-      ~meta:(run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net
-               ~walker ?walker_fallback:fallback ~size1 ~size2 ())
+      ~process_name:(Printf.sprintf "tilec %s (%s)" spec.app backend_str)
+      ~meta:(Run_spec.runmeta ?walker_fallback:fallback ~nprocs spec)
       ~nprocs ~path:out spans;
     Printf.eprintf "wrote %s\n" out;
     (match svg with
@@ -503,7 +438,7 @@ let trace_cmd =
     | Some path ->
       Tiles_viz.Svg.save
         (Tiles_viz.Figures.timeline
-           ~title:(Printf.sprintf "%s on %s" inst.app_name backend_str)
+           ~title:(Printf.sprintf "%s on %s" spec.app backend_str)
            ~nprocs ~completion:stats.Stats.completion spans)
         path;
       Printf.eprintf "wrote %s\n" path);
@@ -513,9 +448,8 @@ let trace_cmd =
     (Cmd.info "trace"
        ~doc:"Run the plan traced and export Chrome trace-event JSON (plus \
              an optional SVG timeline) with aggregate statistics.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ variant_arg $ xyz_args
-          $ backend_arg $ out_arg $ svg_arg $ overlap_arg $ walker_arg
-          $ check_reads_arg $ net_arg)
+    Term.(const run $ spec_term [ Sizes; Tiling; Backend; Overlap; Net; Walker ]
+          $ out_arg $ svg_arg $ check_reads_arg)
 
 let analyze_cmd =
   let app_opt_arg =
@@ -555,11 +489,6 @@ let analyze_cmd =
   let top_arg =
     Arg.(value & opt int 5 & info [ "top" ] ~docv:"K"
            ~doc:"Laggard ranks listed in the breakdown.")
-  in
-  let overlap_arg =
-    Arg.(value & flag & info [ "overlap" ]
-           ~doc:"Analyze the §5 overlapped schedule instead of the \
-                 blocking one.")
   in
   let span_json (s : Span.t) =
     Tiles_util.Json.Obj
@@ -617,8 +546,7 @@ let analyze_cmd =
         path;
       Printf.eprintf "wrote %s\n" path
   in
-  let run app size1 size2 variant xyz backend overlap from stream json out svg
-      top net =
+  let run (spec : Run_spec.t) from stream json out svg top =
     guard @@ fun () ->
     if stream && (out <> None || svg <> None || from <> None) then
       failwith
@@ -633,73 +561,56 @@ let analyze_cmd =
           ~nprocs:a.Chrome.nprocs ~completion:None ~out ~svg
           ~edges:a.Chrome.edges a.Chrome.spans)
     | None -> (
-      let app =
-        match app with
-        | Some a -> a
-        | None -> failwith "analyze: pass --app NAME or --from FILE"
-      in
-      let inst, plan = build_plan app size1 size2 variant xyz in
+      if spec.app = "" then
+        failwith "analyze: pass --app NAME or --from FILE";
+      let res, plan = build_plan spec in
+      let kernel = res.Registry.kernel and overlap = spec.overlap in
       let nprocs = Plan.nprocs plan in
-      let backend_str = backend_name backend in
-      let title = Printf.sprintf "%s on %s" inst.app_name backend_str in
-      let meta =
-        run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net ~size1
-          ~size2 ()
+      let title =
+        Printf.sprintf "%s on %s" spec.app
+          (Run_spec.backend_to_string spec.backend)
       in
-      match backend with
-      | `Sim ->
-        let rc =
-          Recorder.create
-            ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
-            ~trace:true
-            ~clock:(fun () -> 0.)
-            ~nprocs ()
-        in
-        let r =
-          Executor.run ~mode:Executor.Timing ~overlap ~recorder:rc ~plan
-            ~kernel:inst.kernel ~net ()
-        in
-        let completion = r.Executor.stats.Sim.completion in
-        if stream then
-          let stats =
-            Stats.of_kind_seconds ~completion ~nprocs
-              ~messages:(Recorder.messages rc) ~bytes:(Recorder.bytes rc)
-              ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
-              ~rank_messages:(Recorder.rank_messages rc)
-              ~rank_bytes:(Recorder.rank_bytes rc)
-              ~queue_seconds:(Recorder.queue_seconds rc)
-              (Recorder.kind_seconds rc)
+      let meta = Run_spec.runmeta ~nprocs spec in
+      let recorder ?clock () =
+        Recorder.create
+          ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
+          ~trace:true ?clock ~nprocs ()
+      in
+      (* the sim's virtual completion bounds the exact path; a wall-clock
+         shm run leaves it to the spans *)
+      let rc, completion, path_completion, edges, spans =
+        match spec.backend with
+        | Run_spec.Sim ->
+          let rc = recorder ~clock:(fun () -> 0.) () in
+          let r =
+            Executor.run ~mode:Executor.Timing ~overlap ~recorder:rc ~plan
+              ~kernel ~net:spec.net ()
           in
-          report_streaming ~json stats rc
-        else
-          report_exact ~json ~top ~title ~nprocs ~completion:(Some completion)
-            ~meta ~out ~svg ~edges:r.Executor.stats.Sim.edges
-            r.Executor.stats.Sim.trace
-      | `Shm ->
-        let rc =
-          Recorder.create
-            ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
-            ~trace:true ~nprocs ()
+          let st = r.Executor.stats in
+          (rc, st.Sim.completion, Some st.Sim.completion, st.Sim.edges,
+           st.Sim.trace)
+        | Run_spec.Shm ->
+          let rc = recorder () in
+          let r = Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel () in
+          Printf.eprintf "max |parallel - sequential| = %g\n"
+            r.Shm_executor.max_abs_err;
+          (rc, r.Shm_executor.wall_seconds, None, r.Shm_executor.edges,
+           r.Shm_executor.trace)
+      in
+      if stream then
+        let stats =
+          Stats.of_kind_seconds ~completion ~nprocs
+            ~messages:(Recorder.messages rc) ~bytes:(Recorder.bytes rc)
+            ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
+            ~rank_messages:(Recorder.rank_messages rc)
+            ~rank_bytes:(Recorder.rank_bytes rc)
+            ~queue_seconds:(Recorder.queue_seconds rc)
+            (Recorder.kind_seconds rc)
         in
-        let r =
-          Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel:inst.kernel ()
-        in
-        Printf.eprintf "max |parallel - sequential| = %g\n"
-          r.Shm_executor.max_abs_err;
-        if stream then
-          let stats =
-            Stats.of_kind_seconds ~completion:r.Shm_executor.wall_seconds
-              ~nprocs ~messages:(Recorder.messages rc)
-              ~bytes:(Recorder.bytes rc)
-              ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
-              ~rank_messages:(Recorder.rank_messages rc)
-              ~rank_bytes:(Recorder.rank_bytes rc)
-              (Recorder.kind_seconds rc)
-          in
-          report_streaming ~json stats rc
-        else
-          report_exact ~json ~top ~title ~nprocs ~completion:None ~meta ~out
-            ~svg ~edges:r.Shm_executor.edges r.Shm_executor.trace)
+        report_streaming ~json stats rc
+      else
+        report_exact ~json ~top ~title ~nprocs ~completion:path_completion
+          ~meta ~out ~svg ~edges spans)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -709,9 +620,11 @@ let analyze_cmd =
              slack. Reads a Chrome artifact with $(b,--from) or runs an \
              app fresh; $(b,--stream) trades the exact path for \
              O(ranks)-memory aggregation at thousand-rank scale.")
-    Term.(const run $ app_opt_arg $ size1_arg $ size2_arg $ variant_arg
-          $ xyz_args $ backend_arg $ overlap_arg $ from_arg $ stream_arg
-          $ json_arg $ out_arg $ svg_arg $ top_arg $ net_arg)
+    Term.(const run
+          $ spec_term
+              ~app:Term.(const (Option.value ~default:"") $ app_opt_arg)
+              [ Sizes; Tiling; Backend; Overlap; Net ]
+          $ from_arg $ stream_arg $ json_arg $ out_arg $ svg_arg $ top_arg)
 
 let tune_cmd =
   let module Tune = Tiles_tune.Tune in
@@ -744,18 +657,13 @@ let tune_cmd =
   let json_arg =
     Arg.(value & flag & info [ "json" ] ~doc:"Print the result as JSON.")
   in
-  let overlap_arg =
-    Arg.(value & flag & info [ "overlap" ]
-           ~doc:"Tune for the §5 overlapped schedule (either backend).")
-  in
   let m_arg =
     Arg.(value & opt (some int) None & info [ "m" ] ~docv:"DIM"
            ~doc:"Restrict the mapping dimension (default: search all).")
   in
-  let run app size1 size2 procs factors top workers cache json overlap backend
-      m net =
+  let run (spec : Run_spec.t) procs factors top workers cache json m =
     guard @@ fun () ->
-    let inst = instance app ~size1 ~size2 in
+    let _, nest, kernel = instance spec in
     let options =
       {
         Tune.procs;
@@ -763,22 +671,23 @@ let tune_cmd =
         top_k = top;
         workers;
         cache_dir = cache;
-        overlap;
-        backend = (match backend with `Sim -> Tune.Sim | `Shm -> Tune.Shm);
+        overlap = spec.overlap;
+        backend =
+          (match spec.backend with
+          | Run_spec.Sim -> Tune.Sim
+          | Run_spec.Shm -> Tune.Shm);
         mapping_dims = Option.map (fun m -> [ m ]) m;
       }
     in
-    let r =
-      Tune.search ~options ~nest:inst.nest ~kernel:inst.kernel ~net ()
-    in
+    let r = Tune.search ~options ~nest ~kernel ~net:spec.net () in
     if json then
       print_endline (Tiles_util.Json.to_string (Tune.result_json r))
     else begin
       Printf.printf
         "tune %s (%s%s): %d candidates generated, %d feasible, %d measured \
          (%d cache hit%s)\n"
-        inst.app_name (backend_name backend)
-        (if overlap then ", overlapped" else "")
+        spec.app (Run_spec.backend_to_string spec.backend)
+        (if spec.overlap then ", overlapped" else "")
         r.Tune.generated r.Tune.feasible
         (List.length r.Tune.simulated) r.Tune.cache_hits
         (if r.Tune.cache_hits = 1 then "" else "s");
@@ -812,7 +721,7 @@ let tune_cmd =
       Tiles_util.Table.print t;
       let best = r.Tune.best in
       Printf.printf "\nbest: %s\n" (Tiles_tune.Candidate.label best.Tune.cand);
-      let plan = Tune.plan_of ~nest:inst.nest best.Tune.cand in
+      let plan = Tune.plan_of ~nest best.Tune.cand in
       print_string (Plan.summary plan)
     end
   in
@@ -820,9 +729,8 @@ let tune_cmd =
     (Cmd.info "tune"
        ~doc:"Search tile shape, tile size and mapping dimension for the \
              fastest plan under a processor budget.")
-    Term.(const run $ app_arg $ size1_arg $ size2_arg $ procs_arg
-          $ factors_arg $ top_arg $ workers_arg $ cache_arg $ json_arg
-          $ overlap_arg $ backend_arg $ m_arg $ net_arg)
+    Term.(const run $ spec_term [ Sizes; Backend; Overlap; Net ] $ procs_arg
+          $ factors_arg $ top_arg $ workers_arg $ cache_arg $ json_arg $ m_arg)
 
 let perf_cmd =
   let module Metric = Tiles_obs.Metric in
@@ -866,17 +774,12 @@ let perf_cmd =
                  compute cost by $(docv) — a synthetic slowdown for \
                  exercising the regression gate. Sim backend only.")
   in
-  let overlap_arg =
-    Arg.(value & flag & info [ "overlap" ]
-           ~doc:"Measure the §5 overlapped schedule (either backend); \
-                 baselines get an $(b,-overlap) file-name suffix.")
-  in
-  let run app size1 size2 variant xyz backend repeats warmup record check dir
-      json counters_only inflate overlap walker net_base =
+  let run (spec : Run_spec.t) repeats warmup record check dir json
+      counters_only inflate =
     (* --inflate scales the simulator's network model; the shm backend has
        no model to scale, so the combination is a usage error, not a
        silently ignored flag *)
-    if backend = `Shm && inflate <> 1.0 then
+    if spec.backend = Run_spec.Shm && inflate <> 1.0 then
       `Error
         ( true,
           "--inflate scales the sim network model and does not apply to the \
@@ -887,38 +790,40 @@ let perf_cmd =
     if repeats < 1 then failwith "perf: --repeats must be >= 1";
     if warmup < 0 then failwith "perf: --warmup must be >= 0";
     if record && check then failwith "perf: --record and --check conflict";
-    let inst, plan = build_plan app size1 size2 variant xyz in
+    let res, plan = build_plan spec in
+    let kernel = res.Registry.kernel in
     let nprocs = Plan.nprocs plan in
-    let fallback =
-      native_fallback ~plan ~kernel:inst.kernel ~check:false walker
-    in
+    let fallback = native_fallback ~plan ~kernel ~check:false spec.walker in
     (* the sim backend times virtual events and never runs a walker, so
        a missing C compiler is only worth a warning where it changes
        what gets measured *)
-    if backend = `Shm then warn_native_fallback fallback;
-    let net =
-      if inflate = 1.0 then net_base
+    if spec.backend = Run_spec.Shm then warn_native_fallback fallback;
+    let spec =
+      if inflate = 1.0 then spec
       else
-        { net_base with
-          Netmodel.latency = net_base.Netmodel.latency *. inflate;
-          flop_time = net_base.Netmodel.flop_time *. inflate }
+        { spec with
+          net =
+            { spec.net with
+              Netmodel.latency = spec.net.Netmodel.latency *. inflate;
+              flop_time = spec.net.Netmodel.flop_time *. inflate } }
     in
+    let net = spec.net and overlap = spec.overlap in
     let last_speedup = ref nan in
     let run_once () =
-      match backend with
-      | `Sim ->
+      match spec.backend with
+      | Run_spec.Sim ->
         let r =
           Executor.run ~mode:Executor.Timing ~overlap ~trace:true ~plan
-            ~kernel:inst.kernel ~net ()
+            ~kernel ~net ()
         in
         last_speedup := r.Executor.speedup;
         Tiles_mpisim.Trace.aggregate r.Executor.stats
-      | `Shm ->
+      | Run_spec.Shm ->
         (* the sim backend measures in Timing mode (virtual time, no data
            movement), so [walker] only matters here *)
         let r =
-          Shm_executor.run ~walker ~trace:true ~overlap ~plan
-            ~kernel:inst.kernel ()
+          Shm_executor.run ~walker:spec.walker ~trace:true ~overlap ~plan
+            ~kernel ()
         in
         last_speedup := r.Shm_executor.wall_speedup;
         r.Shm_executor.stats
@@ -926,28 +831,25 @@ let perf_cmd =
     let runs = List.init (warmup + repeats) (fun _ -> run_once ()) in
     let stats = List.nth runs (List.length runs - 1) in
     let dist = Stats.distributions ~warmup runs in
-    let meta =
-      run_meta inst ~variant ~xyz ~nprocs ~backend ~overlap ~net ~walker
-        ?walker_fallback:fallback ~size1 ~size2 ()
-    in
+    let meta = Run_spec.runmeta ?walker_fallback:fallback ~nprocs spec in
     let current = Baseline.make ~meta ~stats ~timings:dist in
     let path = Baseline.default_path ~dir ~meta in
     (* the analytic models' drift from this observation (sim only: the
        models predict virtual time, not the host's wall clock) *)
     let residuals () =
-      match backend with
-      | `Shm -> []
-      | `Sim ->
+      match spec.backend with
+      | Run_spec.Shm -> []
+      | Run_spec.Sim ->
         let module Predictor = Tiles_tune.Predictor in
         let module Model = Tiles_runtime.Model in
-        let width = inst.kernel.Tiles_runtime.Kernel.width in
+        let width = kernel.Tiles_runtime.Kernel.width in
         let observed =
           [
             ("completion_s", stats.Stats.completion);
             ("speedup", !last_speedup);
           ]
         in
-        let label = Printf.sprintf "%s/%s" inst.app_name variant in
+        let label = Printf.sprintf "%s/%s" spec.app spec.variant in
         let entries source fields =
           List.filter_map
             (fun (field, predicted) ->
@@ -991,12 +893,12 @@ let perf_cmd =
               ~exact:[ "messages"; "bytes" ] ~baseline current
           else
             Baseline.compare
-              ?exact:(match backend with
-                | `Shm ->
+              ?exact:(match spec.backend with
+                | Run_spec.Shm ->
                   (* the in-flight high-water mark depends on thread
                      interleaving, so it is not exact on shm *)
                   Some [ "messages"; "bytes" ]
-                | `Sim -> None)
+                | Run_spec.Sim -> None)
               ~baseline current
         in
         if json then
@@ -1004,8 +906,8 @@ let perf_cmd =
             (Tiles_util.Json.to_string (Baseline.verdict_to_json verdict))
         else begin
           Printf.printf "checking %s against %s\n"
-            (Printf.sprintf "%s/%s (%s)" inst.app_name variant
-               (backend_name backend))
+            (Printf.sprintf "%s/%s (%s)" spec.app spec.variant
+               (Run_spec.backend_to_string spec.backend))
             path;
           print_string (Baseline.report verdict)
         end;
@@ -1024,7 +926,8 @@ let perf_cmd =
                 ]))
       else begin
         Printf.printf "perf %s/%s (%s): %d measured run%s, %d warmup\n"
-          inst.app_name variant (backend_name backend) repeats
+          spec.app spec.variant (Run_spec.backend_to_string spec.backend)
+          repeats
           (if repeats = 1 then "" else "s")
           warmup;
         print_string (Stats.summary ~dist stats);
@@ -1038,10 +941,10 @@ let perf_cmd =
              (mean, stddev, percentiles) of every timed field, and record or \
              check a persistent performance baseline.")
     Term.(ret
-            (const run $ app_arg $ size1_arg $ size2_arg $ variant_arg
-             $ xyz_args $ backend_arg $ repeats_arg $ warmup_arg $ record_arg
-             $ check_arg $ dir_arg $ json_arg $ counters_arg $ inflate_arg
-             $ overlap_arg $ walker_arg $ net_arg))
+            (const run
+             $ spec_term [ Sizes; Tiling; Backend; Overlap; Net; Walker ]
+             $ repeats_arg $ warmup_arg $ record_arg $ check_arg $ dir_arg
+             $ json_arg $ counters_arg $ inflate_arg))
 
 let serve_cmd =
   let module Server = Tiles_serve.Server in

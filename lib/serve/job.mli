@@ -15,9 +15,12 @@
     The control operations [metrics] and [shutdown] are handled by the
     server before {!of_json} and carry no configuration.
 
-    Defaults match the CLI: sizes 24/32, variant [nonrect], tile
-    [(6,8,8)], walker [fast], blocking sends, priority 10 ({e lower} is
-    served sooner). *)
+    The configuration fields are {!Tiles_apps.Run_spec}'s JSON codec, with
+    the CLI's defaults: sizes 24/32, variant [nonrect], tile [(6,8,8)],
+    walker [fast], blocking sends. The job adds priority (default 10;
+    {e lower} is served sooner) and, for [tune], the processor budget
+    [procs] (default 4) and the factor sweep [factors] (default
+    [[2,3,4]]). *)
 
 type op = Plan | Simulate | Execute | Tune
 
@@ -27,24 +30,20 @@ val op_of_string : string -> op option
 type t = {
   id : string;  (** echoed in the response; "" until the server assigns *)
   op : op;
-  app : string;
-  size1 : int;
-  size2 : int;
-  variant : string;
-  tile : int * int * int;
-  backend : string;  (** ["sim"] or ["shm"]; [execute] only *)
-  overlap : bool;
-  walker : Tiles_runtime.Walker.variant;
+  spec : Tiles_apps.Run_spec.t;
+      (** the run; backend [Shm] only with [execute]. Its [net] is the
+          daemon's, whatever the job was built with. *)
   priority : float;
   procs : int;  (** tune: processor budget *)
   factors : int list;  (** tune: mapped-dimension factor sweep *)
 }
 
 val of_json : Tiles_util.Json.t -> (t, string) result
-(** Validates operation, backend and walker names and field types;
-    [Error] is a one-line reason suitable for a rejection response.
-    Cross-field validity (unknown app/variant, illegal tiling) is the
-    {!Registry}'s job. *)
+(** Validates operation, backend and walker names, field types and a
+    tune job's search parameters ([procs >= 1]; [factors] non-empty, each
+    [>= 1]); [Error] is a one-line reason suitable for a rejection
+    response. Cross-field validity (unknown app/variant, illegal tiling)
+    is the {!Tiles_apps.Registry}'s job. *)
 
 val to_json : t -> Tiles_util.Json.t
 (** Request rendering (the load generator uses it); parses back to an

@@ -1,5 +1,6 @@
 module Json = Tiles_util.Json
 module Plan = Tiles_core.Plan
+module Run_spec = Tiles_apps.Run_spec
 
 type entry = { plan : Plan.t; mutable last_use : int }
 
@@ -35,14 +36,15 @@ let create ~capacity =
     compiles = 0;
   }
 
-let key ~(resolved : Registry.resolved) ~net ~overlap ~backend ~walker =
+let key ~(resolved : Tiles_apps.Registry.resolved) (spec : Run_spec.t) =
   (* same content addressing as the tune score cache, plus the walker:
      the plan itself is walker-independent, but the cache identifies the
      full compiled configuration a job names *)
-  Tiles_tune.Cache.key ~nest:resolved.Registry.nest
-    ~tiling:resolved.Registry.tiling ~m:resolved.Registry.m
-    ~kernel:resolved.Registry.kernel ~net ~overlap ~backend
-  ^ "-" ^ walker
+  Tiles_tune.Cache.key ~nest:resolved.nest ~tiling:resolved.tiling
+    ~m:resolved.m ~kernel:resolved.kernel ~net:spec.net ~overlap:spec.overlap
+    ~backend:(Run_spec.backend_to_string spec.backend)
+  ^ "-"
+  ^ Tiles_runtime.Walker.variant_to_string spec.walker
 
 let touch t e =
   t.tick <- t.tick + 1;

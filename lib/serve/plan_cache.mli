@@ -26,14 +26,10 @@ val create : capacity:int -> t
 (** Raises [Invalid_argument] unless [capacity >= 1]. *)
 
 val key :
-  resolved:Registry.resolved ->
-  net:Tiles_mpisim.Netmodel.t ->
-  overlap:bool ->
-  backend:string ->
-  walker:string ->
-  string
-(** The [Tune.Cache] v4 digest of the resolved configuration, extended
-    with the walker variant. *)
+  resolved:Tiles_apps.Registry.resolved -> Tiles_apps.Run_spec.t -> string
+(** The [Tune.Cache] v4 digest of the resolved configuration under the
+    spec's network model, overlap flag and backend, extended with
+    ["-"] and the spec's walker name. *)
 
 val find_or_compile :
   t -> key:string -> (unit -> Tiles_core.Plan.t) ->

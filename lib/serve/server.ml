@@ -1,6 +1,5 @@
 module Json = Tiles_util.Json
 module Clock = Tiles_obs.Clock
-module Runmeta = Tiles_obs.Runmeta
 module Recorder = Tiles_obs.Recorder
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
@@ -10,11 +9,12 @@ module Executor = Tiles_runtime.Executor
 module Shm_executor = Tiles_runtime.Shm_executor
 module Seq_exec = Tiles_runtime.Seq_exec
 module Grid = Tiles_runtime.Grid
-module Walker = Tiles_runtime.Walker
 module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
 module Tune = Tiles_tune.Tune
 module TCache = Tiles_tune.Cache
+module Registry = Tiles_apps.Registry
+module Run_spec = Tiles_apps.Run_spec
 
 type config = {
   capacity : int;
@@ -140,18 +140,6 @@ let ok_json ~(job : Job.t) ~id ~cache_label ~queued_s ~service_s outcome =
 
 (* ---------------- job execution ---------------- *)
 
-let run_meta ~(job : Job.t) ~net ~nprocs ~job_id ~queued_s =
-  Runmeta.to_json
-    (Runmeta.make ~app:job.Job.app ~variant:job.Job.variant
-       ~size1:job.Job.size1 ~size2:job.Job.size2 ~tile:job.Job.tile ~nprocs
-       ~backend:job.Job.backend ~overlap:job.Job.overlap
-       ~netmodel:
-         (match job.Job.backend with
-         | "sim" -> Netmodel.model_id net
-         | _ -> "-")
-       ~walker:(Walker.variant_to_string job.Job.walker)
-       ~job_id ~queued_s ())
-
 let sim_payload (r : Executor.result) =
   [
     ("completion_s", Json.Float r.Executor.stats.Sim.completion);
@@ -164,6 +152,7 @@ let sim_payload (r : Executor.result) =
 
 let run_job t (ticket : ticket) : outcome =
   let job = ticket.job in
+  let spec = job.Job.spec in
   let r = ticket.resolved in
   let plan, cache_status =
     Plan_cache.find_or_compile t.cache ~key:ticket.pkey (fun () ->
@@ -174,18 +163,20 @@ let run_job t (ticket : ticket) : outcome =
   (* every execute/simulate run drives a streaming recorder labelled with
      the job id: O(nprocs) memory per job, and the job's longest waits
      land in the service-wide metrics reservoir attributed to it *)
-  let streaming_recorder ~sim =
-    if sim then
-      Recorder.create ~mode:Recorder.Streaming ~trace:true
-        ~clock:(fun () -> 0.)
-        ~label:job.Job.id ~nprocs ()
-    else
-      Recorder.create ~mode:Recorder.Streaming ~trace:true ~label:job.Job.id
-        ~nprocs ()
+  let streaming_recorder ?clock () =
+    Recorder.create ~mode:Recorder.Streaming ~trace:true ?clock
+      ~label:job.Job.id ~nprocs ()
   in
+  let sim_clock () = 0. in
   let fold_waits rc =
     Metrics.observe_waits t.metrics ~job_id:job.Job.id
       (Recorder.longest_waits rc)
+  in
+  let mk_meta =
+    Some
+      (fun ~job_id ~queued_s ->
+        Tiles_obs.Runmeta.to_json
+          (Run_spec.runmeta ~nprocs ~job_id ~queued_s spec))
   in
   match job.Job.op with
   | Job.Plan ->
@@ -201,25 +192,25 @@ let run_job t (ticket : ticket) : outcome =
       cache_status;
     }
   | Job.Simulate ->
-    let rc = streaming_recorder ~sim:true in
+    let rc = streaming_recorder ~clock:sim_clock () in
     let res =
-      Executor.run ~mode:Executor.Timing ~overlap:job.Job.overlap
-        ~recorder:rc ~plan ~kernel ~net:t.config.net ()
+      Executor.run ~mode:Executor.Timing ~overlap:spec.overlap ~recorder:rc
+        ~plan ~kernel ~net:spec.net ()
     in
     fold_waits rc;
     {
       payload = ("nprocs", Json.Int nprocs) :: sim_payload res;
-      mk_meta = Some (run_meta ~job ~net:t.config.net ~nprocs);
+      mk_meta;
       cache_status;
     }
-  | Job.Execute when job.Job.backend = "shm" ->
-    let rc = streaming_recorder ~sim:false in
+  | Job.Execute when spec.backend = Run_spec.Shm ->
+    let rc = streaming_recorder () in
     let res =
       Mutex.lock t.shm_gate;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock t.shm_gate)
         (fun () ->
-          Shm_executor.run ~walker:job.Job.walker ~overlap:job.Job.overlap
+          Shm_executor.run ~walker:spec.walker ~overlap:spec.overlap
             ~recorder:rc ~plan ~kernel ())
     in
     fold_waits rc;
@@ -235,15 +226,14 @@ let run_job t (ticket : ticket) : outcome =
           ("tiles", Json.Int res.Shm_executor.tiles_executed);
           ("max_abs_err", Json.Float res.Shm_executor.max_abs_err);
         ];
-      mk_meta = Some (run_meta ~job ~net:t.config.net ~nprocs);
+      mk_meta;
       cache_status;
     }
   | Job.Execute ->
-    let rc = streaming_recorder ~sim:true in
+    let rc = streaming_recorder ~clock:sim_clock () in
     let res =
-      Executor.run ~walker:job.Job.walker ~mode:Executor.Full
-        ~overlap:job.Job.overlap ~recorder:rc ~plan ~kernel
-        ~net:t.config.net ()
+      Executor.run ~walker:spec.walker ~mode:Executor.Full
+        ~overlap:spec.overlap ~recorder:rc ~plan ~kernel ~net:spec.net ()
     in
     fold_waits rc;
     let err =
@@ -260,7 +250,7 @@ let run_job t (ticket : ticket) : outcome =
         ("nprocs", Json.Int nprocs)
         :: sim_payload res
         @ [ ("max_abs_err", Json.Float err) ];
-      mk_meta = Some (run_meta ~job ~net:t.config.net ~nprocs);
+      mk_meta;
       cache_status;
     }
   | Job.Tune ->
@@ -272,12 +262,12 @@ let run_job t (ticket : ticket) : outcome =
         top_k = 3;
         workers = 1;  (* the pool is the only source of parallelism *)
         cache_dir = t.config.tune_cache_dir;
-        overlap = job.Job.overlap;
+        overlap = spec.overlap;
         backend = Tune.Sim;
       }
     in
     let res =
-      Tune.search ~options ~nest:r.Registry.nest ~kernel ~net:t.config.net ()
+      Tune.search ~options ~nest:r.Registry.nest ~kernel ~net:spec.net ()
     in
     let best = res.Tune.best in
     let best_score =
@@ -379,30 +369,23 @@ let coalesce_key (job : Job.t) ~pkey =
 
 let submit t ~respond (job : Job.t) =
   let now = Clock.monotonic () in
-  let job =
-    if job.Job.id <> "" then job
-    else begin
-      let id =
-        locked t (fun () ->
-            t.seq <- t.seq + 1;
-            Printf.sprintf "job-%d" t.seq)
-      in
-      { job with Job.id }
-    end
+  let id =
+    if job.Job.id <> "" then job.Job.id
+    else
+      locked t (fun () ->
+          t.seq <- t.seq + 1;
+          Printf.sprintf "job-%d" t.seq)
   in
-  match
-    Registry.resolve ~app:job.Job.app ~size1:job.Job.size1
-      ~size2:job.Job.size2 ~variant:job.Job.variant ~tile:job.Job.tile
-  with
+  (* the daemon's network model applies to every job *)
+  let job =
+    { job with Job.id; spec = { job.Job.spec with net = t.config.net } }
+  in
+  match Run_spec.resolve job.Job.spec with
   | Error msg ->
     respond (error_json ~id:job.Job.id msg);
     Metrics.error t.metrics
   | Ok resolved -> (
-    let pkey =
-      Plan_cache.key ~resolved ~net:t.config.net ~overlap:job.Job.overlap
-        ~backend:job.Job.backend
-        ~walker:(Walker.variant_to_string job.Job.walker)
-    in
+    let pkey = Plan_cache.key ~resolved job.Job.spec in
     let ckey = coalesce_key job ~pkey in
     let verdict =
       locked t (fun () ->

@@ -4,7 +4,7 @@
     One {!t} is a persistent multi-tenant daemon. Requests ({!Job})
     flow through:
 
-    + {b resolution} — the {!Registry} validates the configuration up
+    + {b resolution} — the {!Tiles_apps.Registry} validates the configuration up
       front; malformed requests get an [error] response without
       touching the queue;
     + {b coalescing} — a request identical (same content-addressed key,

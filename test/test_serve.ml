@@ -7,7 +7,8 @@
 module Json = Tiles_util.Json
 module Admission = Tiles_serve.Admission
 module Plan_cache = Tiles_serve.Plan_cache
-module Registry = Tiles_serve.Registry
+module Registry = Tiles_apps.Registry
+module Run_spec = Tiles_apps.Run_spec
 module Job = Tiles_serve.Job
 module Server = Tiles_serve.Server
 module Metrics = Tiles_serve.Metrics
@@ -99,10 +100,7 @@ let resolved_exn ~app ?(size1 = 12) ?(size2 = 16) ?(variant = "nonrect")
 let test_plan_cache_hits () =
   let c = Plan_cache.create ~capacity:4 in
   let r = resolved_exn ~app:"sor" () in
-  let key =
-    Plan_cache.key ~resolved:r ~net ~overlap:false ~backend:"sim"
-      ~walker:"fast"
-  in
+  let key = Plan_cache.key ~resolved:r (Run_spec.default "sor") in
   let compiles = ref 0 in
   let compile () =
     incr compiles;
@@ -121,21 +119,30 @@ let test_plan_cache_hits () =
 
 let test_plan_cache_key_discriminates () =
   let r = resolved_exn ~app:"sor" () in
-  let k ~overlap ~backend ~walker () =
-    Plan_cache.key ~resolved:r ~net ~overlap ~backend ~walker
-  in
-  let base = k ~overlap:false ~backend:"sim" ~walker:"fast" () in
+  let spec = Run_spec.default "sor" in
+  let k spec = Plan_cache.key ~resolved:r spec in
+  let base = k spec in
   check_bool "overlap changes key" true
-    (base <> k ~overlap:true ~backend:"sim" ~walker:"fast" ());
+    (base <> k { spec with overlap = true });
   check_bool "backend changes key" true
-    (base <> k ~overlap:false ~backend:"shm" ~walker:"fast" ());
+    (base <> k { spec with backend = Run_spec.Shm });
   check_bool "walker changes key" true
-    (base <> k ~overlap:false ~backend:"sim" ~walker:"reference" ());
+    (base <> k { spec with walker = Tiles_runtime.Walker.Reference });
+  check_bool "net changes key" true
+    (base <> k { spec with net = Netmodel.contended net });
   let r2 = resolved_exn ~app:"jacobi" () in
   check_bool "app changes key" true
-    (base
-    <> Plan_cache.key ~resolved:r2 ~net ~overlap:false ~backend:"sim"
-         ~walker:"fast")
+    (base <> Plan_cache.key ~resolved:r2 spec)
+
+(* the plan-cache key is the pinned tune-cache digest plus the walker:
+   compiled plans and tune scores keep addressing the same configurations
+   across releases *)
+let test_plan_cache_key_pinned () =
+  let r =
+    resolved_exn ~app:"sor" ~size1:12 ~size2:24 ~tile:(6, 9, 3) ()
+  in
+  check_str "sor 12/24 nonrect 6x9x3" "32c25291d149d0eb17eb25052f619435-fast"
+    (Plan_cache.key ~resolved:r (Run_spec.default "sor"))
 
 let test_plan_cache_eviction () =
   let c = Plan_cache.create ~capacity:2 in
@@ -198,9 +205,9 @@ let test_job_roundtrip () =
   in
   check_str "id" "j7" j.Job.id;
   check_bool "op" true (j.Job.op = Job.Execute);
-  check_str "backend" "shm" j.Job.backend;
-  check_bool "overlap" true j.Job.overlap;
-  check_bool "walker" true (j.Job.walker = Tiles_runtime.Walker.Native);
+  check_bool "backend" true (j.Job.spec.backend = Run_spec.Shm);
+  check_bool "overlap" true j.Job.spec.overlap;
+  check_bool "walker" true (j.Job.spec.walker = Tiles_runtime.Walker.Native);
   Alcotest.(check (float 0.0)) "priority" 2.5 j.Job.priority;
   (* to_json parses back to the same record *)
   match Job.of_json (Job.to_json j) with
@@ -483,6 +490,47 @@ let test_handle_line_protocol () =
     check_str "plan ok" "ok" (str_field "status" p);
     check_str "plan id" "p1" (str_field "id" p)
   | _ -> Alcotest.fail "unexpected response shapes");
+  Server.shutdown t
+
+(* a tune job whose search cannot run (no processors, no or non-positive
+   factors) is malformed: an error line before admission, never a queue
+   slot, a plan compile and a worker-side failure *)
+let test_malformed_tune_rejected () =
+  let t = Server.create ~config:(stalled_config ()) () in
+  let respond, got = collector () in
+  let base = {|"op":"tune","app":"sor","size1":8,"size2":8|} in
+  let lines =
+    [
+      ({|"procs":0|}, {|field "procs" must be >= 1|});
+      ({|"factors":[0]|}, {|field "factors" must be a non-empty list|});
+      ({|"factors":[2,-3]|}, {|field "factors" must be a non-empty list|});
+      ({|"factors":[]|}, {|field "factors" must be a non-empty list|});
+    ]
+  in
+  List.iteri
+    (fun i (extra, _) ->
+      let line = Printf.sprintf {|{"id":"m%d",%s,%s}|} i base extra in
+      check_bool "handled" true (Server.handle_line t ~respond line = `Handled))
+    lines;
+  check_bool "nothing to step" false (Server.step t);
+  let rs = got () in
+  check_int "one response per line" (List.length lines) (List.length rs);
+  List.iteri
+    (fun i ((_, expected), r) ->
+      check_str "status" "error" (str_field "status" r);
+      check_str "id" (Printf.sprintf "m%d" i) (str_field "id" r);
+      let msg = str_field "error" r in
+      check_bool (msg ^ " names the field") true
+        (Astring.String.is_infix ~affix:expected msg))
+    (List.combine lines rs);
+  let m = Server.metrics_json t in
+  let get section key =
+    match Option.bind (Json.member section m) (Json.member key) with
+    | Some (Json.Int n) -> n
+    | _ -> Alcotest.failf "metrics missing %s.%s" section key
+  in
+  check_int "nothing admitted" 0 (get "queue" "accepted");
+  check_int "nothing compiled" 0 (get "plan_cache" "compiles");
   Server.shutdown t
 
 (* the retired strength walker is an unknown walker now: a structured
@@ -799,6 +847,7 @@ let () =
       ( "plan_cache",
         [
           Alcotest.test_case "hit/miss" `Quick test_plan_cache_hits;
+          Alcotest.test_case "key pinned" `Quick test_plan_cache_key_pinned;
           Alcotest.test_case "key discriminates" `Quick
             test_plan_cache_key_discriminates;
           Alcotest.test_case "LRU eviction" `Quick test_plan_cache_eviction;
@@ -827,6 +876,8 @@ let () =
             test_unknown_app_is_error_response;
           Alcotest.test_case "protocol lines" `Quick
             test_handle_line_protocol;
+          Alcotest.test_case "malformed tune rejected" `Quick
+            test_malformed_tune_rejected;
           Alcotest.test_case "strength walker rejected" `Quick
             test_strength_walker_rejected;
           Alcotest.test_case "inner field ignored" `Quick
