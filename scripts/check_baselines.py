@@ -9,6 +9,11 @@ walked, the committed numbers describe a binary that no longer exists,
 and the gate would silently compare against a different layout. This
 check forces the two to move together in the same change.
 
+The sequential oracle is held to its own artifact only: its throughput
+is recorded in BENCH_kernels.json (the "seq" rows), while no perf
+baseline field depends on it (sim baselines are virtual time, and shm
+times the oracle outside wall_seconds).
+
 Usage: check_baselines.py [BASE]
 
 BASE is the commit to diff HEAD against (a PR base SHA or push-before
@@ -30,11 +35,16 @@ WATCHED = {
     "lib/runtime/native_stubs.c",
     "lib/runtime/protocol.ml",
     "lib/runtime/executor.ml",
-    "lib/runtime/seq_exec.ml",
     "lib/runtime/shm_executor.ml",
     "lib/codegen/rowgen.ml",
     "lib/core/lds.ml",
     "lib/util/fbuf.ml",
+}
+
+# The sequential oracle: a change moves BENCH_kernels.json's "seq" rows,
+# which must be re-recorded alongside; perf baselines are not required.
+ORACLE_WATCHED = {
+    "lib/runtime/seq_exec.ml",
 }
 
 # Files that define the simulator's network timing model. A change here
@@ -115,6 +125,22 @@ def main():
                 f"baseline check: {len(hot)} addressing file(s) changed, "
                 "perf baselines and BENCH_kernels.json re-recorded alongside"
             )
+
+    oracle_hot = sorted(set(files) & ORACLE_WATCHED)
+    if not oracle_hot:
+        print("baseline check: no oracle files changed")
+    elif "BENCH_kernels.json" not in files:
+        print(f"sequential-oracle files changed vs {base}:")
+        for f in oracle_hot:
+            print(f"  {f}")
+        print("but BENCH_kernels.json was not re-recorded alongside")
+        print("(its seq rows record the oracle; run bench --json kernels)")
+        rc = 1
+    else:
+        print(
+            f"baseline check: {len(oracle_hot)} oracle file(s) changed, "
+            "BENCH_kernels.json re-recorded alongside"
+        )
 
     net_hot = sorted(set(files) & NET_WATCHED)
     if not net_hot:
