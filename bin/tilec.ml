@@ -39,7 +39,6 @@
 open Cmdliner
 
 module Plan = Tiles_core.Plan
-module Tiling = Tiles_core.Tiling
 module Schedule = Tiles_core.Schedule
 module Executor = Tiles_runtime.Executor
 module Shm_executor = Tiles_runtime.Shm_executor
@@ -201,8 +200,7 @@ let build_plan spec =
 (* the app's nest and kernel alone, for subcommands that name no tiling *)
 let instance (spec : Run_spec.t) =
   let app = Result.fold ~ok:Fun.id ~error:failwith (Registry.find spec.app) in
-  let nest, kernel = app.Registry.instance ~size1:spec.size1 ~size2:spec.size2 in
-  (app, nest, kernel)
+  app.Registry.instance ~size1:spec.size1 ~size2:spec.size2
 
 (* when the native walker cannot actually run natively, say so once on
    stderr (and record the reason in exported metadata) instead of
@@ -246,7 +244,7 @@ let plan_cmd =
 let cone_cmd =
   let run spec =
     guard @@ fun () ->
-    let _, nest, _ = instance spec in
+    let nest, _ = instance spec in
     let cone = Nest.tiling_cone nest in
     Printf.printf "dependence columns: %s\n"
       (Format.asprintf "%a" Tiles_loop.Dependence.pp nest.Nest.deps);
@@ -663,7 +661,7 @@ let tune_cmd =
   in
   let run (spec : Run_spec.t) procs factors top workers cache json m =
     guard @@ fun () ->
-    let _, nest, kernel = instance spec in
+    let nest, kernel = instance spec in
     let options =
       {
         Tune.procs;

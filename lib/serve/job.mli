@@ -46,5 +46,4 @@ val of_json : Tiles_util.Json.t -> (t, string) result
     is the {!Tiles_apps.Registry}'s job. *)
 
 val to_json : t -> Tiles_util.Json.t
-(** Request rendering (the load generator uses it); parses back to an
-    equal record. *)
+(** Request rendering; parses back to an equal record. *)

@@ -163,11 +163,15 @@ let run_job t (ticket : ticket) : outcome =
   (* every execute/simulate run drives a streaming recorder labelled with
      the job id: O(nprocs) memory per job, and the job's longest waits
      land in the service-wide metrics reservoir attributed to it *)
-  let streaming_recorder ?clock () =
-    Recorder.create ~mode:Recorder.Streaming ~trace:true ?clock
-      ~label:job.Job.id ~nprocs ()
+  let streaming_recorder ~sim =
+    if sim then
+      Recorder.create ~mode:Recorder.Streaming ~trace:true
+        ~clock:(fun () -> 0.)
+        ~label:job.Job.id ~nprocs ()
+    else
+      Recorder.create ~mode:Recorder.Streaming ~trace:true ~label:job.Job.id
+        ~nprocs ()
   in
-  let sim_clock () = 0. in
   let fold_waits rc =
     Metrics.observe_waits t.metrics ~job_id:job.Job.id
       (Recorder.longest_waits rc)
@@ -192,7 +196,7 @@ let run_job t (ticket : ticket) : outcome =
       cache_status;
     }
   | Job.Simulate ->
-    let rc = streaming_recorder ~clock:sim_clock () in
+    let rc = streaming_recorder ~sim:true in
     let res =
       Executor.run ~mode:Executor.Timing ~overlap:spec.overlap ~recorder:rc
         ~plan ~kernel ~net:spec.net ()
@@ -204,7 +208,7 @@ let run_job t (ticket : ticket) : outcome =
       cache_status;
     }
   | Job.Execute when spec.backend = Run_spec.Shm ->
-    let rc = streaming_recorder () in
+    let rc = streaming_recorder ~sim:false in
     let res =
       Mutex.lock t.shm_gate;
       Fun.protect
@@ -230,7 +234,7 @@ let run_job t (ticket : ticket) : outcome =
       cache_status;
     }
   | Job.Execute ->
-    let rc = streaming_recorder ~clock:sim_clock () in
+    let rc = streaming_recorder ~sim:true in
     let res =
       Executor.run ~walker:spec.walker ~mode:Executor.Full
         ~overlap:spec.overlap ~recorder:rc ~plan ~kernel ~net:spec.net ()
