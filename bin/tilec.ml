@@ -122,7 +122,9 @@ type knob = Sizes | Tiling | Backend | Overlap | Net | Walker
    there plus one flag here *)
 let spec_term ?app:(app_t = app_arg) knobs =
   let d = Run_spec.default "" in
-  let knob k default arg = if List.mem k knobs then arg else Term.const default in
+  let knob k default arg =
+    if List.mem k knobs then arg else Term.const default
+  in
   let size1 =
     Arg.(value & opt int d.size1 & info [ "t"; "M" ] ~docv:"N"
            ~doc:"Time-like extent (M for SOR, T for Jacobi/ADI).")
@@ -191,7 +193,8 @@ let spec_term ?app:(app_t = app_arg) knobs =
 
 (* resolution failures (unknown app or variant, bad sizes, an illegal or
    singular tiling) reach [guard] as one-line errors *)
-let resolve spec = Result.fold ~ok:Fun.id ~error:failwith (Run_spec.resolve spec)
+let resolve spec =
+  Result.fold ~ok:Fun.id ~error:failwith (Run_spec.resolve spec)
 
 let build_plan spec =
   let r = resolve spec in

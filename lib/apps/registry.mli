@@ -8,7 +8,8 @@
 
 type app = {
   name : string;
-  instance : size1:int -> size2:int -> Tiles_loop.Nest.t * Tiles_runtime.Kernel.t;
+  instance :
+    size1:int -> size2:int -> Tiles_loop.Nest.t * Tiles_runtime.Kernel.t;
       (** the nest and kernel at time-like extent [size1] (M or T) and
           spatial extent [size2] (N) *)
   m : int;  (** the paper's mapping dimension *)

@@ -59,7 +59,9 @@ let of_json j =
         | Some i -> Ok i
         | None -> must key "an integer")
   in
-  let* app = Option.to_result (str "app") ~none:"missing string field \"app\"" in
+  let* app =
+    Option.to_result (str "app") ~none:"missing string field \"app\""
+  in
   let* size1 = int "size1" ~default:d.size1 in
   let* size2 = int "size2" ~default:d.size2 in
   let variant = Option.value (str "variant") ~default:d.variant in

@@ -62,17 +62,15 @@ let of_json j =
           ~none:"field \"procs\" must be an integer")
   in
   let* factors =
-    field "factors" ~default:[ 2; 3; 4 ] (fun v ->
-        let bad = Error "field \"factors\" must be a list of integers" in
-        match v with
-        | Json.List items ->
-          List.fold_right
-            (fun item acc ->
-              match (item, acc) with
-              | Json.Int i, Ok l -> Ok (i :: l)
-              | _ -> bad)
-            items (Ok [])
-        | _ -> bad)
+    field "factors" ~default:[ 2; 3; 4 ] (function
+      | Json.List items ->
+        let rec ints acc = function
+          | [] -> Ok (List.rev acc)
+          | Json.Int i :: rest -> ints (i :: acc) rest
+          | _ -> Error "field \"factors\" must be a list of integers"
+        in
+        ints [] items
+      | _ -> Error "field \"factors\" must be a list of integers")
   in
   (* a tune job's search parameters are checked here, before admission,
      like every other malformed field: an impossible search must never

@@ -548,7 +548,9 @@ let help_options sub =
   in
   let name_of item =
     let n = String.length item in
-    let rec stop i = if i < n && is_name_char item.[i] then stop (i + 1) else i in
+    let rec stop i =
+      if i < n && is_name_char item.[i] then stop (i + 1) else i
+    in
     String.sub item 0 (stop 0)
   in
   String.split_on_char '\n' out
