@@ -12,24 +12,46 @@ type t = {
 }
 
 (* D^S by exact TTIS sweep: for j in the origin tile at local coordinates
-   j', iteration j + d lives in tile ⌊(j' + d')/V⌋ componentwise. *)
-let tile_deps (tiling : Tiling.t) d's =
-  let module S = Set.Make (struct
-    type t = int array
-
-    let compare = Vec.compare_lex
-  end) in
-  let acc = ref S.empty in
-  Ttis.iter tiling (fun j' ->
-      List.iter
-        (fun d' ->
-          let ds =
-            Array.init tiling.n (fun k ->
-                Ints.fdiv (j'.(k) + d'.(k)) tiling.v.(k))
-          in
-          if not (Vec.is_zero ds) then acc := S.add ds !acc)
-        d's);
-  S.elements !acc
+   j', iteration j + d lives in tile ⌊(j' + d')/V⌋ componentwise. Legality
+   gives d' >= 0, so only points with j'_k >= cc_k = v_k − max_l d'_lk for
+   some k can leave the tile: the sweep visits those faces only. A tile
+   dependence in {0,1}^n is a bitmask (bit n−1−k for component k, so
+   ascending masks are lexicographic vectors); [seen] records the masks
+   met, without allocating per point. *)
+let tile_deps (tiling : Tiling.t) d's ~cc =
+  let n = tiling.n in
+  let v = tiling.v in
+  let d's = Array.of_list d's in
+  let seen = Array.make (1 lsl n) false in
+  let reach j' d' i = Ints.fdiv (j'.(i) + d'.(i)) v.(i) in
+  let face k =
+    Ttis.iter_from tiling
+      ~lo:(Array.init n (fun i -> if i = k then cc.(k) else 0))
+      (fun j' ->
+        for l = 0 to Array.length d's - 1 do
+          let d' = d's.(l) in
+          let mask = ref 0 in
+          for i = 0 to n - 1 do
+            match reach j' d' i with
+            | 0 -> ()
+            | 1 -> mask := !mask lor (1 lsl (n - 1 - i))
+            | _ ->
+              failwith
+                (Printf.sprintf "Comm.make: tile dependence %s outside {0,1}^n"
+                   (Vec.to_string (Array.init n (reach j' d'))))
+          done;
+          seen.(!mask) <- true
+        done)
+  in
+  for k = 0 to n - 1 do
+    if cc.(k) < v.(k) then face k
+  done;
+  List.filter_map
+    (fun mask ->
+      if seen.(mask) then
+        Some (Array.init n (fun i -> (mask lsr (n - 1 - i)) land 1))
+      else None)
+    (List.init ((1 lsl n) - 1) (fun i -> i + 1))
 
 let make tiling deps ~m =
   let n = Tiling.dim tiling in
@@ -55,14 +77,7 @@ let make tiling deps ~m =
         if k = m then tiling.v.(k) / tiling.c.(k)
         else Ints.cdiv max_d'.(k) tiling.c.(k))
   in
-  let ds = tile_deps tiling d' in
-  List.iter
-    (fun d ->
-      if Array.exists (fun x -> x < 0 || x > 1) d then
-        failwith
-          (Printf.sprintf "Comm.make: tile dependence %s outside {0,1}^n"
-             (Vec.to_string d)))
-    ds;
+  let ds = tile_deps tiling d' ~cc in
   let dm =
     let tbl = Hashtbl.create 8 in
     List.iter

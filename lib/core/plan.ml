@@ -1,6 +1,5 @@
 module Vec = Tiles_util.Vec
 module Nest = Tiles_loop.Nest
-module Polyhedron = Tiles_poly.Polyhedron
 
 type t = {
   nest : Nest.t;
@@ -8,6 +7,7 @@ type t = {
   tspace : Tile_space.t;
   mapping : Mapping.t;
   comm : Comm.t;
+  counts : Count_table.t option Atomic.t;
 }
 
 let make ?m nest tiling =
@@ -18,7 +18,7 @@ let make ?m nest tiling =
   let tspace = Tile_space.make nest.Nest.space tiling in
   let mapping = Mapping.make ?m tspace in
   let comm = Comm.make tiling nest.Nest.deps ~m:mapping.Mapping.m in
-  { nest; tiling; tspace; mapping; comm }
+  { nest; tiling; tspace; mapping; comm; counts = Atomic.make None }
 
 let dim t = Tiling.dim t.tiling
 let nprocs t = Mapping.nprocs t.mapping
@@ -47,36 +47,21 @@ let loc_inv t ~pid j'' =
     let tile = Mapping.join t.mapping ~pid ~ts:(trel + lo) in
     Tiling.global_of t.tiling ~tile j'
 
-let total_iterations t = Polyhedron.count_points t.nest.Nest.space
+(* Built outside any lock: a domain that loses the race drops its copy
+   and returns the published one, which is equal. *)
+let counts t =
+  match Atomic.get t.counts with
+  | Some c -> c
+  | None ->
+    let c = Count_table.make t.tspace t.mapping t.comm in
+    if Atomic.compare_and_set t.counts None (Some c) then c
+    else Option.get (Atomic.get t.counts)
+
+let total_iterations t = Count_table.total (counts t)
 
 let comm_stats t =
-  let messages = ref 0 and cells = ref 0 in
-  for rank = 0 to Mapping.nprocs t.mapping - 1 do
-    let pid = Mapping.pid_of_rank t.mapping rank in
-    List.iter
-      (fun tile ->
-        let _, ts = Mapping.split t.mapping tile in
-        List.iter
-          (fun (dm, dss) ->
-            let succ_pid = Tiles_util.Vec.add pid dm in
-            let succ_exists =
-              List.exists
-                (fun dS ->
-                  Mapping.valid t.mapping ~pid:succ_pid
-                    ~ts:(ts + dS.(t.comm.Comm.m)))
-                dss
-            in
-            if succ_exists then begin
-              incr messages;
-              cells :=
-                !cells
-                + Tile_space.slab_points t.tspace ~tile
-                    ~lo:(Comm.slab_lo t.comm ~dm)
-            end)
-          t.comm.Comm.dm)
-      (Mapping.tiles_of_rank t.mapping rank)
-  done;
-  (!messages, !cells)
+  let c = counts t in
+  (Count_table.messages c, Count_table.cells c)
 
 let summary t =
   let b = Buffer.create 512 in

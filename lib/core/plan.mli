@@ -8,6 +8,7 @@ type t = private {
   tspace : Tile_space.t;
   mapping : Mapping.t;
   comm : Comm.t;
+  counts : Count_table.t option Atomic.t;  (** read through {!counts} *)
 }
 
 val make : ?m:int -> Tiles_loop.Nest.t -> Tiling.t -> t
@@ -30,13 +31,18 @@ val loc : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t * Tiles_util.Vec.t
 val loc_inv : t -> pid:Tiles_util.Vec.t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
 (** Table 2: [loc_inv ~pid j'' = j ∈ J^n]. *)
 
+val counts : t -> Count_table.t
+(** The plan's count table, built on first use and published through an
+    [Atomic], so domains sharing a cached plan read one table (two that
+    race on a fresh plan may both build it; one copy wins). *)
+
 val total_iterations : t -> int
-(** Iterations of [J^n] (exact). *)
+(** Iterations of [J^n] (exact), from the count table. *)
 
 val comm_stats : t -> int * int
 (** [(messages, cells)] the §3.2 protocol will exchange: one message per
     (tile, processor-direction) pair with a valid successor, each
-    carrying its boundary-clipped slab. Computed analytically; the tests
+    carrying its boundary-clipped slab. Read from the count table; the tests
     check it equals what the executor actually sends, and it realises the
     paper's claim that variants with identical non-mapping tiling rows
     move identical data volumes. *)

@@ -63,8 +63,7 @@ let trip_count t k =
   hi - lo + 1
 
 (* Fast exact P'-application: P' = Q / den with integer Q. *)
-let global_applier (tiling : Tiling.t) =
-  let n = tiling.n in
+let applier_matrix (tiling : Tiling.t) =
   let den =
     Array.fold_left
       (fun acc row ->
@@ -76,6 +75,11 @@ let global_applier (tiling : Tiling.t) =
   let q =
     Array.map (Array.map (fun x -> Rat.num x * (den / Rat.den x))) tiling.p'
   in
+  (den, q)
+
+let global_applier (tiling : Tiling.t) =
+  let n = tiling.n in
+  let den, q = applier_matrix tiling in
   fun (scaled : int array) (dst : int array) ->
     for i = 0 to n - 1 do
       let acc = ref 0 in
@@ -103,116 +107,194 @@ let iter_slab_points t ~tile ~lo f =
 let iter_tile_points t ~tile f =
   iter_slab_points t ~tile ~lo:(Array.make t.tiling.Tiling.n 0) f
 
-let is_interior t tile =
-  let module Constr = Tiles_poly.Constr in
-  let tiling = t.tiling in
-  let n = tiling.Tiling.n in
-  let vertex eps =
-    (* P·(j^S + ε) with exact rationals *)
-    let s = Array.init n (fun k -> Rat.of_int (tile.(k) + eps.(k))) in
-    Tiles_linalg.Ratmat.apply tiling.Tiling.p s
-  in
-  let holds_at x c =
-    let acc = ref (Rat.of_int (Constr.const c)) in
-    for i = 0 to n - 1 do
-      acc := Rat.add !acc (Rat.mul (Rat.of_int (Constr.coeff c i)) x.(i))
-    done;
-    Rat.sign !acc >= 0
-  in
-  let cs = Polyhedron.constraints t.space in
-  let eps = Array.make n 0 in
-  let rec all_vertices k =
-    if k = n then
-      let x = vertex eps in
-      List.for_all (holds_at x) cs
-    else begin
-      eps.(k) <- 0;
-      let a = all_vertices (k + 1) in
-      eps.(k) <- 1;
-      let b = a && all_vertices (k + 1) in
-      eps.(k) <- 0;
-      b
-    end
-  in
-  all_vertices 0
-
 let tile_iterations t tile =
   let n = ref 0 in
   iter_tile_points t ~tile (fun ~local:_ ~global:_ -> incr n);
   !n
 
-(* Exact clipped-slab point counting without enumerating points.
+(* ---------------- slab counting ---------------- *)
 
-   The space constraints pull back to affine constraints over j': for a
-   space constraint a·j + b >= 0 and j = P'(V·s + j') = Q(V·s + j')/den,
-   the constraint becomes (a·Q)·j' + [(a·Q)·(V·s) + b·den] >= 0 — only the
-   constant depends on the tile. We join these with the box/slab bounds,
-   project with Fourier–Motzkin, and enumerate only the outer n-1
-   dimensions (stride-aligned); the innermost dimension contributes an
-   arithmetic range count. Exact because the innermost level uses the
-   original (unprojected) constraints. *)
-let count_clipped t ~tile ~lo =
-  let module FM = Tiles_poly.Fourier_motzkin in
-  let module Lattice = Tiles_linalg.Lattice in
-  let module Ints = Tiles_util.Ints in
-  let tiling = t.tiling in
-  let n = tiling.Tiling.n in
-  let den =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc x -> Ints.lcm acc (Rat.den x)) acc row)
-      1 tiling.Tiling.p'
-  in
-  let q =
-    Array.map (Array.map (fun x -> Rat.num x * (den / Rat.den x))) tiling.Tiling.p'
-  in
-  let vs = Array.init n (fun k -> tiling.Tiling.v.(k) * tile.(k)) in
-  let pullback c =
-    let a = Array.init n (Constr.coeff c) in
-    let w =
-      Array.init n (fun k ->
-          let acc = ref 0 in
-          for i = 0 to n - 1 do
-            acc := !acc + (a.(i) * q.(i).(k))
-          done;
-          !acc)
-    in
-    let const = Tiles_util.Vec.dot w vs + (Constr.const c * den) in
-    Constr.make ~coeffs:w ~const
+(* one FM chain level, flattened: constraint i bounds the level's
+   variable with coefficient ca.(i), constant cc.(i) and prefix
+   coefficients cp.(i*var .. i*var+var-1) — [Fourier_motzkin.bounds]
+   walks a boxed constraint list with per-coefficient calls, far too
+   slow for a per-row operation *)
+type level = { ca : int array; cc : int array; cp : int array }
+
+let compile_level cs ~var =
+  let cs = Array.of_list cs in
+  let nc = Array.length cs in
+  let ca = Array.make nc 0 in
+  let cc = Array.make nc 0 in
+  let cp = Array.make (max 1 (nc * var)) 0 in
+  Array.iteri
+    (fun i c ->
+      ca.(i) <- Constr.coeff c var;
+      cc.(i) <- Constr.const c;
+      for j = 0 to var - 1 do
+        cp.((i * var) + j) <- Constr.coeff c j
+      done)
+    cs;
+  { ca; cc; cp }
+
+let slab_chain ~n ~pull_w ~pull_bden ~v =
+  let nn = 2 * n in
+  let pulled =
+    Array.to_list
+      (Array.mapi
+         (fun i w ->
+           Constr.make ~coeffs:(Array.append w w) ~const:pull_bden.(i))
+         pull_w)
   in
   let box =
     List.concat
       (List.init n (fun k ->
            [
-             Constr.lower_bound_var n k (max 0 lo.(k));
-             Constr.upper_bound_var n k (tiling.Tiling.v.(k) - 1);
+             Constr.lower_bound_var nn (n + k) 0;
+             Constr.upper_bound_var nn (n + k) (v.(k) - 1);
            ]))
   in
-  let sys = List.map pullback (Polyhedron.constraints t.space) @ box in
-  let proj = FM.project sys ~dim:n in
-  let j' = Array.make n 0 in
-  let rec go k acc =
-    match FM.bounds proj ~var:k ~prefix:j' with
-    | None -> acc
-    | Some (blo, bhi) ->
-      let residue = Lattice.first_in_residue tiling.Tiling.lattice k j' in
-      let c = tiling.Tiling.c.(k) in
-      let start = residue + (c * Ints.cdiv (blo - residue) c) in
-      if start > bhi then acc
-      else if k = n - 1 then acc + (((bhi - start) / c) + 1)
-      else begin
-        let acc = ref acc in
-        let x = ref start in
-        while !x <= bhi do
-          j'.(k) <- !x;
-          acc := go (k + 1) !acc;
-          x := !x + c
-        done;
-        !acc
-      end
-  in
-  go 0 0
+  let p = Poly.Fourier_motzkin.project (pulled @ box) ~dim:nn in
+  Array.init n (fun k ->
+      compile_level (Poly.Fourier_motzkin.system p ~var:(n + k)) ~var:(n + k))
 
-let slab_points t ~tile ~lo =
-  if is_interior t tile then Ttis.count_from t.tiling ~lo
-  else count_clipped t ~tile ~lo
+(* The box constraints of [slab_chain] bound every level on both sides,
+   so the min_int/max_int sentinels never survive a non-empty range. *)
+let level_bounds lv (pre : int array) ~var ~blo ~bhi =
+  let nc = Array.length lv.ca in
+  let lo = ref min_int and hi = ref max_int in
+  let ok = ref true in
+  for i = 0 to nc - 1 do
+    let rest = ref (Array.unsafe_get lv.cc i) in
+    let off = i * var in
+    for j = 0 to var - 1 do
+      rest :=
+        !rest + (Array.unsafe_get lv.cp (off + j) * Array.unsafe_get pre j)
+    done;
+    let a = Array.unsafe_get lv.ca i in
+    if a > 0 then begin
+      let v = Tiles_util.Ints.cdiv (- !rest) a in
+      if v > !lo then lo := v
+    end
+    else if a < 0 then begin
+      let v = Tiles_util.Ints.fdiv !rest (-a) in
+      if v < !hi then hi := v
+    end
+    else if !rest < 0 then ok := false
+  done;
+  if !ok && !lo <= !hi then begin
+    blo := !lo;
+    bhi := !hi;
+    true
+  end
+  else false
+
+type counter = {
+  tiling : Tiling.t;
+  den : int;
+  q : int array array;
+  pull_w : int array array;
+  pull_bden : int array;
+  boxmin : int array;
+  chain : level array;
+}
+
+let counter (t : t) =
+  let tiling = t.tiling in
+  let n = tiling.Tiling.n in
+  let den, q = applier_matrix tiling in
+  let cs = Polyhedron.constraints t.space in
+  let pull_w =
+    Array.of_list
+      (List.map
+         (fun c ->
+           Array.init n (fun k ->
+               let acc = ref 0 in
+               for i = 0 to n - 1 do
+                 acc := !acc + (Constr.coeff c i * q.(i).(k))
+               done;
+               !acc))
+         cs)
+  in
+  let pull_bden = Array.of_list (List.map (fun c -> Constr.const c * den) cs) in
+  let boxmin =
+    Array.map
+      (fun w ->
+        let acc = ref 0 in
+        for k = 0 to n - 1 do
+          acc := !acc + min 0 (w.(k) * (tiling.Tiling.v.(k) - 1))
+        done;
+        !acc)
+      pull_w
+  in
+  {
+    tiling;
+    den;
+    q;
+    pull_w;
+    pull_bden;
+    boxmin;
+    chain = slab_chain ~n ~pull_w ~pull_bden ~v:tiling.Tiling.v;
+  }
+
+let is_interior c tile =
+  let n = c.tiling.Tiling.n in
+  let ok = ref true in
+  Array.iteri
+    (fun i w ->
+      let acc = ref (c.pull_bden.(i) + c.boxmin.(i)) in
+      for k = 0 to n - 1 do
+        acc := !acc + (w.(k) * c.tiling.Tiling.v.(k) * tile.(k))
+      done;
+      if !acc < 0 then ok := false)
+    c.pull_w;
+  !ok
+
+(* The chain was projected against the full tile box; the slab clip is
+   an axis-aligned lower bound, so it clamps each level's range here (a
+   level emptied by the clamp is skipped by [start <= hi]). *)
+let iter_slab_rows c ~pre ~j' ~lo f =
+  let tiling = c.tiling in
+  let n = tiling.Tiling.n and step = tiling.Tiling.c in
+  let blo = ref 0 and bhi = ref 0 in
+  let rec go k =
+    if level_bounds c.chain.(k) pre ~var:(n + k) ~blo ~bhi then begin
+      let hi = !bhi and lb = max !blo lo.(k) in
+      let start =
+        (* c_k = 1 admits every integer: skip the residue computation
+           (it allocates and divides) on unit-step levels *)
+        if step.(k) = 1 then lb
+        else
+          let residue =
+            Tiles_linalg.Lattice.first_in_residue tiling.Tiling.lattice k j'
+          in
+          residue + (step.(k) * Tiles_util.Ints.cdiv (lb - residue) step.(k))
+      in
+      if start <= hi then
+        if k = n - 1 then begin
+          j'.(k) <- start;
+          f ~j' ~len:(((hi - start) / step.(k)) + 1)
+        end
+        else begin
+          let x = ref start in
+          while !x <= hi do
+            j'.(k) <- !x;
+            pre.(n + k) <- !x;
+            go (k + 1);
+            x := !x + step.(k)
+          done
+        end
+    end
+  in
+  go 0
+
+let count_slab c ~tile ~lo =
+  let n = c.tiling.Tiling.n in
+  let pre = Array.make (2 * n) 0 in
+  for k = 0 to n - 1 do
+    pre.(k) <- c.tiling.Tiling.v.(k) * tile.(k)
+  done;
+  let count = ref 0 in
+  iter_slab_rows c ~pre ~j':(Array.make n 0) ~lo (fun ~j':_ ~len ->
+      count := !count + len);
+  !count

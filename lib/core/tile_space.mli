@@ -33,12 +33,6 @@ val tile_iterations : t -> Tiles_util.Vec.t -> int
 (** Exact number of iterations [j ∈ J^n] inside a given tile (enumerates
     the TTIS and clips against [J^n]). *)
 
-val is_interior : t -> Tiles_util.Vec.t -> bool
-(** True iff the tile's closed parallelepiped hull (vertices
-    [P·(j^S + ε)], [ε ∈ {0,1}^n], exact rational arithmetic) lies inside
-    [J^n] — then every TTIS lattice point is an iteration and the tile
-    contributes exactly [Tiling.tile_size] points without enumeration. *)
-
 val iter_tile_points :
   t -> tile:Tiles_util.Vec.t -> (local:Tiles_util.Vec.t -> global:Tiles_util.Vec.t -> unit) -> unit
 (** Enumerate the iterations of one tile: for each TTIS point [j'] whose
@@ -57,6 +51,58 @@ val iter_slab_points :
     only real iterations are communicated, so the rectangular and
     non-rectangular variants move exactly the same data. *)
 
-val slab_points : t -> tile:Tiles_util.Vec.t -> lo:int array -> int
-(** Number of points {!iter_slab_points} would visit; interior tiles
-    short-circuit to the unclipped lattice count. *)
+(** {2 Slab counting}
+
+    The space constraints pull back onto TTIS coordinates: with
+    [P' = Q/den] and [j = Q·(V·j^S + j')/den], a constraint
+    [a·j + b >= 0] becomes [w·(V·j^S + j') + b·den >= 0] with [w = a·Q].
+    Only [V·j^S] depends on the tile, so one Fourier–Motzkin projection
+    over the prefix [(V·j^S, j')] against the local box [0 <= j' < v]
+    serves every tile; a slab's lower bound [lo] is axis-aligned, so it
+    clamps each level's range when the chain is evaluated and the same
+    projection serves every slab too. *)
+
+type level
+(** One level of that chain, compiled to flat arrays: level [k] bounds
+    [j'_k] over the prefix [(V·j^S, j'_0 … j'_(k-1))]. *)
+
+type counter = private {
+  tiling : Tiling.t;
+  den : int;
+  q : int array array;  (** [P' = Q/den], [Q] integral *)
+  pull_w : int array array;  (** [w] of each space constraint *)
+  pull_bden : int array;  (** [b·den] of each space constraint *)
+  boxmin : int array;  (** minimum of [pull_w.(i)·j'] over the local box *)
+  chain : level array;
+      (** the projection of the above against [0 <= j' < v]; its
+          innermost level is the unprojected system, so every
+          stride-aligned value of that level's range is a member *)
+}
+(** The pulled-back constraints of one tile space and their chain: a
+    staged {!iter_slab_points} counter, and the fast walker's row
+    enumeration plan. Never mutated once built. *)
+
+val counter : t -> counter
+
+val is_interior : counter -> Tiles_util.Vec.t -> bool
+(** Every TTIS point of the tile is an iteration (exact integer test over
+    the local box): its slab [j' >= lo] then has
+    [Ttis.count_from tiling ~lo] points. *)
+
+val iter_slab_rows :
+  counter ->
+  pre:int array ->
+  j':int array ->
+  lo:int array ->
+  (j':int array -> len:int -> unit) ->
+  unit
+(** [iter_slab_rows c ~pre ~j' ~lo f] — the slab [j' >= lo] of the tile
+    whose [V·j^S] the caller has put in [pre.(0 … n-1)], row by row in
+    lexicographic order: [f ~j' ~len] gets each row's first point (in
+    the [j'] buffer) and its [len] points, [c_(n-1)] apart. [pre] ([2n]
+    entries) and [j'] ([n]) are the caller's scratch; no allocation on
+    unit-stride levels. *)
+
+val count_slab : counter -> tile:Tiles_util.Vec.t -> lo:int array -> int
+(** Number of points {!iter_slab_points} visits: the sum of
+    {!iter_slab_rows}' row lengths. Exact for every candidate tile. *)

@@ -27,14 +27,21 @@ type stats = {
 
 exception Deadlock of string
 
+type payload = Data of Fbuf.t | Length of int
+
+let payload_length = function Data d -> Fbuf.length d | Length n -> n
+
+(* the sender may reuse its buffer once the send returns *)
+let detach = function Data d -> Data (Fbuf.copy d) | Length _ as p -> p
+
 type _ Effect.t +=
   | E_rank : int Effect.t
   | E_nprocs : int Effect.t
   | E_work : (Span.kind * float) -> unit Effect.t
   | E_now : float Effect.t
-  | E_send : (int * int * Fbuf.t) -> unit Effect.t
-  | E_isend : (int * int * Fbuf.t) -> unit Effect.t
-  | E_recv : (int * int) -> Fbuf.t Effect.t
+  | E_send : (int * int * payload) -> unit Effect.t
+  | E_isend : (int * int * payload) -> unit Effect.t
+  | E_recv : (int * int) -> payload Effect.t
   | E_barrier : unit Effect.t
 
 module Api = struct
@@ -71,9 +78,9 @@ type state = {
   nics : nics option;  (* Some iff net.model is Contended *)
   clocks : float array;
   (* queued messages carry (ready, nic-queueing seconds, payload) *)
-  channels : (channel_key, (float * float * Fbuf.t) Queue.t) Hashtbl.t;
+  channels : (channel_key, (float * float * payload) Queue.t) Hashtbl.t;
   (* a parked receiver: wake it with the (ready, queued, payload) triple *)
-  parked : (channel_key, (float * float * Fbuf.t) -> unit) Hashtbl.t;
+  parked : (channel_key, (float * float * payload) -> unit) Hashtbl.t;
   runq : (unit -> unit) Queue.t;
   mutable finished : int;
   mutable at_barrier : (int * (unit -> unit)) list;
@@ -127,7 +134,7 @@ let uplink_pass nics ~w0 ~wire_end ~nbytes =
    receive NIC may add more before the message is ready. *)
 let deposit st key ~sent ~queued arrival data =
   let src, dst, tag = key in
-  let nbytes = 8 * Fbuf.length data in
+  let nbytes = 8 * payload_length data in
   Recorder.message_sent st.logs.(src) ~t:sent ~dst ~tag ~bytes:nbytes ();
   let arrival, queued =
     match st.nics with
@@ -175,7 +182,7 @@ let receive_clock st key r ~t0 (arrival, queued, data) =
   let ready = Float.max t0 arrival in
   record st r t0 ready Span.Wait;
   Recorder.message_received st.logs.(r) ~t:ready ~posted:t0 ~queued ~src ~tag
-    ~bytes:(8 * Fbuf.length data) ();
+    ~bytes:(8 * payload_length data) ();
   let t1 = ready +. st.net.Netmodel.recv_overhead in
   st.clocks.(r) <- t1;
   record st r ready t1 Span.Unpack;
@@ -216,7 +223,7 @@ let handler st (r : int) =
             (fun k ->
               if dst < 0 || dst >= st.nprocs then
                 invalid_arg "Sim.send: bad destination rank";
-              let nbytes = 8 * Fbuf.length data in
+              let nbytes = 8 * payload_length data in
               let t0 = st.clocks.(r) in
               (match st.nics with
               | None ->
@@ -227,7 +234,7 @@ let handler st (r : int) =
                 record st r t0 st.clocks.(r) Span.Send;
                 let arrival = st.clocks.(r) +. st.net.Netmodel.latency in
                 deposit st (r, dst, tag) ~sent:st.clocks.(r) ~queued:0.
-                  arrival (Fbuf.copy data)
+                  arrival (detach data)
               | Some nics ->
                 (* blocking eager send: the CPU prepares the message
                    (overhead), waits for a free send-NIC lane, and is
@@ -255,14 +262,14 @@ let handler st (r : int) =
                 Recorder.nic_queue st.logs.(r) up_q;
                 let arrival = egress +. st.net.Netmodel.latency in
                 deposit st (r, dst, tag) ~sent:wire_end ~queued:up_q arrival
-                  (Fbuf.copy data));
+                  (detach data));
               continue k ())
         | E_isend (dst, tag, data) ->
           Some
             (fun k ->
               if dst < 0 || dst >= st.nprocs then
                 invalid_arg "Sim.isend: bad destination rank";
-              let nbytes = 8 * Fbuf.length data in
+              let nbytes = 8 * payload_length data in
               (* sender only pays the CPU overhead; the wire runs in
                  parallel with subsequent computation *)
               let t0 = st.clocks.(r) in
@@ -276,7 +283,7 @@ let handler st (r : int) =
                   +. st.net.Netmodel.latency
                 in
                 deposit st (r, dst, tag) ~sent:st.clocks.(r) ~queued:0.
-                  arrival (Fbuf.copy data)
+                  arrival (detach data)
               | Some nics ->
                 (* the CPU detaches after the overhead; the DMA transfer
                    queues for a send-NIC lane, so its queueing rides the
@@ -294,7 +301,7 @@ let handler st (r : int) =
                 Recorder.nic_queue st.logs.(r) (send_q +. up_q);
                 let arrival = egress +. st.net.Netmodel.latency in
                 deposit st (r, dst, tag) ~sent:cpu_ready
-                  ~queued:(send_q +. up_q) arrival (Fbuf.copy data));
+                  ~queued:(send_q +. up_q) arrival (detach data));
               continue k ())
         | E_recv (src, tag) ->
           Some

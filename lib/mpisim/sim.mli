@@ -67,6 +67,15 @@ exception Deadlock of string
 (** Raised when every unfinished rank is blocked on a receive that can
     never be satisfied. The message lists the blocked ranks. *)
 
+(** A message body: real data, or only its length. [Length n] moves no
+    data but costs the same [8·n] bytes on the wire as [n] floats — what
+    a run that models time without computing values sends. *)
+type payload = Data of Tiles_util.Fbuf.t | Length of int
+
+val payload_length : payload -> int
+(** Floats carried (or stood for): [Fbuf.length] of [Data], [n] of
+    [Length n]. *)
+
 (** Operations available inside a rank program. *)
 module Api : sig
   val rank : unit -> int
@@ -86,19 +95,20 @@ module Api : sig
   val now : unit -> float
   (** Current virtual time on this rank. *)
 
-  val send : dst:int -> tag:int -> Tiles_util.Fbuf.t -> unit
-  (** Eager buffered send: charges the sender overhead + wire time, then
-      returns; the message becomes available to [dst] one latency later.
-      The array is copied, so the sender may reuse its buffer. *)
+  val send : dst:int -> tag:int -> payload -> unit
+  (** Eager buffered send of [8·payload_length] bytes: charges the sender
+      overhead + wire time, then returns; the message becomes available
+      to [dst] one latency later. [Data] is copied, so the sender may
+      reuse its buffer. *)
 
-  val isend : dst:int -> tag:int -> Tiles_util.Fbuf.t -> unit
+  val isend : dst:int -> tag:int -> payload -> unit
   (** Overlapped (non-blocking) send: the sender pays only the CPU
       overhead; wire time runs concurrently with whatever the sender does
       next, so the message arrives at [now + overhead + wire + latency].
       Models the communication/computation-overlap schedule of the
       paper's future-work reference [8] (DMA/NIC-driven transfers). *)
 
-  val recv : src:int -> tag:int -> Tiles_util.Fbuf.t
+  val recv : src:int -> tag:int -> payload
   (** Block until the matching message arrives; the clock advances to
       [max own-clock arrival + recv_overhead]. Only the genuinely
       blocked interval (own clock → arrival) is traced as [Wait]; the

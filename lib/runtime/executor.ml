@@ -40,7 +40,7 @@ let run ?walker ?check ?(mode = Full) ?(overlap = false)
       (Protocol.rank_program ~overlap shared comms)
   in
   let seq_modelled =
-    Seq_exec.modelled_time ~space:plan.Plan.nest.Tiles_loop.Nest.space ~net
+    float_of_int (Plan.total_iterations plan) *. net.Netmodel.flop_time
   in
   {
     stats;

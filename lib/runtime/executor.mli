@@ -19,15 +19,18 @@
       {!Seq_exec}. Never-written LDS cells are NaN and reads assert
       non-NaN, so protocol bugs surface immediately.
     - [Timing]: skips data movement and arithmetic but charges the exact
-      same virtual-time costs (interior tiles short-circuit to the full
-      tile point count). Used by the benchmark harness; a test checks the
-      two modes report identical virtual completion times. *)
+      same virtual-time costs: tile points and message sizes come from
+      the plan's {!Tiles_core.Count_table}, and messages carry only their
+      length. Used by the benchmark harness; a test checks the two modes
+      report identical virtual completion times. *)
 
 type mode = Full | Timing
 
 type result = {
   stats : Tiles_mpisim.Sim.stats;
-  seq_modelled : float;  (** modelled sequential time of the original loop *)
+  seq_modelled : float;
+      (** modelled sequential time of the original loop:
+          [Plan.total_iterations · flop_time] *)
   speedup : float;       (** [seq_modelled / stats.completion] *)
   grid : Grid.t option;  (** populated in [Full] mode *)
   points_computed : int; (** total iterations executed across ranks *)

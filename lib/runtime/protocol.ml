@@ -1,14 +1,18 @@
 module Vec = Tiles_util.Vec
 module Fbuf = Tiles_util.Fbuf
 module Tiling = Tiles_core.Tiling
-module Tile_space = Tiles_core.Tile_space
 module Mapping = Tiles_core.Mapping
 module Comm = Tiles_core.Comm
 module Plan = Tiles_core.Plan
+module Count_table = Tiles_core.Count_table
+
+type payload = Tiles_mpisim.Sim.payload = Data of Fbuf.t | Length of int
+
+let payload_length = Tiles_mpisim.Sim.payload_length
 
 type comms = {
-  send : dst:int -> tag:int -> Fbuf.t -> unit;
-  recv : src:int -> tag:int -> Fbuf.t;
+  send : dst:int -> tag:int -> payload -> unit;
+  recv : src:int -> tag:int -> payload;
   compute : float -> unit;
   pack : float -> unit;
   unpack : float -> unit;
@@ -49,6 +53,7 @@ type shared = {
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;
+  counts : Count_table.t;
   points_per_rank : int array;
   tiles_per_rank : int array;
 }
@@ -113,6 +118,7 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     flop_time;
     pack_time;
     grid;
+    counts = Plan.counts plan;
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
   }
@@ -121,7 +127,6 @@ let rank_program ?(overlap = false) shared comms rank =
   let plan = shared.plan and kernel = shared.kernel in
   let comm = plan.Plan.comm in
   let mapping = plan.Plan.mapping in
-  let tspace = plan.Plan.tspace in
   let n = plan.Plan.tiling.Tiling.n in
   let m = comm.Comm.m in
   let width = kernel.Kernel.width in
@@ -142,7 +147,6 @@ let rank_program ?(overlap = false) shared comms rank =
     | Some w -> Fbuf.make (Walker.lds_total w * width) Float.nan
     | None -> Fbuf.create 0
   in
-  let zero_lo = Array.make n 0 in
   let tile_buf = Array.make n 0 in
   let rank_of pid =
     match Mapping.rank_of_pid mapping pid with
@@ -174,16 +178,19 @@ let rank_program ?(overlap = false) shared comms rank =
     let recv_one (_, _, pred_pid, pred_ts) =
       comms.recv ~src:(rank_of pred_pid) ~tag:pred_ts
     in
-    let unpack_one (dir, dS, pred_pid, pred_ts) buf =
-      (match walker with
-      | None -> ()
-      | Some w ->
+    let unpack_one (dir, dS, pred_pid, pred_ts) payload =
+      let len = payload_length payload in
+      (match (walker, payload) with
+      | None, _ -> ()
+      | Some _, Length _ ->
+        failwith "Protocol: length-only message received in Full mode"
+      | Some w, Data buf ->
         let pred_tile = Mapping.join mapping ~pid:pred_pid ~ts:pred_ts in
         let count =
           Walker.unpack_slab w ~trel ~pred_tile ~ds:dS ~lo:dir.slab_lo ~la
             ~buf
         in
-        if count * width <> Fbuf.length buf then
+        if count * width <> len then
           raise
             (Slab_mismatch
                {
@@ -191,10 +198,10 @@ let rank_program ?(overlap = false) shared comms rank =
                  mm_stage = `Unpack;
                  mm_dm = dir.dm;
                  mm_ts = ts;
-                 mm_expected = Fbuf.length buf / width;
+                 mm_expected = len / width;
                  mm_actual = count;
                }));
-      comms.unpack (float_of_int (Fbuf.length buf) *. shared.pack_time)
+      comms.unpack (float_of_int len *. shared.pack_time)
     in
     if overlap then
       (* §5 overlapped schedule: pre-post every receive of this tile and
@@ -207,48 +214,43 @@ let rank_program ?(overlap = false) shared comms rank =
     else
       List.iter (fun ch -> unpack_one ch (recv_one ch)) expected;
     (* ---------------- COMPUTE ---------------- *)
-    let points = ref 0 in
-    (match walker with
-    | None ->
-      points := Tile_space.slab_points tspace ~tile:tile_buf ~lo:zero_lo
-    | Some w -> points := Walker.compute_tile w ~trel ~tile:tile_buf ~la);
-    comms.compute (float_of_int !points *. shared.flop_time);
-    shared.points_per_rank.(rank) <- shared.points_per_rank.(rank) + !points;
+    let points =
+      match walker with
+      | None -> Count_table.points shared.counts ~rank ~trel
+      | Some w -> Walker.compute_tile w ~trel ~tile:tile_buf ~la
+    in
+    comms.compute (float_of_int points *. shared.flop_time);
+    shared.points_per_rank.(rank) <- shared.points_per_rank.(rank) + points;
     shared.tiles_per_rank.(rank) <- shared.tiles_per_rank.(rank) + 1;
     (* ---------------- SEND ---------------- *)
-    List.iter
-      (fun dir ->
-        let succ_exists =
-          List.exists
-            (fun dS ->
-              Mapping.valid mapping ~pid:(Vec.add pid dir.dm) ~ts:(ts + dS.(m)))
-            dir.dss
-        in
-        if succ_exists then begin
-          let cells =
-            Tile_space.slab_points tspace ~tile:tile_buf ~lo:dir.slab_lo
+    List.iteri
+      (fun d dir ->
+        let cells = Count_table.slab shared.counts ~rank ~trel ~dir:d in
+        if cells >= 0 then begin
+          let payload =
+            match walker with
+            | None -> Length (cells * width)
+            | Some w ->
+              let buf = Fbuf.make (cells * width) 0. in
+              let count =
+                Walker.pack_slab w ~trel ~tile:tile_buf ~lo:dir.slab_lo ~la
+                  ~buf
+              in
+              if count <> cells then
+                raise
+                  (Slab_mismatch
+                     {
+                       mm_rank = rank;
+                       mm_stage = `Pack;
+                       mm_dm = dir.dm;
+                       mm_ts = ts;
+                       mm_expected = cells;
+                       mm_actual = count;
+                     });
+              Data buf
           in
-          let buf = Fbuf.make (cells * width) 0. in
-          (match walker with
-          | None -> ()
-          | Some w ->
-            let count =
-              Walker.pack_slab w ~trel ~tile:tile_buf ~lo:dir.slab_lo ~la
-                ~buf
-            in
-            if count <> cells then
-              raise
-                (Slab_mismatch
-                   {
-                     mm_rank = rank;
-                     mm_stage = `Pack;
-                     mm_dm = dir.dm;
-                     mm_ts = ts;
-                     mm_expected = cells;
-                     mm_actual = count;
-                   }));
           comms.pack (float_of_int (cells * width) *. shared.pack_time);
-          comms.send ~dst:(rank_of (Vec.add pid dir.dm)) ~tag:ts buf
+          comms.send ~dst:(rank_of (Vec.add pid dir.dm)) ~tag:ts payload
         end)
       directions
   done;

@@ -5,6 +5,14 @@
     shared-memory backend ({!Shm_executor}) drive this same code, so the
     protocol logic is verified once and executed everywhere. *)
 
+(** A message: the packed slab in [Full] mode, its length alone in
+    [Timing] mode (which moves no data). *)
+type payload = Tiles_mpisim.Sim.payload =
+  | Data of Tiles_util.Fbuf.t
+  | Length of int
+
+val payload_length : payload -> int
+
 (** Transport + cost hooks supplied by a backend.
 
     The three cost hooks are called {e after} the real work of the
@@ -26,8 +34,8 @@
     ids. A transport that reorders messages within one (src, dst, tag)
     channel would break this contract. *)
 type comms = {
-  send : dst:int -> tag:int -> Tiles_util.Fbuf.t -> unit;
-  recv : src:int -> tag:int -> Tiles_util.Fbuf.t;
+  send : dst:int -> tag:int -> payload -> unit;
+  recv : src:int -> tag:int -> payload;
   compute : float -> unit;  (** tile-point arithmetic for one tile *)
   pack : float -> unit;  (** gathering one outgoing slab *)
   unpack : float -> unit;  (** scattering one received slab *)
@@ -60,6 +68,9 @@ type shared = {
   flop_time : float;
   pack_time : float;
   grid : Grid.t option;  (** shared result mirror (disjoint writes) *)
+  counts : Tiles_core.Count_table.t;
+      (** the plan's counts: [Timing] mode's tile points and every
+          mode's message sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
 }

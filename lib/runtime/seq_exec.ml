@@ -174,7 +174,3 @@ let run ?(variant = Walker.Fastpath) ?(check = false) ~space ~kernel () =
   match variant with
   | Walker.Reference -> reference_run ~space ~kernel
   | Walker.Fastpath | Walker.Native -> fast_run ~check ~space ~kernel
-
-let modelled_time ~space ~net =
-  float_of_int (Polyhedron.count_points space)
-  *. net.Tiles_mpisim.Netmodel.flop_time

@@ -29,8 +29,3 @@ val run :
     makes the fast variants validate reads against NaN poisoning (and
     disables the unrolled row bodies, so interior runs take the
     [compute] loop and every read is inspected). *)
-
-val modelled_time :
-  space:Tiles_poly.Polyhedron.t -> net:Tiles_mpisim.Netmodel.t -> float
-(** Virtual sequential execution time under the cluster's cost model:
-    [|J^n| · flop_time]. *)

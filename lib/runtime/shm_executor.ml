@@ -1,4 +1,3 @@
-module Fbuf = Tiles_util.Fbuf
 module Mapping = Tiles_core.Mapping
 module Plan = Tiles_core.Plan
 module Polyhedron = Tiles_poly.Polyhedron
@@ -27,10 +26,10 @@ type result = {
 
 (* A blocking mailbox per (src, dst) channel, tag-matched. *)
 module Mailbox = struct
-  type t = {
+  type 'a t = {
     mutex : Mutex.t;
     cond : Condition.t;
-    messages : (int, Fbuf.t Queue.t) Hashtbl.t;
+    messages : (int, 'a Queue.t) Hashtbl.t;
   }
 
   let create () =
@@ -232,14 +231,14 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
              reading, so critical-path hops land exactly on span ends *)
           let t1 = Recorder.now recorder in
           Recorder.message_sent log ~t:t1 ~dst ~tag
-            ~bytes:(8 * Fbuf.length data) ();
+            ~bytes:(8 * Protocol.payload_length data) ();
           Recorder.span log ~t0 ~t1 Span.Send;
           Recorder.mark log
       | Some stages ->
         let stage = stages.(rank) in
         fun ~dst ~tag data ->
           let t0 = Recorder.now recorder in
-          let bytes = 8 * Fbuf.length data in
+          let bytes = 8 * Protocol.payload_length data in
           let diag () =
             Printf.sprintf
               "Shm_executor: rank %d blocked > %gs handing a %d-byte slab \
@@ -281,7 +280,7 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
           in
           let t1 = Recorder.now recorder in
           Recorder.message_received log ~t:t1 ~posted:t0 ~src ~tag
-            ~bytes:(8 * Fbuf.length data) ();
+            ~bytes:(8 * Protocol.payload_length data) ();
           Recorder.span log ~t0 ~t1 Span.Wait;
           Recorder.mark log;
           data);

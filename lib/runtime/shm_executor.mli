@@ -60,18 +60,19 @@ type result = {
 (** The blocking tag-matched channel used between each (src, dst) rank
     pair. Exposed for tests. *)
 module Mailbox : sig
-  type t
+  type 'a t
+  (** Carries messages of type ['a]: a run's protocol payloads. *)
 
-  val create : unit -> t
+  val create : unit -> 'a t
 
-  val send : t -> tag:int -> Tiles_util.Fbuf.t -> unit
+  val send : 'a t -> tag:int -> 'a -> unit
 
   val recv :
     ?timeout:float ->
     ?diag:(unit -> string) ->
-    t ->
+    'a t ->
     tag:int ->
-    Tiles_util.Fbuf.t
+    'a
   (** Blocks until a message with [tag] is available. A drained per-tag
       queue is removed from the table, so the table stays bounded by the
       number of {e pending} tags rather than growing with every tag ever
@@ -83,10 +84,10 @@ module Mailbox : sig
       forever", disabling the watchdog exactly when the caller asked for
       the tightest deadline. *)
 
-  val tag_count : t -> int
+  val tag_count : _ t -> int
   (** Number of per-tag queues currently in the table (for leak tests). *)
 
-  val nudge : t -> unit
+  val nudge : _ t -> unit
   (** Wake all waiters so they can re-check their deadlines. *)
 end
 

@@ -2,16 +2,14 @@ module Vec = Tiles_util.Vec
 module Fbuf = Tiles_util.Fbuf
 module Ints = Tiles_util.Ints
 module Intmat = Tiles_linalg.Intmat
-module Lattice = Tiles_linalg.Lattice
 module Polyhedron = Tiles_poly.Polyhedron
 module Constr = Tiles_poly.Constr
-module FM = Tiles_poly.Fourier_motzkin
-module Rat = Tiles_rat.Rat
 module Tiling = Tiles_core.Tiling
 module Tile_space = Tiles_core.Tile_space
 module Comm = Tiles_core.Comm
 module Lds = Tiles_core.Lds
 module Plan = Tiles_core.Plan
+module Count_table = Tiles_core.Count_table
 module A1 = Bigarray.Array1
 
 type variant = Reference | Fastpath | Native
@@ -50,81 +48,6 @@ let compiled_member space =
       cs;
     !ok
 
-(* one FM chain level, flattened: constraint i bounds the level's
-   variable with coefficient ca.(i), constant cc.(i) and prefix
-   coefficients cp.(i*var .. i*var+var-1) *)
-type clevel = { ca : int array; cc : int array; cp : int array }
-
-let compile_level cs ~var =
-  let cs = Array.of_list cs in
-  let nc = Array.length cs in
-  let ca = Array.make nc 0 in
-  let cc = Array.make nc 0 in
-  let cp = Array.make (max 1 (nc * var)) 0 in
-  Array.iteri
-    (fun i c ->
-      ca.(i) <- Constr.coeff c var;
-      cc.(i) <- Constr.const c;
-      for j = 0 to var - 1 do
-        cp.((i * var) + j) <- Constr.coeff c j
-      done)
-    cs;
-  { ca; cc; cp }
-
-(* The compiled walk plan: the pulled-back space constraints over the
-   symbolic prefix [vs | j'] intersected with the tile box [0, v-1],
-   eliminated level by level. The tile corner enters through the prefix
-   at bounds time and slab clips are axis-aligned lower bounds, so they
-   clamp each level's range at evaluation time — one projection serves
-   every tile AND every slab. The plan depends only on (pull_w,
-   pull_bden, v), which every rank of a plan shares. Memoised
-   process-wide (guarded: shm ranks build walkers from their own
-   domains). *)
-let plan_memo :
-    (int array array * int array * int array, clevel array) Hashtbl.t =
-  Hashtbl.create 8
-
-let plan_memo_mu = Mutex.create ()
-
-let memo_entries () =
-  Mutex.lock plan_memo_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock plan_memo_mu)
-    (fun () -> Hashtbl.length plan_memo)
-
-let shared_plan ~n ~pull_w ~pull_bden ~v =
-  let key = (pull_w, pull_bden, v) in
-  Mutex.lock plan_memo_mu;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock plan_memo_mu)
-    (fun () ->
-      match Hashtbl.find_opt plan_memo key with
-      | Some p -> p
-      | None ->
-        let nn = 2 * n in
-        let pulled =
-          Array.to_list
-            (Array.mapi
-               (fun i w ->
-                 Constr.make ~coeffs:(Array.append w w) ~const:pull_bden.(i))
-               pull_w)
-        in
-        let box =
-          List.concat
-            (List.init n (fun k ->
-                 [
-                   Constr.lower_bound_var nn (n + k) 0;
-                   Constr.upper_bound_var nn (n + k) (v.(k) - 1);
-                 ]))
-        in
-        let p = FM.project (pulled @ box) ~dim:nn in
-        let chain =
-          Array.init n (fun k ->
-              compile_level (FM.system p ~var:(n + k)) ~var:(n + k))
-        in
-        Hashtbl.add plan_memo key chain;
-        chain)
-
 type t = {
   variant : variant;
   check : bool;
@@ -152,7 +75,8 @@ type t = {
   dtab : int array array;
   coff : int array;
   (* pullback of each space constraint onto TTIS coordinates: coeff rows
-     are tile-independent, only the constant varies per tile *)
+     are tile-independent, only the constant varies per tile (from the
+     plan's {!Tile_space.counter}, like [boxmin]) *)
   pull_w : int array array;
   pull_bden : int array;
   (* per-constraint interiority data (see [tile_interior] and
@@ -166,10 +90,8 @@ type t = {
      [fallback] records why it didn't (the walker then runs [Fastpath]) *)
   native : Native_kernel.fn option;
   fallback : string option;
-  (* the shared slab projection (see [shared_plan]), compiled to flat
-     coefficient arrays — [FM.bounds] walks a boxed constraint list
-     with per-coefficient calls, far too slow for a per-row operation *)
-  proj : clevel array;
+  (* the plan's slab chain and pullback, shared by every rank *)
+  counter : Tile_space.counter;
   box_lo : int array;  (* all zeros: the unclipped slab corner *)
   (* scratch (one walker per rank; never shared across domains) *)
   vs : int array;  (* V·tile *)
@@ -195,17 +117,8 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let shape = Lds.shape tiling comm ~ntiles in
   let lstr = shape.Lds.strides in
   let vpt = Array.init n (fun k -> tiling.Tiling.v.(k) / tiling.Tiling.c.(k)) in
-  let den =
-    Array.fold_left
-      (fun acc row ->
-        Array.fold_left (fun acc x -> Ints.lcm acc (Rat.den x)) acc row)
-      1 tiling.Tiling.p'
-  in
-  let q =
-    Array.map
-      (Array.map (fun x -> Rat.num x * (den / Rat.den x)))
-      tiling.Tiling.p'
-  in
+  let counter = Count_table.counter (Plan.counts plan) in
+  let den = counter.Tile_space.den and q = counter.Tile_space.q in
   (* c_{n-1}·e_{n-1} is the last column of the HNF basis, hence a lattice
      vector; its image under P' = Q/den is therefore integral. *)
   let jstep =
@@ -239,20 +152,7 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let amat =
     Array.of_list (List.map (fun c -> Array.init n (Constr.coeff c)) cs)
   in
-  let pull_w =
-    Array.map
-      (fun a ->
-        Array.init n (fun k ->
-            let acc = ref 0 in
-            for i = 0 to n - 1 do
-              acc := !acc + (a.(i) * q.(i).(k))
-            done;
-            !acc))
-      amat
-  in
-  let pull_bden =
-    Array.of_list (List.map (fun c -> Constr.const c * den) cs)
-  in
+  let pull_w = counter.Tile_space.pull_w in
   (* constraint i holds at tap r of the point with local coordinate j'
      iff pull_w_i·(vs + j') + pull_bden_i - den·(a_i·d_r) >= 0; only the
      largest shift den·(a_i·d_r) ever binds, so one number per
@@ -269,16 +169,6 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
             max acc (den * !dot))
           min_int kernel.Kernel.reads)
       amat
-  in
-  let boxmin =
-    Array.map
-      (fun w ->
-        let acc = ref 0 in
-        for k = 0 to n - 1 do
-          acc := !acc + min 0 (w.(k) * (tiling.Tiling.v.(k) - 1))
-        done;
-        !acc)
-      pull_w
   in
   let cslope =
     Array.map (fun w -> w.(n - 1) * tiling.Tiling.c.(n - 1)) pull_w
@@ -316,13 +206,13 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     dtab;
     coff;
     pull_w;
-    pull_bden;
+    pull_bden = counter.Tile_space.pull_bden;
     maxshift;
-    boxmin;
+    boxmin = counter.Tile_space.boxmin;
     cslope;
     native;
     fallback;
-    proj = shared_plan ~n ~pull_w ~pull_bden ~v:tiling.Tiling.v;
+    counter;
     box_lo = Array.make n 0;
     vs = Array.make n 0;
     jpre = Array.make (2 * n) 0;
@@ -337,6 +227,7 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   }
 
 let variant t = t.variant
+let counter t = t.counter
 let lds_total t = t.shape.Lds.total
 let fallback_reason t = t.fallback
 
@@ -381,92 +272,15 @@ let set_global t (j' : int array) (dst : int array) =
     dst.(i) <- (if den = 1 then !acc else !acc / den)
   done
 
-(* [FM.bounds] specialised to a compiled level: flat arrays, unsafe
-   reads, results through [blo]/[bhi] instead of an allocated option.
-   The box constraints added by [shared_projection] guarantee both
-   bounds exist, so the min_int/max_int sentinels can never survive a
-   non-empty range. *)
-let clevel_bounds (lv : clevel) (pre : int array) ~var ~blo ~bhi =
-  let nc = Array.length lv.ca in
-  let lo = ref min_int and hi = ref max_int in
-  let ok = ref true in
-  for i = 0 to nc - 1 do
-    let rest = ref (Array.unsafe_get lv.cc i) in
-    let off = i * var in
-    for j = 0 to var - 1 do
-      rest :=
-        !rest
-        + (Array.unsafe_get lv.cp (off + j) * Array.unsafe_get pre j)
-    done;
-    let a = Array.unsafe_get lv.ca i in
-    if a > 0 then begin
-      let v = Ints.cdiv (- !rest) a in
-      if v > !lo then lo := v
-    end
-    else if a < 0 then begin
-      let v = Ints.fdiv !rest (-a) in
-      if v < !hi then hi := v
-    end
-    else if !rest < 0 then ok := false
-  done;
-  if !ok && !lo <= !hi then begin
-    blo := !lo;
-    bhi := !hi;
-    true
-  end
-  else false
-
 (* Row-wise enumeration of the slab [j' >= lo] of [tile], in
-   lexicographic TTIS order. Mirrors Tile_space.count_clipped: the
-   Fourier–Motzkin chain's innermost level is the original system, so
-   every residue-aligned point of [start, bhi] is a slab member — rows
-   need no per-point membership test. *)
+   lexicographic TTIS order (the reference walker's order, so pack
+   buffers fill alike). *)
 let iter_rows t ~tile ~lo f =
-  let n = t.n in
-  let tiling = t.tiling in
-  let c = tiling.Tiling.c in
-  for k = 0 to n - 1 do
-    t.vs.(k) <- tiling.Tiling.v.(k) * tile.(k);
+  for k = 0 to t.n - 1 do
+    t.vs.(k) <- t.tiling.Tiling.v.(k) * tile.(k);
     t.jpre.(k) <- t.vs.(k)
   done;
-  let proj = t.proj in
-  let j' = t.jp in
-  let pre = t.jpre in
-  let blo = ref 0 and bhi = ref 0 in
-  let rec go k =
-    if clevel_bounds proj.(k) pre ~var:(n + k) ~blo ~bhi then begin
-      (* the chain was projected against the full tile box; the slab
-         clip is an axis-aligned lower bound, so it clamps the level's
-         range here (a level emptied by the clamp is skipped by
-         [start <= bhi]) *)
-      let bhi = !bhi in
-      if !blo < lo.(k) then blo := lo.(k);
-      let start =
-        (* c_k = 1 admits every integer: skip the residue computation
-           (it allocates and divides) on unit-step levels *)
-        if c.(k) = 1 then !blo
-        else begin
-          let residue = Lattice.first_in_residue tiling.Tiling.lattice k j' in
-          residue + (c.(k) * Ints.cdiv (!blo - residue) c.(k))
-        end
-      in
-      if start <= bhi then
-        if k = n - 1 then begin
-          j'.(k) <- start;
-          f ~j' ~len:(((bhi - start) / c.(k)) + 1)
-        end
-        else begin
-          let x = ref start in
-          while !x <= bhi do
-            j'.(k) <- !x;
-            pre.(n + k) <- !x;
-            go (k + 1);
-            x := !x + c.(k)
-          done
-        end
-    end
-  in
-  go 0
+  Tile_space.iter_slab_rows t.counter ~pre:t.jpre ~j':t.jp ~lo f
 
 (* ---------------- reference paths (the original per-point code) ------- *)
 

@@ -13,7 +13,7 @@
     Enumeration happens row-wise: the space constraints are pulled back
     onto TTIS coordinates (tile-dependent constants only), projected
     with Fourier–Motzkin, and walked with residue-aligned strides
-    exactly like {!Tiles_core.Tile_space.count_clipped} — the innermost
+    exactly like {!Tiles_core.Tile_space.count_slab} — the innermost
     level of the projection chain is the original system, so every
     aligned point of a row is a member and rows need no per-point
     membership test. The enumeration order is lexicographic ascending,
@@ -67,10 +67,9 @@ val make :
 
 val variant : t -> variant
 
-val memo_entries : unit -> int
-(** Number of process-wide compiled walk plans currently memoised. The
-    memo key covers the pulled-back constraint system and the tile
-    box, so every rank of a plan shares one entry. *)
+val counter : t -> Tiles_core.Tile_space.counter
+(** The plan's {!Tiles_core.Count_table.counter}, whose chain this walker
+    enumerates rows with: every rank of a plan shares one projection. *)
 
 val fallback_reason : t -> string option
 (** [Some reason] when [Native] was requested but the walker is running

@@ -241,6 +241,7 @@ let test_slab_points_fast_count () =
   List.iter
     (fun (name, space, tiling) ->
       let ts = Tile_space.make space tiling in
+      let counter = Tile_space.counter ts in
       let n = Tiling.dim tiling in
       List.iter
         (fun s ->
@@ -249,11 +250,15 @@ let test_slab_points_fast_count () =
               let brute = ref 0 in
               Tile_space.iter_slab_points ts ~tile:s ~lo
                 (fun ~local:_ ~global:_ -> incr brute);
-              Alcotest.(check int)
-                (Printf.sprintf "%s tile %s lo %s" name (Vec.to_string s)
-                   (Vec.to_string lo))
-                !brute
-                (Tile_space.slab_points ts ~tile:s ~lo))
+              let label =
+                Printf.sprintf "%s tile %s lo %s" name (Vec.to_string s)
+                  (Vec.to_string lo)
+              in
+              Alcotest.(check int) label !brute
+                (Tile_space.count_slab counter ~tile:s ~lo);
+              if Tile_space.is_interior counter s then
+                Alcotest.(check int) (label ^ " interior") !brute
+                  (Ttis.count_from tiling ~lo))
             [
               Array.make n 0;
               Array.init n (fun k -> if k = 0 then tiling.Tiling.v.(0) - 1 else 0);

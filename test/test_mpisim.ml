@@ -8,6 +8,10 @@ let net = Netmodel.fast_ethernet_cluster
 let eps = 1e-12
 let close a b = Float.abs (a -. b) < eps
 
+let data = function
+  | Sim.Data d -> d
+  | Sim.Length _ -> Alcotest.fail "length-only message"
+
 let test_single_rank_compute () =
   let stats = Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.5) in
   Alcotest.(check bool) "completion" true (close stats.Sim.completion 1.5);
@@ -18,9 +22,9 @@ let test_ping () =
   let payload_bytes = 8 * 100 in
   let stats =
     Sim.run ~nprocs:2 ~net (fun r ->
-        if r = 0 then Sim.Api.send ~dst:1 ~tag:0 (Fbuf.make 100 3.14)
+        if r = 0 then Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.make 100 3.14))
         else begin
-          let buf = Sim.Api.recv ~src:0 ~tag:0 in
+          let buf = data (Sim.Api.recv ~src:0 ~tag:0) in
           Alcotest.(check int) "length" 100 (Fbuf.length buf);
           Alcotest.(check (float 0.)) "value" 3.14 buf.{0}
         end)
@@ -40,7 +44,7 @@ let test_recv_before_send () =
         if r = 1 then ignore (Sim.Api.recv ~src:0 ~tag:7)
         else begin
           Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:7 (Fbuf.of_array [| 42. |])
+          Sim.Api.send ~dst:1 ~tag:7 (Sim.Data (Fbuf.of_array [| 42. |]))
         end)
   in
   Alcotest.(check bool) "receiver waited" true (stats.Sim.completion > 1.0)
@@ -51,11 +55,12 @@ let test_fifo_per_channel () =
     (Sim.run ~nprocs:2 ~net (fun r ->
          if r = 0 then
            for i = 1 to 5 do
-             Sim.Api.send ~dst:1 ~tag:0 (Fbuf.of_array [| float_of_int i |])
+             Sim.Api.send ~dst:1 ~tag:0
+               (Sim.Data (Fbuf.of_array [| float_of_int i |]))
            done
          else
            for _ = 1 to 5 do
-             let b = Sim.Api.recv ~src:0 ~tag:0 in
+             let b = data (Sim.Api.recv ~src:0 ~tag:0) in
              got := b.{0} :: !got
            done));
   Alcotest.(check (list (float 0.))) "fifo order" [ 1.; 2.; 3.; 4.; 5. ]
@@ -67,19 +72,19 @@ let test_tag_matching () =
   ignore
     (Sim.run ~nprocs:2 ~net (fun r ->
          if r = 0 then begin
-           Sim.Api.send ~dst:1 ~tag:2 (Fbuf.of_array [| 2. |]);
-           Sim.Api.send ~dst:1 ~tag:1 (Fbuf.of_array [| 1. |])
+           Sim.Api.send ~dst:1 ~tag:2 (Sim.Data (Fbuf.of_array [| 2. |]));
+           Sim.Api.send ~dst:1 ~tag:1 (Sim.Data (Fbuf.of_array [| 1. |]))
          end
          else begin
-           got := (Sim.Api.recv ~src:0 ~tag:1).{0} :: !got;
-           got := (Sim.Api.recv ~src:0 ~tag:2).{0} :: !got
+           got := (data (Sim.Api.recv ~src:0 ~tag:1)).{0} :: !got;
+           got := (data (Sim.Api.recv ~src:0 ~tag:2)).{0} :: !got
          end));
   Alcotest.(check (list (float 0.))) "by tag" [ 1.; 2. ] (List.rev !got)
 
 let test_isend_overlap () =
   (* the sender pays only the overhead; a following compute overlaps the
      wire time, so sender finishes earlier than with a blocking send *)
-  let payload = Fbuf.make 10000 1.0 in
+  let payload = Sim.Data (Fbuf.make 10000 1.0) in
   let run send =
     Sim.run ~nprocs:2 ~net (fun r ->
         if r = 0 then begin
@@ -96,6 +101,29 @@ let test_isend_overlap () =
   Alcotest.(check bool) "receiver waits for the wire" true
     (overlapped.Sim.rank_clocks.(1)
     >= Netmodel.transfer_time net ~bytes:80000)
+
+(* a length-only message moves no data but costs what [n] floats cost,
+   in both send modes and under both network models *)
+let test_length_payload () =
+  let run net send payload =
+    Sim.run ~nprocs:2 ~net (fun r ->
+        if r = 0 then send ~dst:1 ~tag:0 payload
+        else
+          Alcotest.(check int) "length" 1000
+            (Sim.payload_length (Sim.Api.recv ~src:0 ~tag:0)))
+  in
+  List.iter
+    (fun net ->
+      List.iter
+        (fun send ->
+          let d = run net send (Sim.Data (Fbuf.make 1000 1.0)) in
+          let l = run net send (Sim.Length 1000) in
+          Alcotest.(check bool) "same clocks" true
+            (d.Sim.rank_clocks = l.Sim.rank_clocks);
+          Alcotest.(check int) "same bytes" d.Sim.bytes l.Sim.bytes;
+          Alcotest.(check int) "8 bytes per float" 8000 l.Sim.bytes)
+        [ Sim.Api.send; Sim.Api.isend ])
+    [ net; Netmodel.contended ~snd_lanes:1 ~rcv_lanes:1 net ]
 
 let test_deadlock () =
   Alcotest.(check bool) "deadlock raised" true
@@ -125,7 +153,8 @@ let test_pipeline_timing () =
     Sim.run ~nprocs:3 ~net (fun r ->
         if r > 0 then ignore (Sim.Api.recv ~src:(r - 1) ~tag:0);
         Sim.Api.compute 1.0;
-        if r < 2 then Sim.Api.send ~dst:(r + 1) ~tag:0 (Fbuf.of_array [| 1. |]))
+        if r < 2 then
+          Sim.Api.send ~dst:(r + 1) ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |])))
   in
   Alcotest.(check bool) "at least 3s" true (stats.Sim.completion >= 3.0);
   Alcotest.(check bool) "plus comm" true (stats.Sim.completion < 3.01)
@@ -136,8 +165,9 @@ let test_determinism () =
         (* a little all-to-neighbour exchange *)
         let next = (r + 1) mod 4 and prev = (r + 3) mod 4 in
         Sim.Api.compute (0.1 *. float_of_int (r + 1));
-        Sim.Api.send ~dst:next ~tag:0 (Fbuf.of_array [| float_of_int r |]);
-        let b = Sim.Api.recv ~src:prev ~tag:0 in
+        Sim.Api.send ~dst:next ~tag:0
+          (Sim.Data (Fbuf.of_array [| float_of_int r |]));
+        let b = data (Sim.Api.recv ~src:prev ~tag:0) in
         Sim.Api.compute (0.01 *. b.{0}))
   in
   let a = run () and b = run () in
@@ -160,12 +190,12 @@ let test_send_copies () =
     (Sim.run ~nprocs:2 ~net (fun r ->
          if r = 0 then begin
            let buf = Fbuf.of_array [| 1.0 |] in
-           Sim.Api.send ~dst:1 ~tag:0 buf;
+           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data buf);
            buf.{0} <- 99.
          end
          else
            Alcotest.(check (float 0.)) "copied" 1.0
-             (Sim.Api.recv ~src:0 ~tag:0).{0}))
+             (data (Sim.Api.recv ~src:0 ~tag:0)).{0}))
 
 let test_zero_nprocs () =
   Alcotest.check_raises "invalid" (Invalid_argument "Sim.run: nprocs")
@@ -211,7 +241,7 @@ let test_trace_and_utilisation () =
     Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
         if r = 0 then begin
           Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:0 (Fbuf.of_array [| 1. |])
+          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         end
         else begin
           ignore (Sim.Api.recv ~src:0 ~tag:0);
@@ -264,7 +294,8 @@ let test_recv_no_wait_when_ready () =
   let module Span = Tiles_obs.Span in
   let stats =
     Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
-        if r = 0 then Sim.Api.send ~dst:1 ~tag:0 (Fbuf.of_array [| 1. |])
+        if r = 0 then
+          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         else begin
           Sim.Api.compute 10.0;
           ignore (Sim.Api.recv ~src:0 ~tag:0)
@@ -287,7 +318,7 @@ let test_recv_wait_covers_blocked_interval () =
     Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
         if r = 0 then begin
           Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:0 (Fbuf.of_array [| 1. |])
+          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         end
         else begin
           Sim.Api.compute 0.25;
@@ -326,8 +357,8 @@ let test_per_rank_counters () =
   let stats =
     Sim.run ~nprocs:3 ~net (fun r ->
         if r = 0 then begin
-          Sim.Api.send ~dst:1 ~tag:0 (Fbuf.of_array [| 1.; 2. |]);
-          Sim.Api.send ~dst:2 ~tag:0 (Fbuf.of_array [| 3. |])
+          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1.; 2. |]));
+          Sim.Api.send ~dst:2 ~tag:0 (Sim.Data (Fbuf.of_array [| 3. |]))
         end
         else ignore (Sim.Api.recv ~src:0 ~tag:0))
   in
@@ -384,7 +415,7 @@ let random_program ~nprocs ~degree ~sizes ~isend r =
   for k = 1 to degree do
     let dst = (r + k) mod nprocs in
     let n = sizes.((r * degree + k - 1) mod Array.length sizes) in
-    let buf = Fbuf.make n 1.0 in
+    let buf = Sim.Data (Fbuf.make n 1.0) in
     if isend then Sim.Api.isend ~dst ~tag:k buf
     else Sim.Api.send ~dst ~tag:k buf
   done;
@@ -495,7 +526,7 @@ let prop_critpath_tiles_completion =
 let test_edge_queueing () =
   let program r =
     (* both senders contend for rank 2's single receive lane *)
-    if r < 2 then Sim.Api.isend ~dst:2 ~tag:r (Fbuf.make 4096 1.0)
+    if r < 2 then Sim.Api.isend ~dst:2 ~tag:r (Sim.Data (Fbuf.make 4096 1.0))
     else begin
       ignore (Sim.Api.recv ~src:0 ~tag:0);
       ignore (Sim.Api.recv ~src:1 ~tag:1)
@@ -537,6 +568,7 @@ let () =
           Alcotest.test_case "rank api" `Quick test_rank_api;
           Alcotest.test_case "exception" `Quick test_exception_propagates;
           Alcotest.test_case "send copies" `Quick test_send_copies;
+          Alcotest.test_case "length-only payload" `Quick test_length_payload;
           Alcotest.test_case "zero nprocs" `Quick test_zero_nprocs;
           Alcotest.test_case "trace + utilisation" `Quick test_trace_and_utilisation;
           Alcotest.test_case "traced sor utilisation" `Quick

@@ -118,6 +118,7 @@ let prop_slab_count_fast n =
       | Some t ->
         let space = Polyhedron.box (List.map (fun e -> (0, e)) extents) in
         let ts = Tile_space.make space t in
+        let counter = Tile_space.counter ts in
         List.for_all
           (fun s ->
             let lo =
@@ -126,7 +127,9 @@ let prop_slab_count_fast n =
             let brute = ref 0 in
             Tile_space.iter_slab_points ts ~tile:s ~lo
               (fun ~local:_ ~global:_ -> incr brute);
-            !brute = Tile_space.slab_points ts ~tile:s ~lo)
+            !brute = Tile_space.count_slab counter ~tile:s ~lo
+            && ((not (Tile_space.is_interior counter s))
+               || !brute = Ttis.count_from t ~lo))
           (Tile_space.candidates ts))
 
 (* ---------- random dependence sets + loc roundtrip ---------- *)
@@ -271,6 +274,185 @@ let prop_timing_equals_full =
         | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ())
       | _ -> QCheck.assume_fail ())
 
+(* ---------- count table ---------- *)
+
+(* a small box, optionally skewed by a unit lower-triangular matrix and
+   optionally cut by one half-space that keeps its low corner; the skew
+   and cut coefficients stay small, since Fourier–Motzkin projections of
+   random tilings over larger ones can take seconds *)
+let gen_space n =
+  QCheck.Gen.(
+    let* lo = list_repeat n (int_range (-2) 2) in
+    let* ext = list_repeat n (int_range 2 (if n = 2 then 8 else 5)) in
+    let box = Polyhedron.box (List.map2 (fun l e -> (l, l + e - 1)) lo ext) in
+    let* skew = list_repeat (n * n) (int_range 0 1) in
+    let* skewed = bool in
+    let t =
+      if skewed then
+        Tiles_linalg.Intmat.of_rows
+          (List.init n (fun r ->
+               List.init n (fun c ->
+                   if r = c then 1
+                   else if c < r then List.nth skew ((r * n) + c)
+                   else 0)))
+      else Tiles_linalg.Intmat.identity n
+    in
+    let space = Polyhedron.transform_unimodular t box in
+    let* a = list_repeat n (int_range (-1) 1) in
+    let* off = int_range 1 4 in
+    let* cut = bool in
+    let a = Array.of_list a in
+    if cut && Array.exists (( <> ) 0) a then
+      let corner = Tiles_linalg.Intmat.apply t (Array.of_list lo) in
+      let c = off - Vec.dot a corner in
+      return
+        (Polyhedron.add space (Tiles_poly.Constr.make ~coeffs:a ~const:c))
+    else return space)
+
+(* a width-1 kernel reading along each dependence *)
+let deps_kernel n deps =
+  let reads = Dependence.vectors deps in
+  Kernel.make ~name:"table" ~dim:n ~reads
+    ~boundary:(fun j _ ->
+      0.5 +. (0.1 *. float_of_int (abs (j.(0) + j.(n - 1)) mod 7)))
+    ~compute:(fun ~read ~j:_ ~out ->
+      let acc = ref 0.1 in
+      List.iteri (fun i _ -> acc := !acc +. (0.3 *. read i 0)) reads;
+      out.(0) <- !acc)
+    ()
+
+(* every entry of a plan's count table against enumeration, its total
+   against the space's point count, and both run modes and comm_stats
+   against the DES *)
+let prop_count_table n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "count table = enumeration (n=%d)" n)
+    ~count:(if n = 2 then 60 else 15)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let kernel = deps_kernel n deps in
+        let nest = Nest.make ~name:"rand" ~space ~deps:(Kernel.deps kernel) in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let module Mapping = Tiles_core.Mapping in
+          let module Comm = Tiles_core.Comm in
+          let module Count_table = Tiles_core.Count_table in
+          let mapping = plan.Plan.mapping and comm = plan.Plan.comm in
+          let table = Plan.counts plan in
+          let enumerate tile ~lo =
+            let k = ref 0 in
+            Tile_space.iter_slab_points plan.Plan.tspace ~tile ~lo
+              (fun ~local:_ ~global:_ -> incr k);
+            !k
+          in
+          let entries_ok = ref true in
+          for rank = 0 to Mapping.nprocs mapping - 1 do
+            let pid = Mapping.pid_of_rank mapping rank in
+            let lo, hi = Mapping.chain mapping rank in
+            for ts = lo to hi do
+              let trel = ts - lo in
+              let tile = Mapping.join mapping ~pid ~ts in
+              if
+                Count_table.points table ~rank ~trel
+                <> enumerate tile ~lo:(Array.make n 0)
+              then entries_ok := false;
+              List.iteri
+                (fun dir (dm, dss) ->
+                  let succ =
+                    List.exists
+                      (fun dS ->
+                        Mapping.valid mapping ~pid:(Vec.add pid dm)
+                          ~ts:(ts + dS.(comm.Comm.m)))
+                      dss
+                  in
+                  let expected =
+                    if succ then enumerate tile ~lo:(Comm.slab_lo comm ~dm)
+                    else -1
+                  in
+                  if Count_table.slab table ~rank ~trel ~dir <> expected then
+                    entries_ok := false)
+                comm.Comm.dm
+            done
+          done;
+          let full = Executor.run ~mode:Executor.Full ~plan ~kernel ~net () in
+          let timing =
+            Executor.run ~mode:Executor.Timing ~plan ~kernel ~net ()
+          in
+          let messages, cells = Plan.comm_stats plan in
+          let stats r = r.Executor.stats in
+          !entries_ok
+          && Count_table.total table = Polyhedron.count_points space
+          && Plan.total_iterations plan = Count_table.total table
+          && (stats full).Tiles_mpisim.Sim.completion
+             = (stats timing).Tiles_mpisim.Sim.completion
+          && full.Executor.points_computed = timing.Executor.points_computed
+          && full.Executor.points_computed = Count_table.total table
+          && List.for_all
+               (fun r ->
+                 (stats r).Tiles_mpisim.Sim.messages = messages
+                 && (stats r).Tiles_mpisim.Sim.bytes = 8 * cells)
+               [ full; timing ])
+      | _ -> QCheck.assume_fail ())
+
+(* ---------- tile dependences: face sweep = whole-TTIS sweep ---------- *)
+
+(* the original whole-TTIS sweep, kept here as the oracle *)
+let tile_deps_oracle (tiling : Tiling.t) d's =
+  let module S = Set.Make (struct
+    type t = int array
+
+    let compare = Vec.compare_lex
+  end) in
+  let acc = ref S.empty in
+  Ttis.iter tiling (fun j' ->
+      List.iter
+        (fun d' ->
+          let ds =
+            Array.init tiling.Tiling.n (fun k ->
+                Tiles_util.Ints.fdiv (j'.(k) + d'.(k)) tiling.Tiling.v.(k))
+          in
+          if not (Vec.is_zero ds) then acc := S.add ds !acc)
+        d's);
+  S.elements !acc
+
+let gen_wide_deps n =
+  QCheck.Gen.(
+    let* q = int_range 1 3 in
+    let* vecs =
+      list_repeat q
+        (let* v = list_repeat n (int_range (-1) 3) in
+         return (Array.of_list v))
+    in
+    let vecs =
+      List.filter (fun v -> Vec.compare_lex v (Array.make n 0) > 0) vecs
+    in
+    if vecs = [] then return None
+    else
+      match Dependence.of_vectors vecs with
+      | d -> return (Some d)
+      | exception Invalid_argument _ -> return None)
+
+let prop_tile_deps n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "tile deps: face sweep = TTIS sweep (n=%d)" n)
+    ~count:400
+    (QCheck.pair (arb_tiling n) (QCheck.make (gen_wide_deps n)))
+    (fun (t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let oracle = tile_deps_oracle t (Tiling.transformed_deps t deps) in
+        match Tiles_core.Comm.make t deps ~m:0 with
+        | c -> c.Tiles_core.Comm.ds = oracle
+        | exception Invalid_argument _ -> QCheck.assume_fail ()
+        | exception Failure _ ->
+          List.exists (Array.exists (fun x -> x < 0 || x > 1)) oracle)
+      | _ -> QCheck.assume_fail ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "tiles_props"
@@ -286,7 +468,12 @@ let () =
           q (prop_partition 2); q (prop_partition 3);
           q (prop_slab_count_fast 2); q (prop_slab_count_fast 3);
         ] );
-      ("plan", [ q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3) ]);
+      ( "plan",
+        [
+          q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3);
+          q (prop_count_table 2); q (prop_count_table 3);
+          q (prop_tile_deps 2); q (prop_tile_deps 3);
+        ] );
       ( "executor",
         [
           q prop_executor_equivalence;

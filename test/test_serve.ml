@@ -700,6 +700,87 @@ let test_pooled_server_drain () =
   (* shutdown is idempotent *)
   Server.shutdown t
 
+(* Two domains on one fresh plan. The count table is built on first use
+   and published through an Atomic: Timing runs racing to build it, and
+   a pooled server running two jobs against one cached plan, must agree
+   with single-domain runs and raise nothing. *)
+let test_count_table_domains () =
+  let module Sor = Tiles_apps.Sor in
+  let module Plan = Tiles_core.Plan in
+  let module Executor = Tiles_runtime.Executor in
+  let module Sim = Tiles_mpisim.Sim in
+  let p = Sor.make ~m_steps:8 ~size:12 in
+  let kernel = Sor.kernel p in
+  let fresh () =
+    Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.nonrect ~x:4 ~y:7 ~z:4)
+  in
+  let timing plan () =
+    let r = Executor.run ~mode:Executor.Timing ~plan ~kernel ~net () in
+    ( r.Executor.stats.Sim.completion,
+      r.Executor.stats.Sim.messages,
+      r.Executor.stats.Sim.bytes,
+      r.Executor.points_computed,
+      Plan.comm_stats plan )
+  in
+  let solo = timing (fresh ()) () in
+  let plan = fresh () in
+  let d1 = Domain.spawn (timing plan) and d2 = Domain.spawn (timing plan) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check_bool "domain 1 = solo" true (r1 = solo);
+  check_bool "domain 2 = solo" true (r2 = solo);
+  let job op id =
+    match
+      Job.of_json
+        (Json.Obj
+           [
+             ("id", Json.Str id); ("op", Json.Str op); ("app", Json.Str "sor");
+             ("size1", Json.Int 12); ("size2", Json.Int 16);
+             ("tile", Json.List [ Json.Int 3; Json.Int 4; Json.Int 4 ]);
+           ])
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "job: %s" e
+  in
+  (* a plan job caches the plan without building its table; the two
+     runs after it then hit the cache and race on the table *)
+  let serve ~workers =
+    let t =
+      Server.create
+        ~config:{ Server.default_config with Server.capacity = 16; workers }
+        ()
+    in
+    let respond, got = collector () in
+    let run jobs =
+      List.iter (Server.submit t ~respond) jobs;
+      if workers = 0 then while Server.step t do () done else Server.drain t
+    in
+    run [ job "plan" "p" ];
+    for round = 1 to 2 do
+      run
+        [
+          job "simulate" (Printf.sprintf "s%d" round);
+          job "execute" (Printf.sprintf "e%d" round);
+        ]
+    done;
+    Server.shutdown t;
+    List.map
+      (fun r ->
+        check_str "ok" "ok" (str_field "status" r);
+        (str_field "id" r, payload_fingerprint r))
+      (got ())
+    |> List.sort compare
+  in
+  let solo = serve ~workers:0 in
+  let pooled = serve ~workers:2 in
+  check_int "all answered" 5 (List.length pooled);
+  List.iter2
+    (fun (id, a) (_, b) -> check_str ("pooled " ^ id ^ " = solo") a b)
+    solo pooled;
+  check_str "rounds agree (simulate)" (List.assoc "s1" pooled)
+    (List.assoc "s2" pooled);
+  check_str "rounds agree (execute)" (List.assoc "e1" pooled)
+    (List.assoc "e2" pooled)
+
 let test_socket_roundtrip () =
   let dir = Filename.temp_file "tilec-serve" "" in
   Sys.remove dir;
@@ -889,6 +970,8 @@ let () =
           Alcotest.test_case "job waits fold into metrics" `Quick
             test_server_folds_job_waits;
           Alcotest.test_case "pooled drain" `Quick test_pooled_server_drain;
+          Alcotest.test_case "count table across domains" `Quick
+            test_count_table_domains;
           Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
           Alcotest.test_case "socket early disconnect" `Quick
             test_socket_early_disconnect;

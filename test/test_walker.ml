@@ -366,7 +366,7 @@ let test_slab_mismatch () =
       ~pack_time:0. ()
   in
   let nprocs = Mapping.nprocs plan.Plan.mapping in
-  let mail : (int * int * int, Fbuf.t Queue.t) Hashtbl.t =
+  let mail : (int * int * int, Protocol.payload Queue.t) Hashtbl.t =
     Hashtbl.create 16
   in
   let tampered = ref false in
@@ -386,12 +386,12 @@ let test_slab_mismatch () =
           Queue.add buf q);
       recv =
         (fun ~src ~tag ->
-          let buf = Queue.pop (Hashtbl.find mail (src, rank, tag)) in
-          if !tampered then buf
-          else begin
+          let payload = Queue.pop (Hashtbl.find mail (src, rank, tag)) in
+          match payload with
+          | Protocol.Data buf when not !tampered ->
             tampered := true;
-            Fbuf.append buf (Fbuf.make width 0.)
-          end);
+            Protocol.Data (Fbuf.append buf (Fbuf.make width 0.))
+          | _ -> payload);
       compute = ignore;
       pack = ignore;
       unpack = ignore;
@@ -489,30 +489,27 @@ let print_case (app, vi, (x, y, z), overlap, backend) =
 (* ---------- walk-plan memo ---------- *)
 
 (* The compiled Fourier–Motzkin walk plan depends only on the pulled-back
-   constraints and the tile box, which every rank of a plan shares: a
-   nest/tiling used nowhere else in this process adds exactly one memo
-   entry however many ranks build walkers, and rebuilding adds none. *)
-let test_plan_memo_shared () =
+   constraints and the tile box, which every rank of a plan shares: every
+   rank's walker, built and rebuilt, enumerates rows with the one chain
+   the plan's count table holds. *)
+let test_plan_chain_shared () =
   let nest = pascal_nest 15 10 in
   let plan = Plan.make nest (Tiling.rectangular [ 3; 5 ]) in
   let mapping = plan.Plan.mapping in
   let nprocs = Mapping.nprocs mapping in
   Alcotest.(check bool) "plan is multi-rank" true (nprocs > 1);
-  let build_all () =
-    for rank = 0 to nprocs - 1 do
-      let tlo, thi = Mapping.chain mapping rank in
-      ignore
-        (Walker.make ~plan ~kernel:pascal_kernel ~rank ~ntiles:(thi - tlo + 1)
-           ~variant:Walker.Fastpath ~check:false ())
-    done
+  let shared =
+    Tiles_core.Count_table.counter (Plan.counts plan)
   in
-  let before = Walker.memo_entries () in
-  build_all ();
-  Alcotest.(check int) "one plan for every rank" (before + 1)
-    (Walker.memo_entries ());
-  build_all ();
-  Alcotest.(check int) "rebuilds are memo hits" (before + 1)
-    (Walker.memo_entries ())
+  let build_all () =
+    List.init nprocs (fun rank ->
+        let tlo, thi = Mapping.chain mapping rank in
+        Walker.make ~plan ~kernel:pascal_kernel ~rank ~ntiles:(thi - tlo + 1)
+          ~variant:Walker.Fastpath ~check:false ())
+  in
+  let shares = List.for_all (fun w -> Walker.counter w == shared) in
+  Alcotest.(check bool) "one plan for every rank" true (shares (build_all ()));
+  Alcotest.(check bool) "rebuilds share it" true (shares (build_all ()))
 
 let prop_walkers_bit_identical =
   QCheck.Test.make ~name:"fast/native = reference (grids + counters)"
@@ -550,7 +547,7 @@ let () =
         ] );
       ( "memo",
         [ Alcotest.test_case "walk plan shared across ranks" `Quick
-            test_plan_memo_shared ] );
+            test_plan_chain_shared ] );
       ( "validation",
         [ Alcotest.test_case "check modes" `Quick test_check_modes ] );
       ( "native",
