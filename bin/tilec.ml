@@ -46,6 +46,7 @@ module Seq_exec = Tiles_runtime.Seq_exec
 module Grid = Tiles_runtime.Grid
 module Protocol = Tiles_runtime.Protocol
 module Walker = Tiles_runtime.Walker
+module Kernel = Tiles_runtime.Kernel
 module Chrome = Tiles_obs.Chrome
 module Stats = Tiles_obs.Stats
 module Span = Tiles_obs.Span
@@ -272,14 +273,18 @@ let write_source output src =
     close_out oc;
     Printf.eprintf "wrote %s\n" path
 
+(* apply a C generator to the resolved kernel's IR, reads and skew *)
+let with_c_kernel (r : Registry.resolved) gen =
+  let k = r.kernel in
+  match k.Kernel.ckernel with
+  | None -> failwith (k.Kernel.name ^ " has no C body")
+  | Some ck -> gen ~kernel:ck ~reads:k.Kernel.reads ?skew:(Some k.Kernel.skew) ()
+
 let emit_cmd name ~doc gen =
   let run spec output =
     guard @@ fun () ->
     let r, plan = build_plan spec in
-    let app = r.Registry.app in
-    write_source output
-      (gen ~plan ~kernel:app.Registry.ckernel ~reads:app.Registry.creads
-         ?skew:app.Registry.skew ())
+    write_source output (with_c_kernel r (gen ~plan))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(const run $ spec_term [ Sizes; Tiling ] $ output_arg)
@@ -288,9 +293,12 @@ let emit_mpi_cmd =
   emit_cmd "emit-mpi" ~doc:"Generate the data-parallel MPI C program."
     Tiles_codegen.Mpigen.generate
 
+(* the fixed-size program is the parametric one over zero parameters *)
 let emit_seq_cmd =
   emit_cmd "emit-seq" ~doc:"Generate the sequential tiled C program."
-    Tiles_codegen.Seqgen.generate
+    (fun ~plan ->
+      Tiles_codegen.Pseqgen.generate ~tiling:plan.Plan.tiling
+        ~pspace:(Tiles_poly.Pspace.of_polyhedron plan.Plan.nest.Nest.space))
 
 let emit_pseq_cmd =
   let run spec output =
@@ -298,11 +306,11 @@ let emit_pseq_cmd =
     (* sizes are irrelevant for the parametric generator; resolve at small
        placeholders *)
     let r = resolve { spec with Run_spec.size1 = 8; size2 = 8 } in
-    let app = r.Registry.app in
     write_source output
-      (Tiles_codegen.Pseqgen.generate ~pspace:(app.Registry.pspace ())
-         ~tiling:r.Registry.tiling ~kernel:app.Registry.ckernel
-         ~reads:app.Registry.creads ?skew:app.Registry.skew ())
+      (with_c_kernel r
+         (Tiles_codegen.Pseqgen.generate
+            ~pspace:(r.Registry.app.Registry.pspace ())
+            ~tiling:r.Registry.tiling))
   in
   Cmd.v
     (Cmd.info "emit-pseq"

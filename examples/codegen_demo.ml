@@ -1,13 +1,14 @@
 (* End-to-end code generation: emit the data-parallel MPI C program for
    non-rectangularly tiled SOR (what the paper's tool produced) plus the
-   sequential tiled program, and write both next to the vendored
-   single-machine MPI stub with build instructions.
+   sequential tiled program (sizes M N on its command line), and write
+   both next to the vendored single-machine MPI stub with build
+   instructions.
 
    Run with:  dune exec examples/codegen_demo.exe [output-dir]  *)
 
 module Sor = Tiles_apps.Sor
 module Plan = Tiles_core.Plan
-module Seqgen = Tiles_codegen.Seqgen
+module Pseqgen = Tiles_codegen.Pseqgen
 module Mpigen = Tiles_codegen.Mpigen
 
 let () =
@@ -21,8 +22,8 @@ let () =
       ~skew:Sor.skew_matrix ()
   in
   let seq =
-    Seqgen.generate ~plan ~kernel:Sor.ckernel ~reads:Sor.skewed_reads
-      ~skew:Sor.skew_matrix ()
+    Pseqgen.generate ~pspace:(Sor.pspace ()) ~tiling ~kernel:Sor.ckernel
+      ~reads:Sor.skewed_reads ~skew:Sor.skew_matrix ()
   in
   let write name contents =
     let path = Filename.concat dir name in
@@ -36,10 +37,11 @@ let () =
   write "sor_tiled_mpi.c" mpi;
   Printf.printf "\nplan: %d MPI processes\n" (Plan.nprocs plan);
   print_endline "build and run them with:";
-  print_endline "  gcc -O2 sor_tiled_seq.c -lm -o sor_seq && ./sor_seq";
+  print_endline "  gcc -O2 sor_tiled_seq.c -lm -o sor_seq && ./sor_seq 12 16";
   Printf.printf
     "  gcc -O2 -I vendor/mpistub sor_tiled_mpi.c vendor/mpistub/mpi_stub.c \
      -lm -o sor_mpi \\\n  && TILES_MPI_NPROCS=%d ./sor_mpi\n"
     (Plan.nprocs plan);
-  print_endline "(both print the same checksum; any real MPI works too:";
+  print_endline "(both print the checksum, the sequential one exactly; any";
+  print_endline " real MPI works too:";
   print_endline "  mpicc sor_tiled_mpi.c -lm && mpirun -np N ./a.out)"

@@ -1,6 +1,5 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Nest = Tiles_loop.Nest
-module Dependence = Tiles_loop.Dependence
 module Kernel = Tiles_runtime.Kernel
 module Tiling = Tiles_core.Tiling
 module Rat = Tiles_rat.Rat
@@ -11,52 +10,16 @@ let make ~t_steps ~size =
   if t_steps < 1 || size < 1 then invalid_arg "Adi.make";
   { t_steps; size }
 
-(* X[t-1,i,j] / B[t-1,i,j]; X/B[t-1,i,j-1]; X/B[t-1,i-1,j] *)
-let reads = [ [| 1; 0; 0 |]; [| 1; 0; 1 |]; [| 1; 1; 0 |] ]
+let ckernel = Tiles_kernels.Defs.adi
 
-(* static coefficient; kept small so B stays well away from zero *)
-let coeff i j =
-  0.1 +. (0.05 *. sin ((0.3 *. float_of_int i) +. (0.7 *. float_of_int j)))
-
-let boundary j field =
-  let i = float_of_int j.(1) and jj = float_of_int j.(2) in
-  match field with
-  | 0 -> 1.0 +. (0.1 *. sin (0.5 *. i) *. cos (0.3 *. jj)) (* X *)
-  | _ -> 4.0 +. (0.2 *. cos (0.2 *. (i +. jj))) (* B *)
-
-let compute ~read ~j ~out =
-  let a = coeff j.(1) j.(2) in
-  let x_c = read 0 0 and b_c = read 0 1 in
-  let x_w = read 1 0 and b_w = read 1 1 in
-  let x_n = read 2 0 and b_n = read 2 1 in
-  out.(0) <- x_c +. (x_w *. a /. b_w) -. (x_n *. a /. b_n);
-  out.(1) <- b_c -. (a *. a /. b_w) -. (a *. a /. b_n)
-
-let ckernel =
-  Tiles_codegen.Ckernel.make ~name:"adi" ~width:2 ~nreads:3
-    ~body:
-      [
-        "{ double a = 0.1 + 0.05 * sin(0.3 * (double)J(1) + 0.7 * (double)J(2));";
-        "  WR(0) = RD(0,0) + RD(1,0) * a / RD(1,1) - RD(2,0) * a / RD(2,1);";
-        "  WR(1) = RD(0,1) - a * a / RD(1,1) - a * a / RD(2,1); }";
-      ]
-    ~boundary:
-      [
-        "{ double i = (double)j[1], jj = (double)j[2];";
-        "  if (f == 0) return 1.0 + 0.1 * sin(0.5 * i) * cos(0.3 * jj);";
-        "  return 4.0 + 0.2 * cos(0.2 * (i + jj)); }";
-      ]
-    ()
-
-let kernel _p =
-  Kernel.make ~name:"adi" ~dim:3 ~width:2 ~ckernel ~reads ~boundary ~compute ()
+let kernel _p = Bodies.Adi.kernel
 
 (* 0-based iteration space; see the note in sor.ml *)
 let nest p =
   Nest.make ~name:"adi"
     ~space:
       (Polyhedron.box [ (0, p.t_steps - 1); (0, p.size - 1); (0, p.size - 1) ])
-    ~deps:(Dependence.of_vectors reads)
+    ~deps:(Kernel.deps Bodies.Adi.kernel)
 
 let mapping_dim = 0
 
@@ -79,7 +42,7 @@ let nr3 ~x ~y ~z =
 
 let variants = [ ("rect", rect); ("nr1", nr1); ("nr2", nr2); ("nr3", nr3) ]
 
-let creads = reads
+let creads = Bodies.Adi.kernel.Kernel.reads
 
 (* symbolic-extent iteration space for the parametric generator *)
 let pspace () =

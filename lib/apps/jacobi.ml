@@ -1,7 +1,6 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Nest = Tiles_loop.Nest
 module Skew = Tiles_loop.Skew
-module Dependence = Tiles_loop.Dependence
 module Kernel = Tiles_runtime.Kernel
 module Tiling = Tiles_core.Tiling
 module Rat = Tiles_rat.Rat
@@ -12,56 +11,16 @@ let make ~t_steps ~size =
   if t_steps < 1 || size < 1 then invalid_arg "Jacobi.make";
   { t_steps; size }
 
-let reads =
-  [
-    [| 1; 0; 0 |]; [| 1; 1; 0 |]; [| 1; -1; 0 |]; [| 1; 0; 1 |]; [| 1; 0; -1 |];
-  ]
+let ckernel = Tiles_kernels.Defs.jacobi
 
-let boundary j _field =
-  let i = float_of_int j.(1) and jj = float_of_int j.(2) in
-  2.0 +. (0.5 *. cos ((0.4 *. i) -. (0.9 *. jj)))
-
-let compute ~read ~j:_ ~out =
-  out.(0) <- (read 0 0 +. read 1 0 +. read 2 0 +. read 3 0 +. read 4 0) /. 5.
-
-(* unrolled interior-row body; float-operation order matches [compute]
-   exactly so results are bit-identical. The [la] annotation is
-   load-bearing: left polymorphic in kind/layout, every access compiles
-   to a generic C call instead of an inline load. *)
-let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
-  let t0 = taps.(0) and t1 = taps.(1) and t2 = taps.(2) in
-  let t3 = taps.(3) and t4 = taps.(4) in
-  for i = dst to dst + len - 1 do
-    Bigarray.Array1.unsafe_set la i
-      ((Bigarray.Array1.unsafe_get la (i + t0)
-        +. Bigarray.Array1.unsafe_get la (i + t1)
-        +. Bigarray.Array1.unsafe_get la (i + t2)
-        +. Bigarray.Array1.unsafe_get la (i + t3)
-        +. Bigarray.Array1.unsafe_get la (i + t4))
-      /. 5.)
-  done
-
-let ckernel =
-  Tiles_codegen.Ckernel.make ~name:"jacobi" ~nreads:5
-    ~body:
-      [ "WR(0) = (RD(0,0) + RD(1,0) + RD(2,0) + RD(3,0) + RD(4,0)) / 5.0;" ]
-    ~boundary:
-      [
-        "{ double i = (double)j[1], jj = (double)j[2];";
-        "  return 2.0 + 0.5 * cos(0.4 * i - 0.9 * jj); }";
-      ]
-    ()
-
-let original_kernel =
-  Kernel.make ~name:"jacobi" ~dim:3 ~uses_j:false ~row ~ckernel ~reads
-    ~boundary ~compute ()
+let original_kernel = Bodies.Jacobi.kernel
 
 (* 0-based iteration space; see the note in sor.ml *)
 let original_nest p =
   Nest.make ~name:"jacobi"
     ~space:
       (Polyhedron.box [ (0, p.t_steps - 1); (0, p.size - 1); (0, p.size - 1) ])
-    ~deps:(Dependence.of_vectors reads)
+    ~deps:(Kernel.deps original_kernel)
 
 let skew_matrix = Skew.of_factors 3 [ (1, 0, 1); (2, 0, 1) ]
 let nest p = Skew.apply (original_nest p) skew_matrix
@@ -83,7 +42,7 @@ let nonrect ~x ~y ~z =
 
 let variants = [ ("rect", rect); ("nonrect", nonrect) ]
 
-let skewed_reads = List.map (Tiles_linalg.Intmat.apply skew_matrix) reads
+let skewed_reads = (Kernel.skewed original_kernel skew_matrix).Kernel.reads
 
 let pspace () =
   let b = ([], 0) in

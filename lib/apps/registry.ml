@@ -7,9 +7,6 @@ type app = {
   instance : size1:int -> size2:int -> Nest.t * Kernel.t;
   m : int;
   variants : (string * (x:int -> y:int -> z:int -> Tiling.t)) list;
-  ckernel : Tiles_codegen.Ckernel.t;
-  creads : Tiles_util.Vec.t list;
-  skew : Tiles_linalg.Intmat.t option;
   pspace : unit -> Tiles_poly.Pspace.t;
 }
 
@@ -23,9 +20,6 @@ let table =
           (Sor.nest p, Sor.kernel p));
       m = Sor.mapping_dim;
       variants = Sor.variants;
-      ckernel = Sor.ckernel;
-      creads = Sor.skewed_reads;
-      skew = Some Sor.skew_matrix;
       pspace = Sor.pspace;
     };
     {
@@ -36,9 +30,6 @@ let table =
           (Jacobi.nest p, Jacobi.kernel p));
       m = Jacobi.mapping_dim;
       variants = Jacobi.variants;
-      ckernel = Jacobi.ckernel;
-      creads = Jacobi.skewed_reads;
-      skew = Some Jacobi.skew_matrix;
       pspace = Jacobi.pspace;
     };
     {
@@ -49,9 +40,6 @@ let table =
           (Adi.nest p, Adi.kernel p));
       m = Adi.mapping_dim;
       variants = Adi.variants;
-      ckernel = Adi.ckernel;
-      creads = Adi.creads;
-      skew = None;
       pspace = Adi.pspace;
     };
   ]

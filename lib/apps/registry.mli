@@ -14,9 +14,6 @@ type app = {
           spatial extent [size2] (N) *)
   m : int;  (** the paper's mapping dimension *)
   variants : (string * (x:int -> y:int -> z:int -> Tiles_core.Tiling.t)) list;
-  ckernel : Tiles_codegen.Ckernel.t;  (** the loop body as C source *)
-  creads : Tiles_util.Vec.t list;  (** C read offsets, nest coordinates *)
-  skew : Tiles_linalg.Intmat.t option;  (** [None] when not skewed *)
   pspace : unit -> Tiles_poly.Pspace.t;  (** symbolic-extent space *)
 }
 

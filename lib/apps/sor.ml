@@ -1,7 +1,6 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Nest = Tiles_loop.Nest
 module Skew = Tiles_loop.Skew
-module Dependence = Tiles_loop.Dependence
 module Kernel = Tiles_runtime.Kernel
 module Tiling = Tiles_core.Tiling
 module Rat = Tiles_rat.Rat
@@ -12,61 +11,9 @@ let make ~m_steps ~size =
   if m_steps < 1 || size < 1 then invalid_arg "Sor.make";
   { m_steps; size }
 
-(* read offsets in the order the body uses them:
-   A[t,i-1,j], A[t,i,j-1], A[t-1,i+1,j], A[t-1,i,j+1], A[t-1,i,j] *)
-let reads =
-  [ [| 0; 1; 0 |]; [| 0; 0; 1 |]; [| 1; -1; 0 |]; [| 1; 0; -1 |]; [| 1; 0; 0 |] ]
+let ckernel = Tiles_kernels.Defs.sor
 
-let omega = 1.2
-
-let boundary j _field =
-  (* smooth deterministic boundary/initial data (pure function of the
-     original coordinates) *)
-  let i = float_of_int j.(1) and jj = float_of_int j.(2) in
-  1.0 +. (0.25 *. sin ((0.7 *. i) +. (1.3 *. jj)))
-
-let compute ~read ~j:_ ~out =
-  out.(0) <-
-    (omega /. 4.
-     *. (read 0 0 +. read 1 0 +. read 2 0 +. read 3 0))
-    +. ((1. -. omega) *. read 4 0)
-
-(* unrolled interior-row body for the fast walker; float-operation order
-   matches [compute] exactly so results are bit-identical. The [la]
-   annotation is load-bearing: left polymorphic in kind/layout, every
-   access compiles to a generic C call instead of an inline load. *)
-let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
-  let t0 = taps.(0) and t1 = taps.(1) and t2 = taps.(2) in
-  let t3 = taps.(3) and t4 = taps.(4) in
-  for i = dst to dst + len - 1 do
-    Bigarray.Array1.unsafe_set la i
-      ((omega /. 4.
-        *. (Bigarray.Array1.unsafe_get la (i + t0)
-            +. Bigarray.Array1.unsafe_get la (i + t1)
-            +. Bigarray.Array1.unsafe_get la (i + t2)
-            +. Bigarray.Array1.unsafe_get la (i + t3)))
-      +. ((1. -. omega) *. Bigarray.Array1.unsafe_get la (i + t4)))
-  done
-
-(* the same loop body and boundary data as C source, for the code
-   generators; numeric constants match the OCaml kernel exactly *)
-let ckernel =
-  Tiles_codegen.Ckernel.make ~name:"sor" ~nreads:5
-    ~body:
-      [
-        "WR(0) = 1.2 / 4.0 * (RD(0,0) + RD(1,0) + RD(2,0) + RD(3,0))";
-        "      + (1.0 - 1.2) * RD(4,0);";
-      ]
-    ~boundary:
-      [
-        "{ double i = (double)j[1], jj = (double)j[2];";
-        "  return 1.0 + 0.25 * sin(0.7 * i + 1.3 * jj); }";
-      ]
-    ()
-
-let original_kernel =
-  Kernel.make ~name:"sor" ~dim:3 ~uses_j:false ~row ~ckernel ~reads ~boundary
-    ~compute ()
+let original_kernel = Bodies.Sor.kernel
 
 (* 0-based iteration space (the paper writes 1..M; a constant shift of the
    space is immaterial and makes tile blocks align with the origin, so a
@@ -75,7 +22,7 @@ let original_nest p =
   Nest.make ~name:"sor"
     ~space:
       (Polyhedron.box [ (0, p.m_steps - 1); (0, p.size - 1); (0, p.size - 1) ])
-    ~deps:(Dependence.of_vectors reads)
+    ~deps:(Kernel.deps original_kernel)
 
 let skew_matrix = Skew.of_factors 3 [ (1, 0, 1); (2, 0, 2) ]
 let nest p = Skew.apply (original_nest p) skew_matrix
@@ -93,7 +40,7 @@ let nonrect ~x ~y ~z =
 
 let variants = [ ("rect", rect); ("nonrect", nonrect) ]
 
-let skewed_reads = List.map (Tiles_linalg.Intmat.apply skew_matrix) reads
+let skewed_reads = (Kernel.skewed original_kernel skew_matrix).Kernel.reads
 
 (* the same iteration space with symbolic extents M and N, skewed like
    [nest]; one generated binary then serves every problem size *)

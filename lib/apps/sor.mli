@@ -42,7 +42,8 @@ val variants : (string * (x:int -> y:int -> z:int -> Tiles_core.Tiling.t)) list
 (** [("rect", rect); ("nonrect", nonrect)]. *)
 
 val ckernel : Tiles_codegen.Ckernel.t
-(** The loop body as C source, for the code generators. *)
+(** The loop body as IR ({!Tiles_kernels.Defs.sor}); the kernel, its
+    reads and the code generators' C body all derive from it. *)
 
 val skewed_reads : Tiles_util.Vec.t list
 (** Read offsets in skewed coordinates, in the kernel's read order. *)

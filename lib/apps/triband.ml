@@ -1,7 +1,6 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Constr = Tiles_poly.Constr
 module Nest = Tiles_loop.Nest
-module Dependence = Tiles_loop.Dependence
 module Kernel = Tiles_runtime.Kernel
 module Tiling = Tiles_core.Tiling
 module Rat = Tiles_rat.Rat
@@ -12,32 +11,9 @@ let make ~size =
   if size < 2 then invalid_arg "Triband.make";
   { size }
 
-let reads = [ [| 1; 0 |]; [| 1; 1 |]; [| 0; 1 |] ]
+let ckernel = Tiles_kernels.Defs.triband
 
-let source i j =
-  0.01 *. float_of_int (((i * 13) + (j * 7)) mod 17)
-
-let boundary j _ =
-  0.1 +. (0.05 *. float_of_int ((j.(0) - j.(1)) mod 5))
-
-let compute ~read ~j ~out =
-  out.(0) <-
-    (0.45 *. read 0 0) +. (0.25 *. read 1 0) +. (0.30 *. read 2 0)
-    +. source j.(0) j.(1)
-
-let ckernel =
-  Tiles_codegen.Ckernel.make ~name:"triband" ~nreads:3
-    ~body:
-      [
-        "{ double src = 0.01 * (double)(((J(0) * 13) + (J(1) * 7)) % 17);";
-        "  WR(0) = 0.45 * RD(0,0) + 0.25 * RD(1,0) + 0.30 * RD(2,0) + src; }";
-      ]
-    ~boundary:
-      [ "return 0.1 + 0.05 * (double)((j[0] - j[1]) % 5);" ]
-    ()
-
-let kernel _p =
-  Kernel.make ~name:"triband" ~dim:2 ~ckernel ~reads ~boundary ~compute ()
+let kernel _p = Bodies.Triband.kernel
 
 let nest p =
   let n = p.size in
@@ -51,7 +27,7 @@ let nest p =
         Constr.ge [| 1; -1 |] 0;
       ]
   in
-  Nest.make ~name:"triband" ~space ~deps:(Dependence.of_vectors reads)
+  Nest.make ~name:"triband" ~space ~deps:(Kernel.deps Bodies.Triband.kernel)
 
 let rect ~x ~y = Tiling.rectangular [ x; y ]
 
@@ -60,5 +36,3 @@ let oblique ~x ~y =
     [ [ Rat.make 1 x; Rat.zero ]; [ Rat.make 1 y; Rat.make 1 y ] ]
 
 let variants = [ ("rect", rect); ("oblique", oblique) ]
-
-let creads = reads

@@ -25,4 +25,3 @@ val oblique : x:int -> y:int -> Tiles_core.Tiling.t
 
 val variants : (string * (x:int -> y:int -> Tiles_core.Tiling.t)) list
 val ckernel : Tiles_codegen.Ckernel.t
-val creads : Tiles_util.Vec.t list

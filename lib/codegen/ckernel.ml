@@ -1,11 +1,1 @@
-type t = {
-  name : string;
-  width : int;
-  nreads : int;
-  body : string list;
-  boundary : string list;
-}
-
-let make ~name ?(width = 1) ~nreads ~body ~boundary () =
-  if width <= 0 || nreads <= 0 then invalid_arg "Ckernel.make";
-  { name; width; nreads; body; boundary }
+type t = Tiles_kir.Kir.t

@@ -1,23 +1,6 @@
-(** The C rendition of a loop body, supplied by the application so the
-    code generators can emit a complete runnable program.
+(** The loop body the code generators print, as {!Tiles_kir.Kir} IR:
+    {!Tiles_kir.Kir.c_body} over the macros [J(k)] (original-space
+    coordinate), [RD(i, f)] (field [f] at [j − reads.(i)]) and [WR(f)],
+    and {!Tiles_kir.Kir.c_boundary} for points outside the space. *)
 
-    Inside [body] statements these macros are in scope:
-    - [J(k)] — the k-th {e original-space} iteration coordinate,
-    - [RD(i, f)] — field [f] of the value at [j − reads.(i)],
-    - [WR(f)] — lvalue of field [f] of the value being computed.
-
-    [boundary] is the body of
-    [double boundary(const int *j, int f)] giving initial/boundary values
-    for points outside the iteration space (original coordinates). *)
-
-type t = {
-  name : string;
-  width : int;
-  nreads : int;
-  body : string list;
-  boundary : string list;
-}
-
-val make :
-  name:string -> ?width:int -> nreads:int -> body:string list ->
-  boundary:string list -> unit -> t
+type t = Tiles_kir.Kir.t

@@ -1,10 +1,11 @@
 module Plan = Tiles_core.Plan
 module Tiling = Tiles_core.Tiling
-module Polyhedron = Tiles_poly.Polyhedron
+module Pspace = Tiles_poly.Pspace
 module Constr = Tiles_poly.Constr
 module Ratmat = Tiles_linalg.Ratmat
 module Intmat = Tiles_linalg.Intmat
 module Rat = Tiles_rat.Rat
+module Kir = Tiles_kir.Kir
 
 let int_table1 name a =
   Printf.sprintf "static const int %s[%d] = { %s };" name (Array.length a)
@@ -45,16 +46,19 @@ let constraint_tables prefix cs n =
     int_table1 (prefix ^ "B") b;
   ]
 
-let space_tables space =
-  let n = Polyhedron.dim space in
-  constraint_tables "SP" (Polyhedron.constraints space) n
+let space_tables (ps : Pspace.t) =
+  let p = Pspace.nparams ps in
+  constraint_tables "SP" ps.Pspace.cs (p + ps.Pspace.dim)
   @ [
-      {|/* is j inside the iteration space J^n? */
+      Printf.sprintf "#define NPAR %d" p;
+      "static int PAR[NPAR > 0 ? NPAR : 1];";
+      {|/* is j inside the (parameterized) iteration space? */
 static int in_space(const int *j) {
   int c, k; long acc;
   for (c = 0; c < SPNC; c++) {
     acc = SPB[c];
-    for (k = 0; k < NDIM; k++) acc += (long)SPA[c][k] * j[k];
+    for (k = 0; k < NPAR; k++) acc += (long)SPA[c][k] * PAR[k];
+    for (k = 0; k < NDIM; k++) acc += (long)SPA[c][NPAR + k] * j[k];
     if (acc < 0) return 0;
   }
   return 1;
@@ -83,8 +87,8 @@ let core_tables ~tiling ~kernel ~skew ~reads =
   let defines =
     [
       Printf.sprintf "#define NDIM %d" n;
-      Printf.sprintf "#define W %d" kernel.Ckernel.width;
-      Printf.sprintf "#define NRD %d" kernel.Ckernel.nreads;
+      Printf.sprintf "#define W %d" (Kir.width kernel);
+      Printf.sprintf "#define NRD %d" (Kir.nreads kernel);
     ]
   in
   let tbls =
@@ -141,7 +145,7 @@ static void orig(const int *j, int *o) {
       "static double boundary_orig(const int *j, int f) {";
       "  (void)j; (void)f;";
     ]
-    @ List.map (fun l -> "  " ^ l) kernel.Ckernel.boundary
+    @ List.map (fun l -> "  " ^ l) (Kir.c_boundary kernel)
     @ [
         "}";
         "static double boundary(const int *js, int f) {";
@@ -153,7 +157,7 @@ static void orig(const int *j, int *o) {
 
 let tables ~plan ~kernel ~skew ~reads =
   core_tables ~tiling:plan.Plan.tiling ~kernel ~skew ~reads
-  @ space_tables plan.Plan.nest.Tiles_loop.Nest.space
+  @ space_tables (Pspace.of_polyhedron plan.Plan.nest.Tiles_loop.Nest.space)
 
 (* Strength-reduced global addressing for the sequential generators: the
    innermost loop keeps a running flat index [gi] into DATA (gidx is affine
@@ -183,21 +187,5 @@ static double rd_sr(const int *j, long gi, int r, int f) {
   int src[NDIM], k;
   for (k = 0; k < NDIM; k++) src[k] = j[k] - D[r][k];
   return in_space(src) ? DATA[(gi + DOFF[r]) * W + f] : boundary(src, f);
-}|};
-  ]
-
-let bbox_tables space =
-  let bbox = Polyhedron.bounding_box space in
-  let lo = Array.map fst bbox in
-  let dims = Array.map (fun (l, h) -> h - l + 1) bbox in
-  let total = Array.fold_left ( * ) 1 dims in
-  [
-    int_table1 "GLO" lo;
-    int_table1 "GDIMS" dims;
-    Printf.sprintf "#define GTOT %d" total;
-    {|static int gidx(const int *j) {
-  int k, idx = 0;
-  for (k = 0; k < NDIM; k++) idx = idx * GDIMS[k] + (j[k] - GLO[k]);
-  return idx;
 }|};
   ]

@@ -24,11 +24,11 @@ val core_tables :
 (** Space-independent prelude: NDIM/W/NRD defines, V/C/HNF/Q/QDEN/D/DP/
     TINV tables, [ttis_start], [global_of], [orig] and [boundary] (from
     the kernel's C body). [boundary] calls [in_space]-independent code;
-    the space-membership test itself comes from {!space_tables} or a
-    parametric equivalent. *)
+    the space-membership test itself comes from {!space_tables}. *)
 
-val space_tables : Tiles_poly.Polyhedron.t -> string list
-(** Concrete-space constraint tables plus the [in_space] helper. *)
+val space_tables : Tiles_poly.Pspace.t -> string list
+(** Constraint tables plus the [in_space] helper over the parameter
+    values in [PAR] (a program with parameters fills it at startup). *)
 
 val tables :
   plan:Tiles_core.Plan.t ->
@@ -43,7 +43,3 @@ val strength_helpers : string list
     GS/GSTEP/DOFF tables with a runtime [strength_init()] (GDIMS may be
     parametric) and the flat-offset tap reader [rd_sr].  Must be emitted
     after GDIMS, the JSTEP table (from {!core_tables}) and [DATA]. *)
-
-val bbox_tables : Tiles_poly.Polyhedron.t -> string list
-(** GLO/GDIMS/GTOT tables and [gidx] for a dense bounding-box data array
-    (sequential generator / verification path). *)

@@ -41,7 +41,7 @@ let generate ~plan ~kernel ~reads ?skew () =
   let tiling = plan.Plan.tiling in
   let n = Tiling.dim tiling in
   let skew = match skew with Some s -> s | None -> Intmat.identity n in
-  if List.length reads <> kernel.Ckernel.nreads then
+  if List.length reads <> Tiles_kir.Kir.nreads kernel then
     invalid_arg "Mpigen.generate: reads count differs from kernel.nreads";
   let mapping = plan.Plan.mapping in
   let comm = plan.Plan.comm in
@@ -245,7 +245,7 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
       "  orig(j, jo);";
       "  /* ---- loop body ---- */";
     ]
-    @ List.map (fun l -> "  " ^ l) kernel.Ckernel.body
+    @ List.map (fun l -> "  " ^ l) (Tiles_kir.Kir.c_body kernel)
     @ [
         "  /* ---- store ---- */";
         "  for (f = 0; f < W; f++) LA[cell * W + f] = out[f];";

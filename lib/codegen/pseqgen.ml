@@ -3,6 +3,7 @@ module Constr = Tiles_poly.Constr
 module FM = Tiles_poly.Fourier_motzkin
 module Tiling = Tiles_core.Tiling
 module Intmat = Tiles_linalg.Intmat
+module Kir = Tiles_kir.Kir
 open C_ast
 
 (* C identifier for a parameter *)
@@ -42,7 +43,7 @@ let generate ~pspace ~tiling ~kernel ~reads ?skew () =
   let n = Tiling.dim tiling in
   let p = Pspace.nparams pspace in
   if pspace.Pspace.dim <> n then invalid_arg "Pseqgen.generate: dimension";
-  if List.length reads <> kernel.Ckernel.nreads then
+  if List.length reads <> Kir.nreads kernel then
     invalid_arg "Pseqgen.generate: reads count differs from kernel.nreads";
   let skew = match skew with Some s -> s | None -> Intmat.identity n in
   (* name resolution for expressions over (params, j^S): indices < p are
@@ -64,26 +65,6 @@ let generate ~pspace ~tiling ~kernel ~reads ?skew () =
       ~const:(Constr.const c)
   in
   let tile_proj = FM.project (List.map restrict tile_sys) ~dim:(p + n) in
-  (* parametric in_space over (params, j) *)
-  let pn = p + n in
-  let space_tables =
-    Emit_common.constraint_tables "SP" pspace.Pspace.cs pn
-    @ [
-        Printf.sprintf "#define NPAR %d" p;
-        "static int PAR[NPAR > 0 ? NPAR : 1];";
-        {|/* is j inside the parameterized iteration space? */
-static int in_space(const int *j) {
-  int c, k; long acc;
-  for (c = 0; c < SPNC; c++) {
-    acc = SPB[c];
-    for (k = 0; k < NPAR; k++) acc += (long)SPA[c][k] * PAR[k];
-    for (k = 0; k < NDIM; k++) acc += (long)SPA[c][NPAR + k] * j[k];
-    if (acc < 0) return 0;
-  }
-  return 1;
-}|};
-      ]
-  in
   (* parameter name aliases so printed bound expressions compile *)
   let param_aliases =
     List.init p (fun i ->
@@ -91,7 +72,7 @@ static int in_space(const int *j) {
   in
   let prelude =
     Emit_common.core_tables ~tiling ~kernel ~skew ~reads
-    @ space_tables @ param_aliases
+    @ Emit_common.space_tables pspace @ param_aliases
     @ [
         "/* data-space extents, computed at runtime from the parameters */";
         "static int GLO[NDIM], GDIMS[NDIM];";
@@ -102,6 +83,14 @@ static int in_space(const int *j) {
   return idx;
 }|};
         "static double *DATA;";
+        {|/* Neumaier compensated summation, in Grid.checksum's order and
+   arithmetic, so the printed sum matches the OCaml oracle bit for bit */
+static void neumaier(double *sum, double *comp, double x) {
+  double s = *sum + x;
+  if (fabs(*sum) >= fabs(x)) *comp += (*sum - s) + x;
+  else *comp += (x - s) + *sum;
+  *sum = s;
+}|};
       ]
     @ Emit_common.strength_helpers
     @ [
@@ -129,12 +118,12 @@ static int in_space(const int *j) {
            ]))
   in
   let body_store =
-    List.init kernel.Ckernel.width (fun f ->
+    List.init (Kir.width kernel) (fun f ->
         Assign
-          ( Idx ("DATA", [ Add (Mul (Var "gi", Int kernel.Ckernel.width), Int f) ]),
+          ( Idx ("DATA", [ Add (Mul (Var "gi", Int (Kir.width kernel)), Int f) ]),
             Idx ("out", [ Int f ]) ))
   in
-  let kernel_body = List.map (fun l -> RawStmt l) kernel.Ckernel.body in
+  let kernel_body = List.map (fun l -> RawStmt l) (Kir.c_body kernel) in
   let point_body =
     [
       If
@@ -225,7 +214,8 @@ static int in_space(const int *j) {
           ( Call ("in_space", [ Var "jj" ]),
             [
               RawStmt
-                "{ int f; for (f = 0; f < W; f++) sum += DATA[gidx(jj) * W + f]; }";
+                "{ int f; for (f = 0; f < W; f++) \
+                 neumaier(&sum, &comp, DATA[gidx(jj) * W + f]); }";
             ],
             [] );
       ]
@@ -247,6 +237,7 @@ static int in_space(const int *j) {
           Decl ("double", "out[W]", None);
           Decl ("long", "npoints", Some (Int 0));
           Decl ("double", "sum", Some (Flt 0.));
+          Decl ("double", "comp", Some (Flt 0.));
           RawStmt
             (Printf.sprintf
                "if (argc != 1 + NPAR) { fprintf(stderr, \"usage: %%s%s\\n\", \
@@ -271,7 +262,7 @@ static int in_space(const int *j) {
         @ checksum_loops
         @ [
             RawStmt "printf(\"points %ld\\n\", npoints);";
-            RawStmt "printf(\"checksum %.10e\\n\", sum);";
+            RawStmt "printf(\"checksum %a\\n\", sum + comp);";
             RawStmt "free(DATA);";
             Return (Some (Int 0));
           ];

@@ -1,14 +1,19 @@
-(** Parametric sequential tiled code generation.
+(** Sequential tiled code generation (§2.3, after ref [7]).
 
-    Like {!Seqgen}, but the iteration space carries symbolic size
-    parameters (§2.1's parameterized bounds): the emitted program takes
-    the parameter values on its command line, computes the data-space
-    extents and all tile-loop bounds at runtime from Fourier–Motzkin
-    systems in which the parameters are ordinary leading variables, and
-    runs the same tiled sweep. One compiled binary therefore serves every
-    problem size — the behaviour an actual compiler's output must have.
+    Emits a standalone C program that executes the kernel over the tiled
+    iteration space as a [2n]-deep loop nest: [n] outer loops over tile
+    coordinates with Fourier–Motzkin bounds, and [n] inner loops over the
+    TTIS with strides [c_k] and lattice start offsets. Boundary tiles are
+    handled by an [in_space] guard (the paper's "corrected bounds").
 
-    Prints [points]/[checksum] like {!Seqgen} for oracle comparison. *)
+    The space's symbolic size parameters (§2.1) become the program's
+    arguments; extents and tile-loop bounds are computed at runtime from
+    Fourier–Motzkin systems with the parameters as leading variables, so
+    one binary serves every size. A fixed-size space is the
+    zero-parameter case ({!Tiles_poly.Pspace.of_polyhedron}).
+
+    It prints [points <count>] and [checksum <sum>]: [Grid.checksum]'s
+    compensated sum in its order, printed exactly ([%a]). *)
 
 val generate :
   pspace:Tiles_poly.Pspace.t ->

@@ -12,9 +12,10 @@ module Plan = Tiles_core.Plan
 
 let entry_symbol = "tilec_row"
 
-let generate ~plan ~kernel ~skew ~reads ~uses_j () =
-  let width = kernel.Ckernel.width in
-  let body = List.map (fun l -> "  " ^ l) kernel.Ckernel.body in
+let generate ~plan ~kernel ~skew ~reads () =
+  let uses_j = Tiles_kir.Kir.uses_j kernel in
+  let width = Tiles_kir.Kir.width kernel in
+  let body = List.map (fun l -> "  " ^ l) (Tiles_kir.Kir.c_body kernel) in
   let store =
     if width = 1 then [ "  la[cur] = out[0];" ]
     else [ "  for (f = 0; f < W; f++) la[cur * W + f] = out[f];" ]

@@ -26,7 +26,6 @@ val generate :
   kernel:Ckernel.t ->
   skew:Tiles_linalg.Intmat.t ->
   reads:Tiles_util.Vec.t list ->
-  uses_j:bool ->
   unit ->
   string
 (** [reads] are the kernel's (skewed) read offsets in compute order;

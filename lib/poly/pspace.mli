@@ -24,6 +24,9 @@ val make : params:string list -> dim:int -> Constr.t list -> t
 
 val nparams : t -> int
 
+val of_polyhedron : Polyhedron.t -> t
+(** A concrete space as the zero-parameter case. *)
+
 val param_coeff_ge : t -> var:int -> params:(string * int) list -> const:int -> Constr.t
 (** Convenience constructor: the constraint
     [x_var >= const + Σ coeff·param] expressed in this space's variable

@@ -3,6 +3,7 @@ module Fbuf = Tiles_util.Fbuf
 module Intmat = Tiles_linalg.Intmat
 module Ratmat = Tiles_linalg.Ratmat
 module Ckernel = Tiles_codegen.Ckernel
+module Kir = Tiles_kir.Kir
 
 type row_body = la:Fbuf.t -> dst:int -> taps:int array -> len:int -> unit
 
@@ -23,25 +24,26 @@ type t = {
 
 let deps t = Tiles_loop.Dependence.of_vectors t.reads
 
-let make ~name ~dim ?(width = 1) ?(uses_j = true) ?row ?ckernel ~reads
-    ~boundary ~compute () =
+let make ~name ~dim ?(width = 1) ?(uses_j = true) ?row ~reads ~boundary
+    ~compute () =
   if width <= 0 then invalid_arg "Kernel.make: width";
   if reads = [] then invalid_arg "Kernel.make: no reads";
   if List.exists (fun r -> Vec.dim r <> dim) reads then
     invalid_arg "Kernel.make: read offset dimension mismatch";
   if row <> None && width <> 1 then
     invalid_arg "Kernel.make: row bodies require width = 1";
-  (match ckernel with
-  | Some ck ->
-    if ck.Ckernel.width <> width then
-      invalid_arg "Kernel.make: C kernel width mismatch";
-    if ck.Ckernel.nreads <> List.length reads then
-      invalid_arg "Kernel.make: C kernel nreads mismatch"
-  | None -> ());
   {
-    name; dim; width; uses_j; reads; boundary; compute; row; ckernel;
+    name; dim; width; uses_j; reads; boundary; compute; row; ckernel = None;
     skew = Intmat.identity dim;
   }
+
+let of_ir ir ~compute ?row ~boundary () =
+  if Option.is_some row <> Kir.has_row ir then invalid_arg "Kernel.of_ir: row";
+  let k =
+    make ~name:ir.Kir.name ~dim:ir.Kir.dim ~width:(Kir.width ir)
+      ~uses_j:(Kir.uses_j ir) ?row ~reads:(Kir.reads ir) ~boundary ~compute ()
+  in
+  { k with ckernel = Some ir }
 
 let skewed k t =
   if not (Intmat.is_unimodular t) then invalid_arg "Kernel.skewed: not unimodular";

@@ -37,10 +37,10 @@ type t = {
   row : row_body option;
       (** optional unrolled row body; requires [width = 1]. *)
   ckernel : Tiles_codegen.Ckernel.t option;
-      (** the same body and boundary data as C source. Required for the
-          [native] walker variant: the row emitter splices it into the
-          per-plan compiled kernel. Float constants and operation order
-          must match [compute] exactly so native results are bit-identical. *)
+      (** the body as IR, which the code generators print as C. Required
+          for the [native] walker variant: the row emitter splices the C
+          body into the per-plan compiled kernel. Set by {!of_ir}, so its
+          float operations are [compute]'s and results bit-identical. *)
   skew : Tiles_linalg.Intmat.t;
       (** cumulative skew applied via {!skewed} (identity when unskewed);
           the native emitter inverts it to recover original coordinates
@@ -56,14 +56,23 @@ val make :
   ?width:int ->
   ?uses_j:bool ->
   ?row:row_body ->
-  ?ckernel:Tiles_codegen.Ckernel.t ->
   reads:Tiles_util.Vec.t list ->
   boundary:(Tiles_util.Vec.t -> int -> float) ->
   compute:(read:(int -> int -> float) -> j:Tiles_util.Vec.t -> out:float array -> unit) ->
   unit ->
   t
-(** [ckernel], when given, must agree with the kernel on [width] and the
-    number of reads. *)
+(** A kernel without a C body; {!of_ir} builds one with it. *)
+
+val of_ir :
+  Tiles_kir.Kir.t ->
+  compute:(read:(int -> int -> float) -> j:Tiles_util.Vec.t -> out:float array -> unit) ->
+  ?row:row_body ->
+  boundary:(Tiles_util.Vec.t -> int -> float) ->
+  unit ->
+  t
+(** The kernel of an IR body, given its generated OCaml renditions
+    ({!Tiles_kir.Kir.ml_defs}); name, dim, width, [uses_j] and [reads]
+    are derived and the IR is the [ckernel]. *)
 
 val skewed : t -> Tiles_linalg.Intmat.t -> t
 (** [skewed k t] — the same computation over the skewed space [T·J^n]:

@@ -147,7 +147,7 @@ let source_and_path ~plan ~kernel () =
   | Some ck ->
     let src =
       Rowgen.generate ~plan ~kernel:ck ~skew:kernel.Kernel.skew
-        ~reads:kernel.Kernel.reads ~uses_j:kernel.Kernel.uses_j ()
+        ~reads:kernel.Kernel.reads ()
     in
     let so =
       Filename.concat (default_cache_dir ())

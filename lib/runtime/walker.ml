@@ -28,24 +28,24 @@ let variant_of_string = function
 let all_variants = [ Reference; Fastpath; Native ]
 
 let compiled_member space =
-  let cs =
-    Array.of_list
-      (List.map
-         (fun c -> (Array.init (Constr.dim c) (Constr.coeff c), Constr.const c))
-         (Polyhedron.constraints space))
+  let cs = Array.of_list (Polyhedron.constraints space) in
+  let coeffs =
+    Array.map (fun c -> Array.init (Constr.dim c) (Constr.coeff c)) cs
   in
+  let consts = Array.map Constr.const cs in
+  (* a plain early-exit loop: its refs stay in registers, so a call
+     allocates nothing *)
   fun (j : int array) ->
-    let ok = ref true in
-    Array.iter
-      (fun (coeffs, const) ->
-        if !ok then begin
-          let acc = ref const in
-          for k = 0 to Array.length coeffs - 1 do
-            acc := !acc + (coeffs.(k) * j.(k))
-          done;
-          if !acc < 0 then ok := false
-        end)
-      cs;
+    let ok = ref true and c = ref 0 in
+    while !ok && !c < Array.length consts do
+      let a = coeffs.(!c) in
+      let acc = ref consts.(!c) in
+      for k = 0 to Array.length a - 1 do
+        acc := !acc + (a.(k) * j.(k))
+      done;
+      ok := !acc >= 0;
+      incr c
+    done;
     !ok
 
 type t = {

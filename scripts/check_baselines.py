@@ -25,8 +25,10 @@ import subprocess
 import sys
 
 # Files that define LDS cell addressing or row execution — the walker,
-# the generated native row kernels (rowgen.ml, native_kernel.ml) and the
-# rank programs and executor entry points that drive them. A change to
+# the generated native row kernels (rowgen.ml, native_kernel.ml), the
+# rank programs and executor entry points that drive them, and the
+# kernel IR that the walkers' row bodies are printed from at build time
+# (the printer, the generator and the kernel definitions). A change to
 # any of these invalidates the committed perf artifacts.
 WATCHED = {
     "lib/runtime/walker.ml",
@@ -39,6 +41,9 @@ WATCHED = {
     "lib/codegen/rowgen.ml",
     "lib/core/lds.ml",
     "lib/util/fbuf.ml",
+    "lib/kir/kir.ml",
+    "lib/apps/kernels/gen_bodies.ml",
+    "lib/apps/kernels/defs.ml",
 }
 
 # The sequential oracle: a change moves BENCH_kernels.json's "seq" rows,

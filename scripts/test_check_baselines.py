@@ -7,7 +7,9 @@ with that base, asserting its exit code:
   - an oracle-only change without BENCH_kernels.json fails;
   - an oracle-only change with BENCH_kernels.json passes;
   - a walker change without perf baselines fails, even with
-    BENCH_kernels.json re-recorded.
+    BENCH_kernels.json re-recorded;
+  - a kernel-definition change (the source of the generated row
+    bodies) fails without both artifacts and passes with them.
 
 Usage: python3 scripts/test_check_baselines.py
 """
@@ -24,6 +26,7 @@ CHECK = os.path.join(
 FILES = [
     "lib/runtime/seq_exec.ml",
     "lib/runtime/walker.ml",
+    "lib/apps/kernels/defs.ml",
     "BENCH_kernels.json",
     "perf/baselines/sor-nonrect-sim.json",
 ]
@@ -73,6 +76,11 @@ CASES = [
      ["lib/runtime/seq_exec.ml", "BENCH_kernels.json"], 0),
     ("walker change without perf baselines",
      ["lib/runtime/walker.ml", "BENCH_kernels.json"], 1),
+    ("kernel definition change without artifacts",
+     ["lib/apps/kernels/defs.ml"], 1),
+    ("kernel definition change with both artifacts",
+     ["lib/apps/kernels/defs.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
 ]
 
 

@@ -15,6 +15,10 @@ module Jacobi = Tiles_apps.Jacobi
 module Adi = Tiles_apps.Adi
 module Experiment = Tiles_apps.Experiment
 module Vec = Tiles_util.Vec
+module Fbuf = Tiles_util.Fbuf
+module Intmat = Tiles_linalg.Intmat
+module Kir = Tiles_kir.Kir
+module Triband = Tiles_apps.Triband
 
 let net = Netmodel.fast_ethernet_cluster
 
@@ -129,7 +133,6 @@ let test_triband_space_shape () =
     (Polyhedron.count_points nest.Nest.space)
 
 let test_triband_equivalence () =
-  let module Triband = Tiles_apps.Triband in
   let p = Triband.make ~size:20 in
   let nest = Triband.nest p and kernel = Triband.kernel p in
   List.iter
@@ -142,7 +145,6 @@ let test_triband_equivalence () =
 let test_triband_boundary_tiles_partial () =
   (* tiles crossing the diagonal must report fewer points than the tile
      size, and the fast counter must agree with enumeration *)
-  let module Triband = Tiles_apps.Triband in
   let module Tile_space = Tiles_core.Tile_space in
   let p = Triband.make ~size:17 in
   let nest = Triband.nest p in
@@ -264,9 +266,78 @@ let test_schedule_gap_formula () =
     true
     (abs (gap - predicted) <= 1)
 
+(* ---------- kernels derived from the IR ---------- *)
+
+(* the values each kernel was hand-written with before it became IR:
+   original-space reads in body order, width, nreads, uses_j, row body *)
+let test_derived_facts () =
+  let check name ir (k : Kernel.t) ~skew ~reads ~width ~uses_j ~row =
+    let vecs = Alcotest.(list (array int)) in
+    Alcotest.check vecs (name ^ " IR reads") reads (Kir.reads ir);
+    Alcotest.check vecs (name ^ " kernel reads")
+      (List.map (Intmat.apply skew) reads)
+      k.Kernel.reads;
+    Alcotest.(check int) (name ^ " width") width k.Kernel.width;
+    Alcotest.(check int) (name ^ " nreads") (List.length reads) (Kir.nreads ir);
+    Alcotest.(check bool) (name ^ " uses_j") uses_j k.Kernel.uses_j;
+    Alcotest.(check bool) (name ^ " row") row (Option.is_some k.Kernel.row);
+    Alcotest.(check bool) (name ^ " has_row") row (Kir.has_row ir)
+  in
+  let id n = Intmat.identity n in
+  check "sor" Sor.ckernel (Sor.kernel (Sor.make ~m_steps:2 ~size:2))
+    ~skew:Sor.skew_matrix
+    ~reads:
+      [ [| 0; 1; 0 |]; [| 0; 0; 1 |]; [| 1; -1; 0 |]; [| 1; 0; -1 |]; [| 1; 0; 0 |] ]
+    ~width:1 ~uses_j:false ~row:true;
+  check "jacobi" Jacobi.ckernel (Jacobi.kernel (Jacobi.make ~t_steps:2 ~size:2))
+    ~skew:Jacobi.skew_matrix
+    ~reads:
+      [ [| 1; 0; 0 |]; [| 1; 1; 0 |]; [| 1; -1; 0 |]; [| 1; 0; 1 |]; [| 1; 0; -1 |] ]
+    ~width:1 ~uses_j:false ~row:true;
+  check "adi" Adi.ckernel (Adi.kernel (Adi.make ~t_steps:2 ~size:2)) ~skew:(id 3)
+    ~reads:[ [| 1; 0; 0 |]; [| 1; 0; 1 |]; [| 1; 1; 0 |] ]
+    ~width:2 ~uses_j:true ~row:false;
+  check "triband" Triband.ckernel (Triband.kernel (Triband.make ~size:2))
+    ~skew:(id 2)
+    ~reads:[ [| 1; 0 |]; [| 1; 1 |]; [| 0; 1 |] ]
+    ~width:1 ~uses_j:true ~row:false
+
+(* law: the generated row body and the generated compute, run in place
+   over the same random interior data, write the same bits *)
+let row_matches_compute (name, (k : Kernel.t)) =
+  let nreads = List.length k.Kernel.reads in
+  QCheck.Test.make ~count:300 ~name:(name ^ ": row = compute")
+    QCheck.(
+      triple
+        (array_of_size (Gen.return nreads) (int_range (-16) (-1)))
+        (int_range 1 24) int)
+    (fun (taps, len, seed) ->
+      let rs = Random.State.make [| seed |] in
+      let init = Array.init (16 + len) (fun _ -> Random.State.float rs 4. -. 2.) in
+      let by_row = Fbuf.of_array init and by_compute = Fbuf.of_array init in
+      (Option.get k.Kernel.row) ~la:by_row ~dst:16 ~taps ~len;
+      let out = [| 0. |] in
+      for i = 16 to 16 + len - 1 do
+        k.Kernel.compute
+          ~read:(fun r _ -> by_compute.{i + taps.(r)})
+          ~j:[||] ~out;
+        by_compute.{i} <- out.(0)
+      done;
+      Array.for_all2
+        (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
+        (Fbuf.to_array by_row) (Fbuf.to_array by_compute))
+
 let () =
   Alcotest.run "tiles_apps"
     [
+      ( "kernels",
+        Alcotest.test_case "derived facts" `Quick test_derived_facts
+        :: List.map
+             (fun app -> QCheck_alcotest.to_alcotest (row_matches_compute app))
+             [
+               ("sor", Sor.kernel (Sor.make ~m_steps:2 ~size:2));
+               ("jacobi", Jacobi.kernel (Jacobi.make ~t_steps:2 ~size:2));
+             ] );
       ( "structure",
         [
           Alcotest.test_case "sor skewed deps" `Quick test_sor_skewed_deps;

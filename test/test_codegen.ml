@@ -3,8 +3,7 @@ module Nest = Tiles_loop.Nest
 module Tiling = Tiles_core.Tiling
 module Plan = Tiles_core.Plan
 module C_ast = Tiles_codegen.C_ast
-module Ckernel = Tiles_codegen.Ckernel
-module Seqgen = Tiles_codegen.Seqgen
+module Pseqgen = Tiles_codegen.Pseqgen
 module Mpigen = Tiles_codegen.Mpigen
 module Kernel = Tiles_runtime.Kernel
 module Grid = Tiles_runtime.Grid
@@ -12,6 +11,7 @@ module Seq_exec = Tiles_runtime.Seq_exec
 module Sor = Tiles_apps.Sor
 module Jacobi = Tiles_apps.Jacobi
 module Adi = Tiles_apps.Adi
+module Triband = Tiles_apps.Triband
 
 (* ---------- C AST ---------- *)
 
@@ -108,51 +108,67 @@ let parse_output out =
   List.iter
     (fun line ->
       (try Scanf.sscanf line "points %d" (fun p -> points := p) with _ -> ());
-      try Scanf.sscanf line "checksum %e" (fun c -> checksum := c) with _ -> ())
+      (* %a (sequential, exact) or %e (MPI) *)
+      try Scanf.sscanf line "checksum %s" (fun c -> checksum := float_of_string c)
+      with _ -> ())
     (String.split_on_char '\n' out);
   (!points, !checksum)
 
 let rel_close a b =
   Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
 
+(* the C generators' arguments, all carried by the resolved kernel *)
+let c_kernel (k : Kernel.t) = Option.get k.Kernel.ckernel
+
+(* the sequential program sums like Grid.checksum and prints %a *)
+let check_exact name checksum oracle =
+  if Int64.bits_of_float checksum <> Int64.bits_of_float oracle then
+    Alcotest.failf "%s checksum %h vs oracle %h" name checksum oracle
+
 (* ---------- generated sequential code vs OCaml oracle ---------- *)
 
-let check_seq ~name ~nest ~kernel ~ckernel ~reads ~skew ~tiling =
-  let plan = Plan.make nest tiling in
-  let src = Seqgen.generate ~plan ~kernel:ckernel ~reads ?skew () in
+let check_seq ~name ~nest ~kernel ~tiling =
+  let space = nest.Nest.space in
+  let src =
+    Pseqgen.generate ~pspace:(Tiles_poly.Pspace.of_polyhedron space) ~tiling
+      ~kernel:(c_kernel kernel) ~reads:kernel.Kernel.reads
+      ~skew:kernel.Kernel.skew ()
+  in
   test_balanced_braces src;
   let out = compile_and_run ~mpi:false name src in
   let points, checksum = parse_output out in
-  let space = nest.Nest.space in
   Alcotest.(check int) (name ^ " points") (Polyhedron.count_points space) points;
-  let oracle = Grid.checksum (Seq_exec.run ~space ~kernel ()) space in
-  if not (rel_close checksum oracle) then
-    Alcotest.failf "%s checksum %.12e vs oracle %.12e" name checksum oracle
+  check_exact name checksum
+    (Grid.checksum (Seq_exec.run ~space ~kernel ()) space)
 
 let test_seqgen_sor () =
   let p = Sor.make ~m_steps:5 ~size:7 in
   check_seq ~name:"seq_sor" ~nest:(Sor.nest p) ~kernel:(Sor.kernel p)
-    ~ckernel:Sor.ckernel ~reads:Sor.skewed_reads ~skew:(Some Sor.skew_matrix)
     ~tiling:(Sor.nonrect ~x:3 ~y:4 ~z:3)
 
 let test_seqgen_jacobi () =
   let p = Jacobi.make ~t_steps:4 ~size:6 in
   check_seq ~name:"seq_jacobi" ~nest:(Jacobi.nest p) ~kernel:(Jacobi.kernel p)
-    ~ckernel:Jacobi.ckernel ~reads:Jacobi.skewed_reads
-    ~skew:(Some Jacobi.skew_matrix)
     ~tiling:(Jacobi.nonrect ~x:2 ~y:4 ~z:4)
 
 let test_seqgen_adi () =
   let p = Adi.make ~t_steps:4 ~size:6 in
   check_seq ~name:"seq_adi" ~nest:(Adi.nest p) ~kernel:(Adi.kernel p)
-    ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~tiling:(Adi.nr3 ~x:2 ~y:3 ~z:3)
+
+let test_seqgen_triband () =
+  let p = Triband.make ~size:11 in
+  check_seq ~name:"seq_triband" ~nest:(Triband.nest p)
+    ~kernel:(Triband.kernel p) ~tiling:(Triband.oblique ~x:3 ~y:4)
 
 (* ---------- generated MPI code vs OCaml oracle ---------- *)
 
-let check_mpi ?m ~name ~nest ~kernel ~ckernel ~reads ~skew ~tiling () =
+let check_mpi ?m ~name ~nest ~kernel ~tiling () =
   let plan = Plan.make ?m nest tiling in
-  let src = Mpigen.generate ~plan ~kernel:ckernel ~reads ?skew () in
+  let src =
+    Mpigen.generate ~plan ~kernel:(c_kernel kernel) ~reads:kernel.Kernel.reads
+      ~skew:kernel.Kernel.skew ()
+  in
   test_balanced_braces src;
   Alcotest.(check bool) "has MPI_Send" true
     (Astring.String.is_infix ~affix:"MPI_Send" src);
@@ -168,26 +184,21 @@ let check_mpi ?m ~name ~nest ~kernel ~ckernel ~reads ~skew ~tiling () =
 let test_mpigen_sor () =
   let p = Sor.make ~m_steps:6 ~size:8 in
   check_mpi ~m:2 ~name:"mpi_sor" ~nest:(Sor.nest p) ~kernel:(Sor.kernel p)
-    ~ckernel:Sor.ckernel ~reads:Sor.skewed_reads ~skew:(Some Sor.skew_matrix)
     ~tiling:(Sor.nonrect ~x:3 ~y:4 ~z:4) ()
 
 let test_mpigen_sor_rect () =
   let p = Sor.make ~m_steps:6 ~size:8 in
   check_mpi ~m:2 ~name:"mpi_sor_rect" ~nest:(Sor.nest p) ~kernel:(Sor.kernel p)
-    ~ckernel:Sor.ckernel ~reads:Sor.skewed_reads ~skew:(Some Sor.skew_matrix)
     ~tiling:(Sor.rect ~x:3 ~y:4 ~z:4) ()
 
 let test_mpigen_jacobi () =
   let p = Jacobi.make ~t_steps:4 ~size:7 in
   check_mpi ~m:0 ~name:"mpi_jacobi" ~nest:(Jacobi.nest p)
-    ~kernel:(Jacobi.kernel p) ~ckernel:Jacobi.ckernel
-    ~reads:Jacobi.skewed_reads ~skew:(Some Jacobi.skew_matrix)
-    ~tiling:(Jacobi.nonrect ~x:2 ~y:4 ~z:4) ()
+    ~kernel:(Jacobi.kernel p) ~tiling:(Jacobi.nonrect ~x:2 ~y:4 ~z:4) ()
 
 let test_mpigen_adi () =
   let p = Adi.make ~t_steps:5 ~size:8 in
   check_mpi ~m:0 ~name:"mpi_adi" ~nest:(Adi.nest p) ~kernel:(Adi.kernel p)
-    ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~tiling:(Adi.nr3 ~x:3 ~y:4 ~z:4) ()
 
 (* ---------- Bounds ---------- *)
@@ -229,25 +240,25 @@ let test_bounds_exprs () =
 
 let test_seqgen_rejects_read_mismatch () =
   let p = Adi.make ~t_steps:3 ~size:4 in
-  let plan = Plan.make ~m:0 (Adi.nest p) (Adi.rect ~x:2 ~y:2 ~z:2) in
   Alcotest.(check bool) "raises" true
     (try
        ignore
-         (Seqgen.generate ~plan ~kernel:Adi.ckernel ~reads:[ [| 1; 0; 0 |] ] ());
+         (Pseqgen.generate
+            ~pspace:(Tiles_poly.Pspace.of_polyhedron (Adi.nest p).Nest.space)
+            ~tiling:(Adi.rect ~x:2 ~y:2 ~z:2) ~kernel:Adi.ckernel
+            ~reads:[ [| 1; 0; 0 |] ] ());
        false
      with Invalid_argument _ -> true)
 
 let test_mpigen_adi_rect () =
   let p = Adi.make ~t_steps:5 ~size:8 in
   check_mpi ~m:0 ~name:"mpi_adi_rect" ~nest:(Adi.nest p) ~kernel:(Adi.kernel p)
-    ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~tiling:(Adi.rect ~x:3 ~y:4 ~z:4) ()
 
 let test_mpigen_single_process () =
   (* a plan whose grid collapses to one pid still generates and runs *)
   let p = Adi.make ~t_steps:6 ~size:4 in
   check_mpi ~m:0 ~name:"mpi_adi_1p" ~nest:(Adi.nest p) ~kernel:(Adi.kernel p)
-    ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~tiling:(Adi.rect ~x:2 ~y:4 ~z:4) ()
 
 (* ---------- parametric sequential generation ---------- *)
@@ -273,11 +284,10 @@ let run_parametric exe args =
   if status <> Unix.WEXITED 0 then Alcotest.failf "run failed:\n%s" out;
   parse_output out
 
-let check_parametric ~name ~pspace ~tiling ~kernel_ml ~ckernel ~reads ~skew
-    ~mk_nest sizes =
+let check_parametric ~name ~pspace ~tiling ~kernel_ml ~mk_nest sizes =
   let src =
-    Tiles_codegen.Pseqgen.generate ~pspace ~tiling ~kernel:ckernel ~reads
-      ?skew ()
+    Pseqgen.generate ~pspace ~tiling ~kernel:(c_kernel kernel_ml)
+      ~reads:kernel_ml.Kernel.reads ~skew:kernel_ml.Kernel.skew ()
   in
   test_balanced_braces src;
   (* one binary, several problem sizes *)
@@ -290,21 +300,18 @@ let check_parametric ~name ~pspace ~tiling ~kernel_ml ~ckernel ~reads ~skew
         (Printf.sprintf "%s points (%d,%d)" name a b)
         (Polyhedron.count_points nest.Nest.space)
         points;
-      let oracle =
-        Grid.checksum
-          (Seq_exec.run ~space:nest.Nest.space ~kernel:kernel_ml ())
-          nest.Nest.space
-      in
-      if not (rel_close checksum oracle) then
-        Alcotest.failf "%s (%d,%d): checksum %.12e vs oracle %.12e" name a b
-          checksum oracle)
+      check_exact
+        (Printf.sprintf "%s (%d,%d)" name a b)
+        checksum
+        (Grid.checksum
+           (Seq_exec.run ~space:nest.Nest.space ~kernel:kernel_ml ())
+           nest.Nest.space))
     sizes
 
 let test_pseqgen_sor () =
   check_parametric ~name:"pseq_sor" ~pspace:(Sor.pspace ())
     ~tiling:(Sor.nonrect ~x:3 ~y:4 ~z:3)
     ~kernel_ml:(Sor.kernel (Sor.make ~m_steps:2 ~size:2))
-    ~ckernel:Sor.ckernel ~reads:Sor.skewed_reads ~skew:(Some Sor.skew_matrix)
     ~mk_nest:(fun m n -> Sor.nest (Sor.make ~m_steps:m ~size:n))
     [ (5, 7); (6, 9); (8, 8) ]
 
@@ -312,7 +319,6 @@ let test_pseqgen_adi () =
   check_parametric ~name:"pseq_adi" ~pspace:(Adi.pspace ())
     ~tiling:(Adi.nr3 ~x:2 ~y:3 ~z:3)
     ~kernel_ml:(Adi.kernel (Adi.make ~t_steps:2 ~size:2))
-    ~ckernel:Adi.ckernel ~reads:Adi.creads ~skew:None
     ~mk_nest:(fun t n -> Adi.nest (Adi.make ~t_steps:t ~size:n))
     [ (4, 6); (5, 9); (7, 7) ]
 
@@ -321,19 +327,14 @@ let test_pseqgen_jacobi () =
   check_parametric ~name:"pseq_jacobi" ~pspace:(Jacobi.pspace ())
     ~tiling:(Jacobi.nonrect ~x:2 ~y:4 ~z:4)
     ~kernel_ml:(Jacobi.kernel (Jacobi.make ~t_steps:2 ~size:2))
-    ~ckernel:Jacobi.ckernel ~reads:Jacobi.skewed_reads
-    ~skew:(Some Jacobi.skew_matrix)
     ~mk_nest:(fun t n -> Jacobi.nest (Jacobi.make ~t_steps:t ~size:n))
     [ (4, 7); (6, 10) ]
 
 let test_mpigen_triband () =
   (* a triangular iteration space through the generated-code path *)
-  let module Triband = Tiles_apps.Triband in
   let p = Triband.make ~size:18 in
   check_mpi ~m:0 ~name:"mpi_triband" ~nest:(Triband.nest p)
-    ~kernel:(Triband.kernel p) ~ckernel:Triband.ckernel ~reads:Triband.creads
-    ~skew:None
-    ~tiling:(Triband.oblique ~x:4 ~y:5) ()
+    ~kernel:(Triband.kernel p) ~tiling:(Triband.oblique ~x:4 ~y:5) ()
 
 let test_mpigen_structure () =
   let p = Adi.make ~t_steps:4 ~size:6 in
@@ -364,6 +365,7 @@ let () =
           Alcotest.test_case "sor" `Quick test_seqgen_sor;
           Alcotest.test_case "jacobi" `Quick test_seqgen_jacobi;
           Alcotest.test_case "adi" `Quick test_seqgen_adi;
+          Alcotest.test_case "triband" `Quick test_seqgen_triband;
           Alcotest.test_case "read mismatch" `Quick test_seqgen_rejects_read_mismatch;
           Alcotest.test_case "parametric sor" `Quick test_pseqgen_sor;
           Alcotest.test_case "parametric adi" `Quick test_pseqgen_adi;

@@ -531,11 +531,32 @@ let prop_walkers_bit_identical =
             && m = mr && b = br && p = pr)
           [ Walker.Fastpath; Walker.Native ])
 
+(* the oracle tests membership on every guarded point: a call must not
+   allocate, so minor words may not grow with the number of calls *)
+let test_member_no_alloc () =
+  let member = Walker.compiled_member (Polyhedron.box [ (0, 9); (0, 9); (0, 9) ]) in
+  (* inside, and outside on the first constraint (early exit) *)
+  let points = [| [| 3; 4; 5 |]; [| -1; 4; 5 |] |] in
+  let words n =
+    let before = Gc.minor_words () in
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (member points.(i land 1)))
+    done;
+    Gc.minor_words () -. before
+  in
+  ignore (words 10);
+  let w1 = words 1_000 and w10 = words 10_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f (1k calls) vs %.0f (10k calls)" w1 w10)
+    true
+    (w10 -. w1 < 64.)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "tiles_walker"
     [
       ("variant", [ Alcotest.test_case "strings" `Quick test_variant_strings ]);
+      ("member", [ Alcotest.test_case "no allocation" `Quick test_member_no_alloc ]);
       ( "equivalence",
         [
           Alcotest.test_case "sequential walkers identical" `Quick
