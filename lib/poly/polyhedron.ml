@@ -73,21 +73,36 @@ let projection p =
     p.proj <- Some pr;
     pr
 
-let iter_points p f =
+let iter_rows p f =
   let pr = projection p in
-  let x = Array.make p.dim 0 in
+  let n = p.dim in
+  let x = Array.make n 0 in
   let rec go k =
-    if k = p.dim then f x
-    else
-      match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
-      | None -> ()
-      | Some (lo, hi) ->
+    match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
+    | None -> ()
+    | Some (lo, hi) ->
+      if k = n - 1 then begin
+        if lo <= hi then begin
+          x.(k) <- lo;
+          f x (hi - lo + 1)
+        end
+      end
+      else
         for v = lo to hi do
           x.(k) <- v;
           go (k + 1)
         done
   in
   go 0
+
+let iter_points p f =
+  let last = p.dim - 1 in
+  iter_rows p (fun x len ->
+      let lo = x.(last) in
+      for v = lo to lo + len - 1 do
+        x.(last) <- v;
+        f x
+      done)
 
 let fold_points p ~init ~f =
   let acc = ref init in

@@ -31,6 +31,13 @@ val iter_points : t -> (Tiles_util.Vec.t -> unit) -> unit
     receives a buffer that is reused between calls; copy it if you keep
     it. *)
 
+val iter_rows : t -> (Tiles_util.Vec.t -> int -> unit) -> unit
+(** [iter_rows p f] calls [f j len] once per maximal run of points that
+    differ only in the last coordinate, in the order of {!iter_points}:
+    the run is [j, j + e, …, j + (len-1)·e] with [e] the last unit vector
+    and [len >= 1]. [j] is a reused buffer; [f] may overwrite its last
+    coordinate. *)
+
 val fold_points : t -> init:'a -> f:('a -> Tiles_util.Vec.t -> 'a) -> 'a
 val count_points : t -> int
 val points : t -> Tiles_util.Vec.t list

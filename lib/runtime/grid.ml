@@ -1,5 +1,6 @@
 module Polyhedron = Tiles_poly.Polyhedron
 module Fbuf = Tiles_util.Fbuf
+module A1 = Bigarray.Array1
 
 type t = {
   width : int;
@@ -9,12 +10,23 @@ type t = {
   data : Fbuf.t;
 }
 
-let create space ~width =
+let create ?(reads = []) space ~width =
   if width <= 0 then invalid_arg "Grid.create: width";
   let bbox = Polyhedron.bounding_box space in
   let n = Array.length bbox in
-  let lo = Array.map fst bbox in
-  let dims = Array.map (fun (l, h) -> h - l + 1) bbox in
+  (* widen the box to the reach of the reads: [j - d] lies inside it for
+     every space point [j] and read [d] *)
+  let lo =
+    Array.mapi
+      (fun k (l, _) -> List.fold_left (fun acc d -> min acc (l - d.(k))) l reads)
+      bbox
+  in
+  let dims =
+    Array.mapi
+      (fun k (_, h) ->
+        List.fold_left (fun acc d -> max acc (h - d.(k))) h reads - lo.(k) + 1)
+      bbox
+  in
   let strides = Array.make n width in
   for k = n - 2 downto 0 do
     strides.(k) <- strides.(k + 1) * dims.(k + 1)
@@ -64,12 +76,25 @@ let load_boxed t a =
          (Array.length a) (Fbuf.length t.data));
   Array.iteri (fun i v -> Fbuf.set t.data i v) a
 
+(* slot of field 0 at the row start [j] of a [len]-point row; both row
+   ends are bounds-checked, and the row's [len·width] slots are then
+   contiguous *)
+let row_index t j len =
+  let i = index t j 0 in
+  let last = Array.length t.lo - 1 in
+  if j.(last) + len - 1 - t.lo.(last) >= t.dims.(last) then
+    invalid_arg "Grid: out of bounding box";
+  i
+
 let max_abs_diff a b space =
   if a.width <> b.width then invalid_arg "Grid.max_abs_diff: widths differ";
   let worst = ref 0. in
-  Polyhedron.iter_points space (fun j ->
-      for f = 0 to a.width - 1 do
-        let x = get a j f and y = get b j f in
+  Polyhedron.iter_rows space (fun j len ->
+      (* the two boxes may differ, so each grid indexes the row itself *)
+      let ia = row_index a j len and ib = row_index b j len in
+      for s = 0 to (len * a.width) - 1 do
+        let x = A1.unsafe_get a.data (ia + s)
+        and y = A1.unsafe_get b.data (ib + s) in
         let d =
           if Float.is_nan x || Float.is_nan y then infinity
           else Float.abs (x -. y)
@@ -85,9 +110,10 @@ let max_abs_diff a b space =
    same multiset of values. *)
 let checksum t space =
   let sum = ref 0. and comp = ref 0. in
-  Polyhedron.iter_points space (fun j ->
-      for f = 0 to t.width - 1 do
-        let x = get t j f in
+  Polyhedron.iter_rows space (fun j len ->
+      let i0 = row_index t j len in
+      for i = i0 to i0 + (len * t.width) - 1 do
+        let x = A1.unsafe_get t.data i in
         let s = !sum +. x in
         if Float.abs !sum >= Float.abs x then
           comp := !comp +. ((!sum -. s) +. x)

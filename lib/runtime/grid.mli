@@ -9,7 +9,14 @@
 
 type t
 
-val create : Tiles_poly.Polyhedron.t -> width:int -> t
+val create :
+  ?reads:Tiles_util.Vec.t list -> Tiles_poly.Polyhedron.t -> width:int -> t
+(** [create ?reads space ~width] — a NaN-filled grid over the bounding box
+    of [space], widened so that [j − d] lies inside it for every point [j]
+    of [space] and every read offset [d] of [reads] (default none): a
+    kernel's out-of-space taps then have cells too, which the sequential
+    oracle fills with boundary values. *)
+
 val width : t -> int
 val get : t -> Tiles_util.Vec.t -> int -> float
 val set : t -> Tiles_util.Vec.t -> int -> float -> unit
@@ -51,7 +58,9 @@ val load_boxed : t -> float array -> unit
 
 val max_abs_diff : t -> t -> Tiles_poly.Polyhedron.t -> float
 (** Maximum absolute difference over the points of the given space (all
-    fields). NaN in either operand at a space point yields [infinity]. *)
+    fields). NaN in either operand at a space point yields [infinity].
+    The grids may have different boxes (each must contain the space);
+    the space is walked row by row, one bounds check per row end. *)
 
 val checksum : t -> Tiles_poly.Polyhedron.t -> float
 (** Sum of all field values over the space, using Neumaier compensated

@@ -48,19 +48,33 @@ let of_ir ir ~compute ?row ~boundary () =
 let skewed k t =
   if not (Intmat.is_unimodular t) then invalid_arg "Kernel.skewed: not unimodular";
   let tinv = Ratmat.to_intmat_exn (Ratmat.inverse (Ratmat.of_intmat t)) in
+  (* T⁻¹·j by a direct loop over T⁻¹'s rows, into a fresh array per call:
+     ranks on separate domains share the kernel, so no scratch *)
+  let unskew j =
+    let n = Array.length tinv in
+    let r = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let row = tinv.(i) in
+      let acc = ref 0 in
+      for c = 0 to n - 1 do
+        acc := !acc + (row.(c) * j.(c))
+      done;
+      r.(i) <- !acc
+    done;
+    r
+  in
   {
     k with
     name = k.name ^ "-skewed";
     reads = List.map (Intmat.apply t) k.reads;
-    boundary = (fun j field -> k.boundary (Intmat.apply tinv j) field);
+    boundary = (fun j field -> k.boundary (unskew j) field);
     skew = Intmat.mul t k.skew;
     (* compute receives the skewed j; kernels that need original
        coordinates (e.g. ADI's coefficient array A[i,j]) must be built via
        [skewed] from a kernel that uses original coordinates — so unskew
        here too. Kernels that declare [uses_j = false] never look at j, so
-       the per-point unskew (an Intmat.apply allocation) is skipped. *)
+       the per-point unskew (an allocation) is skipped. *)
     compute =
-      (if k.uses_j then fun ~read ~j ~out ->
-         k.compute ~read ~j:(Intmat.apply tinv j) ~out
+      (if k.uses_j then fun ~read ~j ~out -> k.compute ~read ~j:(unskew j) ~out
        else k.compute);
   }

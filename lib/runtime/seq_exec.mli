@@ -5,18 +5,21 @@
 
     The walkers mirror {!Walker.variant}: [Reference] is the original
     per-point loop ([Polyhedron.iter_points] + bounds-checked [Grid]
-    accesses), the fast variants enumerate contiguous rows through the
-    Fourier–Motzkin projection chain and read taps through precomputed
-    flat-index deltas. Each row splits into a boundary prefix, an
-    interior run and a boundary suffix: the interior run holds the
-    points all of whose taps land in the space (an interval, found with
-    one integer division per space constraint) and runs the kernel's
-    row body, or its unguarded [compute] loop; the prefix and suffix
-    test each tap for membership and read [boundary] values outside.
+    accesses, a membership test per tap), the fast variants enumerate
+    contiguous rows through the Fourier–Motzkin projection chain and
+    read taps through precomputed flat-index deltas. Their grid's box
+    covers the reach of the kernel's reads, and before a row runs, the
+    cells of its out-of-space taps receive their boundary values if
+    still unset, so [boundary] is called once per distinct out-of-space
+    cell and field; each tap's in-space steps form one interval (one
+    integer division per space constraint). Every row then runs the
+    kernel's row body, or its [compute] loop, from start to end.
     [Native] runs the same OCaml row bodies as [Fastpath], never the
     compiled [.so], so a native parallel run is still checked against an
     independent implementation. All variants visit the space in the same
-    lexicographic order, so results are bit-for-bit identical. *)
+    lexicographic order, so results are bit-for-bit identical on the
+    space (the fast variants' grid also holds the boundary values
+    outside it). *)
 
 val run :
   ?variant:Walker.variant ->
@@ -26,6 +29,7 @@ val run :
   unit ->
   Grid.t
 (** [variant] defaults to {!Walker.Fastpath}; [check] (default false)
-    makes the fast variants validate reads against NaN poisoning (and
-    disables the unrolled row bodies, so interior runs take the
-    [compute] loop and every read is inspected). *)
+    makes the fast variants validate reads against NaN poisoning and
+    confirm that every boundary-filled source lies outside the space
+    (and disables the unrolled row bodies, so rows take the [compute]
+    loop and every read is inspected). *)

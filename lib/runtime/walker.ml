@@ -79,10 +79,11 @@ type t = {
      plan's {!Tile_space.counter}, like [boxmin]) *)
   pull_w : int array array;
   pull_bden : int array;
-  (* per-constraint interiority data (see [tile_interior] and
-     [row_interior_span]): the largest tap shift den·(a_i·d_r) over all
-     read offsets d_r, the minimum of pull_w_i·j' over the local box
-     [0, v-1], and the change of pull_w_i·j' per innermost lattice step *)
+  (* per-constraint interiority data (see [tile_active] and [row_span]):
+     the tap shifts den·(a_i·d_r), per tap r, and their maximum over all
+     taps, the minimum of pull_w_i·j' over the local box [0, v-1], and
+     the change of pull_w_i·j' per innermost lattice step *)
+  tapshift : int array array;  (* tapshift.(r).(i) *)
   maxshift : int array;
   boxmin : int array;
   cslope : int array;
@@ -102,6 +103,7 @@ type t = {
   src : int array;  (* tap source point *)
   rres : int array;  (* per-dim residue table index for the current row *)
   act : int array;  (* indices of the tile's active constraints *)
+  wdot : int array;  (* per active constraint: its value at the row start *)
   doffs : int array;  (* per-tap LDS cell deltas for the current row *)
   out : float array;
 }
@@ -154,21 +156,14 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   in
   let pull_w = counter.Tile_space.pull_w in
   (* constraint i holds at tap r of the point with local coordinate j'
-     iff pull_w_i·(vs + j') + pull_bden_i - den·(a_i·d_r) >= 0; only the
-     largest shift den·(a_i·d_r) ever binds, so one number per
-     constraint covers every tap *)
+     iff pull_w_i·(vs + j') + pull_bden_i - den·(a_i·d_r) >= 0; for all
+     taps at once only the largest shift binds *)
+  let tapshift =
+    Array.map (fun d -> Array.map (fun a -> den * Vec.dot a d) amat) reads
+  in
   let maxshift =
-    Array.map
-      (fun a ->
-        List.fold_left
-          (fun acc d ->
-            let dot = ref 0 in
-            for k = 0 to n - 1 do
-              dot := !dot + (a.(k) * d.(k))
-            done;
-            max acc (den * !dot))
-          min_int kernel.Kernel.reads)
-      amat
+    Array.init (Array.length amat) (fun i ->
+        Array.fold_left (fun acc sh -> max acc sh.(i)) min_int tapshift)
   in
   let cslope =
     Array.map (fun w -> w.(n - 1) * tiling.Tiling.c.(n - 1)) pull_w
@@ -207,6 +202,7 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     coff;
     pull_w;
     pull_bden = counter.Tile_space.pull_bden;
+    tapshift;
     maxshift;
     boxmin = counter.Tile_space.boxmin;
     cslope;
@@ -222,6 +218,7 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     src = Array.make n 0;
     rres = Array.make n 0;
     act = Array.make (Array.length pull_w) 0;
+    wdot = Array.make (Array.length pull_w) 0;
     doffs = Array.make (Array.length reads) 0;
     out = Array.make width 0.;
   }
@@ -363,9 +360,9 @@ let reference_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
    [tile]'s bounding box? Exact integer minimisation over the local box
    [0, v-1]: the returned count is 0 exactly when every tap of every
    box point stays inside the space (the tile is interior), and
-   [row_interior_span] only needs to test the survivors — usually the
-   one or two faces a boundary tile actually touches. Requires [t.vs]
-   to be set for the tile. *)
+   [row_span] only needs to test the survivors — usually the one or two
+   faces a boundary tile actually touches. Requires [t.vs] to be set for
+   the tile. *)
 let tile_active t =
   let nc = Array.length t.pull_w in
   let na = ref 0 in
@@ -382,28 +379,35 @@ let tile_active t =
   done;
   !na
 
-(* Interior sub-segment [s0, s1] (inclusive step indices, empty when
-   s0 > s1) of the [len]-point row starting at TTIS point [j']: the s
-   for which every tap of the s-th row point stays inside the space.
-   Each pulled constraint is linear in s with slope [cslope], so the
-   range falls out of one integer division per active constraint — no
-   per-point membership tests, and the interior majority of a boundary
-   row can still take the unrolled row body. *)
-let row_interior_span t (j' : int array) len ~na =
-  let n = t.n in
+(* The active constraints' values at the row starting at TTIS point [j']. *)
+let set_row_wdot t (j' : int array) ~na =
+  for i = 0 to na - 1 do
+    let ci = t.act.(i) in
+    let w = t.pull_w.(ci) in
+    let acc = ref t.pull_bden.(ci) in
+    for k = 0 to t.n - 1 do
+      acc := !acc + (w.(k) * (t.vs.(k) + j'.(k)))
+    done;
+    t.wdot.(i) <- !acc
+  done
+
+(* Steps [s0, s1] (inclusive, empty when s0 > s1) of the [len]-point row
+   of [set_row_wdot] at which every active constraint, shifted by
+   [shift], holds: with [t.maxshift] the steps whose every tap stays in
+   the space, with [t.tapshift.(r)] those whose tap r does. Each pulled
+   constraint is linear in s with slope [cslope], so the range falls out
+   of one integer division per active constraint — no per-point
+   membership tests. *)
+let row_span t len ~na (shift : int array) =
   let s0 = ref 0 and s1 = ref (len - 1) in
   let i = ref 0 in
   while !s0 <= !s1 && !i < na do
     let ci = t.act.(!i) in
-    let w = t.pull_w.(ci) in
-    let base = ref (t.pull_bden.(ci) - t.maxshift.(ci)) in
-    for k = 0 to n - 1 do
-      base := !base + (w.(k) * (t.vs.(k) + j'.(k)))
-    done;
+    let base = t.wdot.(!i) - shift.(ci) in
     let slope = t.cslope.(ci) in
-    if slope > 0 then s0 := max !s0 (Ints.cdiv (- !base) slope)
-    else if slope < 0 then s1 := min !s1 (Ints.fdiv !base (- slope))
-    else if !base < 0 then s0 := len;
+    if slope > 0 then s0 := max !s0 (Ints.cdiv (- base) slope)
+    else if slope < 0 then s1 := min !s1 (Ints.fdiv base (- slope))
+    else if base < 0 then s0 := len;
     incr i
   done;
   (!s0, !s1)
@@ -415,6 +419,52 @@ let nan_error t j i =
         read %d"
        t.rank (Vec.to_string j) i)
 
+(* Boundary values for tap [r] at steps [a, b] of the row at LDS cell
+   [base], into the tap cells still NaN. An LDS cell stands for one
+   global point for the whole rank run, and unpack and compute write
+   only cells of points inside the space, so a filled cell keeps its
+   boundary value. *)
+let fill_tap t ~(la : Fbuf.t) ~base r a b =
+  let n = t.n and width = t.width in
+  let d = t.reads.(r) in
+  for s = a to b do
+    let slot = (base + s + t.doffs.(r)) * width in
+    for f = 0 to width - 1 do
+      if Float.is_nan la.{slot + f} then begin
+        for k = 0 to n - 1 do
+          t.jcur.(k) <- t.jrow.(k) + (s * t.jstep.(k));
+          t.src.(k) <- t.jcur.(k) - d.(k)
+        done;
+        if t.check && t.member t.src then
+          failwith
+            (Printf.sprintf
+               "Protocol: rank %d boundary fill of in-space cell for \
+                iteration %s read %d"
+               t.rank (Vec.to_string t.jcur) r);
+        la.{slot + f} <- t.kernel.Kernel.boundary t.src f
+      end
+    done
+  done
+
+(* Does every tap of every point of the row at [j'] stay inside the
+   space? Leaves the row's [wdot] set for [fill_row]. *)
+let row_interior t j' len ~na =
+  set_row_wdot t j' ~na;
+  let s0, s1 = row_span t len ~na t.maxshift in
+  s0 = 0 && s1 = len - 1
+
+(* Fill the out-of-space tap cells of the row of the last
+   [row_interior]: each tap's in-space steps form one interval. *)
+let fill_row t ~la ~base len ~na =
+  for r = 0 to Array.length t.reads - 1 do
+    let s0, s1 = row_span t len ~na t.tapshift.(r) in
+    if s0 > s1 then fill_tap t ~la ~base r 0 (len - 1)
+    else begin
+      fill_tap t ~la ~base r 0 (s0 - 1);
+      fill_tap t ~la ~base r (s1 + 1) (len - 1)
+    end
+  done
+
 let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
   let n = t.n and width = t.width in
   let kernel = t.kernel in
@@ -424,61 +474,38 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
     t.vs.(k) <- t.tiling.Tiling.v.(k) * tile.(k)
   done;
   let na = tile_active t in
-  let tile_int = na = 0 in
   let rowfn = if t.check then None else kernel.Kernel.row in
-  (* guarded segment [a, b] of the row at LDS cell [base]: per-tap
-     membership, boundary values outside the space. Defined outside the
-     row callback so the closures are allocated once per tile. *)
-  let boundary_seg base a b =
-    if a <= b then begin
-      let cur = ref (base + a) in
-      for k = 0 to n - 1 do
-        t.jcur.(k) <- t.jrow.(k) + (a * t.jstep.(k))
-      done;
-      let read i field =
-        let d = t.reads.(i) in
-        for k = 0 to n - 1 do
-          t.src.(k) <- t.jcur.(k) - d.(k)
-        done;
-        if t.member t.src then begin
-          let v = la.{((!cur + t.doffs.(i)) * width) + field} in
-          if t.check && Float.is_nan v then nan_error t t.jcur i;
-          v
-        end
-        else kernel.Kernel.boundary t.src field
-      in
-      for _s = a to b do
-        kernel.Kernel.compute ~read ~j:t.jcur ~out:t.out;
-        let slot = !cur * width in
-        for f = 0 to width - 1 do
-          la.{slot + f} <- t.out.(f)
-        done;
-        incr cur;
-        for k = 0 to n - 1 do
-          t.jcur.(k) <- t.jcur.(k) + t.jstep.(k)
-        done
-      done
-    end
+  (* the compute loop's reads: unguarded, off precomputed cell deltas.
+     Defined outside the row callback so the closure is allocated once
+     per tile. *)
+  let cur = ref 0 in
+  let read i field =
+    let v = A1.unsafe_get la (((!cur + t.doffs.(i)) * width) + field) in
+    if t.check && Float.is_nan v then nan_error t t.jcur i;
+    v
   in
-  (* interior segment [a, b]: unguarded reads off precomputed cell
-     deltas, through the unrolled row body when available *)
-  let interior_seg base a b =
-    if a <= b then
+  let row ~j' ~len =
+    points := !points + len;
+    let base = cell0 t j' + (trel * t.tshift) in
+    set_global t j' t.jrow;
+    set_row_doffs t j';
+    match t.native with
+    | Some fn ->
+      (* native rows cover interior and boundary alike: the compiled
+         body guards taps itself on boundary rows *)
+      Native_kernel.row fn ~la ~cur:base ~taps:t.doffs ~jrow:t.jrow ~len
+        ~interior:(na = 0 || row_interior t j' len ~na)
+    | None -> (
+      if na > 0 && not (row_interior t j' len ~na) then
+        fill_row t ~la ~base len ~na;
       match rowfn with
       | Some rb ->
         (* width = 1 (enforced by Kernel.make), so slots = cells *)
-        rb ~la ~dst:(base + a) ~taps:t.doffs ~len:(b - a + 1)
-      | None -> begin
-        let cur = ref (base + a) in
-        for k = 0 to n - 1 do
-          t.jcur.(k) <- t.jrow.(k) + (a * t.jstep.(k))
-        done;
-        let read i field =
-          let v = A1.unsafe_get la ((!cur + t.doffs.(i)) * width + field) in
-          if t.check && Float.is_nan v then nan_error t t.jcur i;
-          v
-        in
-        for _s = a to b do
+        rb ~la ~dst:base ~taps:t.doffs ~len
+      | None ->
+        cur := base;
+        Array.blit t.jrow 0 t.jcur 0 n;
+        for _s = 1 to len do
           kernel.Kernel.compute ~read ~j:t.jcur ~out:t.out;
           let slot = !cur * width in
           for f = 0 to width - 1 do
@@ -489,30 +516,7 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
             for k = 0 to n - 1 do
               t.jcur.(k) <- t.jcur.(k) + t.jstep.(k)
             done
-        done
-      end
-  in
-  let row ~j' ~len =
-    points := !points + len;
-    let base = cell0 t j' + (trel * t.tshift) in
-    set_global t j' t.jrow;
-    set_row_doffs t j';
-    let s0, s1 =
-      if tile_int then (0, len - 1) else row_interior_span t j' len ~na
-    in
-    match t.native with
-    | Some fn ->
-      (* native rows cover interior and boundary alike: the compiled
-         body guards taps itself on boundary rows *)
-      Native_kernel.row fn ~la ~cur:base ~taps:t.doffs ~jrow:t.jrow ~len
-        ~interior:(s0 = 0 && s1 = len - 1)
-    | None ->
-      if s0 > s1 then boundary_seg base 0 (len - 1)
-      else begin
-        boundary_seg base 0 (s0 - 1);
-        interior_seg base s0 s1;
-        boundary_seg base (s1 + 1) (len - 1)
-      end
+        done)
   in
   iter_rows t ~tile ~lo:t.box_lo row;
   !points

@@ -28,7 +28,11 @@ type variant =
   | Fastpath
       (** row enumeration + precomputed linear indices, contiguous-row
           blit pack/unpack, and the kernel's unrolled [row] body on
-          interior rows (width-1 kernels). The default. *)
+          every row (width-1 kernels). On a row whose taps leave the
+          space, each out-of-space tap's LDS cell first receives its
+          boundary value, once per rank run: each tap's in-space steps
+          form one interval, one integer division per active
+          constraint. The default. *)
   | Native
       (** [Fastpath] whose per-row work runs in a C-compiled,
           [dlopen]'d kernel built at plan time from the kernel's
@@ -60,7 +64,8 @@ val make :
   unit ->
   t
 (** [check] makes the fast variants validate every LDS read against NaN
-    (uninitialised-cell poisoning) like the reference walker does; the
+    (uninitialised-cell poisoning) like the reference walker does, and
+    confirm that every boundary-filled source lies outside the space; the
     fast variants skip the check — and become eligible for the unrolled
     row bodies — when it is false. [Reference] validates regardless.
     [Native] compiles (or loads from cache) its row kernel here. *)

@@ -26,12 +26,14 @@ import sys
 
 # Files that define LDS cell addressing or row execution — the walker,
 # the generated native row kernels (rowgen.ml, native_kernel.ml), the
-# rank programs and executor entry points that drive them, and the
+# rank programs and executor entry points that drive them, the grid
+# (the walkers' write-back target and the oracle's halo layout), and the
 # kernel IR that the walkers' row bodies are printed from at build time
 # (the printer, the generator and the kernel definitions). A change to
 # any of these invalidates the committed perf artifacts.
 WATCHED = {
     "lib/runtime/walker.ml",
+    "lib/runtime/grid.ml",
     "lib/runtime/kernel.ml",
     "lib/runtime/native_kernel.ml",
     "lib/runtime/native_stubs.c",

@@ -9,7 +9,9 @@ with that base, asserting its exit code:
   - a walker change without perf baselines fails, even with
     BENCH_kernels.json re-recorded;
   - a kernel-definition change (the source of the generated row
-    bodies) fails without both artifacts and passes with them.
+    bodies) fails without both artifacts and passes with them;
+  - a grid change (write-back target and oracle halo layout) fails
+    with BENCH_kernels.json alone and passes with both artifacts.
 
 Usage: python3 scripts/test_check_baselines.py
 """
@@ -26,6 +28,7 @@ CHECK = os.path.join(
 FILES = [
     "lib/runtime/seq_exec.ml",
     "lib/runtime/walker.ml",
+    "lib/runtime/grid.ml",
     "lib/apps/kernels/defs.ml",
     "BENCH_kernels.json",
     "perf/baselines/sor-nonrect-sim.json",
@@ -80,6 +83,11 @@ CASES = [
      ["lib/apps/kernels/defs.ml"], 1),
     ("kernel definition change with both artifacts",
      ["lib/apps/kernels/defs.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("grid change with BENCH_kernels.json only",
+     ["lib/runtime/grid.ml", "BENCH_kernels.json"], 1),
+    ("grid change with both artifacts",
+     ["lib/runtime/grid.ml", "BENCH_kernels.json",
       "perf/baselines/sor-nonrect-sim.json"], 0),
 ]
 

@@ -13,6 +13,7 @@ module Kernel = Tiles_runtime.Kernel
 module Grid = Tiles_runtime.Grid
 module Seq_exec = Tiles_runtime.Seq_exec
 module Executor = Tiles_runtime.Executor
+module Walker = Tiles_runtime.Walker
 module Netmodel = Tiles_mpisim.Netmodel
 module Rat = Tiles_rat.Rat
 module Vec = Tiles_util.Vec
@@ -399,6 +400,146 @@ let prop_count_table n =
                [ full; timing ])
       | _ -> QCheck.assume_fail ())
 
+(* ---------- boundary fills: per-tap spans = membership ---------- *)
+
+(* a width-1 kernel reading along each dependence, with a row body (the
+   same float operations as [compute]) and a boundary that counts the
+   calls made with a source inside [space] *)
+let fill_kernel space n deps =
+  let reads = Dependence.vectors deps in
+  let nr = List.length reads in
+  let inside = ref 0 in
+  let compute ~read ~j:_ ~out =
+    let acc = ref 0.1 in
+    for r = 0 to nr - 1 do
+      acc := !acc +. (0.3 *. read r 0)
+    done;
+    out.(0) <- !acc
+  in
+  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
+    for i = dst to dst + len - 1 do
+      let acc = ref 0.1 in
+      for r = 0 to nr - 1 do
+        acc := !acc +. (0.3 *. la.{i + taps.(r)})
+      done;
+      la.{i} <- !acc
+    done
+  in
+  let boundary j _ =
+    if Polyhedron.member space j then incr inside;
+    0.5 +. (0.1 *. float_of_int (abs (j.(0) + j.(n - 1)) mod 7))
+  in
+  ( inside,
+    Kernel.make ~name:"fill" ~dim:n ~uses_j:false ~row ~reads ~boundary
+      ~compute () )
+
+(* On random skewed and cut spaces, the fast walker and the sequential
+   oracle fill exactly the out-of-space tap cells: a span that is too
+   narrow calls [boundary] on a source inside the space (counted, and
+   refused by check mode), one that is too wide leaves a NaN cell that
+   is read (refused by check mode, and visible in the grid). Both, with
+   and without check, stay bit-identical to the boxed reference. *)
+let prop_boundary_fill n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "boundary fill spans = membership (n=%d)" n)
+    ~count:(if n = 2 then 40 else 12)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let inside, kernel = fill_kernel space n deps in
+        let nest = Nest.make ~name:"rand" ~space ~deps:(Kernel.deps kernel) in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let reference =
+            Seq_exec.run ~variant:Walker.Reference ~space ~kernel ()
+          in
+          let same g = Grid.max_abs_diff g reference space = 0. in
+          let exec check =
+            match
+              (Executor.run ~walker:Walker.Fastpath ~check ~mode:Executor.Full
+                 ~plan ~kernel ~net ())
+                .Executor.grid
+            with
+            | Some g -> same g
+            | None -> false
+          in
+          List.for_all
+            (fun check ->
+              same (Seq_exec.run ~check ~space ~kernel ()) && exec check)
+            [ false; true ]
+          && !inside = 0)
+      | _ -> QCheck.assume_fail ())
+
+(* ---------- grid comparison: row walk = per-point definitions ---------- *)
+
+(* the per-point definitions the row walks replaced *)
+let max_abs_diff_points a b space =
+  let worst = ref 0. in
+  Polyhedron.iter_points space (fun j ->
+      for f = 0 to Grid.width a - 1 do
+        let x = Grid.get a j f and y = Grid.get b j f in
+        let d =
+          if Float.is_nan x || Float.is_nan y then infinity
+          else Float.abs (x -. y)
+        in
+        if d > !worst then worst := d
+      done);
+  !worst
+
+let checksum_points t space =
+  let sum = ref 0. and comp = ref 0. in
+  Polyhedron.iter_points space (fun j ->
+      for f = 0 to Grid.width t - 1 do
+        let x = Grid.get t j f in
+        let s = !sum +. x in
+        if Float.abs !sum >= Float.abs x then
+          comp := !comp +. ((!sum -. s) +. x)
+        else comp := !comp +. ((x -. s) +. !sum);
+        sum := s
+      done);
+  !sum +. !comp
+
+(* Two grids over one space, one widened by random reads, filled with
+   values of mixed magnitudes, equal at about half the cells and NaN at a
+   few: [max_abs_diff] and [checksum] agree with the per-point
+   definitions bit for bit. *)
+let prop_grid_rows n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "grid row walk = per-point definitions (n=%d)" n)
+    ~count:150
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (QCheck.make
+          QCheck.Gen.(
+            list_size (int_range 0 3)
+              (map Array.of_list (list_repeat n (int_range (-2) 3)))))
+       (QCheck.pair (QCheck.int_range 1 2) QCheck.int))
+    (fun (space, reads, (width, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let a = Grid.create ~reads space ~width and b = Grid.create space ~width in
+      let value () =
+        if Random.State.int st 25 = 0 then Float.nan
+        else
+          (Random.State.float st 2. -. 1.)
+          *. (10. ** float_of_int (Random.State.int st 12))
+      in
+      Polyhedron.iter_points space (fun j ->
+          for f = 0 to width - 1 do
+            let x = value () in
+            Grid.set a j f x;
+            Grid.set b j f (if Random.State.bool st then x else value ())
+          done);
+      let bits x = Int64.bits_of_float x in
+      bits (Grid.max_abs_diff a b space) = bits (max_abs_diff_points a b space)
+      && bits (Grid.max_abs_diff b a space) = bits (max_abs_diff_points b a space)
+      && List.for_all
+           (fun g -> bits (Grid.checksum g space) = bits (checksum_points g space))
+           [ a; b ])
+
 (* ---------- tile dependences: face sweep = whole-TTIS sweep ---------- *)
 
 (* the original whole-TTIS sweep, kept here as the oracle *)
@@ -473,6 +614,11 @@ let () =
           q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3);
           q (prop_count_table 2); q (prop_count_table 3);
           q (prop_tile_deps 2); q (prop_tile_deps 3);
+        ] );
+      ( "boundary",
+        [
+          q (prop_boundary_fill 2); q (prop_boundary_fill 3);
+          q (prop_grid_rows 2); q (prop_grid_rows 3);
         ] );
       ( "executor",
         [

@@ -39,6 +39,30 @@ let test_grid_basic () =
   Alcotest.(check bool) "mem" true (Grid.mem g [| 3; 3 |]);
   Alcotest.(check bool) "not mem" false (Grid.mem g [| 4; 0 |])
 
+let test_grid_reads_reach () =
+  (* a skewed triangle: every tap j - d of a space point has a cell, and
+     the box grows by no more than the reads reach *)
+  let space =
+    Polyhedron.make ~dim:2
+      [
+        Tiles_poly.Constr.make ~coeffs:[| 1; 0 |] ~const:0;
+        Tiles_poly.Constr.make ~coeffs:[| -1; 1 |] ~const:0;
+        Tiles_poly.Constr.make ~coeffs:[| 0; -1 |] ~const:5;
+      ]
+  in
+  let reads = [ [| 1; 0 |]; [| 0; 2 |]; [| -1; 1 |] ] in
+  let g = Grid.create ~reads space ~width:2 in
+  Polyhedron.iter_points space (fun j ->
+      List.iter
+        (fun d ->
+          Alcotest.(check bool) "tap has a cell" true
+            (Grid.mem g (Tiles_util.Vec.sub j d)))
+        reads);
+  Alcotest.(check int) "box [-1, 6] x [-2, 5], two fields" (8 * 8 * 2)
+    (Grid.slots g);
+  Alcotest.(check int) "no reads: the bounding box" (6 * 6)
+    (Grid.slots (Grid.create space ~width:1))
+
 let test_grid_rank_mismatch () =
   let space = Polyhedron.box [ (0, 3); (0, 3) ] in
   let g = Grid.create space ~width:1 in
@@ -117,6 +141,30 @@ let test_kernel_skewed_equivalence () =
   Polyhedron.iter_points nest.Nest.space (fun j ->
       let js = Tiles_linalg.Intmat.apply t j in
       Alcotest.(check (float 0.)) "same value" (Grid.get g0 j 0) (Grid.get g1 js 0))
+
+(* the skewed wrappers hand the original kernel T⁻¹·j, for boundary
+   and (uses_j) compute alike, and each call gets its own array *)
+let test_kernel_skewed_unskews () =
+  let seen = ref [] in
+  let k =
+    Kernel.make ~name:"probe" ~dim:3 ~reads:[ [| 1; 0; 0 |] ]
+      ~boundary:(fun j _ ->
+        seen := j :: !seen;
+        0.)
+      ~compute:(fun ~read:_ ~j ~out ->
+        seen := j :: !seen;
+        out.(0) <- 0.)
+      ()
+  in
+  let t = Tiles_linalg.Intmat.of_rows [ [ 1; 0; 0 ]; [ 1; 1; 0 ]; [ 2; 1; 1 ] ] in
+  let sk = Kernel.skewed k t in
+  let x = [| 3; -2; 5 |] and y = [| -1; 4; 0 |] in
+  ignore (sk.Kernel.boundary (Tiles_linalg.Intmat.apply t x) 0);
+  sk.Kernel.compute ~read:(fun _ _ -> 0.) ~j:(Tiles_linalg.Intmat.apply t y)
+    ~out:[| 0. |];
+  Alcotest.(check (list (array int))) "unskewed" [ y; x ] !seen;
+  Alcotest.(check bool) "fresh arrays" true
+    (match !seen with [ a; b ] -> a != b | _ -> false)
 
 (* ---------- Executor: parallel ≡ sequential ---------- *)
 
@@ -366,13 +414,18 @@ let () =
         [
           Alcotest.test_case "basic" `Quick test_grid_basic;
           Alcotest.test_case "rank mismatch" `Quick test_grid_rank_mismatch;
+          Alcotest.test_case "reads widen the box" `Quick test_grid_reads_reach;
           Alcotest.test_case "checksum compensated" `Quick
             test_grid_checksum_compensated;
           Alcotest.test_case "diff" `Quick test_grid_diff;
         ] );
       ("seq", [ Alcotest.test_case "pascal" `Quick test_seq_pascal ]);
       ( "kernel",
-        [ Alcotest.test_case "skewed equivalence" `Quick test_kernel_skewed_equivalence ] );
+        [
+          Alcotest.test_case "skewed equivalence" `Quick
+            test_kernel_skewed_equivalence;
+          Alcotest.test_case "skewed unskews" `Quick test_kernel_skewed_unskews;
+        ] );
       ( "executor",
         [
           Alcotest.test_case "pascal rect" `Quick test_pascal_rect;

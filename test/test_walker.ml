@@ -220,12 +220,13 @@ let prop_seq_split_bit_identical =
           (Walker.Fastpath, true); (Walker.Native, true);
         ])
 
-(* The row split must actually route interior points to the row body:
-   wrap SOR's body so it counts the points it covers. That count is
-   exactly the number of points whose every tap is a member of the
-   space — and not zero, so a split that degrades to the per-point path
-   everywhere cannot pass silently. *)
-let test_seq_interior_rows_taken () =
+(* Out-of-space taps read boundary values that were written into the
+   grid beforehand, so every row runs its row body from start to end:
+   wrap SOR's body so it counts the points it covers. That count is every
+   point of the space, and the space has boundary points (some tap of
+   theirs leaves it), so a walk that still routes them elsewhere cannot
+   pass silently. *)
+let test_seq_rows_whole () =
   let module Sor = Tiles_apps.Sor in
   let p = Sor.make ~m_steps:6 ~size:10 in
   let space = (Sor.nest p).Nest.space in
@@ -242,23 +243,135 @@ let test_seq_interior_rows_taken () =
             body ~la ~dst ~taps ~len);
     }
   in
-  let interior =
+  let boundary_points =
     Polyhedron.fold_points space ~init:0 ~f:(fun acc j ->
         if
-          List.for_all
-            (fun d -> Polyhedron.member space (Tiles_util.Vec.sub j d))
+          List.exists
+            (fun d -> not (Polyhedron.member space (Tiles_util.Vec.sub j d)))
             kernel.Kernel.reads
         then acc + 1
         else acc)
   in
   let g = Seq_exec.run ~space ~kernel () in
-  Alcotest.(check bool) "some points are interior" true (interior > 0);
-  Alcotest.(check int) "row body covers exactly the interior points" interior
-    !covered;
+  Alcotest.(check bool) "some points are boundary points" true
+    (boundary_points > 0);
+  Alcotest.(check int) "row body covers every point"
+    (Polyhedron.count_points space) !covered;
   Alcotest.(check (float 0.)) "and the grid is the oracle's" 0.
     (Grid.max_abs_diff g
        (Seq_exec.run ~variant:Walker.Reference ~space ~kernel ())
        space)
+
+(* ---------- boundary cells are read once ---------- *)
+
+module Cells = Set.Make (struct
+  type t = int array * int
+
+  let compare = compare
+end)
+
+(* [kernel] with a boundary that records every call in [calls] *)
+let counting kernel =
+  let calls = ref [] in
+  ( calls,
+    {
+      kernel with
+      Kernel.boundary =
+        (fun j f ->
+          calls := (Array.copy j, f) :: !calls;
+          kernel.Kernel.boundary j f);
+    } )
+
+(* the out-of-space sources (all fields) read by the points [iter] visits *)
+let out_of_space space kernel iter =
+  let acc = ref Cells.empty in
+  iter (fun j ->
+      List.iter
+        (fun d ->
+          let src = Tiles_util.Vec.sub j d in
+          if not (Polyhedron.member space src) then
+            for f = 0 to kernel.Kernel.width - 1 do
+              acc := Cells.add (src, f) !acc
+            done)
+        kernel.Kernel.reads);
+  !acc
+
+(* each call distinct, and the calls are exactly [expected] *)
+let check_once name calls expected =
+  let called = Cells.of_list calls in
+  Alcotest.(check int) (name ^ ": no cell twice") (List.length calls)
+    (Cells.cardinal called);
+  Alcotest.(check bool) (name ^ ": exactly the out-of-space cells read") true
+    (Cells.equal called expected)
+
+(* The sequential oracle calls [boundary] once per distinct out-of-space
+   cell and field it reads (skewed SOR; ADI, whose two fields are both
+   read through every tap), in check mode too. *)
+let test_seq_boundary_once () =
+  let module Sor = Tiles_apps.Sor in
+  let module Adi = Tiles_apps.Adi in
+  let sor = Sor.make ~m_steps:5 ~size:8 and adi = Adi.make ~t_steps:4 ~size:7 in
+  List.iter
+    (fun (name, space, kernel) ->
+      let expected = out_of_space space kernel (Polyhedron.iter_points space) in
+      Alcotest.(check bool) (name ^ ": reads leave the space") true
+        (not (Cells.is_empty expected));
+      List.iter
+        (fun check ->
+          let calls, counted = counting kernel in
+          let g = Seq_exec.run ~check ~space ~kernel:counted () in
+          check_once name !calls expected;
+          Alcotest.(check (float 0.)) (name ^ ": = reference") 0.
+            (Grid.max_abs_diff g
+               (Seq_exec.run ~variant:Walker.Reference ~space ~kernel ())
+               space))
+        [ false; true ])
+    [
+      ("sor", (Sor.nest sor).Nest.space, Sor.kernel sor);
+      ("adi", (Adi.nest adi).Nest.space, Adi.kernel adi);
+    ]
+
+(* The fast walker calls [boundary] at most once per cell per rank: one
+   LDS cell stands for one global point for the whole rank run. Each
+   rank walks its chain alone on a fresh LDS (no halos arrive, which
+   changes values but not which cells are filled). *)
+let test_walker_boundary_once () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:9 in
+  let nest = Sor.nest p in
+  let space = nest.Nest.space in
+  let plan = Plan.make ~m:Sor.mapping_dim nest (Sor.nonrect ~x:3 ~y:4 ~z:5) in
+  let mapping = plan.Plan.mapping in
+  let nprocs = Mapping.nprocs mapping in
+  Alcotest.(check bool) "plan is multi-rank" true (nprocs > 1);
+  let total = ref 0 in
+  for rank = 0 to nprocs - 1 do
+    let pid = Mapping.pid_of_rank mapping rank in
+    let tlo, thi = Mapping.chain mapping rank in
+    let tiles =
+      List.init (thi - tlo + 1) (fun i -> Mapping.join mapping ~pid ~ts:(tlo + i))
+    in
+    let calls, kernel = counting (Sor.kernel p) in
+    let w =
+      Walker.make ~plan ~kernel ~rank ~ntiles:(List.length tiles)
+        ~variant:Walker.Fastpath ~check:false ()
+    in
+    let la = Fbuf.make (Walker.lds_total w) Float.nan in
+    List.iteri
+      (fun trel tile -> ignore (Walker.compute_tile w ~trel ~tile ~la))
+      tiles;
+    let expected =
+      out_of_space space kernel (fun f ->
+          List.iter
+            (fun tile ->
+              Tiles_core.Tile_space.iter_tile_points plan.Plan.tspace ~tile
+                (fun ~local:_ ~global -> f global))
+            tiles)
+    in
+    check_once (Printf.sprintf "rank %d" rank) !calls expected;
+    total := !total + List.length !calls
+  done;
+  Alcotest.(check bool) "some rank fills boundary cells" true (!total > 0)
 
 (* ---------- NaN-read validation modes ---------- *)
 
@@ -531,8 +644,9 @@ let prop_walkers_bit_identical =
             && m = mr && b = br && p = pr)
           [ Walker.Fastpath; Walker.Native ])
 
-(* the oracle tests membership on every guarded point: a call must not
-   allocate, so minor words may not grow with the number of calls *)
+(* the Reference walker tests membership on every tap, and check-mode
+   fills on every filled source: a call must not allocate, so minor
+   words may not grow with the number of calls *)
 let test_member_no_alloc () =
   let member = Walker.compiled_member (Polyhedron.box [ (0, 9); (0, 9); (0, 9) ]) in
   (* inside, and outside on the first constraint (early exit) *)
@@ -563,8 +677,15 @@ let () =
             test_seq_variants_identical;
           q prop_seq_split_bit_identical;
           Alcotest.test_case "sequential interior rows take the row body"
-            `Quick test_seq_interior_rows_taken;
+            `Quick test_seq_rows_whole;
           q prop_walkers_bit_identical;
+        ] );
+      ( "boundary",
+        [
+          Alcotest.test_case "oracle reads each boundary cell once" `Quick
+            test_seq_boundary_once;
+          Alcotest.test_case "walker reads each boundary cell once per rank"
+            `Quick test_walker_boundary_once;
         ] );
       ( "memo",
         [ Alcotest.test_case "walk plan shared across ranks" `Quick
