@@ -14,7 +14,9 @@ type row_body =
     read [r] relative to the destination cell. The float operations must
     match [compute]'s exactly (same order, same constants) so results are
     bit-identical to the reference walker. All reads are guaranteed
-    in-bounds and interior (no boundary lookups) when a row body runs. *)
+    in-bounds when a row body runs, and a tap outside the iteration space
+    already holds its [boundary] value, so the body does no boundary
+    lookups. *)
 
 type t = {
   name : string;
