@@ -30,10 +30,15 @@ module Run_spec = Tiles_apps.Run_spec
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
 module Tiling = Tiles_core.Tiling
-module Executor = Tiles_runtime.Executor
-module Sim = Tiles_mpisim.Sim
 
 let net = Netmodel.fast_ethernet_cluster
+
+(* a blocking sim run of [plan] in Timing mode; the spec's naming fields
+   only label metadata, so any app name does *)
+let sim_run ?(net = net) ?trace ~plan ~kernel app =
+  Run_spec.run ~mode:Run_spec.Timing ?trace
+    { (Run_spec.default app) with net }
+    ~plan ~kernel
 
 let pf fmt = Printf.printf fmt
 
@@ -408,15 +413,15 @@ let ablation_map () =
       match
         let tiling = Tiles_apps.Adi.nr3 ~x:10 ~y:64 ~z:64 in
         let plan = Plan.make ~m nest tiling in
-        (plan, Executor.run ~mode:Executor.Timing ~plan ~kernel ~net ())
+        (plan, sim_run ~plan ~kernel "adi")
       with
       | plan, r ->
         Table.add_row t
           [
             string_of_int m;
             string_of_int (Plan.nprocs plan);
-            Printf.sprintf "%.2f" r.Executor.speedup;
-            string_of_int r.Executor.stats.Sim.messages;
+            Printf.sprintf "%.2f" r.Run_spec.speedup;
+            string_of_int r.Run_spec.messages;
           ]
       | exception e ->
         Table.add_row t [ string_of_int m; "-"; Printexc.to_string e ])
@@ -426,36 +431,41 @@ let ablation_map () =
 let ablation_overlap () =
   pf "\n=== Ablation — §5 future work: computation/communication overlap ===\n";
   pf "(non-blocking sends; SOR M=100 N=200 and ADI T=100 N=256)\n";
-  let t =
+  let table () =
     Table.create
       ~header:
         [ "experiment"; "variant"; "blocking"; "overlapped"; "overlap gain";
           "busy% blk"; "busy% ovl" ]
   in
-  let row label spec variant factor =
+  (* [busy] reads the busy share off a run's aggregate statistics *)
+  let overlap_row t ~backend ~busy label spec variant factor =
     let mk overlap =
       let tiling = (List.assoc variant spec.E.variants) factor in
       let plan = Plan.make ~m:spec.E.m spec.E.nest tiling in
-      Executor.run ~mode:Executor.Timing ~overlap ~trace:true ~plan
-        ~kernel:spec.E.kernel ~net ()
+      Run_spec.run ~mode:Run_spec.Timing ~trace:true
+        { (Run_spec.default spec.E.name) with backend; overlap; net }
+        ~plan ~kernel:spec.E.kernel
     in
     let b = mk false and o = mk true in
-    let eff r =
-      let s = Tiles_mpisim.Trace.aggregate r.Executor.stats in
-      s.Tiles_obs.Stats.total_compute
-      /. (float_of_int s.Tiles_obs.Stats.nprocs *. s.Tiles_obs.Stats.completion)
-    in
+    let busy (r : Run_spec.result) = busy (Lazy.force r.Run_spec.stats) in
     Table.add_row t
       [
         label; variant;
-        Printf.sprintf "%.2f" b.Executor.speedup;
-        Printf.sprintf "%.2f" o.Executor.speedup;
+        Printf.sprintf "%.2f" b.Run_spec.speedup;
+        Printf.sprintf "%.2f" o.Run_spec.speedup;
         Printf.sprintf "%+.1f%%"
-          (100. *. (o.Executor.speedup -. b.Executor.speedup)
-           /. b.Executor.speedup);
-        Printf.sprintf "%.0f%%" (100. *. eff b);
-        Printf.sprintf "%.0f%%" (100. *. eff o);
+          (100. *. (o.Run_spec.speedup -. b.Run_spec.speedup)
+           /. b.Run_spec.speedup);
+        Printf.sprintf "%.0f%%" (100. *. busy b);
+        Printf.sprintf "%.0f%%" (100. *. busy o);
       ]
+  in
+  let t = table () in
+  let row =
+    overlap_row t ~backend:Run_spec.Sim ~busy:(fun s ->
+        s.Tiles_obs.Stats.total_compute
+        /. (float_of_int s.Tiles_obs.Stats.nprocs
+           *. s.Tiles_obs.Stats.completion))
   in
   let sor = E.sor ~factors:[ 6 ] ~m_steps:100 ~size:200 () in
   row "SOR z=6" sor "rect" 6;
@@ -468,35 +478,10 @@ let ablation_overlap () =
      configurations that fit the host's cores, and the busy fractions
      come from the unified span recorder instead of the simulator *)
   pf "\nshm backend (real domains, wall-clock; host-dependent):\n";
-  let module Shm_executor = Tiles_runtime.Shm_executor in
-  let ts =
-    Table.create
-      ~header:
-        [ "experiment"; "variant"; "blocking"; "overlapped"; "overlap gain";
-          "busy% blk"; "busy% ovl" ]
-  in
-  let shm_row label spec variant factor =
-    let mk overlap =
-      let tiling = (List.assoc variant spec.E.variants) factor in
-      let plan = Plan.make ~m:spec.E.m spec.E.nest tiling in
-      Shm_executor.run ~trace:true ~overlap ~plan ~kernel:spec.E.kernel ()
-    in
-    let b = mk false and o = mk true in
-    let busy (r : Shm_executor.result) =
-      r.Shm_executor.stats.Tiles_obs.Stats.mean_busy_fraction
-    in
-    Table.add_row ts
-      [
-        label; variant;
-        Printf.sprintf "%.2f" b.Shm_executor.wall_speedup;
-        Printf.sprintf "%.2f" o.Shm_executor.wall_speedup;
-        Printf.sprintf "%+.1f%%"
-          (100.
-           *. (o.Shm_executor.wall_speedup -. b.Shm_executor.wall_speedup)
-           /. b.Shm_executor.wall_speedup);
-        Printf.sprintf "%.0f%%" (100. *. busy b);
-        Printf.sprintf "%.0f%%" (100. *. busy o);
-      ]
+  let ts = table () in
+  let shm_row =
+    overlap_row ts ~backend:Run_spec.Shm ~busy:(fun s ->
+        s.Tiles_obs.Stats.mean_busy_fraction)
   in
   let sor_shm = E.sor ~factors:[ 6 ] ~m_steps:24 ~size:128 () in
   shm_row "SOR z=6 (M=24 N=128)" sor_shm "rect" 6;
@@ -668,7 +653,7 @@ let ablation_tune () =
      tiling (same nest, net and processor budget) *)
   let hand =
     let plan = Plan.make ~m:2 nest (Tiles_apps.Sor.nonrect ~x:50 ~y:34 ~z:4) in
-    Executor.run ~mode:Executor.Timing ~plan ~kernel ~net ()
+    sim_run ~plan ~kernel "sor"
   in
   let best_completion =
     match r.Tune.best.Tune.score with
@@ -679,7 +664,7 @@ let ablation_tune () =
     (Tiles_tune.Candidate.label r.Tune.best.Tune.cand)
     (1e3 *. best_completion);
   pf "hand-picked : nonrect z=4 (fig6) — %.3f ms\n"
-    (1e3 *. hand.Executor.stats.Sim.completion);
+    (1e3 *. hand.Run_spec.completion);
   pf "sim-best predictor rank: %d of %d simulated\n"
     (pred_rank (List.hd r.Tune.simulated))
     (List.length r.Tune.simulated)
@@ -691,19 +676,16 @@ let trace_target () =
   pf "(SOR M=24 N=32 nonrect x=6 y=8 z=8; both backends run the same plan\n";
   pf " through the same recorder vocabulary; counters must agree exactly)\n";
   let module Stats = Tiles_obs.Stats in
-  let module Shm_executor = Tiles_runtime.Shm_executor in
-  let p = Tiles_apps.Sor.make ~m_steps:24 ~size:32 in
-  let nest = Tiles_apps.Sor.nest p in
-  let kernel = Tiles_apps.Sor.kernel p in
-  let plan =
-    Plan.make ~m:Tiles_apps.Sor.mapping_dim nest
-      (Tiles_apps.Sor.nonrect ~x:6 ~y:8 ~z:8)
+  let spec = { (Run_spec.default "sor") with net } in
+  let r = Result.fold ~ok:Fun.id ~error:failwith (Run_spec.resolve spec) in
+  let plan = Plan.make ~m:r.Registry.m r.Registry.nest r.Registry.tiling in
+  let stats backend =
+    Lazy.force
+      (Run_spec.run ~trace:true { spec with backend } ~plan
+         ~kernel:r.Registry.kernel)
+        .Run_spec.stats
   in
-  let sim =
-    let r = Executor.run ~mode:Executor.Full ~trace:true ~plan ~kernel ~net () in
-    Tiles_mpisim.Trace.aggregate r.Executor.stats
-  in
-  let shm = (Shm_executor.run ~trace:true ~plan ~kernel ()).Shm_executor.stats in
+  let sim = stats Run_spec.Sim and shm = stats Run_spec.Shm in
   let t =
     Table.create
       ~header:
@@ -756,14 +738,13 @@ let analyze_target () =
         ((List.assoc variant Tiles_apps.Jacobi.variants) ~x ~y ~z)
     in
     let r =
-      Executor.run ~mode:Executor.Timing ~trace:true ~plan
-        ~kernel:(Tiles_apps.Jacobi.kernel p) ~net ()
+      sim_run ~net ~trace:true ~plan ~kernel:(Tiles_apps.Jacobi.kernel p)
+        "jacobi"
     in
-    let stats = r.Executor.stats in
-    let nprocs = Array.length stats.Sim.rank_clocks in
+    let nprocs = Plan.nprocs plan in
     ( nprocs,
-      Critpath.analyze ~completion:stats.Sim.completion ~nprocs
-        ~edges:stats.Sim.edges stats.Sim.trace )
+      Critpath.analyze ~completion:r.Run_spec.completion ~nprocs
+        ~edges:r.Run_spec.edges r.Run_spec.spans )
   in
   let pct report k =
     let s =
@@ -839,8 +820,6 @@ let perf_target () =
   let module Residual = Tiles_obs.Residual in
   let module Baseline = Tiles_obs.Baseline in
   let module Runmeta = Tiles_obs.Runmeta in
-  let module Predictor = Tiles_tune.Predictor in
-  let module Model = Tiles_runtime.Model in
   let repeats = 3 and warmup = 1 in
   let suite =
     [
@@ -867,17 +846,15 @@ let perf_target () =
       let kernel = r.Registry.kernel in
       let plan = Plan.make ~m:r.Registry.m r.Registry.nest r.Registry.tiling in
       let label = Printf.sprintf "%s/%s x=%d y=%d z=%d" app variant x y z in
-      let last_speedup = ref nan in
-      let run_once () =
-        let r =
-          Executor.run ~mode:Executor.Timing ~trace:true ~plan ~kernel ~net ()
-        in
-        last_speedup := r.Executor.speedup;
-        Tiles_mpisim.Trace.aggregate r.Executor.stats
+      let runs =
+        List.init (warmup + repeats) (fun _ ->
+            let r =
+              Run_spec.run ~mode:Run_spec.Timing ~trace:true spec ~plan ~kernel
+            in
+            (Lazy.force r.Run_spec.stats, r.Run_spec.speedup))
       in
-      let runs = List.init (warmup + repeats) (fun _ -> run_once ()) in
-      let stats = List.nth runs (List.length runs - 1) in
-      let dist = Stats.distributions ~warmup runs in
+      let stats, speedup = List.nth runs (List.length runs - 1) in
+      let dist = Stats.distributions ~warmup (List.map fst runs) in
       let c = List.assoc "completion_s" dist in
       Table.add_row dist_table
         [
@@ -890,30 +867,12 @@ let perf_target () =
           string_of_int stats.Stats.messages;
           string_of_int stats.Stats.bytes;
         ];
-      let observed =
-        [
-          ("completion_s", stats.Stats.completion);
-          ("speedup", !last_speedup);
-        ]
-      in
-      let width = kernel.Tiles_runtime.Kernel.width in
-      let entries source fields =
-        List.filter_map
-          (fun (field, predicted) ->
-            Option.map
-              (fun observed ->
-                { Residual.label; source; field; predicted; observed })
-              (List.assoc_opt field observed))
-          fields
-      in
-      let p = Predictor.predict ~width plan ~net in
-      let r = Predictor.refine ~width plan ~net in
-      let mo = Model.predict plan ~net in
       residual_entries :=
         !residual_entries
-        @ entries (Predictor.source p) (Predictor.fields p)
-        @ entries (Predictor.source r) (Predictor.fields r)
-        @ entries "model" (Model.fields mo);
+        @ Tiles_tune.Predictor.residuals ~label
+            ~width:kernel.Tiles_runtime.Kernel.width plan ~net
+            ~observed:
+              [ ("completion_s", stats.Stats.completion); ("speedup", speedup) ];
       let meta = Run_spec.runmeta ~nprocs:(Plan.nprocs plan) spec in
       records :=
         (label,
@@ -1018,9 +977,7 @@ let micro () =
                 (Tiles_poly.Cone.tiling_cone
                    (Tiles_loop.Dependence.to_matrix deps)))));
       Test.make ~name:"executor-pascal-900pt" (Staged.stage (fun () ->
-           ignore
-             (Executor.run ~mode:Executor.Timing ~plan:pascal_plan
-                ~kernel:pascal ~net ())));
+           ignore (sim_run ~plan:pascal_plan ~kernel:pascal "pascal")));
     ]
   in
   let grouped = Test.make_grouped ~name:"tiles" ~fmt:"%s/%s" tests in
@@ -1062,6 +1019,7 @@ let micro () =
    space, reference vs fast, in interleaved rounds so host drift cannot
    manufacture the ratio. *)
 let kernels_target () =
+  let module Executor = Tiles_runtime.Executor in
   let module Walker = Tiles_runtime.Walker in
   let module Seq_exec = Tiles_runtime.Seq_exec in
   let module Metric = Tiles_obs.Metric in
@@ -1100,23 +1058,18 @@ let kernels_target () =
         Printf.sprintf "%s/%s %d/%d x=%d y=%d z=%d" app variant size1 size2 x
           y z
       in
-      let native_fallback =
-        match Tiles_runtime.Native_kernel.build ~plan ~kernel () with
-        | Ok _ -> None
-        | Error reason -> Some reason
-      in
-      (match native_fallback with
-      | Some reason ->
-        pf "note: %s: native walker fell back to fast (%s)\n" label reason
-      | None -> ());
+      (* why the native runs took the fast path, as their walkers said *)
+      let native_fallback = ref None in
       let run_once walker =
         let t0 = Unix.gettimeofday () in
         let r =
           Executor.run ~walker ~mode:Executor.Full ~plan ~kernel ~net ()
         in
         let dt = Unix.gettimeofday () -. t0 in
+        if walker = Walker.Native then
+          native_fallback := r.Executor.walker_fallback;
         ( float_of_int r.Executor.points_computed /. dt,
-          float_of_int r.Executor.stats.Sim.bytes /. dt )
+          float_of_int r.Executor.stats.Tiles_mpisim.Sim.bytes /. dt )
       in
       let measure walker =
         let samples =
@@ -1127,6 +1080,9 @@ let kernels_target () =
           Metric.of_values (List.map snd samples) )
       in
       let results = List.map (fun w -> (w, measure w)) Walker.all_variants in
+      Option.iter
+        (pf "note: %s: native walker fell back to fast (%s)\n" label)
+        !native_fallback;
       let ref_pps =
         (fst (List.assoc Walker.Reference results)).Metric.mean
       in
@@ -1152,7 +1108,7 @@ let kernels_target () =
                      Json.Float (pps.Metric.mean /. ref_pps) );
                  ]
                 @
-                match (w, native_fallback) with
+                match (w, !native_fallback) with
                 | Walker.Native, Some reason ->
                   [ ("fallback", Json.Str reason) ]
                 | _ -> []) ))

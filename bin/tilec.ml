@@ -40,10 +40,7 @@ open Cmdliner
 
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
-module Executor = Tiles_runtime.Executor
 module Shm_executor = Tiles_runtime.Shm_executor
-module Seq_exec = Tiles_runtime.Seq_exec
-module Grid = Tiles_runtime.Grid
 module Protocol = Tiles_runtime.Protocol
 module Walker = Tiles_runtime.Walker
 module Kernel = Tiles_runtime.Kernel
@@ -52,7 +49,6 @@ module Stats = Tiles_obs.Stats
 module Span = Tiles_obs.Span
 module Recorder = Tiles_obs.Recorder
 module Critpath = Tiles_obs.Critpath
-module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
 module Nest = Tiles_loop.Nest
 
@@ -206,26 +202,20 @@ let instance (spec : Run_spec.t) =
   let app = Result.fold ~ok:Fun.id ~error:failwith (Registry.find spec.app) in
   app.Registry.instance ~size1:spec.size1 ~size2:spec.size2
 
-(* when the native walker cannot actually run natively, say so once on
-   stderr (and record the reason in exported metadata) instead of
+(* when the native walker could not run natively, say so once on stderr
+   (the reason is also recorded in exported metadata) instead of
    silently timing the fast path *)
-let native_fallback ~plan ~kernel ~check walker =
-  match walker with
-  | Walker.Native -> (
-    if check then Some "check mode validates LDS reads in OCaml"
-    else
-      match Tiles_runtime.Native_kernel.build ~plan ~kernel () with
-      | Ok _ -> None
-      | Error reason -> Some reason)
-  | _ -> None
+let warn_fallback =
+  Option.iter
+    (Printf.eprintf
+       "tilec: warning: native walker unavailable (%s); using the fast \
+        walker\n%!")
 
-let warn_native_fallback = function
-  | Some reason ->
-    Printf.eprintf
-      "tilec: warning: native walker unavailable (%s); using the fast \
-       walker\n%!"
-      reason
-  | None -> ()
+(* every Full run reports its check against the sequential oracle *)
+let print_err oc (r : Run_spec.result) =
+  Option.iter
+    (Printf.fprintf oc "max |parallel - sequential| = %g\n")
+    r.max_abs_err
 
 let check_reads_arg =
   Arg.(value & flag & info [ "check-reads" ]
@@ -336,40 +326,27 @@ let simulate_cmd =
   let run (spec : Run_spec.t) full trace trace_out check_reads =
     guard @@ fun () ->
     let res, plan = build_plan spec in
-    let kernel = res.Registry.kernel and space = res.Registry.nest.Nest.space in
-    let mode = if full then Executor.Full else Executor.Timing in
     let trace = trace || trace_out <> None in
-    let fallback =
-      native_fallback ~plan ~kernel ~check:check_reads spec.walker
-    in
-    warn_native_fallback fallback;
     let r =
-      Executor.run ~walker:spec.walker ~check:check_reads ~mode
-        ~overlap:spec.overlap ~trace ~plan ~kernel ~net:spec.net ()
+      Run_spec.run
+        ~mode:(if full then Run_spec.Full else Run_spec.Timing)
+        ~check:check_reads ~trace spec ~plan ~kernel:res.Registry.kernel
     in
+    warn_fallback r.walker_fallback;
     Printf.printf "app %s (%s), %d processes, %d tiles, %d points\n"
-      spec.app spec.variant (Plan.nprocs plan) r.Executor.tiles_executed
-      r.Executor.points_computed;
+      spec.app spec.variant (Plan.nprocs plan) r.tiles r.points;
     Printf.printf "simulated time %.6f s, modelled sequential %.6f s, \
                    speedup %.2f\n"
-      r.Executor.stats.Sim.completion r.Executor.seq_modelled
-      r.Executor.speedup;
-    Printf.printf "%d messages, %d bytes\n" r.Executor.stats.Sim.messages
-      r.Executor.stats.Sim.bytes;
-    if r.Executor.stats.Sim.queue_seconds > 0. then
+      r.completion
+      (float_of_int (Plan.total_iterations plan) *. spec.net.Netmodel.flop_time)
+      r.speedup;
+    Printf.printf "%d messages, %d bytes\n" r.messages r.bytes;
+    let st = Lazy.force r.stats in
+    if st.Stats.queue_seconds > 0. then
       Printf.printf "nic/uplink queueing %.6f s total across ranks\n"
-        r.Executor.stats.Sim.queue_seconds;
-    if full then begin
-      let seq = Seq_exec.run ~space ~kernel () in
-      let err =
-        match r.Executor.grid with
-        | Some g -> Grid.max_abs_diff g seq space
-        | None -> infinity
-      in
-      Printf.printf "max |parallel - sequential| = %g\n" err
-    end;
+        st.Stats.queue_seconds;
+    print_err stdout r;
     if trace then begin
-      let st = Tiles_mpisim.Trace.aggregate r.Executor.stats in
       let completion = st.Stats.completion in
       Printf.printf "machine efficiency %.0f%%\n"
         (100. *. st.Stats.total_compute
@@ -389,9 +366,9 @@ let simulate_cmd =
     | Some path ->
       Chrome.write
         ~process_name:(Printf.sprintf "tilec %s (sim)" spec.app)
-        ~meta:(Run_spec.runmeta ?walker_fallback:fallback
+        ~meta:(Run_spec.runmeta ?walker_fallback:r.walker_fallback
                  ~nprocs:(Plan.nprocs plan) spec)
-        ~nprocs:(Plan.nprocs plan) ~path r.Executor.stats.Sim.trace;
+        ~nprocs:(Plan.nprocs plan) ~path r.spans;
       Printf.eprintf "wrote %s\n" path
   in
   Cmd.v
@@ -411,35 +388,18 @@ let trace_cmd =
   let run (spec : Run_spec.t) out svg check_reads =
     guard @@ fun () ->
     let res, plan = build_plan spec in
-    let kernel = res.Registry.kernel in
     let nprocs = Plan.nprocs plan in
-    let fallback =
-      native_fallback ~plan ~kernel ~check:check_reads spec.walker
+    let r =
+      Run_spec.run ~check:check_reads ~trace:true spec ~plan
+        ~kernel:res.Registry.kernel
     in
-    warn_native_fallback fallback;
-    let spans, stats =
-      match spec.backend with
-      | Run_spec.Sim ->
-        let r =
-          Executor.run ~walker:spec.walker ~check:check_reads
-            ~mode:Executor.Full ~overlap:spec.overlap ~trace:true ~plan
-            ~kernel ~net:spec.net ()
-        in
-        (r.Executor.stats.Sim.trace,
-         Tiles_mpisim.Trace.aggregate r.Executor.stats)
-      | Run_spec.Shm ->
-        let r =
-          Shm_executor.run ~walker:spec.walker ~check:check_reads ~trace:true
-            ~overlap:spec.overlap ~plan ~kernel ()
-        in
-        Printf.printf "max |parallel - sequential| = %g\n"
-          r.Shm_executor.max_abs_err;
-        (r.Shm_executor.trace, r.Shm_executor.stats)
-    in
+    warn_fallback r.walker_fallback;
+    print_err stdout r;
+    let spans = r.spans and stats = Lazy.force r.stats in
     let backend_str = Run_spec.backend_to_string spec.backend in
     Chrome.write
       ~process_name:(Printf.sprintf "tilec %s (%s)" spec.app backend_str)
-      ~meta:(Run_spec.runmeta ?walker_fallback:fallback ~nprocs spec)
+      ~meta:(Run_spec.runmeta ?walker_fallback:r.walker_fallback ~nprocs spec)
       ~nprocs ~path:out spans;
     Printf.eprintf "wrote %s\n" out;
     (match svg with
@@ -573,53 +533,40 @@ let analyze_cmd =
       if spec.app = "" then
         failwith "analyze: pass --app NAME or --from FILE";
       let res, plan = build_plan spec in
-      let kernel = res.Registry.kernel and overlap = spec.overlap in
       let nprocs = Plan.nprocs plan in
       let title =
         Printf.sprintf "%s on %s" spec.app
           (Run_spec.backend_to_string spec.backend)
       in
-      let meta = Run_spec.runmeta ~nprocs spec in
-      let recorder ?clock () =
+      (* the simulator stamps virtual time, so its recorder reads 0 *)
+      let clock =
+        match spec.backend with
+        | Run_spec.Sim -> Some (fun () -> 0.)
+        | Run_spec.Shm -> None
+      in
+      let rc =
         Recorder.create
           ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
           ~trace:true ?clock ~nprocs ()
       in
-      (* the sim's virtual completion bounds the exact path; a wall-clock
-         shm run leaves it to the spans *)
-      let rc, completion, path_completion, edges, spans =
-        match spec.backend with
-        | Run_spec.Sim ->
-          let rc = recorder ~clock:(fun () -> 0.) () in
-          let r =
-            Executor.run ~mode:Executor.Timing ~overlap ~recorder:rc ~plan
-              ~kernel ~net:spec.net ()
-          in
-          let st = r.Executor.stats in
-          (rc, st.Sim.completion, Some st.Sim.completion, st.Sim.edges,
-           st.Sim.trace)
-        | Run_spec.Shm ->
-          let rc = recorder () in
-          let r = Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel () in
-          Printf.eprintf "max |parallel - sequential| = %g\n"
-            r.Shm_executor.max_abs_err;
-          (rc, r.Shm_executor.wall_seconds, None, r.Shm_executor.edges,
-           r.Shm_executor.trace)
+      let r =
+        Run_spec.run ~mode:Run_spec.Timing ~recorder:rc spec ~plan
+          ~kernel:res.Registry.kernel
       in
-      if stream then
-        let stats =
-          Stats.of_kind_seconds ~completion ~nprocs
-            ~messages:(Recorder.messages rc) ~bytes:(Recorder.bytes rc)
-            ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
-            ~rank_messages:(Recorder.rank_messages rc)
-            ~rank_bytes:(Recorder.rank_bytes rc)
-            ~queue_seconds:(Recorder.queue_seconds rc)
-            (Recorder.kind_seconds rc)
-        in
-        report_streaming ~json stats rc
+      (* stdout may carry --json *)
+      print_err stderr r;
+      if stream then report_streaming ~json (Lazy.force r.stats) rc
       else
-        report_exact ~json ~top ~title ~nprocs ~completion:path_completion
-          ~meta ~out ~svg ~edges spans)
+        (* the sim's virtual completion bounds the exact path; a
+           wall-clock shm run leaves it to the spans *)
+        let completion =
+          match spec.backend with
+          | Run_spec.Sim -> Some r.completion
+          | Run_spec.Shm -> None
+        in
+        report_exact ~json ~top ~title ~nprocs ~completion
+          ~meta:(Run_spec.runmeta ~nprocs spec) ~out ~svg ~edges:r.edges
+          r.spans)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -681,10 +628,7 @@ let tune_cmd =
         workers;
         cache_dir = cache;
         overlap = spec.overlap;
-        backend =
-          (match spec.backend with
-          | Run_spec.Sim -> Tune.Sim
-          | Run_spec.Shm -> Tune.Shm);
+        backend = spec.backend;
         mapping_dims = Option.map (fun m -> [ m ]) m;
       }
     in
@@ -742,7 +686,6 @@ let tune_cmd =
           $ factors_arg $ top_arg $ workers_arg $ cache_arg $ json_arg $ m_arg)
 
 let perf_cmd =
-  let module Metric = Tiles_obs.Metric in
   let module Baseline = Tiles_obs.Baseline in
   let module Residual = Tiles_obs.Residual in
   let module Runmeta = Tiles_obs.Runmeta in
@@ -802,11 +745,6 @@ let perf_cmd =
     let res, plan = build_plan spec in
     let kernel = res.Registry.kernel in
     let nprocs = Plan.nprocs plan in
-    let fallback = native_fallback ~plan ~kernel ~check:false spec.walker in
-    (* the sim backend times virtual events and never runs a walker, so
-       a missing C compiler is only worth a warning where it changes
-       what gets measured *)
-    if spec.backend = Run_spec.Shm then warn_native_fallback fallback;
     let spec =
       if inflate = 1.0 then spec
       else
@@ -816,31 +754,23 @@ let perf_cmd =
               Netmodel.latency = spec.net.Netmodel.latency *. inflate;
               flop_time = spec.net.Netmodel.flop_time *. inflate } }
     in
-    let net = spec.net and overlap = spec.overlap in
-    let last_speedup = ref nan in
-    let run_once () =
-      match spec.backend with
-      | Run_spec.Sim ->
-        let r =
-          Executor.run ~mode:Executor.Timing ~overlap ~trace:true ~plan
-            ~kernel ~net ()
-        in
-        last_speedup := r.Executor.speedup;
-        Tiles_mpisim.Trace.aggregate r.Executor.stats
-      | Run_spec.Shm ->
-        (* the sim backend measures in Timing mode (virtual time, no data
-           movement), so [walker] only matters here *)
-        let r =
-          Shm_executor.run ~walker:spec.walker ~trace:true ~overlap ~plan
-            ~kernel ()
-        in
-        last_speedup := r.Shm_executor.wall_speedup;
-        r.Shm_executor.stats
+    (* the sim backend measures in Timing mode (virtual time, no data
+       movement), so [walker] only matters on shm *)
+    let runs =
+      List.init (warmup + repeats) (fun _ ->
+          let r =
+            Run_spec.run ~mode:Run_spec.Timing ~trace:true spec ~plan ~kernel
+          in
+          (Lazy.force r.stats, r.speedup, r.walker_fallback))
     in
-    let runs = List.init (warmup + repeats) (fun _ -> run_once ()) in
-    let stats = List.nth runs (List.length runs - 1) in
-    let dist = Stats.distributions ~warmup runs in
-    let meta = Run_spec.runmeta ?walker_fallback:fallback ~nprocs spec in
+    let stats, speedup, walker_fallback =
+      List.nth runs (List.length runs - 1)
+    in
+    warn_fallback walker_fallback;
+    let dist =
+      Stats.distributions ~warmup (List.map (fun (st, _, _) -> st) runs)
+    in
+    let meta = Run_spec.runmeta ?walker_fallback ~nprocs spec in
     let current = Baseline.make ~meta ~stats ~timings:dist in
     let path = Baseline.default_path ~dir ~meta in
     (* the analytic models' drift from this observation (sim only: the
@@ -849,32 +779,11 @@ let perf_cmd =
       match spec.backend with
       | Run_spec.Shm -> []
       | Run_spec.Sim ->
-        let module Predictor = Tiles_tune.Predictor in
-        let module Model = Tiles_runtime.Model in
-        let width = kernel.Tiles_runtime.Kernel.width in
-        let observed =
-          [
-            ("completion_s", stats.Stats.completion);
-            ("speedup", !last_speedup);
-          ]
-        in
-        let label = Printf.sprintf "%s/%s" spec.app spec.variant in
-        let entries source fields =
-          List.filter_map
-            (fun (field, predicted) ->
-              match List.assoc_opt field observed with
-              | Some obs ->
-                Some
-                  { Residual.label; source; field; predicted; observed = obs }
-              | None -> None)
-            fields
-        in
-        let p = Predictor.predict ~width plan ~net in
-        let r = Predictor.refine ~width plan ~net in
-        let m = Model.predict plan ~net in
-        entries (Predictor.source p) (Predictor.fields p)
-        @ entries (Predictor.source r) (Predictor.fields r)
-        @ entries "model" (Model.fields m)
+        Tiles_tune.Predictor.residuals
+          ~label:(Printf.sprintf "%s/%s" spec.app spec.variant)
+          ~width:kernel.Kernel.width plan ~net:spec.net
+          ~observed:
+            [ ("completion_s", stats.Stats.completion); ("speedup", speedup) ]
     in
     if record then begin
       (if not (Sys.file_exists dir) then

@@ -5,9 +5,7 @@ module Tile_space = Tiles_core.Tile_space
 module Mapping = Tiles_core.Mapping
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
-module Executor = Tiles_runtime.Executor
 module Kernel = Tiles_runtime.Kernel
-module Sim = Tiles_mpisim.Sim
 
 type spec = {
   name : string;
@@ -161,17 +159,21 @@ let run_one spec ~net ~variant ~factor =
   in
   let tiling = mk factor in
   let plan = Plan.make ~m:spec.m spec.nest tiling in
-  let r = Executor.run ~mode:Executor.Timing ~plan ~kernel:spec.kernel ~net () in
+  let r =
+    Run_spec.run ~mode:Run_spec.Timing
+      { (Run_spec.default spec.name) with net }
+      ~plan ~kernel:spec.kernel
+  in
   {
     variant;
     factor;
     nprocs = Plan.nprocs plan;
     tile_size = Tiling.tile_size tiling;
     steps = Schedule.steps plan;
-    completion = r.Executor.stats.Sim.completion;
-    speedup = r.Executor.speedup;
-    messages = r.Executor.stats.Sim.messages;
-    bytes = r.Executor.stats.Sim.bytes;
+    completion = r.Run_spec.completion;
+    speedup = r.Run_spec.speedup;
+    messages = r.Run_spec.messages;
+    bytes = r.Run_spec.bytes;
   }
 
 let sweep spec ~net =

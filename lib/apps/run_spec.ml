@@ -1,6 +1,10 @@
 module Json = Tiles_util.Json
 module Walker = Tiles_runtime.Walker
+module Executor = Tiles_runtime.Executor
+module Shm_executor = Tiles_runtime.Shm_executor
 module Netmodel = Tiles_mpisim.Netmodel
+module Sim = Tiles_mpisim.Sim
+module Recorder = Tiles_obs.Recorder
 
 type backend = Sim | Shm
 
@@ -103,3 +107,90 @@ let to_json_fields t =
     ("overlap", Json.Bool t.overlap);
     ("walker", Json.Str (Walker.variant_to_string t.walker));
   ]
+
+type mode = Executor.mode = Full | Timing
+
+type result = {
+  stats : Tiles_obs.Stats.t Lazy.t;
+  spans : Tiles_obs.Span.t list;
+  edges : Recorder.edge list;
+  completion : float;
+  speedup : float;
+  messages : int;
+  bytes : int;
+  points : int;
+  tiles : int;
+  grid : Tiles_runtime.Grid.t option;
+  max_abs_err : float option;
+  walker_fallback : string option;
+}
+
+(* a streaming recorder keeps no spans, only per-rank per-kind sums *)
+let aggregate ?recorder ~completion ~nprocs backend_stats =
+  match recorder with
+  | Some rc when Recorder.mode rc = Recorder.Streaming ->
+    lazy
+      (Tiles_obs.Stats.of_kind_seconds ~completion ~nprocs
+         ~messages:(Recorder.messages rc) ~bytes:(Recorder.bytes rc)
+         ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
+         ~rank_messages:(Recorder.rank_messages rc)
+         ~rank_bytes:(Recorder.rank_bytes rc)
+         ~queue_seconds:(Recorder.queue_seconds rc)
+         (Recorder.kind_seconds rc))
+  | _ -> backend_stats
+
+let run ?(mode = Full) ?check ?trace ?recorder t ~plan ~kernel =
+  let nprocs = Tiles_core.Plan.nprocs plan in
+  match t.backend with
+  | Sim ->
+    let r =
+      Executor.run ~walker:t.walker ?check ~mode ~overlap:t.overlap ?trace
+        ?recorder ~plan ~kernel ~net:t.net ()
+    in
+    let st = r.Executor.stats in
+    let space = plan.Tiles_core.Plan.nest.Tiles_loop.Nest.space in
+    let max_abs_err =
+      Option.map
+        (fun g ->
+          Tiles_runtime.Grid.max_abs_diff g
+            (Tiles_runtime.Seq_exec.run ~space ~kernel ())
+            space)
+        r.Executor.grid
+    in
+    {
+      stats =
+        aggregate ?recorder ~completion:st.Sim.completion ~nprocs
+          (lazy (Tiles_mpisim.Trace.aggregate st));
+      spans = st.Sim.trace;
+      edges = st.Sim.edges;
+      completion = st.Sim.completion;
+      speedup = r.Executor.speedup;
+      messages = st.Sim.messages;
+      bytes = st.Sim.bytes;
+      points = r.Executor.points_computed;
+      tiles = r.Executor.tiles_executed;
+      grid = r.Executor.grid;
+      max_abs_err;
+      walker_fallback = r.Executor.walker_fallback;
+    }
+  | Shm ->
+    let r =
+      Shm_executor.run ~walker:t.walker ?check ?trace ?recorder
+        ~overlap:t.overlap ~plan ~kernel ()
+    in
+    {
+      stats =
+        aggregate ?recorder ~completion:r.Shm_executor.wall_seconds ~nprocs
+          (Lazy.from_val r.Shm_executor.stats);
+      spans = r.Shm_executor.trace;
+      edges = r.Shm_executor.edges;
+      completion = r.Shm_executor.wall_seconds;
+      speedup = r.Shm_executor.wall_speedup;
+      messages = r.Shm_executor.messages;
+      bytes = r.Shm_executor.bytes;
+      points = r.Shm_executor.points_computed;
+      tiles = r.Shm_executor.tiles_executed;
+      grid = Some r.Shm_executor.grid;
+      max_abs_err = Some r.Shm_executor.max_abs_err;
+      walker_fallback = r.Shm_executor.walker_fallback;
+    }

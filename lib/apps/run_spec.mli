@@ -4,7 +4,9 @@
     job codec and plan-cache key, the exported {!Tiles_obs.Runmeta} (and
     through it the perf baseline file name) and the bench harness all
     derive from it, so a new knob is a field here plus one CLI term. The
-    process count is not a field: it follows from the plan. *)
+    process count is not a field: it follows from the plan. {!run}
+    executes a spec and checks it against the sequential oracle, the
+    same way for every caller. *)
 
 type backend =
   | Sim  (** discrete-event simulator, virtual time *)
@@ -50,3 +52,49 @@ val of_json : Tiles_util.Json.t -> (t, string) result
 
 val to_json_fields : t -> (string * Tiles_util.Json.t) list
 (** The same fields, in protocol order; {!of_json} reads them back. *)
+
+(** {1 Running a spec} *)
+
+type mode = Tiles_runtime.Executor.mode =
+  | Full  (** real data flow and arithmetic, checked against the oracle *)
+  | Timing  (** counts and virtual time only; the simulator alone has it *)
+
+type result = {
+  stats : Tiles_obs.Stats.t Lazy.t;
+      (** computed on first use (a retained sim trace costs a critical
+          path walk); from the per-kind sums of a streaming recorder *)
+  spans : Tiles_obs.Span.t list;  (** [[]] unless traced in Retain mode *)
+  edges : Tiles_obs.Recorder.edge list;
+  completion : float;  (** virtual seconds on sim, wall seconds on shm *)
+  speedup : float;
+      (** against the modelled sequential time on sim, the timed
+          sequential oracle on shm *)
+  messages : int;
+  bytes : int;
+  points : int;  (** iterations executed across ranks *)
+  tiles : int;
+  grid : Tiles_runtime.Grid.t option;  (** [Some] on every Full run *)
+  max_abs_err : float option;
+      (** [Some] on every Full run: the largest difference from the
+          sequential oracle over the iteration space *)
+  walker_fallback : string option;
+      (** why a [native] walker ran the OCaml fast path, as the walkers
+          that ran reported it; [None] when none ran (sim [Timing]) *)
+}
+
+val run :
+  ?mode:mode ->
+  ?check:bool ->
+  ?trace:bool ->
+  ?recorder:Tiles_obs.Recorder.t ->
+  t ->
+  plan:Tiles_core.Plan.t ->
+  kernel:Tiles_runtime.Kernel.t ->
+  result
+(** Run [plan] on the spec's backend with its overlap, network model and
+    walker. [mode] (default [Full]) applies to the simulator only; shm
+    always runs Full. A Full sim run is checked by one
+    {!Tiles_runtime.Seq_exec} run; shm forwards its executor's own check.
+    [check], [trace] and [recorder] are passed to
+    {!Tiles_runtime.Executor.run} or {!Tiles_runtime.Shm_executor.run}
+    (a sim recorder reads virtual time: a clock that returns 0). *)

@@ -9,9 +9,9 @@
     The module is deliberately generic — an {!entry} is just (label,
     source, field, predicted, observed) — because the observability
     layer sits below the model layers in the build: the glue that knows
-    about [Tiles_tune.Predictor] and [Tiles_runtime.Model] lives in the
-    bench harness and the CLI, which turn estimates into entries via
-    those modules' [fields] accessors. *)
+    about [Tiles_tune.Predictor] and [Tiles_runtime.Model] is
+    [Tiles_tune.Predictor.residuals], which turns both models' [fields]
+    into entries. *)
 
 type entry = {
   label : string;   (** run configuration, e.g. ["sor/nonrect z=8 p=16"] *)

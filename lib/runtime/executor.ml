@@ -12,6 +12,7 @@ type result = {
   grid : Grid.t option;
   points_computed : int;
   tiles_executed : int;
+  walker_fallback : string option;
 }
 
 let run ?walker ?check ?(mode = Full) ?(overlap = false)
@@ -49,4 +50,5 @@ let run ?walker ?check ?(mode = Full) ?(overlap = false)
     grid = shared.Protocol.grid;
     points_computed = Array.fold_left ( + ) 0 shared.Protocol.points_per_rank;
     tiles_executed = Array.fold_left ( + ) 0 shared.Protocol.tiles_per_rank;
+    walker_fallback = Atomic.get shared.Protocol.fallback;
   }

@@ -35,6 +35,10 @@ type result = {
   grid : Grid.t option;  (** populated in [Full] mode *)
   points_computed : int; (** total iterations executed across ranks *)
   tiles_executed : int;
+  walker_fallback : string option;
+      (** why a [Native] walker ran the OCaml fast path (first rank's
+          {!Walker.fallback_reason}); [None] in [Timing] mode, which runs
+          no walker *)
 }
 
 val run :

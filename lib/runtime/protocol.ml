@@ -56,6 +56,7 @@ type shared = {
   counts : Count_table.t;
   points_per_rank : int array;
   tiles_per_rank : int array;
+  fallback : string option Atomic.t;
 }
 
 type direction = {
@@ -121,6 +122,7 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     counts = Plan.counts plan;
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
+    fallback = Atomic.make None;
   }
 
 let rank_program ?(overlap = false) shared comms rank =
@@ -142,6 +144,10 @@ let rank_program ?(overlap = false) shared comms rank =
            ~check:shared.check ())
     | Timing -> None
   in
+  (match Option.bind walker Walker.fallback_reason with
+  | Some _ as reason ->
+    ignore (Atomic.compare_and_set shared.fallback None reason)
+  | None -> ());
   let la =
     match walker with
     | Some w -> Fbuf.make (Walker.lds_total w * width) Float.nan

@@ -73,6 +73,9 @@ type shared = {
           mode's message sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
+  fallback : string option Atomic.t;
+      (** the first {!Walker.fallback_reason} any rank's walker reported:
+          why a [Native] run executes the OCaml fast path *)
 }
 
 val prepare :

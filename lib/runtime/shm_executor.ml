@@ -22,6 +22,7 @@ type result = {
   trace : Span.t list;
   edges : Recorder.edge list;
   stats : Tiles_obs.Stats.t;
+  walker_fallback : string option;
 }
 
 (* A blocking mailbox per (src, dst) channel, tag-matched. *)
@@ -190,8 +191,11 @@ end
 
 let watchdog_period = 0.02
 
+(* slots of each rank's send stage in the overlapped schedule *)
+let send_queue = 4
+
 let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
-    ?(send_queue = 4) ?(recv_timeout = 30.) ~plan ~kernel () =
+    ?(recv_timeout = 30.) ~plan ~kernel () =
   if not (recv_timeout > 0.) then
     invalid_arg
       "Shm_executor.run: recv_timeout must be positive (use infinity to \
@@ -380,4 +384,5 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
     trace = spans;
     edges;
     stats;
+    walker_fallback = Atomic.get shared.Protocol.fallback;
   }

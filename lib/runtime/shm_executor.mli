@@ -55,6 +55,9 @@ type result = {
   stats : Tiles_obs.Stats.t;
       (** aggregate per-rank/backend statistics; [critical_path] is the
           causal value when edges were recorded *)
+  walker_fallback : string option;
+      (** why a [Native] walker ran the OCaml fast path (first rank's
+          {!Walker.fallback_reason}) *)
 }
 
 (** The blocking tag-matched channel used between each (src, dst) rank
@@ -132,7 +135,6 @@ val run :
   ?trace:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   ?overlap:bool ->
-  ?send_queue:int ->
   ?recv_timeout:float ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
@@ -145,15 +147,15 @@ val run :
     supplies a caller-created recorder instead (matching [nprocs]
     required; [trace] is then the recorder's flag) — e.g. a
     [~mode:Streaming] one to keep long traced runs at O(nprocs) memory,
-    or a labelled one so a serve job's trace is attributable. [overlap] (default
-    false) runs the §5 overlapped schedule: receives pre-posted per tile
-    ({!Protocol.rank_program}), sends handed to a per-rank bounded
-    {!Send_stage} of [send_queue] slots (default 4) and completed by a
-    sender domain while the rank computes on. Enqueue time blocked on a
+    or a labelled one so a serve job's trace is attributable. [overlap]
+    (default false) runs the §5 overlapped schedule: receives pre-posted
+    per tile ({!Protocol.rank_program}), sends handed to a per-rank
+    bounded {!Send_stage} of 4 slots and completed by a sender domain
+    while the rank computes on. Enqueue time blocked on a
     full stage is traced as [Wait], the hand-off as [Send].
     [recv_timeout] (default 30 seconds) bounds how long any receive — or,
     overlapped, any hand-off to a full send stage — may block before
     {!Recv_timeout} (resp. {!Send_timeout}) is raised; pass [infinity] to
     wait forever (this also disables the watchdog domain). Raises
-    [Invalid_argument] on a non-positive [recv_timeout] or [send_queue],
-    and like {!Protocol.prepare}. *)
+    [Invalid_argument] on a non-positive [recv_timeout], and like
+    {!Protocol.prepare}. *)

@@ -4,12 +4,7 @@ module Recorder = Tiles_obs.Recorder
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
 module Tiling = Tiles_core.Tiling
-module Nest = Tiles_loop.Nest
-module Executor = Tiles_runtime.Executor
 module Shm_executor = Tiles_runtime.Shm_executor
-module Seq_exec = Tiles_runtime.Seq_exec
-module Grid = Tiles_runtime.Grid
-module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
 module Tune = Tiles_tune.Tune
 module TCache = Tiles_tune.Cache
@@ -140,16 +135,6 @@ let ok_json ~(job : Job.t) ~id ~cache_label ~queued_s ~service_s outcome =
 
 (* ---------------- job execution ---------------- *)
 
-let sim_payload (r : Executor.result) =
-  [
-    ("completion_s", Json.Float r.Executor.stats.Sim.completion);
-    ("speedup", Json.Float r.Executor.speedup);
-    ("messages", Json.Int r.Executor.stats.Sim.messages);
-    ("bytes", Json.Int r.Executor.stats.Sim.bytes);
-    ("points", Json.Int r.Executor.points_computed);
-    ("tiles", Json.Int r.Executor.tiles_executed);
-  ]
-
 let run_job t (ticket : ticket) : outcome =
   let job = ticket.job in
   let spec = job.Job.spec in
@@ -163,24 +148,50 @@ let run_job t (ticket : ticket) : outcome =
   (* every execute/simulate run drives a streaming recorder labelled with
      the job id: O(nprocs) memory per job, and the job's longest waits
      land in the service-wide metrics reservoir attributed to it *)
-  let streaming_recorder ~sim =
-    if sim then
-      Recorder.create ~mode:Recorder.Streaming ~trace:true
-        ~clock:(fun () -> 0.)
+  let execute ~mode (rs : Run_spec.t) =
+    let clock =
+      match rs.backend with
+      | Run_spec.Sim -> Some (fun () -> 0.)
+      | Run_spec.Shm -> None
+    in
+    let rc =
+      Recorder.create ~mode:Recorder.Streaming ~trace:true ?clock
         ~label:job.Job.id ~nprocs ()
-    else
-      Recorder.create ~mode:Recorder.Streaming ~trace:true ~label:job.Job.id
-        ~nprocs ()
-  in
-  let fold_waits rc =
+    in
+    let run () = Run_spec.run ~mode ~recorder:rc rs ~plan ~kernel in
+    let res =
+      match rs.backend with
+      | Run_spec.Sim -> run ()
+      | Run_spec.Shm ->
+        Mutex.lock t.shm_gate;
+        Fun.protect ~finally:(fun () -> Mutex.unlock t.shm_gate) run
+    in
     Metrics.observe_waits t.metrics ~job_id:job.Job.id
-      (Recorder.longest_waits rc)
-  in
-  let mk_meta =
-    Some
-      (fun ~job_id ~queued_s ->
-        Tiles_obs.Runmeta.to_json
-          (Run_spec.runmeta ~nprocs ~job_id ~queued_s spec))
+      (Recorder.longest_waits rc);
+    (* the reply outlives the run: keep its reason, not its grid *)
+    let walker_fallback = res.Run_spec.walker_fallback in
+    {
+      payload =
+        [
+          ("nprocs", Json.Int nprocs);
+          ("completion_s", Json.Float res.Run_spec.completion);
+          ("speedup", Json.Float res.Run_spec.speedup);
+          ("messages", Json.Int res.Run_spec.messages);
+          ("bytes", Json.Int res.Run_spec.bytes);
+          ("points", Json.Int res.Run_spec.points);
+          ("tiles", Json.Int res.Run_spec.tiles);
+        ]
+        @ Option.fold ~none:[]
+            ~some:(fun e -> [ ("max_abs_err", Json.Float e) ])
+            res.Run_spec.max_abs_err;
+      mk_meta =
+        Some
+          (fun ~job_id ~queued_s ->
+            Tiles_obs.Runmeta.to_json
+              (Run_spec.runmeta ?walker_fallback ~nprocs ~job_id ~queued_s
+                 spec));
+      cache_status;
+    }
   in
   match job.Job.op with
   | Job.Plan ->
@@ -196,67 +207,9 @@ let run_job t (ticket : ticket) : outcome =
       cache_status;
     }
   | Job.Simulate ->
-    let rc = streaming_recorder ~sim:true in
-    let res =
-      Executor.run ~mode:Executor.Timing ~overlap:spec.overlap ~recorder:rc
-        ~plan ~kernel ~net:spec.net ()
-    in
-    fold_waits rc;
-    {
-      payload = ("nprocs", Json.Int nprocs) :: sim_payload res;
-      mk_meta;
-      cache_status;
-    }
-  | Job.Execute when spec.backend = Run_spec.Shm ->
-    let rc = streaming_recorder ~sim:false in
-    let res =
-      Mutex.lock t.shm_gate;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock t.shm_gate)
-        (fun () ->
-          Shm_executor.run ~walker:spec.walker ~overlap:spec.overlap
-            ~recorder:rc ~plan ~kernel ())
-    in
-    fold_waits rc;
-    {
-      payload =
-        [
-          ("nprocs", Json.Int nprocs);
-          ("completion_s", Json.Float res.Shm_executor.wall_seconds);
-          ("speedup", Json.Float res.Shm_executor.wall_speedup);
-          ("messages", Json.Int res.Shm_executor.messages);
-          ("bytes", Json.Int res.Shm_executor.bytes);
-          ("points", Json.Int res.Shm_executor.points_computed);
-          ("tiles", Json.Int res.Shm_executor.tiles_executed);
-          ("max_abs_err", Json.Float res.Shm_executor.max_abs_err);
-        ];
-      mk_meta;
-      cache_status;
-    }
-  | Job.Execute ->
-    let rc = streaming_recorder ~sim:true in
-    let res =
-      Executor.run ~walker:spec.walker ~mode:Executor.Full
-        ~overlap:spec.overlap ~recorder:rc ~plan ~kernel ~net:spec.net ()
-    in
-    fold_waits rc;
-    let err =
-      match res.Executor.grid with
-      | Some g ->
-        let seq =
-          Seq_exec.run ~space:r.Registry.nest.Nest.space ~kernel ()
-        in
-        Grid.max_abs_diff g seq r.Registry.nest.Nest.space
-      | None -> infinity
-    in
-    {
-      payload =
-        ("nprocs", Json.Int nprocs)
-        :: sim_payload res
-        @ [ ("max_abs_err", Json.Float err) ];
-      mk_meta;
-      cache_status;
-    }
+    (* a simulate job times the plan on the simulator whatever it names *)
+    execute ~mode:Run_spec.Timing { spec with backend = Run_spec.Sim }
+  | Job.Execute -> execute ~mode:Run_spec.Full spec
   | Job.Tune ->
     let options =
       {

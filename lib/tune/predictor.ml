@@ -148,3 +148,18 @@ let refine ?(width = 1) (plan : Plan.t) ~net =
     predicted_speedup = seq /. total;
     refined = true;
   }
+
+let residuals ~label ~width plan ~net ~observed =
+  let entries source fields =
+    List.filter_map
+      (fun (field, predicted) ->
+        Option.map
+          (fun observed ->
+            { Tiles_obs.Residual.label; source; field; predicted; observed })
+          (List.assoc_opt field observed))
+      fields
+  in
+  let p = predict ~width plan ~net and r = refine ~width plan ~net in
+  entries (source p) (fields p)
+  @ entries (source r) (fields r)
+  @ entries "model" (Model.fields (Model.predict plan ~net))

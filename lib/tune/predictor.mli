@@ -64,3 +64,15 @@ val refine :
     where [crit_compute] counts the longest chain's real iterations and
     the communication terms use the protocol's exact per-tile message
     count and clipped volume. *)
+
+val residuals :
+  label:string ->
+  width:int ->
+  Tiles_core.Plan.t ->
+  net:Tiles_mpisim.Netmodel.t ->
+  observed:(string * float) list ->
+  Tiles_obs.Residual.entry list
+(** One {!Tiles_obs.Residual} entry per field of [observed] (keyed like
+    {!fields}: [completion_s], [speedup]) and per estimator — {!predict},
+    {!refine} and the {!Tiles_runtime.Model} — in that order, labelled
+    [label]. *)

@@ -4,14 +4,12 @@ module Nest = Tiles_loop.Nest
 module Plan = Tiles_core.Plan
 module Tiling = Tiles_core.Tiling
 module Kernel = Tiles_runtime.Kernel
-module Executor = Tiles_runtime.Executor
-module Shm_executor = Tiles_runtime.Shm_executor
-module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
+module Run_spec = Tiles_apps.Run_spec
 
-type backend = Sim | Shm
+type backend = Run_spec.backend = Sim | Shm
 
-let backend_label = function Sim -> "sim" | Shm -> "shm"
+let backend_label = Run_spec.backend_to_string
 
 type options = {
   procs : int;
@@ -56,26 +54,6 @@ type result = {
 
 let plan_of ~nest cand = Plan.make ~m:cand.Candidate.m nest (Candidate.tiling cand)
 
-let score_of_run (r : Executor.result) : Cache.score =
-  {
-    Cache.completion = r.Executor.stats.Sim.completion;
-    speedup = r.Executor.speedup;
-    messages = r.Executor.stats.Sim.messages;
-    bytes = r.Executor.stats.Sim.bytes;
-    points_computed = r.Executor.points_computed;
-    tiles_executed = r.Executor.tiles_executed;
-  }
-
-let score_of_shm_run (r : Shm_executor.result) : Cache.score =
-  {
-    Cache.completion = r.Shm_executor.wall_seconds;
-    speedup = r.Shm_executor.wall_speedup;
-    messages = r.Shm_executor.messages;
-    bytes = r.Shm_executor.bytes;
-    points_computed = r.Shm_executor.points_computed;
-    tiles_executed = r.Shm_executor.tiles_executed;
-  }
-
 (* evaluate [jobs] (plan per candidate) across [workers] domains; the
    simulator state is per-run and all cross-candidate shared structures
    (the nest-space projection memo) are forced before spawning. Shm
@@ -87,14 +65,22 @@ let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
   let out = Array.make (Array.length jobs) None in
   let eval i =
     let _, plan = jobs.(i) in
-    let score =
-      match backend with
-      | Sim ->
-        score_of_run
-          (Executor.run ~mode:Executor.Timing ~overlap ~plan ~kernel ~net ())
-      | Shm -> score_of_shm_run (Shm_executor.run ~overlap ~plan ~kernel ())
+    (* the spec's naming fields only label metadata, unused here *)
+    let r =
+      Run_spec.run ~mode:Run_spec.Timing
+        { (Run_spec.default "") with backend; overlap; net }
+        ~plan ~kernel
     in
-    out.(i) <- Some score
+    out.(i) <-
+      Some
+        {
+          Cache.completion = r.completion;
+          speedup = r.speedup;
+          messages = r.messages;
+          bytes = r.bytes;
+          points_computed = r.points;
+          tiles_executed = r.tiles;
+        }
   in
   let workers = match backend with Sim -> workers | Shm -> 1 in
   let nw = max 1 (min workers (Array.length jobs)) in

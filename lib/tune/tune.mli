@@ -19,7 +19,7 @@
     The paper hand-picks each tiling and observes which wins (§4); this
     module closes that loop — the compiler chooses. *)
 
-type backend = Sim | Shm
+type backend = Tiles_apps.Run_spec.backend = Sim | Shm
 (** What scores the pruning survivors: the discrete-event simulator
     (virtual time, deterministic) or the real shared-memory executor
     (wall clock, noisy — keep [procs] within the host's cores). *)

@@ -327,6 +327,77 @@ let row_matches_compute (name, (k : Kernel.t)) =
         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
         (Fbuf.to_array by_row) (Fbuf.to_array by_compute))
 
+(* Run_spec.run over backend x overlap x mode x walker: every run of one
+   configuration moves the same messages, bytes, points and tiles; every
+   run that moves data reports an exact oracle check, and only those
+   report a native walker's fallback (forced by hiding the compiler) *)
+module Run_spec = Tiles_apps.Run_spec
+
+let test_run_spec_table () =
+  let configs =
+    [
+      ("sor", "nonrect", (6, 8, 8));
+      ("jacobi", "nonrect", (4, 8, 16));
+      ("adi", "nr3", (3, 8, 8));
+    ]
+  in
+  let walkers = [ Tiles_runtime.Walker.Fastpath; Tiles_runtime.Walker.Native ] in
+  Unix.putenv "TILEC_NO_CC" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "TILEC_NO_CC" "") @@ fun () ->
+  List.iter
+    (fun (app, variant, tile) ->
+      let spec =
+        { (Run_spec.default app) with variant; size1 = 12; size2 = 16; tile }
+      in
+      let r = Result.get_ok (Run_spec.resolve spec) in
+      let plan =
+        Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+          r.Tiles_apps.Registry.tiling
+      in
+      let counts (x : Run_spec.result) =
+        [ x.messages; x.bytes; x.points; x.tiles ]
+      in
+      let first = ref None in
+      List.iter
+        (fun (backend, overlap, mode, walker) ->
+          let name =
+            Printf.sprintf "%s %s%s %s %s" app
+              (Run_spec.backend_to_string backend)
+              (if overlap then " overlap" else "")
+              (match mode with Run_spec.Full -> "full" | Timing -> "timing")
+              (Tiles_runtime.Walker.variant_to_string walker)
+          in
+          let x =
+            Run_spec.run ~mode { spec with backend; overlap; walker } ~plan
+              ~kernel:r.Tiles_apps.Registry.kernel
+          in
+          (match !first with
+          | None -> first := Some (counts x)
+          | Some c ->
+            Alcotest.(check (list int)) (name ^ " counters") c (counts x));
+          let moved_data = backend = Run_spec.Shm || mode = Run_spec.Full in
+          Alcotest.(check (option (float 0.)))
+            (name ^ " max_abs_err")
+            (if moved_data then Some 0. else None)
+            x.max_abs_err;
+          Alcotest.(check bool)
+            (name ^ " fallback")
+            (moved_data && walker = Tiles_runtime.Walker.Native)
+            (x.walker_fallback <> None);
+          Alcotest.(check int) (name ^ " stats messages") x.messages
+            (Lazy.force x.stats).Tiles_obs.Stats.messages)
+        (List.concat_map
+           (fun backend ->
+             List.concat_map
+               (fun overlap ->
+                 List.concat_map
+                   (fun mode ->
+                     List.map (fun w -> (backend, overlap, mode, w)) walkers)
+                   [ Run_spec.Full; Run_spec.Timing ])
+               [ false; true ])
+           [ Run_spec.Sim; Run_spec.Shm ]))
+    configs
+
 let () =
   Alcotest.run "tiles_apps"
     [
@@ -353,6 +424,11 @@ let () =
           Alcotest.test_case "triband space" `Quick test_triband_space_shape;
           Alcotest.test_case "triband (triangular space)" `Quick test_triband_equivalence;
           Alcotest.test_case "triband clipped tiles" `Quick test_triband_boundary_tiles_partial;
+        ] );
+      ( "run spec",
+        [
+          Alcotest.test_case "backend x overlap x mode" `Quick
+            test_run_spec_table;
         ] );
       ( "experiment",
         [

@@ -487,6 +487,28 @@ let test_tune_json () =
       {|"label"|}; {|"completion_s"|}; {|"predicted"|};
     ]
 
+(* the sim backend times in Timing mode, which runs no walker: asking
+   for the native one must not compile anything into its cache *)
+let test_perf_sim_native_no_cc () =
+  let dir = Filename.temp_file "tilec_native" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Unix.putenv "TILEC_NATIVE_CACHE" dir;
+  let status, out =
+    Fun.protect
+      ~finally:(fun () -> Unix.putenv "TILEC_NATIVE_CACHE" "")
+      (fun () ->
+        run
+          "perf --app sor -M 12 -N 16 -x 3 -y 4 -z 4 --backend sim --walker \
+           native --repeats 1 --warmup 0")
+  in
+  let left = Sys.readdir dir in
+  ignore (Sys.command ("rm -rf " ^ Filename.quote dir));
+  if status <> Unix.WEXITED 0 then Alcotest.failf "perf failed:\n%s" out;
+  Alcotest.(check (array string)) "native cache untouched" [||] left;
+  if contains out "native walker unavailable" then
+    Alcotest.failf "sim perf warned about a walker it never ran:\n%s" out
+
 (* The option names each subcommand accepts, as [--help=plain] lists
    them. Flags are shared across subcommands through common terms, so a
    change to one of those terms must not silently add or drop a flag on
@@ -592,6 +614,8 @@ let () =
           Alcotest.test_case "perf inflate+shm usage error" `Quick
             test_perf_inflate_shm_usage_error;
           Alcotest.test_case "perf record/check" `Quick test_perf_record_check;
+          Alcotest.test_case "perf sim native: no cc" `Quick
+            test_perf_sim_native_no_cc;
           Alcotest.test_case "analyze roundtrip" `Quick test_analyze;
           Alcotest.test_case "analyze --stream" `Quick test_analyze_stream;
           Alcotest.test_case "analyze --json" `Quick test_analyze_json;

@@ -619,6 +619,56 @@ let test_simulate_deterministic_and_cached () =
   | l -> Alcotest.failf "expected 2 responses, got %d" (List.length l));
   Server.shutdown t
 
+(* an execute job naming the native walker on a host without a C
+   compiler runs the fast path, and its reply metadata says why, on
+   either backend; the run is still checked against the oracle *)
+let test_execute_records_fallback () =
+  let t = Server.create ~config:(stalled_config ()) () in
+  let respond, got = collector () in
+  let job backend =
+    match
+      Job.of_json
+        (Json.Obj
+           [
+             ("id", Json.Str backend);
+             ("op", Json.Str "execute");
+             ("app", Json.Str "sor");
+             ("size1", Json.Int 12);
+             ("size2", Json.Int 16);
+             ("tile", Json.List [ Json.Int 3; Json.Int 4; Json.Int 4 ]);
+             ("backend", Json.Str backend);
+             ("walker", Json.Str "native");
+           ])
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "job: %s" e
+  in
+  Unix.putenv "TILEC_NO_CC" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "TILEC_NO_CC" "")
+    (fun () ->
+      List.iter
+        (fun b ->
+          Server.submit t ~respond (job b);
+          ignore (Server.step t))
+        [ "sim"; "shm" ]);
+  check_int "two replies" 2 (List.length (got ()));
+  List.iter
+    (fun r ->
+      let id = str_field "id" r in
+      check_str (id ^ " ok") "ok" (str_field "status" r);
+      check_bool (id ^ " exact") true
+        (Json.member "max_abs_err" r = Some (Json.Float 0.));
+      match
+        Option.bind (Json.member "metadata" r) (Json.member "walker_fallback")
+      with
+      | Some (Json.Str reason) ->
+        check_bool (id ^ " reason names the compiler") true
+          (Astring.String.is_infix ~affix:"compiler" reason)
+      | _ -> Alcotest.failf "%s: no walker_fallback: %s" id (Json.to_line r))
+    (got ());
+  Server.shutdown t
+
 (* the service-wide longest-wait reservoir: bounded, sorted, attributed *)
 let test_metrics_wait_reservoir () =
   let m = Metrics.create () in
@@ -965,6 +1015,8 @@ let () =
             test_inner_field_ignored;
           Alcotest.test_case "simulate cached+deterministic" `Quick
             test_simulate_deterministic_and_cached;
+          Alcotest.test_case "execute records native fallback" `Quick
+            test_execute_records_fallback;
           Alcotest.test_case "wait reservoir bounded" `Quick
             test_metrics_wait_reservoir;
           Alcotest.test_case "job waits fold into metrics" `Quick
