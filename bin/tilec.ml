@@ -337,9 +337,7 @@ let simulate_cmd =
       spec.app spec.variant (Plan.nprocs plan) r.tiles r.points;
     Printf.printf "simulated time %.6f s, modelled sequential %.6f s, \
                    speedup %.2f\n"
-      r.completion
-      (float_of_int (Plan.total_iterations plan) *. spec.net.Netmodel.flop_time)
-      r.speedup;
+      r.completion (r.completion *. r.speedup) r.speedup;
     Printf.printf "%d messages, %d bytes\n" r.messages r.bytes;
     let st = Lazy.force r.stats in
     if st.Stats.queue_seconds > 0. then
@@ -538,16 +536,10 @@ let analyze_cmd =
         Printf.sprintf "%s on %s" spec.app
           (Run_spec.backend_to_string spec.backend)
       in
-      (* the simulator stamps virtual time, so its recorder reads 0 *)
-      let clock =
-        match spec.backend with
-        | Run_spec.Sim -> Some (fun () -> 0.)
-        | Run_spec.Shm -> None
-      in
       let rc =
-        Recorder.create
+        Run_spec.recorder
           ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
-          ~trace:true ?clock ~nprocs ()
+          ~nprocs spec
       in
       let r =
         Run_spec.run ~mode:Run_spec.Timing ~recorder:rc spec ~plan

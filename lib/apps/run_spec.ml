@@ -125,6 +125,11 @@ type result = {
   walker_fallback : string option;
 }
 
+(* the simulator stamps virtual time on every span itself *)
+let recorder ?label ~mode ~nprocs t =
+  let clock = match t.backend with Sim -> Some (fun () -> 0.) | Shm -> None in
+  Recorder.create ~mode ~trace:true ?clock ?label ~nprocs ()
+
 (* a streaming recorder keeps no spans, only per-rank per-kind sums *)
 let aggregate ?recorder ~completion ~nprocs backend_stats =
   match recorder with

@@ -96,5 +96,16 @@ val run :
     always runs Full. A Full sim run is checked by one
     {!Tiles_runtime.Seq_exec} run; shm forwards its executor's own check.
     [check], [trace] and [recorder] are passed to
-    {!Tiles_runtime.Executor.run} or {!Tiles_runtime.Shm_executor.run}
-    (a sim recorder reads virtual time: a clock that returns 0). *)
+    {!Tiles_runtime.Executor.run} or {!Tiles_runtime.Shm_executor.run};
+    a caller-made [recorder] comes from {!recorder}. *)
+
+val recorder :
+  ?label:string ->
+  mode:Tiles_obs.Recorder.mode ->
+  nprocs:int ->
+  t ->
+  Tiles_obs.Recorder.t
+(** A tracing recorder for a {!run} of the spec, on its backend's clock:
+    the simulator stamps virtual time itself, so its recorder's clock
+    reads 0; shm reads the monotonic wall clock. [label] is passed to
+    {!Tiles_obs.Recorder.create}. *)

@@ -149,14 +149,8 @@ let run_job t (ticket : ticket) : outcome =
      the job id: O(nprocs) memory per job, and the job's longest waits
      land in the service-wide metrics reservoir attributed to it *)
   let execute ~mode (rs : Run_spec.t) =
-    let clock =
-      match rs.backend with
-      | Run_spec.Sim -> Some (fun () -> 0.)
-      | Run_spec.Shm -> None
-    in
     let rc =
-      Recorder.create ~mode:Recorder.Streaming ~trace:true ?clock
-        ~label:job.Job.id ~nprocs ()
+      Run_spec.recorder ~mode:Recorder.Streaming ~label:job.Job.id ~nprocs rs
     in
     let run () = Run_spec.run ~mode ~recorder:rc rs ~plan ~kernel in
     let res =
