@@ -54,11 +54,17 @@ let () =
       ~deps:(Kernel.deps kernel)
   in
   let plan = Plan.make nest (Tiling.rectangular [ 12; 12 ]) in
+  let nprocs = Plan.nprocs plan in
+  (* the simulator stamps virtual time itself: the recorder's clock is 0 *)
+  let rc =
+    Tiles_obs.Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs ()
+  in
   let r =
-    Executor.run ~mode:Executor.Timing ~trace:true ~plan ~kernel
+    Executor.run ~mode:Executor.Timing ~recorder:rc ~plan ~kernel
       ~net:Tiles_mpisim.Netmodel.fast_ethernet_cluster ()
   in
-  save "gantt_pascal.svg" (Figures.gantt r.Executor.stats);
-  Printf.printf "(%d ranks, %d trace spans)\n"
-    (Plan.nprocs plan)
-    (List.length r.Executor.stats.Tiles_mpisim.Sim.trace)
+  let spans = Tiles_obs.Recorder.spans rc in
+  save "gantt_pascal.svg"
+    (Figures.timeline ~title:"simulated execution timeline" ~nprocs
+       ~completion:r.Executor.stats.Tiles_mpisim.Sim.completion spans);
+  Printf.printf "(%d ranks, %d trace spans)\n" nprocs (List.length spans)

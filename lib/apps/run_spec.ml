@@ -126,31 +126,44 @@ type result = {
 }
 
 (* the simulator stamps virtual time on every span itself *)
-let recorder ?label ~mode ~nprocs t =
+let make_recorder ?label ~trace ~mode ~nprocs t =
   let clock = match t.backend with Sim -> Some (fun () -> 0.) | Shm -> None in
-  Recorder.create ~mode ~trace:true ?clock ?label ~nprocs ()
+  Recorder.create ~mode ~trace ?clock ?label ~nprocs ()
 
-(* a streaming recorder keeps no spans, only per-rank per-kind sums *)
-let aggregate ?recorder ~completion ~nprocs backend_stats =
-  match recorder with
-  | Some rc when Recorder.mode rc = Recorder.Streaming ->
+let recorder ?label ~mode ~nprocs t =
+  make_recorder ?label ~trace:true ~mode ~nprocs t
+
+(* a finished run's spans, edges and lazy Stats, all read off its
+   recorder; the causal critical path is walked only when the stats are
+   asked for, and only over retained spans and edges *)
+let timeline ~completion rc =
+  let spans = Recorder.spans rc and edges = Recorder.edges rc in
+  let stats =
     lazy
-      (Tiles_obs.Stats.of_kind_seconds ~completion ~nprocs
-         ~messages:(Recorder.messages rc) ~bytes:(Recorder.bytes rc)
-         ~max_inflight_bytes:(Recorder.max_inflight_bytes rc)
-         ~rank_messages:(Recorder.rank_messages rc)
-         ~rank_bytes:(Recorder.rank_bytes rc)
-         ~queue_seconds:(Recorder.queue_seconds rc)
-         (Recorder.kind_seconds rc))
-  | _ -> backend_stats
+      (let critical_path =
+         if edges = [] || spans = [] then None
+         else
+           Some
+             (Tiles_obs.Critpath.analyze ~completion
+                ~nprocs:(Recorder.nprocs rc) ~edges spans)
+               .Tiles_obs.Critpath.path_length
+       in
+       Tiles_obs.Stats.of_recorder ~completion ?critical_path rc)
+  in
+  (stats, spans, edges)
 
-let run ?(mode = Full) ?check ?trace ?recorder t ~plan ~kernel =
+let run ?(mode = Full) ?check ?(trace = false) ?recorder t ~plan ~kernel =
   let nprocs = Tiles_core.Plan.nprocs plan in
+  let rc =
+    match recorder with
+    | Some rc -> rc
+    | None -> make_recorder ~trace ~mode:Recorder.Retain ~nprocs t
+  in
   match t.backend with
   | Sim ->
     let r =
-      Executor.run ~walker:t.walker ?check ~mode ~overlap:t.overlap ?trace
-        ?recorder ~plan ~kernel ~net:t.net ()
+      Executor.run ~walker:t.walker ?check ~mode ~overlap:t.overlap
+        ~recorder:rc ~plan ~kernel ~net:t.net ()
     in
     let st = r.Executor.stats in
     let space = plan.Tiles_core.Plan.nest.Tiles_loop.Nest.space in
@@ -162,12 +175,11 @@ let run ?(mode = Full) ?check ?trace ?recorder t ~plan ~kernel =
             space)
         r.Executor.grid
     in
+    let stats, spans, edges = timeline ~completion:st.Sim.completion rc in
     {
-      stats =
-        aggregate ?recorder ~completion:st.Sim.completion ~nprocs
-          (lazy (Tiles_mpisim.Trace.aggregate st));
-      spans = st.Sim.trace;
-      edges = st.Sim.edges;
+      stats;
+      spans;
+      edges;
       completion = st.Sim.completion;
       speedup = r.Executor.speedup;
       messages = st.Sim.messages;
@@ -180,15 +192,19 @@ let run ?(mode = Full) ?check ?trace ?recorder t ~plan ~kernel =
     }
   | Shm ->
     let r =
-      Shm_executor.run ~walker:t.walker ?check ?trace ?recorder
-        ~overlap:t.overlap ~plan ~kernel ()
+      Shm_executor.run ~walker:t.walker ?check ~recorder:rc ~overlap:t.overlap
+        ~plan ~kernel ()
+    in
+    (* the latest rank finish, on the recorder's own clock *)
+    let stats, spans, edges =
+      timeline
+        ~completion:(Array.fold_left Float.max 0. (Recorder.rank_finish rc))
+        rc
     in
     {
-      stats =
-        aggregate ?recorder ~completion:r.Shm_executor.wall_seconds ~nprocs
-          (Lazy.from_val r.Shm_executor.stats);
-      spans = r.Shm_executor.trace;
-      edges = r.Shm_executor.edges;
+      stats;
+      spans;
+      edges;
       completion = r.Shm_executor.wall_seconds;
       speedup = r.Shm_executor.wall_speedup;
       messages = r.Shm_executor.messages;

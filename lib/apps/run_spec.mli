@@ -61,10 +61,13 @@ type mode = Tiles_runtime.Executor.mode =
 
 type result = {
   stats : Tiles_obs.Stats.t Lazy.t;
-      (** computed on first use (a retained sim trace costs a critical
-          path walk); from the per-kind sums of a streaming recorder *)
-  spans : Tiles_obs.Span.t list;  (** [[]] unless traced in Retain mode *)
-  edges : Tiles_obs.Recorder.edge list;
+      (** {!Tiles_obs.Stats.of_recorder} on the run's recorder, built on
+          first use; the causal critical path is walked then, and only
+          when the recorder kept edges. Its completion is the simulated
+          completion on sim and the latest rank finish stamp on shm. *)
+  spans : Tiles_obs.Span.t list;
+      (** the recorder's spans; [[]] unless traced in Retain mode *)
+  edges : Tiles_obs.Recorder.edge list;  (** likewise *)
   completion : float;  (** virtual seconds on sim, wall seconds on shm *)
   speedup : float;
       (** against the modelled sequential time on sim, the timed
@@ -95,9 +98,13 @@ val run :
     walker. [mode] (default [Full]) applies to the simulator only; shm
     always runs Full. A Full sim run is checked by one
     {!Tiles_runtime.Seq_exec} run; shm forwards its executor's own check.
-    [check], [trace] and [recorder] are passed to
-    {!Tiles_runtime.Executor.run} or {!Tiles_runtime.Shm_executor.run};
-    a caller-made [recorder] comes from {!recorder}. *)
+    [check] is passed to {!Tiles_runtime.Executor.run} or
+    {!Tiles_runtime.Shm_executor.run}.
+
+    The run writes its whole timeline to one recorder, and the result's
+    spans, edges and stats are read from it: [recorder] when given (made
+    by {!recorder}), else a Retain one of this function's own when
+    [trace] (default false) is set, else an untraced, counting one. *)
 
 val recorder :
   ?label:string ->

@@ -16,13 +16,6 @@ type stats = {
   rank_clocks : float array;
   messages : int;
   bytes : int;
-  rank_messages : int array;
-  rank_bytes : int array;
-  max_inflight_bytes : int;
-  queue_seconds : float;
-  rank_queue_seconds : float array;
-  trace : span list;
-  edges : Recorder.edge list;
 }
 
 exception Deadlock of string
@@ -325,7 +318,7 @@ let handler st (r : int) =
         | _ -> None);
   }
 
-let run ?(trace = false) ?recorder ~nprocs ~net program =
+let run ?recorder ~nprocs ~net program =
   if nprocs <= 0 then invalid_arg "Sim.run: nprocs";
   let rc =
     match recorder with
@@ -334,9 +327,9 @@ let run ?(trace = false) ?recorder ~nprocs ~net program =
         invalid_arg "Sim.run: recorder nprocs mismatch";
       rc
     | None ->
-      (* a zero clock: the simulator stamps everything explicitly in
-         virtual time, so the recorder's own clock must never move *)
-      Recorder.create ~trace ~clock:(fun () -> 0.) ~nprocs ()
+      (* untraced, counting only; a zero clock, since the simulator
+         stamps everything explicitly in virtual time *)
+      Recorder.create ~clock:(fun () -> 0.) ~nprocs ()
   in
   let nics =
     match net.Netmodel.model with
@@ -390,13 +383,4 @@ let run ?(trace = false) ?recorder ~nprocs ~net program =
     rank_clocks = Array.copy st.clocks;
     messages = Recorder.messages rc;
     bytes = Recorder.bytes rc;
-    rank_messages = Recorder.rank_messages rc;
-    rank_bytes = Recorder.rank_bytes rc;
-    max_inflight_bytes = Recorder.max_inflight_bytes rc;
-    queue_seconds = Recorder.queue_seconds rc;
-    rank_queue_seconds = Recorder.rank_queue_seconds rc;
-    (* Recorder.spans merges the per-rank logs time-ordered, like the
-       wall-clock recorder produces ([] in streaming mode) *)
-    trace = Recorder.spans rc;
-    edges = Recorder.edges rc;
   }

@@ -30,8 +30,9 @@
     [Alpha_beta].
 
     Traced spans use the observability layer's shared vocabulary
-    ({!Tiles_obs.Span}), so a simulated timeline and a real
-    {!Tiles_runtime.Shm_executor} timeline feed the same exporters. *)
+    ({!Tiles_obs.Span}) and go to a {!Tiles_obs.Recorder}, the same
+    record a real {!Tiles_runtime.Shm_executor} run writes, so both
+    timelines feed the same exporters and the same {!Tiles_obs.Stats}. *)
 
 (** One traced activity interval on a rank's virtual timeline (an alias
     of {!Tiles_obs.Span.t}; times are virtual seconds). *)
@@ -47,21 +48,10 @@ type stats = {
   rank_clocks : float array;
   messages : int;
   bytes : int;
-  rank_messages : int array;  (** messages sent, per sender rank *)
-  rank_bytes : int array;  (** bytes sent, per sender rank *)
-  max_inflight_bytes : int;  (** peak total bytes buffered in channels *)
-  queue_seconds : float;
-      (** total NIC/uplink queueing under a contended {!Netmodel.model}
-          (0 under [Alpha_beta]); maintained even untraced/streaming *)
-  rank_queue_seconds : float array;
-      (** queueing charged per rank: send-side stalls and uplink delay
-          to the sender, receive-NIC serialisation to the receiver *)
-  trace : span list;  (** per-event spans; empty unless [run] was called
-                          with [~trace:true] *)
-  edges : Tiles_obs.Recorder.edge list;
-      (** matched send→recv causal dependencies (empty when untraced or
-          when the recorder runs in streaming mode) *)
 }
+(** The run's virtual-time outcome. Everything else it produced — spans,
+    message edges, per-rank counters, NIC queueing — is in the
+    {!Tiles_obs.Recorder} it wrote to. *)
 
 exception Deadlock of string
 (** Raised when every unfinished rank is blocked on a receive that can
@@ -121,23 +111,20 @@ module Api : sig
 end
 
 val run :
-  ?trace:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   nprocs:int ->
   net:Netmodel.t ->
   (int -> unit) ->
   stats
 (** [run ~nprocs ~net program] executes [program rank] on every rank and
-    returns the virtual-time statistics. Raises [Deadlock] on a stuck
+    returns the virtual-time outcome. Raises [Deadlock] on a stuck
     communication pattern, and re-raises any exception escaping a rank
-    program. With [~trace:true], every compute / pack / send / wait /
-    unpack interval is recorded in [stats.trace] (for Gantt rendering
-    and the {!Tiles_obs} exporters) together with the message dependency
-    edges in [stats.edges].
+    program.
 
-    [recorder] supplies a caller-created recorder instead (it must have
-    been created with a clock that always reads 0 — the simulator stamps
-    in virtual time — and matching [nprocs]; [trace] is then taken from
-    the recorder). A [~mode:Streaming] recorder keeps a traced run at
-    O(nprocs) memory: [stats.trace]/[stats.edges] come back empty and
-    the aggregates live in the recorder. *)
+    Every counter, span and message edge goes to [recorder]. Pass one
+    to keep them: it must read virtual time (be created with a clock
+    that always reads 0 — the simulator stamps every span itself) and
+    match [nprocs]. A tracing Retain recorder keeps the spans and the
+    send→recv edges; a [~mode:Streaming] one keeps a traced run at
+    O(nprocs) memory. Without one, the run writes to an untraced,
+    counting recorder of its own. *)

@@ -35,14 +35,11 @@ type t = {
          0 under alpha-beta and on real (shm) runs *)
 }
 
-let of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
-    ~rank_messages ~rank_bytes ~critical_path ~queue_seconds sums =
-  let per_rank arr r =
-    match arr with
-    | Some a when Array.length a = nprocs -> a.(r)
-    | Some _ -> invalid_arg "Stats: per-rank counter length"
-    | None -> 0
-  in
+let of_recorder ~completion ?(critical_path = 0.) rc =
+  let nprocs = Recorder.nprocs rc in
+  let sums = Recorder.kind_seconds rc in
+  let rank_messages = Recorder.rank_messages rc in
+  let rank_bytes = Recorder.rank_bytes rc in
   let ranks =
     Array.init nprocs (fun r ->
         let compute = sums.(r).(0) and pack = sums.(r).(1) in
@@ -58,8 +55,8 @@ let of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
           unpack;
           busy;
           busy_fraction = (if completion > 0. then busy /. completion else 0.);
-          messages = per_rank rank_messages r;
-          bytes = per_rank rank_bytes r;
+          messages = rank_messages.(r);
+          bytes = rank_bytes.(r);
         })
   in
   let total f = Array.fold_left (fun acc r -> acc +. f r) 0. ranks in
@@ -69,9 +66,9 @@ let of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
     nprocs;
     completion;
     ranks;
-    messages;
-    bytes;
-    max_inflight_bytes;
+    messages = Recorder.messages rc;
+    bytes = Recorder.bytes rc;
+    max_inflight_bytes = Recorder.max_inflight_bytes rc;
     total_compute;
     total_comm;
     comm_compute_ratio =
@@ -81,45 +78,8 @@ let of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
     max_rank_busy =
       Array.fold_left (fun acc r -> Float.max acc r.busy) 0. ranks;
     critical_path;
-    queue_seconds;
+    queue_seconds = Recorder.queue_seconds rc;
   }
-
-let make ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
-    ?rank_messages ?rank_bytes ?(critical_path = 0.) ?(queue_seconds = 0.)
-    spans =
-  if nprocs <= 0 then invalid_arg "Stats.make: nprocs";
-  let sums = Array.make_matrix nprocs 5 0. in
-  List.iter
-    (fun (s : Span.t) ->
-      if s.Span.rank < 0 || s.Span.rank >= nprocs then
-        invalid_arg "Stats.make: span rank out of range";
-      let slot =
-        match s.Span.kind with
-        | Span.Compute -> 0
-        | Span.Pack -> 1
-        | Span.Send -> 2
-        | Span.Wait -> 3
-        | Span.Unpack -> 4
-      in
-      sums.(s.Span.rank).(slot) <-
-        sums.(s.Span.rank).(slot) +. Span.duration s)
-    spans;
-  of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
-    ~rank_messages ~rank_bytes ~critical_path ~queue_seconds sums
-
-let of_kind_seconds ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
-    ?rank_messages ?rank_bytes ?(critical_path = 0.) ?(queue_seconds = 0.)
-    kind_seconds =
-  if nprocs <= 0 then invalid_arg "Stats.of_kind_seconds: nprocs";
-  if Array.length kind_seconds <> nprocs then
-    invalid_arg "Stats.of_kind_seconds: kind_seconds length";
-  Array.iter
-    (fun row ->
-      if Array.length row <> 5 then
-        invalid_arg "Stats.of_kind_seconds: kind row length")
-    kind_seconds;
-  of_sums ~completion ~nprocs ~messages ~bytes ~max_inflight_bytes
-    ~rank_messages ~rank_bytes ~critical_path ~queue_seconds kind_seconds
 
 let rank_json r =
   Json.Obj

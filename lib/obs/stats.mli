@@ -1,5 +1,5 @@
-(** Aggregate statistics of one run, computed from the span trace plus
-    the recorder's counters — the machine-readable summary embedded in
+(** Aggregate statistics of one run, computed from its
+    {!Recorder} — the machine-readable summary embedded in
     [bench --json] and printed by [tilec trace]. The same record is
     produced from simulated (virtual-time) and real (wall-time) runs, so
     the two backends can be compared field by field. *)
@@ -13,9 +13,8 @@ type rank = {
   unpack : float;
   busy : float;  (** compute + pack + send + unpack *)
   busy_fraction : float;  (** busy / completion (0 when untraced) *)
-  messages : int;  (** messages sent by this rank (0 when the per-rank
-                       split was not supplied to {!make}) *)
-  bytes : int;  (** bytes sent by this rank (0 likewise) *)
+  messages : int;  (** messages sent by this rank *)
+  bytes : int;  (** bytes sent by this rank *)
 }
 
 type t = {
@@ -44,40 +43,13 @@ type t = {
           always 0 under alpha-beta and on real (shm) runs *)
 }
 
-val make :
-  completion:float ->
-  nprocs:int ->
-  messages:int ->
-  bytes:int ->
-  max_inflight_bytes:int ->
-  ?rank_messages:int array ->
-  ?rank_bytes:int array ->
-  ?critical_path:float ->
-  ?queue_seconds:float ->
-  Span.t list ->
-  t
-(** Aggregate a trace. With an empty span list (untraced run) all time
-    components are zero but the counters are still meaningful.
-    [critical_path] (default 0) is the causal value from {!Critpath}
-    when the caller has message edges; [queue_seconds] (default 0) is
-    the contended-model queueing total from the simulator. *)
-
-val of_kind_seconds :
-  completion:float ->
-  nprocs:int ->
-  messages:int ->
-  bytes:int ->
-  max_inflight_bytes:int ->
-  ?rank_messages:int array ->
-  ?rank_bytes:int array ->
-  ?critical_path:float ->
-  ?queue_seconds:float ->
-  float array array ->
-  t
-(** Aggregate from pre-folded [nprocs × 5] per-rank per-kind second
-    sums (the shape {!Recorder.kind_seconds} returns) — the streaming-
-    mode path, where no span list exists. Produces the same record as
-    {!make} over the spans the sums were folded from. *)
+val of_recorder : completion:float -> ?critical_path:float -> Recorder.t -> t
+(** The run's aggregate, read off the recorder that timed it: per-rank
+    per-kind seconds from {!Recorder.kind_seconds} (all zero when the
+    recorder did not trace), message, byte, in-flight and NIC-queueing
+    counters from its counters. [completion] is the run's makespan on
+    the backend's clock; [critical_path] (default 0) is the causal value
+    from {!Critpath}, when the caller kept edges to compute it from. *)
 
 val to_json : t -> Tiles_util.Json.t
 

@@ -15,8 +15,8 @@ type result = {
   walker_fallback : string option;
 }
 
-let run ?walker ?check ?(mode = Full) ?(overlap = false)
-    ?(trace = false) ?recorder ~plan ~kernel ~net () =
+let run ?walker ?check ?(mode = Full) ?(overlap = false) ?recorder ~plan
+    ~kernel ~net () =
   let pmode = match mode with Full -> Protocol.Full | Timing -> Protocol.Timing in
   let shared =
     Protocol.prepare ?walker ?check ~mode:pmode ~plan ~kernel
@@ -35,7 +35,7 @@ let run ?walker ?check ?(mode = Full) ?(overlap = false)
     }
   in
   let stats =
-    Sim.run ~trace ?recorder
+    Sim.run ?recorder
       ~nprocs:(Mapping.nprocs plan.Plan.mapping)
       ~net
       (Protocol.rank_program ~overlap shared comms)
@@ -50,5 +50,5 @@ let run ?walker ?check ?(mode = Full) ?(overlap = false)
     grid = shared.Protocol.grid;
     points_computed = Array.fold_left ( + ) 0 shared.Protocol.points_per_rank;
     tiles_executed = Array.fold_left ( + ) 0 shared.Protocol.tiles_per_rank;
-    walker_fallback = Atomic.get shared.Protocol.fallback;
+    walker_fallback = shared.Protocol.fallback;
   }

@@ -36,9 +36,9 @@ type result = {
   points_computed : int; (** total iterations executed across ranks *)
   tiles_executed : int;
   walker_fallback : string option;
-      (** why a [Native] walker ran the OCaml fast path (first rank's
-          {!Walker.fallback_reason}); [None] in [Timing] mode, which runs
-          no walker *)
+      (** why a [Native] walker ran the OCaml fast path
+          ({!Protocol.shared}'s [fallback]); [None] in [Timing] mode,
+          which runs no walker *)
 }
 
 val run :
@@ -46,7 +46,6 @@ val run :
   ?check:bool ->
   ?mode:mode ->
   ?overlap:bool ->
-  ?trace:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
@@ -68,10 +67,9 @@ val run :
     (ref [8]) where a tile's outgoing communication overlaps the next
     tile's computation.
 
-    [trace] (default false) records per-rank activity spans in
-    [result.stats.trace] for Gantt rendering, plus the message dependency
-    edges in [result.stats.edges]. [recorder] passes a caller-created
-    recorder through to {!Tiles_mpisim.Sim.run} (it must read virtual
-    time, i.e. be created with a clock that always returns 0) — e.g. a
-    [~mode:Streaming] one so a thousand-rank traced sim stays at
-    O(nprocs) memory. *)
+    [recorder] is passed to {!Tiles_mpisim.Sim.run}, which writes every
+    span, edge and counter of the run to it; it must read virtual time
+    (be created with a clock that always returns 0). A caller that
+    wants a timeline passes a tracing one — Retain for spans and edges,
+    [~mode:Streaming] so a thousand-rank traced sim stays at O(nprocs)
+    memory. Without one the run is untraced. *)

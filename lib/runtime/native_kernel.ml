@@ -137,44 +137,33 @@ let load_path so =
           Ok fn
         | exception Failure msg -> Error ("dlopen: " ^ msg)))
 
-(* Render the source and its content address. The digest covers source,
+(* The shared object's content address. The digest covers source,
    compiler and flags: any of them changing must miss the cache, not
    load a stale object. *)
-let source_and_path ~plan ~kernel () =
+let cache_path src =
+  Filename.concat (default_cache_dir ())
+    (Digest.to_hex
+       (Digest.string (cc_command () ^ "\x00" ^ compile_flags ^ "\x00" ^ src))
+    ^ ".so")
+
+(* the cheap refusals come first: no source is rendered for a kernel
+   that has no C body or a host that has no compiler *)
+let build ~plan ~kernel () =
   match kernel.Kernel.ckernel with
-  | None ->
-    Error (Printf.sprintf "kernel %s has no C body" kernel.Kernel.name)
-  | Some ck ->
+  | None -> Error (Printf.sprintf "kernel %s has no C body" kernel.Kernel.name)
+  | Some _ when not (available ()) -> Error "no C compiler available"
+  | Some ck -> (
     let src =
       Rowgen.generate ~plan ~kernel:ck ~skew:kernel.Kernel.skew
         ~reads:kernel.Kernel.reads ()
     in
-    let so =
-      Filename.concat (default_cache_dir ())
-        (Digest.to_hex
-           (Digest.string (cc_command () ^ "\x00" ^ compile_flags
-                           ^ "\x00" ^ src))
-        ^ ".so")
-    in
-    Ok (src, so)
-
-let build ~plan ~kernel () =
-  match source_and_path ~plan ~kernel () with
-  | Error e -> Error e
-  | Ok (src, so) ->
-    if not (available ()) then Error "no C compiler available"
-    else begin
-      match mkdir_p (Filename.dirname so) with
-      | exception Unix.Unix_error (e, _, _) ->
-        Error ("cache dir: " ^ Unix.error_message e)
-      | () ->
-        let compiled =
-          if Sys.file_exists so then Ok () else compile_to src so
-        in
-        (match compiled with
-        | Error _ as e -> e
-        | Ok () -> load_path so)
-    end
+    let so = cache_path src in
+    match mkdir_p (Filename.dirname so) with
+    | exception Unix.Unix_error (e, _, _) ->
+      Error ("cache dir: " ^ Unix.error_message e)
+    | () -> (
+      let compiled = if Sys.file_exists so then Ok () else compile_to src so in
+      match compiled with Error _ as e -> e | Ok () -> load_path so))
 
 let row fn ~la ~cur ~taps ~jrow ~len ~interior =
   row_stub fn la cur taps jrow len (if interior then 1 else 0)

@@ -56,7 +56,8 @@ type shared = {
   counts : Count_table.t;
   points_per_rank : int array;
   tiles_per_rank : int array;
-  fallback : string option Atomic.t;
+  native : (Native_kernel.fn, string) result option;
+  fallback : string option;
 }
 
 type direction = {
@@ -110,6 +111,12 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
            ~width:kernel.Kernel.width)
     else None
   in
+  (* every rank's walker runs the same compiled row: build it once *)
+  let native =
+    match (walker, mode) with
+    | Walker.Native, Full -> Some (Walker.native_row ~plan ~kernel ~check)
+    | _ -> None
+  in
   {
     plan;
     kernel;
@@ -122,7 +129,9 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     counts = Plan.counts plan;
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
-    fallback = Atomic.make None;
+    native;
+    fallback =
+      (match native with Some (Error reason) -> Some reason | _ -> None);
   }
 
 let rank_program ?(overlap = false) shared comms rank =
@@ -140,14 +149,10 @@ let rank_program ?(overlap = false) shared comms rank =
     match shared.mode with
     | Full ->
       Some
-        (Walker.make ~plan ~kernel ~rank ~ntiles ~variant:shared.walker
-           ~check:shared.check ())
+        (Walker.make ?native:shared.native ~plan ~kernel ~rank ~ntiles
+           ~variant:shared.walker ~check:shared.check ())
     | Timing -> None
   in
-  (match Option.bind walker Walker.fallback_reason with
-  | Some _ as reason ->
-    ignore (Atomic.compare_and_set shared.fallback None reason)
-  | None -> ());
   let la =
     match walker with
     | Some w -> Fbuf.make (Walker.lds_total w * width) Float.nan

@@ -73,9 +73,13 @@ type shared = {
           mode's message sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
-  fallback : string option Atomic.t;
-      (** the first {!Walker.fallback_reason} any rank's walker reported:
-          why a [Native] run executes the OCaml fast path *)
+  native : (Native_kernel.fn, string) result option;
+      (** the [Native] walker's row ({!Walker.native_row}), built once
+          and shared by every rank; [None] for other walkers and in
+          [Timing] mode, which runs no walker *)
+  fallback : string option;
+      (** why a [Native] run executes the OCaml fast path: [native]'s
+          error, known before any rank runs *)
 }
 
 val prepare :
@@ -94,7 +98,8 @@ val prepare :
     [?walker] (default {!Walker.Fastpath}) selects the tile-execution
     engine; [?check] (default false) makes the fast walkers validate
     every LDS read against NaN poisoning like the reference walker
-    does. *)
+    does. A [Native] walker in [Full] mode has its row built (or its
+    fallback reason found) here, once for all ranks. *)
 
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain (including the untimed LDS→DS

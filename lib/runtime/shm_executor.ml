@@ -19,9 +19,6 @@ type result = {
   bytes : int;
   points_computed : int;
   tiles_executed : int;
-  trace : Span.t list;
-  edges : Recorder.edge list;
-  stats : Tiles_obs.Stats.t;
   walker_fallback : string option;
 }
 
@@ -194,7 +191,7 @@ let watchdog_period = 0.02
 (* slots of each rank's send stage in the overlapped schedule *)
 let send_queue = 4
 
-let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
+let run ?walker ?check ?recorder ?(overlap = false)
     ?(recv_timeout = 30.) ~plan ~kernel () =
   if not (recv_timeout > 0.) then
     invalid_arg
@@ -219,7 +216,7 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
       if Recorder.nprocs rc <> nprocs then
         invalid_arg "Shm_executor.run: recorder nprocs mismatch";
       rc
-    | None -> Recorder.create ~trace ~nprocs ()
+    | None -> Recorder.create ~nprocs ()
   in
   let comms_for rank =
     let log = Recorder.log recorder ~rank in
@@ -348,28 +345,6 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
     | Some g -> g
     | None -> assert false
   in
-  let completion =
-    Array.fold_left Float.max 0. (Recorder.rank_finish recorder)
-  in
-  let spans = Recorder.spans recorder in
-  let edges = Recorder.edges recorder in
-  let critical_path =
-    if edges = [] || spans = [] then 0.
-    else
-      let report =
-        Tiles_obs.Critpath.analyze ~completion ~nprocs ~edges spans
-      in
-      report.Tiles_obs.Critpath.path_length
-  in
-  let stats =
-    Tiles_obs.Stats.make ~completion ~nprocs
-      ~messages:(Recorder.messages recorder)
-      ~bytes:(Recorder.bytes recorder)
-      ~max_inflight_bytes:(Recorder.max_inflight_bytes recorder)
-      ~rank_messages:(Recorder.rank_messages recorder)
-      ~rank_bytes:(Recorder.rank_bytes recorder)
-      ~critical_path spans
-  in
   {
     wall_seconds = wall;
     seq_wall_seconds = seq_wall;
@@ -381,8 +356,5 @@ let run ?walker ?check ?(trace = false) ?recorder ?(overlap = false)
     bytes = Recorder.bytes recorder;
     points_computed = Array.fold_left ( + ) 0 shared.Protocol.points_per_rank;
     tiles_executed = Array.fold_left ( + ) 0 shared.Protocol.tiles_per_rank;
-    trace = spans;
-    edges;
-    stats;
-    walker_fallback = Atomic.get shared.Protocol.fallback;
+    walker_fallback = shared.Protocol.fallback;
   }

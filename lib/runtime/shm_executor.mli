@@ -17,11 +17,12 @@
     per-channel order are identical either way, so both schedules (and
     both backends) report the same message/byte counters.
 
-    Every run also drives a {!Tiles_obs.Recorder}: message/byte counters
-    are always on, and with [~trace:true] each rank additionally records
-    wall-clock {!Tiles_obs.Span.t} values using the same
-    compute/pack/send/wait/unpack vocabulary as the simulator, so the two
-    backends' traces are directly comparable.
+    Every run writes to a {!Tiles_obs.Recorder}, the run's one record
+    of its timeline: message/byte counters are always on, each rank
+    stamps its finish, and a tracing recorder also gets wall-clock
+    {!Tiles_obs.Span.t} values in the same compute/pack/send/wait/unpack
+    vocabulary as the simulator, so the two backends' traces (and the
+    {!Tiles_obs.Stats} built from them) are directly comparable.
 
     Use modest process counts (≲ number of cores); each rank is a real
     domain, and the overlapped schedule adds one sender domain per
@@ -47,17 +48,9 @@ type result = {
   bytes : int;                (** total payload bytes sent *)
   points_computed : int;      (** total iterations executed across ranks *)
   tiles_executed : int;
-  trace : Tiles_obs.Span.t list;
-      (** wall-clock spans, all ranks, time-sorted; [[]] unless [trace] *)
-  edges : Tiles_obs.Recorder.edge list;
-      (** matched send→recv causal dependencies with wall-clock stamps;
-          [[]] unless traced in Retain mode *)
-  stats : Tiles_obs.Stats.t;
-      (** aggregate per-rank/backend statistics; [critical_path] is the
-          causal value when edges were recorded *)
   walker_fallback : string option;
-      (** why a [Native] walker ran the OCaml fast path (first rank's
-          {!Walker.fallback_reason}) *)
+      (** why a [Native] walker ran the OCaml fast path
+          ({!Protocol.shared}'s [fallback]) *)
 }
 
 (** The blocking tag-matched channel used between each (src, dst) rank
@@ -132,7 +125,6 @@ end
 val run :
   ?walker:Walker.variant ->
   ?check:bool ->
-  ?trace:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   ?overlap:bool ->
   ?recv_timeout:float ->
@@ -142,12 +134,12 @@ val run :
   result
 (** Always Full mode (the whole point is the real data flow).
     [walker]/[check] select the tile-execution engine and its NaN-read
-    validation exactly as in {!Protocol.prepare}. [trace]
-    (default false) records per-rank wall-clock spans. [recorder]
-    supplies a caller-created recorder instead (matching [nprocs]
-    required; [trace] is then the recorder's flag) — e.g. a
-    [~mode:Streaming] one to keep long traced runs at O(nprocs) memory,
-    or a labelled one so a serve job's trace is attributable. [overlap]
+    validation exactly as in {!Protocol.prepare}. [recorder] receives
+    the run's spans, edges and counters (matching [nprocs] required);
+    pass a tracing one for a timeline — Retain for spans and edges,
+    [~mode:Streaming] to keep long traced runs at O(nprocs) memory, or
+    a labelled one so a serve job's trace is attributable. Without one
+    the run writes to an untraced, counting recorder of its own. [overlap]
     (default false) runs the §5 overlapped schedule: receives pre-posted
     per tile ({!Protocol.rank_program}), sends handed to a per-rank
     bounded {!Send_stage} of 4 slots and completed by a sender domain

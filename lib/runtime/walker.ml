@@ -108,7 +108,11 @@ type t = {
   out : float array;
 }
 
-let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
+let native_row ~plan ~kernel ~check =
+  if check then Error "check mode validates LDS reads in OCaml"
+  else Native_kernel.build ~plan ~kernel ()
+
+let make ?native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let tiling = plan.Plan.tiling in
   let comm = plan.Plan.comm in
   let tspace = plan.Plan.tspace in
@@ -170,10 +174,13 @@ let make ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   in
   let native, fallback =
     match variant with
-    | Native when check ->
-      (None, Some "check mode validates LDS reads in OCaml")
     | Native -> (
-      match Native_kernel.build ~plan ~kernel () with
+      let row =
+        match native with
+        | Some row -> row
+        | None -> native_row ~plan ~kernel ~check
+      in
+      match row with
       | Ok fn -> (Some fn, None)
       | Error reason -> (None, Some reason))
     | Reference | Fastpath -> (None, None)

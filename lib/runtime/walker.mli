@@ -54,7 +54,18 @@ val compiled_member : Tiles_poly.Polyhedron.t -> int array -> bool
 
 type t
 
+val native_row :
+  plan:Tiles_core.Plan.t ->
+  kernel:Kernel.t ->
+  check:bool ->
+  (Native_kernel.fn, string) result
+(** The [Native] variant's compiled row for a plan, or why a walker
+    built with it runs the OCaml fast path instead: check mode, or
+    {!Native_kernel.build}'s error. Every rank of a run shares one row,
+    so a run builds it once and hands it to each rank's {!make}. *)
+
 val make :
+  ?native:(Native_kernel.fn, string) result ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
   rank:int ->
@@ -68,7 +79,8 @@ val make :
     confirm that every boundary-filled source lies outside the space; the
     fast variants skip the check — and become eligible for the unrolled
     row bodies — when it is false. [Reference] validates regardless.
-    [Native] compiles (or loads from cache) its row kernel here. *)
+    [Native] runs [native], the plan's {!native_row}; without it the
+    walker builds (or loads from cache) the row itself. *)
 
 val variant : t -> variant
 

@@ -506,39 +506,56 @@ let ignore_sigpipe () =
   try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
   with Invalid_argument _ | Sys_error _ -> ()
 
-let serve_channels ?config ?metrics_out ic oc =
-  ignore_sigpipe ();
-  let out_lock = Mutex.create () in
-  let respond j =
-    Mutex.lock out_lock;
-    (* [Fun.protect]: a broken pipe raising out of [flush] must not
-       leave the output lock held for the other workers *)
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock out_lock)
-      (fun () ->
+(* The one writer of a connection's response lines: each line is written
+   and flushed whole under the lock, and a tenant gone away (EPIPE) is
+   absorbed here. Once [close_writer] has run, late responses are
+   dropped: a job still in flight must not answer into a descriptor the
+   next accepted connection may already reuse. *)
+type writer = { oc : out_channel; lock : Mutex.t; mutable closed : bool }
+
+let writer oc = { oc; lock = Mutex.create (); closed = false }
+
+let write w j =
+  Mutex.lock w.lock;
+  (* [Fun.protect]: nothing raising out of the write may leave the lock
+     held for the other workers *)
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock w.lock)
+    (fun () ->
+      if not w.closed then
         try
-          output_string oc (Json.to_line j);
-          output_char oc '\n';
-          flush oc
-        with Sys_error _ -> ())
-  in
-  let t = create ?config () in
+          output_string w.oc (Json.to_line j);
+          output_char w.oc '\n';
+          flush w.oc
+        with Sys_error _ | Unix.Unix_error _ -> ())
+
+let close_writer w ~close =
+  Mutex.lock w.lock;
+  w.closed <- true;
+  Fun.protect ~finally:(fun () -> Mutex.unlock w.lock) close
+
+(* Feed every non-blank request line to [handle_line] until the input
+   ends (or fails) or a line asks for shutdown. *)
+let read_requests t ~respond ic =
   let rec loop () =
     match input_line ic with
-    | exception End_of_file -> ()
-    | line ->
-      if String.trim line = "" then loop ()
-      else begin
-        match handle_line t ~respond line with
-        | `Shutdown -> ()
-        | `Handled -> loop ()
-      end
+    | exception (End_of_file | Sys_error _) -> `Eof
+    | line when String.trim line = "" -> loop ()
+    | line -> (
+      match handle_line t ~respond line with
+      | `Shutdown -> `Shutdown
+      | `Handled -> loop ())
   in
-  loop ();
+  loop ()
+
+let serve_channels ?config ?metrics_out ic oc =
+  ignore_sigpipe ();
+  let respond = write (writer oc) in
+  let t = create ?config () in
+  ignore (read_requests t ~respond ic);
   drain t;
   shutdown t;
-  let final = final_line t in
-  respond final;
+  respond (final_line t);
   match metrics_out with
   | Some path -> write_metrics_file path (metrics_json t)
   | None -> ()
@@ -557,51 +574,23 @@ let serve_socket ?config ?metrics_out ~path () =
   let handlers = ref [] in
   let handlers_lock = Mutex.create () in
   let handle_conn fd () =
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    let out_lock = Mutex.create () in
-    let closed = ref false in
-    let respond j =
-      Mutex.lock out_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock out_lock)
-        (fun () ->
-          if not !closed then
-            try
-              output_string oc (Json.to_line j);
-              output_char oc '\n';
-              flush oc
-            with Sys_error _ | Unix.Unix_error _ -> ())
-    in
-    let rec loop () =
-      match input_line ic with
-      | exception End_of_file -> ()
-      | exception Sys_error _ -> ()
-      | line ->
-        if String.trim line = "" then loop ()
-        else begin
-          match handle_line t ~respond line with
-          | `Shutdown ->
-            (* this tenant ends the whole daemon: finish the backlog,
-               answer with the final snapshot, stop accepting *)
-            drain t;
-            respond (final_line t);
-            Atomic.set stop true;
-            (try Unix.shutdown listener Unix.SHUTDOWN_RECEIVE
-             with Unix.Unix_error _ -> ());
-            (try Unix.close listener with Unix.Unix_error _ -> ())
-          | `Handled -> loop ()
-        end
-    in
-    loop ();
-    (* a job of this tenant still in flight must not answer into the
-       descriptor once the next accepted connection reuses its number *)
-    Mutex.lock out_lock;
-    closed := true;
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Mutex.unlock out_lock
+    let w = writer (Unix.out_channel_of_descr fd) in
+    let respond = write w in
+    (match read_requests t ~respond (Unix.in_channel_of_descr fd) with
+    | `Eof -> ()
+    | `Shutdown ->
+      (* this tenant ends the whole daemon: finish the backlog, answer
+         with the final snapshot, stop accepting *)
+      drain t;
+      respond (final_line t);
+      Atomic.set stop true;
+      (try Unix.shutdown listener Unix.SHUTDOWN_RECEIVE
+       with Unix.Unix_error _ -> ());
+      (try Unix.close listener with Unix.Unix_error _ -> ()));
+    close_writer w ~close:(fun () ->
+        try Unix.close fd with Unix.Unix_error _ -> ())
   in
-  let rec accept_loop () =
+let rec accept_loop () =
     if not (Atomic.get stop) then begin
       match Unix.accept listener with
       | fd, _ ->

@@ -3,7 +3,6 @@ module Tiling = Tiles_core.Tiling
 module Ttis = Tiles_core.Ttis
 module Comm = Tiles_core.Comm
 module Lds = Tiles_core.Lds
-module Sim = Tiles_mpisim.Sim
 module Span = Tiles_obs.Span
 module Critpath = Tiles_obs.Critpath
 module Rat = Tiles_rat.Rat
@@ -244,9 +243,3 @@ let timeline ?(title = "execution timeline") ?(path = []) ~nprocs ~completion
   Svg.text svg ~x:left ~y:(margin /. 2.)
     (Printf.sprintf "%s, %.4g s total" title completion);
   svg
-
-let gantt (stats : Sim.stats) =
-  if stats.Sim.trace = [] then invalid_arg "Figures.gantt: no trace recorded";
-  timeline ~title:"simulated execution timeline"
-    ~nprocs:(Array.length stats.Sim.rank_clocks)
-    ~completion:stats.Sim.completion stats.Sim.trace

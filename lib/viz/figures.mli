@@ -10,7 +10,9 @@
       communication (halo) storage (Fig. 3).
     - {!timeline}: per-rank activity timeline from any span list
       (simulated or wall-clock) — not in the paper, but the picture its
-      schedule analysis is about. {!gantt} is the simulator shorthand. *)
+      schedule analysis is about. Its spans come from the
+      {!Tiles_obs.Recorder} a traced run wrote to
+      ([Tiles_obs.Recorder.spans]). *)
 
 val tiled_space : Tiles_poly.Polyhedron.t -> Tiles_core.Tiling.t -> Svg.t
 (** 2-D spaces only; raises [Invalid_argument] otherwise. *)
@@ -41,7 +43,3 @@ val timeline :
     red on their rank's row, message flights drawn as dashed diagonal
     hops from the sender's row to the receiver's, and a legend entry is
     added. *)
-
-val gantt : Tiles_mpisim.Sim.stats -> Svg.t
-(** {!timeline} applied to a traced simulation ([Sim.run ~trace:true]);
-    raises [Invalid_argument] on an empty trace. *)

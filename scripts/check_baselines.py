@@ -54,14 +54,19 @@ ORACLE_WATCHED = {
     "lib/runtime/seq_exec.ml",
 }
 
-# Files that define the simulator's network timing model. A change here
-# moves every simulated completion time, so the committed perf baselines
-# (recorded under a specific model) must be re-recorded in the same
-# change; BENCH_kernels.json measures wall-clock walker throughput and
-# is unaffected.
-NET_WATCHED = {
+# Files that produce the perf baselines' timed fields: the simulator's
+# network timing model (which moves every simulated completion time)
+# and the observability layer that records spans and folds them into
+# the baselines' Stats fields (the recorder, Stats and the critical
+# path walk). A change here must re-record the committed perf baselines
+# in the same change; BENCH_kernels.json measures wall-clock walker
+# throughput and is unaffected.
+TIMED_WATCHED = {
     "lib/mpisim/netmodel.ml",
     "lib/mpisim/sim.ml",
+    "lib/obs/recorder.ml",
+    "lib/obs/stats.ml",
+    "lib/obs/critpath.ml",
 }
 
 
@@ -149,20 +154,21 @@ def main():
             "BENCH_kernels.json re-recorded alongside"
         )
 
-    net_hot = sorted(set(files) & NET_WATCHED)
-    if not net_hot:
-        print("baseline check: no network-model files changed")
+    timed_hot = sorted(set(files) & TIMED_WATCHED)
+    if not timed_hot:
+        print("baseline check: no timing-model or stats files changed")
     elif not baselines_touched:
-        print(f"network-model files changed vs {base}:")
-        for f in net_hot:
+        print(f"timing-model or stats files changed vs {base}:")
+        for f in timed_hot:
             print(f"  {f}")
         print("but no perf/baselines/*.json was re-recorded alongside")
-        print("(simulated completions moved; run tilec perf ... --record)")
+        print("(the baselines' timed fields may have moved; "
+              "run tilec perf ... --record)")
         rc = 1
     else:
         print(
-            f"baseline check: {len(net_hot)} network-model file(s) changed, "
-            "perf baselines re-recorded alongside"
+            f"baseline check: {len(timed_hot)} timing-model or stats "
+            "file(s) changed, perf baselines re-recorded alongside"
         )
     return rc
 

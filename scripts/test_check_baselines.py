@@ -11,7 +11,9 @@ with that base, asserting its exit code:
   - a kernel-definition change (the source of the generated row
     bodies) fails without both artifacts and passes with them;
   - a grid change (write-back target and oracle halo layout) fails
-    with BENCH_kernels.json alone and passes with both artifacts.
+    with BENCH_kernels.json alone and passes with both artifacts;
+  - a Stats change (it folds the baselines' timed fields) fails without
+    perf baselines and passes with them.
 
 Usage: python3 scripts/test_check_baselines.py
 """
@@ -30,6 +32,7 @@ FILES = [
     "lib/runtime/walker.ml",
     "lib/runtime/grid.ml",
     "lib/apps/kernels/defs.ml",
+    "lib/obs/stats.ml",
     "BENCH_kernels.json",
     "perf/baselines/sor-nonrect-sim.json",
 ]
@@ -89,6 +92,10 @@ CASES = [
     ("grid change with both artifacts",
      ["lib/runtime/grid.ml", "BENCH_kernels.json",
       "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("stats change without perf baselines",
+     ["lib/obs/stats.ml"], 1),
+    ("stats change with perf baselines",
+     ["lib/obs/stats.ml", "perf/baselines/sor-nonrect-sim.json"], 0),
 ]
 
 

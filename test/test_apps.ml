@@ -398,6 +398,26 @@ let test_run_spec_table () =
            [ Run_spec.Sim; Run_spec.Shm ]))
     configs
 
+(* a traced run keeps its spans and edges but does not walk the critical
+   path: the stats are built, and the path walked, only when asked for *)
+let test_run_spec_stats_lazy () =
+  let spec =
+    { (Run_spec.default "sor") with size1 = 12; size2 = 16; backend = Shm }
+  in
+  let r = Result.get_ok (Run_spec.resolve spec) in
+  let plan =
+    Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+      r.Tiles_apps.Registry.tiling
+  in
+  let x =
+    Run_spec.run ~trace:true spec ~plan ~kernel:r.Tiles_apps.Registry.kernel
+  in
+  Alcotest.(check bool) "edges kept" true (x.edges <> []);
+  Alcotest.(check bool) "stats not built by the run" false
+    (Lazy.is_val x.stats);
+  Alcotest.(check bool) "critical path on demand" true
+    ((Lazy.force x.stats).Tiles_obs.Stats.critical_path > 0.)
+
 let () =
   Alcotest.run "tiles_apps"
     [
@@ -429,6 +449,8 @@ let () =
         [
           Alcotest.test_case "backend x overlap x mode" `Quick
             test_run_spec_table;
+          Alcotest.test_case "traced shm stats stay lazy" `Quick
+            test_run_spec_stats_lazy;
         ] );
       ( "experiment",
         [

@@ -185,6 +185,23 @@ let feed recorder spans =
 
 let close_enough a b = Float.abs (a -. b) <= 1e-9 +. (1e-12 *. Float.abs a)
 
+(* every field of a Stats record, floats as their bits, critical_path
+   aside (only a Retain recorder keeps the edges it is walked over) *)
+let stats_bits (s : Stats.t) =
+  let b = Int64.bits_of_float in
+  ( (s.Stats.nprocs, s.Stats.messages, s.Stats.bytes, s.Stats.max_inflight_bytes),
+    List.map b
+      [ s.Stats.completion; s.Stats.total_compute; s.Stats.total_comm;
+        s.Stats.comm_compute_ratio; s.Stats.mean_busy_fraction;
+        s.Stats.max_rank_busy; s.Stats.queue_seconds ],
+    Array.map
+      (fun (r : Stats.rank) ->
+        ( (r.Stats.rank, r.Stats.messages, r.Stats.bytes),
+          List.map b
+            [ r.Stats.compute; r.Stats.pack; r.Stats.send; r.Stats.wait;
+              r.Stats.unpack; r.Stats.busy; r.Stats.busy_fraction ] ))
+      s.Stats.ranks )
+
 let prop_streaming_matches_exact =
   QCheck.Test.make ~name:"streaming per-rank per-kind totals = exact"
     ~count:100 (arb_trace 4) (fun spans ->
@@ -233,41 +250,106 @@ let prop_streaming_matches_exact =
         List.length want_waits = List.length got_waits
         && List.for_all2 close_enough want_waits got_waits
       in
-      (* Stats built from the streaming sums agrees with Stats.make *)
+      (* the Stats of the two recorders agree bit for bit *)
       let completion =
         List.fold_left (fun a (_, t0, d, _) -> Float.max a (t0 +. d)) 1. spans
       in
-      let a =
-        Stats.make ~completion ~nprocs:4 ~messages:0 ~bytes:0
-          ~max_inflight_bytes:0 (Recorder.spans exact)
-      in
-      let b =
-        Stats.of_kind_seconds ~completion ~nprocs:4 ~messages:0 ~bytes:0
-          ~max_inflight_bytes:0
-          (Recorder.kind_seconds stream)
-      in
       let stats_ok =
-        close_enough a.Stats.total_compute b.Stats.total_compute
-        && close_enough a.Stats.total_comm b.Stats.total_comm
-        && close_enough a.Stats.mean_busy_fraction b.Stats.mean_busy_fraction
-        && close_enough a.Stats.max_rank_busy b.Stats.max_rank_busy
+        stats_bits (Stats.of_recorder ~completion exact)
+        = stats_bits (Stats.of_recorder ~completion stream)
       in
       !cells_ok && waits_ok && stats_ok)
 
+(* a random simulated plan: app and variant, small sizes, blocking or
+   overlapped sends, the alpha-beta or a contended network *)
+let arb_sim_plan =
+  let module Run_spec = Tiles_apps.Run_spec in
+  let gen =
+    QCheck.Gen.(
+      let* app, variant, tile =
+        oneofl
+          [
+            ("sor", "rect", (3, 4, 4)); ("sor", "nonrect", (3, 4, 4));
+            ("jacobi", "rect", (3, 4, 4)); ("jacobi", "nonrect", (3, 4, 4));
+            ("adi", "rect", (3, 4, 4)); ("adi", "nr3", (3, 4, 4));
+          ]
+      in
+      let* size1 = int_range 6 14 and* size2 = int_range 8 18 in
+      let* overlap = bool in
+      let* lanes = int_range 0 2 in
+      let net =
+        if lanes = 0 then net
+        else Netmodel.contended ~snd_lanes:lanes ~rcv_lanes:lanes net
+      in
+      return
+        { (Run_spec.default app) with variant; size1; size2; tile; overlap; net })
+  in
+  QCheck.make
+    ~print:(fun (t : Run_spec.t) ->
+      let x, y, z = t.Run_spec.tile in
+      Printf.sprintf "%s %s %d/%d tile %d,%d,%d overlap=%b net=%s"
+        t.Run_spec.app t.Run_spec.variant t.Run_spec.size1 t.Run_spec.size2 x
+        y z t.Run_spec.overlap
+        (Netmodel.model_id t.Run_spec.net))
+    gen
+
+let prop_retain_streaming_stats =
+  let module Run_spec = Tiles_apps.Run_spec in
+  QCheck.Test.make ~name:"retain and streaming recorders give the same stats"
+    ~count:30 arb_sim_plan (fun spec ->
+      match Run_spec.resolve spec with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok r ->
+        let plan =
+          Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+            r.Tiles_apps.Registry.tiling
+        in
+        let stats mode =
+          let rc = Run_spec.recorder ~mode ~nprocs:(Plan.nprocs plan) spec in
+          Lazy.force
+            (Run_spec.run ~mode:Run_spec.Timing ~recorder:rc spec ~plan
+               ~kernel:r.Tiles_apps.Registry.kernel)
+              .Run_spec.stats
+        in
+        stats_bits (stats Recorder.Retain)
+        = stats_bits (stats Recorder.Streaming))
+
 (* ---------------- backend properties ---------------- *)
 
+(* a traced Full sim run of the SOR plan and the recorder it wrote to *)
 let sim_stats () =
   let plan, kernel = sor_plan () in
-  (Executor.run ~mode:Executor.Full ~trace:true ~plan ~kernel ~net ())
-    .Executor.stats
+  let rc =
+    Recorder.create ~trace:true ~clock:(fun () -> 0.)
+      ~nprocs:(Plan.nprocs plan) ()
+  in
+  ( (Executor.run ~mode:Executor.Full ~recorder:rc ~plan ~kernel ~net ())
+      .Executor.stats,
+    rc )
+
+let shm_traced () =
+  let plan, kernel = sor_plan () in
+  let rc = Recorder.create ~trace:true ~nprocs:(Plan.nprocs plan) () in
+  (Shm_executor.run ~recorder:rc ~plan ~kernel (), rc)
+
+(* the same plan through Run_spec, whose lazy stats walk the path *)
+let run_spec_stats backend =
+  let module Run_spec = Tiles_apps.Run_spec in
+  let plan, kernel = sor_plan () in
+  Lazy.force
+    (Run_spec.run ~trace:true
+       { (Run_spec.default "sor") with backend }
+       ~plan ~kernel)
+      .Run_spec.stats
 
 let test_sim_path_equals_completion () =
-  let stats = sim_stats () in
+  let stats, rc = sim_stats () in
   let nprocs = Array.length stats.Sim.rank_clocks in
-  Alcotest.(check bool) "edges recorded" true (stats.Sim.edges <> []);
+  let edges = Recorder.edges rc in
+  Alcotest.(check bool) "edges recorded" true (edges <> []);
   let r =
-    Critpath.analyze ~completion:stats.Sim.completion ~nprocs
-      ~edges:stats.Sim.edges stats.Sim.trace
+    Critpath.analyze ~completion:stats.Sim.completion ~nprocs ~edges
+      (Recorder.spans rc)
   in
   (* the acceptance bound: segment times sum to completion within 1e-9
      virtual seconds, and the causal value dominates the busy proxy *)
@@ -277,19 +359,19 @@ let test_sim_path_equals_completion () =
     (r.Critpath.path_length +. eps >= r.Critpath.max_rank_busy);
   Alcotest.(check bool) "path <= completion" true
     (r.Critpath.path_length <= stats.Sim.completion +. eps);
-  (* and Trace.aggregate carries the same causal value into Stats *)
-  let agg = Tiles_mpisim.Trace.aggregate stats in
+  (* and the run's Stats carry the same causal value *)
+  let agg = run_spec_stats Tiles_apps.Run_spec.Sim in
   Alcotest.(check (float eps)) "stats.critical_path is causal"
     r.Critpath.path_length agg.Stats.critical_path
 
 let test_sim_shm_edges_agree () =
-  let plan, kernel = sor_plan () in
-  let sim = sim_stats () in
-  let shm = Shm_executor.run ~trace:true ~plan ~kernel () in
-  Alcotest.(check int) "edge counts agree" (List.length sim.Sim.edges)
-    (List.length shm.Shm_executor.edges);
+  let sim, sim_rc = sim_stats () in
+  let _, shm_rc = shm_traced () in
+  let sim_edges = Recorder.edges sim_rc and shm_edges = Recorder.edges shm_rc in
+  Alcotest.(check int) "edge counts agree" (List.length sim_edges)
+    (List.length shm_edges);
   Alcotest.(check int) "every message became an edge" sim.Sim.messages
-    (List.length sim.Sim.edges);
+    (List.length sim_edges);
   (* the causal identities agree exactly: same (src, dst, tag, seq)
      multiset on both backends, only the stamps differ *)
   let key (e : Recorder.edge) =
@@ -297,18 +379,17 @@ let test_sim_shm_edges_agree () =
   in
   let ids l = List.sort compare (List.map key l) in
   Alcotest.(check bool) "identical edge identities" true
-    (ids sim.Sim.edges = ids shm.Shm_executor.edges);
+    (ids sim_edges = ids shm_edges);
   (* the shm stats carry a causal critical path too, bounded by the
      wall-clock trace extent *)
   Alcotest.(check bool) "shm causal path positive" true
-    (shm.Shm_executor.stats.Stats.critical_path > 0.)
+    ((run_spec_stats Tiles_apps.Run_spec.Shm).Stats.critical_path > 0.)
 
 let test_shm_path_covers_trace () =
-  let plan, kernel = sor_plan () in
-  let shm = Shm_executor.run ~trace:true ~plan ~kernel () in
+  let shm, rc = shm_traced () in
   let r =
-    Critpath.analyze ~nprocs:shm.Shm_executor.nprocs
-      ~edges:shm.Shm_executor.edges shm.Shm_executor.trace
+    Critpath.analyze ~nprocs:shm.Shm_executor.nprocs ~edges:(Recorder.edges rc)
+      (Recorder.spans rc)
   in
   (* wall-clock traces also partition: the walk never loses time *)
   Alcotest.(check bool) "coverage ~ 1" true (r.Critpath.coverage > 0.999);
@@ -362,7 +443,8 @@ let () =
           Alcotest.test_case "no edges degrades to idle-filled" `Quick
             test_no_edges_degrades;
         ] );
-      ("streaming", [ q prop_streaming_matches_exact ]);
+      ( "streaming",
+        [ q prop_streaming_matches_exact; q prop_retain_streaming_stats ] );
       ( "backends",
         [
           Alcotest.test_case "sim path = completion" `Quick

@@ -2,8 +2,21 @@ module Fbuf = Tiles_util.Fbuf
 module Sim = Tiles_mpisim.Sim
 module Netmodel = Tiles_mpisim.Netmodel
 module Stats = Tiles_obs.Stats
+module Recorder = Tiles_obs.Recorder
 
 let net = Netmodel.fast_ethernet_cluster
+
+(* a recorder on the simulator's clock, which reads 0: the simulator
+   stamps every span and edge in virtual time itself *)
+let sim_recorder ?(trace = true) ~nprocs () =
+  Recorder.create ~trace ~clock:(fun () -> 0.) ~nprocs ()
+
+(* a traced run: the simulator's outcome and the recorder holding its
+   spans, edges and counters *)
+let traced_run ?(net = net) ~nprocs program =
+  let rc = sim_recorder ~nprocs () in
+  let stats = Sim.run ~recorder:rc ~nprocs ~net program in
+  (stats, rc)
 
 let eps = 1e-12
 let close a b = Float.abs (a -. b) < eps
@@ -237,8 +250,8 @@ let check_stats_accounting (st : Stats.t) =
   Alcotest.(check bool) "efficiency in (0,1]" true (e > 0. && e <= 1.)
 
 let test_trace_and_utilisation () =
-  let stats =
-    Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
+  let stats, rc =
+    traced_run ~nprocs:2 (fun r ->
         if r = 0 then begin
           Sim.Api.compute 1.0;
           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
@@ -248,8 +261,8 @@ let test_trace_and_utilisation () =
           Sim.Api.compute 0.5
         end)
   in
-  Alcotest.(check bool) "trace recorded" true (stats.Sim.trace <> []);
-  let st = Tiles_mpisim.Trace.aggregate stats in
+  Alcotest.(check bool) "trace recorded" true (Recorder.spans rc <> []);
+  let st = Stats.of_recorder ~completion:stats.Sim.completion rc in
   Alcotest.(check (float 1e-9)) "rank0 compute" 1.0
     st.Stats.ranks.(0).Stats.compute;
   Alcotest.(check (float 1e-9)) "rank1 compute" 0.5
@@ -268,22 +281,26 @@ let test_traced_sor_utilisation () =
     Plan.make ~m:2 (Tiles_apps.Sor.nest p)
       (Tiles_apps.Sor.nonrect ~x:6 ~y:7 ~z:4)
   in
+  let rc = sim_recorder ~nprocs:(Plan.nprocs plan) () in
   let r =
-    Executor.run ~mode:Executor.Timing ~trace:true ~plan
+    Executor.run ~mode:Executor.Timing ~recorder:rc ~plan
       ~kernel:(Tiles_apps.Sor.kernel p) ~net ()
   in
-  let st = Tiles_mpisim.Trace.aggregate r.Executor.stats in
+  let st =
+    Stats.of_recorder ~completion:r.Executor.stats.Sim.completion rc
+  in
   Alcotest.(check bool) "several ranks" true (st.Stats.nprocs > 1);
   check_stats_accounting st
 
 let test_trace_off_by_default () =
-  let stats = Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0) in
-  Alcotest.(check bool) "no trace" true (stats.Sim.trace = [])
+  let rc = sim_recorder ~trace:false ~nprocs:1 () in
+  ignore (Sim.run ~recorder:rc ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0));
+  Alcotest.(check bool) "no trace" true (Recorder.spans rc = [])
 
-let spans_of stats rank kind =
+let spans_of rc rank kind =
   List.filter
     (fun s -> s.Sim.rank = rank && s.Sim.kind = kind)
-    stats.Sim.trace
+    (Recorder.spans rc)
 
 let span_total spans = List.fold_left (fun a s -> a +. (s.Sim.t1 -. s.Sim.t0)) 0. spans
 
@@ -292,8 +309,8 @@ let span_total spans = List.fold_left (fun a s -> a +. (s.Sim.t1 -. s.Sim.t0)) 0
    when nothing was waited for) *)
 let test_recv_no_wait_when_ready () =
   let module Span = Tiles_obs.Span in
-  let stats =
-    Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
+  let stats, rc =
+    traced_run ~nprocs:2 (fun r ->
         if r = 0 then
           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         else begin
@@ -302,9 +319,9 @@ let test_recv_no_wait_when_ready () =
         end)
   in
   Alcotest.(check (list (float 0.))) "no wait spans" []
-    (List.map (fun s -> s.Sim.t1 -. s.Sim.t0) (spans_of stats 1 Span.Wait));
+    (List.map (fun s -> s.Sim.t1 -. s.Sim.t0) (spans_of rc 1 Span.Wait));
   Alcotest.(check bool) "unpack = recv overhead" true
-    (close (span_total (spans_of stats 1 Span.Unpack))
+    (close (span_total (spans_of rc 1 Span.Unpack))
        net.Netmodel.recv_overhead);
   Alcotest.(check bool) "clock = compute + overhead" true
     (close stats.Sim.rank_clocks.(1) (10.0 +. net.Netmodel.recv_overhead))
@@ -314,8 +331,8 @@ let test_recv_no_wait_when_ready () =
    overhead is a separate Unpack span *)
 let test_recv_wait_covers_blocked_interval () =
   let module Span = Tiles_obs.Span in
-  let stats =
-    Sim.run ~trace:true ~nprocs:2 ~net (fun r ->
+  let stats, rc =
+    traced_run ~nprocs:2 (fun r ->
         if r = 0 then begin
           Sim.Api.compute 1.0;
           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
@@ -325,7 +342,7 @@ let test_recv_wait_covers_blocked_interval () =
           ignore (Sim.Api.recv ~src:0 ~tag:0)
         end)
   in
-  match spans_of stats 1 Span.Wait with
+  match spans_of rc 1 Span.Wait with
   | [ w ] ->
     Alcotest.(check bool) "wait starts at park time" true (close w.Sim.t0 0.25);
     Alcotest.(check bool) "wait ends at arrival" true
@@ -333,29 +350,30 @@ let test_recv_wait_covers_blocked_interval () =
          (stats.Sim.rank_clocks.(1) -. net.Netmodel.recv_overhead));
     Alcotest.(check bool) "arrival after sender compute" true (w.Sim.t1 > 1.0);
     Alcotest.(check bool) "unpack = recv overhead" true
-      (close (span_total (spans_of stats 1 Span.Unpack))
+      (close (span_total (spans_of rc 1 Span.Unpack))
          net.Netmodel.recv_overhead)
   | spans -> Alcotest.failf "expected one wait span, got %d" (List.length spans)
 
 (* pack/unpack charges appear as their own span kinds *)
 let test_pack_unpack_spans () =
   let module Span = Tiles_obs.Span in
-  let stats =
-    Sim.run ~trace:true ~nprocs:1 ~net (fun _ ->
+  let stats, rc =
+    traced_run ~nprocs:1 (fun _ ->
         Sim.Api.pack 0.25;
         Sim.Api.compute 1.0;
         Sim.Api.unpack 0.5)
   in
   Alcotest.(check bool) "pack total" true
-    (close (span_total (spans_of stats 0 Span.Pack)) 0.25);
+    (close (span_total (spans_of rc 0 Span.Pack)) 0.25);
   Alcotest.(check bool) "unpack total" true
-    (close (span_total (spans_of stats 0 Span.Unpack)) 0.5);
+    (close (span_total (spans_of rc 0 Span.Unpack)) 0.5);
   Alcotest.(check bool) "completion" true (close stats.Sim.completion 1.75)
 
 (* per-rank counters split the totals by sender *)
 let test_per_rank_counters () =
+  let rc = sim_recorder ~trace:false ~nprocs:3 () in
   let stats =
-    Sim.run ~nprocs:3 ~net (fun r ->
+    Sim.run ~recorder:rc ~nprocs:3 ~net (fun r ->
         if r = 0 then begin
           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1.; 2. |]));
           Sim.Api.send ~dst:2 ~tag:0 (Sim.Data (Fbuf.of_array [| 3. |]))
@@ -363,9 +381,9 @@ let test_per_rank_counters () =
         else ignore (Sim.Api.recv ~src:0 ~tag:0))
   in
   Alcotest.(check (list int)) "rank messages" [ 2; 0; 0 ]
-    (Array.to_list stats.Sim.rank_messages);
+    (Array.to_list (Recorder.rank_messages rc));
   Alcotest.(check (list int)) "rank bytes" [ 24; 0; 0 ]
-    (Array.to_list stats.Sim.rank_bytes);
+    (Array.to_list (Recorder.rank_bytes rc));
   Alcotest.(check int) "total messages" 2 stats.Sim.messages;
   Alcotest.(check int) "total bytes" 24 stats.Sim.bytes
 
@@ -441,8 +459,15 @@ let arb_case =
         (String.concat ";" (Array.to_list (Array.map string_of_int sizes))))
     gen_case
 
-let run_case ~net' (nprocs, degree, isend, sizes) =
-  Sim.run ~nprocs ~net:net' (random_program ~nprocs ~degree ~sizes ~isend)
+let run_case ?recorder ~net' (nprocs, degree, isend, sizes) =
+  Sim.run ?recorder ~nprocs ~net:net'
+    (random_program ~nprocs ~degree ~sizes ~isend)
+
+(* the NIC queueing a run charged, read off its (untraced) recorder *)
+let case_queueing ~net' ((nprocs, _, _, _) as case) =
+  let rc = sim_recorder ~trace:false ~nprocs () in
+  ignore (run_case ~recorder:rc ~net' case);
+  rc
 
 let contended ?uplink lanes =
   Netmodel.contended ~snd_lanes:lanes ~rcv_lanes:lanes ?uplink net
@@ -458,7 +483,9 @@ let prop_free_lanes_alpha_beta =
       let c = run_case ~net':(contended (nprocs * degree + 1)) case in
       a.Sim.completion = c.Sim.completion
       && a.Sim.rank_clocks = c.Sim.rank_clocks
-      && c.Sim.queue_seconds = 0.)
+      && Recorder.queue_seconds
+           (case_queueing ~net':(contended (nprocs * degree + 1)) case)
+         = 0.)
 
 let prop_monotone_bandwidth =
   QCheck.Test.make ~name:"contended completion monotone as bandwidth drops"
@@ -484,28 +511,27 @@ let prop_monotone_lanes =
 let prop_queue_accounting =
   QCheck.Test.make ~name:"queueing nonnegative and consistent" ~count:60
     arb_case (fun case ->
-      let s = run_case ~net':(contended ~uplink:5e6 1) case in
-      let per_rank =
-        Array.fold_left ( +. ) 0. s.Sim.rank_queue_seconds
-      in
-      s.Sim.queue_seconds >= 0.
-      && Array.for_all (fun q -> q >= 0.) s.Sim.rank_queue_seconds
-      && Float.abs (per_rank -. s.Sim.queue_seconds) <= 1e-9
+      let rc = case_queueing ~net':(contended ~uplink:5e6 1) case in
+      let rank_queue = Recorder.rank_queue_seconds rc in
+      let per_rank = Array.fold_left ( +. ) 0. rank_queue in
+      Recorder.queue_seconds rc >= 0.
+      && Array.for_all (fun q -> q >= 0.) rank_queue
+      && Float.abs (per_rank -. Recorder.queue_seconds rc) <= 1e-9
       (* and alpha-beta charges none *)
-      && (run_case ~net':net case).Sim.queue_seconds = 0.)
+      && Recorder.queue_seconds (case_queueing ~net':net case) = 0.)
 
 let prop_critpath_tiles_completion =
   QCheck.Test.make
     ~name:"contended critpath segments sum to completion (queue attributed)"
     ~count:40 arb_case (fun case ->
       let (nprocs, degree, isend, sizes) = case in
-      let s =
-        Sim.run ~trace:true ~nprocs ~net:(contended 1)
+      let s, rc =
+        traced_run ~net:(contended 1) ~nprocs
           (random_program ~nprocs ~degree ~sizes ~isend)
       in
       let report =
         Tiles_obs.Critpath.analyze ~completion:s.Sim.completion ~nprocs
-          ~edges:s.Sim.edges s.Sim.trace
+          ~edges:(Recorder.edges rc) (Recorder.spans rc)
       in
       let open Tiles_obs in
       let sum =
@@ -532,21 +558,22 @@ let test_edge_queueing () =
       ignore (Sim.Api.recv ~src:1 ~tag:1)
     end
   in
-  let ab = Sim.run ~trace:true ~nprocs:3 ~net program in
+  let _, ab = traced_run ~nprocs:3 program in
   List.iter
     (fun (e : Tiles_obs.Recorder.edge) ->
       Alcotest.(check (float 0.)) "alpha-beta edge queueing" 0.
         e.Tiles_obs.Recorder.e_queued)
-    ab.Sim.edges;
+    (Recorder.edges ab);
   Alcotest.(check (float 0.)) "alpha-beta total queueing" 0.
-    ab.Sim.queue_seconds;
-  let c = Sim.run ~trace:true ~nprocs:3 ~net:(contended 1) program in
-  Alcotest.(check bool) "contended run queued" true (c.Sim.queue_seconds > 0.);
+    (Recorder.queue_seconds ab);
+  let _, c = traced_run ~net:(contended 1) ~nprocs:3 program in
+  Alcotest.(check bool) "contended run queued" true
+    (Recorder.queue_seconds c > 0.);
   let max_edge_q =
     List.fold_left
       (fun acc (e : Tiles_obs.Recorder.edge) ->
         Float.max acc e.Tiles_obs.Recorder.e_queued)
-      0. c.Sim.edges
+      0. (Recorder.edges c)
   in
   Alcotest.(check bool) "some edge carries queueing" true (max_edge_q > 0.)
 

@@ -16,13 +16,30 @@ let sor_plan () =
   ( Plan.make ~m:2 (Tiles_apps.Sor.nest p) (Tiles_apps.Sor.nonrect ~x:3 ~y:4 ~z:4),
     Tiles_apps.Sor.kernel p )
 
+(* traced runs return the recorder they wrote to beside their result; the
+   simulator stamps virtual time itself, so its recorder's clock reads 0 *)
 let sim_run () =
   let plan, kernel = sor_plan () in
-  Executor.run ~mode:Executor.Full ~trace:true ~plan ~kernel ~net ()
+  let rc =
+    Recorder.create ~trace:true ~clock:(fun () -> 0.)
+      ~nprocs:(Plan.nprocs plan) ()
+  in
+  (Executor.run ~mode:Executor.Full ~recorder:rc ~plan ~kernel ~net (), rc)
 
 let shm_run () =
   let plan, kernel = sor_plan () in
-  Shm_executor.run ~trace:true ~plan ~kernel ()
+  let rc = Recorder.create ~trace:true ~nprocs:(Plan.nprocs plan) () in
+  (Shm_executor.run ~recorder:rc ~plan ~kernel (), rc)
+
+(* a recorder holding exactly [spans] *)
+let recorder_of_spans ~nprocs spans =
+  let rc = Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs () in
+  List.iter
+    (fun (s : Span.t) ->
+      Recorder.span (Recorder.log rc ~rank:s.Span.rank) ~t0:s.Span.t0
+        ~t1:s.Span.t1 s.Span.kind)
+    spans;
+  rc
 
 (* ---------------- recorder unit tests ---------------- *)
 
@@ -85,11 +102,12 @@ let check_rank_spans_disjoint name spans ~nprocs =
     (Span.by_rank ~nprocs spans)
 
 let test_sim_span_invariants () =
-  let r = sim_run () in
+  let r, rc = sim_run () in
   let stats = r.Executor.stats in
   let nprocs = Array.length stats.Sim.rank_clocks in
-  Alcotest.(check bool) "trace nonempty" true (stats.Sim.trace <> []);
-  check_rank_spans_disjoint "sim" stats.Sim.trace ~nprocs;
+  let trace = Recorder.spans rc in
+  Alcotest.(check bool) "trace nonempty" true (trace <> []);
+  check_rank_spans_disjoint "sim" trace ~nprocs;
   (* every rank's span durations sum to at most its final clock *)
   Array.iteri
     (fun rank spans ->
@@ -97,43 +115,45 @@ let test_sim_span_invariants () =
       if total > stats.Sim.rank_clocks.(rank) +. 1e-9 then
         Alcotest.failf "rank %d: %g traced > %g clock" rank total
           stats.Sim.rank_clocks.(rank))
-    (Span.by_rank ~nprocs stats.Sim.trace);
+    (Span.by_rank ~nprocs trace);
   (* the merged list is globally time-ordered *)
   let rec ordered = function
     | a :: (b :: _ as rest) -> a.Span.t0 <= b.Span.t0 && ordered rest
     | _ -> true
   in
-  Alcotest.(check bool) "merged trace time-ordered" true
-    (ordered stats.Sim.trace)
+  Alcotest.(check bool) "merged trace time-ordered" true (ordered trace)
 
 let test_shm_span_invariants () =
-  let r = shm_run () in
-  Alcotest.(check bool) "trace nonempty" true (r.Shm_executor.trace <> []);
-  check_rank_spans_disjoint "shm" r.Shm_executor.trace
-    ~nprocs:r.Shm_executor.nprocs;
+  let r, rc = shm_run () in
+  let trace = Recorder.spans rc in
+  Alcotest.(check bool) "trace nonempty" true (trace <> []);
+  check_rank_spans_disjoint "shm" trace ~nprocs:r.Shm_executor.nprocs;
   List.iter
     (fun s ->
       if Span.duration s < 0. then
         Alcotest.failf "negative span duration %g" (Span.duration s))
-    r.Shm_executor.trace
+    trace
 
 (* both backends execute the same protocol, so their message and byte
    counts must agree exactly — globally and per rank *)
 let test_sim_shm_counters_agree () =
-  let sim = sim_run () and shm = shm_run () in
-  let agg = Tiles_mpisim.Trace.aggregate sim.Executor.stats in
-  Alcotest.(check int) "messages" agg.Stats.messages
-    shm.Shm_executor.stats.Stats.messages;
-  Alcotest.(check int) "bytes" agg.Stats.bytes
-    shm.Shm_executor.stats.Stats.bytes;
+  let sim, sim_rc = sim_run () and shm, shm_rc = shm_run () in
+  let agg =
+    Stats.of_recorder ~completion:sim.Executor.stats.Sim.completion sim_rc
+  in
+  let shm_stats =
+    Stats.of_recorder ~completion:shm.Shm_executor.wall_seconds shm_rc
+  in
+  Alcotest.(check int) "messages" agg.Stats.messages shm_stats.Stats.messages;
+  Alcotest.(check int) "bytes" agg.Stats.bytes shm_stats.Stats.bytes;
   (* the in-flight high-water mark depends on the interleaving, so the
      wall-clock backend's is only bounded, not equal *)
-  let shm_hw = shm.Shm_executor.stats.Stats.max_inflight_bytes in
+  let shm_hw = shm_stats.Stats.max_inflight_bytes in
   Alcotest.(check bool) "max in-flight positive and bounded" true
     (shm_hw > 0 && shm_hw <= agg.Stats.bytes);
   Array.iteri
     (fun i (a : Stats.rank) ->
-      let b = shm.Shm_executor.stats.Stats.ranks.(i) in
+      let b = shm_stats.Stats.ranks.(i) in
       Alcotest.(check int)
         (Printf.sprintf "rank %d messages" i)
         a.Stats.messages b.Stats.messages;
@@ -156,10 +176,7 @@ let test_stats_make () =
       { Span.rank = 1; t0 = 2.; t1 = 2.5; kind = Span.Pack };
     ]
   in
-  let s =
-    Stats.make ~completion:4. ~nprocs:2 ~messages:3 ~bytes:120
-      ~max_inflight_bytes:80 spans
-  in
+  let s = Stats.of_recorder ~completion:4. (recorder_of_spans ~nprocs:2 spans) in
   Alcotest.(check (float 1e-12)) "rank0 busy" 3. s.Stats.ranks.(0).Stats.busy;
   Alcotest.(check (float 1e-12)) "rank0 busy fraction" 0.75
     s.Stats.ranks.(0).Stats.busy_fraction;
@@ -180,10 +197,11 @@ let test_stats_make () =
   | _ -> Alcotest.fail "stats json not an object"
 
 let test_stats_untraced () =
-  let s =
-    Stats.make ~completion:1. ~nprocs:2 ~messages:5 ~bytes:40
-      ~max_inflight_bytes:16 []
-  in
+  let rc = Recorder.create ~nprocs:2 () in
+  for _ = 1 to 5 do
+    Recorder.message_sent (Recorder.log rc ~rank:0) ~dst:1 ~tag:0 ~bytes:8 ()
+  done;
+  let s = Stats.of_recorder ~completion:1. rc in
   Alcotest.(check int) "messages survive" 5 s.Stats.messages;
   Alcotest.(check (float 0.)) "no busy" 0. s.Stats.mean_busy_fraction
 
@@ -331,7 +349,8 @@ let test_metric_json_roundtrip () =
   | Error e -> Alcotest.failf "summary json did not round-trip: %s" e
 
 let mk_stats ~completion ?(messages = 10) ?(bytes = 100) () =
-  Stats.make ~completion ~nprocs:1 ~messages ~bytes ~max_inflight_bytes:50 []
+  { (Stats.of_recorder ~completion (Recorder.create ~nprocs:1 ())) with
+    Stats.messages; bytes; max_inflight_bytes = 50 }
 
 let test_stats_distributions () =
   let runs =

@@ -272,16 +272,19 @@ let test_executor_ideal_net_faster () =
 let test_shm_pascal () =
   let nest = pascal_nest 30 30 in
   let plan = Plan.make nest (Tiling.rectangular [ 6; 10 ]) in
-  let r = Tiles_runtime.Shm_executor.run ~plan ~kernel:pascal_kernel () in
+  let rc = Tiles_obs.Recorder.create ~nprocs:(Plan.nprocs plan) () in
+  let r =
+    Tiles_runtime.Shm_executor.run ~recorder:rc ~plan ~kernel:pascal_kernel ()
+  in
   Alcotest.(check (float 0.)) "exact vs oracle" 0. r.Tiles_runtime.Shm_executor.max_abs_err;
   Alcotest.(check int) "procs" (Plan.nprocs plan) r.Tiles_runtime.Shm_executor.nprocs;
   Alcotest.(check bool) "messages sent" true (r.Tiles_runtime.Shm_executor.messages > 0);
   Alcotest.(check bool) "bytes counted" true (r.Tiles_runtime.Shm_executor.bytes > 0);
-  (* counters live in the stats record too; spans only with ~trace:true *)
+  (* counters live in the recorder too; spans only when it traces *)
   Alcotest.(check int) "stats messages" r.Tiles_runtime.Shm_executor.messages
-    r.Tiles_runtime.Shm_executor.stats.Tiles_obs.Stats.messages;
+    (Tiles_obs.Recorder.messages rc);
   Alcotest.(check bool) "untraced: no spans" true
-    (r.Tiles_runtime.Shm_executor.trace = [])
+    (Tiles_obs.Recorder.spans rc = [])
 
 let test_shm_sor () =
   let module Sor = Tiles_apps.Sor in

@@ -78,8 +78,13 @@ let test_gantt_figure () =
       ~deps:(Kernel.deps kernel)
   in
   let plan = Plan.make nest (Tiling.rectangular [ 5; 5 ]) in
-  let r = Executor.run ~mode:Executor.Timing ~trace:true ~plan ~kernel ~net () in
-  Alcotest.(check bool) "trace nonempty" true (r.Executor.stats.Sim.trace <> []);
+  let nprocs = Plan.nprocs plan in
+  let rc =
+    Tiles_obs.Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs ()
+  in
+  let r = Executor.run ~mode:Executor.Timing ~recorder:rc ~plan ~kernel ~net () in
+  let trace = Tiles_obs.Recorder.spans rc in
+  Alcotest.(check bool) "trace nonempty" true (trace <> []);
   (* spans are within [0, completion] and per-rank non-overlapping *)
   let by_rank = Hashtbl.create 8 in
   List.iter
@@ -90,16 +95,24 @@ let test_gantt_figure () =
       let prev = try Hashtbl.find by_rank rank with Not_found -> 0. in
       Alcotest.(check bool) "no overlap" true (t0 >= prev -. 1e-12);
       Hashtbl.replace by_rank rank s.Sim.t1)
-    r.Executor.stats.Sim.trace;
-  ignore (well_formed (Figures.gantt r.Executor.stats))
+    trace;
+  ignore
+    (well_formed
+       (Figures.timeline ~nprocs
+          ~completion:r.Executor.stats.Sim.completion trace))
 
+(* an untraced run's recorder keeps no spans, and the timeline refuses
+   an empty span list *)
 let test_gantt_requires_trace () =
+  let rc = Tiles_obs.Recorder.create ~clock:(fun () -> 0.) ~nprocs:1 () in
   let stats =
-    Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 0.0)
+    Sim.run ~recorder:rc ~nprocs:1 ~net (fun _ -> Sim.Api.compute 0.0)
   in
   Alcotest.(check bool) "raises" true
     (try
-       ignore (Figures.gantt stats);
+       ignore
+         (Figures.timeline ~nprocs:1 ~completion:stats.Sim.completion
+            (Tiles_obs.Recorder.spans rc));
        false
      with Invalid_argument _ -> true)
 

@@ -463,6 +463,29 @@ let test_native_modes () =
       (Grid.max_abs_diff r.Shm.grid reference space)
   end
 
+(* the native row is built once per run, in Protocol.prepare: its
+   fallback reason is known before any rank runs, and Timing mode, which
+   runs no walker, builds nothing *)
+let test_prepare_native_fallback () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:9 in
+  let plan = Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.rect ~x:3 ~y:9 ~z:9) in
+  let prepare mode =
+    Protocol.prepare ~walker:Walker.Native ~check:true ~mode ~plan
+      ~kernel:(Sor.kernel p) ~flop_time:0. ~pack_time:0. ()
+  in
+  let full = prepare Protocol.Full in
+  (match full.Protocol.fallback with
+  | Some reason ->
+    Alcotest.(check bool) "reason names check mode" true
+      (Astring.String.is_infix ~affix:"check mode" reason)
+  | None -> Alcotest.fail "check mode must fall back before any rank runs");
+  Alcotest.(check (list int)) "no rank has run" [ 0 ]
+    (List.sort_uniq compare (Array.to_list full.Protocol.tiles_per_rank));
+  let timing = prepare Protocol.Timing in
+  Alcotest.(check bool) "Timing builds no row" true
+    (timing.Protocol.native = None && timing.Protocol.fallback = None)
+
 (* ---------- structured slab mismatch ---------- *)
 
 (* Run the protocol over an in-memory mailbox and corrupt the first
@@ -694,7 +717,9 @@ let () =
         [ Alcotest.test_case "check modes" `Quick test_check_modes ] );
       ( "native",
         [ Alcotest.test_case "build and fallback modes" `Quick
-            test_native_modes ] );
+            test_native_modes;
+          Alcotest.test_case "prepare reports the fallback" `Quick
+            test_prepare_native_fallback ] );
       ( "mismatch",
         [ Alcotest.test_case "structured error" `Quick test_slab_mismatch ] );
     ]
