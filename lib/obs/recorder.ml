@@ -46,7 +46,7 @@ type shared = {
   mode : mode;
   label : string option;
   clock : unit -> float;
-  origin : float;
+  mutable origin : float;
   inflight : int Atomic.t;
   max_inflight : int Atomic.t;
 }
@@ -127,6 +127,7 @@ let mode t = t.s.mode
 let label t = t.s.label
 let nprocs t = t.nprocs
 let now t = t.s.clock () -. t.s.origin
+let restart t = t.s.origin <- t.s.clock ()
 let log t ~rank = t.logs.(rank)
 
 let log_now l = l.shared.clock () -. l.shared.origin

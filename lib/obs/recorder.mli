@@ -69,6 +69,11 @@ val nprocs : t -> int
 val now : t -> float
 (** Current (rebased) clock reading. *)
 
+val restart : t -> unit
+(** Move time 0 to now, so a run's stamps count from the moment its
+    ranks start rather than from when its recorder was made. Call it
+    before anything is recorded. *)
+
 val log : t -> rank:int -> log
 (** The rank's private log. Each log must only be used from the domain
     running that rank. *)

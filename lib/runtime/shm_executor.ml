@@ -306,6 +306,8 @@ let run ?walker ?check ?recorder ?(overlap = false)
              done))
     else None
   in
+  (* the caller may have made the recorder before this run's set-up *)
+  Recorder.restart recorder;
   let t0 = Clock.monotonic () in
   let domains =
     List.init nprocs (fun rank ->

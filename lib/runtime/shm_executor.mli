@@ -139,7 +139,9 @@ val run :
     pass a tracing one for a timeline — Retain for spans and edges,
     [~mode:Streaming] to keep long traced runs at O(nprocs) memory, or
     a labelled one so a serve job's trace is attributable. Without one
-    the run writes to an untraced, counting recorder of its own. [overlap]
+    the run writes to an untraced, counting recorder of its own. The
+    run {!Tiles_obs.Recorder.restart}s the recorder as its ranks start,
+    so every stamp counts from then, not from the set-up. [overlap]
     (default false) runs the §5 overlapped schedule: receives pre-posted
     per tile ({!Protocol.rank_program}), sends handed to a per-rank
     bounded {!Send_stage} of 4 slots and completed by a sender domain

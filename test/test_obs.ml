@@ -59,6 +59,20 @@ let test_recorder_counters () =
   (* in-flight peaked at 150 before rank 1 drained 100 *)
   Alcotest.(check int) "high water" 150 (Recorder.max_inflight_bytes t)
 
+(* a recorder made before a run's set-up counts from the run's start once
+   restarted: the shm backend restarts it as its ranks begin *)
+let test_recorder_restart () =
+  let now = ref 5. in
+  let t = Recorder.create ~clock:(fun () -> !now) ~nprocs:1 () in
+  now := 7.;
+  Alcotest.(check (float 0.)) "counts from creation" 2. (Recorder.now t);
+  Recorder.restart t;
+  Alcotest.(check (float 0.)) "restart is time 0" 0. (Recorder.now t);
+  now := 8.;
+  Recorder.finish (Recorder.log t ~rank:0);
+  Alcotest.(check (list (float 0.))) "finish stamps count from the restart"
+    [ 1. ] (Array.to_list (Recorder.rank_finish t))
+
 let test_recorder_untraced_drops_spans () =
   let t = Recorder.create ~nprocs:1 () in
   let l = Recorder.log t ~rank:0 in
@@ -803,6 +817,8 @@ let () =
           Alcotest.test_case "counters" `Quick test_recorder_counters;
           Alcotest.test_case "untraced drops spans" `Quick
             test_recorder_untraced_drops_spans;
+          Alcotest.test_case "restart moves time 0" `Quick
+            test_recorder_restart;
           Alcotest.test_case "virtual clock close" `Quick
             test_recorder_virtual_clock;
         ] );
