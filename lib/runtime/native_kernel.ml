@@ -33,9 +33,9 @@ let getenv_nonempty v =
 let cc_command () =
   match getenv_nonempty "TILEC_CC" with Some cc -> cc | None -> "cc"
 
-(* the PATH lookup is memoized (walkers are built per rank and must not
-   shell out to `command -v` every time); NOT a [lazy] — shm ranks build
-   walkers concurrently and forcing a lazy from two domains raises
+(* the PATH lookup is memoized (every build asks, and must not shell
+   out to `command -v` every time); NOT a [lazy] — builds may run on
+   several domains at once, and forcing a lazy from two domains raises
    [CamlinternalLazy.Undefined]. A racing duplicate probe is benign: both
    compute the same answer. The TILEC_NO_CC override is re-read per call
    so tests can toggle it within one process. *)
