@@ -56,7 +56,7 @@ type shared = {
   counts : Count_table.t;
   points_per_rank : int array;
   tiles_per_rank : int array;
-  native : (Native_kernel.fn, string) result option;
+  native : Native_kernel.fn option;
   fallback : string option;
 }
 
@@ -112,10 +112,13 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     else None
   in
   (* every rank's walker runs the same compiled row: build it once *)
-  let native =
+  let native, fallback =
     match (walker, mode) with
-    | Walker.Native, Full -> Some (Walker.native_row ~plan ~kernel ~check)
-    | _ -> None
+    | Walker.Native, Full -> (
+      match Walker.native_row ~plan ~kernel ~check with
+      | Ok fn -> (Some fn, None)
+      | Error reason -> (None, Some reason))
+    | _ -> (None, None)
   in
   {
     plan;
@@ -130,8 +133,7 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
     native;
-    fallback =
-      (match native with Some (Error reason) -> Some reason | _ -> None);
+    fallback;
   }
 
 let rank_program ?(overlap = false) shared comms rank =
@@ -149,7 +151,7 @@ let rank_program ?(overlap = false) shared comms rank =
     match shared.mode with
     | Full ->
       Some
-        (Walker.make ?native:shared.native ~plan ~kernel ~rank ~ntiles
+        (Walker.make ~native:shared.native ~plan ~kernel ~rank ~ntiles
            ~variant:shared.walker ~check:shared.check ())
     | Timing -> None
   in

@@ -73,13 +73,13 @@ type shared = {
           mode's message sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
-  native : (Native_kernel.fn, string) result option;
+  native : Native_kernel.fn option;
       (** the [Native] walker's row ({!Walker.native_row}), built once
-          and shared by every rank; [None] for other walkers and in
-          [Timing] mode, which runs no walker *)
+          and shared by every rank; [None] for other walkers, in
+          [Timing] mode, which runs no walker, and on a fallback *)
   fallback : string option;
-      (** why a [Native] run executes the OCaml fast path: [native]'s
-          error, known before any rank runs *)
+      (** why a [Native] run executes the OCaml fast path: the error of
+          {!Walker.native_row}, known before any rank runs *)
 }
 
 val prepare :

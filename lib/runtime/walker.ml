@@ -87,10 +87,9 @@ type t = {
   maxshift : int array;
   boxmin : int array;
   cslope : int array;
-  (* the compiled row entry when [variant = Native] built successfully;
-     [fallback] records why it didn't (the walker then runs [Fastpath]) *)
+  (* the run's compiled row entry when [variant = Native] and it built;
+     [None] runs the OCaml row body *)
   native : Native_kernel.fn option;
-  fallback : string option;
   (* the plan's slab chain and pullback, shared by every rank *)
   counter : Tile_space.counter;
   box_lo : int array;  (* all zeros: the unclipped slab corner *)
@@ -112,7 +111,7 @@ let native_row ~plan ~kernel ~check =
   if check then Error "check mode validates LDS reads in OCaml"
   else Native_kernel.build ~plan ~kernel ()
 
-let make ?native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
+let make ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let tiling = plan.Plan.tiling in
   let comm = plan.Plan.comm in
   let tspace = plan.Plan.tspace in
@@ -172,19 +171,6 @@ let make ?native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let cslope =
     Array.map (fun w -> w.(n - 1) * tiling.Tiling.c.(n - 1)) pull_w
   in
-  let native, fallback =
-    match variant with
-    | Native -> (
-      let row =
-        match native with
-        | Some row -> row
-        | None -> native_row ~plan ~kernel ~check
-      in
-      match row with
-      | Ok fn -> (Some fn, None)
-      | Error reason -> (None, Some reason))
-    | Reference | Fastpath -> (None, None)
-  in
   {
     variant;
     check;
@@ -213,8 +199,8 @@ let make ?native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     maxshift;
     boxmin = counter.Tile_space.boxmin;
     cslope;
-    native;
-    fallback;
+    native =
+      (match variant with Native -> native | Reference | Fastpath -> None);
     counter;
     box_lo = Array.make n 0;
     vs = Array.make n 0;
@@ -233,7 +219,6 @@ let make ?native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
 let variant t = t.variant
 let counter t = t.counter
 let lds_total t = t.shape.Lds.total
-let fallback_reason t = t.fallback
 
 (* LDS cell index of TTIS point [j'] at trel = 0 (Table 1 with the
    tile-relative shift split off: adding [trel * t.tshift] gives the

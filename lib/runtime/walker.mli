@@ -37,9 +37,9 @@ type variant =
       (** [Fastpath] whose per-row work runs in a C-compiled,
           [dlopen]'d kernel built at plan time from the kernel's
           [ckernel] body ({!Native_kernel}). Falls back to [Fastpath]
-          behaviour — recording the reason — when no C compiler is
-          available, the kernel carries no C body, or [check] is set
-          (NaN validation needs the OCaml read path). *)
+          behaviour when no C compiler is available, the kernel carries
+          no C body, or [check] is set (NaN validation needs the OCaml
+          read path); {!native_row} says which. *)
 
 val variant_to_string : variant -> string
 
@@ -65,7 +65,7 @@ val native_row :
     so a run builds it once and hands it to each rank's {!make}. *)
 
 val make :
-  ?native:(Native_kernel.fn, string) result ->
+  native:Native_kernel.fn option ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
   rank:int ->
@@ -79,19 +79,15 @@ val make :
     confirm that every boundary-filled source lies outside the space; the
     fast variants skip the check — and become eligible for the unrolled
     row bodies — when it is false. [Reference] validates regardless.
-    [Native] runs [native], the plan's {!native_row}; without it the
-    walker builds (or loads from cache) the row itself. *)
+    [Native] runs each row through [native], the run's {!native_row}
+    when it built; with [None] it runs the OCaml fast path. The other
+    variants ignore [native]. *)
 
 val variant : t -> variant
 
 val counter : t -> Tiles_core.Tile_space.counter
 (** The plan's {!Tiles_core.Count_table.counter}, whose chain this walker
     enumerates rows with: every rank of a plan shares one projection. *)
-
-val fallback_reason : t -> string option
-(** [Some reason] when [Native] was requested but the walker is running
-    the OCaml fast path instead (no compiler, no C body, check mode,
-    compile/dlopen failure); [None] otherwise. *)
 
 val lds_total : t -> int
 (** Cells of the rank's local array ([Lds.shape] total); the backing

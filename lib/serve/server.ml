@@ -590,7 +590,7 @@ let serve_socket ?config ?metrics_out ~path () =
     close_writer w ~close:(fun () ->
         try Unix.close fd with Unix.Unix_error _ -> ())
   in
-let rec accept_loop () =
+  let rec accept_loop () =
     if not (Atomic.get stop) then begin
       match Unix.accept listener with
       | fd, _ ->

@@ -353,7 +353,8 @@ let test_walker_boundary_once () =
     in
     let calls, kernel = counting (Sor.kernel p) in
     let w =
-      Walker.make ~plan ~kernel ~rank ~ntiles:(List.length tiles)
+      Walker.make ~native:None ~plan ~kernel ~rank
+        ~ntiles:(List.length tiles)
         ~variant:Walker.Fastpath ~check:false ()
     in
     let la = Fbuf.make (Walker.lds_total w) Float.nan in
@@ -394,7 +395,8 @@ let test_check_modes () =
   let width = pascal_kernel.Kernel.width in
   let fires ~variant ~check =
     let w =
-      Walker.make ~plan ~kernel:pascal_kernel ~rank ~ntiles ~variant ~check ()
+      Walker.make ~native:None ~plan ~kernel:pascal_kernel ~rank ~ntiles
+        ~variant ~check ()
     in
     let la = Fbuf.make (Walker.lds_total w * width) Float.nan in
     match Walker.compute_tile w ~trel:0 ~tile ~la with
@@ -411,17 +413,15 @@ let test_check_modes () =
 (* ---------- native walker: build, fallback, recording ---------- *)
 
 let test_native_modes () =
-  let mk ~plan ~kernel ~check =
-    let tlo, thi = Mapping.chain plan.Plan.mapping 0 in
-    Walker.make ~plan ~kernel ~rank:0 ~ntiles:(thi - tlo + 1)
-      ~variant:Walker.Native ~check ()
+  let fallback ~plan ~kernel ~check =
+    match Walker.native_row ~plan ~kernel ~check with
+    | Ok _ -> None
+    | Error reason -> Some reason
   in
-  (* a kernel without a C body must fall back and record why *)
+  (* a kernel without a C body must fall back and say why *)
   let nest = pascal_nest 12 9 in
   let plan = Plan.make nest (Tiling.rectangular [ 3; 4 ]) in
-  (match
-     Walker.fallback_reason (mk ~plan ~kernel:pascal_kernel ~check:false)
-   with
+  (match fallback ~plan ~kernel:pascal_kernel ~check:false with
   | Some reason ->
     Alcotest.(check bool) "reason mentions the C body" true
       (Astring.String.is_infix ~affix:"C body" reason)
@@ -432,33 +432,34 @@ let test_native_modes () =
     Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.rect ~x:3 ~y:9 ~z:9)
   in
   let kernel2 = Sor.kernel p in
-  (* compiler disabled: the fallback is taken and the reason recorded *)
+  (* compiler disabled: the fallback is taken and the reason given *)
   Unix.putenv "TILEC_NO_CC" "1";
-  let w_nocc =
+  let nocc =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "TILEC_NO_CC" "")
-      (fun () -> mk ~plan:plan2 ~kernel:kernel2 ~check:false)
+      (fun () -> fallback ~plan:plan2 ~kernel:kernel2 ~check:false)
   in
-  (match Walker.fallback_reason w_nocc with
+  (match nocc with
   | Some reason ->
     Alcotest.(check bool) "reason mentions the compiler" true
       (Astring.String.is_infix ~affix:"compiler" reason)
   | None -> Alcotest.fail "TILEC_NO_CC must force the fallback");
   (* check mode validates reads in OCaml, so native must defer *)
-  (match Walker.fallback_reason (mk ~plan:plan2 ~kernel:kernel2 ~check:true) with
+  (match fallback ~plan:plan2 ~kernel:kernel2 ~check:true with
   | Some _ -> ()
   | None -> Alcotest.fail "check mode must fall back to the OCaml path");
-  (* with a real compiler the native walker builds (no fallback) and a
+  (* with a real compiler the native row builds (no fallback) and a
      full parallel run matches the boxed sequential oracle exactly *)
   if Tiles_runtime.Native_kernel.available () then begin
-    let w = mk ~plan:plan2 ~kernel:kernel2 ~check:false in
-    Alcotest.(check bool) "native built" true
-      (Walker.fallback_reason w = None);
+    Alcotest.(check (option string)) "native built" None
+      (fallback ~plan:plan2 ~kernel:kernel2 ~check:false);
     let space = (Sor.nest p).Nest.space in
     let reference =
       Seq_exec.run ~variant:Walker.Reference ~space ~kernel:kernel2 ()
     in
     let r = Shm.run ~walker:Walker.Native ~plan:plan2 ~kernel:kernel2 () in
+    Alcotest.(check (option string)) "run took the native path" None
+      r.Shm.walker_fallback;
     Alcotest.(check (float 0.)) "native run = boxed oracle" 0.
       (Grid.max_abs_diff r.Shm.grid reference space)
   end
@@ -469,7 +470,9 @@ let test_native_modes () =
 let test_prepare_native_fallback () =
   let module Sor = Tiles_apps.Sor in
   let p = Sor.make ~m_steps:6 ~size:9 in
-  let plan = Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.rect ~x:3 ~y:9 ~z:9) in
+  let plan =
+    Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.rect ~x:3 ~y:9 ~z:9)
+  in
   let prepare mode =
     Protocol.prepare ~walker:Walker.Native ~check:true ~mode ~plan
       ~kernel:(Sor.kernel p) ~flop_time:0. ~pack_time:0. ()
@@ -640,8 +643,8 @@ let test_plan_chain_shared () =
   let build_all () =
     List.init nprocs (fun rank ->
         let tlo, thi = Mapping.chain mapping rank in
-        Walker.make ~plan ~kernel:pascal_kernel ~rank ~ntiles:(thi - tlo + 1)
-          ~variant:Walker.Fastpath ~check:false ())
+        Walker.make ~native:None ~plan ~kernel:pascal_kernel ~rank
+          ~ntiles:(thi - tlo + 1) ~variant:Walker.Fastpath ~check:false ())
   in
   let shares = List.for_all (fun w -> Walker.counter w == shared) in
   Alcotest.(check bool) "one plan for every rank" true (shares (build_all ()));
