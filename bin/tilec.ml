@@ -32,8 +32,8 @@
           mismatch
      3    slab protocol mismatch between communicating ranks
           (Protocol.Slab_mismatch — a compiler bug, not a user error)
-     4    shm rendezvous timeout (Recv_timeout/Send_timeout — a peer
-          rank died or deadlocked)
+     4    shm rendezvous timeout (Recv_timeout — a peer rank died or
+          deadlocked)
      124  command-line usage error (Cmdliner's cli_error default) *)
 
 open Cmdliner
@@ -72,7 +72,7 @@ let guard f =
   | Invalid_argument msg | Failure msg | Sys_error msg ->
     Printf.eprintf "tilec: error: %s\n" msg;
     exit exit_runtime
-  | Shm_executor.Recv_timeout msg | Shm_executor.Send_timeout msg ->
+  | Shm_executor.Recv_timeout msg ->
     Printf.eprintf "tilec: error: %s\n" msg;
     exit exit_rendezvous_timeout
   | Protocol.Slab_mismatch m ->
@@ -155,9 +155,9 @@ let spec_term ?app:(app_t = app_arg) knobs =
   let overlap =
     Arg.(value & flag & info [ "overlap" ]
            ~doc:"Use the §5 overlapped schedule (the paper's future work): \
-                 pre-posted receives and non-blocking sends on the sim \
-                 backend, a bounded per-rank send stage on shm. Perf \
-                 baselines get an $(b,-overlap) file-name suffix.")
+                 pre-posted receives on both backends, non-blocking \
+                 sends on the sim backend (a shm send never blocks). \
+                 Perf baselines get an $(b,-overlap) file-name suffix.")
   in
   (* which tile-execution engine runs the data movement and arithmetic;
      only meaningful where real data flows (simulate --full, trace, shm) *)

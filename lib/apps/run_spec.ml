@@ -196,16 +196,13 @@ let run ?(mode = Full) ?check ?(trace = false) ?recorder t ~plan ~kernel =
         ~plan ~kernel ()
     in
     (* the latest rank finish, on the recorder's own clock *)
-    let stats, spans, edges =
-      timeline
-        ~completion:(Array.fold_left Float.max 0. (Recorder.rank_finish rc))
-        rc
-    in
+    let completion = r.Shm_executor.wall_seconds in
+    let stats, spans, edges = timeline ~completion rc in
     {
       stats;
       spans;
       edges;
-      completion = r.Shm_executor.wall_seconds;
+      completion;
       speedup = r.Shm_executor.wall_speedup;
       messages = r.Shm_executor.messages;
       bytes = r.Shm_executor.bytes;

@@ -10,10 +10,9 @@
    Message identity: every send/receive carries its channel (src, dst,
    tag) and the recorder assigns a per-channel sequence number on each
    side independently. All transports are FIFO per channel (the
-   simulator's queues, the shm mailbox's per-tag queues, the overlapped
-   send stage drained in order by one domain), so sender seq i and
-   receiver seq i name the same message and the two half-records join
-   into a dependency edge without any cross-rank synchronisation. *)
+   simulator's queues, the shm mailbox's per-tag queues), so sender seq
+   i and receiver seq i name the same message and the two half-records
+   join into a dependency edge without any cross-rank synchronisation. *)
 
 type mode = Retain | Streaming
 
@@ -172,12 +171,15 @@ let span l ~t0 ~t1 kind =
       Metric.add m (t1 -. t0)
   end
 
-let mark l = l.cursor <- log_now l
+(* an untraced log keeps no spans, so its cursor is never read *)
+let mark l = if l.shared.trace then l.cursor <- log_now l
 
 let close l kind =
-  let t = log_now l in
-  span l ~t0:l.cursor ~t1:t kind;
-  l.cursor <- t
+  if l.shared.trace then begin
+    let t = log_now l in
+    span l ~t0:l.cursor ~t1:t kind;
+    l.cursor <- t
+  end
 
 let rec raise_high_water m v =
   let cur = Atomic.get m in

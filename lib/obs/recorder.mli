@@ -84,12 +84,14 @@ val span : log -> t0:float -> t1:float -> Span.kind -> unit
 
 val mark : log -> unit
 (** Set the rank's cursor to [now] — the start of the next {!close}d
-    section. Call once when the rank starts running. *)
+    section. Call once when the rank starts running. Reads no clock when
+    not tracing. *)
 
 val close : log -> Span.kind -> unit
 (** Record the interval from the cursor to [now] under the given kind
     and advance the cursor. This lets straight-line backend code
-    partition its timeline by closing each section as it finishes. *)
+    partition its timeline by closing each section as it finishes. A
+    no-op, reading no clock, when not tracing. *)
 
 val message_sent :
   log -> ?t:float -> dst:int -> tag:int -> bytes:int -> unit -> unit

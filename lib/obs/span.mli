@@ -12,13 +12,10 @@ type kind =
   | Pack     (** gathering a slab into a send buffer *)
   | Send
       (** send overhead / wire occupancy on the sender. On the shm
-          backend's blocking schedule the mailbox enqueue is the send for
-          that transport; on its overlapped schedule this is the hand-off
-          to the bounded send stage. *)
+          backend the mailbox enqueue is the send for that transport,
+          in both schedules. *)
   | Wait
-      (** blocked on communication: in a receive before the message is
-          available, or (overlapped shm) on a full send stage before a
-          slot frees — backpressure is charged here, not hidden. *)
+      (** blocked in a receive before the message is available *)
   | Unpack   (** receive overhead + scattering a buffer into the LDS *)
 
 type t = {

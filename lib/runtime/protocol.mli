@@ -111,7 +111,8 @@ val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
     pre-posted before any slab is scattered into the LDS, and outgoing
     slabs are packed and handed to [comms.send] immediately after the
     tile's computation — a backend whose [send] is asynchronous (the
-    simulator's [isend], the shared-memory backend's bounded send stage)
-    then overlaps the transfer with the next tile's computation. The
-    message set, tags and per-channel order are identical in both
-    schedules, so counters agree exactly with the blocking run. *)
+    simulator's [isend]) then overlaps the transfer with the next tile's
+    computation; the shared-memory backend's mailbox enqueue never
+    blocks in either schedule. The message set, tags and per-channel
+    order are identical in both schedules, so counters agree exactly
+    with the blocking run. *)

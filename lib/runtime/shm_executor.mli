@@ -9,13 +9,14 @@
     depends on the host; correctness is the point.
 
     Two schedules are available. The default is the paper's blocking
-    receive → compute → send loop. With [~overlap:true] each rank also
-    gets a {!Send_stage}: a bounded queue drained by a dedicated sender
-    domain, so packed slabs are handed off and the transfer completes
-    while the rank computes its next tile — the real counterpart of the
-    simulator's §5 non-blocking [isend] schedule. The message set and
-    per-channel order are identical either way, so both schedules (and
-    both backends) report the same message/byte counters.
+    receive → compute → send loop. With [~overlap:true] each rank runs
+    {!Protocol.rank_program}'s §5 overlapped schedule: every receive of
+    a tile is posted before any slab is unpacked, and outgoing slabs
+    leave right after the tile's computation. A send on this transport
+    is a mailbox enqueue that never blocks, so both schedules send the
+    same way. The message set and per-channel order are identical
+    either way, so both schedules (and both backends) report the same
+    message/byte counters.
 
     Every run writes to a {!Tiles_obs.Recorder}, the run's one record
     of its timeline: message/byte counters are always on, each rank
@@ -24,21 +25,18 @@
     vocabulary as the simulator, so the two backends' traces (and the
     {!Tiles_obs.Stats} built from them) are directly comparable.
 
-    Use modest process counts (≲ number of cores); each rank is a real
-    domain, and the overlapped schedule adds one sender domain per
-    rank. *)
+    Use modest process counts (≲ number of cores): each rank is a real
+    domain, and a watchdog domain runs beside them. *)
 
 exception Recv_timeout of string
 (** Raised (with a diagnostic naming the blocked rank, source and tag)
-    when a receive blocks longer than [recv_timeout] — the symptom of a
-    mis-generated schedule, which would otherwise hang forever. *)
-
-exception Send_timeout of string
-(** Raised when handing a slab to a full {!Send_stage} blocks longer than
-    the timeout — the symptom of a stalled drainer. *)
+    when a receive of a {!run} blocks longer than 30 seconds — the
+    symptom of a mis-generated schedule, which would otherwise hang
+    forever. *)
 
 type result = {
-  wall_seconds : float;       (** parallel wall-clock time *)
+  wall_seconds : float;
+      (** parallel wall-clock time: the latest rank finish *)
   seq_wall_seconds : float;   (** sequential oracle wall-clock time *)
   wall_speedup : float;
   grid : Grid.t;              (** the parallel result *)
@@ -65,6 +63,7 @@ module Mailbox : sig
 
   val recv :
     ?timeout:float ->
+    ?abort:(unit -> bool) ->
     ?diag:(unit -> string) ->
     'a t ->
     tag:int ->
@@ -78,7 +77,10 @@ module Mailbox : sig
       wakes the condition periodically. A non-positive (or NaN) timeout
       raises [Invalid_argument]: [0.] used to silently mean "wait
       forever", disabling the watchdog exactly when the caller asked for
-      the tightest deadline. *)
+      the tightest deadline. [abort] (default: never) is checked each
+      time the receiver would wait; once it holds, the receiver gives up
+      and raises [Exit] — a {!run} whose rank has already failed uses it
+      to stop its other ranks without waiting for the deadline. *)
 
   val tag_count : _ t -> int
   (** Number of per-tag queues currently in the table (for leak tests). *)
@@ -87,47 +89,11 @@ module Mailbox : sig
   (** Wake all waiters so they can re-check their deadlines. *)
 end
 
-(** The per-rank asynchronous send stage of the overlapped schedule: a
-    bounded queue of delivery thunks drained by a dedicated domain.
-    Exposed for tests. *)
-module Send_stage : sig
-  type t
-
-  val create : capacity:int -> t
-  (** Raises [Invalid_argument] unless [capacity >= 1]. *)
-
-  val capacity : t -> int
-
-  val submit : ?timeout:float -> ?diag:(unit -> string) -> t -> (unit -> unit) -> float
-  (** Enqueue a delivery thunk, blocking while the queue is at capacity;
-      returns the seconds spent blocked so the caller can charge
-      backpressure as communication wait. [timeout] follows the
-      {!Mailbox.recv} contract: default [infinity], finite deadlines
-      raise {!Send_timeout} with [diag ()] (a periodic {!nudge} is needed
-      for the deadline to be noticed), non-positive raises
-      [Invalid_argument]. Raises [Invalid_argument] if the stage is
-      {!close}d. *)
-
-  val drain : t -> unit
-  (** The drainer loop: runs submitted thunks in FIFO order until the
-      stage is {!close}d {e and} empty. Run this in the sender domain. *)
-
-  val close : t -> unit
-  (** No further submits; {!drain} returns once the queue empties. *)
-
-  val pending : t -> int
-  (** Thunks currently queued (for tests). *)
-
-  val nudge : t -> unit
-  (** Wake blocked submitters so they can re-check their deadlines. *)
-end
-
 val run :
   ?walker:Walker.variant ->
   ?check:bool ->
   ?recorder:Tiles_obs.Recorder.t ->
   ?overlap:bool ->
-  ?recv_timeout:float ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
   unit ->
@@ -143,13 +109,11 @@ val run :
     run {!Tiles_obs.Recorder.restart}s the recorder as its ranks start,
     so every stamp counts from then, not from the set-up. [overlap]
     (default false) runs the §5 overlapped schedule: receives pre-posted
-    per tile ({!Protocol.rank_program}), sends handed to a per-rank
-    bounded {!Send_stage} of 4 slots and completed by a sender domain
-    while the rank computes on. Enqueue time blocked on a
-    full stage is traced as [Wait], the hand-off as [Send].
-    [recv_timeout] (default 30 seconds) bounds how long any receive — or,
-    overlapped, any hand-off to a full send stage — may block before
-    {!Recv_timeout} (resp. {!Send_timeout}) is raised; pass [infinity] to
-    wait forever (this also disables the watchdog domain). Raises
-    [Invalid_argument] on a non-positive [recv_timeout], and like
+    per tile ({!Protocol.rank_program}); sends are the same mailbox
+    enqueue as in the blocking schedule. [wall_seconds] is the latest
+    rank finish on the recorder's clock, the completion its spans
+    count towards. A receive blocked for 30 seconds raises
+    {!Recv_timeout}. The first exception any rank raises wakes the
+    ranks blocked in a receive, which give up, and is re-raised once
+    every rank has stopped. Raises [Invalid_argument] like
     {!Protocol.prepare}. *)

@@ -1,11 +1,9 @@
 (** The daemon's bounded priority job queue with admission control.
 
-    Generalizes the bounded [Send_stage] discipline of the shm executor:
-    a producer facing a full queue is never blocked silently — here it
-    is not blocked at all. {!submit} either enqueues or returns a
-    structured {!reject} naming the reason and the capacity, so the
-    protocol layer can answer the client immediately (backpressure as a
-    reply, not a hang).
+    A producer facing a full queue is not blocked at all: {!submit}
+    either enqueues or returns a structured {!reject} naming the reason
+    and the capacity, so the protocol layer can answer the client
+    immediately (backpressure as a reply, not a hang).
 
     Ordering: a min-heap on the request's priority — {e lower} value is
     served sooner — with FIFO tie-breaking inherited from

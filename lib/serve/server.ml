@@ -294,7 +294,7 @@ let exec t (ticket : ticket) =
       let msg =
         match e with
         | Invalid_argument m | Failure m | Sys_error m -> m
-        | Shm_executor.Recv_timeout m | Shm_executor.Send_timeout m -> m
+        | Shm_executor.Recv_timeout m -> m
         | Tiles_runtime.Protocol.Slab_mismatch m ->
           Tiles_runtime.Protocol.slab_mismatch_to_string m
         | Division_by_zero -> "singular tiling (zero tile factor)"

@@ -12,6 +12,10 @@
 #       flow-event pair (ph "s"/"f") for every crossed message edge,
 #   (d) the SVG timeline highlights the path.
 #
+# The SOR config also runs on the shm backend, blocking and overlapped:
+# its wall-clock path must cover >= 95% and its segments sum to the
+# completion within 1e-9.
+#
 # Then a bounded-memory scale check: a >=1024-rank Jacobi sim traced
 # with the streaming recorder must fit under a hard RSS ceiling --
 # O(ranks) memory, independent of the span count.
@@ -70,6 +74,19 @@ for app, size in APPS.items():
     assert "critical path" in open(svg).read(), svg
     print(f"{app}: path {rep['path_length_s']:.6f}s "
           f"coverage {rep['coverage']:.3f} edges {rep['edges_crossed']}")
+
+# the shm backend on wall-clock traces, both schedules: its spans and
+# edges still partition the run, so the walk covers the whole completion
+for flags in ([], ["--overlap"]):
+    rep = json.loads(run(["analyze", "--app", "sor", "--backend", "shm"]
+                         + APPS["sor"] + flags + ["--json"]))
+    name = "shm" + "".join(f" {f}" for f in flags)
+    assert rep["coverage"] >= MIN_COVERAGE, (name, rep["coverage"])
+    ks = rep["kind_seconds"]
+    gap = abs(sum(ks.values()) - rep["completion_s"])
+    assert gap <= 1e-9, (name, gap)
+    print(f"sor {name}: completion {rep['completion_s']:.6f}s "
+          f"coverage {rep['coverage']:.3f}")
 
 # scale: >=1024 sim ranks under the streaming recorder, hard RSS ceiling
 stream = json.loads(run(["analyze", "--app", "jacobi", "--backend", "sim",

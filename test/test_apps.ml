@@ -418,6 +418,33 @@ let test_run_spec_stats_lazy () =
   Alcotest.(check bool) "critical path on demand" true
     ((Lazy.force x.stats).Tiles_obs.Stats.critical_path > 0.)
 
+(* one shm run reports one completion: the result's and its stats' are
+   the same reading, whatever the recorder keeps *)
+let test_run_spec_shm_one_completion () =
+  let spec =
+    { (Run_spec.default "sor") with size1 = 12; size2 = 16; backend = Shm }
+  in
+  let r = Result.get_ok (Run_spec.resolve spec) in
+  let plan =
+    Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+      r.Tiles_apps.Registry.tiling
+  in
+  let kernel = r.Tiles_apps.Registry.kernel in
+  let check name (x : Run_spec.result) =
+    Alcotest.(check bool) (name ^ ": completion positive") true
+      (x.completion > 0.);
+    Alcotest.(check bool) (name ^ ": stats completion is the run's") true
+      (x.completion = (Lazy.force x.stats).Tiles_obs.Stats.completion)
+  in
+  let traced mode =
+    Run_spec.run
+      ~recorder:(Run_spec.recorder ~mode ~nprocs:(Plan.nprocs plan) spec)
+      spec ~plan ~kernel
+  in
+  check "retain" (traced Tiles_obs.Recorder.Retain);
+  check "streaming" (traced Tiles_obs.Recorder.Streaming);
+  check "untraced" (Run_spec.run spec ~plan ~kernel)
+
 let () =
   Alcotest.run "tiles_apps"
     [
@@ -451,6 +478,8 @@ let () =
             test_run_spec_table;
           Alcotest.test_case "traced shm stats stay lazy" `Quick
             test_run_spec_stats_lazy;
+          Alcotest.test_case "one shm completion" `Quick
+            test_run_spec_shm_one_completion;
         ] );
       ( "experiment",
         [

@@ -148,6 +148,61 @@ let test_shm_span_invariants () =
         Alcotest.failf "negative span duration %g" (Span.duration s))
     trace
 
+(* the shm timeline law, in both schedules: a Wait span is a receive,
+   so it ends exactly where the message it waited for became ready, and
+   a Send span is a send, so a rank has no more of them than messages *)
+let test_shm_timeline_law () =
+  let plan, kernel = sor_plan () in
+  let nprocs = Plan.nprocs plan in
+  List.iter
+    (fun overlap ->
+      let name = if overlap then "overlapped" else "blocking" in
+      let rc = Recorder.create ~trace:true ~nprocs () in
+      ignore (Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel ());
+      let edges = Recorder.edges rc in
+      let sent = Recorder.rank_messages rc in
+      Array.iteri
+        (fun rank spans ->
+          let sends =
+            List.filter (fun s -> s.Span.kind = Span.Send) spans
+          in
+          if List.length sends > sent.(rank) then
+            Alcotest.failf "%s: rank %d has %d Send spans for %d messages"
+              name rank (List.length sends) sent.(rank);
+          List.iter
+            (fun (s : Span.t) ->
+              if
+                s.Span.kind = Span.Wait
+                && not
+                     (List.exists
+                        (fun (e : Recorder.edge) ->
+                          e.Recorder.e_dst = rank
+                          && e.Recorder.e_ready = s.Span.t1)
+                        edges)
+              then
+                Alcotest.failf "%s: rank %d Wait ending at %g has no edge"
+                  name rank s.Span.t1)
+            spans)
+        (Span.by_rank ~nprocs (Recorder.spans rc)))
+    [ false; true ]
+
+(* an untraced shm run keeps counters only: it reads the recorder's
+   clock to start and to stamp each rank's finish, never per message *)
+let test_shm_untraced_clock_reads () =
+  let plan, kernel = sor_plan () in
+  let nprocs = Plan.nprocs plan in
+  let reads = Atomic.make 0 in
+  let clock () =
+    Atomic.incr reads;
+    Tiles_obs.Clock.monotonic ()
+  in
+  let rc = Recorder.create ~clock ~nprocs () in
+  let r = Shm_executor.run ~recorder:rc ~plan ~kernel () in
+  Alcotest.(check bool) "messages moved" true (r.Shm_executor.messages > 0);
+  let n = Atomic.get reads in
+  if n > (2 * nprocs) + 2 then
+    Alcotest.failf "%d clock reads for %d ranks" n nprocs
+
 (* both backends execute the same protocol, so their message and byte
    counts must agree exactly — globally and per rank *)
 let test_sim_shm_counters_agree () =
@@ -739,76 +794,6 @@ let test_mailbox_rejects_nonpositive_timeout () =
   expect (-0.5);
   expect nan
 
-(* ---------------- the overlapped send stage ---------------- *)
-
-let test_send_stage_fifo_under_backpressure () =
-  let module Stage = Shm_executor.Send_stage in
-  Alcotest.check_raises "capacity >= 1"
-    (Invalid_argument "Send_stage.create: capacity must be >= 1") (fun () ->
-      ignore (Stage.create ~capacity:0));
-  let stage = Stage.create ~capacity:2 in
-  Alcotest.(check int) "capacity" 2 (Stage.capacity stage);
-  let ran = ref [] and mu = Mutex.create () in
-  let drainer = Domain.spawn (fun () -> Stage.drain stage) in
-  let blocked = ref 0. in
-  for i = 1 to 20 do
-    blocked :=
-      !blocked
-      +. Stage.submit stage (fun () ->
-             (* the producer outruns this sleep, so the 2-slot queue
-                fills and submit must block (and report it) *)
-             Unix.sleepf 0.002;
-             Mutex.lock mu;
-             ran := i :: !ran;
-             Mutex.unlock mu)
-  done;
-  Shm_executor.Send_stage.close stage;
-  Domain.join drainer;
-  Alcotest.(check (list int)) "every job ran, in FIFO order"
-    (List.init 20 (fun i -> i + 1))
-    (List.rev !ran);
-  Alcotest.(check int) "closed stage drained" 0 (Stage.pending stage);
-  Alcotest.(check bool) "backpressure was visible" true (!blocked > 0.);
-  Alcotest.check_raises "submit after close rejected"
-    (Invalid_argument "Send_stage.submit: stage is closed") (fun () ->
-      ignore (Stage.submit stage (fun () -> ())))
-
-(* a deliberately stalled consumer: nobody drains, the bounded queue
-   fills, and a finite-timeout submit must raise rather than deadlock *)
-let test_send_stage_stalled_consumer_times_out () =
-  let module Stage = Shm_executor.Send_stage in
-  let stage = Stage.create ~capacity:1 in
-  ignore (Stage.submit stage (fun () -> ()));
-  Alcotest.(check int) "queue full" 1 (Stage.pending stage);
-  (* the nudger stands in for the run's watchdog: Condition.wait has no
-     timed variant, so deadlines are only noticed when woken *)
-  let stop = Atomic.make false in
-  let nudger =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.01;
-          Stage.nudge stage
-        done)
-  in
-  let raised =
-    try
-      ignore
-        (Stage.submit ~timeout:0.05
-           ~diag:(fun () -> "rank 3 send stage full (dst=1, tag=9)")
-           stage
-           (fun () -> ()));
-      None
-    with Shm_executor.Send_timeout msg -> Some msg
-  in
-  Atomic.set stop true;
-  Domain.join nudger;
-  (match raised with
-  | Some msg ->
-    Alcotest.(check bool) "diagnostic names the channel" true
-      (Astring.String.is_infix ~affix:"tag=9" msg)
-  | None -> Alcotest.fail "submit did not time out");
-  Alcotest.(check int) "stalled job still queued" 1 (Stage.pending stage)
-
 let () =
   Alcotest.run "tiles_obs"
     [
@@ -826,6 +811,9 @@ let () =
         [
           Alcotest.test_case "sim spans" `Quick test_sim_span_invariants;
           Alcotest.test_case "shm spans" `Quick test_shm_span_invariants;
+          Alcotest.test_case "shm timeline law" `Quick test_shm_timeline_law;
+          Alcotest.test_case "untraced shm clock reads" `Quick
+            test_shm_untraced_clock_reads;
           Alcotest.test_case "sim vs shm counters" `Quick
             test_sim_shm_counters_agree;
         ] );
@@ -882,12 +870,5 @@ let () =
           Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
           Alcotest.test_case "non-positive timeout rejected" `Quick
             test_mailbox_rejects_nonpositive_timeout;
-        ] );
-      ( "send-stage",
-        [
-          Alcotest.test_case "fifo under backpressure" `Quick
-            test_send_stage_fifo_under_backpressure;
-          Alcotest.test_case "stalled consumer times out" `Quick
-            test_send_stage_stalled_consumer_times_out;
         ] );
     ]

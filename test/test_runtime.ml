@@ -354,24 +354,42 @@ let test_shm_overlap_matches_blocking () =
       (Plan.make ~m:Adi.mapping_dim (Adi.nest p) (Adi.nr3 ~x:3 ~y:5 ~z:5))
     ~kernel:(Adi.kernel p)
 
-(* recv_timeout = 0 used to silently mean "wait forever"; it must now
-   fail fast instead of disabling the watchdog *)
-let test_shm_rejects_nonpositive_recv_timeout () =
-  let nest = pascal_nest 8 8 in
-  let plan = Plan.make nest (Tiling.rectangular [ 4; 4 ]) in
-  let expect t =
-    Alcotest.check_raises
-      (Printf.sprintf "recv_timeout %g rejected" t)
-      (Invalid_argument
-         "Shm_executor.run: recv_timeout must be positive (use infinity to \
-          disable the watchdog)")
-      (fun () ->
-        ignore
-          (Tiles_runtime.Shm_executor.run ~recv_timeout:t ~plan
-             ~kernel:pascal_kernel ()))
-  in
-  expect 0.;
-  expect (-1.)
+(* a rank that raises ends the whole run at once: the ranks blocked on
+   its messages stop waiting instead of sitting out the 30 s receive
+   deadline, and the run re-raises the rank's own exception *)
+exception Injected
+
+let test_shm_failure_ends_run () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:12 ~size:16 in
+  let plan = Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.nonrect ~x:3 ~y:4 ~z:4) in
+  List.iter
+    (fun overlap ->
+      let k = Sor.kernel p in
+      let calls = Atomic.make 0 in
+      let kernel =
+        {
+          k with
+          Kernel.compute =
+            (fun ~read ~j ~out ->
+              if Atomic.fetch_and_add calls 1 = 5 then raise Injected;
+              k.Kernel.compute ~read ~j ~out);
+        }
+      in
+      let t0 = Unix.gettimeofday () in
+      let raised =
+        match
+          Tiles_runtime.Shm_executor.run ~walker:Tiles_runtime.Walker.Reference
+            ~overlap ~plan ~kernel ()
+        with
+        | _ -> false
+        | exception Injected -> true
+      in
+      let name = if overlap then "overlapped" else "blocking" in
+      Alcotest.(check bool) (name ^ ": the rank's exception") true raised;
+      let dt = Unix.gettimeofday () -. t0 in
+      if dt >= 2. then Alcotest.failf "%s: the run took %.2fs to fail" name dt)
+    [ false; true ]
 
 (* ---------- Model ---------- *)
 
@@ -446,8 +464,8 @@ let () =
           Alcotest.test_case "same messages as sim" `Quick test_shm_matches_sim_messages;
           Alcotest.test_case "overlap = blocking (all apps)" `Quick
             test_shm_overlap_matches_blocking;
-          Alcotest.test_case "recv_timeout contract" `Quick
-            test_shm_rejects_nonpositive_recv_timeout;
+          Alcotest.test_case "failing rank ends the run" `Quick
+            test_shm_failure_ends_run;
         ] );
       ( "model",
         [
