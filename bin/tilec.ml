@@ -32,8 +32,9 @@
           mismatch
      3    slab protocol mismatch between communicating ranks
           (Protocol.Slab_mismatch — a compiler bug, not a user error)
-     4    shm rendezvous timeout (Recv_timeout — a peer rank died or
-          deadlocked)
+     4    shm rendezvous timeout (Recv_timeout — a receive blocked for
+          30 s: a deadlocked schedule; a rank that raises ends the run
+          with its own error instead)
      124  command-line usage error (Cmdliner's cli_error default) *)
 
 open Cmdliner
