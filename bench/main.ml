@@ -35,8 +35,8 @@ let net = Netmodel.fast_ethernet_cluster
 
 (* a blocking sim run of [plan] in Timing mode; the spec's naming fields
    only label metadata, so any app name does *)
-let sim_run ?(net = net) ?trace ~plan ~kernel app =
-  Run_spec.run ~mode:Run_spec.Timing ?trace
+let sim_run ?(net = net) ?keep ~plan ~kernel app =
+  Run_spec.run ~mode:Run_spec.Timing ?keep
     { (Run_spec.default app) with net }
     ~plan ~kernel
 
@@ -442,7 +442,7 @@ let ablation_overlap () =
     let mk overlap =
       let tiling = (List.assoc variant spec.E.variants) factor in
       let plan = Plan.make ~m:spec.E.m spec.E.nest tiling in
-      Run_spec.run ~mode:Run_spec.Timing ~trace:true
+      Run_spec.run ~mode:Run_spec.Timing ~keep:Run_spec.Timeline
         { (Run_spec.default spec.E.name) with backend; overlap; net }
         ~plan ~kernel:spec.E.kernel
     in
@@ -681,7 +681,7 @@ let trace_target () =
   let plan = Plan.make ~m:r.Registry.m r.Registry.nest r.Registry.tiling in
   let stats backend =
     Lazy.force
-      (Run_spec.run ~trace:true { spec with backend } ~plan
+      (Run_spec.run ~keep:Run_spec.Timeline { spec with backend } ~plan
          ~kernel:r.Registry.kernel)
         .Run_spec.stats
   in
@@ -738,7 +738,8 @@ let analyze_target () =
         ((List.assoc variant Tiles_apps.Jacobi.variants) ~x ~y ~z)
     in
     let r =
-      sim_run ~net ~trace:true ~plan ~kernel:(Tiles_apps.Jacobi.kernel p)
+      sim_run ~net ~keep:Run_spec.Timeline ~plan
+        ~kernel:(Tiles_apps.Jacobi.kernel p)
         "jacobi"
     in
     let nprocs = Plan.nprocs plan in
@@ -849,7 +850,8 @@ let perf_target () =
       let runs =
         List.init (warmup + repeats) (fun _ ->
             let r =
-              Run_spec.run ~mode:Run_spec.Timing ~trace:true spec ~plan ~kernel
+              Run_spec.run ~mode:Run_spec.Timing ~keep:Run_spec.Timeline spec
+                ~plan ~kernel
             in
             (Lazy.force r.Run_spec.stats, r.Run_spec.speedup))
       in

@@ -48,7 +48,6 @@ module Kernel = Tiles_runtime.Kernel
 module Chrome = Tiles_obs.Chrome
 module Stats = Tiles_obs.Stats
 module Span = Tiles_obs.Span
-module Recorder = Tiles_obs.Recorder
 module Critpath = Tiles_obs.Critpath
 module Netmodel = Tiles_mpisim.Netmodel
 module Nest = Tiles_loop.Nest
@@ -69,19 +68,15 @@ let exit_rendezvous_timeout = 4
    report them as a one-line message with the class's exit code, never a
    backtrace. *)
 let guard f =
+  let fail code e =
+    Printf.eprintf "tilec: error: %s\n" (Run_spec.error_message e);
+    exit code
+  in
   try f () with
-  | Invalid_argument msg | Failure msg | Sys_error msg ->
-    Printf.eprintf "tilec: error: %s\n" msg;
-    exit exit_runtime
-  | Shm_executor.Recv_timeout msg ->
-    Printf.eprintf "tilec: error: %s\n" msg;
-    exit exit_rendezvous_timeout
-  | Protocol.Slab_mismatch m ->
-    Printf.eprintf "tilec: error: %s\n" (Protocol.slab_mismatch_to_string m);
-    exit exit_slab_mismatch
-  | Division_by_zero ->
-    Printf.eprintf "tilec: error: singular tiling (zero tile factor)\n";
-    exit exit_runtime
+  | (Invalid_argument _ | Failure _ | Sys_error _ | Division_by_zero) as e ->
+    fail exit_runtime e
+  | Shm_executor.Recv_timeout _ as e -> fail exit_rendezvous_timeout e
+  | Protocol.Slab_mismatch _ as e -> fail exit_slab_mismatch e
 
 (* ---------------- common options ---------------- *)
 
@@ -331,7 +326,9 @@ let simulate_cmd =
     let r =
       Run_spec.run
         ~mode:(if full then Run_spec.Full else Run_spec.Timing)
-        ~check:check_reads ~trace spec ~plan ~kernel:res.Registry.kernel
+        ~check:check_reads
+        ~keep:(if trace then Run_spec.Timeline else Run_spec.Counters)
+        spec ~plan ~kernel:res.Registry.kernel
     in
     warn_fallback r.walker_fallback;
     Printf.printf "app %s (%s), %d processes, %d tiles, %d points\n"
@@ -389,7 +386,7 @@ let trace_cmd =
     let res, plan = build_plan spec in
     let nprocs = Plan.nprocs plan in
     let r =
-      Run_spec.run ~check:check_reads ~trace:true spec ~plan
+      Run_spec.run ~check:check_reads ~keep:Run_spec.Timeline spec ~plan
         ~kernel:res.Registry.kernel
     in
     warn_fallback r.walker_fallback;
@@ -468,8 +465,7 @@ let analyze_cmd =
       ]
   in
   (* streaming analysis: exact totals + the bounded wait reservoir *)
-  let report_streaming ~json stats rc =
-    let waits = Recorder.longest_waits rc in
+  let report_streaming ~json stats waits =
     if json then
       print_endline
         (Tiles_util.Json.to_string
@@ -537,27 +533,16 @@ let analyze_cmd =
         Printf.sprintf "%s on %s" spec.app
           (Run_spec.backend_to_string spec.backend)
       in
-      let rc =
-        Run_spec.recorder
-          ~mode:(if stream then Recorder.Streaming else Recorder.Retain)
-          ~nprocs spec
-      in
       let r =
-        Run_spec.run ~mode:Run_spec.Timing ~recorder:rc spec ~plan
-          ~kernel:res.Registry.kernel
+        Run_spec.run ~mode:Run_spec.Timing
+          ~keep:(if stream then Run_spec.Totals else Run_spec.Timeline)
+          spec ~plan ~kernel:res.Registry.kernel
       in
       (* stdout may carry --json *)
       print_err stderr r;
-      if stream then report_streaming ~json (Lazy.force r.stats) rc
+      if stream then report_streaming ~json (Lazy.force r.stats) r.longest_waits
       else
-        (* the sim's virtual completion bounds the exact path; a
-           wall-clock shm run leaves it to the spans *)
-        let completion =
-          match spec.backend with
-          | Run_spec.Sim -> Some r.completion
-          | Run_spec.Shm -> None
-        in
-        report_exact ~json ~top ~title ~nprocs ~completion
+        report_exact ~json ~top ~title ~nprocs ~completion:(Some r.completion)
           ~meta:(Run_spec.runmeta ~nprocs spec) ~out ~svg ~edges:r.edges
           r.spans)
   in
@@ -752,7 +737,8 @@ let perf_cmd =
     let runs =
       List.init (warmup + repeats) (fun _ ->
           let r =
-            Run_spec.run ~mode:Run_spec.Timing ~trace:true spec ~plan ~kernel
+            Run_spec.run ~mode:Run_spec.Timing ~keep:Run_spec.Timeline spec
+              ~plan ~kernel
           in
           (Lazy.force r.stats, r.speedup, r.walker_fallback))
     in

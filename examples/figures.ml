@@ -57,7 +57,8 @@ let () =
   let nprocs = Plan.nprocs plan in
   (* the simulator stamps virtual time itself: the recorder's clock is 0 *)
   let rc =
-    Tiles_obs.Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs ()
+    Tiles_obs.Recorder.create ~keep:Tiles_obs.Recorder.Timeline
+      ~clock:(fun () -> 0.) ~nprocs ()
   in
   let r =
     Executor.run ~mode:Executor.Timing ~recorder:rc ~plan ~kernel

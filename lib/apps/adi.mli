@@ -26,11 +26,6 @@ val mapping_dim : int
 (** [0]. *)
 
 val rect : x:int -> y:int -> z:int -> Tiles_core.Tiling.t
-val nr1 : x:int -> y:int -> z:int -> Tiles_core.Tiling.t
-(** Row 1 = [(1/x, -1/x, 0)]. *)
-
-val nr2 : x:int -> y:int -> z:int -> Tiles_core.Tiling.t
-(** Row 1 = [(1/x, 0, -1/x)]. *)
 
 val nr3 : x:int -> y:int -> z:int -> Tiles_core.Tiling.t
 (** Row 1 = [(1/x, -1/x, -1/x)] — parallel to the tiling cone. *)

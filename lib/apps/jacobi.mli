@@ -21,7 +21,6 @@ type t = {
 
 val make : t_steps:int -> size:int -> t
 
-val original_nest : t -> Tiles_loop.Nest.t
 val skew_matrix : Tiles_linalg.Intmat.t
 val nest : t -> Tiles_loop.Nest.t
 val kernel : t -> Tiles_runtime.Kernel.t

@@ -76,9 +76,4 @@ let resolve ~app ~size1 ~size2 ~variant ~tile:(x, y, z) =
            (String.concat " | " (List.map fst app.variants)))
   in
   let nest, kernel = app.instance ~size1 ~size2 in
-  (* an illegal or singular tiling surfaces here, as a structured
-     rejection rather than a worker-side crash *)
-  match mk ~x ~y ~z with
-  | tiling -> Ok { app; variant; nest; kernel; m = app.m; tiling }
-  | exception (Invalid_argument msg | Failure msg) -> Error msg
-  | exception Division_by_zero -> Error "singular tiling (zero tile factor)"
+  Ok { app; variant; nest; kernel; m = app.m; tiling = mk ~x ~y ~z }

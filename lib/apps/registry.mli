@@ -37,6 +37,8 @@ val resolve :
   variant:string ->
   tile:int * int * int ->
   (resolved, string) result
-(** [Error] names the bad sizes / unknown app / unknown variant /
-    illegal tiling — every failure mode of instantiation, never an
-    exception. *)
+(** [Error] names the bad sizes / unknown app / unknown variant. An
+    illegal or singular tiling raises what the variant's constructor
+    raises ([Invalid_argument], [Failure] or, for a zero tile factor,
+    [Division_by_zero]); {!Run_spec.resolve} turns those into [Error]
+    too. *)

@@ -35,9 +35,21 @@ let default app =
     walker = Walker.Fastpath;
   }
 
+let error_message = function
+  | Invalid_argument m | Failure m | Sys_error m -> m
+  | Division_by_zero -> "singular tiling (zero tile factor)"
+  | e -> Printexc.to_string e
+
+(* an illegal or singular tiling surfaces here, as a structured rejection
+   rather than a worker-side crash *)
 let resolve t =
-  Registry.resolve ~app:t.app ~size1:t.size1 ~size2:t.size2
-    ~variant:t.variant ~tile:t.tile
+  match
+    Registry.resolve ~app:t.app ~size1:t.size1 ~size2:t.size2
+      ~variant:t.variant ~tile:t.tile
+  with
+  | r -> r
+  | exception ((Invalid_argument _ | Failure _ | Division_by_zero) as e) ->
+    Error (error_message e)
 
 let netmodel t =
   match t.backend with Sim -> Netmodel.model_id t.net | Shm -> "-"
@@ -110,10 +122,13 @@ let to_json_fields t =
 
 type mode = Executor.mode = Full | Timing
 
+type keep = Recorder.keep = Counters | Totals | Timeline
+
 type result = {
   stats : Tiles_obs.Stats.t Lazy.t;
   spans : Tiles_obs.Span.t list;
   edges : Recorder.edge list;
+  longest_waits : Tiles_obs.Span.t list;
   completion : float;
   speedup : float;
   messages : int;
@@ -125,17 +140,9 @@ type result = {
   walker_fallback : string option;
 }
 
-(* the simulator stamps virtual time on every span itself *)
-let make_recorder ?label ~trace ~mode ~nprocs t =
-  let clock = match t.backend with Sim -> Some (fun () -> 0.) | Shm -> None in
-  Recorder.create ~mode ~trace ?clock ?label ~nprocs ()
-
-let recorder ?label ~mode ~nprocs t =
-  make_recorder ?label ~trace:true ~mode ~nprocs t
-
-(* a finished run's spans, edges and lazy Stats, all read off its
-   recorder; the causal critical path is walked only when the stats are
-   asked for, and only over retained spans and edges *)
+(* a finished run's spans, edges, longest waits and lazy Stats, all read
+   off its recorder; the causal critical path is walked only when the
+   stats are asked for, and only over retained spans and edges *)
 let timeline ~completion rc =
   let spans = Recorder.spans rc and edges = Recorder.edges rc in
   let stats =
@@ -150,14 +157,13 @@ let timeline ~completion rc =
        in
        Tiles_obs.Stats.of_recorder ~completion ?critical_path rc)
   in
-  (stats, spans, edges)
+  (stats, spans, edges, Recorder.longest_waits rc)
 
-let run ?(mode = Full) ?check ?(trace = false) ?recorder t ~plan ~kernel =
-  let nprocs = Tiles_core.Plan.nprocs plan in
+let run ?(mode = Full) ?check ?(keep = Counters) t ~plan ~kernel =
+  (* the simulator stamps virtual time on every span itself *)
+  let clock = match t.backend with Sim -> Some (fun () -> 0.) | Shm -> None in
   let rc =
-    match recorder with
-    | Some rc -> rc
-    | None -> make_recorder ~trace ~mode:Recorder.Retain ~nprocs t
+    Recorder.create ~keep ?clock ~nprocs:(Tiles_core.Plan.nprocs plan) ()
   in
   match t.backend with
   | Sim ->
@@ -175,11 +181,14 @@ let run ?(mode = Full) ?check ?(trace = false) ?recorder t ~plan ~kernel =
             space)
         r.Executor.grid
     in
-    let stats, spans, edges = timeline ~completion:st.Sim.completion rc in
+    let stats, spans, edges, longest_waits =
+      timeline ~completion:st.Sim.completion rc
+    in
     {
       stats;
       spans;
       edges;
+      longest_waits;
       completion = st.Sim.completion;
       speedup = r.Executor.speedup;
       messages = st.Sim.messages;
@@ -197,11 +206,12 @@ let run ?(mode = Full) ?check ?(trace = false) ?recorder t ~plan ~kernel =
     in
     (* the latest rank finish, on the recorder's own clock *)
     let completion = r.Shm_executor.wall_seconds in
-    let stats, spans, edges = timeline ~completion rc in
+    let stats, spans, edges, longest_waits = timeline ~completion rc in
     {
       stats;
       spans;
       edges;
+      longest_waits;
       completion;
       speedup = r.Shm_executor.wall_speedup;
       messages = r.Shm_executor.messages;

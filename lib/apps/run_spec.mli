@@ -33,7 +33,17 @@ val default : string -> t
     paper's fast-Ethernet model, the fast walker. *)
 
 val resolve : t -> (Registry.resolved, string) result
-(** {!Registry.resolve} on the spec's naming fields. *)
+(** {!Registry.resolve} on the spec's naming fields. An illegal or
+    singular tiling is an [Error] carrying its {!error_message}. *)
+
+val error_message : exn -> string
+(** The one-line text of a failed run, as [tilec] prints it after
+    ["tilec: error: "] and serve sends it in an error reply: the message
+    of [Invalid_argument], [Failure] and [Sys_error], a fixed text for
+    the [Division_by_zero] of a zero tile factor, and
+    [Printexc.to_string] for the rest (which reads the printers
+    registered for {!Tiles_runtime.Protocol.Slab_mismatch} and
+    {!Tiles_runtime.Shm_executor.Recv_timeout}). *)
 
 val runmeta :
   ?walker_fallback:string ->
@@ -59,15 +69,21 @@ type mode = Tiles_runtime.Executor.mode =
   | Full  (** real data flow and arithmetic, checked against the oracle *)
   | Timing  (** counts and virtual time only; the simulator alone has it *)
 
+type keep = Tiles_obs.Recorder.keep =
+  | Counters  (** counters only: an untraced run *)
+  | Totals  (** also per-kind span totals and the longest waits *)
+  | Timeline  (** also every span and every send→recv edge *)
+
 type result = {
   stats : Tiles_obs.Stats.t Lazy.t;
       (** {!Tiles_obs.Stats.of_recorder} on the run's recorder, built on
           first use; the causal critical path is walked then, and only
-          when the recorder kept edges. Its completion is the simulated
-          completion on sim and the latest rank finish stamp on shm. *)
-  spans : Tiles_obs.Span.t list;
-      (** the recorder's spans; [[]] unless traced in Retain mode *)
+          under [Timeline]. Its completion is the simulated completion
+          on sim and the latest rank finish stamp on shm. *)
+  spans : Tiles_obs.Span.t list;  (** [[]] unless [Timeline] *)
   edges : Tiles_obs.Recorder.edge list;  (** likewise *)
+  longest_waits : Tiles_obs.Span.t list;
+      (** {!Tiles_obs.Recorder.longest_waits}; [[]] under [Counters] *)
   completion : float;  (** virtual seconds on sim, wall seconds on shm *)
   speedup : float;
       (** against the modelled sequential time on sim, the timed
@@ -88,8 +104,7 @@ type result = {
 val run :
   ?mode:mode ->
   ?check:bool ->
-  ?trace:bool ->
-  ?recorder:Tiles_obs.Recorder.t ->
+  ?keep:keep ->
   t ->
   plan:Tiles_core.Plan.t ->
   kernel:Tiles_runtime.Kernel.t ->
@@ -101,18 +116,8 @@ val run :
     [check] is passed to {!Tiles_runtime.Executor.run} or
     {!Tiles_runtime.Shm_executor.run}.
 
-    The run writes its whole timeline to one recorder, and the result's
-    spans, edges and stats are read from it: [recorder] when given (made
-    by {!recorder}), else a Retain one of this function's own when
-    [trace] (default false) is set, else an untraced, counting one. *)
-
-val recorder :
-  ?label:string ->
-  mode:Tiles_obs.Recorder.mode ->
-  nprocs:int ->
-  t ->
-  Tiles_obs.Recorder.t
-(** A tracing recorder for a {!run} of the spec, on its backend's clock:
-    the simulator stamps virtual time itself, so its recorder's clock
-    reads 0; shm reads the monotonic wall clock. [label] is passed to
-    {!Tiles_obs.Recorder.create}. *)
+    The run writes its whole timeline to one recorder of this function's
+    own, on the backend's clock (the simulator stamps virtual time
+    itself; shm reads the monotonic wall clock), keeping what [keep]
+    (default [Counters]) says; the result's spans, edges, longest waits
+    and stats are read from it. *)

@@ -20,7 +20,6 @@ type t = {
 
 val make : m_steps:int -> size:int -> t
 
-val original_nest : t -> Tiles_loop.Nest.t
 val skew_matrix : Tiles_linalg.Intmat.t
 val nest : t -> Tiles_loop.Nest.t
 (** The skewed nest (ready for rectangular tiling). *)

@@ -17,7 +17,6 @@ val make : size:int -> t
 val nest : t -> Tiles_loop.Nest.t
 val kernel : t -> Tiles_runtime.Kernel.t
 
-val rect : x:int -> y:int -> Tiles_core.Tiling.t
 val oblique : x:int -> y:int -> Tiles_core.Tiling.t
 (** Rows [(1/x, 0); (1/y, 1/y)] — the second hyperplane family tilted
     along the anti-diagonal (the tiling cone here is the whole first

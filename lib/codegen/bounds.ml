@@ -45,10 +45,4 @@ let upper cs ~var ~name =
   | [] -> failwith "Bounds.upper: variable unbounded above"
   | first :: rest -> simplify (List.fold_left (fun acc e -> Min (acc, e)) first rest)
 
-let member_cond cs ~name =
-  simplify
-    (And
-       (List.map
-          (fun c ->
-            Cmp (">=", affine_part c ~upto:(Constr.dim c) ~name, Int 0))
-          cs))
+

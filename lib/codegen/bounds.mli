@@ -9,5 +9,3 @@ val lower : Tiles_poly.Constr.t list -> var:int -> name:(int -> string) -> C_ast
 val upper : Tiles_poly.Constr.t list -> var:int -> name:(int -> string) -> C_ast.expr
 (** [min] of the floor-divided upper bounds. *)
 
-val member_cond : Tiles_poly.Constr.t list -> name:(int -> string) -> C_ast.expr
-(** Conjunction [∀c, c(x) >= 0] as a C condition. *)

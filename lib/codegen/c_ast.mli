@@ -49,8 +49,6 @@ val simplify : expr -> expr
     bounds readable. *)
 
 val pp_expr : Buffer.t -> expr -> unit
-val pp_stmt : Buffer.t -> indent:int -> stmt -> unit
-val pp_func : Buffer.t -> func -> unit
 
 val helpers : string
 (** The [floord]/[ceild]/[imod]/[imax]/[imin] helper definitions. *)

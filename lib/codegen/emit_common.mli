@@ -10,11 +10,6 @@ val constraint_tables : string -> Tiles_poly.Constr.t list -> int -> string list
 (** [[prefix]NC] count define plus [[prefix]A]/[[prefix]B] coefficient and
     constant tables for a constraint system over [n] variables. *)
 
-val jstep : Tiles_core.Tiling.t -> int array
-(** Global-space delta of one innermost TTIS increment, i.e.
-    [c_{n-1} * Q[:,n-1] / QDEN].  Integral because [c_{n-1} * e_{n-1}] is
-    the last HNF basis column; raises [Invalid_argument] otherwise. *)
-
 val core_tables :
   tiling:Tiles_core.Tiling.t ->
   kernel:Ckernel.t ->

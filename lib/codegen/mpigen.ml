@@ -10,7 +10,6 @@ module Vec = Tiles_util.Vec
 let direction_tables (plan : Plan.t) =
   let comm = plan.Plan.comm in
   let n = Tiling.dim plan.Plan.tiling in
-  let m = comm.Comm.m in
   let dirs = comm.Comm.dm in
   let nd = List.length dirs in
   let max_ds =
@@ -19,21 +18,14 @@ let direction_tables (plan : Plan.t) =
   let dmv = Array.make_matrix nd (max 1 (n - 1)) 0 in
   let dirnds = Array.make nd 0 in
   let dirds = Array.init nd (fun _ -> Array.make_matrix max_ds n 0) in
-  let slablo = Array.make_matrix nd n 0 in
+  let slablo = Array.make nd [||] in
   List.iteri
     (fun d (dm, dss) ->
       Array.blit dm 0 dmv.(d) 0 (n - 1);
-      (* descending d^S_m so receives match channel order *)
-      let dss = List.sort (fun a b -> compare b.(m) a.(m)) dss in
+      (* d^S(d^m) comes in receive order, matching the channel order *)
       dirnds.(d) <- List.length dss;
       List.iteri (fun s dS -> Array.blit dS 0 dirds.(d).(s) 0 n) dss;
-      for k = 0 to n - 1 do
-        slablo.(d).(k) <-
-          (if k = m then 0
-           else
-             let kk = if k < m then k else k - 1 in
-             dm.(kk) * comm.Comm.cc.(k))
-      done)
+      slablo.(d) <- Comm.slab_lo comm ~dm)
     dirs;
   (nd, max_ds, dmv, dirnds, dirds, slablo)
 

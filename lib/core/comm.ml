@@ -87,7 +87,11 @@ let make tiling deps ~m =
           Hashtbl.replace tbl dm
             (dS :: (try Hashtbl.find tbl dm with Not_found -> [])))
       ds;
-    Hashtbl.fold (fun k v acc -> (k, List.sort Vec.compare_lex v) :: acc) tbl []
+    (* receive order: descending d^S_m, ties in lexicographic order *)
+    let recv_order a b =
+      match compare b.(m) a.(m) with 0 -> Vec.compare_lex a b | c -> c
+    in
+    Hashtbl.fold (fun k v acc -> (k, List.sort recv_order v) :: acc) tbl []
     |> List.sort (fun (a, _) (b, _) -> Vec.compare_lex a b)
   in
   { m; d'; max_d'; cc; off; ds; dm }
@@ -101,11 +105,6 @@ let slab_lo t ~dm =
       else
         let kk = if k < t.m then k else k - 1 in
         dm.(kk) * t.cc.(k))
-
-let is_comm_point t j' =
-  let crossing = ref false in
-  Array.iteri (fun k x -> if x >= t.cc.(k) then crossing := true) j';
-  !crossing
 
 let minsucc_ds t dm =
   match List.assoc_opt dm t.dm with

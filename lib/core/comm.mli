@@ -23,7 +23,10 @@ type t = private {
   off : int array;
   ds : Tiles_util.Vec.t list;                    (** [D^S], sorted *)
   dm : (Tiles_util.Vec.t * Tiles_util.Vec.t list) list;
-      (** [(d^m, d^S(d^m))], non-zero [d^m] only, sorted *)
+      (** [(d^m, d^S(d^m))], non-zero [d^m] only, sorted; each
+          [d^S(d^m)] in receive order: descending [d^S_m], ties
+          lexicographic. The runtime protocol and the generated MPI code
+          both receive a direction's tiles in this order. *)
 }
 
 val make : Tiling.t -> Tiles_loop.Dependence.t -> m:int -> t
@@ -34,9 +37,6 @@ val dm_of_ds : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
 val slab_lo : t -> dm:Tiles_util.Vec.t -> int array
 (** Lower TTIS bounds of the pack/unpack slab for processor direction
     [dm]: [dm_k·cc_k] in the non-mapping dimensions, 0 along [m]. *)
-
-val is_comm_point : t -> Tiles_util.Vec.t -> bool
-(** Some dimension crosses: [∃k, j'_k >= cc_k]. *)
 
 val minsucc_ds : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
 (** Among the tile dependencies generating processor direction [d^m], the

@@ -32,12 +32,6 @@ val tiles_of_rank : t -> int -> Tiles_util.Vec.t list
 (** Tiles of one processor in execution order (schedule coordinates
     converted back to [j^S]). *)
 
-val to_schedule : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
-(** [j^S → (pid…, t^S)]: move coordinate [m] last. *)
-
-val of_schedule : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
-(** Inverse of [to_schedule]. *)
-
 val split : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t * int
 (** [j^S → (pid, t^S)]. *)
 

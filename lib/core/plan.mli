@@ -16,9 +16,7 @@ val make : ?m:int -> Tiles_loop.Nest.t -> Tiling.t -> t
     dependencies, or dimensions mismatch. [?m] overrides the mapping
     dimension. *)
 
-val dim : t -> int
 val nprocs : t -> int
-val mapping_dim : t -> int
 
 val lds_shape : t -> rank:int -> Lds.shape
 (** Shape of the rank's local array (chain length dependent). *)

@@ -16,8 +16,6 @@ let step_range (plan : Plan.t) =
       (Vec.sum first, Vec.sum first)
       rest
 
-let first_step p = fst (step_range p)
-let last_step p = snd (step_range p)
 let steps p =
   let lo, hi = step_range p in
   hi - lo + 1

@@ -11,9 +11,6 @@
 val steps : Plan.t -> int
 (** Exact number of wavefront steps of the plan's tile space. *)
 
-val first_step : Plan.t -> int
-val last_step : Plan.t -> int
-
 val last_point_step : Plan.t -> int
 (** The paper's §4 analytic quantity: [Π·⌊H·j_max⌋], the linear-schedule
     step of the lexicographically last iteration. The rectangular vs
@@ -21,10 +18,6 @@ val last_point_step : Plan.t -> int
     ([t_r − t_nr = M/z] for SOR, [(T+I)/2x] for Jacobi, [N/y + N/z] for
     ADI's nr3). Unlike {!steps} it is not inflated by nearly-empty corner
     tiles of oblique tilings. *)
-
-val first_point_step : Plan.t -> int
-(** [Π·⌊H·j_min⌋] for the lexicographically first iteration — the
-    symmetric counterpart of {!last_point_step}. *)
 
 val effective_steps : Plan.t -> int
 (** [last_point_step − first_point_step + 1]: the schedule length between

@@ -34,6 +34,9 @@ let independent_subset n rays =
   in
   go [] rays
 
+(* [n] linearly independent extreme rays, time-like first, then
+   lexicographically; [Failure] if the cone is not pointed or fewer than
+   [n] independent rays exist *)
 let cone_rows deps =
   let n = Dependence.dim deps in
   let cone = Cone.tiling_cone (Dependence.to_matrix deps) in

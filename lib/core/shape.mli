@@ -9,18 +9,15 @@
     tiling. For ADI this reconstructs the paper's hand-written [H_nr3]
     exactly (see [examples/adi_tilecone.ml] and the tests). *)
 
-val cone_rows : Tiles_loop.Dependence.t -> Tiles_util.Vec.t list
-(** [n] linearly independent extreme rays, selection order as above.
-    Raises [Failure] if the cone is not pointed or fewer than [n]
-    independent rays exist. *)
-
 val from_cone : Tiles_loop.Dependence.t -> factors:int list -> Tiling.t
-(** Raises like {!Tiling.make} (e.g. stride divisibility) plus the
-    {!cone_rows} failures. *)
+(** Raises like {!Tiling.make} (e.g. stride divisibility), and raises
+    [Failure] if the cone is not pointed or has fewer than [n]
+    independent extreme rays. *)
 
 val families : Tiles_loop.Dependence.t -> (string * Tiles_util.Vec.t list) list
 (** The tuner's shape vocabulary: every mix of axis rows and
-    {!cone_rows} rays (row [k] is either [e_k] or ray [k]), filtered to
+    [n] independent cone rays (row [k] is either [e_k] or ray [k]),
+    selected as in {!from_cone}, filtered to
     legal ([row·d >= 0] for every dependence — scaling rows by positive
     [1/f] preserves this) and linearly independent families, deduplicated.
     [("rect", axis rows)] appears first when legal; [("cone", …)] is the

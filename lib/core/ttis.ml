@@ -18,11 +18,6 @@ let iter (t : Tiling.t) f =
   in
   go 0
 
-let points t =
-  let acc = ref [] in
-  iter t (fun j' -> acc := Vec.copy j' :: !acc);
-  List.rev !acc
-
 let count t =
   let n = ref 0 in
   iter t (fun _ -> incr n);

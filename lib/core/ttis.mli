@@ -11,9 +11,6 @@ val iter : Tiling.t -> (Tiles_util.Vec.t -> unit) -> unit
 (** Enumerate TTIS points in lexicographic order. The callback receives a
     reused buffer; copy it to keep it. *)
 
-val points : Tiling.t -> Tiles_util.Vec.t list
-(** Materialised, copied. *)
-
 val count : Tiling.t -> int
 (** Number of points by actual enumeration (tests check it equals
     [Tiling.tile_size]). *)

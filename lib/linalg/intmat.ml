@@ -1,9 +1,5 @@
 type t = int array array
 
-let make ~rows ~cols x =
-  if rows <= 0 || cols <= 0 then invalid_arg "Intmat.make";
-  Array.init rows (fun _ -> Array.make cols x)
-
 let of_rows rows =
   match rows with
   | [] -> invalid_arg "Intmat.of_rows: empty"
@@ -26,7 +22,6 @@ let identity n =
 let is_square m = rows m = cols m
 let copy m = Array.map Array.copy m
 let equal (a : t) (b : t) = a = b
-let row m i = Array.copy m.(i)
 let col m j = Array.init (rows m) (fun i -> m.(i).(j))
 
 let transpose m =
@@ -46,12 +41,7 @@ let apply m v =
   if cols m <> Array.length v then invalid_arg "Intmat.apply";
   Array.init (rows m) (fun i -> Tiles_util.Vec.dot m.(i) v)
 
-let add a b =
-  if rows a <> rows b || cols a <> cols b then invalid_arg "Intmat.add";
-  Array.init (rows a) (fun i -> Array.init (cols a) (fun j -> a.(i).(j) + b.(i).(j)))
 
-let neg m = Array.map (Array.map (fun x -> -x)) m
-let scale s m = Array.map (Array.map (fun x -> s * x)) m
 
 (* Bareiss fraction-free elimination: all intermediate divisions are exact,
    so the computation stays in the integers. *)

@@ -3,7 +3,6 @@
 
 type t = int array array
 
-val make : rows:int -> cols:int -> int -> t
 val of_rows : int list list -> t
 val of_cols : int list list -> t
 val identity : int -> t
@@ -13,16 +12,11 @@ val is_square : t -> bool
 val copy : t -> t
 val equal : t -> t -> bool
 
-val row : t -> int -> Tiles_util.Vec.t
 val col : t -> int -> Tiles_util.Vec.t
 val transpose : t -> t
 val mul : t -> t -> t
 val apply : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
 (** [apply m v] is the matrix-vector product [m · v]. *)
-
-val add : t -> t -> t
-val neg : t -> t
-val scale : int -> t -> t
 
 val det : t -> int
 (** Determinant by the Bareiss fraction-free algorithm (exact, no rounding);

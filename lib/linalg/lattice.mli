@@ -12,7 +12,6 @@ val of_basis : Intmat.t -> t
     non-singular square matrix [g] (any basis; it is HNF-reduced
     internally). *)
 
-val dim : t -> int
 val hnf_basis : t -> Intmat.t
 (** The canonical lower-triangular basis. *)
 

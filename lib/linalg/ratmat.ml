@@ -2,10 +2,6 @@ module Rat = Tiles_rat.Rat
 
 type t = Rat.t array array
 
-let make ~rows ~cols x =
-  if rows <= 0 || cols <= 0 then invalid_arg "Ratmat.make";
-  Array.init rows (fun _ -> Array.make cols x)
-
 let of_rows rows =
   match rows with
   | [] -> invalid_arg "Ratmat.of_rows: empty"
@@ -48,11 +44,6 @@ let apply m v =
       !acc)
 
 let apply_int m v = apply m (Array.map Rat.of_int v)
-
-let transpose m =
-  Array.init (cols m) (fun j -> Array.init (rows m) (fun i -> m.(i).(j)))
-
-let scale s m = Array.map (Array.map (Rat.mul s)) m
 
 let with_elimination m k =
   (* Gauss-Jordan on [m | extra]; returns (det, inverse option). [k] chooses

@@ -4,7 +4,6 @@
 
 type t = Tiles_rat.Rat.t array array
 
-val make : rows:int -> cols:int -> Tiles_rat.Rat.t -> t
 val of_rows : Tiles_rat.Rat.t list list -> t
 val of_int_rows : int list list -> t
 val of_intmat : Intmat.t -> t
@@ -14,12 +13,8 @@ val cols : t -> int
 val equal : t -> t -> bool
 
 val mul : t -> t -> t
-val apply : t -> Tiles_rat.Rat.t array -> Tiles_rat.Rat.t array
 val apply_int : t -> Tiles_util.Vec.t -> Tiles_rat.Rat.t array
 (** Apply to an integer vector. *)
-
-val transpose : t -> t
-val scale : Tiles_rat.Rat.t -> t -> t
 
 val det : t -> Tiles_rat.Rat.t
 val inverse : t -> t

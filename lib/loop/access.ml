@@ -14,8 +14,6 @@ let shifted n d =
   if Vec.dim d <> n then invalid_arg "Access.shifted";
   { m = Intmat.identity n; offset = Vec.neg d }
 
-let apply a j = Vec.add (Intmat.apply a.m j) a.offset
-
 let dependence_of_read ~write ~read =
   if not (Intmat.equal write.m read.m) then
     failwith

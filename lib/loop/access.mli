@@ -20,8 +20,6 @@ val identity : int -> t
 val shifted : int -> Tiles_util.Vec.t -> t
 (** [shifted n d] is [f(j) = j − d] — the classic uniform read. *)
 
-val apply : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
-
 val dependence_of_read : write:t -> read:t -> Tiles_util.Vec.t
 (** Raises [Failure] if the read is not uniform with respect to the write
     (different linear parts, or a non-integral / zero shift). *)

@@ -124,7 +124,7 @@ val run :
     Every counter, span and message edge goes to [recorder]. Pass one
     to keep them: it must read virtual time (be created with a clock
     that always reads 0 — the simulator stamps every span itself) and
-    match [nprocs]. A tracing Retain recorder keeps the spans and the
-    send→recv edges; a [~mode:Streaming] one keeps a traced run at
-    O(nprocs) memory. Without one, the run writes to an untraced,
-    counting recorder of its own. *)
+    match [nprocs]. A [Timeline] recorder keeps the spans and the
+    send→recv edges; a [Totals] one keeps a traced run at O(nprocs)
+    memory. Without one, the run writes to a [Counters] recorder of its
+    own. *)

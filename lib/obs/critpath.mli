@@ -49,7 +49,6 @@ type report = {
           moving the makespan *)
 }
 
-val seg_kind_name : seg_kind -> string
 val seg_duration : segment -> float
 
 val analyze :

@@ -1,11 +1,10 @@
-(* How much the recorder retains is the product of two switches: [trace]
-   (record spans at all) and [mode] (retain them or fold them down).
+(* How much the recorder keeps is one setting:
 
-     trace=false            counters only (messages, bytes, in-flight)
-     trace, mode=Retain     full span list + message dependency edges
-     trace, mode=Streaming  per-rank per-kind sums and Metric histograms
-                            plus a bounded reservoir of the longest Wait
-                            spans — O(nprocs) memory however long the run
+     Counters   messages, bytes, in-flight, NIC queueing, finish stamps
+     Totals     + per-rank per-kind span seconds and a bounded reservoir
+                of the longest Wait spans — O(nprocs) memory however
+                long the run
+     Timeline   + the full span list and message dependency edges
 
    Message identity: every send/receive carries its channel (src, dst,
    tag) and the recorder assigns a per-channel sequence number on each
@@ -14,7 +13,7 @@
    i and receiver seq i name the same message and the two half-records
    join into a dependency edge without any cross-rank synchronisation. *)
 
-type mode = Retain | Streaming
+type keep = Counters | Totals | Timeline
 
 type edge = {
   e_src : int;
@@ -41,9 +40,7 @@ let kind_slot = function
 let waits_keep = 8
 
 type shared = {
-  trace : bool;
-  mode : mode;
-  label : string option;
+  keep : keep;
   clock : unit -> float;
   mutable origin : float;
   inflight : int Atomic.t;
@@ -58,20 +55,19 @@ type recv_rec = { r_src : int; r_tag : int; r_seq : int; r_bytes : int;
 type log = {
   rank : int;
   shared : shared;
-  mutable spans : Span.t list;  (* newest first; Retain mode only *)
+  mutable spans : Span.t list;  (* newest first; Timeline only *)
   mutable cursor : float;
   mutable messages : int;
   mutable bytes : int;
   mutable queue_sum : float;  (* NIC queueing seconds charged to this rank *)
   mutable finished_at : float;
   kind_sum : float array;  (* seconds per Span.kind, always when tracing *)
-  kind_hist : Metric.t option array;  (* Streaming mode, lazily allocated *)
   waits : Span.t array;  (* reservoir of longest Wait spans *)
   mutable nwaits : int;
   send_seq : (int * int, int ref) Hashtbl.t;  (* (dst, tag) -> next seq *)
   recv_seq : (int * int, int ref) Hashtbl.t;  (* (src, tag) -> next seq *)
-  mutable sent : sent_rec list;  (* Retain mode only *)
-  mutable recvd : recv_rec list;  (* Retain mode only *)
+  mutable sent : sent_rec list;  (* Timeline only *)
+  mutable recvd : recv_rec list;  (* Timeline only *)
 }
 
 type t = {
@@ -82,14 +78,11 @@ type t = {
 
 let dummy_span = { Span.rank = -1; t0 = 0.; t1 = 0.; kind = Span.Wait }
 
-let create ?(mode = Retain) ?(trace = false) ?(clock = Clock.monotonic)
-    ?label ~nprocs () =
+let create ?(keep = Counters) ?(clock = Clock.monotonic) ~nprocs () =
   if nprocs <= 0 then invalid_arg "Recorder.create: nprocs";
   let s =
     {
-      trace;
-      mode;
-      label;
+      keep;
       clock;
       origin = clock ();
       inflight = Atomic.make 0;
@@ -111,7 +104,6 @@ let create ?(mode = Retain) ?(trace = false) ?(clock = Clock.monotonic)
             queue_sum = 0.;
             finished_at = 0.;
             kind_sum = Array.make nkinds 0.;
-            kind_hist = Array.make nkinds None;
             waits = Array.make waits_keep dummy_span;
             nwaits = 0;
             send_seq = Hashtbl.create 4;
@@ -121,9 +113,7 @@ let create ?(mode = Retain) ?(trace = false) ?(clock = Clock.monotonic)
           });
   }
 
-let tracing t = t.s.trace
-let mode t = t.s.mode
-let label t = t.s.label
+let tracing t = t.s.keep <> Counters
 let nprocs t = t.nprocs
 let now t = t.s.clock () -. t.s.origin
 let restart t = t.s.origin <- t.s.clock ()
@@ -132,8 +122,8 @@ let log t ~rank = t.logs.(rank)
 let log_now l = l.shared.clock () -. l.shared.origin
 
 (* message edges are only joinable when the full per-message records are
-   kept; streaming mode deliberately drops them to stay O(nprocs) *)
-let keep_edges s = s.trace && s.mode = Retain
+   kept; Totals deliberately drops them to stay O(nprocs) *)
+let keep_edges s = s.keep = Timeline
 
 let reservoir_note l (sp : Span.t) =
   if l.nwaits < waits_keep then begin
@@ -152,30 +142,19 @@ let reservoir_note l (sp : Span.t) =
   end
 
 let span l ~t0 ~t1 kind =
-  if l.shared.trace && t1 > t0 then begin
+  if l.shared.keep <> Counters && t1 > t0 then begin
     let sp = { Span.rank = l.rank; t0; t1; kind } in
     let slot = kind_slot kind in
     l.kind_sum.(slot) <- l.kind_sum.(slot) +. (t1 -. t0);
     if kind = Span.Wait then reservoir_note l sp;
-    match l.shared.mode with
-    | Retain -> l.spans <- sp :: l.spans
-    | Streaming ->
-      let m =
-        match l.kind_hist.(slot) with
-        | Some m -> m
-        | None ->
-          let m = Metric.create () in
-          l.kind_hist.(slot) <- Some m;
-          m
-      in
-      Metric.add m (t1 -. t0)
+    if l.shared.keep = Timeline then l.spans <- sp :: l.spans
   end
 
 (* an untraced log keeps no spans, so its cursor is never read *)
-let mark l = if l.shared.trace then l.cursor <- log_now l
+let mark l = if l.shared.keep <> Counters then l.cursor <- log_now l
 
 let close l kind =
-  if l.shared.trace then begin
+  if l.shared.keep <> Counters then begin
     let t = log_now l in
     span l ~t0:l.cursor ~t1:t kind;
     l.cursor <- t
@@ -218,8 +197,8 @@ let message_received l ?t ?posted ?(queued = 0.) ~src ~tag ~bytes () =
       :: l.recvd
   end
 
-(* NIC queueing is a counter, not a span: it is maintained in every mode
-   (like messages/bytes) so thousand-rank streaming runs still report
+(* NIC queueing is a counter, not a span: it is kept under every setting
+   (like messages/bytes) so thousand-rank Totals runs still report
    how much time the contended network model spent queueing *)
 let nic_queue l dt = if dt > 0. then l.queue_sum <- l.queue_sum +. dt
 
@@ -276,13 +255,7 @@ let edges t =
 let kind_seconds t =
   Array.map (fun l -> Array.copy l.kind_sum) t.logs
 
-let kind_summary t ~rank kind =
-  let l = t.logs.(rank) in
-  match l.kind_hist.(kind_slot kind) with
-  | Some m -> Metric.summarize m
-  | None -> Metric.summarize (Metric.create ())
-
-let longest_waits ?(k = waits_keep) t =
+let longest_waits t =
   let all =
     Array.fold_left
       (fun acc l ->
@@ -296,7 +269,7 @@ let longest_waits ?(k = waits_keep) t =
     List.sort (fun a b -> Float.compare (Span.duration b) (Span.duration a))
       all
   in
-  List.filteri (fun i _ -> i < k) sorted
+  List.filteri (fun i _ -> i < waits_keep) sorted
 
 let messages t = Array.fold_left (fun acc l -> acc + l.messages) 0 t.logs
 let bytes t = Array.fold_left (fun acc l -> acc + l.bytes) 0 t.logs

@@ -6,17 +6,17 @@
     pair of atomic in-flight byte counters. The simulator uses the same
     recorder API with explicit virtual timestamps.
 
-    Counters (messages, bytes, in-flight) are always maintained; what
-    else is retained depends on [trace] and [mode]:
+    How much of the run's timeline is kept is one setting, {!keep}:
 
-    - [trace:false] — counters only.
-    - [trace:true, mode:Retain] — the full span list, plus per-message
+    - [Counters] — messages, bytes, in-flight bytes, NIC queueing and
+      rank finish stamps; no spans.
+    - [Totals] — also per-rank per-kind span seconds and a bounded
+      reservoir of the longest Wait spans: O(nprocs) memory no matter
+      how many spans the run produces. {!spans} and {!edges} return
+      [[]].
+    - [Timeline] — also the full span list and the per-message
       send/receive records that {!edges} joins into causal send→recv
       dependency edges.
-    - [trace:true, mode:Streaming] — spans are folded into per-rank
-      per-kind totals and {!Metric} histograms plus a bounded reservoir
-      of the longest Wait spans; memory stays O(nprocs) no matter how
-      many spans the run produces. {!spans} and {!edges} return [[]].
 
     Causal identity: {!message_sent} and {!message_received} each assign
     a per-channel ((peer, tag)) sequence number on their own side. Every
@@ -27,7 +27,7 @@
 type t
 type log
 
-type mode = Retain | Streaming
+type keep = Counters | Totals | Timeline
 
 type edge = {
   e_src : int;  (** sending rank *)
@@ -48,22 +48,14 @@ type edge = {
     it, so [e_sent] may exceed [e_ready] by a scheduling jitter;
     consumers must clamp. *)
 
-val create :
-  ?mode:mode ->
-  ?trace:bool ->
-  ?clock:(unit -> float) ->
-  ?label:string ->
-  nprocs:int ->
-  unit ->
-  t
-(** [clock] defaults to {!Clock.monotonic}; readings are rebased so time
-    0 is the recorder's creation. [trace] defaults to [false], [mode] to
-    [Retain]. [label] is carried verbatim (e.g. a serve job id) for
-    attribution in downstream artifacts. *)
+val create : ?keep:keep -> ?clock:(unit -> float) -> nprocs:int -> unit -> t
+(** [keep] defaults to [Counters]. [clock] defaults to
+    {!Clock.monotonic}; readings are rebased so time 0 is the recorder's
+    creation. *)
 
 val tracing : t -> bool
-val mode : t -> mode
-val label : t -> string option
+(** Whether spans are recorded at all ([keep] is not [Counters]). *)
+
 val nprocs : t -> int
 
 val now : t -> float
@@ -96,7 +88,7 @@ val close : log -> Span.kind -> unit
 val message_sent :
   log -> ?t:float -> dst:int -> tag:int -> bytes:int -> unit -> unit
 (** Count one outgoing message on this rank; raises the in-flight byte
-    level (and the high-water mark). When tracing in Retain mode, also
+    level (and the high-water mark). Under [Timeline], also
     records the sender half of the dependency edge: [t] is the stamp at
     which the message left this rank (defaults to the log's clock now)
     and should equal the end of the corresponding Send span. *)
@@ -111,7 +103,7 @@ val message_received :
   bytes:int ->
   unit ->
   unit
-(** Lower the in-flight byte level. When tracing in Retain mode, also
+(** Lower the in-flight byte level. Under [Timeline], also
     records the receiver half of the dependency edge: [t] is when the
     message became available (wait end, defaults to now), [posted] when
     the receiver entered its wait (defaults to [t]) and [queued]
@@ -119,34 +111,30 @@ val message_received :
 
 val nic_queue : log -> float -> unit
 (** Charge NIC/uplink queueing seconds to this rank. A counter like
-    messages/bytes — maintained in every mode (including untraced and
-    Streaming), summed by {!queue_seconds}. Non-positive charges are
-    ignored. *)
+    messages/bytes — maintained under every {!keep}, summed by
+    {!queue_seconds}. Non-positive charges are ignored. *)
 
 val finish : log -> unit
 (** Stamp the rank's completion time ([now]) for {!rank_finish}. *)
 
 val spans : t -> Span.t list
-(** All recorded spans, merged chronologically ([[]] in Streaming
-    mode). *)
+(** All recorded spans, merged chronologically ([[]] unless
+    [Timeline]). *)
 
 val edges : t -> edge list
-(** Matched send→recv dependency edges, ordered by [e_ready] ([[]] in
-    Streaming mode or when a send's record is missing). *)
+(** Matched send→recv dependency edges, ordered by [e_ready] ([[]]
+    unless [Timeline]; a receive whose send was not recorded is
+    dropped). *)
 
 val kind_seconds : t -> float array array
 (** [nprocs × 5] summed span seconds, indexed by rank then by the order
-    of {!Span.all_kinds}. Maintained in both modes whenever tracing —
-    the streaming-mode replacement for folding {!spans}. *)
+    of {!Span.all_kinds}; all zero under [Counters]. Under [Totals] it
+    replaces folding {!spans}. *)
 
-val kind_summary : t -> rank:int -> Span.kind -> Metric.summary
-(** Streaming-mode histogram summary for one rank and kind (a zero
-    summary when no such span was recorded or in Retain mode). *)
-
-val longest_waits : ?k:int -> t -> Span.t list
-(** The [k] (default 8) longest Wait spans observed, longest first —
-    drawn from a bounded per-rank reservoir, so available in both modes
-    at O(nprocs) cost. *)
+val longest_waits : t -> Span.t list
+(** The 8 longest Wait spans observed, longest first —
+    drawn from a bounded per-rank reservoir, so kept under [Totals] as
+    well as [Timeline] at O(nprocs) cost. *)
 
 val messages : t -> int
 val bytes : t -> int

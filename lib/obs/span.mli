@@ -33,11 +33,8 @@ val all_kinds : kind list
 
 val duration : t -> float
 
-val compare_time : t -> t -> int
-(** Order by [t0], then rank, then [t1] — chronological merge order. *)
-
 val sort : t list -> t list
-(** Sort a trace with {!compare_time}. *)
+(** Sort a trace chronologically: by [t0], then rank, then [t1]. *)
 
 val by_rank : nprocs:int -> t list -> t list array
 (** Split a trace into per-rank chronological timelines. Raises

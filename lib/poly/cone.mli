@@ -19,7 +19,6 @@ val tiling_cone : Tiles_linalg.Intmat.t -> t
 (** [tiling_cone d] where the columns of [d] are the dependence vectors:
     the cone [{h | hᵀ·d_j >= 0 for all j}]. *)
 
-val dim : t -> int
 val contains : t -> Tiles_util.Vec.t -> bool
 
 val is_pointed : t -> bool

@@ -25,8 +25,6 @@ let is_tautology c = all_zero c && c.const >= 0
 let is_contradiction c = all_zero c && c.const < 0
 let ge a b = make ~coeffs:a ~const:(-b)
 let le a b = make ~coeffs:(Array.map (fun x -> -x) a) ~const:b
-let eq_pair a b = (ge a b, le a b)
-
 let lower_bound_var n k b =
   let a = Array.make n 0 in
   a.(k) <- 1;
@@ -36,9 +34,6 @@ let upper_bound_var n k b =
   let a = Array.make n 0 in
   a.(k) <- 1;
   le a b
-
-let insert_var c k =
-  { c with coeffs = Tiles_util.Vec.insert c.coeffs k 0 }
 
 let pp ppf c =
   let first = ref true in

@@ -19,9 +19,6 @@ val const : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
-val eval : t -> Tiles_util.Vec.t -> int
-(** [coeffs · x + const]. *)
-
 val holds : t -> Tiles_util.Vec.t -> bool
 
 val is_tautology : t -> bool
@@ -36,16 +33,10 @@ val ge : int array -> int -> t
 val le : int array -> int -> t
 (** [le a b] is the constraint [a·x <= b]. *)
 
-val eq_pair : int array -> int -> t * t
-(** [a·x = b] as a pair of opposing inequalities. *)
-
 val lower_bound_var : int -> int -> int -> t
 (** [lower_bound_var n k b] is [x_k >= b] in dimension [n]. *)
 
 val upper_bound_var : int -> int -> int -> t
 (** [upper_bound_var n k b] is [x_k <= b] in dimension [n]. *)
-
-val insert_var : t -> int -> t
-(** Add a fresh variable (with zero coefficient) at position [k]. *)
 
 val pp : Format.formatter -> t -> unit

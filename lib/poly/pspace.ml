@@ -109,7 +109,6 @@ let transform_unimodular m t =
   in
   { t with cs }
 
-let projection t = Fourier_motzkin.project t.cs ~dim:(total t)
 
 let var_bounds_system t ~var =
   let p = nparams t in

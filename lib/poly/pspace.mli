@@ -27,15 +27,6 @@ val nparams : t -> int
 val of_polyhedron : Polyhedron.t -> t
 (** A concrete space as the zero-parameter case. *)
 
-val param_coeff_ge : t -> var:int -> params:(string * int) list -> const:int -> Constr.t
-(** Convenience constructor: the constraint
-    [x_var >= const + Σ coeff·param] expressed in this space's variable
-    numbering (iteration variable [var] is index [nparams + var]). *)
-
-val param_coeff_le : t -> var:int -> params:(string * int) list -> const:int -> Constr.t
-
-val add : t -> Constr.t -> t
-
 val box :
   params:string list ->
   (((string * int) list * int) * ((string * int) list * int)) list ->
@@ -49,11 +40,6 @@ val instantiate : t -> int list -> Polyhedron.t
 
 val transform_unimodular : Tiles_linalg.Intmat.t -> t -> t
 (** Skew the {e iteration} variables (parameters are untouched). *)
-
-val projection : t -> Fourier_motzkin.projection
-(** Projection chain over the full [nparams + dim] variable list;
-    parameters are never eliminated, so iteration variable [k]'s system
-    is at index [nparams + k]. *)
 
 val var_bounds_system : t -> var:int -> Constr.t list
 (** Constraints bounding iteration variable [var] in terms of the

@@ -15,7 +15,6 @@ let make num den =
 let of_int n = { num = n; den = 1 }
 let zero = of_int 0
 let one = of_int 1
-let minus_one = of_int (-1)
 let num t = t.num
 let den t = t.den
 
@@ -29,7 +28,6 @@ let inv a =
   make a.den a.num
 
 let div a b = mul a (inv b)
-let abs a = { a with num = Stdlib.abs a.num }
 let equal a b = a.num = b.num && a.den = b.den
 
 let compare a b =

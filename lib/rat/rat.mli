@@ -18,7 +18,6 @@ val make : int -> int -> t
 val of_int : int -> t
 val zero : t
 val one : t
-val minus_one : t
 
 val num : t -> int
 val den : t -> int
@@ -29,7 +28,6 @@ val mul : t -> t -> t
 val div : t -> t -> t
 val neg : t -> t
 val inv : t -> t
-val abs : t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -46,7 +44,6 @@ val to_float : t -> float
 val to_int_exn : t -> int
 (** Raises [Invalid_argument] if the value is not an integer. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val ( + ) : t -> t -> t

@@ -69,7 +69,6 @@ val run :
 
     [recorder] is passed to {!Tiles_mpisim.Sim.run}, which writes every
     span, edge and counter of the run to it; it must read virtual time
-    (be created with a clock that always returns 0). A caller that
-    wants a timeline passes a tracing one — Retain for spans and edges,
-    [~mode:Streaming] so a thousand-rank traced sim stays at O(nprocs)
-    memory. Without one the run is untraced. *)
+    (be created with a clock that always returns 0); its
+    {!Tiles_obs.Recorder.keep} decides how much of the run is kept.
+    Without one the run is untraced. *)

@@ -67,8 +67,6 @@ let mem t j =
   done;
   !ok
 
-let boxed t = Fbuf.to_array t.data
-
 let load_boxed t a =
   if Array.length a <> Fbuf.length t.data then
     invalid_arg

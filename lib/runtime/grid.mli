@@ -47,14 +47,9 @@ val data : t -> Tiles_util.Fbuf.t
 val slots : t -> int
 (** Total slots of the backing store ([cells * width]). *)
 
-val boxed : t -> float array
-(** Copy of the backing store as a boxed [float array] — the
-    compatibility shim for code (the reference oracle) that still
-    computes on boxed arrays. *)
-
 val load_boxed : t -> float array -> unit
 (** Overwrite the backing store from a boxed array of exactly [slots t]
-    elements (the inverse shim of {!boxed}). *)
+    elements: how the boxed reference oracle publishes its result. *)
 
 val max_abs_diff : t -> t -> Tiles_poly.Polyhedron.t -> float
 (** Maximum absolute difference over the points of the given space (all

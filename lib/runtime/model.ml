@@ -15,18 +15,10 @@ type estimate = {
 }
 
 let slab_cells (plan : Tiles_core.Plan.t) =
-  let tiling = plan.Plan.tiling and comm = plan.Plan.comm in
-  let n = tiling.Tiling.n and m = comm.Comm.m in
+  let comm = plan.Plan.comm in
   List.fold_left
     (fun acc (dm, _) ->
-      let lo =
-        Array.init n (fun k ->
-            if k = m then 0
-            else
-              let kk = if k < m then k else k - 1 in
-              dm.(kk) * comm.Comm.cc.(k))
-      in
-      acc + Ttis.count_from tiling ~lo)
+      acc + Ttis.count_from plan.Plan.tiling ~lo:(Comm.slab_lo comm ~dm))
     0 comm.Comm.dm
 
 let predict (plan : Tiles_core.Plan.t) ~net =

@@ -68,14 +68,8 @@ type direction = {
 
 let build_directions (plan : Plan.t) =
   let comm = plan.Plan.comm in
-  let m = comm.Comm.m in
   List.map
-    (fun (dm, dss) ->
-      {
-        dm;
-        dss = List.sort (fun a b -> compare b.(m) a.(m)) dss;
-        slab_lo = Comm.slab_lo comm ~dm;
-      })
+    (fun (dm, dss) -> { dm; dss; slab_lo = Comm.slab_lo comm ~dm })
     (comm.Comm.dm : (Vec.t * Vec.t list) list)
 
 (* minsucc: successors of a predecessor tile in one processor direction

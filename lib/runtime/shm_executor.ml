@@ -7,6 +7,11 @@ module Clock = Tiles_obs.Clock
 
 exception Recv_timeout of string
 
+let () =
+  Printexc.register_printer (function
+    | Recv_timeout diag -> Some diag
+    | _ -> None)
+
 type result = {
   wall_seconds : float;
   seq_wall_seconds : float;

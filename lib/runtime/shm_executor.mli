@@ -32,7 +32,7 @@ exception Recv_timeout of string
 (** Raised (with a diagnostic naming the blocked rank, source and tag)
     when a receive of a {!run} blocks longer than 30 seconds — the
     symptom of a mis-generated schedule, which would otherwise hang
-    forever. *)
+    forever. [Printexc.to_string] prints the diagnostic alone. *)
 
 type result = {
   wall_seconds : float;
@@ -102,10 +102,8 @@ val run :
     [walker]/[check] select the tile-execution engine and its NaN-read
     validation exactly as in {!Protocol.prepare}. [recorder] receives
     the run's spans, edges and counters (matching [nprocs] required);
-    pass a tracing one for a timeline — Retain for spans and edges,
-    [~mode:Streaming] to keep long traced runs at O(nprocs) memory, or
-    a labelled one so a serve job's trace is attributable. Without one
-    the run writes to an untraced, counting recorder of its own. The
+    its {!Tiles_obs.Recorder.keep} decides how much of them is kept.
+    Without one the run writes to a [Counters] recorder of its own. The
     run {!Tiles_obs.Recorder.restart}s the recorder as its ranks start,
     so every stamp counts from then, not from the set-up. [overlap]
     (default false) runs the §5 overlapped schedule: receives pre-posted

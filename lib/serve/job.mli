@@ -25,7 +25,6 @@
 type op = Plan | Simulate | Execute | Tune
 
 val op_to_string : op -> string
-val op_of_string : string -> op option
 
 type t = {
   id : string;  (** echoed in the response; "" until the server assigns *)

@@ -19,7 +19,7 @@ let start ~shards ~pull ~exec =
       | None -> ()
       | Some job ->
         Atomic.set busy.(shard) true;
-        (try exec ~shard job with _ -> ());
+        (try exec job with _ -> ());
         Atomic.set busy.(shard) false;
         Atomic.incr executed.(shard);
         loop ()

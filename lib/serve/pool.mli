@@ -13,7 +13,7 @@
 type t
 
 val start :
-  shards:int -> pull:(unit -> 'a option) -> exec:(shard:int -> 'a -> unit) -> t
+  shards:int -> pull:(unit -> 'a option) -> exec:('a -> unit) -> t
 (** Spawn [shards] domains; each loops [pull () -> exec] until [pull]
     returns [None]. [exec] exceptions are swallowed (the server's
     executor converts job failures into error responses before they

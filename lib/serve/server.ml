@@ -1,10 +1,8 @@
 module Json = Tiles_util.Json
 module Clock = Tiles_obs.Clock
-module Recorder = Tiles_obs.Recorder
 module Plan = Tiles_core.Plan
 module Schedule = Tiles_core.Schedule
 module Tiling = Tiles_core.Tiling
-module Shm_executor = Tiles_runtime.Shm_executor
 module Netmodel = Tiles_mpisim.Netmodel
 module Tune = Tiles_tune.Tune
 module TCache = Tiles_tune.Cache
@@ -145,14 +143,11 @@ let run_job t (ticket : ticket) : outcome =
   in
   let nprocs = Plan.nprocs plan in
   let kernel = r.Registry.kernel in
-  (* every execute/simulate run drives a streaming recorder labelled with
-     the job id: O(nprocs) memory per job, and the job's longest waits
-     land in the service-wide metrics reservoir attributed to it *)
+  (* every execute/simulate run keeps span totals: O(nprocs) memory per
+     job, and the job's longest waits land in the service-wide metrics
+     reservoir attributed to it *)
   let execute ~mode (rs : Run_spec.t) =
-    let rc =
-      Run_spec.recorder ~mode:Recorder.Streaming ~label:job.Job.id ~nprocs rs
-    in
-    let run () = Run_spec.run ~mode ~recorder:rc rs ~plan ~kernel in
+    let run () = Run_spec.run ~mode ~keep:Run_spec.Totals rs ~plan ~kernel in
     let res =
       match rs.backend with
       | Run_spec.Sim -> run ()
@@ -161,7 +156,7 @@ let run_job t (ticket : ticket) : outcome =
         Fun.protect ~finally:(fun () -> Mutex.unlock t.shm_gate) run
     in
     Metrics.observe_waits t.metrics ~job_id:job.Job.id
-      (Recorder.longest_waits rc);
+      res.Run_spec.longest_waits;
     (* the reply outlives the run: keep its reason, not its grid *)
     let walker_fallback = res.Run_spec.walker_fallback in
     {
@@ -290,17 +285,7 @@ let exec t (ticket : ticket) =
   let result =
     match run_job t ticket with
     | outcome -> Ok outcome
-    | exception e ->
-      let msg =
-        match e with
-        | Invalid_argument m | Failure m | Sys_error m -> m
-        | Shm_executor.Recv_timeout m -> m
-        | Tiles_runtime.Protocol.Slab_mismatch m ->
-          Tiles_runtime.Protocol.slab_mismatch_to_string m
-        | Division_by_zero -> "singular tiling (zero tile factor)"
-        | e -> Printexc.to_string e
-      in
-      Error msg
+    | exception e -> Error (Run_spec.error_message e)
   in
   let finished = Clock.monotonic () in
   complete t ticket ~started ~finished result
@@ -390,9 +375,7 @@ let start_pool t =
       Some
         (Pool.start ~shards:t.config.workers
            ~pull:(fun () -> Admission.pop t.queue)
-           ~exec:(fun ~shard ticket ->
-             ignore shard;
-             exec t ticket))
+           ~exec:(exec t))
 
 let create ?config () =
   let t = make_server ?config () in

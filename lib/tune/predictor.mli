@@ -47,16 +47,6 @@ val predict :
     [width] is the kernel's fields-per-point (default 1); it scales the
     communicated bytes and the pack/unpack CPU charge. *)
 
-val fields : estimate -> (string * float) list
-(** The estimate's externally comparable quantities, keyed like
-    {!Tiles_obs.Stats.timed_fields} ([completion_s], [speedup]) — the
-    residual report ({!Tiles_obs.Residual}) pairs these with observed
-    run statistics. *)
-
-val source : estimate -> string
-(** Residual-report source tag: ["predictor.predict"] or
-    ["predictor.refine"] depending on {!estimate.refined}. *)
-
 val refine :
   ?width:int -> Tiles_core.Plan.t -> net:Tiles_mpisim.Netmodel.t -> estimate
 (** Exact-volume pass:

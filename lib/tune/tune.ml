@@ -9,8 +9,6 @@ module Run_spec = Tiles_apps.Run_spec
 
 type backend = Run_spec.backend = Sim | Shm
 
-let backend_label = Run_spec.backend_to_string
-
 type options = {
   procs : int;
   factors : int list;
@@ -57,9 +55,9 @@ let plan_of ~nest cand = Plan.make ~m:cand.Candidate.m nest (Candidate.tiling ca
 (* evaluate [jobs] (plan per candidate) across [workers] domains; the
    simulator state is per-run and all cross-candidate shared structures
    (the nest-space projection memo) are forced before spawning. Shm
-   evaluation spawns one domain per rank (plus senders when overlapped)
-   inside each run, so it is serialized: parallel evals would
-   oversubscribe the cores being measured. *)
+   evaluation spawns one domain per rank (plus its watchdog) inside each
+   run, so it is serialized: parallel evals would oversubscribe the cores
+   being measured. *)
 let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
   let jobs = Array.of_list jobs in
   let out = Array.make (Array.length jobs) None in
@@ -184,7 +182,7 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
             (fun _ ->
               Cache.key ~nest ~tiling:plan.Plan.tiling ~m:cand.Candidate.m
                 ~kernel ~net ~overlap:options.overlap
-                ~backend:(backend_label options.backend))
+                ~backend:(Run_spec.backend_to_string options.backend))
             cache
         in
         (job, key))

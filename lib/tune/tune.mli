@@ -24,9 +24,6 @@ type backend = Tiles_apps.Run_spec.backend = Sim | Shm
     (virtual time, deterministic) or the real shared-memory executor
     (wall clock, noisy — keep [procs] within the host's cores). *)
 
-val backend_label : backend -> string
-(** ["sim"] / ["shm"] — the rendering used in cache keys and reports. *)
-
 type options = {
   procs : int;  (** processor budget (the paper's 16-node cluster) *)
   factors : int list;  (** mapping-dimension tile-factor sweep *)

@@ -12,8 +12,6 @@ let make n v =
 let length (a : t) = A1.dim a
 let get (a : t) i = A1.get a i
 let set (a : t) i v = A1.set a i v
-let fill (a : t) v = A1.fill a v
-let sub (a : t) pos len = A1.sub a pos len
 
 let blit ~(src : t) ~src_pos ~(dst : t) ~dst_pos ~len =
   if
@@ -47,10 +45,3 @@ let of_array arr =
   a
 
 let to_array (a : t) = Array.init (length a) (fun i -> A1.unsafe_get a i)
-
-let init n f =
-  let a = create n in
-  for i = 0 to n - 1 do
-    A1.unsafe_set a i (f i)
-  done;
-  a

@@ -18,10 +18,6 @@ val make : int -> float -> t
 val length : t -> int
 val get : t -> int -> float
 val set : t -> int -> float -> unit
-val fill : t -> float -> unit
-
-val sub : t -> int -> int -> t
-(** [sub a pos len] — a zero-copy view sharing [a]'s storage. *)
 
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Zero-allocation copy of [len] slots ([Array1.sub] + [Array1.blit]). *)
@@ -30,4 +26,3 @@ val copy : t -> t
 val append : t -> t -> t
 val of_array : float array -> t
 val to_array : t -> float array
-val init : int -> (int -> float) -> t

@@ -1,6 +1,5 @@
 type t = int array
 
-let make n x = Array.make n x
 let dim = Array.length
 let zero n = Array.make n 0
 
@@ -50,7 +49,6 @@ let is_lex_positive a =
 
 let sum a = Array.fold_left ( + ) 0 a
 let copy = Array.copy
-let of_list = Array.of_list
 let to_list = Array.to_list
 
 let pp ppf v =

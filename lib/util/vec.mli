@@ -4,7 +4,6 @@
 
 type t = int array
 
-val make : int -> int -> t
 val dim : t -> int
 val zero : int -> t
 val basis : int -> int -> t
@@ -25,10 +24,8 @@ val is_lex_positive : t -> bool
 (** True iff the first non-zero coordinate is positive (and the vector is
     non-zero). *)
 
-val map2 : (int -> int -> int) -> t -> t -> t
 val sum : t -> int
 val copy : t -> t
-val of_list : int list -> t
 val to_list : t -> int list
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

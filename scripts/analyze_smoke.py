@@ -17,24 +17,50 @@
 # completion within 1e-9.
 #
 # Then a bounded-memory scale check: a >=1024-rank Jacobi sim traced
-# with the streaming recorder must fit under a hard RSS ceiling --
-# O(ranks) memory, independent of the span count.
+# with the streaming recorder (span totals only) must fit under a hard
+# RSS ceiling, and must peak at most STREAM_EXTRA_MB above the same
+# config run untraced (`tilec simulate`), each measured in its own
+# child process -- O(ranks) trace memory, independent of the span count.
 #
 # Usage: python3 scripts/analyze_smoke.py [path/to/tilec.exe]
 # Writes analyze-artifacts/{<app>.json,<app>-trace.json,<app>.svg,
 # stream-1219.json,stream-1219-contended.json}.
-import json, os, resource, subprocess, sys
+import json, os, subprocess, sys, tempfile
 
 tilec = sys.argv[1] if len(sys.argv) > 1 else "./_build/default/bin/tilec.exe"
 os.makedirs("analyze-artifacts", exist_ok=True)
 
 RSS_CEILING_MB = 512
+STREAM_EXTRA_MB = 10
 MIN_COVERAGE = 0.95
 
 def run(args):
     r = subprocess.run([tilec] + args, capture_output=True, text=True)
     assert r.returncode == 0, (args, r.stdout, r.stderr)
     return r.stdout
+
+# Peak RSS of one tilec run. A process's ru_maxrss also counts the memory
+# of the process it was spawned from, up to its exec, so tilec runs as the
+# grandchild of a bare interpreter (python3 -S, about 9 MB) instead of as
+# a child of this script, whose own peak would floor every reading.
+MEASURE = """
+import os, sys
+out = os.open(sys.argv[1], os.O_WRONLY)
+pid = os.posix_spawn(sys.argv[2], sys.argv[2:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_DUP2, out, 1)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+def run_rss(args):
+    """Run tilec on its own; return its stdout and its peak RSS in MB."""
+    with tempfile.NamedTemporaryFile(mode="r") as out:
+        r = subprocess.run([sys.executable, "-S", "-c", MEASURE, out.name,
+                            tilec] + args, capture_output=True, text=True)
+        code, kib = map(int, r.stdout.split())
+        assert code == 0, (args, r.stderr)
+        # ru_maxrss is in KiB on Linux
+        return out.read(), kib / 1024.0
 
 APPS = {
     "sor": ["-M", "12", "-N", "16", "-x", "3", "-y", "4"],
@@ -88,11 +114,14 @@ for flags in ([], ["--overlap"]):
     print(f"sor {name}: completion {rep['completion_s']:.6f}s "
           f"coverage {rep['coverage']:.3f}")
 
-# scale: >=1024 sim ranks under the streaming recorder, hard RSS ceiling
-stream = json.loads(run(["analyze", "--app", "jacobi", "--backend", "sim",
-                         "-t", "24", "-n", "256",
-                         "-x", "3", "-y", "8", "-z", "8",
-                         "--stream", "--json"]))
+# scale: >=1024 sim ranks under the streaming recorder, against the
+# same config untraced
+SCALE = ["--app", "jacobi", "-t", "24", "-n", "256", "-x", "3", "-y", "8",
+         "-z", "8"]
+out, stream_mb = run_rss(["analyze", "--backend", "sim"] + SCALE
+                         + ["--stream", "--json"])
+stream = json.loads(out)
+_, untraced_mb = run_rss(["simulate"] + SCALE)
 with open("analyze-artifacts/stream-1219.json", "w") as f:
     json.dump(stream, f, indent=2)
 stats = stream["stats"]
@@ -103,10 +132,9 @@ assert stream["longest_waits"], "streaming recorder kept no waits"
 # rank must produce attributed queueing (nic_queue_s is only emitted
 # when nonzero), and the streaming recorder must stay under the same
 # RSS ceiling -- contention adds per-rank lane state, not per-span state
-cont = json.loads(run(["analyze", "--app", "jacobi", "--backend", "sim",
-                       "-t", "24", "-n", "256",
-                       "-x", "3", "-y", "8", "-z", "8",
-                       "--stream", "--net", "contended", "--json"]))
+out, cont_mb = run_rss(["analyze", "--backend", "sim"] + SCALE
+                       + ["--stream", "--net", "contended", "--json"])
+cont = json.loads(out)
 with open("analyze-artifacts/stream-1219-contended.json", "w") as f:
     json.dump(cont, f, indent=2)
 cstats = cont["stats"]
@@ -115,12 +143,17 @@ assert cstats.get("nic_queue_s", 0.0) > 0.0, "contended sim saw no queueing"
 # serializing NICs can only delay completion relative to alpha-beta
 assert cstats["completion_s"] >= stats["completion_s"] - 1e-12
 
-# ru_maxrss is the peak of any child on Linux (KiB); every tilec run
-# above is a child of this script, and the 1219-rank sims dwarf the rest
-peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
-assert peak_mb < RSS_CEILING_MB, f"peak child RSS {peak_mb:.0f} MB"
-print(f"stream: {stats['nprocs']} ranks, "
-      f"{stats['messages']} messages, peak child RSS {peak_mb:.0f} MB")
+for name, mb in (("stream", stream_mb), ("contended", cont_mb)):
+    assert mb < RSS_CEILING_MB, f"{name}: peak RSS {mb:.0f} MB"
+# what tracing costs over the untraced run: per-rank totals and the wait
+# reservoir, nothing per span
+extra_mb = stream_mb - untraced_mb
+assert extra_mb <= STREAM_EXTRA_MB, (
+    f"streaming trace adds {extra_mb:.1f} MB over untraced "
+    f"({stream_mb:.1f} vs {untraced_mb:.1f} MB)")
+print(f"stream: {stats['nprocs']} ranks, {stats['messages']} messages, "
+      f"peak RSS {stream_mb:.1f} MB (untraced {untraced_mb:.1f} MB, "
+      f"+{extra_mb:.1f} MB)")
 print(f"contended: completion {cstats['completion_s']:.6f}s "
       f"(alpha-beta {stats['completion_s']:.6f}s), "
       f"nic queueing {cstats['nic_queue_s']:.3f}s across ranks")

@@ -410,7 +410,8 @@ let test_run_spec_stats_lazy () =
       r.Tiles_apps.Registry.tiling
   in
   let x =
-    Run_spec.run ~trace:true spec ~plan ~kernel:r.Tiles_apps.Registry.kernel
+    Run_spec.run ~keep:Run_spec.Timeline spec ~plan
+      ~kernel:r.Tiles_apps.Registry.kernel
   in
   Alcotest.(check bool) "edges kept" true (x.edges <> []);
   Alcotest.(check bool) "stats not built by the run" false
@@ -436,14 +437,65 @@ let test_run_spec_shm_one_completion () =
     Alcotest.(check bool) (name ^ ": stats completion is the run's") true
       (x.completion = (Lazy.force x.stats).Tiles_obs.Stats.completion)
   in
-  let traced mode =
-    Run_spec.run
-      ~recorder:(Run_spec.recorder ~mode ~nprocs:(Plan.nprocs plan) spec)
-      spec ~plan ~kernel
+  let run keep = Run_spec.run ~keep spec ~plan ~kernel in
+  check "timeline" (run Run_spec.Timeline);
+  check "totals" (run Run_spec.Totals);
+  check "counters" (run Run_spec.Counters)
+
+(* what a run keeps: Totals and Timeline see the same longest waits (the
+   sim is deterministic), Counters none; only Timeline keeps spans *)
+let test_run_spec_keep () =
+  let spec = { (Run_spec.default "sor") with size1 = 12; size2 = 16 } in
+  let r = Result.get_ok (Run_spec.resolve spec) in
+  let plan =
+    Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+      r.Tiles_apps.Registry.tiling
   in
-  check "retain" (traced Tiles_obs.Recorder.Retain);
-  check "streaming" (traced Tiles_obs.Recorder.Streaming);
-  check "untraced" (Run_spec.run spec ~plan ~kernel)
+  let run keep =
+    Run_spec.run ~mode:Run_spec.Timing ~keep spec ~plan
+      ~kernel:r.Tiles_apps.Registry.kernel
+  in
+  let timeline = run Run_spec.Timeline
+  and totals = run Run_spec.Totals
+  and counters = run Run_spec.Counters in
+  let waits (x : Run_spec.result) =
+    List.map
+      (fun (w : Tiles_obs.Span.t) -> (w.rank, w.t0, w.t1))
+      x.longest_waits
+  in
+  Alcotest.(check bool) "waits kept" true (timeline.longest_waits <> []);
+  Alcotest.(check bool) "totals keep the same waits" true
+    (waits totals = waits timeline);
+  Alcotest.(check int) "counters keep no waits" 0
+    (List.length counters.longest_waits);
+  Alcotest.(check bool) "only timeline keeps spans" true
+    (timeline.spans <> [] && totals.spans = [] && counters.spans = []);
+  Alcotest.(check bool) "only timeline keeps edges" true
+    (timeline.edges <> [] && totals.edges = [] && counters.edges = [])
+
+(* the run-failure texts the CLI and serve print: a message-carrying
+   exception gives its message, the structured ones their printers *)
+let test_run_spec_error_message () =
+  Alcotest.(check string) "failure" "boom"
+    (Run_spec.error_message (Failure "boom"));
+  Alcotest.(check string) "zero factor" "singular tiling (zero tile factor)"
+    (Run_spec.error_message Division_by_zero);
+  Alcotest.(check string) "rendezvous timeout" "rank 3 blocked"
+    (Run_spec.error_message
+       (Tiles_runtime.Shm_executor.Recv_timeout "rank 3 blocked"));
+  let m =
+    {
+      Tiles_runtime.Protocol.mm_rank = 1;
+      mm_stage = `Pack;
+      mm_dm = [| 1; 0 |];
+      mm_ts = 2;
+      mm_expected = 4;
+      mm_actual = 3;
+    }
+  in
+  Alcotest.(check string) "slab mismatch"
+    (Tiles_runtime.Protocol.slab_mismatch_to_string m)
+    (Run_spec.error_message (Tiles_runtime.Protocol.Slab_mismatch m))
 
 let () =
   Alcotest.run "tiles_apps"
@@ -480,6 +532,9 @@ let () =
             test_run_spec_stats_lazy;
           Alcotest.test_case "one shm completion" `Quick
             test_run_spec_shm_one_completion;
+          Alcotest.test_case "what each keep keeps" `Quick test_run_spec_keep;
+          Alcotest.test_case "run-failure text" `Quick
+            test_run_spec_error_message;
         ] );
       ( "experiment",
         [

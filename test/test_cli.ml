@@ -410,6 +410,60 @@ let test_serve_pipe () =
        (fun j -> Json.member "op" j = Some (Json.Str "metrics"))
        parsed)
 
+(* a failed run reads the same whichever front end reports it: the CLI's
+   one-line error and serve's error reply carry one text, for a failure
+   found while resolving the request (before admission) and for one
+   raised by the worker running it (Plan.make) *)
+let test_cli_serve_same_error () =
+  let cases =
+    [
+      ("zero", "--app sor -x 6 -y 8 -z 0", {|"app":"sor","tile":[6,8,0]|});
+      ( "variant",
+        "--app sor --variant bogus",
+        {|"app":"sor","variant":"bogus"|} );
+      ( "small",
+        "--app sor --variant rect -x 2 -y 2 -z 1",
+        {|"app":"sor","variant":"rect","tile":[2,2,1]|} );
+    ]
+  in
+  let reqfile = Filename.temp_file "tilec_serve_err" ".jsonl" in
+  let oc = open_out reqfile in
+  List.iter
+    (fun (id, _, fields) ->
+      Printf.fprintf oc "{\"id\":%S,\"op\":\"simulate\",%s}\n" id fields)
+    cases;
+  output_string oc "{\"op\":\"shutdown\"}\n";
+  close_out oc;
+  let status, out =
+    run
+      (Printf.sprintf "serve --workers 1 --capacity 8 < %s"
+         (Filename.quote reqfile))
+  in
+  Sys.remove reqfile;
+  if status <> Unix.WEXITED 0 then Alcotest.failf "serve failed:\n%s" out;
+  let replies =
+    List.filter_map
+      (fun l -> Result.to_option (Json.parse l))
+      (String.split_on_char '\n' out)
+  in
+  List.iter
+    (fun (id, args, _) ->
+      let status, cli = run ("simulate " ^ args) in
+      if status <> Unix.WEXITED 1 then
+        Alcotest.failf "simulate %s: expected exit 1:\n%s" args cli;
+      let cli_text =
+        match Astring.String.cut ~sep:"tilec: error: " (String.trim cli) with
+        | Some ("", text) -> text
+        | _ -> Alcotest.failf "simulate %s: not a one-line error:\n%s" args cli
+      in
+      let reply =
+        List.find_opt (fun j -> Json.member "id" j = Some (Json.Str id)) replies
+      in
+      match Option.bind reply (Json.member "error") with
+      | Some (Json.Str text) -> Alcotest.(check string) id cli_text text
+      | _ -> Alcotest.failf "no error reply for %S in:\n%s" id out)
+    cases
+
 (* tilec analyze: causal critical path on a fresh sim run, artifact
    roundtrip via --from, streaming mode, and the flag conflicts *)
 let test_analyze () =
@@ -627,6 +681,8 @@ let () =
           Alcotest.test_case "regression exit 2" `Quick
             test_exit_code_regression;
           Alcotest.test_case "serve pipe e2e" `Quick test_serve_pipe;
+          Alcotest.test_case "cli and serve error text" `Quick
+            test_cli_serve_same_error;
           Alcotest.test_case "option surface" `Quick test_cli_surface;
         ] );
     ]

@@ -25,7 +25,7 @@ let sor_plan () =
 (* ---------------- edge joining ---------------- *)
 
 let test_edge_seq_numbers () =
-  let t = Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs:2 () in
+  let t = Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.) ~nprocs:2 () in
   let l0 = Recorder.log t ~rank:0 and l1 = Recorder.log t ~rank:1 in
   (* two messages on the same (0,1,tag 5) channel, one on tag 9: the
      same-channel pair gets seq 0 then 1, the other channel restarts *)
@@ -49,7 +49,7 @@ let test_edge_seq_numbers () =
 
 let test_streaming_retains_no_edges () =
   let t =
-    Recorder.create ~mode:Recorder.Streaming ~trace:true
+    Recorder.create ~keep:Recorder.Totals
       ~clock:(fun () -> 0.)
       ~nprocs:2 ()
   in
@@ -71,7 +71,7 @@ let test_streaming_retains_no_edges () =
    The causal path must be Compute, Send, a zero-length flight, Unpack:
    4 seconds exactly, with the wait absorbed by the edge crossing. *)
 let hand_trace () =
-  let t = Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs:2 () in
+  let t = Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.) ~nprocs:2 () in
   let l0 = Recorder.log t ~rank:0 and l1 = Recorder.log t ~rank:1 in
   Recorder.span l0 ~t0:0. ~t1:2. Span.Compute;
   Recorder.span l0 ~t0:2. ~t1:3. Span.Send;
@@ -186,7 +186,7 @@ let feed recorder spans =
 let close_enough a b = Float.abs (a -. b) <= 1e-9 +. (1e-12 *. Float.abs a)
 
 (* every field of a Stats record, floats as their bits, critical_path
-   aside (only a Retain recorder keeps the edges it is walked over) *)
+   aside (only a Timeline recorder keeps the edges it is walked over) *)
 let stats_bits (s : Stats.t) =
   let b = Int64.bits_of_float in
   ( (s.Stats.nprocs, s.Stats.messages, s.Stats.bytes, s.Stats.max_inflight_bytes),
@@ -205,9 +205,9 @@ let stats_bits (s : Stats.t) =
 let prop_streaming_matches_exact =
   QCheck.Test.make ~name:"streaming per-rank per-kind totals = exact"
     ~count:100 (arb_trace 4) (fun spans ->
-      let exact = Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs:4 () in
+      let exact = Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.) ~nprocs:4 () in
       let stream =
-        Recorder.create ~mode:Recorder.Streaming ~trace:true
+        Recorder.create ~keep:Recorder.Totals
           ~clock:(fun () -> 0.)
           ~nprocs:4 ()
       in
@@ -304,15 +304,14 @@ let prop_retain_streaming_stats =
           Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
             r.Tiles_apps.Registry.tiling
         in
-        let stats mode =
-          let rc = Run_spec.recorder ~mode ~nprocs:(Plan.nprocs plan) spec in
+        let stats keep =
           Lazy.force
-            (Run_spec.run ~mode:Run_spec.Timing ~recorder:rc spec ~plan
+            (Run_spec.run ~mode:Run_spec.Timing ~keep spec ~plan
                ~kernel:r.Tiles_apps.Registry.kernel)
               .Run_spec.stats
         in
-        stats_bits (stats Recorder.Retain)
-        = stats_bits (stats Recorder.Streaming))
+        stats_bits (stats Run_spec.Timeline)
+        = stats_bits (stats Run_spec.Totals))
 
 (* ---------------- backend properties ---------------- *)
 
@@ -320,7 +319,7 @@ let prop_retain_streaming_stats =
 let sim_stats () =
   let plan, kernel = sor_plan () in
   let rc =
-    Recorder.create ~trace:true ~clock:(fun () -> 0.)
+    Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.)
       ~nprocs:(Plan.nprocs plan) ()
   in
   ( (Executor.run ~mode:Executor.Full ~recorder:rc ~plan ~kernel ~net ())
@@ -329,7 +328,7 @@ let sim_stats () =
 
 let shm_traced () =
   let plan, kernel = sor_plan () in
-  let rc = Recorder.create ~trace:true ~nprocs:(Plan.nprocs plan) () in
+  let rc = Recorder.create ~keep:Recorder.Timeline ~nprocs:(Plan.nprocs plan) () in
   (Shm_executor.run ~recorder:rc ~plan ~kernel (), rc)
 
 (* the same plan through Run_spec, whose lazy stats walk the path *)
@@ -337,7 +336,7 @@ let run_spec_stats backend =
   let module Run_spec = Tiles_apps.Run_spec in
   let plan, kernel = sor_plan () in
   Lazy.force
-    (Run_spec.run ~trace:true
+    (Run_spec.run ~keep:Run_spec.Timeline
        { (Run_spec.default "sor") with backend }
        ~plan ~kernel)
       .Run_spec.stats

@@ -8,8 +8,8 @@ let net = Netmodel.fast_ethernet_cluster
 
 (* a recorder on the simulator's clock, which reads 0: the simulator
    stamps every span and edge in virtual time itself *)
-let sim_recorder ?(trace = true) ~nprocs () =
-  Recorder.create ~trace ~clock:(fun () -> 0.) ~nprocs ()
+let sim_recorder ?(keep = Recorder.Timeline) ~nprocs () =
+  Recorder.create ~keep ~clock:(fun () -> 0.) ~nprocs ()
 
 (* a traced run: the simulator's outcome and the recorder holding its
    spans, edges and counters *)
@@ -293,7 +293,7 @@ let test_traced_sor_utilisation () =
   check_stats_accounting st
 
 let test_trace_off_by_default () =
-  let rc = sim_recorder ~trace:false ~nprocs:1 () in
+  let rc = sim_recorder ~keep:Recorder.Counters ~nprocs:1 () in
   ignore (Sim.run ~recorder:rc ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0));
   Alcotest.(check bool) "no trace" true (Recorder.spans rc = [])
 
@@ -371,7 +371,7 @@ let test_pack_unpack_spans () =
 
 (* per-rank counters split the totals by sender *)
 let test_per_rank_counters () =
-  let rc = sim_recorder ~trace:false ~nprocs:3 () in
+  let rc = sim_recorder ~keep:Recorder.Counters ~nprocs:3 () in
   let stats =
     Sim.run ~recorder:rc ~nprocs:3 ~net (fun r ->
         if r = 0 then begin
@@ -465,7 +465,7 @@ let run_case ?recorder ~net' (nprocs, degree, isend, sizes) =
 
 (* the NIC queueing a run charged, read off its (untraced) recorder *)
 let case_queueing ~net' ((nprocs, _, _, _) as case) =
-  let rc = sim_recorder ~trace:false ~nprocs () in
+  let rc = sim_recorder ~keep:Recorder.Counters ~nprocs () in
   ignore (run_case ~recorder:rc ~net' case);
   rc
 

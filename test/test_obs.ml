@@ -21,19 +21,19 @@ let sor_plan () =
 let sim_run () =
   let plan, kernel = sor_plan () in
   let rc =
-    Recorder.create ~trace:true ~clock:(fun () -> 0.)
+    Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.)
       ~nprocs:(Plan.nprocs plan) ()
   in
   (Executor.run ~mode:Executor.Full ~recorder:rc ~plan ~kernel ~net (), rc)
 
 let shm_run () =
   let plan, kernel = sor_plan () in
-  let rc = Recorder.create ~trace:true ~nprocs:(Plan.nprocs plan) () in
+  let rc = Recorder.create ~keep:Recorder.Timeline ~nprocs:(Plan.nprocs plan) () in
   (Shm_executor.run ~recorder:rc ~plan ~kernel (), rc)
 
 (* a recorder holding exactly [spans] *)
 let recorder_of_spans ~nprocs spans =
-  let rc = Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs () in
+  let rc = Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> 0.) ~nprocs () in
   List.iter
     (fun (s : Span.t) ->
       Recorder.span (Recorder.log rc ~rank:s.Span.rank) ~t0:s.Span.t0
@@ -83,7 +83,7 @@ let test_recorder_untraced_drops_spans () =
 
 let test_recorder_virtual_clock () =
   let now = ref 0. in
-  let t = Recorder.create ~trace:true ~clock:(fun () -> !now) ~nprocs:1 () in
+  let t = Recorder.create ~keep:Recorder.Timeline ~clock:(fun () -> !now) ~nprocs:1 () in
   let l = Recorder.log t ~rank:0 in
   Recorder.mark l;
   now := 2.;
@@ -157,7 +157,7 @@ let test_shm_timeline_law () =
   List.iter
     (fun overlap ->
       let name = if overlap then "overlapped" else "blocking" in
-      let rc = Recorder.create ~trace:true ~nprocs () in
+      let rc = Recorder.create ~keep:Recorder.Timeline ~nprocs () in
       ignore (Shm_executor.run ~recorder:rc ~overlap ~plan ~kernel ());
       let edges = Recorder.edges rc in
       let sent = Recorder.rank_messages rc in

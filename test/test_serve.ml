@@ -180,12 +180,16 @@ let test_registry_errors () =
    with
   | Ok _ -> Alcotest.fail "size 0 resolved"
   | Error _ -> ());
+  (* an illegal tiling raises in the registry; the spec's resolve turns
+     it into the run-failure text *)
   match
-    Registry.resolve ~app:"sor" ~size1:8 ~size2:8 ~variant:"nonrect"
-      ~tile:(0, 2, 2)
+    Run_spec.resolve
+      { (Run_spec.default "sor") with size1 = 8; size2 = 8; tile = (0, 2, 2) }
   with
   | Ok _ -> Alcotest.fail "zero tile factor resolved"
-  | Error _ -> ()
+  | Error e ->
+    Alcotest.(check string) "zero factor text"
+      (Run_spec.error_message Division_by_zero) e
 
 (* ---------- Job ---------- *)
 

@@ -80,7 +80,7 @@ let test_gantt_figure () =
   let plan = Plan.make nest (Tiling.rectangular [ 5; 5 ]) in
   let nprocs = Plan.nprocs plan in
   let rc =
-    Tiles_obs.Recorder.create ~trace:true ~clock:(fun () -> 0.) ~nprocs ()
+    Tiles_obs.Recorder.create ~keep:Tiles_obs.Recorder.Timeline ~clock:(fun () -> 0.) ~nprocs ()
   in
   let r = Executor.run ~mode:Executor.Timing ~recorder:rc ~plan ~kernel ~net () in
   let trace = Tiles_obs.Recorder.spans rc in
