@@ -73,7 +73,9 @@ let guard f =
     exit code
   in
   try f () with
-  | (Invalid_argument _ | Failure _ | Sys_error _ | Division_by_zero) as e ->
+  | ( Invalid_argument _ | Failure _ | Sys_error _ | Division_by_zero
+    | Shm_executor.Too_many_ranks _ | Tiles_runtime.Lds_pool.Not_poisoned _ )
+      as e ->
     fail exit_runtime e
   | Shm_executor.Recv_timeout _ as e -> fail exit_rendezvous_timeout e
   | Protocol.Slab_mismatch _ as e -> fail exit_slab_mismatch e

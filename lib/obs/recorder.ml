@@ -52,6 +52,13 @@ type sent_rec = { s_dst : int; s_tag : int; s_seq : int; s_t : float }
 type recv_rec = { r_src : int; r_tag : int; r_seq : int; r_bytes : int;
                   r_posted : float; r_ready : float; r_queued : float }
 
+(* per-channel next sequence numbers: (dst, tag) for sends, (src, tag)
+   for receives *)
+type seqs = {
+  send_seq : (int * int, int ref) Hashtbl.t;
+  recv_seq : (int * int, int ref) Hashtbl.t;
+}
+
 type log = {
   rank : int;
   shared : shared;
@@ -64,8 +71,10 @@ type log = {
   kind_sum : float array;  (* seconds per Span.kind, always when tracing *)
   waits : Span.t array;  (* reservoir of longest Wait spans *)
   mutable nwaits : int;
-  send_seq : (int * int, int ref) Hashtbl.t;  (* (dst, tag) -> next seq *)
-  recv_seq : (int * int, int ref) Hashtbl.t;  (* (src, tag) -> next seq *)
+  (* Timeline only: message edges are only joinable when the full
+     per-message records are kept; Totals deliberately drops them to
+     stay O(nprocs) *)
+  seqs : seqs option;
   mutable sent : sent_rec list;  (* Timeline only *)
   mutable recvd : recv_rec list;  (* Timeline only *)
 }
@@ -106,8 +115,11 @@ let create ?(keep = Counters) ?(clock = Clock.monotonic) ~nprocs () =
             kind_sum = Array.make nkinds 0.;
             waits = Array.make waits_keep dummy_span;
             nwaits = 0;
-            send_seq = Hashtbl.create 4;
-            recv_seq = Hashtbl.create 4;
+            seqs =
+              (if keep = Timeline then
+                 Some
+                   { send_seq = Hashtbl.create 4; recv_seq = Hashtbl.create 4 }
+               else None);
             sent = [];
             recvd = [];
           });
@@ -120,10 +132,6 @@ let restart t = t.s.origin <- t.s.clock ()
 let log t ~rank = t.logs.(rank)
 
 let log_now l = l.shared.clock () -. l.shared.origin
-
-(* message edges are only joinable when the full per-message records are
-   kept; Totals deliberately drops them to stay O(nprocs) *)
-let keep_edges s = s.keep = Timeline
 
 let reservoir_note l (sp : Span.t) =
   if l.nwaits < waits_keep then begin
@@ -179,23 +187,25 @@ let message_sent l ?t ~dst ~tag ~bytes () =
   l.bytes <- l.bytes + bytes;
   let level = Atomic.fetch_and_add l.shared.inflight bytes + bytes in
   raise_high_water l.shared.max_inflight level;
-  if keep_edges l.shared then begin
-    let s_seq = next_seq l.send_seq (dst, tag) in
+  match l.seqs with
+  | None -> ()
+  | Some q ->
+    let s_seq = next_seq q.send_seq (dst, tag) in
     let s_t = match t with Some t -> t | None -> log_now l in
     l.sent <- { s_dst = dst; s_tag = tag; s_seq; s_t } :: l.sent
-  end
 
 let message_received l ?t ?posted ?(queued = 0.) ~src ~tag ~bytes () =
   ignore (Atomic.fetch_and_add l.shared.inflight (-bytes));
-  if keep_edges l.shared then begin
-    let r_seq = next_seq l.recv_seq (src, tag) in
+  match l.seqs with
+  | None -> ()
+  | Some q ->
+    let r_seq = next_seq q.recv_seq (src, tag) in
     let r_ready = match t with Some t -> t | None -> log_now l in
     let r_posted = match posted with Some p -> p | None -> r_ready in
     l.recvd <-
       { r_src = src; r_tag = tag; r_seq; r_bytes = bytes; r_posted; r_ready;
         r_queued = queued }
       :: l.recvd
-  end
 
 (* NIC queueing is a counter, not a span: it is kept under every setting
    (like messages/bytes) so thousand-rank Totals runs still report

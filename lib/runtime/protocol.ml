@@ -149,10 +149,15 @@ let rank_program ?(overlap = false) shared comms rank =
            ~variant:shared.walker ~check:shared.check ())
     | Timing -> None
   in
+  (* a pooled all-NaN buffer; given back, reset, only if the rank
+     completes *)
+  let lease =
+    Option.map
+      (fun w -> Lds_pool.take ~check:shared.check (Walker.lds_total w * width))
+      walker
+  in
   let la =
-    match walker with
-    | Some w -> Fbuf.make (Walker.lds_total w * width) Float.nan
-    | None -> Fbuf.create 0
+    match lease with Some l -> Lds_pool.la l | None -> Fbuf.create 0
   in
   let tile_buf = Array.make n 0 in
   let rank_of pid =
@@ -238,7 +243,8 @@ let rank_program ?(overlap = false) shared comms rank =
             match walker with
             | None -> Length (cells * width)
             | Some w ->
-              let buf = Fbuf.make (cells * width) 0. in
+              (* pack writes every slot; a short pack raises below *)
+              let buf = Fbuf.create (cells * width) in
               let count =
                 Walker.pack_slab w ~trel ~tile:tile_buf ~lo:dir.slab_lo ~la
                   ~buf
@@ -262,7 +268,7 @@ let rank_program ?(overlap = false) shared comms rank =
       directions
   done;
   (* ---------------- write-back (LDS -> DS) ---------------- *)
-  match (shared.grid, walker) with
+  (match (shared.grid, walker) with
   | Some grid, Some w ->
     for ts = tlo to thi do
       let trel = ts - tlo in
@@ -272,4 +278,9 @@ let rank_program ?(overlap = false) shared comms rank =
     (* a zero-cost charge so span-recording backends close the write-back
        interval as compute instead of leaving it unattributed *)
     comms.compute 0.
+  | _ -> ());
+  match (walker, lease) with
+  | Some w, Some l ->
+    Walker.reset_written w ~la;
+    Lds_pool.give l
   | _ -> ()

@@ -104,7 +104,10 @@ val prepare :
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain (including the untimed LDS→DS
     write-back in [Full] mode). Thread-safe across ranks: all shared
-    writes are rank-disjoint.
+    writes are rank-disjoint. In [Full] mode the rank's LDS is borrowed
+    all-NaN from {!Lds_pool} (scanned first under [check]) and given
+    back with every cell it wrote reset to NaN once the write-back is
+    done; a rank that raises gives nothing back.
 
     With [~overlap:true] the rank runs the paper's §5 overlapped
     schedule: every receive a tile expects (per the minsucc pairing) is

@@ -7,9 +7,21 @@ module Clock = Tiles_obs.Clock
 
 exception Recv_timeout of string
 
+(* OCaml 5.1's [Max_domains]: live domains per process, the main one
+   included *)
+let max_domains = 128
+
+exception Too_many_ranks of { nprocs : int; max_domains : int }
+
 let () =
   Printexc.register_printer (function
     | Recv_timeout diag -> Some diag
+    | Too_many_ranks { nprocs; max_domains } ->
+      Some
+        (Printf.sprintf
+           "Shm_executor: %d ranks need %d domains with the watchdog and \
+            the caller's, past the runtime's limit of %d"
+           nprocs (nprocs + 2) max_domains)
     | _ -> None)
 
 type result = {
@@ -109,6 +121,8 @@ let recv_timeout = 30.
 
 let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
   let nprocs = Mapping.nprocs plan.Plan.mapping in
+  if nprocs + 2 > max_domains then
+    raise (Too_many_ranks { nprocs; max_domains });
   let shared =
     Protocol.prepare ?walker ?check ~mode:Protocol.Full ~plan ~kernel
       ~flop_time:0. ~pack_time:0. ()
@@ -173,34 +187,57 @@ let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
     }
   in
   let nudge_all () = Array.iter (Array.iter Mailbox.nudge) boxes in
-  let stop_watchdog = Atomic.make false in
-  (* Condition.wait has no timed variant; a watchdog domain periodically
-     wakes every mailbox so blocked receivers can notice their deadlines *)
-  let watchdog =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop_watchdog) do
-          Unix.sleepf watchdog_period;
-          nudge_all ()
-        done)
+  let fail e =
+    (* the first failure wakes every blocked receiver, so the run ends
+       now rather than at the receive deadline *)
+    if Atomic.compare_and_set failure None (Some e) then nudge_all ()
   in
-  (* the caller may have made the recorder before this run's set-up *)
-  Recorder.restart recorder;
-  let domains =
-    List.init nprocs (fun rank ->
+  (* Condition.wait has no timed variant; a watchdog domain periodically
+     wakes every mailbox so blocked receivers can notice their deadlines.
+     It waits on a pipe, so the run stops it at once when it ends. *)
+  let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close wake_rd;
+      Unix.close wake_wr)
+    (fun () ->
+      let watchdog =
         Domain.spawn (fun () ->
+            let stop = ref false in
+            while not !stop do
+              match Unix.select [ wake_rd ] [] [] watchdog_period with
+              | [], _, _ -> nudge_all ()
+              | _ -> stop := true
+              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            done)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          ignore (Unix.write_substring wake_wr "x" 0 1);
+          Domain.join watchdog)
+        (fun () ->
+          (* the caller may have made the recorder before this run's
+             set-up *)
+          Recorder.restart recorder;
+          let rank_body rank () =
             let log = Recorder.log recorder ~rank in
             Recorder.mark log;
             (try Protocol.rank_program ~overlap shared (comms_for rank) rank
-             with e ->
-               (* the first failure wakes every blocked receiver, so the
-                  run ends now rather than at the receive deadline *)
-               if Atomic.compare_and_set failure None (Some e) then
-                 nudge_all ());
-            Recorder.finish log))
-  in
-  List.iter Domain.join domains;
-  Atomic.set stop_watchdog true;
-  Domain.join watchdog;
+             with e -> fail e);
+            Recorder.finish log
+          in
+          (* a spawn that fails ends the run like a failing rank: the
+             ranks already running give up and are joined *)
+          let rec spawn rank acc =
+            if rank = nprocs then acc
+            else
+              match Domain.spawn (rank_body rank) with
+              | d -> spawn (rank + 1) (d :: acc)
+              | exception e ->
+                fail e;
+                acc
+          in
+          List.iter Domain.join (List.rev (spawn 0 []))));
   (match Atomic.get failure with Some e -> raise e | None -> ());
   (* the latest rank finish, on the clock the spans use *)
   let wall = Array.fold_left Float.max 0. (Recorder.rank_finish recorder) in

@@ -34,6 +34,15 @@ exception Recv_timeout of string
     symptom of a mis-generated schedule, which would otherwise hang
     forever. [Printexc.to_string] prints the diagnostic alone. *)
 
+val max_domains : int
+(** Live domains the OCaml runtime allows in one process (128,
+    [Max_domains]), the calling domain included. *)
+
+exception Too_many_ranks of { nprocs : int; max_domains : int }
+(** Raised by {!run}, before it starts any domain, when a plan's
+    [nprocs] ranks plus the watchdog and the calling domain would pass
+    {!max_domains}. *)
+
 type result = {
   wall_seconds : float;
       (** parallel wall-clock time: the latest rank finish *)
@@ -113,5 +122,7 @@ val run :
     count towards. A receive blocked for 30 seconds raises
     {!Recv_timeout}. The first exception any rank raises wakes the
     ranks blocked in a receive, which give up, and is re-raised once
-    every rank has stopped. Raises [Invalid_argument] like
-    {!Protocol.prepare}. *)
+    every rank has stopped; so is a failing [Domain.spawn], once the
+    ranks already started have stopped. Raises {!Too_many_ranks} before
+    anything starts when the ranks would pass the domain limit, and
+    [Invalid_argument] like {!Protocol.prepare}. *)

@@ -105,6 +105,10 @@ type t = {
   wdot : int array;  (* per active constraint: its value at the row start *)
   doffs : int array;  (* per-tap LDS cell deltas for the current row *)
   out : float array;
+  (* the LDS cells the fast paths wrote since the last [reset_written]:
+     (start cell, length) pairs *)
+  mutable wlog : int array;
+  mutable wlen : int;
 }
 
 let native_row ~plan ~kernel ~check =
@@ -214,11 +218,47 @@ let make ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     wdot = Array.make (Array.length pull_w) 0;
     doffs = Array.make (Array.length reads) 0;
     out = Array.make width 0.;
+    wlog = Array.make 64 0;
+    wlen = 0;
   }
 
 let variant t = t.variant
 let counter t = t.counter
 let lds_total t = t.shape.Lds.total
+
+(* Log that cells [start, start + len) were written. A range that starts
+   inside or right after the last one extends it, so a row and the row
+   that continues it take one entry. *)
+let log_write t start len =
+  let k = t.wlen in
+  if len > 0 then
+    let last = if k > 0 then t.wlog.(k - 2) else 0 in
+    if k > 0 && start >= last && start <= last + t.wlog.(k - 1) then
+      t.wlog.(k - 1) <- max t.wlog.(k - 1) (start + len - last)
+    else begin
+      if k + 2 > Array.length t.wlog then begin
+        let grown = Array.make (2 * Array.length t.wlog) 0 in
+        Array.blit t.wlog 0 grown 0 k;
+        t.wlog <- grown
+      end;
+      t.wlog.(k) <- start;
+      t.wlog.(k + 1) <- len;
+      t.wlen <- k + 2
+    end
+
+(* the reference paths write point by point and log nothing: their
+   whole buffer is reset instead *)
+let reset_written t ~(la : Fbuf.t) =
+  match t.variant with
+  | Reference -> A1.fill la Float.nan
+  | Fastpath | Native ->
+    let width = t.width in
+    for e = 0 to (t.wlen / 2) - 1 do
+      Fbuf.fill la ~pos:(t.wlog.(2 * e) * width)
+        ~len:(t.wlog.((2 * e) + 1) * width)
+        Float.nan
+    done;
+    t.wlen <- 0
 
 (* LDS cell index of TTIS point [j'] at trel = 0 (Table 1 with the
    tile-relative shift split off: adding [trel * t.tshift] gives the
@@ -419,6 +459,7 @@ let nan_error t j i =
 let fill_tap t ~(la : Fbuf.t) ~base r a b =
   let n = t.n and width = t.width in
   let d = t.reads.(r) in
+  log_write t (base + a + t.doffs.(r)) (b - a + 1);
   for s = a to b do
     let slot = (base + s + t.doffs.(r)) * width in
     for f = 0 to width - 1 do
@@ -481,6 +522,7 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
     let base = cell0 t j' + (trel * t.tshift) in
     set_global t j' t.jrow;
     set_row_doffs t j';
+    log_write t base len;
     match t.native with
     | Some fn ->
       (* native rows cover interior and boundary alike: the compiled
@@ -535,6 +577,7 @@ let fast_unpack t ~trel ~pred_tile ~ds ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
   let count = ref 0 in
   iter_rows t ~tile:pred_tile ~lo (fun ~j' ~len ->
       let cell = cell0 t j' + shift in
+      log_write t cell len;
       Fbuf.blit ~src:buf ~src_pos:(!count * width) ~dst:la
         ~dst_pos:(cell * width) ~len:(len * width);
       count := !count + len);

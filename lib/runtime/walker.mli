@@ -93,6 +93,14 @@ val lds_total : t -> int
 (** Cells of the rank's local array ([Lds.shape] total); the backing
     buffer must have [lds_total * width] slots. *)
 
+val reset_written : t -> la:Tiles_util.Fbuf.t -> unit
+(** Set back to NaN every cell of [la] this walker wrote since it was
+    made or last reset: the computed rows, the unpacked slab rows and the
+    boundary-filled tap ranges, which the fast variants log as they
+    write them. [Reference] resets the whole of [la] instead. A rank
+    that borrowed its NaN-poisoned local array ({!Lds_pool}) calls this
+    before giving it back. *)
+
 val compute_tile :
   t -> trel:int -> tile:Tiles_util.Vec.t -> la:Tiles_util.Fbuf.t -> int
 (** Execute the kernel over the tile's clipped TTIS, reading/writing the

@@ -27,6 +27,15 @@ let blit ~(src : t) ~src_pos ~(dst : t) ~dst_pos ~len =
     done
   else A1.blit (A1.sub src src_pos len) (A1.sub dst dst_pos len)
 
+let fill (a : t) ~pos ~len v =
+  if len < 0 || pos < 0 || pos + len > A1.dim a then invalid_arg "Fbuf.fill";
+  (* as in [blit]: short ranges skip the [A1.sub] allocation *)
+  if len < 32 then
+    for i = pos to pos + len - 1 do
+      A1.unsafe_set a i v
+    done
+  else A1.fill (A1.sub a pos len) v
+
 let copy (a : t) =
   let b = create (length a) in
   A1.blit a b;

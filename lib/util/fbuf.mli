@@ -22,6 +22,9 @@ val set : t -> int -> float -> unit
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 (** Zero-allocation copy of [len] slots ([Array1.sub] + [Array1.blit]). *)
 
+val fill : t -> pos:int -> len:int -> float -> unit
+(** [fill a ~pos ~len v] sets slots [pos .. pos+len-1] to [v]. *)
+
 val copy : t -> t
 val append : t -> t -> t
 val of_array : float array -> t

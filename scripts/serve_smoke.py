@@ -11,8 +11,9 @@
 #
 # Usage: python3 scripts/serve_smoke.py [path/to/tilec.exe]
 # Writes serve-artifacts/{final-metrics,latency}.json.
-import json, subprocess, sys
+import json, os, subprocess, sys
 
+os.makedirs("serve-artifacts", exist_ok=True)
 cmd = sys.argv[1:] or ["./_build/default/bin/tilec.exe"]
 p = subprocess.Popen(
     cmd + ["serve", "--workers", "1", "--capacity", "32",

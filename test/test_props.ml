@@ -594,6 +594,56 @@ let prop_tile_deps n =
           List.exists (Array.exists (fun x -> x < 0 || x > 1)) oracle)
       | _ -> QCheck.assume_fail ())
 
+(* ---------- pooled LDS buffers ---------- *)
+
+(* Every Full-run rank borrows its LDS from one process-wide pool and
+   gives it back with the cells it wrote reset to NaN. For each walker,
+   schedule and backend, two back-to-back runs match the oracle bit for
+   bit, and a check-mode run afterwards, whose takes scan every reused
+   buffer for a cell left set, passes too. *)
+let prop_pool_reuse n =
+  let module Shm = Tiles_runtime.Shm_executor in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "pooled LDS: back-to-back runs = oracle (n=%d)" n)
+    ~count:(if n = 2 then 12 else 6)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let kernel = deps_kernel n deps in
+        let nest = Nest.make ~name:"rand" ~space ~deps:(Kernel.deps kernel) in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let oracle = Seq_exec.run ~space ~kernel () in
+          let exact ?check walker overlap backend =
+            let grid =
+              match backend with
+              | `Sim ->
+                Option.get
+                  (Executor.run ?check ~walker ~mode:Executor.Full ~overlap
+                     ~plan ~kernel ~net ())
+                    .Executor.grid
+              | `Shm -> (Shm.run ?check ~walker ~overlap ~plan ~kernel ()).Shm.grid
+            in
+            Grid.max_abs_diff grid oracle space = 0.
+          in
+          List.for_all
+            (fun walker ->
+              List.for_all
+                (fun overlap ->
+                  List.for_all
+                    (fun backend ->
+                      exact walker overlap backend
+                      && exact walker overlap backend
+                      && exact ~check:true walker overlap backend)
+                    [ `Sim; `Shm ])
+                [ false; true ])
+            Walker.all_variants)
+      | _ -> QCheck.assume_fail ())
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "tiles_props"
@@ -626,5 +676,6 @@ let () =
           q prop_executor_overlap_equivalence;
           q prop_shm_overlap_equals_blocking;
           q prop_timing_equals_full;
+          q (prop_pool_reuse 2); q (prop_pool_reuse 3);
         ] );
     ]

@@ -391,6 +391,24 @@ let test_shm_failure_ends_run () =
       if dt >= 2. then Alcotest.failf "%s: the run took %.2fs to fail" name dt)
     [ false; true ]
 
+(* A plan of more ranks than the runtime has domains for fails before
+   the run starts any domain, with the structured error; nothing here
+   spawns a domain to find the limit. *)
+let test_shm_domain_cap () =
+  let nest = pascal_nest 254 2 in
+  let plan = Plan.make ~m:1 nest (Tiling.rectangular [ 2; 2 ]) in
+  let nprocs = Tiles_core.Mapping.nprocs plan.Plan.mapping in
+  Alcotest.(check bool) "at least 127 ranks" true (nprocs >= 127);
+  let module Shm = Tiles_runtime.Shm_executor in
+  match Shm.run ~plan ~kernel:pascal_kernel () with
+  | _ -> Alcotest.fail "the run started past the domain limit"
+  | exception Shm.Too_many_ranks { nprocs = n; max_domains } ->
+    Alcotest.(check int) "ranks reported" nprocs n;
+    Alcotest.(check int) "limit reported" Shm.max_domains max_domains;
+    Alcotest.(check bool) "message names the limit" true
+      (Astring.String.is_infix ~affix:"128"
+         (Printexc.to_string (Shm.Too_many_ranks { nprocs; max_domains })))
+
 (* ---------- Model ---------- *)
 
 let test_model_predicts () =
@@ -466,6 +484,8 @@ let () =
             test_shm_overlap_matches_blocking;
           Alcotest.test_case "failing rank ends the run" `Quick
             test_shm_failure_ends_run;
+          Alcotest.test_case "domain cap checked first" `Quick
+            test_shm_domain_cap;
         ] );
       ( "model",
         [

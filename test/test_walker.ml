@@ -691,6 +691,118 @@ let test_member_no_alloc () =
     true
     (w10 -. w1 < 64.)
 
+(* ---------- pooled LDS buffers ---------- *)
+
+module Lds_pool = Tiles_runtime.Lds_pool
+
+(* A checking take scans the idle buffer it reuses: one given back with
+   a cell still set fails with the structured error, naming the slot and
+   its value. Other tests leave idle buffers in the one process-wide
+   pool, so the dirty one is found by taking until the scan fires. *)
+let test_pool_scan () =
+  let slots = 1237 in
+  let dirty = Lds_pool.take ~check:false slots in
+  Fbuf.set (Lds_pool.la dirty) 17 2.5;
+  Lds_pool.give dirty;
+  let held = ref [] in
+  let found = ref None in
+  for _ = 0 to fst (Lds_pool.idle ()) do
+    if !found = None then
+      match Lds_pool.take ~check:true slots with
+      | l ->
+        Alcotest.(check int) "prefix length" slots (Fbuf.length (Lds_pool.la l));
+        held := l :: !held
+      | exception Lds_pool.Not_poisoned e -> found := Some e
+  done;
+  List.iter Lds_pool.give !held;
+  match !found with
+  | None -> Alcotest.fail "a dirty idle buffer was handed out"
+  | Some e ->
+    Alcotest.(check int) "slot" 17 e.Lds_pool.np_slot;
+    Alcotest.(check (float 0.)) "value" 2.5 e.Lds_pool.np_value;
+    Alcotest.(check bool) "buffer at least as large" true
+      (e.Lds_pool.np_length >= slots);
+    Alcotest.(check bool) "message says what is wrong" true
+      (Astring.String.is_infix ~affix:"not NaN"
+         (Lds_pool.not_poisoned_to_string e));
+    let n, bytes = Lds_pool.idle () in
+    Alcotest.(check bool) "idle bytes within the cap" true
+      (n >= 0 && bytes <= Lds_pool.cap_bytes)
+
+let sor_case () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:10 in
+  let nest = Sor.nest p in
+  let plan = Plan.make ~m:Sor.mapping_dim nest (Sor.nonrect ~x:3 ~y:5 ~z:5) in
+  (nest.Nest.space, plan, Sor.kernel p)
+
+let sim_grid ?check ~walker ~plan ~kernel () =
+  Option.get
+    (Executor.run ?check ~walker ~mode:Executor.Full ~plan ~kernel ~net ())
+      .Executor.grid
+
+(* A rank that raises gives its buffer to no one, and the ranks that
+   completed reset theirs: the next runs, on either backend and every
+   fast walker, are bit-exact, and a check-mode run finds every reused
+   buffer all NaN. The raising kernel has no row body, so the fast
+   walker calls [compute] per point. *)
+let test_pool_after_raise () =
+  let space, plan, kernel = sor_case () in
+  let oracle = Seq_exec.run ~space ~kernel () in
+  let calls = Atomic.make 0 in
+  let raising =
+    {
+      kernel with
+      Kernel.compute =
+        (fun ~read ~j ~out ->
+          if Atomic.fetch_and_add calls 1 = 40 then raise Exit;
+          kernel.Kernel.compute ~read ~j ~out);
+      row = None;
+    }
+  in
+  List.iter
+    (fun backend ->
+      let run ?check ~walker kernel =
+        match backend with
+        | Sim_backend -> sim_grid ?check ~walker ~plan ~kernel ()
+        | Shm_backend -> (Shm.run ?check ~walker ~plan ~kernel ()).Shm.grid
+      in
+      Atomic.set calls 0;
+      (match run ~walker:Walker.Fastpath raising with
+      | _ -> Alcotest.fail "the kernel did not raise"
+      | exception Exit -> ());
+      List.iter
+        (fun walker ->
+          let name =
+            backend_name backend ^ " " ^ Walker.variant_to_string walker
+          in
+          Alcotest.(check (float 0.)) (name ^ " after a raise") 0.
+            (Grid.max_abs_diff (run ~walker kernel) oracle space);
+          Alcotest.(check (float 0.)) (name ^ " + check") 0.
+            (Grid.max_abs_diff (run ~check:true ~walker kernel) oracle space))
+        [ Walker.Fastpath; Walker.Native ])
+    [ Sim_backend; Shm_backend ]
+
+(* The pool is shared by every domain: two domains running one plan at
+   once, each taking and giving back buffers of the same sizes, stay
+   bit-exact, and a check-mode run afterwards finds every buffer reset. *)
+let test_pool_two_domains () =
+  let space, plan, kernel = sor_case () in
+  let oracle = Seq_exec.run ~space ~kernel () in
+  let worker walker () =
+    List.init 4 (fun _ ->
+        Grid.max_abs_diff (sim_grid ~walker ~plan ~kernel ()) oracle space)
+  in
+  let d1 = Domain.spawn (worker Walker.Fastpath)
+  and d2 = Domain.spawn (worker Walker.Native) in
+  let diffs = Domain.join d1 @ Domain.join d2 in
+  Alcotest.(check (list (float 0.))) "every concurrent run bit-exact"
+    (List.map (fun _ -> 0.) diffs) diffs;
+  Alcotest.(check (float 0.)) "check mode afterwards" 0.
+    (Grid.max_abs_diff
+       (sim_grid ~check:true ~walker:Walker.Fastpath ~plan ~kernel ())
+       oracle space)
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "tiles_walker"
@@ -725,4 +837,13 @@ let () =
             test_prepare_native_fallback ] );
       ( "mismatch",
         [ Alcotest.test_case "structured error" `Quick test_slab_mismatch ] );
+      ( "pool",
+        [
+          Alcotest.test_case "checking take finds a dirty buffer" `Quick
+            test_pool_scan;
+          Alcotest.test_case "a raising run leaves the next bit-exact" `Quick
+            test_pool_after_raise;
+          Alcotest.test_case "two domains at once" `Quick
+            test_pool_two_domains;
+        ] );
     ]
