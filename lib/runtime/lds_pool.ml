@@ -65,15 +65,14 @@ let take ~check slots =
 
 let give l =
   let b = bytes l.whole in
-  if b > 0 then
-    Mutex.protect lock (fun () ->
-        if !idle_total + b <= cap_bytes then begin
-          idle_by_length :=
-            Lengths.update (Fbuf.length l.whole)
-              (fun bufs -> Some (l.whole :: Option.value bufs ~default:[]))
-              !idle_by_length;
-          idle_total := !idle_total + b
-        end)
+  Mutex.protect lock (fun () ->
+      if !idle_total + b <= cap_bytes then begin
+        idle_by_length :=
+          Lengths.update (Fbuf.length l.whole)
+            (fun bufs -> Some (l.whole :: Option.value bufs ~default:[]))
+            !idle_by_length;
+        idle_total := !idle_total + b
+      end)
 
 let idle () =
   Mutex.protect lock (fun () ->
