@@ -6,10 +6,6 @@
 val int_table1 : string -> int array -> string
 val int_table2 : string -> int array array -> string
 
-val constraint_tables : string -> Tiles_poly.Constr.t list -> int -> string list
-(** [[prefix]NC] count define plus [[prefix]A]/[[prefix]B] coefficient and
-    constant tables for a constraint system over [n] variables. *)
-
 val core_tables :
   tiling:Tiles_core.Tiling.t ->
   kernel:Ckernel.t ->

@@ -1,33 +1,57 @@
 module Plan = Tiles_core.Plan
 module Tiling = Tiles_core.Tiling
-module Tile_space = Tiles_core.Tile_space
 module Mapping = Tiles_core.Mapping
 module Comm = Tiles_core.Comm
-module Polyhedron = Tiles_poly.Polyhedron
+module Count_table = Tiles_core.Count_table
 module Intmat = Tiles_linalg.Intmat
-module Vec = Tiles_util.Vec
 
-let direction_tables (plan : Plan.t) =
-  let comm = plan.Plan.comm in
-  let n = Tiling.dim plan.Plan.tiling in
-  let dirs = comm.Comm.dm in
-  let nd = List.length dirs in
-  let max_ds =
-    List.fold_left (fun acc (_, dss) -> max acc (List.length dss)) 1 dirs
-  in
-  let dmv = Array.make_matrix nd (max 1 (n - 1)) 0 in
-  let dirnds = Array.make nd 0 in
-  let dirds = Array.init nd (fun _ -> Array.make_matrix max_ds n 0) in
-  let slablo = Array.make nd [||] in
-  List.iteri
-    (fun d (dm, dss) ->
-      Array.blit dm 0 dmv.(d) 0 (n - 1);
-      (* d^S(d^m) comes in receive order, matching the channel order *)
-      dirnds.(d) <- List.length dss;
-      List.iteri (fun s dS -> Array.blit dS 0 dirds.(d).(s) 0 n) dss;
-      slablo.(d) <- Comm.slab_lo comm ~dm)
-    dirs;
-  (nd, max_ds, dmv, dirnds, dirds, slablo)
+(* C has no empty arrays: a table without rows or columns gets a zero
+   row or column that nothing reads *)
+let table2 name ~cols rows =
+  let cols = max 1 cols in
+  let pad r = if r = [||] then Array.make cols 0 else r in
+  Emit_common.int_table2 name
+    (if rows = [||] then [| Array.make cols 0 |] else Array.map pad rows)
+
+(* The plan's message schedule, printed from its count table. Rank r's
+   tile at chain position trel is entry FIRST[r] + trel; SEND[e][d] is
+   the cells it sends in direction d (-1: none) to rank SDST[r][d], and
+   its receives are RECV[RFIRST[e]] .. RECV[RFIRST[e + 1] - 1], in
+   channel order, each { source rank, tag (the source's t^S), direction,
+   d^S index, cells }. *)
+let schedule_tables (plan : Plan.t) ~nd =
+  let counts = Plan.counts plan in
+  let mapping = plan.Plan.mapping in
+  let np = Mapping.nprocs mapping in
+  let first = Array.make np 0 in
+  let ne = ref 0 and nrecv = ref 0 in
+  let sends = ref [] and rfirst = ref [ 0 ] and recvs = ref [] in
+  for rank = 0 to np - 1 do
+    first.(rank) <- !ne;
+    let lo, hi = Mapping.chain mapping rank in
+    for trel = 0 to hi - lo do
+      sends :=
+        Array.init nd (fun dir -> Count_table.slab counts ~rank ~trel ~dir)
+        :: !sends;
+      List.iter
+        (fun { Count_table.src; tag; dir; ds; cells } ->
+          recvs := [| src; tag; dir; ds; cells |] :: !recvs;
+          incr nrecv)
+        (Count_table.recvs counts ~rank ~trel);
+      rfirst := !nrecv :: !rfirst;
+      incr ne
+    done
+  done;
+  let rows l = Array.of_list (List.rev l) in
+  [
+    Emit_common.int_table1 "FIRST" first;
+    table2 "SEND" ~cols:nd (rows !sends);
+    table2 "SDST" ~cols:nd
+      (Array.init np (fun rank ->
+           Array.init nd (fun dir -> Count_table.dst counts ~rank ~dir)));
+    Emit_common.int_table1 "RFIRST" (rows !rfirst);
+    table2 "RECV" ~cols:5 (rows !recvs);
+  ]
 
 let generate ~plan ~kernel ~reads ?skew () =
   let tiling = plan.Plan.tiling in
@@ -37,46 +61,41 @@ let generate ~plan ~kernel ~reads ?skew () =
     invalid_arg "Mpigen.generate: reads count differs from kernel.nreads";
   let mapping = plan.Plan.mapping in
   let comm = plan.Plan.comm in
-  let m = comm.Comm.m in
   let np = Mapping.nprocs mapping in
-  let pids = Array.init np (fun r -> Mapping.pid_of_rank mapping r) in
   let chlo = Array.init np (fun r -> fst (Mapping.chain mapping r)) in
   let chhi = Array.init np (fun r -> snd (Mapping.chain mapping r)) in
-  let tsmin = Array.fold_left min max_int chlo in
-  let nd, max_ds, dmv, dirnds, dirds, slablo = direction_tables plan in
-  let flat_dirds =
-    (* 3-D table flattened to [ND][MAXDS][NDIM] initialiser *)
-    let row v = "{ " ^ String.concat ", " (Array.to_list (Array.map string_of_int v)) ^ " }" in
-    let block d =
-      "{ " ^ String.concat ", " (Array.to_list (Array.map row dirds.(d))) ^ " }"
-    in
-    Printf.sprintf "static const int DIRDS[%d][%d][%d] = { %s };" (max 1 nd)
-      max_ds n
-      (String.concat ", " (List.init nd block))
+  let dirs = comm.Comm.dm in
+  let nd = List.length dirs in
+  let max_ds =
+    List.fold_left (fun acc (_, dss) -> max acc (List.length dss)) 1 dirs
   in
-  let ts_tables =
-    Emit_common.constraint_tables "TS"
-      (Polyhedron.constraints plan.Plan.tspace.Tile_space.poly)
-      n
+  (* d^S(d^m) of direction d at rows d * MAXDS + s, in receive order:
+     a receive's d^S index is s *)
+  let dirds =
+    List.concat_map
+      (fun (_, dss) ->
+        List.init max_ds (fun s ->
+            Option.value (List.nth_opt dss s) ~default:[||]))
+      dirs
   in
   let tables =
     Emit_common.tables ~plan ~kernel ~skew ~reads
-    @ ts_tables
     @ [
-        Printf.sprintf "#define MDIM %d" m;
+        Printf.sprintf "#define MDIM %d" comm.Comm.m;
         Printf.sprintf "#define NP %d" np;
         Printf.sprintf "#define ND %d" nd;
-        Printf.sprintf "#define TSMIN %d" tsmin;
-        Emit_common.int_table2 "PIDS"
-          (Array.map (fun p -> if n = 1 then [| 0 |] else p) pids);
+        Printf.sprintf "#define MAXDS %d" max_ds;
+        Printf.sprintf "#define TSMIN %d" (Array.fold_left min max_int chlo);
+        Emit_common.int_table2 "PIDS" mapping.Mapping.pids;
         Emit_common.int_table1 "CHLO" chlo;
         Emit_common.int_table1 "CHHI" chhi;
-        Emit_common.int_table1 "CCV" comm.Comm.cc;
         Emit_common.int_table1 "OFF" comm.Comm.off;
-        Emit_common.int_table2 "DMV" dmv;
-        Emit_common.int_table1 "DIRNDS" dirnds;
-        flat_dirds;
+        table2 "DIRDS" ~cols:n (Array.of_list dirds);
+        table2 "SLABLO" ~cols:n
+          (Array.of_list
+             (List.map (fun (dm, _) -> Comm.slab_lo comm ~dm) dirs));
       ]
+    @ schedule_tables plan ~nd
   in
   let runtime =
     [
@@ -89,40 +108,6 @@ static double *LA;
 static void join_tile(const int *pid, int ts, int *s) {
   int k, kk = 0;
   for (k = 0; k < NDIM; k++) s[k] = (k == MDIM) ? ts : pid[kk++];
-}
-
-/* the paper's valid(): is (pid, ts) a candidate tile? */
-static int valid(const int *pid, int ts) {
-  int s[NDIM], c, k; long acc;
-  join_tile(pid, ts, s);
-  for (c = 0; c < TSNC; c++) {
-    acc = TSB[c];
-    for (k = 0; k < NDIM; k++) acc += (long)TSA[c][k] * s[k];
-    if (acc < 0) return 0;
-  }
-  return 1;
-}
-
-static int rank_of(const int *pid) {
-  int r, k, ok;
-  for (r = 0; r < NP; r++) {
-    ok = 1;
-    for (k = 0; k < NDIM - 1; k++)
-      if (PIDS[r][k] != pid[k]) { ok = 0; break; }
-    if (ok) return r;
-  }
-  return -1;
-}
-
-/* lexicographically minimum valid successor of (pid_pred, pred_ts) in
-   direction d; successors share the pid, so this is the least ts */
-static int minsucc_ts(const int *succ_pid, int pred_ts, int d) {
-  int s, best = 1 << 30;
-  for (s = 0; s < DIRNDS[d]; s++) {
-    int ts = pred_ts + DIRDS[d][s][MDIM];
-    if (valid(succ_pid, ts) && ts < best) best = ts;
-  }
-  return best;
 }|};
       {|/* LDS addressing (Tables 1-2): condensed coordinates + halo offsets */
 static void lds_coords(const int *jp, int trel, int *q) {
@@ -146,6 +131,7 @@ static long lds_shift(const int *ds) {
       {|/* visitor-driven sweep of one tile's TTIS slab [lo, V), clipped to J^n */
 typedef struct {
   double *buf;       /* pack/unpack staging */
+  long cap;          /* cells buf holds: a longer walk only counts */
   long cnt;
   int trel;
   const int *tile;
@@ -194,20 +180,19 @@ static void sweep(const int *lo, visit_fn fn, vctx *cx) {
   slab_rec(0, jp, lo, fn, cx);
 }
 
-static void v_count(const int *jp, const int *j, long cell, vctx *cx) {
-  (void)jp; (void)j; (void)cell; cx->cnt++;
-}
 static void v_pack(const int *jp, const int *j, long cell, vctx *cx) {
   int f;
   (void)jp; (void)j;
-  for (f = 0; f < W; f++) cx->buf[cx->cnt * W + f] = LA[cell * W + f];
+  if (cx->cnt < cx->cap)
+    for (f = 0; f < W; f++) cx->buf[cx->cnt * W + f] = LA[cell * W + f];
   cx->cnt++;
 }
 static void v_unpack(const int *jp, const int *j, long cell, vctx *cx) {
   int f;
   (void)jp; (void)j;
-  for (f = 0; f < W; f++)
-    LA[(cell - cx->dshift) * W + f] = cx->buf[cx->cnt * W + f];
+  if (cx->cnt < cx->cap)
+    for (f = 0; f < W; f++)
+      LA[(cell - cx->dshift) * W + f] = cx->buf[cx->cnt * W + f];
   cx->cnt++;
 }
 static void v_sum(const int *jp, const int *j, long cell, vctx *cx) {
@@ -215,6 +200,28 @@ static void v_sum(const int *jp, const int *j, long cell, vctx *cx) {
   (void)jp; (void)j;
   for (f = 0; f < W; f++) cx->sum += LA[cell * W + f];
   cx->cnt++;
+}
+
+/* pack (v_pack) or unpack (v_unpack) one slab of direction d through
+   buf, which holds the schedule's cells. A walk of any other length is
+   the C form of the OCaml protocol's Slab_mismatch. */
+static void move_slab(visit_fn fn, int d, double *buf, int cells,
+                      const int *tile, int trel, long dshift, int rank,
+                      int ts) {
+  vctx cx;
+  memset(&cx, 0, sizeof cx);
+  cx.buf = buf;
+  cx.cap = cells;
+  cx.tile = tile;
+  cx.trel = trel;
+  cx.dshift = dshift;
+  sweep(SLABLO[d], fn, &cx);
+  if (cx.cnt == cells) return;
+  fprintf(stderr,
+          "rank %d %s cell count mismatch for direction %d at tile t^S=%d: "
+          "expected %d cells, walked %ld\n",
+          rank, fn == v_pack ? "pack" : "unpack", d, ts, cells, cx.cnt);
+  MPI_Abort(MPI_COMM_WORLD, 1);
 }|};
       {|/* LDS read for the loop body: halo-aware via the per-row constant tap
    offsets, boundary-aware via the space test on the source point */
@@ -247,12 +254,12 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
   in
   let main =
     {|int main(int argc, char **argv) {
-  int rank, nprocs, k, ts, d, s;
+  int rank, nprocs, k, ts, d, i;
   const int *pid;
   int chlo, chhi, ntiles;
-  long tot, npoints = 0;
+  long tot, npoints = 0, nsent = 0;
   int zero_lo[NDIM] = { 0 };
-  double local[2], global[2];
+  double local[3], global[3];
 
   MPI_Init(&argc, &argv);
   MPI_Comm_rank(MPI_COMM_WORLD, &rank);
@@ -276,35 +283,21 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
   LA = (double *)calloc((size_t)tot * W, sizeof(double));
 
   for (ts = chlo; ts <= chhi; ts++) {
-    int trel = ts - chlo;
+    int trel = ts - chlo, e = FIRST[rank] + trel;
     int tile[NDIM];
     join_tile(pid, ts, tile);
 
     /* ---------------- RECEIVE ---------------- */
-    for (d = 0; d < ND; d++) {
-      int ppid[NDIM > 1 ? NDIM - 1 : 1];
-      for (k = 0; k < NDIM - 1; k++) ppid[k] = pid[k] - DMV[d][k];
-      for (s = 0; s < DIRNDS[d]; s++) {
-        int pred_ts = ts - DIRDS[d][s][MDIM];
-        if (valid(ppid, pred_ts) && minsucc_ts(pid, pred_ts, d) == ts) {
-          int ptile[NDIM];
-          vctx cx;
-          double *buf;
-          join_tile(ppid, pred_ts, ptile);
-          memset(&cx, 0, sizeof cx);
-          cx.tile = ptile;
-          sweep(SLABLO[d], v_count, &cx);
-          buf = (double *)malloc((size_t)(cx.cnt * W + 1) * sizeof(double));
-          MPI_Recv(buf, (int)(cx.cnt * W), MPI_DOUBLE, rank_of(ppid),
-                   pred_ts - TSMIN, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
-          cx.buf = buf;
-          cx.cnt = 0;
-          cx.trel = trel;
-          cx.dshift = lds_shift(DIRDS[d][s]);
-          sweep(SLABLO[d], v_unpack, &cx);
-          free(buf);
-        }
-      }
+    for (i = RFIRST[e]; i < RFIRST[e + 1]; i++) {
+      const int *rv = RECV[i]; /* source, tag, direction, d^S, cells */
+      int ptile[NDIM];
+      double *buf = (double *)malloc((size_t)(rv[4] * W + 1) * sizeof(double));
+      MPI_Recv(buf, rv[4] * W, MPI_DOUBLE, rv[0], rv[1] - TSMIN,
+               MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+      join_tile(PIDS[rv[0]], rv[1], ptile);
+      move_slab(v_unpack, rv[2], buf, rv[4], ptile, trel,
+                lds_shift(DIRDS[rv[2] * MAXDS + rv[3]]), rank, ts);
+      free(buf);
     }
 
     /* ---------------- COMPUTE ---------------- */
@@ -320,25 +313,15 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
 
     /* ---------------- SEND ---------------- */
     for (d = 0; d < ND; d++) {
-      int spid[NDIM > 1 ? NDIM - 1 : 1], succ = 0;
-      for (k = 0; k < NDIM - 1; k++) spid[k] = pid[k] + DMV[d][k];
-      for (s = 0; s < DIRNDS[d]; s++)
-        if (valid(spid, ts + DIRDS[d][s][MDIM])) succ = 1;
-      if (succ) {
-        vctx cx;
-        double *buf;
-        memset(&cx, 0, sizeof cx);
-        cx.tile = tile;
-        cx.trel = trel;
-        sweep(SLABLO[d], v_count, &cx);
-        buf = (double *)malloc((size_t)(cx.cnt * W + 1) * sizeof(double));
-        cx.buf = buf;
-        cx.cnt = 0;
-        sweep(SLABLO[d], v_pack, &cx);
-        MPI_Send(buf, (int)(cx.cnt * W), MPI_DOUBLE, rank_of(spid),
-                 ts - TSMIN, MPI_COMM_WORLD);
-        free(buf);
-      }
+      int cells = SEND[e][d];
+      double *buf;
+      if (cells < 0) continue;
+      buf = (double *)malloc((size_t)(cells * W + 1) * sizeof(double));
+      move_slab(v_pack, d, buf, cells, tile, trel, 0, rank, ts);
+      MPI_Send(buf, cells * W, MPI_DOUBLE, SDST[rank][d], ts - TSMIN,
+               MPI_COMM_WORLD);
+      nsent++;
+      free(buf);
     }
   }
 
@@ -357,9 +340,11 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
     }
     local[0] = lsum;
     local[1] = (double)npoints;
-    MPI_Reduce(local, global, 2, MPI_DOUBLE, MPI_SUM, 0, MPI_COMM_WORLD);
+    local[2] = (double)nsent;
+    MPI_Reduce(local, global, 3, MPI_DOUBLE, MPI_SUM, 0, MPI_COMM_WORLD);
     if (rank == 0) {
       printf("points %ld\n", (long)global[1]);
+      printf("messages %ld\n", (long)global[2]);
       printf("checksum %.10e\n", global[0]);
     }
   }
@@ -377,7 +362,6 @@ static double rd_mpi(const vctx *cx, const int *j, long cell, int r, int f) {
        "#include <math.h>"; "#include \"mpi.h\""; "" ]
     @ [ C_ast.helpers; "" ]
     @ tables
-    @ [ Emit_common.int_table2 "SLABLO" slablo ]
     @ runtime @ compute_visitor
     @ [ ""; main ]);
   Buffer.contents buf

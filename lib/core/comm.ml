@@ -106,18 +106,6 @@ let slab_lo t ~dm =
         let kk = if k < t.m then k else k - 1 in
         dm.(kk) * t.cc.(k))
 
-let minsucc_ds t dm =
-  match List.assoc_opt dm t.dm with
-  | None -> invalid_arg "Comm.minsucc_ds: unknown processor direction"
-  | Some [] -> assert false
-  | Some (first :: rest) ->
-    (* the successor tiles s + d^S share every coordinate except m, so the
-       lexicographically smallest successor comes from the smallest
-       m-component *)
-    List.fold_left
-      (fun best d -> if d.(t.m) < best.(t.m) then d else best)
-      first rest
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>comm (m=%d)@ D' = {%s}@ CC = %a@ off = %a@ D^S = {%s}@ D^m = {%s}@]"

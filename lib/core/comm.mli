@@ -38,9 +38,4 @@ val slab_lo : t -> dm:Tiles_util.Vec.t -> int array
 (** Lower TTIS bounds of the pack/unpack slab for processor direction
     [dm]: [dm_k·cc_k] in the non-mapping dimensions, 0 along [m]. *)
 
-val minsucc_ds : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
-(** Among the tile dependencies generating processor direction [d^m], the
-    one reaching the lexicographically minimum successor tile — used by
-    the receive-side pairing rule. *)
-
 val pp : Format.formatter -> t -> unit

@@ -60,34 +60,6 @@ type shared = {
   fallback : string option;
 }
 
-type direction = {
-  dm : Vec.t;
-  dss : Vec.t list;  (* descending d^S_m, so receives match channel order *)
-  slab_lo : int array;
-}
-
-let build_directions (plan : Plan.t) =
-  let comm = plan.Plan.comm in
-  List.map
-    (fun (dm, dss) -> { dm; dss; slab_lo = Comm.slab_lo comm ~dm })
-    (comm.Comm.dm : (Vec.t * Vec.t list) list)
-
-(* minsucc: successors of a predecessor tile in one processor direction
-   share its pid, so the lexicographically minimum valid successor has
-   the smallest valid ts. *)
-let minsucc_ts mapping ~pid ~pred_ts dss =
-  let m = mapping.Mapping.m in
-  let cands =
-    List.filter_map
-      (fun dS ->
-        let ts = pred_ts + dS.(m) in
-        if Mapping.valid mapping ~pid ~ts then Some ts else None)
-      dss
-  in
-  match cands with
-  | [] -> None
-  | first :: rest -> Some (List.fold_left min first rest)
-
 let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     ~flop_time ~pack_time () =
   let n = Tiling.dim plan.Plan.tiling in
@@ -132,12 +104,10 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
 
 let rank_program ?(overlap = false) shared comms rank =
   let plan = shared.plan and kernel = shared.kernel in
-  let comm = plan.Plan.comm in
-  let mapping = plan.Plan.mapping in
+  let mapping = plan.Plan.mapping and counts = shared.counts in
+  let dms = plan.Plan.comm.Comm.dm in
   let n = plan.Plan.tiling.Tiling.n in
-  let m = comm.Comm.m in
   let width = kernel.Kernel.width in
-  let directions = build_directions plan in
   let pid = Mapping.pid_of_rank mapping rank in
   let tlo, thi = Mapping.chain mapping rank in
   let ntiles = thi - tlo + 1 in
@@ -160,47 +130,28 @@ let rank_program ?(overlap = false) shared comms rank =
     match lease with Some l -> Lds_pool.la l | None -> Fbuf.create 0
   in
   let tile_buf = Array.make n 0 in
-  let rank_of pid =
-    match Mapping.rank_of_pid mapping pid with
-    | Some r -> r
-    | None -> failwith "Protocol: neighbour pid has no rank"
-  in
   for ts = tlo to thi do
     let trel = ts - tlo in
     let tile = Mapping.join mapping ~pid ~ts in
     Array.blit tile 0 tile_buf 0 n;
     (* ---------------- RECEIVE ---------------- *)
-    (* the channels this tile must receive on (minsucc pairing), in
-       deterministic channel order shared by both schedules *)
-    let expected =
-      List.concat_map
-        (fun dir ->
-          let pred_pid = Vec.sub pid dir.dm in
-          List.filter_map
-            (fun dS ->
-              let pred_ts = ts - dS.(m) in
-              if
-                Mapping.valid mapping ~pid:pred_pid ~ts:pred_ts
-                && minsucc_ts mapping ~pid ~pred_ts dir.dss = Some ts
-              then Some (dir, dS, pred_pid, pred_ts)
-              else None)
-            dir.dss)
-        directions
-    in
-    let recv_one (_, _, pred_pid, pred_ts) =
-      comms.recv ~src:(rank_of pred_pid) ~tag:pred_ts
-    in
-    let unpack_one (dir, dS, pred_pid, pred_ts) payload =
+    (* the table's receives (minsucc pairing), in channel order *)
+    let expected = Count_table.recvs counts ~rank ~trel in
+    let recv_one (rv : Count_table.recv) = comms.recv ~src:rv.src ~tag:rv.tag in
+    let unpack_one (rv : Count_table.recv) payload =
       let len = payload_length payload in
       (match (walker, payload) with
       | None, _ -> ()
       | Some _, Length _ ->
         failwith "Protocol: length-only message received in Full mode"
       | Some w, Data buf ->
-        let pred_tile = Mapping.join mapping ~pid:pred_pid ~ts:pred_ts in
+        let pred_tile =
+          Mapping.join mapping ~pid:mapping.Mapping.pids.(rv.src) ~ts:rv.tag
+        in
         let count =
-          Walker.unpack_slab w ~trel ~pred_tile ~ds:dS ~lo:dir.slab_lo ~la
-            ~buf
+          Walker.unpack_slab w ~trel ~pred_tile
+            ~ds:(Count_table.ds counts ~dir:rv.dir ~ds:rv.ds)
+            ~lo:(Count_table.slab_lo counts ~dir:rv.dir) ~la ~buf
         in
         if count * width <> len then
           raise
@@ -208,7 +159,7 @@ let rank_program ?(overlap = false) shared comms rank =
                {
                  mm_rank = rank;
                  mm_stage = `Unpack;
-                 mm_dm = dir.dm;
+                 mm_dm = fst (List.nth dms rv.dir);
                  mm_ts = ts;
                  mm_expected = len / width;
                  mm_actual = count;
@@ -228,7 +179,7 @@ let rank_program ?(overlap = false) shared comms rank =
     (* ---------------- COMPUTE ---------------- *)
     let points =
       match walker with
-      | None -> Count_table.points shared.counts ~rank ~trel
+      | None -> Count_table.points counts ~rank ~trel
       | Some w -> Walker.compute_tile w ~trel ~tile:tile_buf ~la
     in
     comms.compute (float_of_int points *. shared.flop_time);
@@ -236,8 +187,8 @@ let rank_program ?(overlap = false) shared comms rank =
     shared.tiles_per_rank.(rank) <- shared.tiles_per_rank.(rank) + 1;
     (* ---------------- SEND ---------------- *)
     List.iteri
-      (fun d dir ->
-        let cells = Count_table.slab shared.counts ~rank ~trel ~dir:d in
+      (fun d (dm, _) ->
+        let cells = Count_table.slab counts ~rank ~trel ~dir:d in
         if cells >= 0 then begin
           let payload =
             match walker with
@@ -246,8 +197,8 @@ let rank_program ?(overlap = false) shared comms rank =
               (* pack writes every slot; a short pack raises below *)
               let buf = Fbuf.create (cells * width) in
               let count =
-                Walker.pack_slab w ~trel ~tile:tile_buf ~lo:dir.slab_lo ~la
-                  ~buf
+                Walker.pack_slab w ~trel ~tile:tile_buf
+                  ~lo:(Count_table.slab_lo counts ~dir:d) ~la ~buf
               in
               if count <> cells then
                 raise
@@ -255,7 +206,7 @@ let rank_program ?(overlap = false) shared comms rank =
                      {
                        mm_rank = rank;
                        mm_stage = `Pack;
-                       mm_dm = dir.dm;
+                       mm_dm = dm;
                        mm_ts = ts;
                        mm_expected = cells;
                        mm_actual = count;
@@ -263,9 +214,9 @@ let rank_program ?(overlap = false) shared comms rank =
               Data buf
           in
           comms.pack (float_of_int (cells * width) *. shared.pack_time);
-          comms.send ~dst:(rank_of (Vec.add pid dir.dm)) ~tag:ts payload
+          comms.send ~dst:(Count_table.dst counts ~rank ~dir:d) ~tag:ts payload
         end)
-      directions
+      dms
   done;
   (* ---------------- write-back (LDS -> DS) ---------------- *)
   (match (shared.grid, walker) with

@@ -1,9 +1,11 @@
 (** The per-rank §3.2 execution protocol, factored out of any particular
-    transport: RECEIVE (minsucc pairing, halo unpack) → compute the tile's
-    clipped TTIS → SEND (aggregated clipped slabs). Both the
-    discrete-event simulator backend ({!Executor}) and the real
-    shared-memory backend ({!Shm_executor}) drive this same code, so the
-    protocol logic is verified once and executed everywhere. *)
+    transport: RECEIVE (halo unpack) → compute the tile's clipped TTIS →
+    SEND (aggregated clipped slabs). Every rank iterates the plan's
+    {!Tiles_core.Count_table}, the one message schedule that the
+    generated MPI program prints too. Both the discrete-event simulator
+    backend ({!Executor}) and the real shared-memory backend
+    ({!Shm_executor}) drive this same code, so the protocol logic is
+    verified once and executed everywhere. *)
 
 (** A message: the packed slab in [Full] mode, its length alone in
     [Timing] mode (which moves no data). *)
@@ -69,8 +71,9 @@ type shared = {
   pack_time : float;
   grid : Grid.t option;  (** shared result mirror (disjoint writes) *)
   counts : Tiles_core.Count_table.t;
-      (** the plan's counts: [Timing] mode's tile points and every
-          mode's message sizes *)
+      (** the plan's counts and schedule: [Timing] mode's tile points,
+          and every mode's receives, send destinations and message
+          sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
   native : Native_kernel.fn option;
@@ -110,12 +113,12 @@ val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
     done; a rank that raises gives nothing back.
 
     With [~overlap:true] the rank runs the paper's §5 overlapped
-    schedule: every receive a tile expects (per the minsucc pairing) is
+    schedule: every receive the count table lists for a tile is
     pre-posted before any slab is scattered into the LDS, and outgoing
     slabs are packed and handed to [comms.send] immediately after the
     tile's computation — a backend whose [send] is asynchronous (the
     simulator's [isend]) then overlaps the transfer with the next tile's
     computation; the shared-memory backend's mailbox enqueue never
-    blocks in either schedule. The message set, tags and per-channel
-    order are identical in both schedules, so counters agree exactly
-    with the blocking run. *)
+    blocks in either schedule. Both schedules read the same table, so the
+    message set, tags and per-channel order are identical and counters
+    agree exactly with the blocking run. *)

@@ -85,8 +85,11 @@ let compile_and_run ?(nprocs = 1) ~mpi name src =
   close_out oc;
   let compile =
     if mpi then
+      (* warnings are errors: no helper the schedule tables made dead
+         stays behind *)
       let stub = Lazy.force stub_dir in
-      Printf.sprintf "gcc -O1 -std=c99 -I %s %s %s -lm -o %s 2>&1"
+      Printf.sprintf
+        "gcc -O1 -std=c99 -Wall -Wextra -Werror -I %s %s %s -lm -o %s 2>&1"
         (Filename.quote stub) (Filename.quote cfile)
         (Filename.quote (Filename.concat stub "mpi_stub.c"))
         (Filename.quote exe)
@@ -163,6 +166,14 @@ let test_seqgen_triband () =
 
 (* ---------- generated MPI code vs OCaml oracle ---------- *)
 
+(* the [messages N] line of an MPI program: its MPI_Send count *)
+let parse_messages out =
+  List.fold_left
+    (fun acc line ->
+      try Scanf.sscanf line "messages %d" (fun k -> Some k) with _ -> acc)
+    None
+    (String.split_on_char '\n' out)
+
 let check_mpi ?m ~name ~nest ~kernel ~tiling () =
   let plan = Plan.make ?m nest tiling in
   let src =
@@ -176,6 +187,9 @@ let check_mpi ?m ~name ~nest ~kernel ~tiling () =
   let points, checksum = parse_output out in
   let space = nest.Nest.space in
   Alcotest.(check int) (name ^ " points") (Polyhedron.count_points space) points;
+  Alcotest.(check (option int)) (name ^ " messages")
+    (Some (fst (Plan.comm_stats plan)))
+    (parse_messages out);
   let oracle = Grid.checksum (Seq_exec.run ~space ~kernel ()) space in
   if not (rel_close checksum oracle) then
     Alcotest.failf "%s checksum %.12e vs oracle %.12e (procs=%d)" name checksum
@@ -340,16 +354,22 @@ let test_mpigen_structure () =
   let p = Adi.make ~t_steps:4 ~size:6 in
   let plan = Plan.make ~m:0 (Adi.nest p) (Adi.nr3 ~x:2 ~y:3 ~z:3) in
   let src = Mpigen.generate ~plan ~kernel:Adi.ckernel ~reads:Adi.creads () in
+  let has needle = Astring.String.is_infix ~affix:needle src in
   List.iter
     (fun needle ->
-      Alcotest.(check bool)
-        (Printf.sprintf "contains %s" needle)
-        true
-        (Astring.String.is_infix ~affix:needle src))
+      Alcotest.(check bool) (Printf.sprintf "contains %s" needle) true
+        (has needle))
     [
       "MPI_Init"; "MPI_Recv"; "MPI_Send"; "MPI_Reduce"; "MPI_Finalize";
-      "minsucc_ts"; "valid("; "lds_coords"; "ttis_start";
-    ]
+      "MPI_Abort"; "RFIRST["; "RECV["; "SEND["; "SDST["; "move_slab(";
+      "lds_coords"; "ttis_start";
+    ];
+  (* the schedule is printed, not derived again in C *)
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) (Printf.sprintf "lacks %s" needle) false
+        (has needle))
+    [ "minsucc_ts"; "valid("; "rank_of"; "v_count" ]
 
 let () =
   Alcotest.run "tiles_codegen"

@@ -379,19 +379,6 @@ let test_comm_dm_projection () =
         dss)
     comm.Comm.dm
 
-let test_comm_minsucc () =
-  let tiling = sor_nr 3 3 3 in
-  let comm = Comm.make tiling skewed_sor_deps ~m:2 in
-  List.iter
-    (fun (dm, dss) ->
-      let ms = Comm.minsucc_ds comm dm in
-      List.iter
-        (fun ds ->
-          Alcotest.(check bool) "minsucc minimal along m" true
-            (ms.(comm.Comm.m) <= ds.(comm.Comm.m)))
-        dss)
-    comm.Comm.dm
-
 (* ------------------------------------------------------------------ *)
 (* LDS: map / map_inv                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -635,7 +622,6 @@ let () =
           Alcotest.test_case "sor vectors" `Quick test_comm_sor;
           Alcotest.test_case "tile too small" `Quick test_comm_tile_too_small;
           Alcotest.test_case "dm projection" `Quick test_comm_dm_projection;
-          Alcotest.test_case "minsucc" `Quick test_comm_minsucc;
         ] );
       ( "lds",
         [

@@ -400,6 +400,135 @@ let prop_count_table n =
                [ full; timing ])
       | _ -> QCheck.assume_fail ())
 
+(* The receive pairing as the protocol derived it per tile, on every
+   run, before the count table held the schedule: per (direction, d^S),
+   the predecessor tile, if valid, sends here when this tile is its
+   minsucc, the valid successor with the least t^S. The oracle of the
+   schedule law. *)
+let derived_recvs (plan : Plan.t) ~rank ~ts =
+  let module Mapping = Tiles_core.Mapping in
+  let module Comm = Tiles_core.Comm in
+  let mapping = plan.Plan.mapping and comm = plan.Plan.comm in
+  let m = comm.Comm.m in
+  let pid = Mapping.pid_of_rank mapping rank in
+  let minsucc_ts ~pred_ts dss =
+    List.fold_left
+      (fun acc dS ->
+        let ts = pred_ts + dS.(m) in
+        if Mapping.valid mapping ~pid ~ts then
+          match acc with Some b when b <= ts -> acc | _ -> Some ts
+        else acc)
+      None dss
+  in
+  List.concat
+    (List.mapi
+       (fun dir (dm, dss) ->
+         let pred_pid = Vec.sub pid dm in
+         List.concat
+           (List.mapi
+              (fun ds dS ->
+                let pred_ts = ts - dS.(m) in
+                if
+                  Mapping.valid mapping ~pid:pred_pid ~ts:pred_ts
+                  && minsucc_ts ~pred_ts dss = Some ts
+                then [ (pred_pid, pred_ts, dir, ds) ]
+                else [])
+              dss))
+       comm.Comm.dm)
+
+(* the count table's schedule against the per-tile derivation, every
+   send against exactly one receive, and each (sender, receiver)
+   channel's receive order against its send order *)
+let prop_schedule n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "schedule = per-tile derivation (n=%d)" n)
+    ~count:(if n = 2 then 60 else 15)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let nest = Nest.make ~name:"rand" ~space ~deps in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let module Mapping = Tiles_core.Mapping in
+          let module Comm = Tiles_core.Comm in
+          let module Count_table = Tiles_core.Count_table in
+          let mapping = plan.Plan.mapping and comm = plan.Plan.comm in
+          let table = Plan.counts plan in
+          let slab_cells tile ~dm =
+            let k = ref 0 in
+            Tile_space.iter_slab_points plan.Plan.tspace ~tile
+              ~lo:(Comm.slab_lo comm ~dm) (fun ~local:_ ~global:_ -> incr k);
+            !k
+          in
+          let dms = Array.of_list (List.map fst comm.Comm.dm) in
+          let ok = ref true in
+          let sends = ref [] and recvs = ref [] in
+          (* (src, dst) -> tags, in send and in receive order *)
+          let sent = Hashtbl.create 64 and received = Hashtbl.create 64 in
+          let push tbl key tag =
+            Hashtbl.replace tbl key
+              (tag :: Option.value ~default:[] (Hashtbl.find_opt tbl key))
+          in
+          for rank = 0 to Mapping.nprocs mapping - 1 do
+            let lo, hi = Mapping.chain mapping rank in
+            for ts = lo to hi do
+              let trel = ts - lo in
+              let got = Count_table.recvs table ~rank ~trel in
+              List.iter
+                (fun (rv : Count_table.recv) ->
+                  recvs := (rv.src, rank, rv.tag, rv.cells) :: !recvs;
+                  push received (rv.src, rank) rv.tag)
+                got;
+              let expected =
+                List.map
+                  (fun (pred_pid, pred_ts, dir, ds) ->
+                    let pred_tile =
+                      Mapping.join mapping ~pid:pred_pid ~ts:pred_ts
+                    in
+                    {
+                      Count_table.src =
+                        Option.get (Mapping.rank_of_pid mapping pred_pid);
+                      tag = pred_ts;
+                      dir;
+                      ds;
+                      cells = slab_cells pred_tile ~dm:dms.(dir);
+                    })
+                  (derived_recvs plan ~rank ~ts)
+              in
+              if got <> expected then ok := false;
+              Array.iteri
+                (fun dir dm ->
+                  let cells = Count_table.slab table ~rank ~trel ~dir in
+                  if cells >= 0 then begin
+                    let dst = Count_table.dst table ~rank ~dir in
+                    if
+                      Some dst
+                      <> Mapping.rank_of_pid mapping
+                           (Vec.add (Mapping.pid_of_rank mapping rank) dm)
+                    then ok := false;
+                    sends := (rank, dst, ts, cells) :: !sends;
+                    push sent (rank, dst) ts
+                  end)
+                dms
+            done
+          done;
+          let same_channels =
+            Hashtbl.length sent = Hashtbl.length received
+            && Hashtbl.fold
+                 (fun key tags acc ->
+                   acc && Hashtbl.find_opt received key = Some tags)
+                 sent true
+          in
+          !ok
+          && List.sort compare !sends = List.sort compare !recvs
+          && List.length !recvs = Count_table.messages table
+          && same_channels)
+      | _ -> QCheck.assume_fail ())
+
 (* ---------- boundary fills: per-tap spans = membership ---------- *)
 
 (* a width-1 kernel reading along each dependence, with a row body (the
@@ -663,6 +792,7 @@ let () =
         [
           q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3);
           q (prop_count_table 2); q (prop_count_table 3);
+          q (prop_schedule 2); q (prop_schedule 3);
           q (prop_tile_deps 2); q (prop_tile_deps 3);
         ] );
       ( "boundary",
