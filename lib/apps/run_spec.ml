@@ -135,7 +135,6 @@ type result = {
   bytes : int;
   points : int;
   tiles : int;
-  grid : Tiles_runtime.Grid.t option;
   max_abs_err : float option;
   walker_fallback : string option;
 }
@@ -175,10 +174,7 @@ let run ?(mode = Full) ?check ?(keep = Counters) t ~plan ~kernel =
     let space = plan.Tiles_core.Plan.nest.Tiles_loop.Nest.space in
     let max_abs_err =
       Option.map
-        (fun g ->
-          Tiles_runtime.Grid.max_abs_diff g
-            (Tiles_runtime.Seq_exec.run ~space ~kernel ())
-            space)
+        (Tiles_runtime.Seq_exec.max_abs_err ~space ~kernel)
         r.Executor.grid
     in
     let stats, spans, edges, longest_waits =
@@ -195,7 +191,6 @@ let run ?(mode = Full) ?check ?(keep = Counters) t ~plan ~kernel =
       bytes = st.Sim.bytes;
       points = r.Executor.points_computed;
       tiles = r.Executor.tiles_executed;
-      grid = r.Executor.grid;
       max_abs_err;
       walker_fallback = r.Executor.walker_fallback;
     }
@@ -218,7 +213,6 @@ let run ?(mode = Full) ?check ?(keep = Counters) t ~plan ~kernel =
       bytes = r.Shm_executor.bytes;
       points = r.Shm_executor.points_computed;
       tiles = r.Shm_executor.tiles_executed;
-      grid = Some r.Shm_executor.grid;
       max_abs_err = Some r.Shm_executor.max_abs_err;
       walker_fallback = r.Shm_executor.walker_fallback;
     }

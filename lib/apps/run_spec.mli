@@ -92,10 +92,11 @@ type result = {
   bytes : int;
   points : int;  (** iterations executed across ranks *)
   tiles : int;
-  grid : Tiles_runtime.Grid.t option;  (** [Some] on every Full run *)
   max_abs_err : float option;
       (** [Some] on every Full run: the largest difference from the
-          sequential oracle over the iteration space *)
+          sequential oracle over the iteration space, exact on every run
+          (on sim, [0.] from a digest match or the oracle's own
+          difference; see {!run}). The run's output grid is not kept. *)
   walker_fallback : string option;
       (** why a [native] walker ran the OCaml fast path, as the walkers
           that ran reported it; [None] when none ran (sim [Timing]) *)
@@ -111,8 +112,13 @@ val run :
   result
 (** Run [plan] on the spec's backend with its overlap, network model and
     walker. [mode] (default [Full]) applies to the simulator only; shm
-    always runs Full. A Full sim run is checked by one
-    {!Tiles_runtime.Seq_exec} run; shm forwards its executor's own check.
+    always runs Full. A Full sim run is checked by
+    {!Tiles_runtime.Seq_exec.max_abs_err}: the oracle runs once per
+    problem, and a later run whose grid digest equals the oracle's
+    reports [0.] without rerunning it (any other run reruns it and
+    reports its exact difference). Shm forwards its executor's own check,
+    which always runs the oracle, because its speedup divides by the
+    oracle's wall time.
     [check] is passed to {!Tiles_runtime.Executor.run} or
     {!Tiles_runtime.Shm_executor.run}.
 

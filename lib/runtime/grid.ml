@@ -101,6 +101,39 @@ let max_abs_diff a b space =
       done);
   !worst
 
+(* splitmix64's finalizer: a bijection on 64-bit words *)
+let[@inline] mix z =
+  let open Int64 in
+  let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+  let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+  logxor z (shift_right_logical z 31)
+
+let golden = 0x9e3779b97f4a7c15L
+
+(* slot [s] of a row starting at point [j] is field [s mod width] of
+   point [j + (s / width)·e_n], so its key [lead + (j_n·width + s)·golden]
+   steps by [golden] along the row; each term is a bijection of the
+   slot's bits for a fixed key *)
+let digest t space =
+  let n = Array.length t.lo in
+  let sum = ref 0L in
+  Polyhedron.iter_rows space (fun j len ->
+      let i0 = row_index t j len in
+      let lead = ref 0L in
+      for k = 0 to n - 2 do
+        lead := mix (Int64.add !lead (Int64.of_int j.(k)))
+      done;
+      let first = Int64.of_int (j.(n - 1) * t.width) in
+      let key = ref (Int64.add !lead (Int64.mul first golden)) in
+      let acc = ref 0L in
+      for i = i0 to i0 + (len * t.width) - 1 do
+        let bits = Int64.bits_of_float (A1.unsafe_get t.data i) in
+        acc := Int64.add !acc (mix (Int64.logxor bits !key));
+        key := Int64.add !key golden
+      done;
+      sum := Int64.add !sum !acc);
+  !sum
+
 (* Neumaier compensated summation: the running error term absorbs the
    low-order bits ordinary left-to-right addition drops, so the result is
    faithful to the exact sum well past double rounding noise and — the

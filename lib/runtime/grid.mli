@@ -57,6 +57,19 @@ val max_abs_diff : t -> t -> Tiles_poly.Polyhedron.t -> float
     The grids may have different boxes (each must contain the space);
     the space is walked row by row, one bounds check per row end. *)
 
+val digest : t -> Tiles_poly.Polyhedron.t -> int64
+(** A 64-bit fingerprint of the values over the points of the space (all
+    fields): the wrapping sum, over in-space points [j] and fields [f],
+    of [mix (Int64.logxor (Int64.bits_of_float v) (key j f))], where
+    [mix] is splitmix64's finalizer (a bijection), [key j f = lead j +
+    (j_n · width + f) · 0x9e3779b97f4a7c15] and [lead j] folds the
+    leading coordinates [j_1 .. j_(n-1)] as [lead := mix (lead + j_k)]
+    from [0]. It reads all 64 bits of every slot, so changing any one
+    in-space slot (a sign bit, a NaN payload) changes the digest; slots
+    outside the space do not count, and grids with different boxes but
+    the same in-space bits have equal digests. The space is walked row by
+    row, as {!max_abs_diff} walks it. *)
+
 val checksum : t -> Tiles_poly.Polyhedron.t -> float
 (** Sum of all field values over the space, using Neumaier compensated
     summation. Guarantee: the result is faithful to the exact sum (one

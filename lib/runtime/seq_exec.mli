@@ -33,3 +33,22 @@ val run :
     confirm that every boundary-filled source lies outside the space
     (and disables the unrolled row bodies, so rows take the [compute]
     loop and every read is inspected). *)
+
+val max_abs_err :
+  space:Tiles_poly.Polyhedron.t -> kernel:Kernel.t -> Grid.t -> float
+(** [max_abs_err ~space ~kernel g]: {!Grid.max_abs_diff} of [g] against
+    {!run}'s grid over [space], without running the oracle when it is
+    known. A process-wide memo maps the content that fixes the oracle's
+    output — the kernel's IR ([ckernel]), [skew], [width], [reads] and
+    the space's constraints — to the oracle's {!Grid.digest}. When it
+    holds this problem's digest and [g]'s digest equals it, the answer is
+    exactly [0.]. Otherwise the oracle runs, its digest is remembered
+    (unless the difference is infinite, so a NaN-holding oracle is never
+    remembered) and the exact difference is returned: a wrong run always
+    reports the oracle's error. The key trusts {!Kernel.of_ir}'s
+    contract that a kernel's closures compute what its IR says; a kernel
+    without IR ({!Kernel.make}) runs the oracle every time. The memo keeps the {!memo_capacity} most
+    recently used problems behind a mutex, so domains share it. *)
+
+val memo_capacity : int
+(** How many problems the memo of {!max_abs_err} keeps. *)

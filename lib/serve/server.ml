@@ -157,7 +157,8 @@ let run_job t (ticket : ticket) : outcome =
     in
     Metrics.observe_waits t.metrics ~job_id:job.Job.id
       res.Run_spec.longest_waits;
-    (* the reply outlives the run: keep its reason, not its grid *)
+    (* the reply outlives the run: its metadata closure keeps the
+       fallback reason, not the run's result *)
     let walker_fallback = res.Run_spec.walker_fallback in
     {
       payload =

@@ -1,8 +1,10 @@
 # CI smoke test for `tilec serve`: drives the daemon over a pipe with a
 # mixed batch containing duplicates, then asserts that (a) the duplicate
 # burst was coalesced onto a single compile with bit-identical payloads,
-# (b) a repeat request after the burst hits the plan cache, and (c) the
-# metrics snapshot reports both along with per-class latency percentiles.
+# (b) a repeat request after the burst hits the plan cache, (c) sim
+# execute jobs, repeated and not, all match the sequential oracle
+# exactly, and (d) the metrics snapshot reports (a) and (b) along with
+# per-class latency percentiles.
 #
 # Determinism: the daemon runs with a single worker and the batch leads
 # with a tune job that occupies that worker for hundreds of
@@ -63,6 +65,18 @@ send(dict(plan, id="again"))
 r2 = read_until({"again"})
 assert r2["again"]["status"] == "ok"
 assert r2["again"]["cache"] == "hit", r2["again"]
+
+# phase 3: sim execute jobs, one at a time so none coalesces. The
+# second is the first again, so its check is a digest match against the
+# oracle digest the first one remembered; the third is another size.
+# Every one must report an exact match.
+execute = dict(plan, op="execute", backend="sim")
+for i, job in [("x1", execute), ("x2", execute),
+               ("x3", dict(execute, size1=16, size2=24))]:
+    send(dict(job, id=i))
+    r = read_until({i})[i]
+    assert r["status"] == "ok", r
+    assert r["max_abs_err"] == 0, r
 
 send({"id": "m", "op": "metrics"})
 m = read_until({"m"})["m"]["metrics"]

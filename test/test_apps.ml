@@ -497,6 +497,205 @@ let test_run_spec_error_message () =
     (Tiles_runtime.Protocol.slab_mismatch_to_string m)
     (Run_spec.error_message (Tiles_runtime.Protocol.Slab_mismatch m))
 
+(* ---------- verify by digest ---------- *)
+
+(* a test-only IR kernel: the skewed SOR kernel under an IR of its own
+   name (so no other run shares its oracle memo entry), whose row body
+   counts its calls. Only the fast sequential oracle calls row bodies
+   here: the runs below use the [Reference] walker, and their expected
+   grids come from the [Reference] oracle. *)
+let counting_kernel ?(ir = true) name =
+  let k = Sor.kernel (Sor.make ~m_steps:2 ~size:2) in
+  let calls = Atomic.make 0 in
+  let row =
+    Option.map
+      (fun row ~la ~dst ~taps ~len ->
+        Atomic.incr calls;
+        row ~la ~dst ~taps ~len)
+      k.Kernel.row
+  in
+  let base = Option.get k.Kernel.ckernel in
+  let ckernel =
+    if ir then
+      Some
+        (Kir.make ~name ~dim:base.Kir.dim ~lets:base.Kir.lets ~out:base.Kir.out
+           ~boundary:base.Kir.boundary ())
+    else None
+  in
+  ({ k with Kernel.row; ckernel }, fun () -> Atomic.get calls)
+
+let sor_space ~size1 ~size2 =
+  (Sor.nest (Sor.make ~m_steps:size1 ~size:size2)).Nest.space
+
+(* rows of one fast oracle run: the counter's step per oracle run *)
+let oracle_runs ~rows_per_run calls = calls () / rows_per_run
+
+(* the expected grid, from the oracle walk that calls no row body *)
+let reference_grid ~space ~kernel =
+  Seq_exec.run ~variant:Tiles_runtime.Walker.Reference ~space ~kernel ()
+
+let check_exact name ~space ~kernel g =
+  Alcotest.(check (float 0.)) name 0. (Seq_exec.max_abs_err ~space ~kernel g)
+
+let test_memo_once_per_problem () =
+  let kernel, calls = counting_kernel "digest-once" in
+  let spec =
+    {
+      (Run_spec.default "sor") with
+      size1 = 8;
+      size2 = 12;
+      tile = (3, 4, 4);
+      walker = Tiles_runtime.Walker.Reference;
+    }
+  in
+  let r = Result.get_ok (Run_spec.resolve spec) in
+  let plan =
+    Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
+      r.Tiles_apps.Registry.tiling
+  in
+  let run () = (Run_spec.run spec ~plan ~kernel).max_abs_err in
+  Alcotest.(check (option (float 0.))) "first run exact" (Some 0.) (run ());
+  let rows_per_run = calls () in
+  Alcotest.(check bool) "the first run ran the oracle" true (rows_per_run > 0);
+  for i = 2 to 5 do
+    Alcotest.(check (option (float 0.)))
+      (Printf.sprintf "run %d exact" i)
+      (Some 0.) (run ())
+  done;
+  Alcotest.(check int) "5 runs, 1 oracle run" 1
+    (oracle_runs ~rows_per_run calls)
+
+(* a memo hit whose grid differs in one in-space cell reruns the oracle
+   and reports its exact difference *)
+let test_memo_tampered_cell () =
+  let kernel, calls = counting_kernel "digest-tamper" in
+  let space = sor_space ~size1:4 ~size2:6 in
+  let g = reference_grid ~space ~kernel in
+  check_exact "primed" ~space ~kernel g;
+  let rows_per_run = calls () in
+  check_exact "hit" ~space ~kernel g;
+  Alcotest.(check int) "a hit runs no oracle" 1
+    (oracle_runs ~rows_per_run calls);
+  let j = ref [||] in
+  Polyhedron.iter_points space (fun p -> if !j = [||] then j := Array.copy p);
+  let v = Grid.get g !j 0 in
+  Grid.set g !j 0 (v +. 0.375);
+  let expected = Float.abs (v +. 0.375 -. v) in
+  let err = Seq_exec.max_abs_err ~space ~kernel g in
+  Alcotest.(check bool) "nonzero" true (err > 0.);
+  Alcotest.(check int64) "the oracle's exact error"
+    (Int64.bits_of_float expected) (Int64.bits_of_float err);
+  Alcotest.(check int) "a mismatch reruns the oracle" 2
+    (oracle_runs ~rows_per_run calls)
+
+(* a kernel without IR has no memo key *)
+let test_memo_no_ir () =
+  let kernel, calls = counting_kernel ~ir:false "digest-no-ir" in
+  let space = sor_space ~size1:4 ~size2:6 in
+  let g = reference_grid ~space ~kernel in
+  check_exact "first" ~space ~kernel g;
+  let rows_per_run = calls () in
+  for _ = 1 to 3 do
+    check_exact "again" ~space ~kernel g
+  done;
+  Alcotest.(check int) "every check runs the oracle" 4
+    (oracle_runs ~rows_per_run calls)
+
+(* the memo key is the problem's content: the same IR under another
+   skew, or over another space, is another problem *)
+let test_memo_key () =
+  let kernel, calls = counting_kernel "digest-key" in
+  let space = sor_space ~size1:4 ~size2:6 in
+  let g = reference_grid ~space ~kernel in
+  let oracle_ran ~kernel ~space g =
+    let before = calls () in
+    check_exact "exact" ~space ~kernel g;
+    calls () > before
+  in
+  Alcotest.(check bool) "primed" true (oracle_ran ~kernel ~space g);
+  Alcotest.(check bool) "hit" false (oracle_ran ~kernel ~space g);
+  let unskewed = { kernel with Kernel.skew = Intmat.identity 3 } in
+  Alcotest.(check bool) "another skew" true
+    (oracle_ran ~kernel:unskewed ~space g);
+  let cut =
+    Polyhedron.add space
+      (Tiles_poly.Constr.make ~coeffs:[| 1; 0; 0 |] ~const:(-2))
+  in
+  Alcotest.(check bool) "another space" true
+    (oracle_ran ~kernel ~space:cut (reference_grid ~space:cut ~kernel))
+
+(* one more problem than the memo holds evicts the least recently used;
+   it is then checked by the oracle again, and still exactly *)
+let test_memo_eviction () =
+  let kernel, calls = counting_kernel "digest-evict" in
+  let problems =
+    List.init (Seq_exec.memo_capacity + 1) (fun i ->
+        let space = sor_space ~size1:2 ~size2:(3 + i) in
+        (space, reference_grid ~space ~kernel))
+  in
+  (* each check's oracle rows, or 0 when the oracle did not run *)
+  let rows (space, g) =
+    let before = calls () in
+    check_exact "exact" ~space ~kernel g;
+    calls () - before
+  in
+  List.iter
+    (fun p -> Alcotest.(check bool) "miss" true (rows p > 0))
+    problems;
+  let last = List.nth problems Seq_exec.memo_capacity in
+  Alcotest.(check int) "the newest is a hit" 0 (rows last);
+  Alcotest.(check bool) "the oldest was evicted" true
+    (rows (List.hd problems) > 0);
+  Alcotest.(check int) "and is remembered again" 0 (rows (List.hd problems))
+
+(* two worker domains race sim execute jobs of one problem (distinct
+   walkers and schedules, so none coalesces): every reply is exact *)
+let test_memo_server_domains () =
+  let module Json = Tiles_util.Json in
+  let module Server = Tiles_serve.Server in
+  let module Job = Tiles_serve.Job in
+  let lock = Mutex.create () and replies = ref [] in
+  let respond j = Mutex.protect lock (fun () -> replies := j :: !replies) in
+  let t =
+    Server.create
+      ~config:{ Server.default_config with Server.capacity = 16; workers = 2 }
+      ()
+  in
+  let job id walker overlap =
+    match
+      Job.of_json
+        (Json.Obj
+           [
+             ("id", Json.Str id); ("op", Json.Str "execute");
+             ("app", Json.Str "jacobi"); ("size1", Json.Int 10);
+             ("size2", Json.Int 14); ("backend", Json.Str "sim");
+             ("walker", Json.Str walker); ("overlap", Json.Bool overlap);
+           ])
+    with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "job: %s" e
+  in
+  for round = 1 to 3 do
+    List.iter
+      (fun (walker, overlap) ->
+        Server.submit t ~respond
+          (job (Printf.sprintf "%d-%s-%b" round walker overlap) walker overlap))
+      [
+        ("fast", false); ("fast", true); ("reference", false);
+        ("reference", true);
+      ];
+    Server.drain t
+  done;
+  Server.shutdown t;
+  Alcotest.(check int) "all answered" 12 (List.length !replies);
+  List.iter
+    (fun r ->
+      Alcotest.(check (option string)) "ok" (Some "ok")
+        (Option.bind (Json.member "status" r) Json.to_str_opt);
+      Alcotest.(check bool) "max_abs_err 0" true
+        (Json.member "max_abs_err" r = Some (Json.Float 0.)))
+    !replies
+
 let () =
   Alcotest.run "tiles_apps"
     [
@@ -535,6 +734,15 @@ let () =
           Alcotest.test_case "what each keep keeps" `Quick test_run_spec_keep;
           Alcotest.test_case "run-failure text" `Quick
             test_run_spec_error_message;
+          Alcotest.test_case "oracle once per problem" `Quick
+            test_memo_once_per_problem;
+          Alcotest.test_case "tampered cell on a memo hit" `Quick
+            test_memo_tampered_cell;
+          Alcotest.test_case "no IR, no memo" `Quick test_memo_no_ir;
+          Alcotest.test_case "memo key" `Quick test_memo_key;
+          Alcotest.test_case "memo eviction" `Quick test_memo_eviction;
+          Alcotest.test_case "memo across domains" `Quick
+            test_memo_server_domains;
         ] );
       ( "experiment",
         [

@@ -77,7 +77,8 @@ let stub_dir =
      | Some d -> d
      | None -> Alcotest.fail "vendor/mpistub not found from cwd")
 
-let compile_and_run ?(nprocs = 1) ~mpi name src =
+(* compile [src]; returns the executable's path *)
+let compile ~mpi name src =
   let base = Filename.concat tmpdir ("tiles_" ^ name) in
   let cfile = base ^ ".c" and exe = base ^ ".exe" in
   let oc = open_out cfile in
@@ -100,6 +101,10 @@ let compile_and_run ?(nprocs = 1) ~mpi name src =
   let status, out = run_cmd compile in
   if status <> Unix.WEXITED 0 then
     Alcotest.failf "gcc failed for %s:\n%s" name out;
+  exe
+
+let compile_and_run ?(nprocs = 1) ~mpi name src =
+  let exe = compile ~mpi name src in
   let status, out =
     run_cmd (Printf.sprintf "TILES_MPI_NPROCS=%d %s 2>&1" nprocs (Filename.quote exe))
   in
@@ -371,6 +376,41 @@ let test_mpigen_structure () =
         (has needle))
     [ "minsucc_ts"; "valid("; "rank_of"; "v_count" ]
 
+(* a rank that exits before sending what rank 0 waits for: rank 0 sees
+   EOF, says so (with no errno text, which would read "Success") and the
+   program exits 1 *)
+let test_mpi_stub_peer_exit () =
+  let src =
+    {|#include "mpi.h"
+#include <stdio.h>
+int main(int argc, char **argv) {
+  int rank;
+  double x = 0.;
+  MPI_Init(&argc, &argv);
+  MPI_Comm_rank(MPI_COMM_WORLD, &rank);
+  if (rank == 0)
+    MPI_Recv(&x, 1, MPI_DOUBLE, 1, 7, MPI_COMM_WORLD, MPI_STATUS_IGNORE);
+  MPI_Finalize();
+  printf("received %g\n", x);
+  return 0;
+}
+|}
+  in
+  let exe = compile ~mpi:true "mpi_peer_exit" src in
+  (* stderr only *)
+  let status, err =
+    run_cmd
+      (Printf.sprintf "TILES_MPI_NPROCS=2 %s 2>&1 >/dev/null"
+         (Filename.quote exe))
+  in
+  Alcotest.(check bool) "exit status 1" true (status = Unix.WEXITED 1);
+  let has affix = Astring.String.is_infix ~affix err in
+  Alcotest.(check bool)
+    ("reports the EOF: " ^ err)
+    true
+    (has "mpistub rank 0: unexpected EOF from peer\n");
+  Alcotest.(check bool) ("no errno text: " ^ err) false (has "Success")
+
 let () =
   Alcotest.run "tiles_codegen"
     [
@@ -401,5 +441,7 @@ let () =
           Alcotest.test_case "adi rect" `Quick test_mpigen_adi_rect;
           Alcotest.test_case "single process" `Quick test_mpigen_single_process;
           Alcotest.test_case "triband triangular" `Quick test_mpigen_triband;
+          Alcotest.test_case "stub: peer exits early" `Quick
+            test_mpi_stub_peer_exit;
         ] );
     ]

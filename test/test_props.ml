@@ -669,6 +669,118 @@ let prop_grid_rows n =
            (fun g -> bits (Grid.checksum g space) = bits (checksum_points g space))
            [ a; b ])
 
+(* ---------- grid digest ---------- *)
+
+(* Grid.digest's documented definition, point by point *)
+let digest_points t space =
+  let mix z =
+    let open Int64 in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94d049bb133111ebL in
+    logxor z (shift_right_logical z 31)
+  in
+  let width = Grid.width t in
+  let sum = ref 0L in
+  Polyhedron.iter_points space (fun j ->
+      let n = Array.length j in
+      let lead = ref 0L in
+      for k = 0 to n - 2 do
+        lead := mix (Int64.add !lead (Int64.of_int j.(k)))
+      done;
+      for f = 0 to width - 1 do
+        let pos = Int64.of_int ((j.(n - 1) * width) + f) in
+        let key = Int64.add !lead (Int64.mul pos 0x9e3779b97f4a7c15L) in
+        let bits = Int64.bits_of_float (Grid.get t j f) in
+        sum := Int64.add !sum (mix (Int64.logxor bits key))
+      done);
+  !sum
+
+(* One grid over a random space, widened by random reads, holding
+   values of mixed magnitudes, signed zeros and NaNs with payloads:
+   - its digest is the per-point definition's;
+   - a grid over the bare box, and one whose every slot first holds
+     junk, with the same in-space bits have the same digest;
+   - changing one in-space slot's bits changes the digest: its sign
+     (0. vs -0., x vs -x), any single bit, or a NaN's payload. *)
+let prop_digest n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "grid digest laws (n=%d)" n)
+    ~count:150
+    (QCheck.quad
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (QCheck.make
+          QCheck.Gen.(
+            list_size (int_range 0 3)
+              (map Array.of_list (list_repeat n (int_range (-2) 3)))))
+       (QCheck.pair (QCheck.int_range 1 2) QCheck.int)
+       (QCheck.pair QCheck.small_nat (QCheck.int_range 0 63)))
+    (fun (space, reads, (width, seed), (pick, bit)) ->
+      let st = Random.State.make [| seed |] in
+      let nan_with payload =
+        Int64.float_of_bits (Int64.logor 0x7ff8000000000000L payload)
+      in
+      let value () =
+        match Random.State.int st 8 with
+        | 0 -> 0.
+        | 1 -> -0.
+        | 2 -> nan_with (Random.State.int64 st 0x7ffffffffffffL)
+        | _ ->
+          (Random.State.float st 2. -. 1.)
+          *. (10. ** float_of_int (Random.State.int st 12))
+      in
+      let a = Grid.create ~reads space ~width in
+      Polyhedron.iter_points space (fun j ->
+          for f = 0 to width - 1 do
+            Grid.set a j f (value ())
+          done);
+      let copy b =
+        Polyhedron.iter_points space (fun j ->
+            for f = 0 to width - 1 do
+              Grid.set b j f (Grid.get a j f)
+            done);
+        b
+      in
+      let bare = copy (Grid.create space ~width) in
+      let junk =
+        let g =
+          Grid.create ~reads:[ Array.make n 2; Array.make n (-2) ] space ~width
+        in
+        let data = Grid.data g in
+        for i = 0 to Tiles_util.Fbuf.length data - 1 do
+          Tiles_util.Fbuf.set data i (value ())
+        done;
+        copy g
+      in
+      let d = Grid.digest a space in
+      let points = ref [] in
+      Polyhedron.iter_points space (fun j ->
+          for f = 0 to width - 1 do
+            points := (Array.copy j, f) :: !points
+          done);
+      QCheck.assume (!points <> []);
+      let j, f = List.nth !points (pick mod List.length !points) in
+      let x = Grid.get a j f in
+      let changed y =
+        Grid.set a j f y;
+        let d' = Grid.digest a space in
+        Grid.set a j f x;
+        d' <> d
+      in
+      let bits = Int64.bits_of_float x in
+      let flip =
+        Int64.float_of_bits (Int64.logxor bits (Int64.shift_left 1L bit))
+      in
+      let other_nan =
+        nan_with (Int64.logxor (Int64.logand bits 0x7ffffffffffffL) 1L)
+      in
+      d = digest_points a space
+      && d = Grid.digest bare space
+      && d = Grid.digest junk space
+      && changed (Float.neg x)
+      && changed flip
+      && changed other_nan
+      && changed (if bits = 0L then -0. else 0.))
+
 (* ---------- tile dependences: face sweep = whole-TTIS sweep ---------- *)
 
 (* the original whole-TTIS sweep, kept here as the oracle *)
@@ -799,6 +911,7 @@ let () =
         [
           q (prop_boundary_fill 2); q (prop_boundary_fill 3);
           q (prop_grid_rows 2); q (prop_grid_rows 3);
+          q (prop_digest 2); q (prop_digest 3);
         ] );
       ( "executor",
         [
