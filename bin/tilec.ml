@@ -10,7 +10,7 @@
                 (--full verifies, --overlap uses non-blocking sends,
                  --utilisation prints the traced busy/wait breakdown,
                  --trace FILE writes a Chrome trace-event JSON)
-     trace      run traced (simulator or shm domains), export the Chrome
+     trace      run traced (simulator or shared memory), export the Chrome
                 trace-event JSON / SVG timeline, print aggregate stats
      analyze    causal critical-path analysis of a traced run (fresh or
                 --from a Chrome artifact): breakdown table, laggards and
@@ -32,9 +32,9 @@
           mismatch
      3    slab protocol mismatch between communicating ranks
           (Protocol.Slab_mismatch — a compiler bug, not a user error)
-     4    shm rendezvous timeout (Recv_timeout — a receive blocked for
-          30 s: a deadlocked schedule; a rank that raises ends the run
-          with its own error instead)
+     4    deadlock on either backend (Sim.Deadlock — a schedule that can
+          never complete; every blocked (rank, src, tag) is named; a rank
+          that raises ends the run with its own error instead)
      124  command-line usage error (Cmdliner's cli_error default) *)
 
 open Cmdliner
@@ -61,7 +61,7 @@ module Run_spec = Tiles_apps.Run_spec
 let exit_runtime = 1
 let exit_regression = 2
 let exit_slab_mismatch = 3
-let exit_rendezvous_timeout = 4
+let exit_deadlock = 4
 
 (* User errors (illegal or singular tiling matrices, infeasible factors,
    unknown variants…) surface as raised exceptions from the libraries;
@@ -74,10 +74,9 @@ let guard f =
   in
   try f () with
   | ( Invalid_argument _ | Failure _ | Sys_error _ | Division_by_zero
-    | Shm_executor.Too_many_ranks _ | Tiles_runtime.Lds_pool.Not_poisoned _ )
-      as e ->
+    | Tiles_runtime.Lds_pool.Not_poisoned _ ) as e ->
     fail exit_runtime e
-  | Shm_executor.Recv_timeout _ as e -> fail exit_rendezvous_timeout e
+  | Tiles_mpisim.Sim.Deadlock _ as e -> fail exit_deadlock e
   | Protocol.Slab_mismatch _ as e -> fail exit_slab_mismatch e
 
 (* ---------------- common options ---------------- *)
@@ -147,8 +146,8 @@ let spec_term ?app:(app_t = app_arg) knobs =
          & opt (enum [ ("sim", Run_spec.Sim); ("shm", Run_spec.Shm) ]) d.backend
          & info [ "backend" ] ~docv:"B"
              ~doc:"Execution backend: $(b,sim) (discrete-event simulator, \
-                   virtual time) or $(b,shm) (real OCaml domains, wall \
-                   time).")
+                   virtual time) or $(b,shm) (real shared memory: rank \
+                   fibers on OCaml domains, wall time).")
   in
   let overlap =
     Arg.(value & flag & info [ "overlap" ]

@@ -60,8 +60,8 @@ let () =
      the non-rectangular one finishes earlier purely through its schedule\n\
      (t_r - t_nr = M/z = %d wavefront steps), confirming §4.1.\n"
     (x * y * z) (m_steps / z);
-  (* the same plan also runs for real on OCaml domains (one per processor)
-     with blocking mailboxes instead of the simulator *)
+  (* the same plan also runs for real in shared memory, each processor a
+     fiber on a pool of OCaml domains, instead of on the simulator *)
   let plan = Plan.make ~m:Sor.mapping_dim nest (Sor.nonrect ~x ~y ~z) in
   let shm = Tiles_runtime.Shm_executor.run ~plan ~kernel () in
   Printf.printf

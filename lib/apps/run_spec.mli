@@ -43,7 +43,7 @@ val error_message : exn -> string
     the [Division_by_zero] of a zero tile factor, and
     [Printexc.to_string] for the rest (which reads the printers
     registered for {!Tiles_runtime.Protocol.Slab_mismatch} and
-    {!Tiles_runtime.Shm_executor.Recv_timeout}). *)
+    {!Tiles_mpisim.Sim.Deadlock}). *)
 
 val runmeta :
   ?walker_fallback:string ->

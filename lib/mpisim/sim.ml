@@ -20,6 +20,21 @@ type stats = {
 
 exception Deadlock of string
 
+let () =
+  Printexc.register_printer (function
+    | Deadlock blocked -> Some ("deadlock: " ^ blocked)
+    | _ -> None)
+
+let deadlock ?(at_barrier = []) waits =
+  let recv =
+    List.map
+      (fun (src, dst, tag) ->
+        Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" dst src tag)
+      waits
+  in
+  let barrier = List.map (Printf.sprintf "rank %d at barrier") at_barrier in
+  Deadlock (String.concat "; " (List.sort compare (recv @ barrier)))
+
 type payload = Data of Fbuf.t | Length of int
 
 let payload_length = function Data d -> Fbuf.length d | Length n -> n
@@ -364,20 +379,11 @@ let run ?recorder ~nprocs ~net program =
     let thunk = Queue.pop st.runq in
     thunk ()
   done;
-  if st.finished < nprocs then begin
-    let blocked_recv =
-      Hashtbl.fold
-        (fun (src, dst, tag) _ acc ->
-          Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" dst src tag :: acc)
-        st.parked []
-    in
-    let blocked_barrier =
-      List.map (fun (r, _) -> Printf.sprintf "rank %d at barrier" r) st.at_barrier
-    in
+  if st.finished < nprocs then
     raise
-      (Deadlock
-         (String.concat "; " (List.sort compare (blocked_recv @ blocked_barrier))))
-  end;
+      (deadlock
+         ~at_barrier:(List.map fst st.at_barrier)
+         (Hashtbl.fold (fun key _ acc -> key :: acc) st.parked []));
   {
     completion = Array.fold_left Float.max 0. st.clocks;
     rank_clocks = Array.copy st.clocks;

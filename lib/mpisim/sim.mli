@@ -55,7 +55,16 @@ type stats = {
 
 exception Deadlock of string
 (** Raised when every unfinished rank is blocked on a receive that can
-    never be satisfied. The message lists the blocked ranks. *)
+    never be satisfied: by {!run}, and by the shared-memory backend's
+    runner too. The message lists the blocked ranks; [Printexc.to_string]
+    prints it after ["deadlock: "]. *)
+
+val deadlock : ?at_barrier:int list -> (int * int * int) list -> exn
+(** [deadlock ~at_barrier waits] is the {!Deadlock} naming every receive
+    blocked on a [(src, dst, tag)] channel of [waits] as
+    ["rank dst waiting on (src=S, tag=T)"] and every rank of
+    [at_barrier] (default none) as ["rank R at barrier"], sorted and
+    joined by ["; "]. *)
 
 (** A message body: real data, or only its length. [Length n] moves no
     data but costs the same [8·n] bytes on the wire as [n] floats — what

@@ -9,7 +9,7 @@
    Message identity: every send/receive carries its channel (src, dst,
    tag) and the recorder assigns a per-channel sequence number on each
    side independently. All transports are FIFO per channel (the
-   simulator's queues, the shm mailbox's per-tag queues), so sender seq
+   simulator's queues, the shm scheduler's per-channel queues), so sender seq
    i and receiver seq i name the same message and the two half-records
    join into a dependency edge without any cross-rank synchronisation. *)
 

@@ -12,7 +12,7 @@ type kind =
   | Pack     (** gathering a slab into a send buffer *)
   | Send
       (** send overhead / wire occupancy on the sender. On the shm
-          backend the mailbox enqueue is the send for that transport,
+          backend the hand-off to the receiver is the send for that transport,
           in both schedules. *)
   | Wait
       (** blocked in a receive before the message is available *)

@@ -60,29 +60,44 @@ let system p ~var =
   if var < 0 || var >= p.dim then invalid_arg "Fourier_motzkin.system";
   p.systems.(var)
 
-let bounds p ~var ~prefix =
+type range = { mutable lo : int; mutable hi : int }
+
+(* int comparisons: the polymorphic [max]/[min] would call the runtime *)
+let raise_lo r v = if v > r.lo then r.lo <- v
+let lower_hi r v = if v < r.hi then r.hi <- v
+
+(* min_int / max_int stand for "no bound yet"; a constant contradiction
+   at this prefix empties the range *)
+let rec tighten cs ~var ~prefix r =
+  match cs with
+  | [] -> ()
+  | c :: tl ->
+    let a = Constr.coeff c var in
+    (* rest = sum_{j<var} coeff_j * prefix_j + const; deeper variables have
+       zero coefficients in S_var by construction. *)
+    let rest = ref (Constr.const c) in
+    for j = 0 to var - 1 do
+      rest := !rest + (Constr.coeff c j * prefix.(j))
+    done;
+    if a > 0 then raise_lo r (Ints.cdiv (- !rest) a)
+    else if a < 0 then lower_hi r (Ints.fdiv !rest (-a))
+    else if !rest < 0 then begin
+      raise_lo r 1;
+      lower_hi r 0
+    end;
+    tighten tl ~var ~prefix r
+
+let range p ~var ~prefix r =
   if Array.length prefix < var then invalid_arg "Fourier_motzkin.bounds";
-  let lo = ref None and hi = ref None in
-  let update_lo v = match !lo with Some l when l >= v -> () | _ -> lo := Some v in
-  let update_hi v = match !hi with Some h when h <= v -> () | _ -> hi := Some v in
-  List.iter
-    (fun c ->
-      let a = Constr.coeff c var in
-      (* rest = sum_{j<var} coeff_j * prefix_j + const; deeper variables have
-         zero coefficients in S_var by construction. *)
-      let rest = ref (Constr.const c) in
-      for j = 0 to var - 1 do
-        rest := !rest + (Constr.coeff c j * prefix.(j))
-      done;
-      if a > 0 then update_lo (Ints.cdiv (- !rest) a)
-      else if a < 0 then update_hi (Ints.fdiv !rest (-a))
-      else if !rest < 0 then begin
-        (* a constant contradiction at this prefix: empty range *)
-        update_lo 1;
-        update_hi 0
-      end)
-    p.systems.(var);
-  match (!lo, !hi) with
-  | Some l, Some h -> if l <= h then Some (l, h) else None
-  | None, _ -> failwith "Fourier_motzkin.bounds: variable unbounded below"
-  | _, None -> failwith "Fourier_motzkin.bounds: variable unbounded above"
+  r.lo <- min_int;
+  r.hi <- max_int;
+  tighten p.systems.(var) ~var ~prefix r;
+  if r.lo = min_int then
+    failwith "Fourier_motzkin.bounds: variable unbounded below";
+  if r.hi = max_int then
+    failwith "Fourier_motzkin.bounds: variable unbounded above"
+
+let bounds p ~var ~prefix =
+  let r = { lo = 0; hi = 0 } in
+  range p ~var ~prefix r;
+  if r.lo <= r.hi then Some (r.lo, r.hi) else None

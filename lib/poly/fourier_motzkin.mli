@@ -31,5 +31,12 @@ val bounds : projection -> var:int -> prefix:Tiles_util.Vec.t -> (int * int) opt
     raises [Failure] if the variable is unbounded in that direction (the
     iteration spaces we handle are compact). *)
 
+type range = { mutable lo : int; mutable hi : int }
+
+val range : projection -> var:int -> prefix:Tiles_util.Vec.t -> range -> unit
+(** [range p ~var ~prefix r] sets [r] to {!bounds}' range, [r.lo > r.hi]
+    when it is empty, and raises like {!bounds}. It allocates nothing, so
+    a walk reuses one [r] for every row. *)
+
 val system : projection -> var:int -> Constr.t list
 (** The projected system [S_var] (for inspection / code generation). *)

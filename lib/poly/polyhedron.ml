@@ -77,21 +77,19 @@ let iter_rows p f =
   let pr = projection p in
   let n = p.dim in
   let x = Array.make n 0 in
+  let r = { Fourier_motzkin.lo = 0; hi = 0 } in
   let rec go k =
-    match Fourier_motzkin.bounds pr ~var:k ~prefix:x with
-    | None -> ()
-    | Some (lo, hi) ->
-      if k = n - 1 then begin
-        if lo <= hi then begin
-          x.(k) <- lo;
-          f x (hi - lo + 1)
-        end
-      end
-      else
-        for v = lo to hi do
-          x.(k) <- v;
-          go (k + 1)
-        done
+    Fourier_motzkin.range pr ~var:k ~prefix:x r;
+    let lo = r.lo and hi = r.hi in
+    if k < n - 1 then
+      for v = lo to hi do
+        x.(k) <- v;
+        go (k + 1)
+      done
+    else if lo <= hi then begin
+      x.(k) <- lo;
+      f x (hi - lo + 1)
+    end
   in
   go 0
 

@@ -118,7 +118,7 @@ val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
     slabs are packed and handed to [comms.send] immediately after the
     tile's computation — a backend whose [send] is asynchronous (the
     simulator's [isend]) then overlaps the transfer with the next tile's
-    computation; the shared-memory backend's mailbox enqueue never
-    blocks in either schedule. Both schedules read the same table, so the
+    computation; the shared-memory backend's hand-off to the receiver
+    never blocks in either schedule. Both schedules read the same table, so the
     message set, tags and per-channel order are identical and counters
     agree exactly with the blocking run. *)

@@ -1,28 +1,11 @@
+open Effect
+open Effect.Deep
 module Mapping = Tiles_core.Mapping
 module Plan = Tiles_core.Plan
-module Polyhedron = Tiles_poly.Polyhedron
 module Span = Tiles_obs.Span
 module Recorder = Tiles_obs.Recorder
 module Clock = Tiles_obs.Clock
-
-exception Recv_timeout of string
-
-(* OCaml 5.1's [Max_domains]: live domains per process, the main one
-   included *)
-let max_domains = 128
-
-exception Too_many_ranks of { nprocs : int; max_domains : int }
-
-let () =
-  Printexc.register_printer (function
-    | Recv_timeout diag -> Some diag
-    | Too_many_ranks { nprocs; max_domains } ->
-      Some
-        (Printf.sprintf
-           "Shm_executor: %d ranks need %d domains with the watchdog and \
-            the caller's, past the runtime's limit of %d"
-           nprocs (nprocs + 2) max_domains)
-    | _ -> None)
+module Sim = Tiles_mpisim.Sim
 
 type result = {
   wall_seconds : float;
@@ -38,103 +21,127 @@ type result = {
   walker_fallback : string option;
 }
 
-(* A blocking mailbox per (src, dst) channel, tag-matched. *)
-module Mailbox = struct
-  type 'a t = {
-    mutex : Mutex.t;
-    cond : Condition.t;
-    messages : (int, 'a Queue.t) Hashtbl.t;
+type channel = int * int * int (* src, dst, tag *)
+
+(* how a fiber's turn on a domain ended *)
+type status = Parked | Finished | Failed of exn
+
+type fiber =
+  | Start of int  (* the rank's program, not begun *)
+  | Resume of (Protocol.payload, status) continuation * Protocol.payload
+
+type _ Effect.t += Park : channel -> Protocol.payload Effect.t
+
+(* One lock guards all of it. A fiber moves between domains only by
+   being parked or queued here, so whatever its rank wrote on one domain
+   is visible on the next. *)
+type sched = {
+  nprocs : int;
+  lock : Mutex.t;
+  wake : Condition.t;  (* the run queue grew, or the run ended *)
+  runq : fiber Queue.t;
+  (* a drained queue is removed, so every queue here is non-empty *)
+  channels : (channel, Protocol.payload Queue.t) Hashtbl.t;
+  parked : (channel, (Protocol.payload, status) continuation) Hashtbl.t;
+  mutable running : int;  (* fibers on a domain now *)
+  mutable finished : int;
+  mutable failure : exn option;  (* the first; it stops the run *)
+}
+
+let take s ch =
+  match Hashtbl.find_opt s.channels ch with
+  | None -> None
+  | Some q ->
+    let p = Queue.pop q in
+    if Queue.is_empty q then Hashtbl.remove s.channels ch;
+    Some p
+
+(* never blocks: a receiver parked on the channel gets the payload, and
+   otherwise the channel queues it *)
+let deliver s ch payload =
+  Mutex.lock s.lock;
+  (match Hashtbl.find_opt s.parked ch with
+  | Some k ->
+    Hashtbl.remove s.parked ch;
+    Queue.push (Resume (k, payload)) s.runq;
+    Condition.signal s.wake
+  | None -> (
+    match Hashtbl.find_opt s.channels ch with
+    | Some q -> Queue.push payload q
+    | None -> Hashtbl.add s.channels ch (Queue.of_seq (Seq.return payload))));
+  Mutex.unlock s.lock
+
+let receive s ch =
+  Mutex.lock s.lock;
+  let p = take s ch in
+  Mutex.unlock s.lock;
+  match p with Some p -> p | None -> perform (Park ch)
+
+let handler s =
+  {
+    retc = (fun () -> Finished);
+    exnc = (fun e -> Failed e);
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Park ch ->
+          Some
+            (fun (k : (a, status) continuation) ->
+              Mutex.lock s.lock;
+              (* a send may have landed since the receive looked *)
+              match take s ch with
+              | Some p ->
+                Mutex.unlock s.lock;
+                continue k p
+              | None ->
+                Hashtbl.replace s.parked ch k;
+                Mutex.unlock s.lock;
+                Parked)
+        | _ -> None);
   }
 
-  let create () =
-    { mutex = Mutex.create (); cond = Condition.create ();
-      messages = Hashtbl.create 8 }
+let stop s e =
+  if Option.is_none s.failure then s.failure <- Some e;
+  Condition.broadcast s.wake
 
-  let send t ~tag data =
-    Mutex.lock t.mutex;
-    let q =
-      match Hashtbl.find_opt t.messages tag with
-      | Some q -> q
-      | None ->
-        let q = Queue.create () in
-        Hashtbl.add t.messages tag q;
-        q
-    in
-    Queue.push data q;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex
+(* One domain's share of the run, called and returning with the lock
+   held: run fibers until the run ends or fails. *)
+let rec work s body =
+  if Option.is_none s.failure then
+    match Queue.take_opt s.runq with
+    | Some fiber ->
+      s.running <- s.running + 1;
+      Mutex.unlock s.lock;
+      let status =
+        match fiber with
+        | Start rank -> match_with body rank (handler s)
+        | Resume (k, p) -> continue k p
+      in
+      Mutex.lock s.lock;
+      s.running <- s.running - 1;
+      (match status with
+      | Parked -> ()
+      | Finished -> s.finished <- s.finished + 1
+      | Failed e -> stop s e);
+      work s body
+    | None when s.running > 0 ->
+      Condition.wait s.wake s.lock;
+      work s body
+    | None ->
+      (* no fiber runs and none can: every rank is done, or each one
+         left waits for a message that no rank will send *)
+      if s.finished < s.nprocs then
+        stop s
+          (Sim.deadlock (Hashtbl.fold (fun ch _ acc -> ch :: acc) s.parked []))
+      else Condition.broadcast s.wake
 
-  let recv ?(timeout = infinity) ?(abort = fun () -> false)
-      ?(diag = fun () -> "Mailbox.recv: timed out") t ~tag =
-    (* [not (timeout > 0.)] also catches NaN; a zero or negative timeout
-       used to silently mean "wait forever", hiding watchdog misuse *)
-    if not (timeout > 0.) then
-      invalid_arg
-        "Mailbox.recv: timeout must be positive (use infinity to wait forever)";
-    let deadline =
-      if timeout < infinity then Clock.monotonic () +. timeout else infinity
-    in
-    Mutex.lock t.mutex;
-    let rec wait () =
-      match Hashtbl.find_opt t.messages tag with
-      | Some q when not (Queue.is_empty q) ->
-        let data = Queue.pop q in
-        (* a drained per-tag queue must go, or a long-running channel
-           leaks one empty Queue.t per tag it has ever carried *)
-        if Queue.is_empty q then Hashtbl.remove t.messages tag;
-        data
-      | _ ->
-        if abort () then begin
-          Mutex.unlock t.mutex;
-          raise Exit
-        end;
-        if Clock.monotonic () > deadline then begin
-          Mutex.unlock t.mutex;
-          raise (Recv_timeout (diag ()))
-        end;
-        (* the run's watchdog broadcasts periodically, and a failing rank
-           once, so this wait rechecks the deadline and [abort] even if no
-           message ever arrives *)
-        Condition.wait t.cond t.mutex;
-        wait ()
-    in
-    let data = wait () in
-    Mutex.unlock t.mutex;
-    data
-
-  let tag_count t =
-    Mutex.lock t.mutex;
-    let n = Hashtbl.length t.messages in
-    Mutex.unlock t.mutex;
-    n
-
-  let nudge t =
-    Mutex.lock t.mutex;
-    Condition.broadcast t.cond;
-    Mutex.unlock t.mutex
-end
-
-let watchdog_period = 0.02
-
-(* how long a receive may block before the run gives up on its peer *)
-let recv_timeout = 30.
-
-let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
-  let nprocs = Mapping.nprocs plan.Plan.mapping in
-  if nprocs + 2 > max_domains then
-    raise (Too_many_ranks { nprocs; max_domains });
-  let shared =
-    Protocol.prepare ?walker ?check ~mode:Protocol.Full ~plan ~kernel
-      ~flop_time:0. ~pack_time:0. ()
-  in
-  let boxes =
-    Array.init nprocs (fun _ -> Array.init nprocs (fun _ -> Mailbox.create ()))
-  in
+let run_program ?recorder ~nprocs program =
+  if nprocs <= 0 then invalid_arg "Shm_executor.run_program: nprocs";
   let recorder =
     match recorder with
     | Some rc ->
       if Recorder.nprocs rc <> nprocs then
-        invalid_arg "Shm_executor.run: recorder nprocs mismatch";
+        invalid_arg "Shm_executor.run_program: recorder nprocs mismatch";
       rc
     | None -> Recorder.create ~nprocs ()
   in
@@ -143,18 +150,27 @@ let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
     if Recorder.tracing recorder then fun () -> Recorder.now recorder
     else fun () -> 0.
   in
-  (* the first rank to fail; the others stop waiting once it is set *)
-  let failure = Atomic.make None in
-  let failed () = Option.is_some (Atomic.get failure) in
-  let comms_for rank =
-    let log = Recorder.log recorder ~rank in
+  let s =
+    {
+      nprocs;
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      runq = Queue.create ();
+      channels = Hashtbl.create 64;
+      parked = Hashtbl.create 16;
+      running = 0;
+      finished = 0;
+      failure = None;
+    }
+  in
+  let comms_for rank log =
     {
       Protocol.send =
         (fun ~dst ~tag data ->
-          (* the "send" of this transport is the local mailbox enqueue
-             itself, so its Send span is just that enqueue *)
+          (* the "send" of this transport is the hand-off itself, so its
+             Send span is just that *)
           let t0 = now () in
-          Mailbox.send boxes.(rank).(dst) ~tag data;
+          deliver s (rank, dst, tag) data;
           (* the causal stamp and the Send span's end must be the same
              reading, so critical-path hops land exactly on span ends *)
           let t1 = now () in
@@ -165,16 +181,7 @@ let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
       recv =
         (fun ~src ~tag ->
           let t0 = now () in
-          let diag () =
-            Printf.sprintf
-              "Shm_executor: rank %d blocked > %gs in recv (src=%d, tag=%d) \
-               — mis-generated schedule?"
-              rank recv_timeout src tag
-          in
-          let data =
-            Mailbox.recv ~timeout:recv_timeout ~abort:failed ~diag
-              boxes.(src).(rank) ~tag
-          in
+          let data = receive s (src, rank, tag) in
           let t1 = now () in
           Recorder.message_received log ~t:t1 ~posted:t0 ~src ~tag
             ~bytes:(8 * Protocol.payload_length data) ();
@@ -186,59 +193,48 @@ let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
       unpack = (fun _ -> Recorder.close log Span.Unpack);
     }
   in
-  let nudge_all () = Array.iter (Array.iter Mailbox.nudge) boxes in
-  let fail e =
-    (* the first failure wakes every blocked receiver, so the run ends
-       now rather than at the receive deadline *)
-    if Atomic.compare_and_set failure None (Some e) then nudge_all ()
+  let body rank =
+    let log = Recorder.log recorder ~rank in
+    Recorder.mark log;
+    program (comms_for rank log) rank;
+    Recorder.finish log
   in
-  (* Condition.wait has no timed variant; a watchdog domain periodically
-     wakes every mailbox so blocked receivers can notice their deadlines.
-     It waits on a pipe, so the run stops it at once when it ends. *)
-  let wake_rd, wake_wr = Unix.pipe ~cloexec:true () in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.close wake_rd;
-      Unix.close wake_wr)
-    (fun () ->
-      let watchdog =
-        Domain.spawn (fun () ->
-            let stop = ref false in
-            while not !stop do
-              match Unix.select [ wake_rd ] [] [] watchdog_period with
-              | [], _, _ -> nudge_all ()
-              | _ -> stop := true
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            done)
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          ignore (Unix.write_substring wake_wr "x" 0 1);
-          Domain.join watchdog)
-        (fun () ->
-          (* the caller may have made the recorder before this run's
-             set-up *)
-          Recorder.restart recorder;
-          let rank_body rank () =
-            let log = Recorder.log recorder ~rank in
-            Recorder.mark log;
-            (try Protocol.rank_program ~overlap shared (comms_for rank) rank
-             with e -> fail e);
-            Recorder.finish log
-          in
-          (* a spawn that fails ends the run like a failing rank: the
-             ranks already running give up and are joined *)
-          let rec spawn rank acc =
-            if rank = nprocs then acc
-            else
-              match Domain.spawn (rank_body rank) with
-              | d -> spawn (rank + 1) (d :: acc)
-              | exception e ->
-                fail e;
-                acc
-          in
-          List.iter Domain.join (List.rev (spawn 0 []))));
-  (match Atomic.get failure with Some e -> raise e | None -> ());
+  (* the caller may have made the recorder before this run's set-up *)
+  Recorder.restart recorder;
+  for rank = 0 to nprocs - 1 do
+    Queue.push (Start rank) s.runq
+  done;
+  let worker () =
+    Mutex.lock s.lock;
+    work s body;
+    Mutex.unlock s.lock
+  in
+  (* the calling domain is a worker too; a helper that fails to spawn
+     only leaves fewer of them *)
+  let helpers =
+    List.init (min nprocs (Domain.recommended_domain_count ()) - 1) Fun.id
+    |> List.filter_map (fun _ -> try Some (Domain.spawn worker) with _ -> None)
+  in
+  worker ();
+  List.iter Domain.join helpers;
+  (* a stopped run unwinds every fiber it left unfinished: a continuation
+     never resumed would keep its stack *)
+  let unwind k = ignore (discontinue k Exit) in
+  List.of_seq (Queue.to_seq s.runq)
+  |> List.iter (function Resume (k, _) -> unwind k | Start _ -> ());
+  List.iter unwind (List.of_seq (Hashtbl.to_seq_values s.parked));
+  Option.iter raise s.failure
+
+let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
+  let nprocs = Mapping.nprocs plan.Plan.mapping in
+  let shared =
+    Protocol.prepare ?walker ?check ~mode:Protocol.Full ~plan ~kernel
+      ~flop_time:0. ~pack_time:0. ()
+  in
+  let recorder =
+    match recorder with Some rc -> rc | None -> Recorder.create ~nprocs ()
+  in
+  run_program ~recorder ~nprocs (Protocol.rank_program ~overlap shared);
   (* the latest rank finish, on the clock the spans use *)
   let wall = Array.fold_left Float.max 0. (Recorder.rank_finish recorder) in
   let space = plan.Plan.nest.Tiles_loop.Nest.space in

@@ -51,9 +51,10 @@ type t = {
   inflight : (string, ticket) Hashtbl.t;
   lock : Mutex.t;  (* guards inflight, pending, coalesced, seq *)
   drained : Condition.t;
-  (* real shm executions are serialized: each spawns one domain per
-     rank, so running two at once would oversubscribe the cores being
-     measured (the same discipline Tune applies to its shm backend) *)
+  (* real shm executions are serialized: each runs its ranks on a pool
+     as large as the host's cores, so running two at once would
+     oversubscribe the cores being measured (the same discipline Tune
+     applies to its shm backend) *)
   shm_gate : Mutex.t;
   mutable pending : int;  (* admitted but not yet completed *)
   mutable coalesced : int;

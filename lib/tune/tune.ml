@@ -54,10 +54,10 @@ let plan_of ~nest cand = Plan.make ~m:cand.Candidate.m nest (Candidate.tiling ca
 
 (* evaluate [jobs] (plan per candidate) across [workers] domains; the
    simulator state is per-run and all cross-candidate shared structures
-   (the nest-space projection memo) are forced before spawning. Shm
-   evaluation spawns one domain per rank (plus its watchdog) inside each
-   run, so it is serialized: parallel evals would oversubscribe the cores
-   being measured. *)
+   (the nest-space projection memo) are forced before spawning. Each shm
+   evaluation runs its ranks on a pool as large as the host's cores, so
+   shm is serialized: parallel evals would oversubscribe the cores being
+   measured. *)
 let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
   let jobs = Array.of_list jobs in
   let out = Array.make (Array.length jobs) None in

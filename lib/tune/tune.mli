@@ -12,7 +12,7 @@
       discrete-event simulator ({!Tiles_runtime.Executor.run} in [Timing]
       mode), fanned out across OCaml domains, or the real shared-memory
       executor ({!Tiles_runtime.Shm_executor.run}), serialized because
-      each measurement already uses one domain per rank — memoized in an
+      each measurement already uses every core — memoized in an
       optional on-disk {!Cache} so repeated tunes are incremental;
     + returns everything, best candidate first.
 

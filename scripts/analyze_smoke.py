@@ -14,7 +14,9 @@
 #
 # The SOR config also runs on the shm backend, blocking and overlapped:
 # its wall-clock path must cover >= 95% and its segments sum to the
-# completion within 1e-9.
+# completion within 1e-9. So must a 138-rank Jacobi shm run (more ranks
+# than the runtime has domains; ranks are fibers sharing the host's
+# cores), whose answer must also equal the sequential oracle's exactly.
 #
 # Then a bounded-memory scale check: a >=1024-rank Jacobi sim traced
 # with the streaming recorder (span totals only) must fit under a hard
@@ -113,6 +115,20 @@ for flags in ([], ["--overlap"]):
     assert gap <= 1e-9, (name, gap)
     print(f"sor {name}: completion {rep['completion_s']:.6f}s "
           f"coverage {rep['coverage']:.3f}")
+
+SHM_WIDE = ["--app", "jacobi", "-t", "24", "-n", "66", "-x", "3", "-y", "8",
+            "-z", "8", "--backend", "shm", "--json"]
+r = subprocess.run([tilec, "analyze"] + SHM_WIDE, capture_output=True,
+                   text=True)
+assert r.returncode == 0, (SHM_WIDE, r.stdout, r.stderr)
+assert "max |parallel - sequential| = 0\n" in r.stderr, r.stderr
+rep = json.loads(r.stdout)
+assert rep["nprocs"] == 138, rep["nprocs"]
+assert rep["coverage"] >= MIN_COVERAGE, ("shm 138", rep["coverage"])
+gap = abs(sum(rep["kind_seconds"].values()) - rep["completion_s"])
+assert gap <= 1e-9, ("shm 138", gap)
+print(f"jacobi shm 138 ranks: completion {rep['completion_s']:.6f}s "
+      f"coverage {rep['coverage']:.3f}")
 
 # scale: >=1024 sim ranks under the streaming recorder, against the
 # same config untraced

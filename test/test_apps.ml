@@ -480,9 +480,10 @@ let test_run_spec_error_message () =
     (Run_spec.error_message (Failure "boom"));
   Alcotest.(check string) "zero factor" "singular tiling (zero tile factor)"
     (Run_spec.error_message Division_by_zero);
-  Alcotest.(check string) "rendezvous timeout" "rank 3 blocked"
+  Alcotest.(check string) "deadlock"
+    "deadlock: rank 3 waiting on (src=2, tag=0)"
     (Run_spec.error_message
-       (Tiles_runtime.Shm_executor.Recv_timeout "rank 3 blocked"));
+       (Sim.Deadlock "rank 3 waiting on (src=2, tag=0)"));
   let m =
     {
       Tiles_runtime.Protocol.mm_rank = 1;

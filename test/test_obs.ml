@@ -724,76 +724,6 @@ let test_chrome_metadata () =
       (List.mem_assoc "metadata" kvs)
   | _ -> Alcotest.fail "chrome json not an object"
 
-(* ---------------- shm mailbox ---------------- *)
-
-let test_mailbox_leak_bounded () =
-  let mb = Shm_executor.Mailbox.create () in
-  for tag = 0 to 99 do
-    Shm_executor.Mailbox.send mb ~tag
-      (Tiles_util.Fbuf.of_array [| float_of_int tag |]);
-    let got = Shm_executor.Mailbox.recv mb ~tag in
-    Alcotest.(check (float 0.)) "payload" (float_of_int tag) got.{0}
-  done;
-  (* before the fix this table held one empty queue per tag ever used *)
-  Alcotest.(check int) "drained queues removed" 0
-    (Shm_executor.Mailbox.tag_count mb);
-  Shm_executor.Mailbox.send mb ~tag:7 (Tiles_util.Fbuf.of_array [| 1. |]);
-  Shm_executor.Mailbox.send mb ~tag:7 (Tiles_util.Fbuf.of_array [| 2. |]);
-  Shm_executor.Mailbox.send mb ~tag:9 (Tiles_util.Fbuf.of_array [| 3. |]);
-  Alcotest.(check int) "pending tags counted" 2
-    (Shm_executor.Mailbox.tag_count mb);
-  ignore (Shm_executor.Mailbox.recv mb ~tag:7);
-  Alcotest.(check int) "partial drain keeps queue" 2
-    (Shm_executor.Mailbox.tag_count mb);
-  ignore (Shm_executor.Mailbox.recv mb ~tag:7);
-  Alcotest.(check int) "full drain drops queue" 1
-    (Shm_executor.Mailbox.tag_count mb)
-
-let test_mailbox_recv_timeout () =
-  let mb = Shm_executor.Mailbox.create () in
-  (* nobody sends; a nudger stands in for the run's watchdog *)
-  let stop = Atomic.make false in
-  let nudger =
-    Domain.spawn (fun () ->
-        while not (Atomic.get stop) do
-          Unix.sleepf 0.01;
-          Shm_executor.Mailbox.nudge mb
-        done)
-  in
-  let raised =
-    try
-      ignore
-        (Shm_executor.Mailbox.recv ~timeout:0.05
-           ~diag:(fun () -> "rank 1 blocked (src=0, tag=42)")
-           mb ~tag:42);
-      None
-    with Shm_executor.Recv_timeout msg -> Some msg
-  in
-  Atomic.set stop true;
-  Domain.join nudger;
-  match raised with
-  | Some msg ->
-    Alcotest.(check bool) "diagnostic names the channel" true
-      (Astring.String.is_infix ~affix:"tag=42" msg)
-  | None -> Alcotest.fail "recv did not time out"
-
-(* timeout = 0. (and negative) used to silently mean "wait forever" —
-   exactly the opposite of what the caller asked for; both must be
-   rejected up front *)
-let test_mailbox_rejects_nonpositive_timeout () =
-  let mb = Shm_executor.Mailbox.create () in
-  let expect t =
-    Alcotest.check_raises
-      (Printf.sprintf "timeout %g rejected" t)
-      (Invalid_argument
-         "Mailbox.recv: timeout must be positive (use infinity to wait \
-          forever)")
-      (fun () -> ignore (Shm_executor.Mailbox.recv ~timeout:t mb ~tag:0))
-  in
-  expect 0.;
-  expect (-0.5);
-  expect nan
-
 let () =
   Alcotest.run "tiles_obs"
     [
@@ -864,11 +794,4 @@ let () =
         ] );
       ( "residual",
         [ Alcotest.test_case "calibrate" `Quick test_residual_calibrate ] );
-      ( "mailbox",
-        [
-          Alcotest.test_case "leak bounded" `Quick test_mailbox_leak_bounded;
-          Alcotest.test_case "recv timeout" `Quick test_mailbox_recv_timeout;
-          Alcotest.test_case "non-positive timeout rejected" `Quick
-            test_mailbox_rejects_nonpositive_timeout;
-        ] );
     ]

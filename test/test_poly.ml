@@ -58,6 +58,25 @@ let test_fm_unbounded () =
     (Failure "Fourier_motzkin.bounds: variable unbounded above") (fun () ->
       ignore (FM.bounds proj ~var:0 ~prefix:[||]))
 
+(* a row walk's bounds reuse one scratch range: walking ten times the
+   rows allocates no more than a constant *)
+let test_iter_rows_no_alloc () =
+  let small = Polyhedron.box [ (0, 9); (0, 9); (0, 4) ]
+  and large = Polyhedron.box [ (0, 99); (0, 9); (0, 4) ] in
+  let words p =
+    let before = Gc.minor_words () in
+    Polyhedron.iter_rows p (fun _ _ -> ());
+    Gc.minor_words () -. before
+  in
+  (* the first walk builds and memoises the projection *)
+  ignore (words small);
+  ignore (words large);
+  let w1 = words small and w10 = words large in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words %.0f (100 rows) vs %.0f (1000 rows)" w1 w10)
+    true
+    (w10 -. w1 < 64.)
+
 (* ---------- Polyhedron ---------- *)
 
 let test_box_count () =
@@ -329,6 +348,8 @@ let () =
           Alcotest.test_case "triangle" `Quick test_fm_triangle;
           Alcotest.test_case "bounds" `Quick test_fm_bounds;
           Alcotest.test_case "unbounded" `Quick test_fm_unbounded;
+          Alcotest.test_case "iter_rows no allocation" `Quick
+            test_iter_rows_no_alloc;
           q prop_fm_soundness;
           q prop_fm_enumeration_exact;
         ] );

@@ -355,8 +355,8 @@ let test_shm_overlap_matches_blocking () =
     ~kernel:(Adi.kernel p)
 
 (* a rank that raises ends the whole run at once: the ranks blocked on
-   its messages stop waiting instead of sitting out the 30 s receive
-   deadline, and the run re-raises the rank's own exception *)
+   its messages stop where they are, and the run re-raises the rank's
+   own exception *)
 exception Injected
 
 let test_shm_failure_ends_run () =
@@ -391,23 +391,70 @@ let test_shm_failure_ends_run () =
       if dt >= 2. then Alcotest.failf "%s: the run took %.2fs to fail" name dt)
     [ false; true ]
 
-(* A plan of more ranks than the runtime has domains for fails before
-   the run starts any domain, with the structured error; nothing here
-   spawns a domain to find the limit. *)
-let test_shm_domain_cap () =
-  let nest = pascal_nest 254 2 in
-  let plan = Plan.make ~m:1 nest (Tiling.rectangular [ 2; 2 ]) in
-  let nprocs = Tiles_core.Mapping.nprocs plan.Plan.mapping in
-  Alcotest.(check bool) "at least 127 ranks" true (nprocs >= 127);
+(* A ring in which every rank receives before it sends can never move.
+   With more ranks than domains, the runner sees at once that no fiber
+   runs and none can be woken, and names every blocked receive; the same
+   ring with rank 0 sending first completes. *)
+let test_shm_deadlock_named () =
   let module Shm = Tiles_runtime.Shm_executor in
-  match Shm.run ~plan ~kernel:pascal_kernel () with
-  | _ -> Alcotest.fail "the run started past the domain limit"
-  | exception Shm.Too_many_ranks { nprocs = n; max_domains } ->
-    Alcotest.(check int) "ranks reported" nprocs n;
-    Alcotest.(check int) "limit reported" Shm.max_domains max_domains;
-    Alcotest.(check bool) "message names the limit" true
-      (Astring.String.is_infix ~affix:"128"
-         (Printexc.to_string (Shm.Too_many_ranks { nprocs; max_domains })))
+  let nprocs = Domain.recommended_domain_count () + 3 in
+  let ring ~zero_first (c : Tiles_runtime.Protocol.comms) rank =
+    let pred = (rank + nprocs - 1) mod nprocs in
+    let send () =
+      c.send ~dst:((rank + 1) mod nprocs) ~tag:rank (Sim.Length 1)
+    in
+    if zero_first && rank = 0 then send ();
+    ignore (c.recv ~src:pred ~tag:pred);
+    if not (zero_first && rank = 0) then send ()
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Shm.run_program ~nprocs (ring ~zero_first:false) with
+  | () -> Alcotest.fail "the ring completed"
+  | exception Sim.Deadlock msg ->
+    let blocked = String.split_on_char ';' msg in
+    Alcotest.(check int) "one entry per rank" nprocs (List.length blocked);
+    for rank = 0 to nprocs - 1 do
+      let pred = (rank + nprocs - 1) mod nprocs in
+      let entry =
+        Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" rank pred pred
+      in
+      if not (List.mem entry (List.map String.trim blocked)) then
+        Alcotest.failf "%S not named in %S" entry msg
+    done);
+  let dt = Unix.gettimeofday () -. t0 in
+  if dt >= 1. then Alcotest.failf "the deadlock took %.2fs to report" dt;
+  let rc = Tiles_obs.Recorder.create ~nprocs () in
+  Shm.run_program ~recorder:rc ~nprocs (ring ~zero_first:true);
+  Alcotest.(check int) "the live ring's messages" nprocs
+    (Tiles_obs.Recorder.messages rc)
+
+(* 138 ranks: more than the runtime's 128 live domains, so only ranks
+   sharing domains can run it. Both schedules are bit-exact and move the
+   simulator's messages and bytes. *)
+let test_shm_past_domain_cap () =
+  let module Shm = Tiles_runtime.Shm_executor in
+  let module Jacobi = Tiles_apps.Jacobi in
+  let p = Jacobi.make ~t_steps:24 ~size:66 in
+  let nest = Jacobi.nest p in
+  let plan =
+    Plan.make ~m:Jacobi.mapping_dim nest (Jacobi.nonrect ~x:3 ~y:8 ~z:8)
+  in
+  let kernel = Jacobi.kernel p in
+  Alcotest.(check bool) "past 126 ranks" true (Plan.nprocs plan > 126);
+  let space = nest.Nest.space in
+  let oracle = Grid.digest (Seq_exec.run ~space ~kernel ()) space in
+  List.iter
+    (fun overlap ->
+      let name = if overlap then "overlapped" else "blocking" in
+      let r = Shm.run ~overlap ~plan ~kernel () in
+      Alcotest.(check int64) (name ^ ": bit-exact") oracle
+        (Grid.digest r.Shm.grid space);
+      let sim = Executor.run ~mode:Executor.Timing ~overlap ~plan ~kernel ~net () in
+      Alcotest.(check int) (name ^ ": sim's messages")
+        sim.Executor.stats.Sim.messages r.Shm.messages;
+      Alcotest.(check int) (name ^ ": sim's bytes") sim.Executor.stats.Sim.bytes
+        r.Shm.bytes)
+    [ false; true ]
 
 (* ---------- Model ---------- *)
 
@@ -484,8 +531,10 @@ let () =
             test_shm_overlap_matches_blocking;
           Alcotest.test_case "failing rank ends the run" `Quick
             test_shm_failure_ends_run;
-          Alcotest.test_case "domain cap checked first" `Quick
-            test_shm_domain_cap;
+          Alcotest.test_case "deadlock named at once" `Quick
+            test_shm_deadlock_named;
+          Alcotest.test_case "past the old domain cap" `Quick
+            test_shm_past_domain_cap;
         ] );
       ( "model",
         [
