@@ -65,7 +65,7 @@ let () =
   let plan = Plan.make ~m:Sor.mapping_dim nest (Sor.nonrect ~x ~y ~z) in
   let shm = Tiles_runtime.Shm_executor.run ~plan ~kernel () in
   Printf.printf
-    "\nreal shared-memory run: %d domains, %d messages, max err %g\n"
+    "\nreal shared-memory run: %d ranks, %d messages, max err %g\n"
     shm.Tiles_runtime.Shm_executor.nprocs
     shm.Tiles_runtime.Shm_executor.messages
     shm.Tiles_runtime.Shm_executor.max_abs_err
