@@ -1,5 +1,3 @@
-open Effect
-open Effect.Deep
 module Span = Tiles_obs.Span
 module Recorder = Tiles_obs.Recorder
 module Fbuf = Tiles_util.Fbuf
@@ -18,54 +16,22 @@ type stats = {
   bytes : int;
 }
 
-exception Deadlock of string
-
-let () =
-  Printexc.register_printer (function
-    | Deadlock blocked -> Some ("deadlock: " ^ blocked)
-    | _ -> None)
-
-let deadlock ?(at_barrier = []) waits =
-  let recv =
-    List.map
-      (fun (src, dst, tag) ->
-        Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" dst src tag)
-      waits
-  in
-  let barrier = List.map (Printf.sprintf "rank %d at barrier") at_barrier in
-  Deadlock (String.concat "; " (List.sort compare (recv @ barrier)))
+exception Deadlock = Sched.Deadlock
 
 type payload = Data of Fbuf.t | Length of int
 
 let payload_length = function Data d -> Fbuf.length d | Length n -> n
 
+type comms = {
+  send : dst:int -> tag:int -> payload -> unit;
+  recv : src:int -> tag:int -> payload;
+  compute : float -> unit;
+  pack : float -> unit;
+  unpack : float -> unit;
+}
+
 (* the sender may reuse its buffer once the send returns *)
 let detach = function Data d -> Data (Fbuf.copy d) | Length _ as p -> p
-
-type _ Effect.t +=
-  | E_rank : int Effect.t
-  | E_nprocs : int Effect.t
-  | E_work : (Span.kind * float) -> unit Effect.t
-  | E_now : float Effect.t
-  | E_send : (int * int * payload) -> unit Effect.t
-  | E_isend : (int * int * payload) -> unit Effect.t
-  | E_recv : (int * int) -> payload Effect.t
-  | E_barrier : unit Effect.t
-
-module Api = struct
-  let rank () = perform E_rank
-  let nprocs () = perform E_nprocs
-  let compute dt = perform (E_work (Span.Compute, dt))
-  let pack dt = perform (E_work (Span.Pack, dt))
-  let unpack dt = perform (E_work (Span.Unpack, dt))
-  let now () = perform E_now
-  let send ~dst ~tag data = perform (E_send (dst, tag, data))
-  let isend ~dst ~tag data = perform (E_isend (dst, tag, data))
-  let recv ~src ~tag = perform (E_recv (src, tag))
-  let barrier () = perform E_barrier
-end
-
-type channel_key = int * int * int (* src, dst, tag *)
 
 (* Contended-model network state: per-rank NIC lanes (busy-until stamps)
    and the optional shared uplink. Reservations happen in simulator
@@ -85,30 +51,14 @@ type state = {
   net : Netmodel.t;
   nics : nics option;  (* Some iff net.model is Contended *)
   clocks : float array;
-  (* queued messages carry (ready, nic-queueing seconds, payload) *)
-  channels : (channel_key, (float * float * payload) Queue.t) Hashtbl.t;
-  (* a parked receiver: wake it with the (ready, queued, payload) triple *)
-  parked : (channel_key, (float * float * payload) -> unit) Hashtbl.t;
-  runq : (unit -> unit) Queue.t;
-  mutable finished : int;
-  mutable at_barrier : (int * (unit -> unit)) list;
   (* all counters, spans and message identity live in the shared
      recorder; the simulator feeds it explicit virtual timestamps *)
   logs : Recorder.log array;
 }
 
-let queue_of st key =
-  match Hashtbl.find_opt st.channels key with
-  | Some q -> q
-  | None ->
-    let q = Queue.create () in
-    Hashtbl.add st.channels key q;
-    q
-
-let pop_message st key =
-  match Hashtbl.find_opt st.channels key with
-  | None -> None
-  | Some q -> if Queue.is_empty q then None else Some (Queue.pop q)
+(* a message on the scheduler's channels: (ready, nic-queueing seconds,
+   payload) *)
+type sched = (float * float * payload) Sched.t
 
 (* Reserve the earliest-free lane for a transfer of [dur] seconds not
    starting before [at]; returns the transfer's start time. FIFO per
@@ -140,8 +90,7 @@ let uplink_pass nics ~w0 ~wire_end ~nbytes =
    the sender's clock (the wire and latency run after it). [queued] is
    the NIC/uplink queueing already accumulated on the sender side; the
    receive NIC may add more before the message is ready. *)
-let deposit st key ~sent ~queued arrival data =
-  let src, dst, tag = key in
+let deposit st (sched : sched) ~src ~dst ~tag ~sent ~queued arrival data =
   let nbytes = 8 * payload_length data in
   Recorder.message_sent st.logs.(src) ~t:sent ~dst ~tag ~bytes:nbytes ();
   let arrival, queued =
@@ -163,30 +112,101 @@ let deposit st key ~sent ~queued arrival data =
       Recorder.nic_queue st.logs.(dst) recv_q;
       (ready, queued +. recv_q)
   in
-  Queue.push (arrival, queued, data) (queue_of st key);
-  (* wake a receiver parked on this channel *)
-  match Hashtbl.find_opt st.parked key with
-  | None -> ()
-  | Some wake ->
-    Hashtbl.remove st.parked key;
-    Queue.push
-      (fun () ->
-        match pop_message st key with
-        | Some msg -> wake msg
-        | None -> assert false)
-      st.runq
+  Sched.send sched ~src ~dst ~tag (arrival, queued, data)
 
 let record st rank t0 t1 kind = Recorder.span st.logs.(rank) ~t0 ~t1 kind
 
+let work st r kind dt =
+  let t0 = st.clocks.(r) in
+  st.clocks.(r) <- st.clocks.(r) +. dt;
+  record st r t0 st.clocks.(r) kind
+
+let check_dst st dst =
+  if dst < 0 || dst >= st.nprocs then
+    invalid_arg "Sim.send: bad destination rank"
+
+(* eager send: the sender pays overhead + wire *)
+let send st sched r ~dst ~tag data =
+  check_dst st dst;
+  let nbytes = 8 * payload_length data in
+  let t0 = st.clocks.(r) in
+  match st.nics with
+  | None ->
+    st.clocks.(r) <-
+      st.clocks.(r)
+      +. st.net.Netmodel.send_overhead
+      +. Netmodel.transfer_time st.net ~bytes:nbytes;
+    record st r t0 st.clocks.(r) Span.Send;
+    let arrival = st.clocks.(r) +. st.net.Netmodel.latency in
+    deposit st sched ~src:r ~dst ~tag ~sent:st.clocks.(r) ~queued:0. arrival
+      (detach data)
+  | Some nics ->
+    (* blocking eager send: the CPU prepares the message (overhead),
+       waits for a free send-NIC lane, and is occupied until the wire
+       finishes *)
+    let transfer = Netmodel.transfer_time st.net ~bytes:nbytes in
+    let cpu_ready = t0 +. st.net.Netmodel.send_overhead in
+    let w0 = reserve_lane nics.snd_free.(r) ~at:cpu_ready ~dur:transfer in
+    let wire_end = w0 +. transfer in
+    if w0 > cpu_ready then begin
+      (* the NIC-queue stall is the sender's own blocked time, so it
+         surfaces as a Wait span on its timeline (and in the queue
+         counter), not as flight time *)
+      record st r t0 cpu_ready Span.Send;
+      record st r cpu_ready w0 Span.Wait;
+      record st r w0 wire_end Span.Send;
+      Recorder.nic_queue st.logs.(r) (w0 -. cpu_ready)
+    end
+    else record st r t0 wire_end Span.Send;
+    st.clocks.(r) <- wire_end;
+    let egress, up_q = uplink_pass nics ~w0 ~wire_end ~nbytes in
+    Recorder.nic_queue st.logs.(r) up_q;
+    let arrival = egress +. st.net.Netmodel.latency in
+    deposit st sched ~src:r ~dst ~tag ~sent:wire_end ~queued:up_q arrival
+      (detach data)
+
+(* overlapped send: the sender pays only the CPU overhead; the wire runs
+   in parallel with its subsequent computation *)
+let isend st sched r ~dst ~tag data =
+  check_dst st dst;
+  let nbytes = 8 * payload_length data in
+  let t0 = st.clocks.(r) in
+  st.clocks.(r) <- st.clocks.(r) +. st.net.Netmodel.send_overhead;
+  record st r t0 st.clocks.(r) Span.Send;
+  match st.nics with
+  | None ->
+    let arrival =
+      st.clocks.(r)
+      +. Netmodel.transfer_time st.net ~bytes:nbytes
+      +. st.net.Netmodel.latency
+    in
+    deposit st sched ~src:r ~dst ~tag ~sent:st.clocks.(r) ~queued:0. arrival
+      (detach data)
+  | Some nics ->
+    (* the CPU detaches after the overhead; the DMA transfer queues for
+       a send-NIC lane, so its queueing rides the flight (attributed on
+       the edge), not the CPU *)
+    let transfer = Netmodel.transfer_time st.net ~bytes:nbytes in
+    let cpu_ready = st.clocks.(r) in
+    let w0 = reserve_lane nics.snd_free.(r) ~at:cpu_ready ~dur:transfer in
+    let send_q = w0 -. cpu_ready in
+    let wire_end = w0 +. transfer in
+    let egress, up_q = uplink_pass nics ~w0 ~wire_end ~nbytes in
+    Recorder.nic_queue st.logs.(r) (send_q +. up_q);
+    let arrival = egress +. st.net.Netmodel.latency in
+    deposit st sched ~src:r ~dst ~tag ~sent:cpu_ready ~queued:(send_q +. up_q)
+      arrival (detach data)
+
 (* Advance the receiver past one message. [t0] is when the rank entered
-   the receive (for a parked receiver: its park time, NOT the virtual
-   time at which the simulator happened to resume the fiber). Only the
-   genuinely blocked interval — from [t0] until the message's arrival —
-   counts as [Wait]; the per-message receive overhead is its own
-   [Unpack] span, so a message that was already waiting in the channel
-   contributes no wait time at all. *)
-let receive_clock st key r ~t0 (arrival, queued, data) =
-  let src, _, tag = key in
+   the receive: a parked receiver's clock stands still until it is
+   resumed, so that is its park time. Only the genuinely blocked
+   interval — from [t0] until the message's arrival — counts as [Wait];
+   the per-message receive overhead is its own [Unpack] span, so a
+   message that was already waiting in the channel contributes no wait
+   time at all. *)
+let recv st sched r ~src ~tag =
+  let t0 = st.clocks.(r) in
+  let arrival, queued, data = Sched.recv sched ~src ~dst:r ~tag in
   let ready = Float.max t0 arrival in
   record st r t0 ready Span.Wait;
   Recorder.message_received st.logs.(r) ~t:ready ~posted:t0 ~queued ~src ~tag
@@ -196,144 +216,16 @@ let receive_clock st key r ~t0 (arrival, queued, data) =
   record st r ready t1 Span.Unpack;
   data
 
-let release_barrier st =
-  let t =
-    List.fold_left (fun acc (r, _) -> Float.max acc st.clocks.(r)) 0. st.at_barrier
-    +. st.net.Netmodel.latency
-  in
-  let waiting = st.at_barrier in
-  st.at_barrier <- [];
-  List.iter
-    (fun (r, resume) ->
-      st.clocks.(r) <- t;
-      Queue.push resume st.runq)
-    waiting
-
-let handler st (r : int) =
+let comms st sched ~overlap r =
   {
-    retc = (fun () -> st.finished <- st.finished + 1);
-    exnc = (fun e -> raise e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | E_rank -> Some (fun (k : (a, unit) continuation) -> continue k r)
-        | E_nprocs -> Some (fun k -> continue k st.nprocs)
-        | E_now -> Some (fun k -> continue k st.clocks.(r))
-        | E_work (kind, dt) ->
-          Some
-            (fun k ->
-              let t0 = st.clocks.(r) in
-              st.clocks.(r) <- st.clocks.(r) +. dt;
-              record st r t0 st.clocks.(r) kind;
-              continue k ())
-        | E_send (dst, tag, data) ->
-          Some
-            (fun k ->
-              if dst < 0 || dst >= st.nprocs then
-                invalid_arg "Sim.send: bad destination rank";
-              let nbytes = 8 * payload_length data in
-              let t0 = st.clocks.(r) in
-              (match st.nics with
-              | None ->
-                st.clocks.(r) <-
-                  st.clocks.(r)
-                  +. st.net.Netmodel.send_overhead
-                  +. Netmodel.transfer_time st.net ~bytes:nbytes;
-                record st r t0 st.clocks.(r) Span.Send;
-                let arrival = st.clocks.(r) +. st.net.Netmodel.latency in
-                deposit st (r, dst, tag) ~sent:st.clocks.(r) ~queued:0.
-                  arrival (detach data)
-              | Some nics ->
-                (* blocking eager send: the CPU prepares the message
-                   (overhead), waits for a free send-NIC lane, and is
-                   occupied until the wire finishes *)
-                let transfer = Netmodel.transfer_time st.net ~bytes:nbytes in
-                let cpu_ready = t0 +. st.net.Netmodel.send_overhead in
-                let w0 =
-                  reserve_lane nics.snd_free.(r) ~at:cpu_ready ~dur:transfer
-                in
-                let wire_end = w0 +. transfer in
-                if w0 > cpu_ready then begin
-                  (* the NIC-queue stall is the sender's own blocked
-                     time, so it surfaces as a Wait span on its timeline
-                     (and in the queue counter), not as flight time *)
-                  record st r t0 cpu_ready Span.Send;
-                  record st r cpu_ready w0 Span.Wait;
-                  record st r w0 wire_end Span.Send;
-                  Recorder.nic_queue st.logs.(r) (w0 -. cpu_ready)
-                end
-                else record st r t0 wire_end Span.Send;
-                st.clocks.(r) <- wire_end;
-                let egress, up_q =
-                  uplink_pass nics ~w0 ~wire_end ~nbytes
-                in
-                Recorder.nic_queue st.logs.(r) up_q;
-                let arrival = egress +. st.net.Netmodel.latency in
-                deposit st (r, dst, tag) ~sent:wire_end ~queued:up_q arrival
-                  (detach data));
-              continue k ())
-        | E_isend (dst, tag, data) ->
-          Some
-            (fun k ->
-              if dst < 0 || dst >= st.nprocs then
-                invalid_arg "Sim.isend: bad destination rank";
-              let nbytes = 8 * payload_length data in
-              (* sender only pays the CPU overhead; the wire runs in
-                 parallel with subsequent computation *)
-              let t0 = st.clocks.(r) in
-              st.clocks.(r) <- st.clocks.(r) +. st.net.Netmodel.send_overhead;
-              record st r t0 st.clocks.(r) Span.Send;
-              (match st.nics with
-              | None ->
-                let arrival =
-                  st.clocks.(r)
-                  +. Netmodel.transfer_time st.net ~bytes:nbytes
-                  +. st.net.Netmodel.latency
-                in
-                deposit st (r, dst, tag) ~sent:st.clocks.(r) ~queued:0.
-                  arrival (detach data)
-              | Some nics ->
-                (* the CPU detaches after the overhead; the DMA transfer
-                   queues for a send-NIC lane, so its queueing rides the
-                   flight (attributed on the edge), not the CPU *)
-                let transfer = Netmodel.transfer_time st.net ~bytes:nbytes in
-                let cpu_ready = st.clocks.(r) in
-                let w0 =
-                  reserve_lane nics.snd_free.(r) ~at:cpu_ready ~dur:transfer
-                in
-                let send_q = w0 -. cpu_ready in
-                let wire_end = w0 +. transfer in
-                let egress, up_q =
-                  uplink_pass nics ~w0 ~wire_end ~nbytes
-                in
-                Recorder.nic_queue st.logs.(r) (send_q +. up_q);
-                let arrival = egress +. st.net.Netmodel.latency in
-                deposit st (r, dst, tag) ~sent:cpu_ready
-                  ~queued:(send_q +. up_q) arrival (detach data));
-              continue k ())
-        | E_recv (src, tag) ->
-          Some
-            (fun k ->
-              let key = (src, r, tag) in
-              match pop_message st key with
-              | Some msg ->
-                continue k (receive_clock st key r ~t0:st.clocks.(r) msg)
-              | None ->
-                if Hashtbl.mem st.parked key then
-                  failwith
-                    "Sim.recv: two simultaneous receives on one channel";
-                let t_park = st.clocks.(r) in
-                Hashtbl.replace st.parked key (fun msg ->
-                    continue k (receive_clock st key r ~t0:t_park msg)))
-        | E_barrier ->
-          Some
-            (fun k ->
-              st.at_barrier <- (r, fun () -> continue k ()) :: st.at_barrier;
-              if List.length st.at_barrier = st.nprocs then release_barrier st)
-        | _ -> None);
+    send = (if overlap then isend else send) st sched r;
+    recv = recv st sched r;
+    compute = work st r Span.Compute;
+    pack = work st r Span.Pack;
+    unpack = work st r Span.Unpack;
   }
 
-let run ?recorder ~nprocs ~net program =
+let run ?recorder ?(overlap = false) ~nprocs ~net program =
   if nprocs <= 0 then invalid_arg "Sim.run: nprocs";
   let rc =
     match recorder with
@@ -364,26 +256,13 @@ let run ?recorder ~nprocs ~net program =
       net;
       nics;
       clocks = Array.make nprocs 0.;
-      channels = Hashtbl.create 64;
-      parked = Hashtbl.create 16;
-      runq = Queue.create ();
-      finished = 0;
-      at_barrier = [];
       logs = Array.init nprocs (fun r -> Recorder.log rc ~rank:r);
     }
   in
-  for r = 0 to nprocs - 1 do
-    Queue.push (fun () -> match_with (fun () -> program r) () (handler st r)) st.runq
-  done;
-  while not (Queue.is_empty st.runq) do
-    let thunk = Queue.pop st.runq in
-    thunk ()
-  done;
-  if st.finished < nprocs then
-    raise
-      (deadlock
-         ~at_barrier:(List.map fst st.at_barrier)
-         (Hashtbl.fold (fun key _ acc -> key :: acc) st.parked []));
+  (* one domain: the run order, and so every lane reservation and
+     virtual timestamp, follows from the programs' control flow alone *)
+  Sched.run ~domains:1 ~nprocs (fun sched r ->
+      program (comms st sched ~overlap r) r);
   {
     completion = Array.fold_left Float.max 0. st.clocks;
     rank_clocks = Array.copy st.clocks;

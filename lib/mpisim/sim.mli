@@ -1,16 +1,21 @@
 (** Discrete-event simulated message-passing cluster.
 
-    Each rank runs as an effect-handler fiber with its own virtual clock.
-    Ranks interact only through messages, so the simulation needs no
-    preemption: a fiber runs until it blocks on a receive whose message has
-    not been produced yet, sends wake blocked receivers, and the virtual
+    Each rank runs as a fiber of the shared scheduler ({!Sched}), on the
+    calling domain only, with its own virtual clock. Ranks interact only
+    through messages, so the simulation needs no preemption: a fiber
+    runs until it blocks on a receive whose message has not been
+    produced yet, sends wake blocked receivers, and the virtual
     completion time is the maximum clock at exit. Matching is FIFO per
     (source, destination, tag) channel — the semantics of a blocking
     MPI_Recv with an eager, buffered MPI_Send, which is how the paper's
-    generated code communicates.
+    generated code communicates. There is no barrier.
 
-    The simulation is deterministic: rank programs are pure functions of
-    their inputs and message contents, and queue order is fixed.
+    Virtual time is a {!comms} built over the scheduler: each send,
+    receive and cost hook does its clock arithmetic as a plain call, and
+    only a receive that finds nothing queued parks its fiber. The
+    simulation is deterministic: rank programs are pure functions of
+    their inputs and message contents, and on one domain the run order
+    is fixed.
 
     Network contention: under {!Netmodel.Alpha_beta} every concurrent
     transfer gets the full wire bandwidth (infinite-capacity NICs).
@@ -54,17 +59,10 @@ type stats = {
     {!Tiles_obs.Recorder} it wrote to. *)
 
 exception Deadlock of string
-(** Raised when every unfinished rank is blocked on a receive that can
-    never be satisfied: by {!run}, and by the shared-memory backend's
-    runner too. The message lists the blocked ranks; [Printexc.to_string]
-    prints it after ["deadlock: "]. *)
-
-val deadlock : ?at_barrier:int list -> (int * int * int) list -> exn
-(** [deadlock ~at_barrier waits] is the {!Deadlock} naming every receive
-    blocked on a [(src, dst, tag)] channel of [waits] as
-    ["rank dst waiting on (src=S, tag=T)"] and every rank of
-    [at_barrier] (default none) as ["rank R at barrier"], sorted and
-    joined by ["; "]. *)
+(** {!Sched.Deadlock}: raised when every unfinished rank is blocked on
+    a receive that can never be satisfied, by {!run} and by the
+    shared-memory backend's runner alike. The message lists the blocked
+    receives; [Printexc.to_string] prints it after ["deadlock: "]. *)
 
 (** A message body: real data, or only its length. [Length n] moves no
     data but costs the same [8·n] bytes on the wire as [n] floats — what
@@ -75,60 +73,45 @@ val payload_length : payload -> int
 (** Floats carried (or stood for): [Fbuf.length] of [Data], [n] of
     [Length n]. *)
 
-(** Operations available inside a rank program. *)
-module Api : sig
-  val rank : unit -> int
-  val nprocs : unit -> int
-
-  val compute : float -> unit
-  (** Advance this rank's clock by [dt] seconds of local work. *)
-
-  val pack : float -> unit
-  (** Like {!compute}, but the traced span is tagged [Pack] (gathering a
-      slab into a message buffer). *)
-
-  val unpack : float -> unit
-  (** Like {!compute}, but tagged [Unpack] (scattering a received buffer
-      into the LDS). *)
-
-  val now : unit -> float
-  (** Current virtual time on this rank. *)
-
-  val send : dst:int -> tag:int -> payload -> unit
-  (** Eager buffered send of [8·payload_length] bytes: charges the sender
-      overhead + wire time, then returns; the message becomes available
-      to [dst] one latency later. [Data] is copied, so the sender may
-      reuse its buffer. *)
-
-  val isend : dst:int -> tag:int -> payload -> unit
-  (** Overlapped (non-blocking) send: the sender pays only the CPU
-      overhead; wire time runs concurrently with whatever the sender does
-      next, so the message arrives at [now + overhead + wire + latency].
-      Models the communication/computation-overlap schedule of the
-      paper's future-work reference [8] (DMA/NIC-driven transfers). *)
-
-  val recv : src:int -> tag:int -> payload
-  (** Block until the matching message arrives; the clock advances to
-      [max own-clock arrival + recv_overhead]. Only the genuinely
-      blocked interval (own clock → arrival) is traced as [Wait]; the
-      receive overhead is traced as [Unpack], so a message that was
-      already buffered records no wait time. *)
-
-  val barrier : unit -> unit
-  (** All ranks synchronise; everyone leaves at the common maximum clock
-      plus one latency. *)
-end
+(** A rank's transport and cost hooks: what a rank program of either
+    backend is given. Here each call charges virtual time:
+    - [send] is the eager buffered send of [8·payload_length] bytes: it
+      charges the sender overhead + wire time, then returns; the message
+      becomes available to [dst] one latency later. Under [~overlap] it
+      is the non-blocking send instead: the sender pays only the CPU
+      overhead and the wire runs concurrently with whatever it does
+      next, so the message arrives at [now + overhead + wire + latency]
+      (the DMA/NIC-driven transfers of the paper's future-work
+      reference [8]). [Data] is copied, so the sender may reuse its
+      buffer.
+    - [recv] blocks until the matching message arrives; the clock
+      advances to [max own-clock arrival + recv_overhead]. Only the
+      genuinely blocked interval (own clock → arrival) is traced as
+      [Wait]; the receive overhead is traced as [Unpack], so a message
+      that was already buffered records no wait time.
+    - [compute], [pack] and [unpack] advance the rank's clock by their
+      argument in seconds, traced as a span of that kind. *)
+type comms = {
+  send : dst:int -> tag:int -> payload -> unit;
+  recv : src:int -> tag:int -> payload;
+  compute : float -> unit;  (** tile-point arithmetic for one tile *)
+  pack : float -> unit;  (** gathering one outgoing slab *)
+  unpack : float -> unit;  (** scattering one received slab *)
+}
 
 val run :
   ?recorder:Tiles_obs.Recorder.t ->
+  ?overlap:bool ->
   nprocs:int ->
   net:Netmodel.t ->
-  (int -> unit) ->
+  (comms -> int -> unit) ->
   stats
-(** [run ~nprocs ~net program] executes [program rank] on every rank and
-    returns the virtual-time outcome. Raises [Deadlock] on a stuck
-    communication pattern, and re-raises any exception escaping a rank
-    program.
+(** [run ~nprocs ~net program] executes [program comms rank] on every
+    rank and returns the virtual-time outcome. [overlap] (default false)
+    makes [comms.send] the non-blocking send. Raises [Deadlock] on a
+    stuck communication pattern, and re-raises any exception escaping a
+    rank program; either way every unfinished rank is unwound first
+    ({!Sched.run}).
 
     Every counter, span and message edge goes to [recorder]. Pass one
     to keep them: it must read virtual time (be created with a clock

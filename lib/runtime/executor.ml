@@ -22,23 +22,11 @@ let run ?walker ?check ?(mode = Full) ?(overlap = false) ?recorder ~plan
     Protocol.prepare ?walker ?check ~mode:pmode ~plan ~kernel
       ~flop_time:net.Netmodel.flop_time ~pack_time:net.Netmodel.pack_time ()
   in
-  let comms =
-    {
-      Protocol.send =
-        (fun ~dst ~tag data ->
-          if overlap then Sim.Api.isend ~dst ~tag data
-          else Sim.Api.send ~dst ~tag data);
-      recv = (fun ~src ~tag -> Sim.Api.recv ~src ~tag);
-      compute = Sim.Api.compute;
-      pack = Sim.Api.pack;
-      unpack = Sim.Api.unpack;
-    }
-  in
   let stats =
-    Sim.run ?recorder
+    Sim.run ?recorder ~overlap
       ~nprocs:(Mapping.nprocs plan.Plan.mapping)
       ~net
-      (Protocol.rank_program ~overlap shared comms)
+      (Protocol.rank_program ~overlap shared)
   in
   let seq_modelled =
     float_of_int (Plan.total_iterations plan) *. net.Netmodel.flop_time

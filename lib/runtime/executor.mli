@@ -63,7 +63,7 @@ val run :
     [overlap] (default false) runs {!Protocol.rank_program} in its
     overlapped §5 schedule (receives pre-posted per tile) and switches
     sends to the non-blocking, NIC-driven model of
-    {!Tiles_mpisim.Sim.Api.isend}: the paper's §5 future-work scheme
+    {!Tiles_mpisim.Sim.run}'s [~overlap]: the paper's §5 future-work scheme
     (ref [8]) where a tile's outgoing communication overlaps the next
     tile's computation.
 

@@ -10,7 +10,7 @@ type payload = Tiles_mpisim.Sim.payload = Data of Fbuf.t | Length of int
 
 let payload_length = Tiles_mpisim.Sim.payload_length
 
-type comms = {
+type comms = Tiles_mpisim.Sim.comms = {
   send : dst:int -> tag:int -> payload -> unit;
   recv : src:int -> tag:int -> payload;
   compute : float -> unit;

@@ -15,7 +15,10 @@ type payload = Tiles_mpisim.Sim.payload =
 
 val payload_length : payload -> int
 
-(** Transport + cost hooks supplied by a backend.
+(** Transport + cost hooks supplied by a backend: the one [comms] type,
+    defined in [tiles_mpisim] ({!Tiles_mpisim.Sim.comms}) so that
+    {!Tiles_mpisim.Sim.run} and {!Shm_executor.run_program} take the
+    same [comms -> int -> unit] program.
 
     The three cost hooks are called {e after} the real work of the
     corresponding section, with the section's modelled cost: the
@@ -35,7 +38,7 @@ val payload_length : payload -> int
     replay them) without the transports carrying explicit message
     ids. A transport that reorders messages within one (src, dst, tag)
     channel would break this contract. *)
-type comms = {
+type comms = Tiles_mpisim.Sim.comms = {
   send : dst:int -> tag:int -> payload -> unit;
   recv : src:int -> tag:int -> payload;
   compute : float -> unit;  (** tile-point arithmetic for one tile *)
@@ -117,7 +120,7 @@ val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
     pre-posted before any slab is scattered into the LDS, and outgoing
     slabs are packed and handed to [comms.send] immediately after the
     tile's computation — a backend whose [send] is asynchronous (the
-    simulator's [isend]) then overlaps the transfer with the next tile's
+    simulator's overlapped send) then overlaps the transfer with the next tile's
     computation; the shared-memory backend's hand-off to the receiver
     never blocks in either schedule. Both schedules read the same table, so the
     message set, tags and per-channel order are identical and counters

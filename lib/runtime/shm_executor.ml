@@ -1,11 +1,9 @@
-open Effect
-open Effect.Deep
 module Mapping = Tiles_core.Mapping
 module Plan = Tiles_core.Plan
 module Span = Tiles_obs.Span
 module Recorder = Tiles_obs.Recorder
 module Clock = Tiles_obs.Clock
-module Sim = Tiles_mpisim.Sim
+module Sched = Tiles_mpisim.Sched
 
 type result = {
   wall_seconds : float;
@@ -20,120 +18,6 @@ type result = {
   tiles_executed : int;
   walker_fallback : string option;
 }
-
-type channel = int * int * int (* src, dst, tag *)
-
-(* how a fiber's turn on a domain ended *)
-type status = Parked | Finished | Failed of exn
-
-type fiber =
-  | Start of int  (* the rank's program, not begun *)
-  | Resume of (Protocol.payload, status) continuation * Protocol.payload
-
-type _ Effect.t += Park : channel -> Protocol.payload Effect.t
-
-(* One lock guards all of it. A fiber moves between domains only by
-   being parked or queued here, so whatever its rank wrote on one domain
-   is visible on the next. *)
-type sched = {
-  nprocs : int;
-  lock : Mutex.t;
-  wake : Condition.t;  (* the run queue grew, or the run ended *)
-  runq : fiber Queue.t;
-  (* a drained queue is removed, so every queue here is non-empty *)
-  channels : (channel, Protocol.payload Queue.t) Hashtbl.t;
-  parked : (channel, (Protocol.payload, status) continuation) Hashtbl.t;
-  mutable running : int;  (* fibers on a domain now *)
-  mutable finished : int;
-  mutable failure : exn option;  (* the first; it stops the run *)
-}
-
-let take s ch =
-  match Hashtbl.find_opt s.channels ch with
-  | None -> None
-  | Some q ->
-    let p = Queue.pop q in
-    if Queue.is_empty q then Hashtbl.remove s.channels ch;
-    Some p
-
-(* never blocks: a receiver parked on the channel gets the payload, and
-   otherwise the channel queues it *)
-let deliver s ch payload =
-  Mutex.lock s.lock;
-  (match Hashtbl.find_opt s.parked ch with
-  | Some k ->
-    Hashtbl.remove s.parked ch;
-    Queue.push (Resume (k, payload)) s.runq;
-    Condition.signal s.wake
-  | None -> (
-    match Hashtbl.find_opt s.channels ch with
-    | Some q -> Queue.push payload q
-    | None -> Hashtbl.add s.channels ch (Queue.of_seq (Seq.return payload))));
-  Mutex.unlock s.lock
-
-let receive s ch =
-  Mutex.lock s.lock;
-  let p = take s ch in
-  Mutex.unlock s.lock;
-  match p with Some p -> p | None -> perform (Park ch)
-
-let handler s =
-  {
-    retc = (fun () -> Finished);
-    exnc = (fun e -> Failed e);
-    effc =
-      (fun (type a) (eff : a Effect.t) ->
-        match eff with
-        | Park ch ->
-          Some
-            (fun (k : (a, status) continuation) ->
-              Mutex.lock s.lock;
-              (* a send may have landed since the receive looked *)
-              match take s ch with
-              | Some p ->
-                Mutex.unlock s.lock;
-                continue k p
-              | None ->
-                Hashtbl.replace s.parked ch k;
-                Mutex.unlock s.lock;
-                Parked)
-        | _ -> None);
-  }
-
-let stop s e =
-  if Option.is_none s.failure then s.failure <- Some e;
-  Condition.broadcast s.wake
-
-(* One domain's share of the run, called and returning with the lock
-   held: run fibers until the run ends or fails. *)
-let rec work s body =
-  if Option.is_none s.failure then
-    match Queue.take_opt s.runq with
-    | Some fiber ->
-      s.running <- s.running + 1;
-      Mutex.unlock s.lock;
-      let status =
-        match fiber with
-        | Start rank -> match_with body rank (handler s)
-        | Resume (k, p) -> continue k p
-      in
-      Mutex.lock s.lock;
-      s.running <- s.running - 1;
-      (match status with
-      | Parked -> ()
-      | Finished -> s.finished <- s.finished + 1
-      | Failed e -> stop s e);
-      work s body
-    | None when s.running > 0 ->
-      Condition.wait s.wake s.lock;
-      work s body
-    | None ->
-      (* no fiber runs and none can: every rank is done, or each one
-         left waits for a message that no rank will send *)
-      if s.finished < s.nprocs then
-        stop s
-          (Sim.deadlock (Hashtbl.fold (fun ch _ acc -> ch :: acc) s.parked []))
-      else Condition.broadcast s.wake
 
 let run_program ?recorder ~nprocs program =
   if nprocs <= 0 then invalid_arg "Shm_executor.run_program: nprocs";
@@ -150,27 +34,14 @@ let run_program ?recorder ~nprocs program =
     if Recorder.tracing recorder then fun () -> Recorder.now recorder
     else fun () -> 0.
   in
-  let s =
-    {
-      nprocs;
-      lock = Mutex.create ();
-      wake = Condition.create ();
-      runq = Queue.create ();
-      channels = Hashtbl.create 64;
-      parked = Hashtbl.create 16;
-      running = 0;
-      finished = 0;
-      failure = None;
-    }
-  in
-  let comms_for rank log =
+  let comms_for sched rank log =
     {
       Protocol.send =
         (fun ~dst ~tag data ->
           (* the "send" of this transport is the hand-off itself, so its
              Send span is just that *)
           let t0 = now () in
-          deliver s (rank, dst, tag) data;
+          Sched.send sched ~src:rank ~dst ~tag data;
           (* the causal stamp and the Send span's end must be the same
              reading, so critical-path hops land exactly on span ends *)
           let t1 = now () in
@@ -181,7 +52,7 @@ let run_program ?recorder ~nprocs program =
       recv =
         (fun ~src ~tag ->
           let t0 = now () in
-          let data = receive s (src, rank, tag) in
+          let data = Sched.recv sched ~src ~dst:rank ~tag in
           let t1 = now () in
           Recorder.message_received log ~t:t1 ~posted:t0 ~src ~tag
             ~bytes:(8 * Protocol.payload_length data) ();
@@ -193,37 +64,16 @@ let run_program ?recorder ~nprocs program =
       unpack = (fun _ -> Recorder.close log Span.Unpack);
     }
   in
-  let body rank =
+  let body sched rank =
     let log = Recorder.log recorder ~rank in
     Recorder.mark log;
-    program (comms_for rank log) rank;
+    program (comms_for sched rank log) rank;
     Recorder.finish log
   in
   (* the caller may have made the recorder before this run's set-up *)
   Recorder.restart recorder;
-  for rank = 0 to nprocs - 1 do
-    Queue.push (Start rank) s.runq
-  done;
-  let worker () =
-    Mutex.lock s.lock;
-    work s body;
-    Mutex.unlock s.lock
-  in
-  (* the calling domain is a worker too; a helper that fails to spawn
-     only leaves fewer of them *)
-  let helpers =
-    List.init (min nprocs (Domain.recommended_domain_count ()) - 1) Fun.id
-    |> List.filter_map (fun _ -> try Some (Domain.spawn worker) with _ -> None)
-  in
-  worker ();
-  List.iter Domain.join helpers;
-  (* a stopped run unwinds every fiber it left unfinished: a continuation
-     never resumed would keep its stack *)
-  let unwind k = ignore (discontinue k Exit) in
-  List.of_seq (Queue.to_seq s.runq)
-  |> List.iter (function Resume (k, _) -> unwind k | Start _ -> ());
-  List.iter unwind (List.of_seq (Hashtbl.to_seq_values s.parked));
-  Option.iter raise s.failure
+  Sched.run ~domains:(min nprocs (Domain.recommended_domain_count ())) ~nprocs
+    body
 
 let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
   let nprocs = Mapping.nprocs plan.Plan.mapping in

@@ -2,11 +2,12 @@
 
     The paper's abstract machine is message passing over NUMA; this
     backend instantiates the {e same} per-tile protocol ({!Protocol})
-    with each rank an effect-handler fiber and in-memory channels
-    instead of the simulator — so the compiled schedule actually runs in
-    parallel on the host's cores and its output is compared against the
-    sequential oracle like everything else. Ranks are a logical
-    decomposition: a run's fibers share [min nprocs
+    on the {e same} fiber scheduler as the simulator
+    ({!Tiles_mpisim.Sched}), with in-memory payloads instead of virtual
+    time — so the compiled schedule actually runs in parallel on the
+    host's cores and its output is compared against the sequential
+    oracle like everything else. Ranks are a logical decomposition: the
+    scheduler runs a run's fibers on a pool of [min nprocs
     (Domain.recommended_domain_count ())] domains, the calling one
     included, so any number of ranks runs on any host. Wall-clock
     speedup is measured but depends on the host; correctness is the
@@ -53,23 +54,21 @@ val run_program :
   (Protocol.comms -> int -> unit) ->
   unit
 (** [run_program ~nprocs program] runs [program comms rank] for every
-    rank as a fiber, the shared-memory counterpart of
-    {!Tiles_mpisim.Sim.run}; {!run} is built on it. A send never blocks;
-    a receive parks its fiber until the matching [(src, dst, tag)]
+    rank as a fiber of {!Tiles_mpisim.Sched.run} on the domain pool: the
+    shared-memory counterpart of {!Tiles_mpisim.Sim.run}, which takes
+    the same program; {!run} is built on it. A send never blocks; a
+    receive parks its fiber until the matching [(src, dst, tag)]
     message arrives, and each channel is FIFO. The cost hooks close the
     wall-clock interval since the rank's previous event as a span of
     their kind. [recorder] (matching [nprocs]; default a [Counters] one)
     is {!Tiles_obs.Recorder.restart}ed as the ranks start and gets every
     message, span and rank finish.
 
-    When no fiber runs and none can be woken while ranks are
-    unfinished, no message can ever arrive: the run raises
-    {!Tiles_mpisim.Sim.Deadlock} at once, naming every blocked
-    [(rank, src, tag)]. The first exception a rank raises stops the
-    run the same way. Either way the other ranks stop where they are,
-    every unfinished fiber is unwound with [Exit], and the exception is
-    re-raised. Raises [Invalid_argument] for [nprocs <= 0] or a
-    mismatched recorder. *)
+    A deadlock or a rank's exception stops the run as in
+    {!Tiles_mpisim.Sched.run}: {!Tiles_mpisim.Sim.Deadlock} names every
+    blocked [(rank, src, tag)] at once, every unfinished fiber is
+    unwound, and the exception is re-raised. Raises [Invalid_argument]
+    for [nprocs <= 0] or a mismatched recorder. *)
 
 val run :
   ?walker:Walker.variant ->

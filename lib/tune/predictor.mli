@@ -14,13 +14,14 @@
     that the simulator actually favours.
 
     {!refine} is the exact-volume pass run on the pruning shortlist: the
-    critical rank's compute is its {e actual} iteration count (summing
-    {!Tiles_core.Tile_space.tile_iterations} over the longest chain — an
-    oblique chain ends in thin boundary tiles, so [chain × tile_size]
-    overcharges exactly the shapes the simulator favours), and the
-    message count / volume are the protocol's own ({!Tiles_core.Plan.comm_stats},
-    boundary-clipped). Costlier — it enumerates boundary slabs — but still
-    far cheaper than a simulation.
+    message count and volume are the protocol's own
+    ({!Tiles_core.Plan.comm_stats}, boundary-clipped), averaged per
+    tile, and the communication is charged only when at least two
+    processor-grid directions are active. An effectively
+    one-dimensional grid is a pure software pipeline: once it is full,
+    each send shadows the successor's compute and the simulator shows
+    about no slack over [steps × tile_compute]. Costlier — it enumerates
+    boundary slabs — but still far cheaper than a simulation.
 
     The predictor exists to {e rank} candidates so the exact simulator
     only runs on a short shortlist; tests bound its error against the
@@ -31,8 +32,8 @@ type estimate = {
   chain : int;  (** longest per-processor tile chain *)
   fill : int;   (** [steps − chain], clamped at 0: pipeline fill + drain *)
   tile_compute : float;
-      (** seconds of compute per tile on the critical path (full tile in
-          {!predict}, the critical rank's average in {!refine}) *)
+      (** seconds of compute per tile on the critical path: a full
+          tile's, in both passes *)
   comm_cpu : float;   (** pack + unpack + send/recv overhead, per step *)
   comm_wire : float;  (** α latency + β transfer, per fill hop *)
   total : float;  (** predicted completion, seconds *)
@@ -50,10 +51,11 @@ val predict :
 val refine :
   ?width:int -> Tiles_core.Plan.t -> net:Tiles_mpisim.Netmodel.t -> estimate
 (** Exact-volume pass:
-    [crit_compute + chain × comm_cpu + fill × (avg_tile_compute + comm_wire)]
-    where [crit_compute] counts the longest chain's real iterations and
-    the communication terms use the protocol's exact per-tile message
-    count and clipped volume. *)
+    [steps × (tile_compute + paid·comm_cpu) + fill × paid·comm_wire],
+    where [tile_compute] is a full tile's compute, [comm_cpu] and
+    [comm_wire] use the protocol's exact per-tile message count and
+    clipped volume, and [paid] is 1 when at least two processor-grid
+    directions are active and 0 otherwise. *)
 
 val residuals :
   label:string ->

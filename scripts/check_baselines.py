@@ -26,7 +26,8 @@ import sys
 
 # Files that define LDS cell addressing or row execution — the walker,
 # the generated native row kernels (rowgen.ml, native_kernel.ml), the
-# rank programs and executor entry points that drive them, the grid
+# rank programs and executor entry points that drive them, the fiber
+# scheduler that runs shm's ranks (its wall clock), the grid
 # (the walkers' write-back target and the oracle's halo layout), and the
 # kernel IR that the walkers' row bodies are printed from at build time
 # (the printer, the generator and the kernel definitions). A change to
@@ -40,6 +41,7 @@ WATCHED = {
     "lib/runtime/protocol.ml",
     "lib/runtime/executor.ml",
     "lib/runtime/shm_executor.ml",
+    "lib/mpisim/sched.ml",
     "lib/codegen/rowgen.ml",
     "lib/core/lds.ml",
     "lib/util/fbuf.ml",
@@ -55,8 +57,10 @@ ORACLE_WATCHED = {
 }
 
 # Files that produce the perf baselines' timed fields: the simulator's
-# network timing model (which moves every simulated completion time)
-# and the observability layer that records spans and folds them into
+# network timing model (which moves every simulated completion time),
+# the fiber scheduler (its run order fixes the order of contended lane
+# reservations, and so contended virtual time) and the observability
+# layer that records spans and folds them into
 # the baselines' Stats fields (the recorder, Stats and the critical
 # path walk). A change here must re-record the committed perf baselines
 # in the same change; BENCH_kernels.json measures wall-clock walker
@@ -64,6 +68,7 @@ ORACLE_WATCHED = {
 TIMED_WATCHED = {
     "lib/mpisim/netmodel.ml",
     "lib/mpisim/sim.ml",
+    "lib/mpisim/sched.ml",
     "lib/obs/recorder.ml",
     "lib/obs/stats.ml",
     "lib/obs/critpath.ml",

@@ -13,7 +13,10 @@ with that base, asserting its exit code:
   - a grid change (write-back target and oracle halo layout) fails
     with BENCH_kernels.json alone and passes with both artifacts;
   - a Stats change (it folds the baselines' timed fields) fails without
-    perf baselines and passes with them.
+    perf baselines and passes with them;
+  - a fiber-scheduler change (it fixes contended virtual time and shm
+    wall clock) fails without perf baselines and passes with both
+    artifacts.
 
 Usage: python3 scripts/test_check_baselines.py
 """
@@ -33,6 +36,7 @@ FILES = [
     "lib/runtime/grid.ml",
     "lib/apps/kernels/defs.ml",
     "lib/obs/stats.ml",
+    "lib/mpisim/sched.ml",
     "BENCH_kernels.json",
     "perf/baselines/sor-nonrect-sim.json",
 ]
@@ -96,6 +100,11 @@ CASES = [
      ["lib/obs/stats.ml"], 1),
     ("stats change with perf baselines",
      ["lib/obs/stats.ml", "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("scheduler change without perf baselines",
+     ["lib/mpisim/sched.ml", "BENCH_kernels.json"], 1),
+    ("scheduler change with both artifacts",
+     ["lib/mpisim/sched.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
 ]
 
 

@@ -13,9 +13,9 @@ let sim_recorder ?(keep = Recorder.Timeline) ~nprocs () =
 
 (* a traced run: the simulator's outcome and the recorder holding its
    spans, edges and counters *)
-let traced_run ?(net = net) ~nprocs program =
+let traced_run ?overlap ?(net = net) ~nprocs program =
   let rc = sim_recorder ~nprocs () in
-  let stats = Sim.run ~recorder:rc ~nprocs ~net program in
+  let stats = Sim.run ~recorder:rc ?overlap ~nprocs ~net program in
   (stats, rc)
 
 let eps = 1e-12
@@ -26,7 +26,7 @@ let data = function
   | Sim.Length _ -> Alcotest.fail "length-only message"
 
 let test_single_rank_compute () =
-  let stats = Sim.run ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.5) in
+  let stats = Sim.run ~nprocs:1 ~net (fun c _ -> c.Sim.compute 1.5) in
   Alcotest.(check bool) "completion" true (close stats.Sim.completion 1.5);
   Alcotest.(check int) "no messages" 0 stats.Sim.messages
 
@@ -34,10 +34,10 @@ let test_ping () =
   (* rank 0 sends 100 floats to rank 1 *)
   let payload_bytes = 8 * 100 in
   let stats =
-    Sim.run ~nprocs:2 ~net (fun r ->
-        if r = 0 then Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.make 100 3.14))
+    Sim.run ~nprocs:2 ~net (fun c r ->
+        if r = 0 then c.Sim.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.make 100 3.14))
         else begin
-          let buf = data (Sim.Api.recv ~src:0 ~tag:0) in
+          let buf = data (c.recv ~src:0 ~tag:0) in
           Alcotest.(check int) "length" 100 (Fbuf.length buf);
           Alcotest.(check (float 0.)) "value" 3.14 buf.{0}
         end)
@@ -53,61 +53,68 @@ let test_ping () =
 let test_recv_before_send () =
   (* receiver arrives first and must park *)
   let stats =
-    Sim.run ~nprocs:2 ~net (fun r ->
-        if r = 1 then ignore (Sim.Api.recv ~src:0 ~tag:7)
+    Sim.run ~nprocs:2 ~net (fun c r ->
+        if r = 1 then ignore (c.Sim.recv ~src:0 ~tag:7)
         else begin
-          Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:7 (Sim.Data (Fbuf.of_array [| 42. |]))
+          c.compute 1.0;
+          c.send ~dst:1 ~tag:7 (Sim.Data (Fbuf.of_array [| 42. |]))
         end)
   in
   Alcotest.(check bool) "receiver waited" true (stats.Sim.completion > 1.0)
 
+(* FIFO per channel, on both backends *)
 let test_fifo_per_channel () =
-  let got = ref [] in
-  ignore
-    (Sim.run ~nprocs:2 ~net (fun r ->
-         if r = 0 then
-           for i = 1 to 5 do
-             Sim.Api.send ~dst:1 ~tag:0
-               (Sim.Data (Fbuf.of_array [| float_of_int i |]))
-           done
-         else
-           for _ = 1 to 5 do
-             let b = data (Sim.Api.recv ~src:0 ~tag:0) in
-             got := b.{0} :: !got
-           done));
-  Alcotest.(check (list (float 0.))) "fifo order" [ 1.; 2.; 3.; 4.; 5. ]
-    (List.rev !got)
+  Backends.iter (fun name run ->
+      let got = ref [] in
+      let rc =
+        run ~nprocs:2 (fun c r ->
+            if r = 0 then
+              for i = 1 to 5 do
+                c.Sim.send ~dst:1 ~tag:0
+                  (Sim.Data (Fbuf.of_array [| float_of_int i |]))
+              done
+            else
+              for _ = 1 to 5 do
+                let b = data (c.recv ~src:0 ~tag:0) in
+                got := b.{0} :: !got
+              done)
+      in
+      Alcotest.(check (list (float 0.))) (name ^ ": fifo order")
+        [ 1.; 2.; 3.; 4.; 5. ] (List.rev !got);
+      Alcotest.(check int) (name ^ ": messages") 5 (Recorder.messages rc);
+      Alcotest.(check int) (name ^ ": bytes") 40 (Recorder.bytes rc))
 
 let test_tag_matching () =
   (* out-of-order tags are matched by tag, not arrival order *)
-  let got = ref [] in
-  ignore
-    (Sim.run ~nprocs:2 ~net (fun r ->
-         if r = 0 then begin
-           Sim.Api.send ~dst:1 ~tag:2 (Sim.Data (Fbuf.of_array [| 2. |]));
-           Sim.Api.send ~dst:1 ~tag:1 (Sim.Data (Fbuf.of_array [| 1. |]))
-         end
-         else begin
-           got := (data (Sim.Api.recv ~src:0 ~tag:1)).{0} :: !got;
-           got := (data (Sim.Api.recv ~src:0 ~tag:2)).{0} :: !got
-         end));
-  Alcotest.(check (list (float 0.))) "by tag" [ 1.; 2. ] (List.rev !got)
+  Backends.iter (fun name run ->
+      let got = ref [] in
+      ignore
+        (run ~nprocs:2 (fun c r ->
+             if r = 0 then begin
+               c.Sim.send ~dst:1 ~tag:2 (Sim.Data (Fbuf.of_array [| 2. |]));
+               c.send ~dst:1 ~tag:1 (Sim.Data (Fbuf.of_array [| 1. |]))
+             end
+             else begin
+               got := (data (c.recv ~src:0 ~tag:1)).{0} :: !got;
+               got := (data (c.recv ~src:0 ~tag:2)).{0} :: !got
+             end));
+      Alcotest.(check (list (float 0.))) (name ^ ": by tag") [ 1.; 2. ]
+        (List.rev !got))
 
 let test_isend_overlap () =
   (* the sender pays only the overhead; a following compute overlaps the
      wire time, so sender finishes earlier than with a blocking send *)
   let payload = Sim.Data (Fbuf.make 10000 1.0) in
-  let run send =
-    Sim.run ~nprocs:2 ~net (fun r ->
+  let run overlap =
+    Sim.run ~overlap ~nprocs:2 ~net (fun c r ->
         if r = 0 then begin
-          send ~dst:1 ~tag:0 payload;
-          Sim.Api.compute 0.001
+          c.Sim.send ~dst:1 ~tag:0 payload;
+          c.compute 0.001
         end
-        else ignore (Sim.Api.recv ~src:0 ~tag:0))
+        else ignore (c.recv ~src:0 ~tag:0))
   in
-  let blocking = run Sim.Api.send in
-  let overlapped = run Sim.Api.isend in
+  let blocking = run false in
+  let overlapped = run true in
   Alcotest.(check bool) "sender rank finishes earlier" true
     (overlapped.Sim.rank_clocks.(0) < blocking.Sim.rank_clocks.(0));
   (* receiver still gets the data after the wire time *)
@@ -115,104 +122,142 @@ let test_isend_overlap () =
     (overlapped.Sim.rank_clocks.(1)
     >= Netmodel.transfer_time net ~bytes:80000)
 
-(* a length-only message moves no data but costs what [n] floats cost,
-   in both send modes and under both network models *)
+(* a length-only message moves no data but costs what [n] floats cost:
+   the same counters on both backends, and the same virtual clocks in
+   both send modes and under both network models *)
 let test_length_payload () =
-  let run net send payload =
-    Sim.run ~nprocs:2 ~net (fun r ->
-        if r = 0 then send ~dst:1 ~tag:0 payload
-        else
-          Alcotest.(check int) "length" 1000
-            (Sim.payload_length (Sim.Api.recv ~src:0 ~tag:0)))
+  let program payload c r =
+    if r = 0 then c.Sim.send ~dst:1 ~tag:0 payload
+    else
+      Alcotest.(check int) "length" 1000
+        (Sim.payload_length (c.recv ~src:0 ~tag:0))
   in
+  let full = Sim.Data (Fbuf.make 1000 1.0) and length = Sim.Length 1000 in
+  Backends.iter (fun name run ->
+      let d = run ~nprocs:2 (program full) in
+      let l = run ~nprocs:2 (program length) in
+      Alcotest.(check int) (name ^ ": same bytes") (Recorder.bytes d)
+        (Recorder.bytes l);
+      Alcotest.(check int) (name ^ ": 8 bytes per float") 8000
+        (Recorder.bytes l));
   List.iter
     (fun net ->
       List.iter
-        (fun send ->
-          let d = run net send (Sim.Data (Fbuf.make 1000 1.0)) in
-          let l = run net send (Sim.Length 1000) in
+        (fun overlap ->
+          let d = Sim.run ~overlap ~nprocs:2 ~net (program full) in
+          let l = Sim.run ~overlap ~nprocs:2 ~net (program length) in
           Alcotest.(check bool) "same clocks" true
             (d.Sim.rank_clocks = l.Sim.rank_clocks);
           Alcotest.(check int) "same bytes" d.Sim.bytes l.Sim.bytes;
           Alcotest.(check int) "8 bytes per float" 8000 l.Sim.bytes)
-        [ Sim.Api.send; Sim.Api.isend ])
+        [ false; true ])
     [ net; Netmodel.contended ~snd_lanes:1 ~rcv_lanes:1 net ]
 
+(* two ranks each receiving first: both backends name both receives *)
 let test_deadlock () =
-  Alcotest.(check bool) "deadlock raised" true
-    (try
-       ignore
-         (Sim.run ~nprocs:2 ~net (fun r ->
-              ignore (Sim.Api.recv ~src:(1 - r) ~tag:0)));
-       false
-     with Sim.Deadlock _ -> true)
-
-let test_barrier () =
-  let stats =
-    Sim.run ~nprocs:4 ~net (fun r ->
-        Sim.Api.compute (float_of_int r);
-        Sim.Api.barrier ();
-        let t = Sim.Api.now () in
-        (* everyone leaves at max clock + latency *)
-        Alcotest.(check bool) "left together" true
-          (close t (3.0 +. net.Netmodel.latency)))
-  in
-  Alcotest.(check bool) "completion" true
-    (close stats.Sim.completion (3.0 +. net.Netmodel.latency))
+  List.iter
+    (fun (name, text) ->
+      Alcotest.(check string) (name ^ ": deadlock text")
+        "deadlock: rank 0 waiting on (src=1, tag=0); rank 1 waiting on \
+         (src=0, tag=0)"
+        text)
+    (Backends.raised ~nprocs:2 (fun c r ->
+         ignore (c.Sim.recv ~src:(1 - r) ~tag:0)))
 
 let test_pipeline_timing () =
   (* 1 -> 2 -> 3: completion accumulates compute along the chain *)
   let stats =
-    Sim.run ~nprocs:3 ~net (fun r ->
-        if r > 0 then ignore (Sim.Api.recv ~src:(r - 1) ~tag:0);
-        Sim.Api.compute 1.0;
+    Sim.run ~nprocs:3 ~net (fun c r ->
+        if r > 0 then ignore (c.Sim.recv ~src:(r - 1) ~tag:0);
+        c.compute 1.0;
         if r < 2 then
-          Sim.Api.send ~dst:(r + 1) ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |])))
+          c.send ~dst:(r + 1) ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |])))
   in
   Alcotest.(check bool) "at least 3s" true (stats.Sim.completion >= 3.0);
   Alcotest.(check bool) "plus comm" true (stats.Sim.completion < 3.01)
 
 let test_determinism () =
   let run () =
-    Sim.run ~nprocs:4 ~net (fun r ->
+    Sim.run ~nprocs:4 ~net (fun c r ->
         (* a little all-to-neighbour exchange *)
         let next = (r + 1) mod 4 and prev = (r + 3) mod 4 in
-        Sim.Api.compute (0.1 *. float_of_int (r + 1));
-        Sim.Api.send ~dst:next ~tag:0
-          (Sim.Data (Fbuf.of_array [| float_of_int r |]));
-        let b = data (Sim.Api.recv ~src:prev ~tag:0) in
-        Sim.Api.compute (0.01 *. b.{0}))
+        c.Sim.compute (0.1 *. float_of_int (r + 1));
+        c.send ~dst:next ~tag:0 (Sim.Data (Fbuf.of_array [| float_of_int r |]));
+        let b = data (c.recv ~src:prev ~tag:0) in
+        c.compute (0.01 *. b.{0}))
   in
   let a = run () and b = run () in
   Alcotest.(check (float 0.)) "same completion" a.Sim.completion b.Sim.completion;
   Alcotest.(check int) "same messages" a.Sim.messages b.Sim.messages
 
-let test_rank_api () =
-  ignore
-    (Sim.run ~nprocs:3 ~net (fun r ->
-         Alcotest.(check int) "rank" r (Sim.Api.rank ());
-         Alcotest.(check int) "nprocs" 3 (Sim.Api.nprocs ())))
-
 let test_exception_propagates () =
-  Alcotest.check_raises "escapes" (Failure "boom") (fun () ->
-      ignore (Sim.run ~nprocs:2 ~net (fun r -> if r = 1 then failwith "boom")))
+  List.iter
+    (fun (name, text) ->
+      Alcotest.(check string) (name ^ ": escapes") "Failure(\"boom\")" text)
+    (Backends.raised ~nprocs:2 (fun _ r -> if r = 1 then failwith "boom"))
+
+(* A stopped run unwinds every rank it leaves unfinished, so each one's
+   finaliser runs: after a deadlock (the odd ranks receive what no rank
+   sends, the even ones finish) and after one rank's exception (rank 0
+   fails once every other rank has reached its receive). *)
+let test_stopped_run_unwinds () =
+  let nprocs = Domain.recommended_domain_count () + 3 in
+  let unfinished = Atomic.make 0 in
+  let guard body c r =
+    let finished = ref false in
+    Fun.protect
+      ~finally:(fun () -> if not !finished then Atomic.incr unfinished)
+      (fun () ->
+        body c r;
+        finished := true)
+  in
+  let deadlocked c r = if r mod 2 = 1 then ignore (c.Sim.recv ~src:0 ~tag:1) in
+  let failing c r =
+    if r = 0 then begin
+      for src = 1 to nprocs - 1 do
+        ignore (c.Sim.recv ~src ~tag:0)
+      done;
+      failwith "boom"
+    end
+    else begin
+      c.send ~dst:0 ~tag:0 (Sim.Length 1);
+      ignore (c.recv ~src:0 ~tag:0)
+    end
+  in
+  Backends.iter (fun name run ->
+      List.iter
+        (fun (case, program, stopped, expect) ->
+          Atomic.set unfinished 0;
+          (match run ~nprocs (guard program) with
+          | _ -> Alcotest.failf "%s: the %s run completed" name case
+          | exception e when stopped e -> ());
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s run's finalisers" name case)
+            expect (Atomic.get unfinished))
+        [
+          ( "deadlocked",
+            deadlocked,
+            (function Sim.Deadlock _ -> true | _ -> false),
+            nprocs / 2 );
+          ("failing", failing, (fun e -> e = Failure "boom"), nprocs);
+        ])
 
 let test_send_copies () =
   (* mutating the buffer after send must not affect the message *)
   ignore
-    (Sim.run ~nprocs:2 ~net (fun r ->
+    (Sim.run ~nprocs:2 ~net (fun c r ->
          if r = 0 then begin
            let buf = Fbuf.of_array [| 1.0 |] in
-           Sim.Api.send ~dst:1 ~tag:0 (Sim.Data buf);
+           c.Sim.send ~dst:1 ~tag:0 (Sim.Data buf);
            buf.{0} <- 99.
          end
          else
            Alcotest.(check (float 0.)) "copied" 1.0
-             (data (Sim.Api.recv ~src:0 ~tag:0)).{0}))
+             (data (c.recv ~src:0 ~tag:0)).{0}))
 
 let test_zero_nprocs () =
   Alcotest.check_raises "invalid" (Invalid_argument "Sim.run: nprocs")
-    (fun () -> ignore (Sim.run ~nprocs:0 ~net (fun _ -> ())))
+    (fun () -> ignore (Sim.run ~nprocs:0 ~net (fun _ _ -> ())))
 
 (* per-rank time accounting from the aggregate Stats record: every
    rank's components plus its idle time (completion - busy - wait) cover
@@ -251,14 +296,14 @@ let check_stats_accounting (st : Stats.t) =
 
 let test_trace_and_utilisation () =
   let stats, rc =
-    traced_run ~nprocs:2 (fun r ->
+    traced_run ~nprocs:2 (fun c r ->
         if r = 0 then begin
-          Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
+          c.Sim.compute 1.0;
+          c.Sim.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         end
         else begin
-          ignore (Sim.Api.recv ~src:0 ~tag:0);
-          Sim.Api.compute 0.5
+          ignore (c.Sim.recv ~src:0 ~tag:0);
+          c.Sim.compute 0.5
         end)
   in
   Alcotest.(check bool) "trace recorded" true (Recorder.spans rc <> []);
@@ -294,7 +339,7 @@ let test_traced_sor_utilisation () =
 
 let test_trace_off_by_default () =
   let rc = sim_recorder ~keep:Recorder.Counters ~nprocs:1 () in
-  ignore (Sim.run ~recorder:rc ~nprocs:1 ~net (fun _ -> Sim.Api.compute 1.0));
+  ignore (Sim.run ~recorder:rc ~nprocs:1 ~net (fun c _ -> c.Sim.compute 1.0));
   Alcotest.(check bool) "no trace" true (Recorder.spans rc = [])
 
 let spans_of rc rank kind =
@@ -310,12 +355,12 @@ let span_total spans = List.fold_left (fun a s -> a +. (s.Sim.t1 -. s.Sim.t0)) 0
 let test_recv_no_wait_when_ready () =
   let module Span = Tiles_obs.Span in
   let stats, rc =
-    traced_run ~nprocs:2 (fun r ->
+    traced_run ~nprocs:2 (fun c r ->
         if r = 0 then
-          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
+          c.Sim.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         else begin
-          Sim.Api.compute 10.0;
-          ignore (Sim.Api.recv ~src:0 ~tag:0)
+          c.Sim.compute 10.0;
+          ignore (c.Sim.recv ~src:0 ~tag:0)
         end)
   in
   Alcotest.(check (list (float 0.))) "no wait spans" []
@@ -332,14 +377,14 @@ let test_recv_no_wait_when_ready () =
 let test_recv_wait_covers_blocked_interval () =
   let module Span = Tiles_obs.Span in
   let stats, rc =
-    traced_run ~nprocs:2 (fun r ->
+    traced_run ~nprocs:2 (fun c r ->
         if r = 0 then begin
-          Sim.Api.compute 1.0;
-          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
+          c.Sim.compute 1.0;
+          c.Sim.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1. |]))
         end
         else begin
-          Sim.Api.compute 0.25;
-          ignore (Sim.Api.recv ~src:0 ~tag:0)
+          c.Sim.compute 0.25;
+          ignore (c.Sim.recv ~src:0 ~tag:0)
         end)
   in
   match spans_of rc 1 Span.Wait with
@@ -358,10 +403,10 @@ let test_recv_wait_covers_blocked_interval () =
 let test_pack_unpack_spans () =
   let module Span = Tiles_obs.Span in
   let stats, rc =
-    traced_run ~nprocs:1 (fun _ ->
-        Sim.Api.pack 0.25;
-        Sim.Api.compute 1.0;
-        Sim.Api.unpack 0.5)
+    traced_run ~nprocs:1 (fun c _ ->
+        c.Sim.pack 0.25;
+        c.Sim.compute 1.0;
+        c.Sim.unpack 0.5)
   in
   Alcotest.(check bool) "pack total" true
     (close (span_total (spans_of rc 0 Span.Pack)) 0.25);
@@ -373,12 +418,12 @@ let test_pack_unpack_spans () =
 let test_per_rank_counters () =
   let rc = sim_recorder ~keep:Recorder.Counters ~nprocs:3 () in
   let stats =
-    Sim.run ~recorder:rc ~nprocs:3 ~net (fun r ->
+    Sim.run ~recorder:rc ~nprocs:3 ~net (fun c r ->
         if r = 0 then begin
-          Sim.Api.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1.; 2. |]));
-          Sim.Api.send ~dst:2 ~tag:0 (Sim.Data (Fbuf.of_array [| 3. |]))
+          c.Sim.send ~dst:1 ~tag:0 (Sim.Data (Fbuf.of_array [| 1.; 2. |]));
+          c.Sim.send ~dst:2 ~tag:0 (Sim.Data (Fbuf.of_array [| 3. |]))
         end
-        else ignore (Sim.Api.recv ~src:0 ~tag:0))
+        else ignore (c.Sim.recv ~src:0 ~tag:0))
   in
   Alcotest.(check (list int)) "rank messages" [ 2; 0; 0 ]
     (Array.to_list (Recorder.rank_messages rc));
@@ -429,18 +474,17 @@ let test_net_spec () =
    messages to its right neighbours then receives the mirror image, so
    control flow never depends on the cost parameters — the precondition
    for the monotonicity guarantees the contended model makes *)
-let random_program ~nprocs ~degree ~sizes ~isend r =
+let random_program ~nprocs ~degree ~sizes c r =
   for k = 1 to degree do
     let dst = (r + k) mod nprocs in
     let n = sizes.((r * degree + k - 1) mod Array.length sizes) in
     let buf = Sim.Data (Fbuf.make n 1.0) in
-    if isend then Sim.Api.isend ~dst ~tag:k buf
-    else Sim.Api.send ~dst ~tag:k buf
+    c.Sim.send ~dst ~tag:k buf
   done;
-  Sim.Api.compute 1e-4;
+  c.compute 1e-4;
   for k = 1 to degree do
     let src = (r - k + nprocs) mod nprocs in
-    ignore (Sim.Api.recv ~src ~tag:k)
+    ignore (c.recv ~src ~tag:k)
   done
 
 let gen_case =
@@ -460,8 +504,8 @@ let arb_case =
     gen_case
 
 let run_case ?recorder ~net' (nprocs, degree, isend, sizes) =
-  Sim.run ?recorder ~nprocs ~net:net'
-    (random_program ~nprocs ~degree ~sizes ~isend)
+  Sim.run ?recorder ~overlap:isend ~nprocs ~net:net'
+    (random_program ~nprocs ~degree ~sizes)
 
 (* the NIC queueing a run charged, read off its (untraced) recorder *)
 let case_queueing ~net' ((nprocs, _, _, _) as case) =
@@ -526,8 +570,8 @@ let prop_critpath_tiles_completion =
     ~count:40 arb_case (fun case ->
       let (nprocs, degree, isend, sizes) = case in
       let s, rc =
-        traced_run ~net:(contended 1) ~nprocs
-          (random_program ~nprocs ~degree ~sizes ~isend)
+        traced_run ~overlap:isend ~net:(contended 1) ~nprocs
+          (random_program ~nprocs ~degree ~sizes)
       in
       let report =
         Tiles_obs.Critpath.analyze ~completion:s.Sim.completion ~nprocs
@@ -550,15 +594,15 @@ let prop_critpath_tiles_completion =
 (* flight queueing must be visible on the matched edges of a traced
    contended run, and absent under alpha-beta *)
 let test_edge_queueing () =
-  let program r =
+  let program c r =
     (* both senders contend for rank 2's single receive lane *)
-    if r < 2 then Sim.Api.isend ~dst:2 ~tag:r (Sim.Data (Fbuf.make 4096 1.0))
+    if r < 2 then c.Sim.send ~dst:2 ~tag:r (Sim.Data (Fbuf.make 4096 1.0))
     else begin
-      ignore (Sim.Api.recv ~src:0 ~tag:0);
-      ignore (Sim.Api.recv ~src:1 ~tag:1)
+      ignore (c.recv ~src:0 ~tag:0);
+      ignore (c.recv ~src:1 ~tag:1)
     end
   in
-  let _, ab = traced_run ~nprocs:3 program in
+  let _, ab = traced_run ~overlap:true ~nprocs:3 program in
   List.iter
     (fun (e : Tiles_obs.Recorder.edge) ->
       Alcotest.(check (float 0.)) "alpha-beta edge queueing" 0.
@@ -566,7 +610,7 @@ let test_edge_queueing () =
     (Recorder.edges ab);
   Alcotest.(check (float 0.)) "alpha-beta total queueing" 0.
     (Recorder.queue_seconds ab);
-  let _, c = traced_run ~net:(contended 1) ~nprocs:3 program in
+  let _, c = traced_run ~overlap:true ~net:(contended 1) ~nprocs:3 program in
   Alcotest.(check bool) "contended run queued" true
     (Recorder.queue_seconds c > 0.);
   let max_edge_q =
@@ -589,11 +633,11 @@ let () =
           Alcotest.test_case "tag matching" `Quick test_tag_matching;
           Alcotest.test_case "isend overlap" `Quick test_isend_overlap;
           Alcotest.test_case "deadlock" `Quick test_deadlock;
-          Alcotest.test_case "barrier" `Quick test_barrier;
           Alcotest.test_case "pipeline timing" `Quick test_pipeline_timing;
           Alcotest.test_case "determinism" `Quick test_determinism;
-          Alcotest.test_case "rank api" `Quick test_rank_api;
           Alcotest.test_case "exception" `Quick test_exception_propagates;
+          Alcotest.test_case "a stopped run unwinds every unfinished rank"
+            `Quick test_stopped_run_unwinds;
           Alcotest.test_case "send copies" `Quick test_send_copies;
           Alcotest.test_case "length-only payload" `Quick test_length_payload;
           Alcotest.test_case "zero nprocs" `Quick test_zero_nprocs;

@@ -392,11 +392,11 @@ let test_shm_failure_ends_run () =
     [ false; true ]
 
 (* A ring in which every rank receives before it sends can never move.
-   With more ranks than domains, the runner sees at once that no fiber
-   runs and none can be woken, and names every blocked receive; the same
-   ring with rank 0 sending first completes. *)
+   With more ranks than domains, either backend's runner sees at once
+   that no fiber runs and none can be woken, and names every blocked
+   receive, in the same text; the same ring with rank 0 sending first
+   completes on both. *)
 let test_shm_deadlock_named () =
-  let module Shm = Tiles_runtime.Shm_executor in
   let nprocs = Domain.recommended_domain_count () + 3 in
   let ring ~zero_first (c : Tiles_runtime.Protocol.comms) rank =
     let pred = (rank + nprocs - 1) mod nprocs in
@@ -408,25 +408,35 @@ let test_shm_deadlock_named () =
     if not (zero_first && rank = 0) then send ()
   in
   let t0 = Unix.gettimeofday () in
-  (match Shm.run_program ~nprocs (ring ~zero_first:false) with
-  | () -> Alcotest.fail "the ring completed"
-  | exception Sim.Deadlock msg ->
-    let blocked = String.split_on_char ';' msg in
-    Alcotest.(check int) "one entry per rank" nprocs (List.length blocked);
-    for rank = 0 to nprocs - 1 do
-      let pred = (rank + nprocs - 1) mod nprocs in
-      let entry =
-        Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" rank pred pred
-      in
-      if not (List.mem entry (List.map String.trim blocked)) then
-        Alcotest.failf "%S not named in %S" entry msg
-    done);
+  let texts = Backends.raised ~nprocs (ring ~zero_first:false) in
   let dt = Unix.gettimeofday () -. t0 in
-  if dt >= 1. then Alcotest.failf "the deadlock took %.2fs to report" dt;
-  let rc = Tiles_obs.Recorder.create ~nprocs () in
-  Shm.run_program ~recorder:rc ~nprocs (ring ~zero_first:true);
-  Alcotest.(check int) "the live ring's messages" nprocs
-    (Tiles_obs.Recorder.messages rc)
+  if dt >= 1. then Alcotest.failf "the deadlocks took %.2fs to report" dt;
+  List.iter
+    (fun (name, msg) ->
+      let prefix = "deadlock: " in
+      let n = String.length prefix in
+      if String.length msg < n || String.sub msg 0 n <> prefix then
+        Alcotest.failf "%s: not a deadlock: %S" name msg;
+      let blocked =
+        String.split_on_char ';' (String.sub msg n (String.length msg - n))
+      in
+      Alcotest.(check int) (name ^ ": one entry per rank") nprocs
+        (List.length blocked);
+      for rank = 0 to nprocs - 1 do
+        let pred = (rank + nprocs - 1) mod nprocs in
+        let entry =
+          Printf.sprintf "rank %d waiting on (src=%d, tag=%d)" rank pred pred
+        in
+        if not (List.mem entry (List.map String.trim blocked)) then
+          Alcotest.failf "%s: %S not named in %S" name entry msg
+      done)
+    texts;
+  Alcotest.(check (list string)) "the same text on both backends"
+    [ snd (List.hd texts) ]
+    (List.sort_uniq compare (List.map snd texts));
+  Backends.iter (fun name run ->
+      Alcotest.(check int) (name ^ ": the live ring's messages") nprocs
+        (Tiles_obs.Recorder.messages (run ~nprocs (ring ~zero_first:true))))
 
 (* 138 ranks: more than the runtime's 128 live domains, so only ranks
    sharing domains can run it. Both schedules are bit-exact and move the

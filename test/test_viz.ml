@@ -106,7 +106,7 @@ let test_gantt_figure () =
 let test_gantt_requires_trace () =
   let rc = Tiles_obs.Recorder.create ~clock:(fun () -> 0.) ~nprocs:1 () in
   let stats =
-    Sim.run ~recorder:rc ~nprocs:1 ~net (fun _ -> Sim.Api.compute 0.0)
+    Sim.run ~recorder:rc ~nprocs:1 ~net (fun c _ -> c.Sim.compute 0.0)
   in
   Alcotest.(check bool) "raises" true
     (try
