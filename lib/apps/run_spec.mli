@@ -86,8 +86,10 @@ type result = {
       (** {!Tiles_obs.Recorder.longest_waits}; [[]] under [Counters] *)
   completion : float;  (** virtual seconds on sim, wall seconds on shm *)
   speedup : float;
-      (** against the modelled sequential time on sim, the timed
-          sequential oracle on shm *)
+      (** against the modelled sequential time on sim; on shm against
+          the sequential oracle's wall time as {!Tiles_runtime.Seq_exec.check}
+          reports it (taken when the oracle last really ran for the
+          problem) *)
   messages : int;
   bytes : int;
   points : int;  (** iterations executed across ranks *)
@@ -95,8 +97,8 @@ type result = {
   max_abs_err : float option;
       (** [Some] on every Full run: the largest difference from the
           sequential oracle over the iteration space, exact on every run
-          (on sim, [0.] from a digest match or the oracle's own
-          difference; see {!run}). The run's output grid is not kept. *)
+          ([0.] from a digest match or the oracle's own difference; see
+          {!run}). The run's output grid is not kept. *)
   walker_fallback : string option;
       (** why a [native] walker ran the OCaml fast path, as the walkers
           that ran reported it; [None] when none ran (sim [Timing]) *)
@@ -112,13 +114,11 @@ val run :
   result
 (** Run [plan] on the spec's backend with its overlap, network model and
     walker. [mode] (default [Full]) applies to the simulator only; shm
-    always runs Full. A Full sim run is checked by
-    {!Tiles_runtime.Seq_exec.max_abs_err}: the oracle runs once per
-    problem, and a later run whose grid digest equals the oracle's
-    reports [0.] without rerunning it (any other run reruns it and
-    reports its exact difference). Shm forwards its executor's own check,
-    which always runs the oracle, because its speedup divides by the
-    oracle's wall time.
+    always runs Full. A Full run on either backend is checked by
+    {!Tiles_runtime.Seq_exec.check} (shm's inside its executor): the
+    oracle runs once per problem, and a later run whose grid digest
+    equals the oracle's reports [0.] without rerunning it (any other run
+    reruns it and reports its exact difference).
     [check] is passed to {!Tiles_runtime.Executor.run} or
     {!Tiles_runtime.Shm_executor.run}.
 

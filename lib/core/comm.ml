@@ -53,11 +53,10 @@ let tile_deps (tiling : Tiling.t) d's ~cc =
       else None)
     (List.init ((1 lsl n) - 1) (fun i -> i + 1))
 
-let make tiling deps ~m =
+let reach tiling deps =
   let n = Tiling.dim tiling in
-  if m < 0 || m >= n then invalid_arg "Comm.make: bad mapping dimension";
   if not (Tiling.legal_for tiling deps) then
-    invalid_arg "Comm.make: tiling is illegal for these dependencies (H·d < 0)";
+    invalid_arg "Comm.reach: tiling is illegal for these dependencies (H·d < 0)";
   let d' = Tiling.transformed_deps tiling deps in
   let max_d' =
     Array.init n (fun k -> List.fold_left (fun acc v -> max acc v.(k)) 0 d')
@@ -67,10 +66,16 @@ let make tiling deps ~m =
       if md > tiling.v.(k) then
         invalid_arg
           (Printf.sprintf
-             "Comm.make: dependence reach %d exceeds tile extent v_%d = %d \
+             "Comm.reach: dependence reach %d exceeds tile extent v_%d = %d \
               (tile too small: D^S components would exceed 1)"
              md k tiling.v.(k)))
     max_d';
+  (d', max_d')
+
+let make tiling deps ~m =
+  let n = Tiling.dim tiling in
+  if m < 0 || m >= n then invalid_arg "Comm.make: bad mapping dimension";
+  let d', max_d' = reach tiling deps in
   let cc = Array.init n (fun k -> tiling.v.(k) - max_d'.(k)) in
   let off =
     Array.init n (fun k ->

@@ -29,7 +29,17 @@ type t = private {
           both receive a direction's tiles in this order. *)
 }
 
+val reach :
+  Tiling.t -> Tiles_loop.Dependence.t -> Tiles_util.Vec.t list * int array
+(** [reach tiling deps] is [(D', max_d')]: the transformed dependences
+    [H'·D] and, per dimension [k], [max_l d'_kl]. It needs only the
+    tiling and the dependences, so {!Plan.make} calls it before building
+    the tile space. Raises [Invalid_argument] if the tiling is illegal
+    for [deps] ([H·d < 0]) or a dependence reaches past a tile extent
+    ([max_d'_k > v_k]: [D^S] components would exceed 1). *)
+
 val make : Tiling.t -> Tiles_loop.Dependence.t -> m:int -> t
+(** Raises like {!reach}, and on a bad mapping dimension [m]. *)
 
 val dm_of_ds : t -> Tiles_util.Vec.t -> Tiles_util.Vec.t
 (** The paper's [d^m(d^S)]: project a tile dependence along [m]. *)

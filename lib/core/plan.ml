@@ -13,8 +13,9 @@ type t = {
 let make ?m nest tiling =
   if Nest.dim nest <> Tiling.dim tiling then
     invalid_arg "Plan.make: dimension mismatch";
-  if not (Tiling.legal_for tiling nest.Nest.deps) then
-    invalid_arg "Plan.make: tiling violates dependencies (H·d < 0)";
+  (* the checks that need no tile space come first: building one can
+     take far longer than rejecting the tiling *)
+  ignore (Comm.reach tiling nest.Nest.deps);
   let tspace = Tile_space.make nest.Nest.space tiling in
   let mapping = Mapping.make ?m tspace in
   let comm = Comm.make tiling nest.Nest.deps ~m:mapping.Mapping.m in

@@ -12,8 +12,10 @@ type t = private {
 }
 
 val make : ?m:int -> Tiles_loop.Nest.t -> Tiling.t -> t
-(** Raises [Invalid_argument] if the tiling is illegal for the nest's
-    dependencies, or dimensions mismatch. [?m] overrides the mapping
+(** Raises [Invalid_argument] if dimensions mismatch, or if the tiling
+    is illegal for the nest's dependencies or too small for their reach
+    ({!Comm.reach}); both are checked before the tile space is built, so
+    such a tiling is rejected at once. [?m] overrides the mapping
     dimension. *)
 
 val nprocs : t -> int

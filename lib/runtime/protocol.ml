@@ -178,9 +178,9 @@ let rank_program ?(overlap = false) shared comms rank =
       List.iter (fun ch -> unpack_one ch (recv_one ch)) expected;
     (* ---------------- COMPUTE ---------------- *)
     let points =
-      match walker with
-      | None -> Count_table.points counts ~rank ~trel
-      | Some w -> Walker.compute_tile w ~trel ~tile:tile_buf ~la
+      match (walker, shared.grid) with
+      | Some w, Some grid -> Walker.compute_tile w ~trel ~tile:tile_buf ~la ~grid
+      | _ -> Count_table.points counts ~rank ~trel
     in
     comms.compute (float_of_int points *. shared.flop_time);
     shared.points_per_rank.(rank) <- shared.points_per_rank.(rank) + points;
@@ -218,18 +218,6 @@ let rank_program ?(overlap = false) shared comms rank =
         end)
       dms
   done;
-  (* ---------------- write-back (LDS -> DS) ---------------- *)
-  (match (shared.grid, walker) with
-  | Some grid, Some w ->
-    for ts = tlo to thi do
-      let trel = ts - tlo in
-      let tile = Mapping.join mapping ~pid ~ts in
-      Walker.write_back w ~trel ~tile ~la grid
-    done;
-    (* a zero-cost charge so span-recording backends close the write-back
-       interval as compute instead of leaving it unattributed *)
-    comms.compute 0.
-  | _ -> ());
   match (walker, lease) with
   | Some w, Some l ->
     Walker.reset_written w ~la;

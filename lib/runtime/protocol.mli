@@ -108,11 +108,13 @@ val prepare :
     fallback reason found) here, once for all ranks. *)
 
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
-(** Execute one rank's whole tile chain (including the untimed LDS→DS
-    write-back in [Full] mode). Thread-safe across ranks: all shared
-    writes are rank-disjoint. In [Full] mode the rank's LDS is borrowed
-    all-NaN from {!Lds_pool} (scanned first under [check]) and given
-    back with every cell it wrote reset to NaN once the write-back is
+(** Execute one rank's whole tile chain. In [Full] mode each tile's
+    computed rows are copied into [grid] as they are computed
+    ({!Walker.compute_tile}), inside the tile's compute section: there is
+    no write-back pass after the chain. Thread-safe across ranks: all
+    shared writes are rank-disjoint. In [Full] mode the rank's LDS is
+    borrowed all-NaN from {!Lds_pool} (scanned first under [check]) and
+    given back with every cell it wrote reset to NaN once its chain is
     done; a rank that raises gives nothing back.
 
     With [~overlap:true] the rank runs the paper's §5 overlapped

@@ -175,10 +175,11 @@ let run ?(variant = Walker.Fastpath) ?(check = false) ~space ~kernel () =
    and reads say over the space its constraints bound, so that content
    (never a closure or a spec name) keys the oracle's digest. Only a
    NaN-free oracle is remembered: then a run whose digest equals it is
-   bit-identical to it, and [max_abs_diff] of the two is exactly 0. The
-   memo is shared by every domain, most recently used first. *)
+   bit-identical to it, and [max_abs_diff] of the two is exactly 0. Each
+   entry also keeps the wall seconds of the oracle run that produced it.
+   The memo is shared by every domain, most recently used first. *)
 let memo_capacity = 32
-let memo : (string * int64) list ref = ref []
+let memo : (string * (int64 * float)) list ref = ref []
 let memo_lock = Mutex.create ()
 
 let memo_key ~space ~kernel =
@@ -209,15 +210,23 @@ let recall key =
 
 let remember key d = Mutex.protect memo_lock (fun () -> push key d)
 
-let max_abs_err ~space ~kernel grid =
+type check = { err : float; oracle_seconds : float }
+
+let check ~space ~kernel grid =
   let key = memo_key ~space ~kernel in
   match Option.bind key recall with
-  | Some d when Int64.equal d (Grid.digest grid space) -> 0.
+  | Some (d, oracle_seconds) when Int64.equal d (Grid.digest grid space) ->
+    { err = 0.; oracle_seconds }
   | _ ->
+    let t0 = Tiles_obs.Clock.monotonic () in
     let oracle = run ~space ~kernel () in
+    let oracle_seconds = Tiles_obs.Clock.monotonic () -. t0 in
     let err = Grid.max_abs_diff grid oracle space in
     (* a finite error means no NaN on either side *)
     (match key with
-    | Some k when Float.is_finite err -> remember k (Grid.digest oracle space)
+    | Some k when Float.is_finite err ->
+      remember k (Grid.digest oracle space, oracle_seconds)
     | _ -> ());
-    err
+    { err; oracle_seconds }
+
+let max_abs_err ~space ~kernel grid = (check ~space ~kernel grid).err

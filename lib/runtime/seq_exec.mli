@@ -34,9 +34,17 @@ val run :
     (and disables the unrolled row bodies, so rows take the [compute]
     loop and every read is inspected). *)
 
-val max_abs_err :
-  space:Tiles_poly.Polyhedron.t -> kernel:Kernel.t -> Grid.t -> float
-(** [max_abs_err ~space ~kernel g]: {!Grid.max_abs_diff} of [g] against
+type check = {
+  err : float;  (** {!Grid.max_abs_diff} against the oracle *)
+  oracle_seconds : float;
+      (** wall seconds of the oracle run that decided [err]: this call's,
+          or on a digest match the memo's, taken when the oracle last
+          really ran for this problem *)
+}
+
+val check :
+  space:Tiles_poly.Polyhedron.t -> kernel:Kernel.t -> Grid.t -> check
+(** [check ~space ~kernel g]: {!Grid.max_abs_diff} of [g] against
     {!run}'s grid over [space], without running the oracle when it is
     known. A process-wide memo maps the content that fixes the oracle's
     output — the kernel's IR ([ckernel]), [skew], [width], [reads] and
@@ -45,10 +53,17 @@ val max_abs_err :
     exactly [0.]. Otherwise the oracle runs, its digest is remembered
     (unless the difference is infinite, so a NaN-holding oracle is never
     remembered) and the exact difference is returned: a wrong run always
-    reports the oracle's error. The key trusts {!Kernel.of_ir}'s
-    contract that a kernel's closures compute what its IR says; a kernel
-    without IR ({!Kernel.make}) runs the oracle every time. The memo keeps the {!memo_capacity} most
-    recently used problems behind a mutex, so domains share it. *)
+    reports the oracle's error. Each memo entry keeps the oracle's wall
+    seconds beside its digest, replaced whenever the oracle runs again
+    for the problem. The key trusts {!Kernel.of_ir}'s contract that a
+    kernel's closures compute what its IR says; a kernel without IR
+    ({!Kernel.make}) runs (and times) the oracle every time. The memo
+    keeps the {!memo_capacity} most recently used problems behind a
+    mutex, so domains share it. *)
+
+val max_abs_err :
+  space:Tiles_poly.Polyhedron.t -> kernel:Kernel.t -> Grid.t -> float
+(** [(check ~space ~kernel g).err]. *)
 
 val memo_capacity : int
-(** How many problems the memo of {!max_abs_err} keeps. *)
+(** How many problems the memo of {!check} keeps. *)

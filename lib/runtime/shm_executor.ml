@@ -2,7 +2,6 @@ module Mapping = Tiles_core.Mapping
 module Plan = Tiles_core.Plan
 module Span = Tiles_obs.Span
 module Recorder = Tiles_obs.Recorder
-module Clock = Tiles_obs.Clock
 module Sched = Tiles_mpisim.Sched
 
 type result = {
@@ -87,21 +86,21 @@ let run ?walker ?check ?recorder ?(overlap = false) ~plan ~kernel () =
   run_program ~recorder ~nprocs (Protocol.rank_program ~overlap shared);
   (* the latest rank finish, on the clock the spans use *)
   let wall = Array.fold_left Float.max 0. (Recorder.rank_finish recorder) in
-  let space = plan.Plan.nest.Tiles_loop.Nest.space in
-  let t1 = Clock.monotonic () in
-  let oracle = Seq_exec.run ~space ~kernel () in
-  let seq_wall = Clock.monotonic () -. t1 in
   let grid =
     match shared.Protocol.grid with
     | Some g -> g
     | None -> assert false
   in
+  let check =
+    Seq_exec.check ~space:plan.Plan.nest.Tiles_loop.Nest.space ~kernel grid
+  in
+  let seq_wall = check.Seq_exec.oracle_seconds in
   {
     wall_seconds = wall;
     seq_wall_seconds = seq_wall;
-    wall_speedup = seq_wall /. wall;
+    wall_speedup = (if wall > 0. then seq_wall /. wall else 0.);
     grid;
-    max_abs_err = Grid.max_abs_diff grid oracle space;
+    max_abs_err = check.Seq_exec.err;
     nprocs;
     messages = Recorder.messages recorder;
     bytes = Recorder.bytes recorder;

@@ -5,8 +5,9 @@
     on the {e same} fiber scheduler as the simulator
     ({!Tiles_mpisim.Sched}), with in-memory payloads instead of virtual
     time — so the compiled schedule actually runs in parallel on the
-    host's cores and its output is compared against the sequential
-    oracle like everything else. Ranks are a logical decomposition: the
+    host's cores and its output is checked against the sequential
+    oracle like everything else, through {!Seq_exec.check}'s digest
+    memo. Ranks are a logical decomposition: the
     scheduler runs a run's fibers on a pool of [min nprocs
     (Domain.recommended_domain_count ())] domains, the calling one
     included, so any number of ranks runs on any host. Wall-clock
@@ -34,10 +35,20 @@
 type result = {
   wall_seconds : float;
       (** parallel wall-clock time: the latest rank finish *)
-  seq_wall_seconds : float;   (** sequential oracle wall-clock time *)
+  seq_wall_seconds : float;
+      (** the sequential oracle's wall-clock time, from
+          {!Seq_exec.check}: timed by this call when the oracle ran, or
+          else the memo's time, taken when the oracle last really ran for
+          this problem (a kernel without IR times its own oracle run on
+          every call) *)
   wall_speedup : float;
+      (** [seq_wall_seconds /. wall_seconds] ([0.] if [wall_seconds] is
+          not positive, so it is always finite) *)
   grid : Grid.t;              (** the parallel result *)
-  max_abs_err : float;        (** vs the sequential oracle *)
+  max_abs_err : float;
+      (** vs the sequential oracle, from {!Seq_exec.check}: [0.] when
+          the grid's digest equals the memo's oracle digest, else the
+          oracle runs and this is its exact difference *)
   nprocs : int;
   messages : int;
   bytes : int;                (** total payload bytes sent *)

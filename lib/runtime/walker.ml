@@ -313,7 +313,7 @@ let iter_rows t ~tile ~lo f =
 
 (* ---------------- reference paths (the original per-point code) ------- *)
 
-let reference_compute t ~trel ~tile ~(la : Fbuf.t) =
+let reference_compute t ~trel ~tile ~(la : Fbuf.t) grid =
   let n = t.n and width = t.width in
   let tiling = t.tiling and comm = t.comm in
   let points = ref 0 in
@@ -345,7 +345,8 @@ let reference_compute t ~trel ~tile ~(la : Fbuf.t) =
       let j'' = Lds.map tiling comm ~t:trel j' in
       let cell = Lds.map_index t.shape j'' in
       for f = 0 to width - 1 do
-        la.{(cell * width) + f} <- t.out.(f)
+        la.{(cell * width) + f} <- t.out.(f);
+        Grid.set grid j f t.out.(f)
       done);
   !points
 
@@ -376,15 +377,6 @@ let reference_unpack t ~trel ~pred_tile ~ds ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
       done;
       incr count);
   !count
-
-let reference_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
-  let width = t.width in
-  Tile_space.iter_tile_points t.tspace ~tile (fun ~local:j' ~global:j ->
-      let j'' = Lds.map t.tiling t.comm ~t:trel j' in
-      let cell = Lds.map_index t.shape j'' in
-      for f = 0 to width - 1 do
-        Grid.set grid j f la.{(cell * width) + f}
-      done)
 
 (* ---------------- fast paths ----------------------------------------- *)
 
@@ -498,14 +490,19 @@ let fill_row t ~la ~base len ~na =
     end
   done
 
-let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
+let fast_compute t ~trel ~tile ~(la : Fbuf.t) grid =
   let n = t.n and width = t.width in
   let kernel = t.kernel in
   let uses_j = kernel.Kernel.uses_j in
   let points = ref 0 in
+  let gdata = Grid.data grid and gstr = Grid.strides grid in
+  (* grid slots per innermost lattice step *)
+  let gstep = ref 0 in
   for k = 0 to n - 1 do
-    t.vs.(k) <- t.tiling.Tiling.v.(k) * tile.(k)
+    t.vs.(k) <- t.tiling.Tiling.v.(k) * tile.(k);
+    gstep := !gstep + (gstr.(k) * t.jstep.(k))
   done;
+  let gstep = !gstep in
   let na = tile_active t in
   let rowfn = if t.check then None else kernel.Kernel.row in
   (* the compute loop's reads: unguarded, off precomputed cell deltas.
@@ -523,7 +520,7 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
     set_global t j' t.jrow;
     set_row_doffs t j';
     log_write t base len;
-    match t.native with
+    (match t.native with
     | Some fn ->
       (* native rows cover interior and boundary alike: the compiled
          body guards taps itself on boundary rows *)
@@ -550,7 +547,19 @@ let fast_compute t ~trel ~tile ~(la : Fbuf.t) =
             for k = 0 to n - 1 do
               t.jcur.(k) <- t.jcur.(k) + t.jstep.(k)
             done
-        done)
+        done));
+    (* the row's cells are final (unpack writes only halo cells), so
+       they go to the grid now, at the row start [set_global] found *)
+    let g = Grid.index grid t.jrow 0 in
+    if gstep = width then
+      Fbuf.blit ~src:la ~src_pos:(base * width) ~dst:gdata ~dst_pos:g
+        ~len:(len * width)
+    else
+      for s = 0 to len - 1 do
+        for f = 0 to width - 1 do
+          gdata.{g + (s * gstep) + f} <- la.{((base + s) * width) + f}
+        done
+      done
   in
   iter_rows t ~tile ~lo:t.box_lo row;
   !points
@@ -583,39 +592,12 @@ let fast_unpack t ~trel ~pred_tile ~ds ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
       count := !count + len);
   !count
 
-let fast_write_back t ~trel ~tile ~(la : Fbuf.t) grid =
-  let n = t.n and width = t.width in
-  let gstr = Grid.strides grid in
-  let gdata = Grid.data grid in
-  let gstep = ref 0 in
-  for k = 0 to n - 1 do
-    gstep := !gstep + (gstr.(k) * t.jstep.(k))
-  done;
-  let gstep = !gstep in
-  iter_rows t ~tile ~lo:t.box_lo (fun ~j' ~len ->
-      let cell = cell0 t j' + (trel * t.tshift) in
-      set_global t j' t.jrow;
-      let g = ref (Grid.index grid t.jrow 0) in
-      if gstep = width then
-        Fbuf.blit ~src:la ~src_pos:(cell * width) ~dst:gdata ~dst_pos:!g
-          ~len:(len * width)
-      else begin
-        let src = ref (cell * width) in
-        for _s = 0 to len - 1 do
-          for f = 0 to width - 1 do
-            gdata.{!g + f} <- la.{!src + f}
-          done;
-          src := !src + width;
-          g := !g + gstep
-        done
-      end)
-
 (* ---------------- dispatch ------------------------------------------- *)
 
-let compute_tile t ~trel ~tile ~la =
+let compute_tile t ~trel ~tile ~la ~grid =
   match t.variant with
-  | Reference -> reference_compute t ~trel ~tile ~la
-  | Fastpath | Native -> fast_compute t ~trel ~tile ~la
+  | Reference -> reference_compute t ~trel ~tile ~la grid
+  | Fastpath | Native -> fast_compute t ~trel ~tile ~la grid
 
 let pack_slab t ~trel ~tile ~lo ~la ~buf =
   match t.variant with
@@ -626,8 +608,3 @@ let unpack_slab t ~trel ~pred_tile ~ds ~lo ~la ~buf =
   match t.variant with
   | Reference -> reference_unpack t ~trel ~pred_tile ~ds ~lo ~la ~buf
   | Fastpath | Native -> fast_unpack t ~trel ~pred_tile ~ds ~lo ~la ~buf
-
-let write_back t ~trel ~tile ~la grid =
-  match t.variant with
-  | Reference -> reference_write_back t ~trel ~tile ~la grid
-  | Fastpath | Native -> fast_write_back t ~trel ~tile ~la grid

@@ -102,9 +102,19 @@ val reset_written : t -> la:Tiles_util.Fbuf.t -> unit
     before giving it back. *)
 
 val compute_tile :
-  t -> trel:int -> tile:Tiles_util.Vec.t -> la:Tiles_util.Fbuf.t -> int
+  t ->
+  trel:int ->
+  tile:Tiles_util.Vec.t ->
+  la:Tiles_util.Fbuf.t ->
+  grid:Grid.t ->
+  int
 (** Execute the kernel over the tile's clipped TTIS, reading/writing the
-    local array. Returns the number of iteration points computed. *)
+    local array, and copy each computed value into [grid] at its global
+    point as well (the LDS → DS write-back of §3.1, done as each row is
+    computed: a computed cell is final, since unpack writes only halo
+    cells). The fast variants copy a row with one blit when its innermost
+    step is contiguous in the grid; [Reference] writes point by point.
+    Returns the number of iteration points computed. *)
 
 val pack_slab :
   t ->
@@ -129,13 +139,3 @@ val unpack_slab :
 (** Scatter a received slab (packed by the predecessor tile
     [pred_tile], arriving over tile dependence [ds]) into this rank's
     local array. Returns the number of cells scattered. *)
-
-val write_back :
-  t ->
-  trel:int ->
-  tile:Tiles_util.Vec.t ->
-  la:Tiles_util.Fbuf.t ->
-  Grid.t ->
-  unit
-(** Copy the tile's computed points from the local array into the
-    global grid (LDS → DS). *)

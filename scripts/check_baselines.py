@@ -12,7 +12,8 @@ check forces the two to move together in the same change.
 The sequential oracle is held to its own artifact only: its throughput
 is recorded in BENCH_kernels.json (the "seq" rows), while no perf
 baseline field depends on it (sim baselines are virtual time, and shm
-times the oracle outside wall_seconds).
+checks its grid by digest after its ranks finish, so the oracle, which
+runs at most once per problem, is never inside wall_seconds).
 
 Usage: check_baselines.py [BASE]
 

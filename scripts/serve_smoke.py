@@ -3,8 +3,9 @@
 # burst was coalesced onto a single compile with bit-identical payloads,
 # (b) a repeat request after the burst hits the plan cache, (c) sim
 # execute jobs, repeated and not, all match the sequential oracle
-# exactly, and (d) the metrics snapshot reports (a) and (b) along with
-# per-class latency percentiles.
+# exactly, (d) one shm execute job sent twice matches it exactly both
+# times with a finite positive speedup, and (e) the metrics snapshot
+# reports (a) and (b) along with per-class latency percentiles.
 #
 # Determinism: the daemon runs with a single worker and the batch leads
 # with a tune job that occupies that worker for hundreds of
@@ -13,7 +14,7 @@
 #
 # Usage: python3 scripts/serve_smoke.py [path/to/tilec.exe]
 # Writes serve-artifacts/{final-metrics,latency}.json.
-import json, os, subprocess, sys
+import json, math, os, subprocess, sys
 
 os.makedirs("serve-artifacts", exist_ok=True)
 cmd = sys.argv[1:] or ["./_build/default/bin/tilec.exe"]
@@ -77,6 +78,19 @@ for i, job in [("x1", execute), ("x2", execute),
     r = read_until({i})[i]
     assert r["status"] == "ok", r
     assert r["max_abs_err"] == 0, r
+
+# phase 4: one shm execute job, twice. The first runs the oracle; the
+# second is checked by digest against the oracle digest the first
+# remembered, and its speedup divides by the oracle time remembered
+# with it. Non-finite floats are written as null, which fails here.
+shm = dict(execute, backend="shm")
+for i in ("s1", "s2"):
+    send(dict(shm, id=i))
+    r = read_until({i})[i]
+    assert r["status"] == "ok", r
+    assert r["max_abs_err"] == 0, r
+    s = r["speedup"]
+    assert isinstance(s, (int, float)) and math.isfinite(s) and s > 0, r
 
 send({"id": "m", "op": "metrics"})
 m = read_until({"m"})["m"]["metrics"]

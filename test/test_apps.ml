@@ -8,6 +8,7 @@ module Kernel = Tiles_runtime.Kernel
 module Grid = Tiles_runtime.Grid
 module Seq_exec = Tiles_runtime.Seq_exec
 module Executor = Tiles_runtime.Executor
+module Shm_executor = Tiles_runtime.Shm_executor
 module Netmodel = Tiles_mpisim.Netmodel
 module Sim = Tiles_mpisim.Sim
 module Sor = Tiles_apps.Sor
@@ -538,8 +539,8 @@ let reference_grid ~space ~kernel =
 let check_exact name ~space ~kernel g =
   Alcotest.(check (float 0.)) name 0. (Seq_exec.max_abs_err ~space ~kernel g)
 
-let test_memo_once_per_problem () =
-  let kernel, calls = counting_kernel "digest-once" in
+(* the SOR 8/12 plan of the run-spec memo tests, on [backend] *)
+let memo_spec backend =
   let spec =
     {
       (Run_spec.default "sor") with
@@ -547,14 +548,27 @@ let test_memo_once_per_problem () =
       size2 = 12;
       tile = (3, 4, 4);
       walker = Tiles_runtime.Walker.Reference;
+      backend;
     }
   in
   let r = Result.get_ok (Run_spec.resolve spec) in
-  let plan =
+  ( spec,
     Plan.make ~m:r.Tiles_apps.Registry.m r.Tiles_apps.Registry.nest
-      r.Tiles_apps.Registry.tiling
+      r.Tiles_apps.Registry.tiling )
+
+(* 5 runs of one problem on [backend] run the oracle once, and each
+   reports a finite positive speedup *)
+let once_per_problem backend name () =
+  let kernel, calls = counting_kernel name in
+  let spec, plan = memo_spec backend in
+  let run () =
+    let res = Run_spec.run spec ~plan ~kernel in
+    Alcotest.(check bool)
+      (Printf.sprintf "speedup %g finite and positive" res.speedup)
+      true
+      (Float.is_finite res.speedup && res.speedup > 0.);
+    res.max_abs_err
   in
-  let run () = (Run_spec.run spec ~plan ~kernel).max_abs_err in
   Alcotest.(check (option (float 0.))) "first run exact" (Some 0.) (run ());
   let rows_per_run = calls () in
   Alcotest.(check bool) "the first run ran the oracle" true (rows_per_run > 0);
@@ -565,6 +579,51 @@ let test_memo_once_per_problem () =
   done;
   Alcotest.(check int) "5 runs, 1 oracle run" 1
     (oracle_runs ~rows_per_run calls)
+
+let test_memo_once_per_problem = once_per_problem Run_spec.Sim "digest-once"
+let test_shm_once_per_problem = once_per_problem Run_spec.Shm "shm-digest-once"
+
+(* a shm run whose kernel perturbs its last point on the kernel's second
+   run: the memo knows the problem, the digest differs, so the oracle
+   reruns and the run reports its exact error. No point reads the last
+   one, so the runs differ from the oracle there alone. *)
+let test_shm_wrong_run_on_hit () =
+  let kernel, calls = counting_kernel "shm-digest-wrong" in
+  let spec, plan = memo_spec Run_spec.Shm in
+  let space = plan.Plan.nest.Nest.space in
+  let last = ref [||] in
+  Polyhedron.iter_points space (fun p -> last := Array.copy p);
+  (* the [Reference] walker computes through [compute], once per point
+     per run; the fast oracle through the row body *)
+  let seen = ref 0 in
+  let compute ~read ~j ~out =
+    kernel.Kernel.compute ~read ~j ~out;
+    if j = !last then begin
+      incr seen;
+      if !seen = 2 then out.(0) <- out.(0) +. 0.375
+    end
+  in
+  let wrong = { kernel with Kernel.compute } in
+  let expected = reference_grid ~space ~kernel in
+  let run () =
+    Shm_executor.run ~walker:spec.Run_spec.walker ~plan ~kernel:wrong ()
+  in
+  let r1 = run () in
+  Alcotest.(check (float 0.)) "first run exact" 0. r1.Shm_executor.max_abs_err;
+  let rows_per_run = calls () in
+  let r2 = run () in
+  let err = Grid.max_abs_diff r2.Shm_executor.grid expected space in
+  Alcotest.(check bool) "the second run is wrong" true (err > 0.);
+  Alcotest.(check int64) "the oracle's exact error" (Int64.bits_of_float err)
+    (Int64.bits_of_float r2.Shm_executor.max_abs_err);
+  Alcotest.(check int) "a mismatch reruns the oracle" 2
+    (oracle_runs ~rows_per_run calls);
+  Alcotest.(check bool) "each run timed an oracle" true
+    (r1.Shm_executor.seq_wall_seconds > 0.
+    && r2.Shm_executor.seq_wall_seconds > 0.);
+  let r3 = run () in
+  Alcotest.(check (float 0.)) "third run exact" 0. r3.Shm_executor.max_abs_err;
+  Alcotest.(check int) "and a hit again" 2 (oracle_runs ~rows_per_run calls)
 
 (* a memo hit whose grid differs in one in-space cell reruns the oracle
    and reports its exact difference *)
@@ -744,6 +803,10 @@ let () =
           Alcotest.test_case "memo eviction" `Quick test_memo_eviction;
           Alcotest.test_case "memo across domains" `Quick
             test_memo_server_domains;
+          Alcotest.test_case "shm: oracle once per problem" `Quick
+            test_shm_once_per_problem;
+          Alcotest.test_case "shm: wrong run on a memo hit" `Quick
+            test_shm_wrong_run_on_hit;
         ] );
       ( "experiment",
         [

@@ -367,6 +367,48 @@ let test_comm_tile_too_small () =
   let comm = Comm.make (sor_nr 3 3 1) skewed_sor_deps ~m:2 in
   Alcotest.(check bool) "nr z=1 ok" true (List.length comm.Comm.ds > 0)
 
+(* A random 3-D case on which building the tile space takes about a
+   minute, while the tiling is rejected for a reason that needs none:
+   H'·(0,1,1) = (6,4,1) reaches past v_0 = 4. [Plan.make] must find that
+   before it projects anything. *)
+let test_plan_rejects_reach_first () =
+  let c coeffs const = Tiles_poly.Constr.make ~coeffs ~const in
+  let space =
+    Polyhedron.make ~dim:3
+      [
+        c [| -1; 0; 0 |] 4;  (* x0 <= 4 *)
+        c [| -1; 0; 1 |] (-2);  (* x2 - x0 >= 2 *)
+        c [| -1; 1; -1 |] 6;  (* x1 - x0 - x2 >= -6 *)
+        c [| -1; 1; 0 |] (-1);  (* x1 - x0 >= 1 *)
+        c [| 1; -1; 0 |] 3;  (* x0 - x1 >= -3 *)
+        c [| 1; 0; -1 |] 4;  (* x0 - x2 >= -4 *)
+        c [| 1; 0; 0 |] (-2);  (* x0 >= 2 *)
+      ]
+  in
+  (* H = diag(1/v)·H' with H' = [2 3 3; 1 1 3; 1 3 -2], v = (4, 2, 3) *)
+  let tiling =
+    Tiling.of_rows
+      [ [ r 2 4; r 3 4; r 3 4 ]; [ r 1 2; r 1 2; r 3 2 ]; [ r 1 3; i 1; r (-2) 3 ] ]
+  in
+  Alcotest.(check int) "tile size" 24 (Tiling.tile_size tiling);
+  let deps = Dependence.of_vectors [ [| 0; 1; 1 |] ] in
+  let nest = Nest.make ~name:"reach" ~space ~deps in
+  let t0 = Sys.time () in
+  let msg =
+    match Plan.make nest tiling with
+    | _ -> Alcotest.fail "the tiling was accepted"
+    | exception Invalid_argument m -> m
+  in
+  let secs = Sys.time () -. t0 in
+  let expected = "dependence reach 6 exceeds tile extent v_0 = 4" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names the reach" msg)
+    true
+    (Astring.String.is_infix ~affix:expected msg);
+  Alcotest.(check bool)
+    (Printf.sprintf "rejected in %.3f s CPU, under 1 s" secs)
+    true (secs < 1.)
+
 let test_comm_dm_projection () =
   let tiling = adi_nr3 3 2 4 in
   let comm = Comm.make tiling adi_deps ~m:1 in
@@ -639,6 +681,8 @@ let () =
           Alcotest.test_case "loc roundtrip jacobi" `Quick test_loc_jacobi;
           Alcotest.test_case "loc roundtrip adi" `Quick test_loc_adi;
           Alcotest.test_case "loc injective" `Quick test_loc_distinct_cells;
+          Alcotest.test_case "reach rejected before the tile space" `Quick
+            test_plan_rejects_reach_first;
         ] );
       ( "schedule",
         [

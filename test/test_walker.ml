@@ -358,8 +358,9 @@ let test_walker_boundary_once () =
         ~variant:Walker.Fastpath ~check:false ()
     in
     let la = Fbuf.make (Walker.lds_total w) Float.nan in
+    let grid = Grid.create space ~width:1 in
     List.iteri
-      (fun trel tile -> ignore (Walker.compute_tile w ~trel ~tile ~la))
+      (fun trel tile -> ignore (Walker.compute_tile w ~trel ~tile ~la ~grid))
       tiles;
     let expected =
       out_of_space space kernel (fun f ->
@@ -399,7 +400,8 @@ let test_check_modes () =
         ~variant ~check ()
     in
     let la = Fbuf.make (Walker.lds_total w * width) Float.nan in
-    match Walker.compute_tile w ~trel:0 ~tile ~la with
+    let grid = Grid.create plan.Plan.nest.Nest.space ~width in
+    match Walker.compute_tile w ~trel:0 ~tile ~la ~grid with
     | (_ : int) -> false
     | exception Failure _ -> true
   in
