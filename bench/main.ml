@@ -1034,6 +1034,8 @@ let kernels_target () =
       ("sor", "nonrect", 32, 64, (8, 16, 16), 4);
       ("jacobi", "nonrect", 16, 48, (4, 12, 12), 4);
       ("adi", "nr3", 16, 40, (4, 10, 10), 4);
+      (* serve-shaped: many ranks, short rows *)
+      ("jacobi", "rect", 32, 48, (6, 8, 8), 4);
       (* wide tile: 8x512x512 doubles = 16.8 MB per rank tile *)
       ("sor", "nonrect", 8, 512, (8, 512, 512), 2);
     ]

@@ -92,6 +92,8 @@ let make (tspace : Tile_space.t) (mapping : Mapping.t) (comm : Comm.t) =
   let total = Array.fold_left ( + ) 0 points in
   { first; points; ndirs; los; dss; slabs; dsts; recvs; total; counter }
 
+let entry t ~rank ~trel = t.first.(rank) + trel
+let entries t = Array.length t.points
 let points t ~rank ~trel = t.points.(t.first.(rank) + trel)
 let slab t ~rank ~trel ~dir =
   t.slabs.(((t.first.(rank) + trel) * t.ndirs) + dir)

@@ -35,6 +35,14 @@ val counter : t -> Tile_space.counter
     enumerates rows with its chain, so every rank of a plan shares one
     projection. *)
 
+val entry : t -> rank:int -> trel:int -> int
+(** The index of the rank's tile at chain position [trel] among all
+    entries: a rank's entries are consecutive, in chain order, and the
+    ranks follow one another in rank order. *)
+
+val entries : t -> int
+(** Number of entries: the tiles of the plan. *)
+
 val points : t -> rank:int -> trel:int -> int
 (** Iterations of the rank's tile at chain position [trel]. *)
 

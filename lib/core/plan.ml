@@ -8,6 +8,7 @@ type t = {
   mapping : Mapping.t;
   comm : Comm.t;
   counts : Count_table.t option Atomic.t;
+  rows : Row_table.t option Atomic.t;
 }
 
 let make ?m nest tiling =
@@ -19,7 +20,15 @@ let make ?m nest tiling =
   let tspace = Tile_space.make nest.Nest.space tiling in
   let mapping = Mapping.make ?m tspace in
   let comm = Comm.make tiling nest.Nest.deps ~m:mapping.Mapping.m in
-  { nest; tiling; tspace; mapping; comm; counts = Atomic.make None }
+  {
+    nest;
+    tiling;
+    tspace;
+    mapping;
+    comm;
+    counts = Atomic.make None;
+    rows = Atomic.make None;
+  }
 
 let dim t = Tiling.dim t.tiling
 let nprocs t = Mapping.nprocs t.mapping
@@ -57,6 +66,18 @@ let counts t =
     let c = Count_table.make t.tspace t.mapping t.comm in
     if Atomic.compare_and_set t.counts None (Some c) then c
     else Option.get (Atomic.get t.counts)
+
+(* Like [counts]; a table for other reads replaces the published one, so
+   a plan keeps the table of the kernel it last ran *)
+let rec rows t ~reads =
+  match Atomic.get t.rows with
+  | Some r when Row_table.reads r = reads -> r
+  | cur ->
+    let r =
+      Row_table.make ~counts:(counts t) ~tspace:t.tspace ~mapping:t.mapping
+        ~comm:t.comm ~reads
+    in
+    if Atomic.compare_and_set t.rows cur (Some r) then r else rows t ~reads
 
 let total_iterations t = Count_table.total (counts t)
 

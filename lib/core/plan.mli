@@ -9,6 +9,7 @@ type t = private {
   mapping : Mapping.t;
   comm : Comm.t;
   counts : Count_table.t option Atomic.t;  (** read through {!counts} *)
+  rows : Row_table.t option Atomic.t;  (** read through {!rows} *)
 }
 
 val make : ?m:int -> Tiles_loop.Nest.t -> Tiling.t -> t
@@ -35,6 +36,12 @@ val counts : t -> Count_table.t
 (** The plan's count table, built on first use and published through an
     [Atomic], so domains sharing a cached plan read one table (two that
     race on a fresh plan may both build it; one copy wins). *)
+
+val rows : t -> reads:Tiles_util.Vec.t array -> Row_table.t
+(** The plan's row table for a kernel with these reads, built on first
+    use and published like {!counts}: Full runs of the fast walkers read
+    it, and nothing else builds it. A table built for other reads is
+    replaced. *)
 
 val total_iterations : t -> int
 (** Iterations of [J^n] (exact), from the count table. *)

@@ -77,6 +77,10 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
            ~width:kernel.Kernel.width)
     else None
   in
+  (* every rank's walker replays the plan's row table: build it before
+     any rank starts, so ranks on other domains only read it *)
+  if mode = Full && walker <> Walker.Reference then
+    ignore (Plan.rows plan ~reads:(Array.of_list kernel.Kernel.reads));
   (* every rank's walker runs the same compiled row: build it once *)
   let native, fallback =
     match (walker, mode) with
@@ -138,21 +142,14 @@ let rank_program ?(overlap = false) shared comms rank =
     (* the table's receives (minsucc pairing), in channel order *)
     let expected = Count_table.recvs counts ~rank ~trel in
     let recv_one (rv : Count_table.recv) = comms.recv ~src:rv.src ~tag:rv.tag in
-    let unpack_one (rv : Count_table.recv) payload =
+    let unpack_one nth (rv : Count_table.recv) payload =
       let len = payload_length payload in
       (match (walker, payload) with
       | None, _ -> ()
       | Some _, Length _ ->
         failwith "Protocol: length-only message received in Full mode"
       | Some w, Data buf ->
-        let pred_tile =
-          Mapping.join mapping ~pid:mapping.Mapping.pids.(rv.src) ~ts:rv.tag
-        in
-        let count =
-          Walker.unpack_slab w ~trel ~pred_tile
-            ~ds:(Count_table.ds counts ~dir:rv.dir ~ds:rv.ds)
-            ~lo:(Count_table.slab_lo counts ~dir:rv.dir) ~la ~buf
-        in
+        let count = Walker.unpack_slab w ~trel ~nth rv ~la ~buf in
         if count * width <> len then
           raise
             (Slab_mismatch
@@ -171,11 +168,11 @@ let rank_program ?(overlap = false) shared comms rank =
          drain the channels before scattering any slab, so a backend with
          asynchronous delivery keeps all incoming transfers in flight at
          once instead of serialising wait → unpack per channel *)
-      List.iter
-        (fun (ch, buf) -> unpack_one ch buf)
+      List.iteri
+        (fun nth (ch, buf) -> unpack_one nth ch buf)
         (List.map (fun ch -> (ch, recv_one ch)) expected)
     else
-      List.iter (fun ch -> unpack_one ch (recv_one ch)) expected;
+      List.iteri (fun nth ch -> unpack_one nth ch (recv_one ch)) expected;
     (* ---------------- COMPUTE ---------------- *)
     let points =
       match (walker, shared.grid) with
@@ -197,8 +194,7 @@ let rank_program ?(overlap = false) shared comms rank =
               (* pack writes every slot; a short pack raises below *)
               let buf = Fbuf.create (cells * width) in
               let count =
-                Walker.pack_slab w ~trel ~tile:tile_buf
-                  ~lo:(Count_table.slab_lo counts ~dir:d) ~la ~buf
+                Walker.pack_slab w ~trel ~tile:tile_buf ~dir:d ~la ~buf
               in
               if count <> cells then
                 raise

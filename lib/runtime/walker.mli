@@ -1,24 +1,22 @@
 (** The compiled tile-execution engine (§2.3, Tables 1–2).
 
-    A walker is built once per (plan, kernel, rank, chain length) and
-    precomputes everything the per-point protocol body used to re-derive
-    at every iteration: the TTIS→LDS linear-index strides, the
-    tile-relative LDS base shift, the integer numerator [Q/den] of [P'],
-    the per-innermost-step global-coordinate delta, and — per row — a
-    flat [int array] of linear read-offset deltas for each stencil tap.
-    The hot loop is then pure unsafe indexing on the local array
-    (an unboxed {!Tiles_util.Fbuf.t}) with index increments: no [Vec]
-    allocation, no [Lds.map], no bounds re-derivation.
+    A walker is built once per (plan, kernel, rank, chain length). The
+    fast variants replay the plan's {!Tiles_core.Row_table}, built once
+    per plan by {!Tiles_core.Plan.rows}: each compute row's LDS cell,
+    grid cell, length, tap-delta class and boundary flag, and each
+    message's (LDS cell, length) segments. The hot loop is then pure
+    unsafe indexing on the local array (an unboxed
+    {!Tiles_util.Fbuf.t}) with index increments: no [Vec] allocation,
+    no [Lds.map], no Fourier–Motzkin walk.
 
-    Enumeration happens row-wise: the space constraints are pulled back
-    onto TTIS coordinates (tile-dependent constants only), projected
-    with Fourier–Motzkin, and walked with residue-aligned strides
-    exactly like {!Tiles_core.Tile_space.count_slab} — the innermost
-    level of the projection chain is the original system, so every
-    aligned point of a row is a member and rows need no per-point
-    membership test. The enumeration order is lexicographic ascending,
-    identical to the reference walker's, so pack buffers are filled in
-    the same order and results are bit-for-bit equal. *)
+    The table's rows come from the row-wise enumeration of
+    {!Tiles_core.Tile_space.iter_slab_rows}: the space constraints
+    pulled back onto TTIS coordinates, projected with Fourier–Motzkin
+    and walked with residue-aligned strides, so every aligned point of
+    a row is a member and rows need no per-point membership test. The
+    order is lexicographic ascending, identical to the reference
+    walker's, so pack buffers are filled in the same order and results
+    are bit-for-bit equal. *)
 
 type variant =
   | Reference
@@ -49,8 +47,7 @@ val variant_of_string : string -> variant option
 val all_variants : variant list
 
 val compiled_member : Tiles_poly.Polyhedron.t -> int array -> bool
-(** Closure-free membership test compiled from the space's constraints
-    (no per-call allocation). *)
+(** {!Tiles_core.Row_table.compiled_member}. *)
 
 type t
 
@@ -81,7 +78,9 @@ val make :
     row bodies — when it is false. [Reference] validates regardless.
     [Native] runs each row through [native], the run's {!native_row}
     when it built; with [None] it runs the OCaml fast path. The other
-    variants ignore [native]. *)
+    variants ignore [native]. The fast variants read the plan's row
+    table (built here if no Full run has built it yet) and require
+    [ntiles] to be the rank's chain length. *)
 
 val variant : t -> variant
 
@@ -120,22 +119,25 @@ val pack_slab :
   t ->
   trel:int ->
   tile:Tiles_util.Vec.t ->
-  lo:int array ->
+  dir:int ->
   la:Tiles_util.Fbuf.t ->
   buf:Tiles_util.Fbuf.t ->
   int
-(** Gather the clipped slab [j' >= lo] of the tile into [buf] in
-    lexicographic TTIS order. Returns the number of cells packed. *)
+(** Gather the clipped slab the tile sends in direction [dir] (an index
+    into {!Tiles_core.Comm.t.dm}) into [buf] in lexicographic TTIS
+    order. Returns the number of cells of the slab; the fast variants
+    pack nothing when [buf] does not hold exactly that many. *)
 
 val unpack_slab :
   t ->
   trel:int ->
-  pred_tile:Tiles_util.Vec.t ->
-  ds:Tiles_util.Vec.t ->
-  lo:int array ->
+  nth:int ->
+  Tiles_core.Count_table.recv ->
   la:Tiles_util.Fbuf.t ->
   buf:Tiles_util.Fbuf.t ->
   int
-(** Scatter a received slab (packed by the predecessor tile
-    [pred_tile], arriving over tile dependence [ds]) into this rank's
-    local array. Returns the number of cells scattered. *)
+(** Scatter the received slab of the tile's [nth] receive (in
+    {!Tiles_core.Count_table.recvs} order), packed by the predecessor
+    tile, into this rank's local array. Returns the number of cells of
+    the slab; the fast variants scatter nothing when [buf] does not hold
+    exactly that many. *)

@@ -26,7 +26,8 @@ import subprocess
 import sys
 
 # Files that define LDS cell addressing or row execution — the walker,
-# the generated native row kernels (rowgen.ml, native_kernel.ml), the
+# the per-plan row table it replays (row_table.ml), the generated native
+# row kernels (rowgen.ml, native_kernel.ml), the
 # rank programs and executor entry points that drive them, the fiber
 # scheduler that runs shm's ranks (its wall clock), the grid
 # (the walkers' write-back target and the oracle's halo layout), and the
@@ -45,6 +46,7 @@ WATCHED = {
     "lib/mpisim/sched.ml",
     "lib/codegen/rowgen.ml",
     "lib/core/lds.ml",
+    "lib/core/row_table.ml",
     "lib/util/fbuf.ml",
     "lib/kir/kir.ml",
     "lib/apps/kernels/gen_bodies.ml",

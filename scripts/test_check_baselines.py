@@ -10,6 +10,8 @@ with that base, asserting its exit code:
     BENCH_kernels.json re-recorded;
   - a kernel-definition change (the source of the generated row
     bodies) fails without both artifacts and passes with them;
+  - a row-table change (the LDS cells and rows the walkers replay)
+    fails with BENCH_kernels.json alone and passes with both artifacts;
   - a grid change (write-back target and oracle halo layout) fails
     with BENCH_kernels.json alone and passes with both artifacts;
   - a Stats change (it folds the baselines' timed fields) fails without
@@ -34,6 +36,7 @@ FILES = [
     "lib/runtime/seq_exec.ml",
     "lib/runtime/walker.ml",
     "lib/runtime/grid.ml",
+    "lib/core/row_table.ml",
     "lib/apps/kernels/defs.ml",
     "lib/obs/stats.ml",
     "lib/mpisim/sched.ml",
@@ -90,6 +93,11 @@ CASES = [
      ["lib/apps/kernels/defs.ml"], 1),
     ("kernel definition change with both artifacts",
      ["lib/apps/kernels/defs.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("row-table change with BENCH_kernels.json only",
+     ["lib/core/row_table.ml", "BENCH_kernels.json"], 1),
+    ("row-table change with both artifacts",
+     ["lib/core/row_table.ml", "BENCH_kernels.json",
       "perf/baselines/sor-nonrect-sim.json"], 0),
     ("grid change with BENCH_kernels.json only",
      ["lib/runtime/grid.ml", "BENCH_kernels.json"], 1),

@@ -400,6 +400,128 @@ let prop_count_table n =
                [ full; timing ])
       | _ -> QCheck.assume_fail ())
 
+(* The row table the fast walkers replay, against a fresh walk: each
+   tile's compute rows are Tile_space.iter_slab_rows from lo = 0 in
+   order (LDS cell by Lds.map, global start by Tiling.global_of, and a
+   boundary flag set exactly when some tap of some point of the row
+   leaves the space), and each send's and receive's segments cover the
+   point-wise slab walk's LDS cells in order, as many as the count
+   table says. *)
+let prop_row_table n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "row table = Fourier-Motzkin walk (n=%d)" n)
+    ~count:(if n = 2 then 60 else 15)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let kernel = deps_kernel n deps in
+        let nest = Nest.make ~name:"rand" ~space ~deps:(Kernel.deps kernel) in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let module Mapping = Tiles_core.Mapping in
+          let module Comm = Tiles_core.Comm in
+          let module Lds = Tiles_core.Lds in
+          let module Count_table = Tiles_core.Count_table in
+          let module Row_table = Tiles_core.Row_table in
+          let mapping = plan.Plan.mapping and comm = plan.Plan.comm in
+          let counts = Plan.counts plan in
+          let reads = Array.of_list kernel.Kernel.reads in
+          let rt = Plan.rows plan ~reads in
+          let member = Polyhedron.member space in
+          let vpt = Array.init n (fun k -> t.Tiling.v.(k) / t.Tiling.c.(k)) in
+          let ok = ref true in
+          let expect b = if not b then ok := false in
+          for rank = 0 to Mapping.nprocs mapping - 1 do
+            let pid = Mapping.pid_of_rank mapping rank in
+            let lo, hi = Mapping.chain mapping rank in
+            let shape = Lds.shape t comm ~ntiles:(hi - lo + 1) in
+            (* the LDS cell of [j'] at trel = 0, shifted by -ds tiles *)
+            let cell ?(ds = Array.make n 0) j' =
+              let j'' = Lds.map t comm ~t:0 j' in
+              let acc = ref 0 in
+              for k = 0 to n - 1 do
+                acc :=
+                  !acc + ((j''.(k) - (ds.(k) * vpt.(k))) * shape.Lds.strides.(k))
+              done;
+              !acc
+            in
+            let slab_cells ?ds tile ~lo =
+              let cells = ref [] in
+              Tile_space.iter_slab_points plan.Plan.tspace ~tile ~lo
+                (fun ~local ~global:_ -> cells := cell ?ds local :: !cells);
+              List.rev !cells
+            in
+            let seg_cells iter =
+              let cells = ref [] in
+              iter (fun ~cell ~len ->
+                  for s = 0 to len - 1 do
+                    cells := (cell + s) :: !cells
+                  done);
+              List.rev !cells
+            in
+            for ts = lo to hi do
+              let trel = ts - lo in
+              let tile = Mapping.join mapping ~pid ~ts in
+              let expected = ref [] in
+              let pre = Array.make (2 * n) 0 in
+              for k = 0 to n - 1 do
+                pre.(k) <- t.Tiling.v.(k) * tile.(k)
+              done;
+              Tile_space.iter_slab_rows (Count_table.counter counts) ~pre
+                ~j':(Array.make n 0) ~lo:(Array.make n 0) (fun ~j' ~len ->
+                  let j = Tiling.global_of t ~tile j' in
+                  let boundary = ref false in
+                  for s = 0 to len - 1 do
+                    let p' = Array.copy j' in
+                    p'.(n - 1) <- j'.(n - 1) + (s * t.Tiling.c.(n - 1));
+                    let p = Tiling.global_of t ~tile p' in
+                    Array.iter
+                      (fun d -> if not (member (Vec.sub p d)) then boundary := true)
+                      reads
+                  done;
+                  expected := (cell j', Vec.to_string j, len, !boundary) :: !expected);
+              let got = ref [] in
+              Row_table.iter_compute rt ~rank ~trel
+                (fun ~cell ~gcell ~len ~cls:_ ~boundary ->
+                  let j = Array.make n 0 in
+                  Row_table.decode_global rt gcell j;
+                  got := (cell, Vec.to_string j, len, boundary) :: !got);
+              expect (!got = !expected);
+              List.iteri
+                (fun dir (dm, _) ->
+                  let cells = Count_table.slab counts ~rank ~trel ~dir in
+                  let segs = seg_cells (Row_table.iter_send rt ~rank ~trel ~dir) in
+                  if cells < 0 then expect (segs = [])
+                  else begin
+                    expect (List.length segs = cells);
+                    expect (segs = slab_cells tile ~lo:(Comm.slab_lo comm ~dm))
+                  end)
+                comm.Comm.dm;
+              List.iteri
+                (fun nth (rv : Count_table.recv) ->
+                  let pred =
+                    Mapping.join mapping ~pid:mapping.Mapping.pids.(rv.src)
+                      ~ts:rv.tag
+                  in
+                  let ds = Count_table.ds counts ~dir:rv.dir ~ds:rv.ds in
+                  let segs =
+                    seg_cells (Row_table.iter_recv rt ~rank ~trel ~nth)
+                  in
+                  expect (List.length segs = rv.cells);
+                  expect
+                    (segs
+                    = slab_cells ~ds pred
+                        ~lo:(Count_table.slab_lo counts ~dir:rv.dir)))
+                (Count_table.recvs counts ~rank ~trel)
+            done
+          done;
+          !ok)
+      | _ -> QCheck.assume_fail ())
+
 (* The receive pairing as the protocol derived it per tile, on every
    run, before the count table held the schedule: per (direction, d^S),
    the predecessor tile, if valid, sends here when this tile is its
@@ -904,6 +1026,7 @@ let () =
         [
           q (prop_loc_roundtrip 2); q (prop_loc_roundtrip 3);
           q (prop_count_table 2); q (prop_count_table 3);
+          q (prop_row_table 2); q (prop_row_table 3);
           q (prop_schedule 2); q (prop_schedule 3);
           q (prop_tile_deps 2); q (prop_tile_deps 3);
         ] );

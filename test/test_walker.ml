@@ -652,6 +652,54 @@ let test_plan_chain_shared () =
   Alcotest.(check bool) "one plan for every rank" true (shares (build_all ()));
   Alcotest.(check bool) "rebuilds share it" true (shares (build_all ()))
 
+(* The row table is built only for Full runs of the fast walkers: a
+   Timing run (or a Reference one) leaves it unbuilt, a Full run
+   publishes it, and a second Full run reads the same physical table. *)
+let test_row_table_once () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:9 in
+  let plan =
+    Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.nonrect ~x:3 ~y:4 ~z:5)
+  in
+  let kernel = Sor.kernel p in
+  let published () = Atomic.get plan.Plan.rows in
+  let run ?walker mode = ignore (Executor.run ?walker ~mode ~plan ~kernel ~net ()) in
+  run Executor.Timing;
+  run ~walker:Walker.Reference Executor.Full;
+  Alcotest.(check bool) "Timing and Reference runs build no table" true
+    (Option.is_none (published ()));
+  run Executor.Full;
+  let first = published () in
+  Alcotest.(check bool) "a Full run publishes one" true (Option.is_some first);
+  run ~walker:Walker.Native Executor.Full;
+  Alcotest.(check bool) "the next Full run reads the same table" true
+    (Option.get (published ()) == Option.get first)
+
+(* Two domains asking a fresh plan for its table at once get one
+   physical table: the loser of the race drops its copy. *)
+let test_row_table_domains () =
+  let module Sor = Tiles_apps.Sor in
+  let p = Sor.make ~m_steps:6 ~size:9 in
+  let plan =
+    Plan.make ~m:Sor.mapping_dim (Sor.nest p) (Sor.nonrect ~x:3 ~y:4 ~z:5)
+  in
+  let reads = Array.of_list (Sor.kernel p).Kernel.reads in
+  ignore (Plan.counts plan);
+  let go = Atomic.make false in
+  let ask () =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        Plan.rows plan ~reads)
+  in
+  let a = ask () and b = ask () in
+  Atomic.set go true;
+  let ta = Domain.join a and tb = Domain.join b in
+  Alcotest.(check bool) "both domains hold one table" true (ta == tb);
+  Alcotest.(check bool) "and it is the published one" true
+    (Option.get (Atomic.get plan.Plan.rows) == ta)
+
 let prop_walkers_bit_identical =
   QCheck.Test.make ~name:"fast/native = reference (grids + counters)"
     ~count:10
@@ -829,7 +877,11 @@ let () =
         ] );
       ( "memo",
         [ Alcotest.test_case "walk plan shared across ranks" `Quick
-            test_plan_chain_shared ] );
+            test_plan_chain_shared;
+          Alcotest.test_case "row table built once, for Full runs" `Quick
+            test_row_table_once;
+          Alcotest.test_case "racing domains share one row table" `Quick
+            test_row_table_domains ] );
       ( "validation",
         [ Alcotest.test_case "check modes" `Quick test_check_modes ] );
       ( "native",
