@@ -3,6 +3,7 @@ module Ints = Tiles_util.Ints
 module Intmat = Tiles_linalg.Intmat
 module Polyhedron = Tiles_poly.Polyhedron
 module Constr = Tiles_poly.Constr
+module Fbuf = Tiles_util.Fbuf
 module A1 = Bigarray.Array1
 
 type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) A1.t
@@ -93,16 +94,41 @@ let set_wdot g (j : int array) (wdot : int array) =
     wdot.(i) <- g.bden.(i) + (g.den * !acc)
   done
 
-let row_span g ~wdot len (shift : int array) =
+(* The constraints that some tap of the [len]-point row whose first
+   point has [set_wdot] values [wdot] fails, into [act]; returns how
+   many. Each constraint is linear in the step, so a row end decides. *)
+let binding g ~wdot len (act : int array) =
+  let nact = ref 0 in
+  for i = 0 to Array.length wdot - 1 do
+    let base = wdot.(i) - g.maxshift.(i) in
+    if base < 0 || base + ((len - 1) * g.cslope.(i)) < 0 then begin
+      act.(!nact) <- i;
+      incr nact
+    end
+  done;
+  !nact
+
+(* The steps [s0, s1] (inclusive, empty when [s0 > s1]) of that row at
+   which the binding constraints [act] hold with margin [shift.(i)]:
+   with [tapshift.(r)], those whose tap [r] stays in the space. One
+   integer division per constraint. *)
+let row_span g ~wdot len (shift : int array) act nact =
   let s0 = ref 0 and s1 = ref (len - 1) in
-  let i = ref 0 in
-  while !s0 <= !s1 && !i < Array.length wdot do
-    let base = wdot.(!i) - shift.(!i) in
-    let slope = g.cslope.(!i) in
-    if slope > 0 then s0 := max !s0 (Ints.cdiv (- base) slope)
-    else if slope < 0 then s1 := min !s1 (Ints.fdiv base (- slope))
+  let k = ref 0 in
+  while !s0 <= !s1 && !k < nact do
+    let i = act.(!k) in
+    let base = wdot.(i) - shift.(i) in
+    let slope = g.cslope.(i) in
+    if slope > 0 then begin
+      let s = Ints.cdiv (- base) slope in
+      if s > !s0 then s0 := s
+    end
+    else if slope < 0 then begin
+      let s = Ints.fdiv base (- slope) in
+      if s < !s1 then s1 := s
+    end
     else if base < 0 then s0 := len;
-    incr i
+    incr k
   done;
   (!s0, !s1)
 
@@ -121,6 +147,10 @@ type t = {
   ufirst : int array;
   ssegs : i32;
   usegs : i32;
+  bfirst : int array;
+  bcells : int array;
+  bsegs : i32;
+  values : (string * Fbuf.t) option Atomic.t;
 }
 
 let reads t = t.geo.reads
@@ -182,6 +212,17 @@ let flush s =
     s.plen <- 0
   end
 
+(* entries [first, first + count) again, [delta] added to field
+   [field] *)
+let copy s ~first ~count ~field ~delta =
+  for e = first to first + count - 1 do
+    for f = 0 to s.width - 1 do
+      let x = Int32.to_int (A1.unsafe_get s.out ((s.width * e) + f)) in
+      put s f (if f = field then x + delta else x)
+    done;
+    close s
+  done
+
 let add_seg s cell len =
   if s.plen > 0 && cell = s.pstart + s.plen then s.plen <- s.plen + len
   else begin
@@ -209,14 +250,15 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
   let sfirst = Array.make ((ne * ndirs) + 1) 0 in
   let rbase = Array.make (ne + 1) 0 in
   let ufirst = Array.make (Count_table.messages counts + 1) 0 in
-  (* tap-delta classes, numbered as first met, by residue key; and the
-     residues of each, latest first *)
-  let classes = Hashtbl.create 8 and residues = ref [] in
+  (* tap-delta classes, numbered as first met, by residue key *)
+  let classes = Hashtbl.create 8 in
   let rows = sink 4 and sends = sink 2 and recvs = sink 2 in
+  let bsegs = sink (n + 2) in
   let zero = Array.make n 0 in
   let vs = Array.make n 0 and pre = Array.make (2 * n) 0 in
   let j' = Array.make n 0 and jrow = Array.make n 0 in
   let wdot = Array.make (Array.length geo.amat) 0 in
+  let act = Array.make (Array.length geo.amat) 0 in
   let last_key = ref (-1) and last_cls = ref 0 in
   let set_tile tile =
     for k = 0 to n - 1 do
@@ -267,20 +309,21 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
         | None ->
           let i = Hashtbl.length classes in
           Hashtbl.add classes !key i;
-          residues := Array.map2 (fun x ck -> x mod ck) j' c :: !residues;
           i
     end;
     !last_cls
   in
-  (* may a tap of some point of the tile's box leave the space? *)
-  let tile_touches () =
+  (* does some point of the tile's box fail a constraint by margin
+     [shift]? With [maxshift]: may a tap leave the space; with 0: is
+     the tile clipped *)
+  let tile_short shift =
     let pull_w = counter.Tile_space.pull_w in
     let hit = ref false in
     for i = 0 to Array.length pull_w - 1 do
       let acc =
         ref
           (counter.Tile_space.pull_bden.(i) + counter.Tile_space.boxmin.(i)
-         - geo.maxshift.(i))
+         - shift.(i))
       in
       for k = 0 to n - 1 do
         acc := !acc + (pull_w.(i).(k) * vs.(k))
@@ -289,43 +332,208 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
     done;
     !hit
   in
-  let slab s lstr ~lo ~shift =
-    Tile_space.iter_slab_rows counter ~pre ~j' ~lo (fun ~j' ~len ->
-        add_seg s (cell0 lstr j' - shift) len);
-    flush s
+  let nocut = Array.make (Array.length geo.amat) 0 in
+  (* An unclipped tile's rows and slabs are those of every unclipped
+     tile of the rank, up to the grid cell: the rank's first one is
+     walked, and the others copy its entries. [tmpl] maps a key to the
+     (first entry, count) of the walked one; [origin0] is the grid cell
+     of its origin [j' = 0]. *)
+  let tmpl = Hashtbl.create 16 and origin0 = ref 0 in
+  let reuse key s ~delta walk =
+    match Hashtbl.find_opt tmpl key with
+    | Some (first, count) -> copy s ~first ~count ~field:1 ~delta
+    | None ->
+      let first = s.count in
+      walk ();
+      Hashtbl.replace tmpl key (first, s.count - first)
+  in
+  (* the slab of the tile at [vs], keyed by [key] when it is
+     unclipped *)
+  let slab s lstr ~lo ~shift ~key =
+    let walk () =
+      Tile_space.iter_slab_rows counter ~pre ~j' ~lo (fun ~j' ~len ->
+          add_seg s (cell0 lstr j' - shift) len);
+      flush s
+    in
+    if tile_short nocut then walk () else reuse key s ~delta:0 walk
   in
   let vpt = Array.init n (fun k -> v.(k) / c.(k)) in
+  (* The rank's out-of-space tap cells as they are met: each run of
+     them keeps its first cell and that cell's point ([n + 1] ints at
+     [bl]), and [mark] maps each LDS cell to the first run that holds it
+     (-1: none). Marked cells span [cmin, cmax]. *)
+  let bw = n + 1 in
+  let bl = ref (Array.make (bw * 64) 0) and nb = ref 0 in
+  let mark = ref [||] and cmin = ref max_int and cmax = ref (-1) in
+  (* Per rank, the LDS cell delta of read [r] on a row of class [cl] at
+     [cl·ntaps + r]: sum_k fdiv(res_k - d'_k, c_k)·lstr_k over the
+     class's residues [res], filled when the rank first meets the class
+     (min_int: not met) *)
+  let ntaps = Array.length reads in
+  let taps = Array.make (Mapping.nprocs mapping) [||] in
+  let last_met = ref (-1) in
+  let meet rank lstr cl (j' : int array) =
+    if cl <> !last_met then begin
+      last_met := cl;
+      let tab = taps.(rank) in
+      if Array.length tab < (cl + 1) * ntaps then begin
+        let grown = Array.make ((cl + 1) * ntaps) min_int in
+        Array.blit tab 0 grown 0 (Array.length tab);
+        taps.(rank) <- grown
+      end;
+      let tab = taps.(rank) in
+      if tab.(cl * ntaps) = min_int then
+        Array.iteri
+          (fun r (d' : int array) ->
+            let acc = ref 0 in
+            for k = 0 to n - 1 do
+              acc :=
+                !acc
+                + (Ints.fdiv ((j'.(k) mod c.(k)) - d'.(k)) c.(k) * lstr.(k))
+            done;
+            tab.((cl * ntaps) + r) <- !acc)
+          geo.reads'
+    end
+  in
+  let add_cells ~rank ~cl ~base r a b =
+    if a <= b then begin
+      if bw * (!nb + 1) > Array.length !bl then begin
+        let grown = Array.make (2 * Array.length !bl) 0 in
+        Array.blit !bl 0 grown 0 (bw * !nb);
+        bl := grown
+      end;
+      let o = bw * !nb and d = reads.(r) in
+      let cell = base + a + taps.(rank).((cl * ntaps) + r) in
+      !bl.(o) <- cell;
+      for k = 0 to n - 1 do
+        !bl.(o + 1 + k) <- jrow.(k) + (a * geo.jstep.(k)) - d.(k)
+      done;
+      let mk = !mark in
+      for x = cell to cell + b - a do
+        if mk.(x) < 0 then mk.(x) <- o
+      done;
+      if cell < !cmin then cmin := cell;
+      if cell + b - a > !cmax then cmax := cell + b - a;
+      incr nb
+    end
+  in
+  let ncells = ref 0 in
+  (* the current segment's first point, and the last cell's and this
+     cell's points *)
+  let sp = Array.make n 0 and prev = Array.make n 0 and pt = Array.make n 0 in
+  (* the marked cells in order, each checked to lie outside the space; a
+     segment runs on while the next cell holds the next point of the
+     innermost lattice step *)
+  let flush_cells () =
+    let l = !bl and mk = !mark in
+    let start = ref 0 and len = ref 0 in
+    let emit () =
+      if !len > 0 then begin
+        ncells := !ncells + !len;
+        put bsegs 0 !start;
+        put bsegs 1 !len;
+        for k = 0 to n - 1 do
+          put bsegs (2 + k) sp.(k)
+        done;
+        close bsegs
+      end
+    in
+    for x = !cmin to !cmax do
+      let o = mk.(x) in
+      if o >= 0 then begin
+        mk.(x) <- -1;
+        let continues = ref (!len > 0 && x = !start + !len) in
+        for k = 0 to n - 1 do
+          pt.(k) <- l.(o + 1 + k) + ((x - l.(o)) * geo.jstep.(k));
+          if pt.(k) <> prev.(k) + geo.jstep.(k) then continues := false
+        done;
+        if geo.member pt then
+          invalid_arg "Row_table: a boundary cell lies inside the space";
+        if !continues then incr len
+        else begin
+          emit ();
+          start := x;
+          len := 1;
+          Array.blit pt 0 sp 0 n
+        end;
+        Array.blit pt 0 prev 0 n
+      end
+    done;
+    emit ();
+    cmin := max_int;
+    cmax := -1;
+    nb := 0
+  in
+  let m = comm.Comm.m in
+  let bfirst = Array.make (Mapping.nprocs mapping + 1) 0 in
+  let bcells = Array.make (Mapping.nprocs mapping + 1) 0 in
   let nrecv = ref 0 in
   for rank = 0 to Mapping.nprocs mapping - 1 do
     let pid = Mapping.pid_of_rank mapping rank in
     let tlo, thi = Mapping.chain mapping rank in
     let shape = Lds.shape tiling comm ~ntiles:(thi - tlo + 1) in
     let lstr = shape.Lds.strides in
+    bfirst.(rank) <- bsegs.count;
+    bcells.(rank) <- !ncells;
+    if Array.length !mark < shape.Lds.total then
+      mark := Array.make shape.Lds.total (-1);
+    last_met := -1;
+    Hashtbl.reset tmpl;
     for ts = tlo to thi do
       let trel = ts - tlo in
       let e = Count_table.entry counts ~rank ~trel in
       let tile = Mapping.join mapping ~pid ~ts in
       set_tile tile;
       cfirst.(e) <- rows.count;
-      let touches = tile_touches () in
-      Tile_space.iter_slab_rows counter ~pre ~j' ~lo:zero (fun ~j' ~len ->
-          set_global j';
-          let boundary =
-            touches
-            &&
-            (set_wdot geo jrow wdot;
-             let s0, s1 = row_span geo ~wdot len geo.maxshift in
-             not (s0 = 0 && s1 = len - 1))
-          in
-          put rows 0 (cell0 lstr j');
-          put rows 1 (gcell len);
-          put rows 2 len;
-          put rows 3 ((2 * cls j') + if boundary then 1 else 0);
-          close rows);
+      let touches = tile_short geo.maxshift in
+      let shift = trel * vpt.(m) * lstr.(m) in
+      let walk () =
+        Tile_space.iter_slab_rows counter ~pre ~j' ~lo:zero (fun ~j' ~len ->
+            set_global j';
+            let cell = cell0 lstr j' and cl = cls j' in
+            meet rank lstr cl j';
+            if touches then begin
+              set_wdot geo jrow wdot;
+              let nact = binding geo ~wdot len act in
+              if nact > 0 then begin
+                (* a boundary row: each tap's in-space steps form one
+                   interval, the rest of the row reads outside *)
+                let base = cell + shift in
+                for r = 0 to Array.length reads - 1 do
+                  let s0, s1 =
+                    row_span geo ~wdot len geo.tapshift.(r) act nact
+                  in
+                  if s0 > s1 then add_cells ~rank ~cl ~base r 0 (len - 1)
+                  else begin
+                    add_cells ~rank ~cl ~base r 0 (s0 - 1);
+                    add_cells ~rank ~cl ~base r (s1 + 1) (len - 1)
+                  end
+                done
+              end
+            end;
+            put rows 0 cell;
+            put rows 1 (gcell len);
+            put rows 2 len;
+            put rows 3 cl;
+            close rows)
+      in
+      (* an unclipped tile none of whose taps leaves the space: its
+         rows' grid cells move with the tile's origin *)
+      if touches || tile_short nocut then walk ()
+      else begin
+        set_global zero;
+        let origin = ref 0 in
+        for k = 0 to n - 1 do
+          origin := !origin + ((jrow.(k) - glo.(k)) * gstr.(k))
+        done;
+        if not (Hashtbl.mem tmpl `Rows) then origin0 := !origin;
+        reuse `Rows rows ~delta:(!origin - !origin0) walk
+      end;
       for d = 0 to ndirs - 1 do
         sfirst.((e * ndirs) + d) <- sends.count;
         if Count_table.slab counts ~rank ~trel ~dir:d >= 0 then
           slab sends lstr ~lo:(Count_table.slab_lo counts ~dir:d) ~shift:0
+            ~key:(`Send d)
       done;
       rbase.(e) <- !nrecv;
       List.iter
@@ -343,36 +551,17 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
             shift := !shift + (ds.(k) * vpt.(k) * lstr.(k))
           done;
           slab recvs lstr ~lo:(Count_table.slab_lo counts ~dir:rv.dir)
-            ~shift:!shift)
+            ~shift:!shift ~key:(`Recv (rv.dir, rv.ds)))
         (Count_table.recvs counts ~rank ~trel)
-    done
+    done;
+    flush_cells ()
   done;
+  bfirst.(Mapping.nprocs mapping) <- bsegs.count;
+  bcells.(Mapping.nprocs mapping) <- !ncells;
   cfirst.(ne) <- rows.count;
   sfirst.(ne * ndirs) <- sends.count;
   rbase.(ne) <- !nrecv;
   ufirst.(!nrecv) <- recvs.count;
-  let res = Array.of_list (List.rev !residues) in
-  let nclass = Array.length res in
-  (* per rank and class, each tap's LDS cell delta:
-     sum_k fdiv(r_k - d'_k, c_k)·lstr_k *)
-  let taps =
-    Array.init (Mapping.nprocs mapping) (fun rank ->
-        let tlo, thi = Mapping.chain mapping rank in
-        let lstr = (Lds.shape tiling comm ~ntiles:(thi - tlo + 1)).Lds.strides in
-        let ntaps = Array.length reads in
-        let tab = Array.make (nclass * ntaps) 0 in
-        for cl = 0 to nclass - 1 do
-          for i = 0 to ntaps - 1 do
-            let d' = geo.reads'.(i) in
-            for k = 0 to n - 1 do
-              tab.((cl * ntaps) + i) <-
-                tab.((cl * ntaps) + i)
-                + (Ints.fdiv (res.(cl).(k) - d'.(k)) c.(k) * lstr.(k))
-            done
-          done
-        done;
-        tab)
-  in
   {
     geo;
     glo;
@@ -388,6 +577,10 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
     ufirst;
     ssegs = trimmed sends;
     usegs = trimmed recvs;
+    bfirst;
+    bcells;
+    bsegs = trimmed bsegs;
+    values = Atomic.make None;
   }
 
 let get (a : i32) i = Int32.to_int (A1.unsafe_get a i)
@@ -396,9 +589,8 @@ let iter_compute t ~rank ~trel f =
   let e = Count_table.entry t.counts ~rank ~trel in
   for i = t.cfirst.(e) to t.cfirst.(e + 1) - 1 do
     let o = 4 * i in
-    let cb = get t.rows (o + 3) in
     f ~cell:(get t.rows o) ~gcell:(get t.rows (o + 1)) ~len:(get t.rows (o + 2))
-      ~cls:(cb lsr 1) ~boundary:(cb land 1 = 1)
+      ~cls:(get t.rows (o + 3))
   done
 
 let iter_segs segs lo hi f =
@@ -413,3 +605,50 @@ let iter_send t ~rank ~trel ~dir f =
 let iter_recv t ~rank ~trel ~nth f =
   let i = t.rbase.(Count_table.entry t.counts ~rank ~trel) + nth in
   iter_segs t.usegs t.ufirst.(i) t.ufirst.(i + 1) f
+
+let boundary_cells t = t.bcells.(Array.length t.bcells - 1)
+
+let iter_boundary t ~rank f =
+  let n = Array.length t.glo in
+  let j = Array.make n 0 in
+  for i = t.bfirst.(rank) to t.bfirst.(rank + 1) - 1 do
+    let o = (n + 2) * i in
+    for k = 0 to n - 1 do
+      j.(k) <- get t.bsegs (o + 2 + k)
+    done;
+    f ~cell:(get t.bsegs o) ~len:(get t.bsegs (o + 1)) ~j
+  done
+
+(* Every rank's cells in order, [width] slots each. Built outside any
+   lock: a domain that loses the race for the slot drops its copy. *)
+let values t ~key ~width boundary =
+  let eval () =
+    let n = Array.length t.glo and jstep = t.geo.jstep in
+    let out = Fbuf.create (width * boundary_cells t) in
+    let p = Array.make n 0 and slot = ref 0 in
+    for rank = 0 to Array.length t.bfirst - 2 do
+      iter_boundary t ~rank (fun ~cell:_ ~len ~j ->
+          for s = 0 to len - 1 do
+            for k = 0 to n - 1 do
+              p.(k) <- j.(k) + (s * jstep.(k))
+            done;
+            for f = 0 to width - 1 do
+              A1.unsafe_set out !slot (boundary p f);
+              incr slot
+            done
+          done)
+    done;
+    out
+  in
+  match key with
+  | None -> eval ()
+  | Some key ->
+    let rec find () =
+      match Atomic.get t.values with
+      | Some (k, v) when String.equal k key -> v
+      | cur ->
+        let v = eval () in
+        if Atomic.compare_and_set t.values cur (Some (key, v)) then v
+        else find ()
+    in
+    find ()

@@ -7,13 +7,24 @@
     - its compute rows, in the lexicographic order of
       {!Tile_space.iter_slab_rows} from [lo = 0]: the LDS cell of the
       row's first point with the chain shift [trel·tshift] split off,
-      the grid cell of that point, the row's length, its tap-delta
-      residue class and whether some tap of the row leaves the space;
+      the grid cell of that point, the row's length and its tap-delta
+      residue class;
     - the slab it sends in each direction and each slab it receives, as
       (LDS cell, length) segments in pack order, consecutive rows that
       continue one another in the LDS merged into one segment. A
       receive's cells are already shifted by [-d^S] tiles, into the
       receiver's array.
+
+    Per rank it also holds the boundary cells: every LDS cell that a tap
+    of some compute row reads outside the space, each once, as (LDS
+    cell, length, global start point) segments sorted by cell, with
+    the chain shift included. Like the halo a receive fills, this set is
+    fixed by the plan; an LDS cell stands for one global point for the
+    whole rank run, so a rank fills all of its boundary cells once, before
+    its first tile. The walk that finds each row's taps outside the
+    space collects them, and every cell's point was checked to lie
+    outside the space when the table was built. Their values under a
+    kernel ({!values}) are computed once and kept beside the table.
 
     Cells are relative to each rank's own {!Lds.shape}. Grid cells index
     the row-major box of the space's bounding box, the layout of a grid
@@ -56,20 +67,6 @@ val geometry :
   reads:Tiles_util.Vec.t array ->
   geometry
 
-val set_wdot : geometry -> int array -> int array -> unit
-(** [set_wdot g j wdot] sets [wdot.(i)] to [den·(a_i·j + b_i)] for every
-    space constraint [i] at the global point [j]. *)
-
-val row_span :
-  geometry -> wdot:int array -> int -> int array -> int * int
-(** [row_span g ~wdot len shift] — the steps [s0, s1] (inclusive, empty
-    when [s0 > s1]) of the [len]-point row whose first point has
-    [set_wdot] values [wdot] at which every constraint [i] holds with
-    margin [shift.(i)]: with [maxshift] the steps whose every tap stays
-    in the space, with [tapshift.(r)] those whose tap [r] does. Each
-    constraint is linear in the step, so the range falls out of one
-    integer division per constraint. *)
-
 type t = private {
   geo : geometry;
   glo : int array;  (** grid box: lower corner *)
@@ -80,11 +77,10 @@ type t = private {
   cfirst : int array;
       (** entry [e]'s compute rows are [cfirst.(e) .. cfirst.(e+1) - 1] *)
   rows : i32;
-      (** 4 per row: LDS cell at [trel = 0], grid cell, length,
-          [2·class + boundary] *)
+      (** 4 per row: LDS cell at [trel = 0], grid cell, length, class *)
   taps : int array array;
       (** per rank: the LDS cell delta of read [r] on a row of class
-          [cl] at [cl·ntaps + r] *)
+          [cl] at [cl·ntaps + r], for the classes of the rank's rows *)
   sfirst : int array;
       (** entry [e]'s send in direction [d] is segments
           [sfirst.(i) .. sfirst.(i+1) - 1] of [ssegs], [i = e·ndirs + d];
@@ -97,6 +93,18 @@ type t = private {
           of [usegs] *)
   ssegs : i32;  (** sends, 2 per segment: LDS cell at [trel = 0], length *)
   usegs : i32;  (** receives, likewise *)
+  bfirst : int array;
+      (** rank [r]'s boundary cells are segments
+          [bfirst.(r) .. bfirst.(r+1) - 1] of [bsegs] *)
+  bcells : int array;
+      (** rank [r]'s boundary values start at cell [bcells.(r)] of
+          {!values}; the last entry is the total *)
+  bsegs : i32;
+      (** boundary cells, [n + 2] per segment: LDS cell (chain shift
+          included), length, global start point; cell [s] of a segment
+          is the point [start + s·jstep] *)
+  values : (string * Tiles_util.Fbuf.t) option Atomic.t;
+      (** the last keyed {!values}, read through {!values} *)
 }
 
 val make :
@@ -106,8 +114,9 @@ val make :
   comm:Comm.t ->
   reads:Tiles_util.Vec.t array ->
   t
-(** Raises [Invalid_argument] if a row leaves the grid box and
-    [Failure] if a cell index exceeds 32 bits. *)
+(** Raises [Invalid_argument] if a row leaves the grid box or a
+    boundary cell's point lies inside the space, and [Failure] if a cell
+    index exceeds 32 bits. *)
 
 val reads : t -> Tiles_util.Vec.t array
 (** The reads the table was built for. *)
@@ -120,7 +129,7 @@ val iter_compute :
   t ->
   rank:int ->
   trel:int ->
-  (cell:int -> gcell:int -> len:int -> cls:int -> boundary:bool -> unit) ->
+  (cell:int -> gcell:int -> len:int -> cls:int -> unit) ->
   unit
 (** The compute rows of the rank's tile at chain position [trel]. *)
 
@@ -132,3 +141,25 @@ val iter_recv :
   t -> rank:int -> trel:int -> nth:int -> (cell:int -> len:int -> unit) -> unit
 (** The segments of the tile's [nth] receive, in {!Count_table.recvs}
     order. *)
+
+val boundary_cells : t -> int
+(** The boundary cells of all ranks. *)
+
+val iter_boundary :
+  t -> rank:int -> (cell:int -> len:int -> j:int array -> unit) -> unit
+(** The rank's boundary segments in cell order; [j], the global point of
+    the segment's first cell, is valid during the call only. *)
+
+val values :
+  t ->
+  key:string option ->
+  width:int ->
+  (int array -> int -> float) ->
+  Tiles_util.Fbuf.t
+(** [values t ~key ~width boundary] — [boundary j f] at every boundary
+    cell's point [j], field [f]: all ranks' cells in {!iter_boundary}
+    order, [width] slots per cell, rank [r]'s from slot
+    [width·bcells.(r)]. With [Some key] (the kernel's content key, width
+    included) the values are computed once and kept in a one-entry slot
+    on the table, which another key replaces; with [None] they are
+    computed on every call. [boundary] must not keep [j]. *)

@@ -24,6 +24,12 @@ type t = {
 
 let deps t = Tiles_loop.Dependence.of_vectors t.reads
 
+let content_key t =
+  Option.map
+    (fun ir ->
+      Marshal.to_string (ir, t.skew, t.width, t.reads) [ Marshal.No_sharing ])
+    t.ckernel
+
 let make ~name ~dim ?(width = 1) ?(uses_j = true) ?row ~reads ~boundary
     ~compute () =
   if width <= 0 then invalid_arg "Kernel.make: width";

@@ -52,6 +52,13 @@ type t = {
 val deps : t -> Tiles_loop.Dependence.t
 (** The canonical dependence set of the kernel. *)
 
+val content_key : t -> string option
+(** The kernel's identity: its IR ([ckernel], boundary expressions
+    included), [skew], [width] and [reads], serialised; [None] for a
+    kernel without IR. Two kernels with one key compute the same values
+    and the same boundary everywhere, by {!of_ir}'s contract that a
+    kernel's closures compute what its IR says. *)
+
 val make :
   name:string ->
   dim:int ->

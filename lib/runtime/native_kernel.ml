@@ -24,7 +24,7 @@ type fn = nativeint
 external load_stub : string -> string -> nativeint = "tilec_native_load"
 
 external row_stub :
-  nativeint -> Fbuf.t -> int -> int array -> int array -> int -> int -> unit
+  nativeint -> Fbuf.t -> int -> int array -> int array -> int -> unit
   = "tilec_native_row_bc" "tilec_native_row" [@@noalloc]
 
 let getenv_nonempty v =
@@ -165,5 +165,4 @@ let build ~plan ~kernel () =
       let compiled = if Sys.file_exists so then Ok () else compile_to src so in
       match compiled with Error _ as e -> e | Ok () -> load_path so))
 
-let row fn ~la ~cur ~taps ~jrow ~len ~interior =
-  row_stub fn la cur taps jrow len (if interior then 1 else 0)
+let row fn ~la ~cur ~taps ~jrow ~len = row_stub fn la cur taps jrow len

@@ -28,9 +28,9 @@ val row :
   taps:int array ->
   jrow:int array ->
   len:int ->
-  interior:bool ->
   unit
 (** Run the compiled row: [cur] is the LDS cell of the first point,
     [taps] the per-read LDS cell deltas for this row, [jrow] the global
-    (skewed) coordinates of the first point. Boundary rows
-    ([interior = false]) guard every tap; interior rows read unguarded. *)
+    (skewed) coordinates of the first point, read only by a body that
+    uses its coordinates. Every tap is read unguarded: a tap outside the
+    space already holds its boundary value. *)

@@ -2,7 +2,7 @@
  *
  * The compiled plan exports
  *   void tilec_row(double *la, long cur, const long *taps,
- *                  const long *j0, long len, long interior);
+ *                  const long *j0, long len);
  * We hand it the Bigarray data pointer directly; taps and j0 are OCaml
  * int arrays (tagged words), so they are untagged into small C stack
  * buffers per call — both are bounded by the stencil's read count and
@@ -18,7 +18,7 @@
 #define TILEC_MAX_WORDS 64
 
 typedef void (*tilec_row_fn)(double *, long, const long *, const long *,
-                             long, long);
+                             long);
 
 CAMLprim value tilec_native_load(value vpath, value vsym)
 {
@@ -45,8 +45,7 @@ CAMLprim value tilec_native_load(value vpath, value vsym)
 }
 
 CAMLprim value tilec_native_row(value vfn, value vla, value vcur,
-                                value vtaps, value vj0, value vlen,
-                                value vinterior)
+                                value vtaps, value vj0, value vlen)
 {
   tilec_row_fn fn = (tilec_row_fn)Nativeint_val(vfn);
   double *la = (double *)Caml_ba_data_val(vla);
@@ -56,7 +55,7 @@ CAMLprim value tilec_native_row(value vfn, value vla, value vcur,
     caml_failwith("tilec_native_row: argument arrays too large");
   for (i = 0; i < nt; i++) taps[i] = Long_val(Field(vtaps, i));
   for (i = 0; i < nj; i++) j0[i] = Long_val(Field(vj0, i));
-  fn(la, Long_val(vcur), taps, j0, Long_val(vlen), Long_val(vinterior));
+  fn(la, Long_val(vcur), taps, j0, Long_val(vlen));
   return Val_unit;
 }
 
@@ -64,5 +63,5 @@ CAMLprim value tilec_native_row_bc(value *argv, int argn)
 {
   (void)argn;
   return tilec_native_row(argv[0], argv[1], argv[2], argv[3], argv[4],
-                          argv[5], argv[6]);
+                          argv[5]);
 }

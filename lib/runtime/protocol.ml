@@ -56,6 +56,7 @@ type shared = {
   counts : Count_table.t;
   points_per_rank : int array;
   tiles_per_rank : int array;
+  values : Fbuf.t option;
   native : Native_kernel.fn option;
   fallback : string option;
 }
@@ -77,10 +78,14 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
            ~width:kernel.Kernel.width)
     else None
   in
-  (* every rank's walker replays the plan's row table: build it before
-     any rank starts, so ranks on other domains only read it *)
-  if mode = Full && walker <> Walker.Reference then
-    ignore (Plan.rows plan ~reads:(Array.of_list kernel.Kernel.reads));
+  (* every rank's walker replays the plan's row table and its boundary
+     values: build both before any rank starts, so ranks on other
+     domains only read them *)
+  let values =
+    if mode = Full && walker <> Walker.Reference then
+      Some (Walker.boundary_values ~plan ~kernel)
+    else None
+  in
   (* every rank's walker runs the same compiled row: build it once *)
   let native, fallback =
     match (walker, mode) with
@@ -102,6 +107,7 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     counts = Plan.counts plan;
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
+    values;
     native;
     fallback;
   }
@@ -119,8 +125,9 @@ let rank_program ?(overlap = false) shared comms rank =
     match shared.mode with
     | Full ->
       Some
-        (Walker.make ~native:shared.native ~plan ~kernel ~rank ~ntiles
-           ~variant:shared.walker ~check:shared.check ())
+        (Walker.make ?values:shared.values ~native:shared.native ~plan
+           ~kernel ~rank ~ntiles ~variant:shared.walker ~check:shared.check
+           ())
     | Timing -> None
   in
   (* a pooled all-NaN buffer; given back, reset, only if the rank

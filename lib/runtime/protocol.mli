@@ -79,6 +79,10 @@ type shared = {
           sizes *)
   points_per_rank : int array;
   tiles_per_rank : int array;
+  values : Tiles_util.Fbuf.t option;
+      (** the fast walkers' boundary values ({!Walker.boundary_values}),
+          forced before any rank runs; [None] for [Reference] and in
+          [Timing] mode *)
   native : Native_kernel.fn option;
       (** the [Native] walker's row ({!Walker.native_row}), built once
           and shared by every rank; [None] for other walkers, in
@@ -105,7 +109,8 @@ val prepare :
     engine; [?check] (default false) makes the fast walkers validate
     every LDS read against NaN poisoning like the reference walker
     does. A [Native] walker in [Full] mode has its row built (or its
-    fallback reason found) here, once for all ranks. *)
+    fallback reason found) here, once for all ranks; the fast walkers'
+    row table and boundary values are forced here too. *)
 
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain. In [Full] mode each tile's

@@ -173,7 +173,8 @@ let run ?(variant = Walker.Fastpath) ?(check = false) ~space ~kernel () =
 
 (* Verify by digest. A kernel built from IR computes what its IR, skew
    and reads say over the space its constraints bound, so that content
-   (never a closure or a spec name) keys the oracle's digest. Only a
+   (the kernel's {!Kernel.content_key} and the constraints, never a
+   closure or a spec name) keys the oracle's digest. Only a
    NaN-free oracle is remembered: then a run whose digest equals it is
    bit-identical to it, and [max_abs_diff] of the two is exactly 0. Each
    entry also keeps the wall seconds of the oracle run that produced it.
@@ -184,15 +185,10 @@ let memo_lock = Mutex.create ()
 
 let memo_key ~space ~kernel =
   Option.map
-    (fun ir ->
-      Marshal.to_string
-        ( ir,
-          kernel.Kernel.skew,
-          kernel.Kernel.width,
-          kernel.Kernel.reads,
-          Polyhedron.constraints space )
-        [ Marshal.No_sharing ])
-    kernel.Kernel.ckernel
+    (fun k ->
+      k
+      ^ Marshal.to_string (Polyhedron.constraints space) [ Marshal.No_sharing ])
+    (Kernel.content_key kernel)
 
 (* callers hold [memo_lock] *)
 let push key d =

@@ -47,6 +47,9 @@ type t = {
   table : Row_table.t option;
   entry0 : int;  (* the rank's first count-table entry *)
   taps : int array;  (* the table's tap deltas of this rank, by class *)
+  (* the table's boundary values ([Row_table.values]); empty for
+     [Reference] *)
+  values : Fbuf.t;
   (* the run's compiled row entry when [variant = Native] and it built;
      [None] runs the OCaml row body *)
   native : Native_kernel.fn option;
@@ -54,7 +57,6 @@ type t = {
   jrow : int array;  (* global row start *)
   jcur : int array;  (* global point cursor *)
   src : int array;  (* tap source point *)
-  wdot : int array;  (* per space constraint: its value at the row start *)
   doffs : int array;  (* per-tap LDS cell deltas for the current row *)
   out : float array;
   (* the LDS cells the fast paths wrote since the last [reset_written]:
@@ -67,7 +69,13 @@ let native_row ~plan ~kernel ~check =
   if check then Error "check mode validates LDS reads in OCaml"
   else Native_kernel.build ~plan ~kernel ()
 
-let make ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
+let boundary_values ~plan ~kernel =
+  Row_table.values
+    (Plan.rows plan ~reads:(Array.of_list kernel.Kernel.reads))
+    ~key:(Kernel.content_key kernel) ~width:kernel.Kernel.width
+    kernel.Kernel.boundary
+
+let make ?values ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let tiling = plan.Plan.tiling in
   let comm = plan.Plan.comm in
   let mapping = plan.Plan.mapping in
@@ -110,12 +118,16 @@ let make ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
     entry0 = Count_table.entry counts ~rank ~trel:0;
     taps =
       (match table with Some rt -> rt.Row_table.taps.(rank) | None -> [||]);
+    values =
+      (match (table, values) with
+      | None, _ -> Fbuf.create 0
+      | Some _, Some v -> v
+      | Some _, None -> boundary_values ~plan ~kernel);
     native =
       (match variant with Native -> native | Reference | Fastpath -> None);
     jrow = Array.make n 0;
     jcur = Array.make n 0;
     src = Array.make n 0;
-    wdot = Array.make (Array.length geo.Row_table.amat) 0;
     doffs = Array.make (Array.length reads) 0;
     out = Array.make kernel.Kernel.width 0.;
     wlog = Array.make 64 0;
@@ -236,51 +248,22 @@ let nan_error t j i =
         read %d"
        t.rank (Vec.to_string j) i)
 
-(* Boundary values for tap [r] at steps [a, b] of the row at LDS cell
-   [base], into the tap cells still NaN. An LDS cell stands for one
-   global point for the whole rank run, and unpack and compute write
-   only cells of points inside the space, so a filled cell keeps its
-   boundary value. *)
-let fill_tap t ~(la : Fbuf.t) ~base r a b =
-  let n = t.n and width = t.width in
-  let d = t.geo.Row_table.reads.(r) and jstep = t.geo.Row_table.jstep in
-  log_write t (base + a + t.doffs.(r)) (b - a + 1);
-  for s = a to b do
-    let slot = (base + s + t.doffs.(r)) * width in
-    for f = 0 to width - 1 do
-      if Float.is_nan la.{slot + f} then begin
-        for k = 0 to n - 1 do
-          t.jcur.(k) <- t.jrow.(k) + (s * jstep.(k));
-          t.src.(k) <- t.jcur.(k) - d.(k)
-        done;
-        if t.check && t.geo.Row_table.member t.src then
-          failwith
-            (Printf.sprintf
-               "Protocol: rank %d boundary fill of in-space cell for \
-                iteration %s read %d"
-               t.rank (Vec.to_string t.jcur) r);
-        la.{slot + f} <- t.kernel.Kernel.boundary t.src f
-      end
-    done
-  done
-
-(* Fill the out-of-space tap cells of a boundary row starting at global
-   point [t.jrow]: each tap's in-space steps form one interval. *)
-let fill_row t ~la ~base len =
-  let geo = t.geo in
-  Row_table.set_wdot geo t.jrow t.wdot;
-  for r = 0 to Array.length geo.Row_table.reads - 1 do
-    let s0, s1 =
-      Row_table.row_span geo ~wdot:t.wdot len geo.Row_table.tapshift.(r)
-    in
-    if s0 > s1 then fill_tap t ~la ~base r 0 (len - 1)
-    else begin
-      fill_tap t ~la ~base r 0 (s0 - 1);
-      fill_tap t ~la ~base r (s1 + 1) (len - 1)
-    end
-  done
-
 let get (a : Row_table.i32) i = Int32.to_int (A1.unsafe_get a i)
+
+(* The rank's boundary cells take their values before its first tile:
+   unpack and compute write only cells of points inside the space, so
+   they keep them for the whole rank run. *)
+let fill_boundary t (rt : Row_table.t) ~(la : Fbuf.t) =
+  let width = t.width and w = t.n + 2 in
+  let segs = rt.Row_table.bsegs and first = rt.Row_table.bfirst in
+  let pos = ref (rt.Row_table.bcells.(t.rank) * width) in
+  for i = first.(t.rank) to first.(t.rank + 1) - 1 do
+    let cell = get segs (w * i) and len = get segs ((w * i) + 1) in
+    log_write t cell len;
+    Fbuf.blit ~src:t.values ~src_pos:!pos ~dst:la ~dst_pos:(cell * width)
+      ~len:(len * width);
+    pos := !pos + (len * width)
+  done
 
 let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
   let n = t.n and width = t.width and geo = t.geo in
@@ -312,6 +295,7 @@ let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
     if t.check && Float.is_nan v then nan_error t t.jcur i;
     v
   in
+  if trel = 0 then fill_boundary t rt ~la;
   let rows = rt.Row_table.rows in
   let e = t.entry0 + trel in
   let shift = trel * t.tshift in
@@ -321,23 +305,18 @@ let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
     let base = get rows o + shift in
     let gcell = get rows (o + 1) in
     let len = get rows (o + 2) in
-    let cb = get rows (o + 3) in
-    let boundary = cb land 1 = 1 in
-    if cb lsr 1 <> !cls then begin
-      cls := cb lsr 1;
-      Array.blit t.taps (!cls * ntaps) t.doffs 0 ntaps
+    let cl = get rows (o + 3) in
+    if cl <> !cls then begin
+      cls := cl;
+      Array.blit t.taps (cl * ntaps) t.doffs 0 ntaps
     end;
-    if needs_j || boundary then Row_table.decode_global rt gcell t.jrow;
+    if needs_j then Row_table.decode_global rt gcell t.jrow;
     points := !points + len;
     log_write t base len;
     (match t.native with
     | Some fn ->
-      (* native rows cover interior and boundary alike: the compiled
-         body guards taps itself on boundary rows *)
       Native_kernel.row fn ~la ~cur:base ~taps:t.doffs ~jrow:t.jrow ~len
-        ~interior:(not boundary)
     | None -> (
-      if boundary then fill_row t ~la ~base len;
       match rowfn with
       | Some rb ->
         (* width = 1 (enforced by Kernel.make), so slots = cells *)

@@ -3,11 +3,15 @@
     A walker is built once per (plan, kernel, rank, chain length). The
     fast variants replay the plan's {!Tiles_core.Row_table}, built once
     per plan by {!Tiles_core.Plan.rows}: each compute row's LDS cell,
-    grid cell, length, tap-delta class and boundary flag, and each
-    message's (LDS cell, length) segments. The hot loop is then pure
-    unsafe indexing on the local array (an unboxed
-    {!Tiles_util.Fbuf.t}) with index increments: no [Vec] allocation,
-    no [Lds.map], no Fourier–Motzkin walk.
+    grid cell, length and tap-delta class, each message's (LDS cell,
+    length) segments, and the rank's boundary cells, the LDS cells its
+    taps read outside the space. Their values ({!boundary_values}) are
+    computed once per (plan, kernel) and land in the local array by one
+    unpack-like blit before the rank's first tile, so no row looks up a
+    boundary value. The hot loop is then pure unsafe indexing on the
+    local array (an unboxed {!Tiles_util.Fbuf.t}) with index
+    increments: no [Vec] allocation, no [Lds.map], no Fourier–Motzkin
+    walk, no boundary test.
 
     The table's rows come from the row-wise enumeration of
     {!Tiles_core.Tile_space.iter_slab_rows}: the space constraints
@@ -25,12 +29,9 @@ type variant =
           Kept as the correctness oracle. *)
   | Fastpath
       (** row enumeration + precomputed linear indices, contiguous-row
-          blit pack/unpack, and the kernel's unrolled [row] body on
-          every row (width-1 kernels). On a row whose taps leave the
-          space, each out-of-space tap's LDS cell first receives its
-          boundary value, once per rank run: each tap's in-space steps
-          form one interval, one integer division per active
-          constraint. The default. *)
+          blit pack/unpack, the boundary cells filled once per rank run,
+          and the kernel's unrolled [row] body on every row (width-1
+          kernels). The default. *)
   | Native
       (** [Fastpath] whose per-row work runs in a C-compiled,
           [dlopen]'d kernel built at plan time from the kernel's
@@ -61,7 +62,15 @@ val native_row :
     {!Native_kernel.build}'s error. Every rank of a run shares one row,
     so a run builds it once and hands it to each rank's {!make}. *)
 
+val boundary_values :
+  plan:Tiles_core.Plan.t -> kernel:Kernel.t -> Tiles_util.Fbuf.t
+(** {!Tiles_core.Row_table.values} of the plan's row table (built here
+    if no Full run has built it yet) under [kernel]'s boundary, keyed by
+    {!Kernel.content_key}: computed once per (plan, kernel), and on
+    every call for a kernel without IR. *)
+
 val make :
+  ?values:Tiles_util.Fbuf.t ->
   native:Native_kernel.fn option ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
@@ -72,15 +81,15 @@ val make :
   unit ->
   t
 (** [check] makes the fast variants validate every LDS read against NaN
-    (uninitialised-cell poisoning) like the reference walker does, and
-    confirm that every boundary-filled source lies outside the space; the
+    (uninitialised-cell poisoning) like the reference walker does; the
     fast variants skip the check — and become eligible for the unrolled
     row bodies — when it is false. [Reference] validates regardless.
     [Native] runs each row through [native], the run's {!native_row}
     when it built; with [None] it runs the OCaml fast path. The other
     variants ignore [native]. The fast variants read the plan's row
-    table (built here if no Full run has built it yet) and require
-    [ntiles] to be the rank's chain length. *)
+    table (built here if no Full run has built it yet), fill the rank's
+    boundary cells from [values] (default {!boundary_values}) and
+    require [ntiles] to be the rank's chain length. *)
 
 val variant : t -> variant
 
@@ -95,8 +104,7 @@ val lds_total : t -> int
 val reset_written : t -> la:Tiles_util.Fbuf.t -> unit
 (** Set back to NaN every cell of [la] this walker wrote since it was
     made or last reset: the computed rows, the unpacked slab rows and the
-    boundary-filled tap ranges, which the fast variants log as they
-    write them. [Reference] resets the whole of [la] instead. A rank
+    boundary cells, which the fast variants log as they write them. [Reference] resets the whole of [la] instead. A rank
     that borrowed its NaN-poisoned local array ({!Lds_pool}) calls this
     before giving it back. *)
 
@@ -113,7 +121,9 @@ val compute_tile :
     computed: a computed cell is final, since unpack writes only halo
     cells). The fast variants copy a row with one blit when its innermost
     step is contiguous in the grid; [Reference] writes point by point.
-    Returns the number of iteration points computed. *)
+    The fast variants fill the rank's boundary cells at [trel = 0], so a
+    rank computes its chain in order from there. Returns the number of
+    iteration points computed. *)
 
 val pack_slab :
   t ->

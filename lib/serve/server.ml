@@ -579,11 +579,19 @@ let serve_socket ?config ?metrics_out ~path () =
     if not (Atomic.get stop) then begin
       match Unix.accept listener with
       | fd, _ ->
-        let d = Domain.spawn (handle_conn fd) in
-        Mutex.lock handlers_lock;
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock handlers_lock)
-          (fun () -> handlers := d :: !handlers);
+        (match Domain.spawn (handle_conn fd) with
+        | d ->
+          Mutex.lock handlers_lock;
+          Fun.protect
+            ~finally:(fun () -> Mutex.unlock handlers_lock)
+            (fun () -> handlers := d :: !handlers)
+        | exception Failure msg ->
+          (* the runtime's domain limit: refuse this connection, keep
+             serving the others *)
+          let w = writer (Unix.out_channel_of_descr fd) in
+          write w (error_json ~id:"" ("connection refused: " ^ msg));
+          close_writer w ~close:(fun () ->
+              try Unix.close fd with Unix.Unix_error _ -> ()));
         accept_loop ()
       | exception Unix.Unix_error _ -> ()  (* listener closed: stop *)
     end

@@ -27,7 +27,8 @@ import sys
 
 # Files that define LDS cell addressing or row execution — the walker,
 # the per-plan row table it replays (row_table.ml), the generated native
-# row kernels (rowgen.ml, native_kernel.ml), the
+# row kernels (rowgen.ml, native_kernel.ml, and emit_common.ml, whose
+# tables rowgen prints into every one of them), the
 # rank programs and executor entry points that drive them, the fiber
 # scheduler that runs shm's ranks (its wall clock), the grid
 # (the walkers' write-back target and the oracle's halo layout), and the
@@ -45,6 +46,7 @@ WATCHED = {
     "lib/runtime/shm_executor.ml",
     "lib/mpisim/sched.ml",
     "lib/codegen/rowgen.ml",
+    "lib/codegen/emit_common.ml",
     "lib/core/lds.ml",
     "lib/core/row_table.ml",
     "lib/util/fbuf.ml",

@@ -12,6 +12,8 @@ with that base, asserting its exit code:
     bodies) fails without both artifacts and passes with them;
   - a row-table change (the LDS cells and rows the walkers replay)
     fails with BENCH_kernels.json alone and passes with both artifacts;
+  - an emit_common change (its tables are printed into every native
+    row kernel) fails with BENCH_kernels.json alone;
   - a grid change (write-back target and oracle halo layout) fails
     with BENCH_kernels.json alone and passes with both artifacts;
   - a Stats change (it folds the baselines' timed fields) fails without
@@ -37,6 +39,7 @@ FILES = [
     "lib/runtime/walker.ml",
     "lib/runtime/grid.ml",
     "lib/core/row_table.ml",
+    "lib/codegen/emit_common.ml",
     "lib/apps/kernels/defs.ml",
     "lib/obs/stats.ml",
     "lib/mpisim/sched.ml",
@@ -99,6 +102,8 @@ CASES = [
     ("row-table change with both artifacts",
      ["lib/core/row_table.ml", "BENCH_kernels.json",
       "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("emit_common change with BENCH_kernels.json only",
+     ["lib/codegen/emit_common.ml", "BENCH_kernels.json"], 1),
     ("grid change with BENCH_kernels.json only",
      ["lib/runtime/grid.ml", "BENCH_kernels.json"], 1),
     ("grid change with both artifacts",

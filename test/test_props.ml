@@ -402,11 +402,10 @@ let prop_count_table n =
 
 (* The row table the fast walkers replay, against a fresh walk: each
    tile's compute rows are Tile_space.iter_slab_rows from lo = 0 in
-   order (LDS cell by Lds.map, global start by Tiling.global_of, and a
-   boundary flag set exactly when some tap of some point of the row
-   leaves the space), and each send's and receive's segments cover the
-   point-wise slab walk's LDS cells in order, as many as the count
-   table says. *)
+   order (LDS cell by Lds.map, global start by Tiling.global_of), and
+   each send's and receive's segments cover the point-wise slab walk's
+   LDS cells in order, as many as the count table says. Which taps leave
+   the space is the boundary-cell law's. *)
 let prop_row_table n =
   QCheck.Test.make
     ~name:(Printf.sprintf "row table = Fourier-Motzkin walk (n=%d)" n)
@@ -431,7 +430,6 @@ let prop_row_table n =
           let counts = Plan.counts plan in
           let reads = Array.of_list kernel.Kernel.reads in
           let rt = Plan.rows plan ~reads in
-          let member = Polyhedron.member space in
           let vpt = Array.init n (fun k -> t.Tiling.v.(k) / t.Tiling.c.(k)) in
           let ok = ref true in
           let expect b = if not b then ok := false in
@@ -474,22 +472,13 @@ let prop_row_table n =
               Tile_space.iter_slab_rows (Count_table.counter counts) ~pre
                 ~j':(Array.make n 0) ~lo:(Array.make n 0) (fun ~j' ~len ->
                   let j = Tiling.global_of t ~tile j' in
-                  let boundary = ref false in
-                  for s = 0 to len - 1 do
-                    let p' = Array.copy j' in
-                    p'.(n - 1) <- j'.(n - 1) + (s * t.Tiling.c.(n - 1));
-                    let p = Tiling.global_of t ~tile p' in
-                    Array.iter
-                      (fun d -> if not (member (Vec.sub p d)) then boundary := true)
-                      reads
-                  done;
-                  expected := (cell j', Vec.to_string j, len, !boundary) :: !expected);
+                  expected := (cell j', Vec.to_string j, len) :: !expected);
               let got = ref [] in
               Row_table.iter_compute rt ~rank ~trel
-                (fun ~cell ~gcell ~len ~cls:_ ~boundary ->
+                (fun ~cell ~gcell ~len ~cls:_ ->
                   let j = Array.make n 0 in
                   Row_table.decode_global rt gcell j;
-                  got := (cell, Vec.to_string j, len, boundary) :: !got);
+                  got := (cell, Vec.to_string j, len) :: !got);
               expect (!got = !expected);
               List.iteri
                 (fun dir (dm, _) ->
@@ -517,6 +506,100 @@ let prop_row_table n =
                     = slab_cells ~ds pred
                         ~lo:(Count_table.slab_lo counts ~dir:rv.dir)))
                 (Count_table.recvs counts ~rank ~trel)
+            done
+          done;
+          !ok)
+      | _ -> QCheck.assume_fail ())
+
+(* The boundary cells the fast walkers fill once per rank run, against
+   the point-wise walk: per rank, the table's cells are exactly the LDS
+   cells (Lds.map) of the taps that leave the space, each once and each
+   at its tap's point; no compute row or receive segment writes one;
+   and each cell's value is [boundary] at its point. *)
+let prop_boundary_cells n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "boundary cells = out-of-space tap cells (n=%d)" n)
+    ~count:(if n = 2 then 60 else 15)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let kernel = deps_kernel n deps in
+        let nest = Nest.make ~name:"rand" ~space ~deps:(Kernel.deps kernel) in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let module Mapping = Tiles_core.Mapping in
+          let module Comm = Tiles_core.Comm in
+          let module Lds = Tiles_core.Lds in
+          let module Row_table = Tiles_core.Row_table in
+          let module Cells = Map.Make (Int) in
+          let mapping = plan.Plan.mapping and comm = plan.Plan.comm in
+          let reads = Array.of_list kernel.Kernel.reads in
+          let rt = Plan.rows plan ~reads in
+          let values = Walker.boundary_values ~plan ~kernel in
+          let jstep = rt.Row_table.geo.Row_table.jstep in
+          let reads' =
+            Array.map (Tiles_linalg.Intmat.apply t.Tiling.h') reads
+          in
+          let ok = ref true in
+          let expect b = if not b then ok := false in
+          for rank = 0 to Mapping.nprocs mapping - 1 do
+            let pid = Mapping.pid_of_rank mapping rank in
+            let lo, hi = Mapping.chain mapping rank in
+            let shape = Lds.shape t comm ~ntiles:(hi - lo + 1) in
+            let m = comm.Comm.m in
+            let tshift =
+              t.Tiling.v.(m) / t.Tiling.c.(m) * shape.Lds.strides.(m)
+            in
+            (* the point-wise walk: each out-of-space tap's cell and point *)
+            let expected = ref Cells.empty in
+            for ts = lo to hi do
+              let trel = ts - lo in
+              let tile = Mapping.join mapping ~pid ~ts in
+              Tile_space.iter_tile_points plan.Plan.tspace ~tile
+                (fun ~local ~global ->
+                  Array.iteri
+                    (fun i d ->
+                      let src = Vec.sub global d in
+                      if not (Polyhedron.member space src) then
+                        let cell =
+                          Lds.map_index shape
+                            (Lds.map t comm ~t:trel (Vec.sub local reads'.(i)))
+                        in
+                        expected :=
+                          Cells.add cell (Vec.to_string src) !expected)
+                    reads)
+            done;
+            (* the table's cells, in order, each once, and their values *)
+            let got = ref [] and slot = ref rt.Row_table.bcells.(rank) in
+            Row_table.iter_boundary rt ~rank (fun ~cell ~len ~j ->
+                for s = 0 to len - 1 do
+                  let p = Array.mapi (fun k x -> x + (s * jstep.(k))) j in
+                  got := (cell + s, Vec.to_string p) :: !got;
+                  expect
+                    (Int64.equal
+                       (Int64.bits_of_float (Tiles_util.Fbuf.get values !slot))
+                       (Int64.bits_of_float (kernel.Kernel.boundary p 0)));
+                  incr slot
+                done);
+            expect (!slot = rt.Row_table.bcells.(rank + 1));
+            expect (List.rev !got = Cells.bindings !expected);
+            (* compute rows and receives write none of them *)
+            for trel = 0 to hi - lo do
+              let written ~cell ~len =
+                for s = 0 to len - 1 do
+                  expect
+                    (not (Cells.mem (cell + (trel * tshift) + s) !expected))
+                done
+              in
+              Row_table.iter_compute rt ~rank ~trel
+                (fun ~cell ~gcell:_ ~len ~cls:_ -> written ~cell ~len);
+              List.iteri
+                (fun nth _ -> Row_table.iter_recv rt ~rank ~trel ~nth written)
+                (Tiles_core.Count_table.recvs (Plan.counts plan) ~rank ~trel)
             done
           done;
           !ok)
@@ -1033,6 +1116,7 @@ let () =
       ( "boundary",
         [
           q (prop_boundary_fill 2); q (prop_boundary_fill 3);
+          q (prop_boundary_cells 2); q (prop_boundary_cells 3);
           q (prop_grid_rows 2); q (prop_grid_rows 3);
           q (prop_digest 2); q (prop_digest 3);
         ] );

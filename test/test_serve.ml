@@ -932,6 +932,84 @@ let test_socket_early_disconnect () =
   Unix.close fd2;
   Unix.rmdir dir
 
+(* The runtime allows some 128 live domains, and the socket server gives
+   each connection one. Past the limit a connection used to end the
+   daemon ("failed to allocate domain", exit 1); now it is answered with
+   one error line and closed, and the daemon keeps serving: once the
+   idle tenants leave, a fresh connection gets its plan. 130 concurrent
+   connections, never more. *)
+let test_socket_domain_limit () =
+  let dir = Filename.temp_file "tilec-serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "tilec.sock" in
+  let server =
+    Domain.spawn (fun () ->
+        Server.serve_socket
+          ~config:{ (stalled_config ()) with Server.workers = 1 }
+          ~path ())
+  in
+  let rec connect tries =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> fd
+    | exception Unix.Unix_error _ when tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.05;
+      connect (tries - 1)
+  in
+  let idle = List.init 130 (fun _ -> connect 100) in
+  (* the refused connections become readable: one error line, then EOF *)
+  let rec refused tries =
+    match Unix.select idle [] [] 0.1 with
+    | [], _, _ when tries > 0 -> refused (tries - 1)
+    | ready, _, _ -> ready
+  in
+  let ready = refused 100 in
+  check_bool "some connection is past the limit" true (ready <> []);
+  List.iter
+    (fun fd ->
+      let ic = Unix.in_channel_of_descr fd in
+      let l = input_line ic in
+      (match Json.parse l with
+      | Ok r ->
+        check_str "refused with an error line" "error" (str_field "status" r)
+      | Error e -> Alcotest.failf "bad refusal line %S: %s" l e);
+      check_bool "then closed" true
+        (match input_line ic with _ -> false | exception End_of_file -> true))
+    ready;
+  List.iter Unix.close idle;
+  (* the idle tenants' domains end as their connections close: ask
+     again until a fresh connection is served *)
+  let rec plan tries =
+    let fd = connect 100 in
+    let oc = Unix.out_channel_of_descr fd in
+    let ic = Unix.in_channel_of_descr fd in
+    output_string oc
+      "{\"id\":\"s1\",\"op\":\"plan\",\"app\":\"sor\",\"size1\":12,\"size2\":16}\n";
+    flush oc;
+    let l = input_line ic in
+    match Json.parse l with
+    | Ok r when str_field "id" r = "" && tries > 0 ->
+      Unix.close fd;
+      Unix.sleepf 0.05;
+      plan (tries - 1)
+    | Ok r ->
+      check_str "a fresh connection is served" "ok" (str_field "status" r);
+      (fd, oc, ic)
+    | Error e -> Alcotest.failf "bad response line %S: %s" l e
+  in
+  let fd, oc, ic = plan 100 in
+  output_string oc "{\"op\":\"shutdown\"}\n";
+  flush oc;
+  let l = input_line ic in
+  (match Json.parse l with
+  | Ok r -> check_str "shutdown ack" "shutdown" (str_field "op" r)
+  | Error e -> Alcotest.failf "bad shutdown line %S: %s" l e);
+  Domain.join server;
+  Unix.close fd;
+  Unix.rmdir dir
+
 (* equal last-use ticks cannot arise through the public API (ticks are
    unique), so manufacture them: the victim must be the smallest key,
    independent of insertion order / hash-table layout *)
@@ -1031,5 +1109,7 @@ let () =
           Alcotest.test_case "socket roundtrip" `Quick test_socket_roundtrip;
           Alcotest.test_case "socket early disconnect" `Quick
             test_socket_early_disconnect;
+          Alcotest.test_case "socket past the domain limit" `Quick
+            test_socket_domain_limit;
         ] );
     ]

@@ -331,10 +331,11 @@ let test_seq_boundary_once () =
       ("adi", (Adi.nest adi).Nest.space, Adi.kernel adi);
     ]
 
-(* The fast walker calls [boundary] at most once per cell per rank: one
-   LDS cell stands for one global point for the whole rank run. Each
-   rank walks its chain alone on a fresh LDS (no halos arrive, which
-   changes values but not which cells are filled). *)
+(* The fast walkers' boundary values call [boundary] once per cell per
+   rank, in rank order, once per plan: one LDS cell stands for one
+   global point for the whole rank run, and walking the ranks' chains
+   calls it no more. Each rank walks its chain alone on a fresh LDS (no
+   halos arrive, which changes values but not which cells are filled). *)
 let test_walker_boundary_once () =
   let module Sor = Tiles_apps.Sor in
   let p = Sor.make ~m_steps:6 ~size:9 in
@@ -344,6 +345,12 @@ let test_walker_boundary_once () =
   let mapping = plan.Plan.mapping in
   let nprocs = Mapping.nprocs mapping in
   Alcotest.(check bool) "plan is multi-rank" true (nprocs > 1);
+  let calls, kernel = counting (Sor.kernel p) in
+  let values = Walker.boundary_values ~plan ~kernel in
+  let evaluated = ref (List.rev !calls) in
+  calls := [];
+  Alcotest.(check bool) "the next ask reuses them" true
+    (Walker.boundary_values ~plan ~kernel == values);
   let total = ref 0 in
   for rank = 0 to nprocs - 1 do
     let pid = Mapping.pid_of_rank mapping rank in
@@ -351,9 +358,8 @@ let test_walker_boundary_once () =
     let tiles =
       List.init (thi - tlo + 1) (fun i -> Mapping.join mapping ~pid ~ts:(tlo + i))
     in
-    let calls, kernel = counting (Sor.kernel p) in
     let w =
-      Walker.make ~native:None ~plan ~kernel ~rank
+      Walker.make ~values ~native:None ~plan ~kernel ~rank
         ~ntiles:(List.length tiles)
         ~variant:Walker.Fastpath ~check:false ()
     in
@@ -370,10 +376,76 @@ let test_walker_boundary_once () =
                 (fun ~local:_ ~global -> f global))
             tiles)
     in
-    check_once (Printf.sprintf "rank %d" rank) !calls expected;
-    total := !total + List.length !calls
+    let mine = List.filteri (fun i _ -> i < Cells.cardinal expected) !evaluated in
+    evaluated := List.filteri (fun i _ -> i >= List.length mine) !evaluated;
+    check_once (Printf.sprintf "rank %d" rank) mine expected;
+    total := !total + List.length mine
   done;
+  Alcotest.(check int) "every value is some rank's" 0 (List.length !evaluated);
+  Alcotest.(check int) "walking the chains calls boundary no more" 0
+    (List.length !calls);
   Alcotest.(check bool) "some rank fills boundary cells" true (!total > 0)
+
+(* Two Full runs of one plan compute its boundary values once. A second
+   kernel with the same IR body and reads but another boundary
+   expression has another content key: its run replaces the values, and
+   the first kernel's next run computes its own again. Every grid equals
+   its kernel's boxed reference bit for bit (compared directly, not
+   through the digest memo, which shares the key). *)
+let test_boundary_values_once () =
+  let module Sor = Tiles_apps.Sor in
+  let module Kir = Tiles_kir.Kir in
+  let p = Sor.make ~m_steps:6 ~size:9 in
+  let nest = Sor.nest p in
+  let space = nest.Nest.space in
+  let plan = Plan.make ~m:Sor.mapping_dim nest (Sor.nonrect ~x:3 ~y:4 ~z:5) in
+  let counted kernel =
+    let n = ref 0 in
+    ( n,
+      {
+        kernel with
+        Kernel.boundary =
+          (fun j f ->
+            incr n;
+            kernel.Kernel.boundary j f);
+      } )
+  in
+  let sor = Sor.kernel p in
+  let ir = Option.get sor.Kernel.ckernel in
+  let other =
+    {
+      sor with
+      Kernel.ckernel =
+        Some
+          (Kir.make ~name:ir.Kir.name ~dim:ir.Kir.dim ~lets:ir.Kir.lets
+             ~out:ir.Kir.out ~boundary:[ Kir.Const 3.5 ] ());
+      boundary = (fun _ _ -> 3.5);
+    }
+  in
+  let n1, k1 = counted sor and n2, k2 = counted other in
+  (* the counted kernel runs; its uncounted original is the reference *)
+  let run (kernel, reference) =
+    let g =
+      Option.get
+        (Executor.run ~mode:Executor.Full ~plan ~kernel ~net ()).Executor.grid
+    in
+    Alcotest.(check (float 0.)) "= reference" 0.
+      (Grid.max_abs_diff g
+         (Seq_exec.run ~variant:Walker.Reference ~space ~kernel:reference ())
+         space);
+    g
+  in
+  let g1 = run (k1, sor) in
+  let once = !n1 in
+  Alcotest.(check bool) "the first run computes them" true (once > 0);
+  ignore (run (k1, sor));
+  Alcotest.(check int) "the second run reuses them" once !n1;
+  let g2 = run (k2, other) in
+  Alcotest.(check int) "another boundary computes its own" once !n2;
+  Alcotest.(check bool) "and they matter" true
+    (Grid.max_abs_diff g1 g2 space > 0.);
+  ignore (run (k1, sor));
+  Alcotest.(check int) "and replaced the first kernel's" (2 * once) !n1
 
 (* ---------- NaN-read validation modes ---------- *)
 
@@ -874,6 +946,8 @@ let () =
             test_seq_boundary_once;
           Alcotest.test_case "walker reads each boundary cell once per rank"
             `Quick test_walker_boundary_once;
+          Alcotest.test_case "boundary values once per plan and kernel"
+            `Quick test_boundary_values_once;
         ] );
       ( "memo",
         [ Alcotest.test_case "walk plan shared across ranks" `Quick
