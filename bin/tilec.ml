@@ -576,8 +576,9 @@ let tune_cmd =
   in
   let top_arg =
     Arg.(value & opt int 12 & info [ "top" ] ~docv:"K"
-           ~doc:"Candidates surviving predictor pruning into exact \
-                 simulation.")
+           ~doc:"The predictor's 3×$(docv) best candidates are simulated \
+                 exactly; with $(b,--backend) shm the simulator's $(docv) \
+                 best are then measured.")
   in
   let workers_arg =
     Arg.(value & opt int Tune.default_options.Tune.workers

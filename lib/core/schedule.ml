@@ -39,8 +39,3 @@ let first_point_step plan = extreme_point_step plan ~pick:(fun lo _ -> lo)
 
 let effective_steps plan =
   last_point_step plan - first_point_step plan + 1
-
-let predicted_time plan ~compute_per_point ~comm_per_step =
-  let tile_points = float_of_int (Tiling.tile_size plan.Plan.tiling) in
-  float_of_int (steps plan)
-  *. ((tile_points *. compute_per_point) +. comm_per_step)

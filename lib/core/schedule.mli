@@ -25,11 +25,3 @@ val effective_steps : Plan.t -> int
     inflated by the nearly-empty corner tiles of oblique tilings
     (reproduction finding 4 in DESIGN.md), so the tuner's analytic
     predictor ranks mixed shape families sensibly. *)
-
-val predicted_time :
-  Plan.t -> compute_per_point:float -> comm_per_step:float -> float
-(** Hodzic–Shang-style estimate: [steps × (tile_size · compute_per_point
-    + comm_per_step)] — each wavefront step computes one (full) tile and
-    pays one send/receive round. A coarse model: it ignores partial
-    boundary tiles, but predicts the rectangular/non-rectangular ordering
-    and is cross-checked against the simulator in the benches. *)

@@ -15,7 +15,7 @@
 
 type entry = {
   label : string;   (** run configuration, e.g. ["sor/nonrect z=8 p=16"] *)
-  source : string;  (** which estimator, e.g. ["predictor.refine"] *)
+  source : string;  (** which estimator, e.g. ["predictor.predict"] *)
   field : string;   (** compared quantity, e.g. ["completion_s"] *)
   predicted : float;
   observed : float;

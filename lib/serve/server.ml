@@ -557,7 +557,6 @@ let serve_socket ?config ?metrics_out ~path () =
   let t = create ?config () in
   let stop = Atomic.make false in
   let handlers = ref [] in
-  let handlers_lock = Mutex.create () in
   let handle_conn fd () =
     let w = writer (Unix.out_channel_of_descr fd) in
     let respond = write w in
@@ -579,14 +578,12 @@ let serve_socket ?config ?metrics_out ~path () =
     if not (Atomic.get stop) then begin
       match Unix.accept listener with
       | fd, _ ->
-        (match Domain.spawn (handle_conn fd) with
-        | d ->
-          Mutex.lock handlers_lock;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock handlers_lock)
-            (fun () -> handlers := d :: !handlers)
-        | exception Failure msg ->
-          (* the runtime's domain limit: refuse this connection, keep
+        (* a systhread per connection: it blocks in [read], which
+           releases the runtime lock, and costs no domain *)
+        (match Thread.create (handle_conn fd) () with
+        | th -> handlers := th :: !handlers
+        | exception (Failure msg | Sys_error msg) ->
+          (* the thread could not start: refuse this connection, keep
              serving the others *)
           let w = writer (Unix.out_channel_of_descr fd) in
           write w (error_json ~id:"" ("connection refused: " ^ msg));
@@ -597,13 +594,7 @@ let serve_socket ?config ?metrics_out ~path () =
     end
   in
   accept_loop ();
-  let hs =
-    Mutex.lock handlers_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock handlers_lock)
-      (fun () -> !handlers)
-  in
-  List.iter Domain.join hs;
+  List.iter Thread.join !handlers;
   drain t;
   shutdown t;
   (match metrics_out with

@@ -95,9 +95,10 @@ val serve_socket :
   ?config:config -> ?metrics_out:string -> path:string -> unit -> unit
 (** Like {!serve_channels} over a Unix domain socket at [path]
     (unlinked first if stale): every connection gets its own reader
-    domain and response ordering, all sharing one server — the
-    multi-tenant deployment. A [shutdown] from any connection stops
-    accepting, drains and returns.
+    systhread and response ordering, all sharing one server — the
+    multi-tenant deployment. A reader blocks in [read], which releases
+    the runtime lock, so an idle tenant costs no domain. A [shutdown]
+    from any connection stops accepting, drains and returns.
 
     Both front-ends set [SIGPIPE] to ignore on entry: a tenant that
     disconnects mid-response turns the dead write into a per-connection

@@ -52,22 +52,21 @@ type result = {
 
 let plan_of ~nest cand = Plan.make ~m:cand.Candidate.m nest (Candidate.tiling cand)
 
-(* evaluate [jobs] (plan per candidate) across [workers] domains; the
-   simulator state is per-run and all cross-candidate shared structures
-   (the nest-space projection memo) are forced before spawning. Each shm
-   evaluation runs its ranks on a pool as large as the host's cores, so
-   shm is serialized: parallel evals would oversubscribe the cores being
+(* evaluate [plans] across [workers] domains; the simulator state is
+   per-run and all cross-candidate shared structures (the nest-space
+   projection memo) are forced before spawning. Each shm evaluation runs
+   its ranks on a pool as large as the host's cores, so shm is
+   serialized: parallel evals would oversubscribe the cores being
    measured. *)
-let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
-  let jobs = Array.of_list jobs in
-  let out = Array.make (Array.length jobs) None in
+let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend plans =
+  let plans = Array.of_list plans in
+  let out = Array.make (Array.length plans) None in
   let eval i =
-    let _, plan = jobs.(i) in
     (* the spec's naming fields only label metadata, unused here *)
     let r =
       Run_spec.run ~mode:Run_spec.Timing
         { (Run_spec.default "") with backend; overlap; net }
-        ~plan ~kernel
+        ~plan:plans.(i) ~kernel
     in
     out.(i) <-
       Some
@@ -81,15 +80,15 @@ let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
         }
   in
   let workers = match backend with Sim -> workers | Shm -> 1 in
-  let nw = max 1 (min workers (Array.length jobs)) in
-  if nw = 1 then Array.iteri (fun i _ -> eval i) jobs
+  let nw = max 1 (min workers (Array.length plans)) in
+  if nw = 1 then Array.iteri (fun i _ -> eval i) plans
   else begin
     let next = Atomic.make 0 in
     let failure = Atomic.make None in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length jobs && Atomic.get failure = None then begin
+        if i < Array.length plans && Atomic.get failure = None then begin
           (try eval i
            with e -> Atomic.compare_and_set failure None (Some e) |> ignore);
           loop ()
@@ -102,14 +101,57 @@ let evaluate_parallel ~workers ~kernel ~net ~overlap ~backend jobs =
     match Atomic.get failure with Some e -> raise e | None -> ()
   end;
   Array.to_list
-    (Array.mapi
-       (fun i s ->
-         match s with
-         | Some s ->
-           let k, _ = jobs.(i) in
-           (k, s)
+    (Array.map
+       (function
+         | Some s -> s
          | None -> failwith "Tune.evaluate_parallel: job skipped")
        out)
+
+let unscored (cand, _, predicted, nprocs, tile_size) =
+  { cand; nprocs; tile_size; predicted; score = None; from_cache = false }
+
+(* score [jobs] on [backend], each from the cache when it holds it, and
+   pair each job with its scored form, best completion first; the stable
+   sort breaks ties in [jobs]' order whether a score was a cache hit or a
+   fresh run *)
+let score_all ~options ~cache ~nest ~kernel ~net ~backend jobs =
+  let looked =
+    List.map
+      (fun ((cand, plan, _, _, _) as job) ->
+        let slot =
+          Option.map
+            (fun c ->
+              ( c,
+                Cache.key ~nest ~tiling:plan.Plan.tiling ~m:cand.Candidate.m
+                  ~kernel ~net ~overlap:options.overlap
+                  ~backend:(Run_spec.backend_to_string backend) ))
+            cache
+        in
+        (job, slot, Option.bind slot (fun (c, k) -> Cache.find c k)))
+      jobs
+  in
+  let fresh =
+    evaluate_parallel ~workers:options.workers ~kernel ~net
+      ~overlap:options.overlap ~backend
+      (List.filter_map
+         (fun ((_, plan, _, _, _), _, hit) ->
+           if hit = None then Some plan else None)
+         looked)
+  in
+  List.fold_left_map
+    (fun fresh (job, slot, hit) ->
+      match (hit, fresh) with
+      | Some score, _ -> (fresh, (job, score, true))
+      | None, score :: fresh ->
+        Option.iter (fun (c, k) -> Cache.store c k score) slot;
+        (fresh, (job, score, false))
+      | None, [] -> failwith "Tune.score_all: missing score")
+    fresh looked
+  |> snd
+  |> List.stable_sort (fun (_, a, _) (_, b, _) ->
+         compare a.Cache.completion b.Cache.completion)
+  |> List.map (fun (job, score, from_cache) ->
+         (job, { (unscored job) with score = Some score; from_cache }))
 
 let search ?(options = default_options) ~nest ~kernel ~net () =
   let cands =
@@ -145,97 +187,23 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
     | [] -> (List.rev acc, [])
     | x :: rest -> split (k - 1) (x :: acc) rest
   in
-  (* second pruning pass: re-rank a shortlist with the exact-volume
-     refinement before committing simulator time *)
   let shortlist, tail = split (max 1 (3 * options.top_k)) [] ranked in
-  let shortlist =
-    List.map
-      (fun (cand, plan, _, nprocs, tile_size) ->
-        (cand, plan, Predictor.refine ~width plan ~net, nprocs, tile_size))
-      shortlist
-    |> List.sort (fun (_, _, a, _, _) (_, _, b, _, _) ->
-           compare a.Predictor.total b.Predictor.total)
-  in
-  let survivors, rest = split (max 1 options.top_k) [] shortlist in
-  let pruned =
-    List.map
-      (fun (cand, _, predicted, nprocs, tile_size) ->
-        {
-          cand;
-          nprocs;
-          tile_size;
-          predicted;
-          score = None;
-          from_cache = false;
-        })
-      (rest @ tail)
-  in
-  let survivors = List.mapi (fun idx s -> (idx, s)) survivors in
   (* force the shared nest-space projection memo before domains race on it *)
   ignore (Polyhedron.count_points nest.Nest.space);
   let cache = Option.map Cache.open_dir options.cache_dir in
-  let keyed =
-    List.map
-      (fun ((_, (cand, plan, _, _, _)) as job) ->
-        let key =
-          Option.map
-            (fun _ ->
-              Cache.key ~nest ~tiling:plan.Plan.tiling ~m:cand.Candidate.m
-                ~kernel ~net ~overlap:options.overlap
-                ~backend:(Run_spec.backend_to_string options.backend))
-            cache
-        in
-        (job, key))
-      survivors
+  let score_all = score_all ~options ~cache ~nest ~kernel ~net in
+  (* the DES ranks the whole shortlist; on shm only its best [top_k] are
+     then run for real *)
+  let by_sim = score_all ~backend:Sim shortlist in
+  let simulated, pruned =
+    match options.backend with
+    | Sim -> (List.map snd by_sim, tail)
+    | Shm ->
+      let measured, rest = split (max 1 options.top_k) [] by_sim in
+      ( List.map snd (score_all ~backend:Shm (List.map fst measured)),
+        List.map fst rest @ tail )
   in
-  let hits, misses =
-    List.partition_map
-      (fun ((job, key) as entry) ->
-        match (cache, key) with
-        | Some c, Some k -> (
-          match Cache.find c k with
-          | Some score -> Left (job, score)
-          | None -> Right entry)
-        | _ -> Right entry)
-      keyed
-  in
-  let cache_hits = List.length hits in
-  let miss_scores =
-    evaluate_parallel ~workers:options.workers ~kernel ~net
-      ~overlap:options.overlap ~backend:options.backend
-      (List.map (fun ((_, (_, plan, _, _, _)), key) -> (key, plan)) misses)
-  in
-  (match cache with
-  | Some c ->
-    List.iter
-      (fun (key, score) ->
-        match key with Some k -> Cache.store c k score | None -> ())
-      miss_scores
-  | None -> ());
-  let all_scored =
-    List.map2
-      (fun (job, _) (_, score) -> (job, score, false))
-      misses miss_scores
-    @ List.map (fun (job, score) -> (job, score, true)) hits
-  in
-  (* back to survivor order, so the stable sort breaks completion ties
-     the same way whether a score was a cache hit or a fresh run *)
-  let simulated =
-    List.sort (fun ((i, _), _, _) ((j, _), _, _) -> compare i j) all_scored
-    |> List.map (fun ((_, (cand, _, predicted, nprocs, tile_size)), sc, hit) ->
-           {
-             cand;
-             nprocs;
-             tile_size;
-             predicted;
-             score = Some sc;
-             from_cache = hit;
-           })
-    |> List.sort (fun a b ->
-           match (a.score, b.score) with
-           | Some x, Some y -> compare x.Cache.completion y.Cache.completion
-           | _ -> 0)
-  in
+  let pruned = List.map unscored pruned in
   match simulated with
   | [] -> failwith "Tune.search: no feasible candidate"
   | best :: _ ->
@@ -245,7 +213,7 @@ let search ?(options = default_options) ~nest ~kernel ~net () =
       pruned;
       generated;
       feasible = List.length feasible;
-      cache_hits;
+      cache_hits = List.length (List.filter (fun s -> s.from_cache) simulated);
     }
 
 (* ---------------- JSON rendering ---------------- *)

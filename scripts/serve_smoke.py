@@ -8,9 +8,11 @@
 # reports (a) and (b) along with per-class latency percentiles.
 #
 # Determinism: the daemon runs with a single worker and the batch leads
-# with a tune job that occupies that worker for hundreds of
-# milliseconds, so the identical plan requests queued behind it are all
-# read -- and coalesced -- before any of them can execute.
+# with a tune job that occupies that worker for some 20 ms, far longer
+# than reading the burst takes, so the identical plan requests queued
+# behind it are all read -- and coalesced -- before any of them can
+# execute. The tune reply must name a best candidate with a positive
+# simulated completion.
 #
 # Usage: python3 scripts/serve_smoke.py [path/to/tilec.exe]
 # Writes serve-artifacts/{final-metrics,latency}.json.
@@ -38,9 +40,9 @@ def read_until(ids):
 
 plan = {"op": "plan", "app": "sor", "size1": 24, "size2": 32,
         "tile": [6, 8, 8]}
-# phase 1: the tune job occupies the single worker for hundreds of ms,
-# so the identical plan burst behind it is read and coalesced before
-# any of it can execute
+# phase 1: the tune job occupies the single worker for some 20 ms, so
+# the identical plan burst behind it is read and coalesced before any
+# of it can execute
 send({"id": "warm", "op": "tune", "app": "adi", "variant": "nr1",
       "size1": 10, "size2": 12, "procs": 4, "factors": [2, 3]})
 burst = [f"b{i}" for i in range(5)]
@@ -49,6 +51,7 @@ for i in burst:
 r1 = read_until(set(burst) | {"warm"})
 for i in burst + ["warm"]:
     assert r1[i]["status"] == "ok", r1[i]
+assert r1["warm"]["best"]["completion_s"] > 0, r1["warm"]
 labels = [r1[i]["cache"] for i in burst]
 assert labels.count("miss") == 1, labels
 assert labels.count("coalesced") == len(burst) - 1, labels

@@ -607,16 +607,6 @@ let test_schedule_adi_ordering () =
   Alcotest.(check bool) "nr3 < nr1" true (s_nr3 < s_nr1);
   Alcotest.(check bool) "nr3 < nr2" true (s_nr3 < s_nr2)
 
-let test_predicted_time_positive () =
-  let plan =
-    Plan.make
-      (Nest.make ~name:"adi" ~space:(adi_space 5 7) ~deps:adi_deps)
-      (adi_nr3 3 2 4)
-  in
-  Alcotest.(check bool) "positive" true
-    (Schedule.predicted_time plan ~compute_per_point:1e-7 ~comm_per_step:1e-4
-     > 0.)
-
 let () =
   Alcotest.run "tiles_core"
     [
@@ -688,6 +678,5 @@ let () =
         [
           Alcotest.test_case "nonrect fewer steps" `Quick test_schedule_nonrect_fewer_steps;
           Alcotest.test_case "adi ordering" `Quick test_schedule_adi_ordering;
-          Alcotest.test_case "predicted time" `Quick test_predicted_time_positive;
         ] );
     ]

@@ -932,12 +932,10 @@ let test_socket_early_disconnect () =
   Unix.close fd2;
   Unix.rmdir dir
 
-(* The runtime allows some 128 live domains, and the socket server gives
-   each connection one. Past the limit a connection used to end the
-   daemon ("failed to allocate domain", exit 1); now it is answered with
-   one error line and closed, and the daemon keeps serving: once the
-   idle tenants leave, a fresh connection gets its plan. 130 concurrent
-   connections, never more. *)
+(* The runtime allows some 128 live domains; a connection reads on a
+   systhread, so tenants are not bounded by that limit: all 130
+   concurrent connections get their plan answered, and then a fresh
+   connection is served. 130 concurrent connections, never more. *)
 let test_socket_domain_limit () =
   let dir = Filename.temp_file "tilec-serve" "" in
   Sys.remove dir;
@@ -946,7 +944,7 @@ let test_socket_domain_limit () =
   let server =
     Domain.spawn (fun () ->
         Server.serve_socket
-          ~config:{ (stalled_config ()) with Server.workers = 1 }
+          ~config:{ (stalled_config ~capacity:256 ()) with Server.workers = 1 }
           ~path ())
   in
   let rec connect tries =
@@ -958,50 +956,43 @@ let test_socket_domain_limit () =
       Unix.sleepf 0.05;
       connect (tries - 1)
   in
-  let idle = List.init 130 (fun _ -> connect 100) in
-  (* the refused connections become readable: one error line, then EOF *)
-  let rec refused tries =
-    match Unix.select idle [] [] 0.1 with
-    | [], _, _ when tries > 0 -> refused (tries - 1)
-    | ready, _, _ -> ready
+  let plan_line id =
+    Printf.sprintf
+      "{\"id\":\"%s\",\"op\":\"plan\",\"app\":\"sor\",\"size1\":12,\
+       \"size2\":16}\n"
+      id
   in
-  let ready = refused 100 in
-  check_bool "some connection is past the limit" true (ready <> []);
-  List.iter
-    (fun fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let l = input_line ic in
-      (match Json.parse l with
-      | Ok r ->
-        check_str "refused with an error line" "error" (str_field "status" r)
-      | Error e -> Alcotest.failf "bad refusal line %S: %s" l e);
-      check_bool "then closed" true
-        (match input_line ic with _ -> false | exception End_of_file -> true))
-    ready;
-  List.iter Unix.close idle;
-  (* the idle tenants' domains end as their connections close: ask
-     again until a fresh connection is served *)
-  let rec plan tries =
-    let fd = connect 100 in
-    let oc = Unix.out_channel_of_descr fd in
-    let ic = Unix.in_channel_of_descr fd in
-    output_string oc
-      "{\"id\":\"s1\",\"op\":\"plan\",\"app\":\"sor\",\"size1\":12,\"size2\":16}\n";
-    flush oc;
+  let check_plan id ic =
     let l = input_line ic in
     match Json.parse l with
-    | Ok r when str_field "id" r = "" && tries > 0 ->
-      Unix.close fd;
-      Unix.sleepf 0.05;
-      plan (tries - 1)
     | Ok r ->
-      check_str "a fresh connection is served" "ok" (str_field "status" r);
-      (fd, oc, ic)
+      check_str "plan answered" "ok" (str_field "status" r);
+      check_str "to its own connection" id (str_field "id" r)
     | Error e -> Alcotest.failf "bad response line %S: %s" l e
   in
-  let fd, oc, ic = plan 100 in
+  let conns =
+    List.init 130 (fun i ->
+        let fd = connect 100 in
+        ( Printf.sprintf "c%d" i,
+          fd,
+          Unix.out_channel_of_descr fd,
+          Unix.in_channel_of_descr fd ))
+  in
+  (* every connection is open before any asks *)
+  List.iter
+    (fun (id, _, oc, _) ->
+      output_string oc (plan_line id);
+      flush oc)
+    conns;
+  List.iter (fun (id, _, _, ic) -> check_plan id ic) conns;
+  List.iter (fun (_, fd, _, _) -> Unix.close fd) conns;
+  let fd = connect 100 in
+  let oc = Unix.out_channel_of_descr fd in
+  let ic = Unix.in_channel_of_descr fd in
+  output_string oc (plan_line "fresh");
   output_string oc "{\"op\":\"shutdown\"}\n";
   flush oc;
+  check_plan "fresh" ic;
   let l = input_line ic in
   (match Json.parse l with
   | Ok r -> check_str "shutdown ack" "shutdown" (str_field "op" r)

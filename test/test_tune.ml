@@ -66,21 +66,16 @@ let test_candidates_respect_budget () =
 
 (* ---------------- predictor vs simulator ---------------- *)
 
-(* both passes exist to rank candidates, not to hit the clock exactly;
-   bound their error by a generous constant factor *)
+(* the predictor exists to rank candidates, not to hit the clock
+   exactly; bound its error by a generous constant factor *)
 let check_bounded name plan ~kernel =
   let r = Executor.run ~mode:Executor.Timing ~plan ~kernel ~net () in
   let sim = r.Executor.stats.Sim.completion in
-  List.iter
-    (fun (pass, est) ->
-      let ratio = est.Predictor.total /. sim in
-      if ratio < 0.2 || ratio > 5.0 then
-        Alcotest.failf "%s/%s: predictor off by %.2fx (%.5fs vs %.5fs)" name
-          pass ratio est.Predictor.total sim)
-    [
-      ("predict", Predictor.predict ~width:kernel.Kernel.width plan ~net);
-      ("refine", Predictor.refine ~width:kernel.Kernel.width plan ~net);
-    ]
+  let est = Predictor.predict ~width:kernel.Kernel.width plan ~net in
+  let ratio = est.Predictor.total /. sim in
+  if ratio < 0.2 || ratio > 5.0 then
+    Alcotest.failf "%s: predictor off by %.2fx (%.5fs vs %.5fs)" name ratio
+      est.Predictor.total sim
 
 let test_predictor_bounded_sor () =
   let p = Tiles_apps.Sor.make ~m_steps:40 ~size:60 in
@@ -130,7 +125,7 @@ let test_jacobi_tune_pinned () =
       ~kernel:(Tiles_apps.Jacobi.kernel p) ~net ()
   in
   Alcotest.(check int) "generated" 16 r.Tune.generated;
-  Alcotest.(check string) "best" "rect m=0 f=[2,5,9]"
+  Alcotest.(check string) "best" "mix1 m=0 f=[2,9,9]"
     (Candidate.label r.Tune.best.Tune.cand)
 
 let test_predictor_bounded_jacobi () =
@@ -200,30 +195,81 @@ let test_tuner_beats_hand_picked () =
   if tuned > hand +. 1e-12 then
     Alcotest.failf "tuned %.6fs worse than hand-picked %.6fs" tuned hand
 
-(* acceptance: the predictor must rank the simulator's best candidate
-   within its own top 3 *)
-let test_sim_best_in_predictor_top3 () =
-  let _, _, r = Lazy.force fig6 in
-  let by_pred =
-    List.sort
-      (fun (a : Tune.scored) b ->
-        compare a.Tune.predicted.Predictor.total
-          b.Tune.predicted.Predictor.total)
-      r.Tune.simulated
+(* the DES's best over every feasible candidate: the exhaustive search
+   the tuner's shortlist stands in for *)
+let exhaustive_best ~nest ~kernel ~procs ~factors =
+  List.filter_map
+    (fun c ->
+      match Tune.plan_of ~nest c with
+      | plan ->
+        let r = Executor.run ~mode:Executor.Timing ~plan ~kernel ~net () in
+        Some (c, r.Executor.stats.Sim.completion)
+      | exception (Invalid_argument _ | Failure _ | Division_by_zero) -> None)
+    (Candidate.generate ~nest ~procs ~factors ())
+  |> List.fold_left
+       (fun best ((_, t) as x) ->
+         match best with Some (_, b) when b <= t -> best | _ -> Some x)
+       None
+  |> Option.get
+
+(* acceptance: the simulator's best candidate over the whole fig6 sweep
+   lies inside the 3 × top_k shortlist the predictor hands it *)
+let test_exhaustive_best_in_shortlist () =
+  let nest, kernel, r = Lazy.force fig6 in
+  let best, t =
+    exhaustive_best ~nest ~kernel ~procs:16 ~factors:[ 2; 3; 4; 6; 8 ]
   in
-  let sim_best = List.hd r.Tune.simulated in
-  let rank =
-    let rec find i = function
-      | [] -> Alcotest.fail "simulator best missing from predictor ranking"
-      | (x : Tune.scored) :: rest ->
-        if x.Tune.cand = sim_best.Tune.cand then i else find (i + 1) rest
-    in
-    find 1 by_pred
-  in
-  if rank > 3 then
-    Alcotest.failf "simulator best %s has predictor rank %d (> 3)"
-      (Candidate.label sim_best.Tune.cand)
-      rank
+  if not (List.exists (fun s -> s.Tune.cand = best) r.Tune.simulated) then
+    Alcotest.failf "exhaustive best %s (%.6fs) is outside the shortlist"
+      (Candidate.label best) t;
+  Alcotest.(check (float 0.)) "tuned best = exhaustive best" t
+    (completion_of r.Tune.best)
+
+(* law: on the tune configurations the benchmark runs, the tuner's pick
+   is the exhaustive optimum *)
+let test_search_finds_exhaustive_best () =
+  List.iter
+    (fun (name, (nest, kernel), procs, factors) ->
+      let options =
+        {
+          Tune.default_options with
+          Tune.procs;
+          factors;
+          top_k = 3;
+          workers = 1;
+          cache_dir = None;
+        }
+      in
+      let r = Tune.search ~options ~nest ~kernel ~net () in
+      let best, t = exhaustive_best ~nest ~kernel ~procs ~factors in
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "%s: tuned %s = exhaustive %s" name
+           (Candidate.label r.Tune.best.Tune.cand)
+           (Candidate.label best))
+        t
+        (completion_of r.Tune.best))
+    [
+      ( "sor 10/12",
+        (let p = Tiles_apps.Sor.make ~m_steps:10 ~size:12 in
+         (Tiles_apps.Sor.nest p, Tiles_apps.Sor.kernel p)),
+        4,
+        [ 2; 3 ] );
+      ( "adi 10/12",
+        (let p = Tiles_apps.Adi.make ~t_steps:10 ~size:12 in
+         (Tiles_apps.Adi.nest p, Tiles_apps.Adi.kernel p)),
+        4,
+        [ 2; 3 ] );
+      ( "jacobi 4/6",
+        (let p = Tiles_apps.Jacobi.make ~t_steps:4 ~size:6 in
+         (Tiles_apps.Jacobi.nest p, Tiles_apps.Jacobi.kernel p)),
+        2,
+        [ 2 ] );
+      ( "jacobi 4/7",
+        (let p = Tiles_apps.Jacobi.make ~t_steps:4 ~size:7 in
+         (Tiles_apps.Jacobi.nest p, Tiles_apps.Jacobi.kernel p)),
+        2,
+        [ 2 ] );
+    ]
 
 let test_simulated_sorted_and_scored () =
   let _, _, r = Lazy.force fig6 in
@@ -286,9 +332,10 @@ let test_cache_hits_identical () =
         (a.Tune.cand = b.Tune.cand && a.Tune.score = b.Tune.score))
     r1.Tune.simulated r2.Tune.simulated
 
-(* the shm backend scores survivors on real domains: every surviving
-   candidate must come back with a positive wall-clock measurement and
-   the same deterministic counters a sim-backed search would report *)
+(* the shm backend measures the simulator's top_k on real domains: the
+   measured candidates are exactly those a sim-backed search ranks
+   first, and each comes back with a positive wall-clock measurement and
+   the same deterministic counters the simulator reports *)
 let test_shm_backend_search () =
   let p = Tiles_apps.Sor.make ~m_steps:8 ~size:10 in
   let nest = Tiles_apps.Sor.nest p in
@@ -304,18 +351,31 @@ let test_shm_backend_search () =
     }
   in
   let r = Tune.search ~options ~nest ~kernel ~net () in
-  Alcotest.(check bool) "simulated non-empty" true (r.Tune.simulated <> []);
+  let by_sim =
+    Tune.search ~options:{ options with backend = Tune.Sim } ~nest ~kernel ~net
+      ()
+  in
+  let labels l =
+    List.sort compare (List.map (fun s -> Candidate.label s.Tune.cand) l)
+  in
+  Alcotest.(check (list string))
+    "measured = the simulator's top_k"
+    (labels (List.filteri (fun i _ -> i < 2) by_sim.Tune.simulated))
+    (labels r.Tune.simulated);
   List.iter
     (fun (s : Tune.scored) ->
-      match s.Tune.score with
-      | Some sc ->
+      let sim =
+        List.find (fun x -> x.Tune.cand = s.Tune.cand) by_sim.Tune.simulated
+      in
+      match (s.Tune.score, sim.Tune.score) with
+      | Some sc, Some des ->
         Alcotest.(check bool) "wall time positive" true
           (sc.Cache.completion > 0.);
-        Alcotest.(check bool) "messages non-negative" true
-          (sc.Cache.messages >= 0);
-        Alcotest.(check bool) "points counted" true
-          (sc.Cache.points_computed > 0)
-      | None -> Alcotest.fail "surviving candidate lacks a score")
+        Alcotest.(check int) "messages as simulated" des.Cache.messages
+          sc.Cache.messages;
+        Alcotest.(check int) "points as simulated" des.Cache.points_computed
+          sc.Cache.points_computed
+      | _ -> Alcotest.fail "measured candidate lacks a score")
     r.Tune.simulated
 
 let test_cache_key_sensitivity () =
@@ -499,8 +559,10 @@ let () =
           Alcotest.test_case "best is legal" `Slow test_tuner_best_is_legal;
           Alcotest.test_case "beats hand-picked" `Slow
             test_tuner_beats_hand_picked;
-          Alcotest.test_case "sim best in predictor top 3" `Slow
-            test_sim_best_in_predictor_top3;
+          Alcotest.test_case "exhaustive best in shortlist" `Slow
+            test_exhaustive_best_in_shortlist;
+          Alcotest.test_case "finds the exhaustive best" `Quick
+            test_search_finds_exhaustive_best;
           Alcotest.test_case "result invariants" `Slow
             test_simulated_sorted_and_scored;
           Alcotest.test_case "shm backend" `Slow test_shm_backend_search;
