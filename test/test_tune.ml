@@ -360,7 +360,8 @@ let test_shm_backend_search () =
   in
   Alcotest.(check (list string))
     "measured = the simulator's top_k"
-    (labels (List.filteri (fun i _ -> i < 2) by_sim.Tune.simulated))
+    (labels
+       (List.filteri (fun i _ -> i < options.Tune.top_k) by_sim.Tune.simulated))
     (labels r.Tune.simulated);
   List.iter
     (fun (s : Tune.scored) ->
