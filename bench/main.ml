@@ -1036,6 +1036,7 @@ let kernels_target () =
       ("adi", "nr3", 16, 40, (4, 10, 10), 4);
       (* serve-shaped: many ranks, short rows *)
       ("jacobi", "rect", 32, 48, (6, 8, 8), 4);
+      ("adi", "nr2", 32, 48, (6, 8, 8), 4);
       (* wide tile: 8x512x512 doubles = 16.8 MB per rank tile *)
       ("sor", "nonrect", 8, 512, (8, 512, 512), 2);
     ]

@@ -8,6 +8,6 @@ let () =
   |> List.iter (fun (k : Tiles_kir.Kir.t) ->
          Printf.printf
            "\nmodule %s = struct\n%s\nlet kernel =\n\
-           \  Tiles_runtime.Kernel.of_ir Tiles_kernels.Defs.%s ~compute ?row\n\
-           \    ~boundary ()\nend\n"
+           \  Tiles_runtime.Kernel.of_ir Tiles_kernels.Defs.%s ~compute ~row\n\
+           \    ~statics ~boundary ()\nend\n"
            (String.capitalize_ascii k.name) (Tiles_kir.Kir.ml_defs k) k.name)

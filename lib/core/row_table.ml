@@ -151,6 +151,7 @@ type t = {
   bcells : int array;
   bsegs : i32;
   values : (string * Fbuf.t) option Atomic.t;
+  coefs : (string * Fbuf.t) option Atomic.t;
 }
 
 let reads t = t.geo.reads
@@ -581,6 +582,7 @@ let make ~counts ~(tspace : Tile_space.t) ~(mapping : Mapping.t)
     bcells;
     bsegs = trimmed bsegs;
     values = Atomic.make None;
+    coefs = Atomic.make None;
   }
 
 let get (a : i32) i = Int32.to_int (A1.unsafe_get a i)
@@ -619,36 +621,39 @@ let iter_boundary t ~rank f =
     f ~cell:(get t.bsegs o) ~len:(get t.bsegs (o + 1)) ~j
   done
 
-(* Every rank's cells in order, [width] slots each. Built outside any
-   lock: a domain that loses the race for the slot drops its copy. *)
-let values t ~key ~width boundary =
-  let eval () =
-    let n = Array.length t.glo and jstep = t.geo.jstep in
-    let out = Fbuf.create (width * boundary_cells t) in
-    let p = Array.make n 0 and slot = ref 0 in
-    for rank = 0 to Array.length t.bfirst - 2 do
-      iter_boundary t ~rank (fun ~cell:_ ~len ~j ->
-          for s = 0 to len - 1 do
-            for k = 0 to n - 1 do
-              p.(k) <- j.(k) + (s * jstep.(k))
-            done;
-            for f = 0 to width - 1 do
-              A1.unsafe_set out !slot (boundary p f);
-              incr slot
-            done
-          done)
-    done;
-    out
-  in
+(* [eval ()] kept in [slot] under [key]: computed outside any lock, so
+   a domain that loses the race for the slot drops its copy *)
+let keyed slot ~key eval =
   match key with
   | None -> eval ()
   | Some key ->
     let rec find () =
-      match Atomic.get t.values with
+      match Atomic.get slot with
       | Some (k, v) when String.equal k key -> v
       | cur ->
         let v = eval () in
-        if Atomic.compare_and_set t.values cur (Some (key, v)) then v
-        else find ()
+        if Atomic.compare_and_set slot cur (Some (key, v)) then v else find ()
     in
     find ()
+
+(* Every rank's cells in order, [width] slots each. *)
+let values t ~key ~width boundary =
+  keyed t.values ~key (fun () ->
+      let n = Array.length t.glo and jstep = t.geo.jstep in
+      let out = Fbuf.create (width * boundary_cells t) in
+      let p = Array.make n 0 and slot = ref 0 in
+      for rank = 0 to Array.length t.bfirst - 2 do
+        iter_boundary t ~rank (fun ~cell:_ ~len ~j ->
+            for s = 0 to len - 1 do
+              for k = 0 to n - 1 do
+                p.(k) <- j.(k) + (s * jstep.(k))
+              done;
+              for f = 0 to width - 1 do
+                A1.unsafe_set out !slot (boundary p f);
+                incr slot
+              done
+            done)
+      done;
+      out)
+
+let coefs t ~key eval = keyed t.coefs ~key eval

@@ -24,7 +24,8 @@
     its first tile. The walk that finds each row's taps outside the
     space collects them, and every cell's point was checked to lie
     outside the space when the table was built. Their values under a
-    kernel ({!values}) are computed once and kept beside the table.
+    kernel ({!values}) are computed once and kept beside the table, as
+    is the kernel's table of static lets over the grid box ({!coefs}).
 
     Cells are relative to each rank's own {!Lds.shape}. Grid cells index
     the row-major box of the space's bounding box, the layout of a grid
@@ -105,6 +106,8 @@ type t = private {
           is the point [start + s·jstep] *)
   values : (string * Tiles_util.Fbuf.t) option Atomic.t;
       (** the last keyed {!values}, read through {!values} *)
+  coefs : (string * Tiles_util.Fbuf.t) option Atomic.t;
+      (** the last keyed {!coefs}, read through {!coefs} *)
 }
 
 val make :
@@ -163,3 +166,11 @@ val values :
     included) the values are computed once and kept in a one-entry slot
     on the table, which another key replaces; with [None] they are
     computed on every call. [boundary] must not keep [j]. *)
+
+val coefs :
+  t -> key:string option -> (unit -> Tiles_util.Fbuf.t) -> Tiles_util.Fbuf.t
+(** [coefs t ~key eval] — a kernel's static-let table over the table's
+    grid box ([glo], [gdims]), kept like {!values}: with [Some key] (the
+    kernel's content key) [eval] runs once and its result stays in a
+    one-entry slot that another key replaces; with [None] it runs on
+    every call. *)

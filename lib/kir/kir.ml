@@ -52,7 +52,24 @@ let width k = List.length k.out
 let nreads k = List.length (reads k)
 let mentions_j es = List.exists (function J _ -> true | _ -> false) (coords es)
 let uses_j k = mentions_j (exprs k)
-let has_row k = width k = 1 && not (uses_j k)
+
+let jset es =
+  List.sort_uniq compare
+    (List.filter_map (function J c -> Some c | _ -> None) (coords es))
+
+(* A let that reads no data and no other let and leaves some coordinate
+   out: its values over the coordinates it mentions fit a table. *)
+let statics k =
+  List.filter_map
+    (fun (v, e) ->
+      let cs = jset [ e ] in
+      if
+        List.length cs < k.dim
+        && not
+             (List.exists (function Rd _ | Var _ -> true | _ -> false) (nodes e))
+      then Some (v, cs)
+      else None)
+    k.lets
 
 let make ~name ~dim ?(lets = []) ~out ~boundary () =
   let k = { name; dim; lets; out; boundary } in
@@ -148,49 +165,108 @@ let c_boundary k =
 
 let ml_defs k =
   let p = Printf.sprintf and reads = reads k in
-  let pr ~rd = pr ~ml:true ~rd ~jk:(p "j.(%d)") reads in
-  let lets pr ind =
-    List.map (fun (v, e) -> p "%slet v_%s = %s in" ind v (pr e)) k.lets
+  let pr ?(jk = p "j.(%d)") e = pr ~ml:true ~rd:(p "r%d_%d") ~jk reads e in
+  (* each (read, field) tap let-bound once, in first-use order *)
+  let tap_lets ind get =
+    List.map
+      (fun (d, f) ->
+        let i = index reads d in
+        p "%slet r%d_%d = %s in" ind i f (get i f))
+      (taps k)
   in
-  (* compute: each (read, field) tap let-bound once, in first-use order *)
-  let pr_c = pr ~rd:(p "r%d_%d") in
   let compute =
     p "let compute ~read ~%s ~out =" (if uses_j k then "j" else "j:_")
-    :: List.map
-         (fun (d, f) ->
-           let i = index reads d in
-           p "  let r%d_%d = read %d %d in" i f i f)
-         (taps k)
-    @ lets pr_c "  "
+    :: tap_lets "  " (p "read %d %d")
+    @ List.map (fun (v, e) -> p "  let v_%s = %s in" v (pr e)) k.lets
     @ [
         "  "
         ^ String.concat ";\n  "
-            (List.mapi (fun f e -> p "out.(%d) <- %s" f (pr_c e)) k.out);
+            (List.mapi (fun f e -> p "out.(%d) <- %s" f (pr e)) k.out);
       ]
   in
-  (* row: the fast walker's unrolled interior row. The [la] annotation is
-     load-bearing: left polymorphic in kind/layout, every access compiles
-     to a generic C call instead of an inline load. *)
-  let row =
-    if not (has_row k) then [ "let row = None" ]
+  (* statics: each static let as a function of the coordinates, the
+     expression [compute] evaluates per point *)
+  let statics = statics k in
+  let static_fns =
+    if statics = [] then [ "let statics = [||]" ]
     else
-      let pr_r = pr ~rd:(fun i _ -> p "Bigarray.Array1.unsafe_get la (i + t%d)" i) in
-      [ "let row ="; "  Some"; "    (fun ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len ->" ]
-      @ List.mapi (fun i _ -> p "      let t%d = taps.(%d) in" i i) reads
-      @ [ "      for i = dst to dst + len - 1 do" ]
-      @ lets pr_r "        "
-      @ [
-          p "        Bigarray.Array1.unsafe_set la i (%s)" (pr_r (List.hd k.out));
-          "      done)";
-        ]
+      "let statics =" :: "  [|"
+      :: List.map
+           (fun (v, _) ->
+             p "    (fun (j : int array) -> %s);" (pr (List.assoc v k.lets)))
+           statics
+      @ [ "  |]" ]
   in
-  let pr_b = pr ~rd:(fun _ _ -> "") in
+  (* row: the fast walkers' interior row. The [la] annotation is
+     load-bearing: left polymorphic in kind/layout, every access compiles
+     to a generic C call instead of an inline load. A static let is read
+     from the table at [c + s·d]; other coordinates step from [j] by
+     [jstep]. *)
+  let wd = width k in
+  let dynamic =
+    List.filter (fun (v, _) -> not (List.mem_assoc v statics)) k.lets
+  in
+  let js = jset (List.map snd dynamic @ k.out) in
+  let steps = statics <> [] || js <> [] in
+  let b = if wd = 1 then "i" else "b" in
+  let slot base f = if f = 0 then base else p "%s + %d" base f in
+  let pr_r = pr ~jk:(p "j%d") in
+  let get a i = p "Bigarray.Array1.unsafe_get %s (%s)" a i in
+  let kernel = "Tiles_runtime.Kernel" in
+  let row =
+    p "let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len ~%s ~%s ~%s ="
+      (if steps then "j" else "j:_")
+      (if steps then "jstep" else "jstep:_")
+      (if statics = [] then "coefs:_" else p "(coefs : %s.coefs)" kernel)
+    :: List.mapi
+         (fun i _ ->
+           if wd = 1 then p "  let t%d = taps.(%d) in" i i
+           else p "  let t%d = %d * taps.(%d) in" i wd i)
+         reads
+    @ (if statics = [] then []
+       else
+         [ p "  let cf : Tiles_util.Fbuf.t = coefs.%s.data in" kernel ])
+    @ List.concat
+        (List.mapi
+           (fun q _ ->
+             [
+               p "  let c%d = %s.coef_start coefs %d j in" q kernel q;
+               p "  let d%d = %s.coef_step coefs %d jstep in" q kernel q;
+             ])
+           statics)
+    @ List.map
+        (fun c -> p "  let jb%d = j.(%d) and jd%d = jstep.(%d) in" c c c c)
+        js
+    @ [ "  for i = dst to dst + len - 1 do" ]
+    @ (if steps then [ "    let s = i - dst in" ] else [])
+    @ (if wd > 1 then [ p "    let b = %d * i in" wd ] else [])
+    @ List.map (fun c -> p "    let j%d = jb%d + (s * jd%d) in" c c c) js
+    @ tap_lets "    " (fun i f -> get "la" (slot (p "%s + t%d" b i) f))
+    @ List.map
+        (fun (v, e) ->
+          match List.find_index (fun (w, _) -> w = v) statics with
+          | Some q ->
+            p "    let v_%s = %s in" v (get "cf" (p "c%d + (s * d%d)" q q))
+          | None -> p "    let v_%s = %s in" v (pr_r e))
+        k.lets
+    @ List.mapi (fun f e -> p "    let o%d = %s in" f (pr_r e)) k.out
+    @ [
+        "    "
+        ^ String.concat ";\n    "
+            (List.mapi
+               (fun f _ ->
+                 p "Bigarray.Array1.unsafe_set la (%s) o%d" (slot b f) f)
+               k.out);
+        "  done";
+      ]
+  in
   let boundary =
     p "let boundary %s %s ="
       (if mentions_j k.boundary then "(j : int array)" else "_")
       (if width k = 1 then "_" else "f")
     :: by_field k.boundary
-         ~test:(fun f e -> p "  if f = %d then %s else" f (pr_b e))
-         ~last:(fun e -> "  " ^ pr_b e)
+         ~test:(fun f e -> p "  if f = %d then %s else" f (pr e))
+         ~last:(fun e -> "  " ^ pr e)
   in
-  String.concat "\n" (compute @ ("" :: row) @ ("" :: boundary)) ^ "\n"
+  String.concat "\n"
+    (List.concat_map (fun d -> d @ [ "" ]) [ compute; static_fns; row; boundary ])

@@ -60,8 +60,11 @@ val nreads : t -> int
 val uses_j : t -> bool
 (** Whether the body (not the boundary) mentions [J]. *)
 
-val has_row : t -> bool
-(** Width 1 and no [J]: the body can run as an unrolled interior row. *)
+val statics : t -> (string * int list) list
+(** The static lets, in order: each [let] that reads no data and no other
+    let and mentions a proper subset of the coordinates, with the
+    coordinates it mentions, ascending. Its values over those
+    coordinates fit a table computed once per plan. *)
 
 val c_body : t -> string list
 (** C statements over the code generators' macros [RD(i, f)], [WR(f)]
@@ -71,6 +74,9 @@ val c_boundary : t -> string list
 (** The body of [double boundary_orig(const int *j, int f)]. *)
 
 val ml_defs : t -> string
-(** OCaml definitions of [compute], [row] (a [Kernel.row_body option],
-    [Some] iff {!has_row}) and [boundary], with the runtime kernel's
-    signatures. *)
+(** OCaml definitions of [compute], [statics] (one function of the
+    coordinates per {!statics} entry, printing the let's expression),
+    [row] (a [Kernel.row_body], for every width, reading the static lets
+    from the [Kernel.coefs] table and stepping the other coordinates
+    from the row's first point) and [boundary], with the runtime
+    kernel's signatures. *)

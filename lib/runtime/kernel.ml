@@ -5,7 +5,17 @@ module Ratmat = Tiles_linalg.Ratmat
 module Ckernel = Tiles_codegen.Ckernel
 module Kir = Tiles_kir.Kir
 
-type row_body = la:Fbuf.t -> dst:int -> taps:int array -> len:int -> unit
+type coefs = { data : Fbuf.t; off : int array; str : int array array }
+
+type row_body =
+  la:Fbuf.t ->
+  dst:int ->
+  taps:int array ->
+  len:int ->
+  j:int array ->
+  jstep:int array ->
+  coefs:coefs ->
+  unit
 
 type t = {
   name : string;
@@ -16,6 +26,7 @@ type t = {
   boundary : Vec.t -> int -> float;
   compute : read:(int -> int -> float) -> j:Vec.t -> out:float array -> unit;
   row : row_body option;
+  statics : (int list * (int array -> float)) array;
   ckernel : Ckernel.t option;
   (* cumulative skew applied via [skewed]; identity for unskewed kernels.
      The native emitter needs it to recover original coordinates. *)
@@ -36,24 +47,93 @@ let make ~name ~dim ?(width = 1) ?(uses_j = true) ?row ~reads ~boundary
   if reads = [] then invalid_arg "Kernel.make: no reads";
   if List.exists (fun r -> Vec.dim r <> dim) reads then
     invalid_arg "Kernel.make: read offset dimension mismatch";
-  if row <> None && width <> 1 then
-    invalid_arg "Kernel.make: row bodies require width = 1";
   {
-    name; dim; width; uses_j; reads; boundary; compute; row; ckernel = None;
-    skew = Intmat.identity dim;
+    name; dim; width; uses_j; reads; boundary; compute; row; statics = [||];
+    ckernel = None; skew = Intmat.identity dim;
   }
 
-let of_ir ir ~compute ?row ~boundary () =
-  if Option.is_some row <> Kir.has_row ir then invalid_arg "Kernel.of_ir: row";
+let of_ir ir ~compute ~row ~statics ~boundary () =
+  let coords = List.map snd (Kir.statics ir) in
+  if Array.length statics <> List.length coords then
+    invalid_arg "Kernel.of_ir: statics";
   let k =
     make ~name:ir.Kir.name ~dim:ir.Kir.dim ~width:(Kir.width ir)
-      ~uses_j:(Kir.uses_j ir) ?row ~reads:(Kir.reads ir) ~boundary ~compute ()
+      ~uses_j:(Kir.uses_j ir) ~row ~reads:(Kir.reads ir) ~boundary ~compute ()
   in
-  { k with ckernel = Some ir }
+  {
+    k with
+    ckernel = Some ir;
+    statics = Array.of_list (List.combine coords (Array.to_list statics));
+  }
+
+let inverse t = Ratmat.to_intmat_exn (Ratmat.inverse (Ratmat.of_intmat t))
+
+(* [Σ_k str.(v).(k)·x.(k)], plus [off.(v)] for a point *)
+let coef_dot c v (x : int array) =
+  let s = c.str.(v) and acc = ref 0 in
+  for k = 0 to Array.length s - 1 do
+    acc := !acc + (s.(k) * x.(k))
+  done;
+  !acc
+
+let coef_start c v j = c.off.(v) + coef_dot c v j
+let coef_step = coef_dot
+let no_coefs = { data = Fbuf.create 0; off = [||]; str = [||] }
+
+let coefs ?(memo = fun f -> f ()) k ~lo ~dims =
+  if k.statics = [||] then no_coefs
+  else
+    let n = k.dim in
+    (* the box in original coordinates: the skew's inverse applied to
+       [lo, lo + dims) by interval arithmetic, a cover of the space *)
+    let tinv = inverse k.skew in
+    let olo = Array.make n 0 and ohi = Array.make n 0 in
+    for r = 0 to n - 1 do
+      for c = 0 to n - 1 do
+        let a = tinv.(r).(c) * lo.(c)
+        and b = tinv.(r).(c) * (lo.(c) + dims.(c) - 1) in
+        olo.(r) <- olo.(r) + min a b;
+        ohi.(r) <- ohi.(r) + max a b
+      done
+    done;
+    (* static let [v] row-major over its coordinates' extents, the
+       tables one after another *)
+    let nst = Array.length k.statics in
+    let off = Array.make nst 0 and str = Array.make_matrix nst n 0 in
+    let layout = { no_coefs with off; str } and size = ref 0 in
+    Array.iteri
+      (fun v (cs, _) ->
+        let s = ref 1 in
+        List.iter
+          (fun c ->
+            str.(v).(c) <- !s;
+            s := !s * max 0 (ohi.(c) - olo.(c) + 1))
+          (List.rev cs);
+        off.(v) <- !size - coef_dot layout v olo;
+        size := !size + !s)
+      k.statics;
+    let data =
+      memo (fun () ->
+          let data = Fbuf.create !size and j = Array.copy olo in
+          Array.iteri
+            (fun v (cs, f) ->
+              let rec fill = function
+                | [] -> Fbuf.set data (coef_start layout v j) (f j)
+                | c :: rest ->
+                  for x = olo.(c) to ohi.(c) do
+                    j.(c) <- x;
+                    fill rest
+                  done
+              in
+              fill cs)
+            k.statics;
+          data)
+    in
+    { layout with data }
 
 let skewed k t =
   if not (Intmat.is_unimodular t) then invalid_arg "Kernel.skewed: not unimodular";
-  let tinv = Ratmat.to_intmat_exn (Ratmat.inverse (Ratmat.of_intmat t)) in
+  let tinv = inverse t in
   (* T⁻¹·j by a direct loop over T⁻¹'s rows, into a fresh array per call:
      ranks on separate domains share the kernel, so no scratch *)
   let unskew j =
@@ -75,12 +155,20 @@ let skewed k t =
     reads = List.map (Intmat.apply t) k.reads;
     boundary = (fun j field -> k.boundary (unskew j) field);
     skew = Intmat.mul t k.skew;
-    (* compute receives the skewed j; kernels that need original
-       coordinates (e.g. ADI's coefficient array A[i,j]) must be built via
-       [skewed] from a kernel that uses original coordinates — so unskew
-       here too. Kernels that declare [uses_j = false] never look at j, so
-       the per-point unskew (an allocation) is skipped. *)
+    (* compute and row receive skewed coordinates; kernels that need
+       original ones (e.g. ADI's coefficient array A[i,j]) must be built
+       via [skewed] from a kernel that uses original coordinates — so
+       unskew here too: per point for compute, per row (its first point
+       and its step) for row. Kernels that declare [uses_j = false] never
+       look at j, so the unskew (an allocation) is skipped. *)
     compute =
       (if k.uses_j then fun ~read ~j ~out -> k.compute ~read ~j:(unskew j) ~out
        else k.compute);
+    row =
+      (match k.row with
+      | Some row when k.uses_j ->
+        Some
+          (fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
+            row ~la ~dst ~taps ~len ~j:(unskew j) ~jstep:(unskew jstep) ~coefs)
+      | row -> row);
   }

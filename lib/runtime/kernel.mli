@@ -5,18 +5,47 @@
     carry several scalar fields per iteration point ([width] — ADI updates
     both [X] and [B]). *)
 
+type coefs = private {
+  data : Tiles_util.Fbuf.t;
+  off : int array;
+  str : int array array;
+}
+(** The kernel's static lets ({!Tiles_kir.Kir.statics}) tabulated over a
+    box of original coordinates: static let [v] at original point [j] is
+    [data.{coef_start c v j}]. Built by {!coefs}. *)
+
+val no_coefs : coefs
+(** The empty table, of a kernel without static lets. *)
+
+val coef_start : coefs -> int -> int array -> int
+(** [coef_start c v j] — the slot of static let [v] at original point
+    [j]: [off.(v) + Σ_k str.(v).(k)·j.(k)]. *)
+
+val coef_step : coefs -> int -> int array -> int
+(** [coef_step c v jstep] — how far static let [v]'s slot moves per
+    step [jstep]: [Σ_k str.(v).(k)·jstep.(k)]. *)
+
 type row_body =
-  la:Tiles_util.Fbuf.t -> dst:int -> taps:int array -> len:int -> unit
-(** An optional strength-reduced body for width-1 kernels, used by the
-    walker's innermost-contiguous fast path. [row ~la ~dst ~taps ~len]
-    must write [la.{dst + i} <- f (la.{dst + i + taps.(0)}, ...)] for
-    [i = 0 .. len-1], where [taps.(r)] is the (negative) slot delta of
-    read [r] relative to the destination cell. The float operations must
-    match [compute]'s exactly (same order, same constants) so results are
+  la:Tiles_util.Fbuf.t ->
+  dst:int ->
+  taps:int array ->
+  len:int ->
+  j:int array ->
+  jstep:int array ->
+  coefs:coefs ->
+  unit
+(** The kernel over one row of points, the walkers' unit of execution.
+    [row ~la ~dst ~taps ~len ~j ~jstep ~coefs] computes the points
+    [j + s·jstep], [s = 0 .. len-1], at cells [dst + s]: field [f] of
+    cell [c] is slot [c·width + f] of [la], and read [r] of cell [c]
+    sees cell [c + taps.(r)] (a negative cell delta). The static lets
+    come from [coefs] (built over a box covering every point), the other
+    uses of [J] step from [j]. The float operations must match
+    [compute]'s exactly (same order, same constants) so results are
     bit-identical to the reference walker. All reads are guaranteed
     in-bounds when a row body runs, and a tap outside the iteration space
     already holds its [boundary] value, so the body does no boundary
-    lookups. *)
+    lookups. The body must not keep [j] or [jstep]. *)
 
 type t = {
   name : string;
@@ -37,7 +66,13 @@ type t = {
           [read i f] is field [f] at [j − reads.(i)]; results go into
           [out.(0 .. width-1)]. *)
   row : row_body option;
-      (** optional unrolled row body; requires [width = 1]. *)
+      (** the row body; every {!of_ir} kernel has one. Without it (a
+          {!make} kernel, or a [check] run) the walkers call [compute]
+          point by point. *)
+  statics : (int list * (int array -> float)) array;
+      (** per static let: the original coordinates it mentions and its
+          value at an original point, the expression [compute] evaluates
+          per point; empty for a {!make} kernel *)
   ckernel : Tiles_codegen.Ckernel.t option;
       (** the body as IR, which the code generators print as C. Required
           for the [native] walker variant: the row emitter splices the C
@@ -75,18 +110,35 @@ val make :
 val of_ir :
   Tiles_kir.Kir.t ->
   compute:(read:(int -> int -> float) -> j:Tiles_util.Vec.t -> out:float array -> unit) ->
-  ?row:row_body ->
+  row:row_body ->
+  statics:(int array -> float) array ->
   boundary:(Tiles_util.Vec.t -> int -> float) ->
   unit ->
   t
 (** The kernel of an IR body, given its generated OCaml renditions
-    ({!Tiles_kir.Kir.ml_defs}); name, dim, width, [uses_j] and [reads]
-    are derived and the IR is the [ckernel]. *)
+    ({!Tiles_kir.Kir.ml_defs}); name, dim, width, [uses_j], [reads] and
+    the static lets' coordinates are derived and the IR is the
+    [ckernel]. *)
+
+val coefs :
+  ?memo:((unit -> Tiles_util.Fbuf.t) -> Tiles_util.Fbuf.t) ->
+  t ->
+  lo:int array ->
+  dims:int array ->
+  coefs
+(** [coefs k ~lo ~dims] — the static lets over the box [lo, lo + dims)
+    of [k]'s (possibly skewed) space: the box is mapped back to original
+    coordinates by the skew's inverse, interval-wise, and each static
+    let is tabulated over its coordinates' extents there. [memo] is
+    handed the evaluation and returns the data (default: evaluate), so a
+    caller can keep one table per box and kernel. A kernel without
+    static lets gets an empty table and evaluates nothing. *)
 
 val skewed : t -> Tiles_linalg.Intmat.t -> t
 (** [skewed k t] — the same computation over the skewed space [T·J^n]:
     read offsets become [T·d], and boundary lookups un-skew their argument
-    before consulting the original boundary function. [uses_j], [row] and
-    [ckernel] are preserved ([skew] accumulates [t]); when [uses_j] is
-    false the compute wrapper that un-skews [j] per point is skipped
-    entirely. *)
+    before consulting the original boundary function. [uses_j], [row],
+    [statics] and [ckernel] are preserved ([skew] accumulates [t]); when
+    [uses_j] holds, [compute] un-skews [j] per point and [row] un-skews
+    its [j] and [jstep] once per row, so both see original
+    coordinates. *)

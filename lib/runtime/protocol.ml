@@ -57,6 +57,7 @@ type shared = {
   points_per_rank : int array;
   tiles_per_rank : int array;
   values : Fbuf.t option;
+  coefs : Kernel.coefs option;
   native : Native_kernel.fn option;
   fallback : string option;
 }
@@ -78,13 +79,14 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
            ~width:kernel.Kernel.width)
     else None
   in
-  (* every rank's walker replays the plan's row table and its boundary
-     values: build both before any rank starts, so ranks on other
-     domains only read them *)
-  let values =
+  (* every rank's walker replays the plan's row table, its boundary
+     values and the kernel's static-let table: build them before any
+     rank starts, so ranks on other domains only read them *)
+  let values, coefs =
     if mode = Full && walker <> Walker.Reference then
-      Some (Walker.boundary_values ~plan ~kernel)
-    else None
+      ( Some (Walker.boundary_values ~plan ~kernel),
+        Some (Walker.coefs ~plan ~kernel) )
+    else (None, None)
   in
   (* every rank's walker runs the same compiled row: build it once *)
   let native, fallback =
@@ -108,6 +110,7 @@ let prepare ?(walker = Walker.Fastpath) ?(check = false) ~mode ~plan ~kernel
     points_per_rank = Array.make nprocs 0;
     tiles_per_rank = Array.make nprocs 0;
     values;
+    coefs;
     native;
     fallback;
   }
@@ -125,9 +128,9 @@ let rank_program ?(overlap = false) shared comms rank =
     match shared.mode with
     | Full ->
       Some
-        (Walker.make ?values:shared.values ~native:shared.native ~plan
-           ~kernel ~rank ~ntiles ~variant:shared.walker ~check:shared.check
-           ())
+        (Walker.make ?values:shared.values ?coefs:shared.coefs
+           ~native:shared.native ~plan ~kernel ~rank ~ntiles
+           ~variant:shared.walker ~check:shared.check ())
     | Timing -> None
   in
   (* a pooled all-NaN buffer; given back, reset, only if the rank

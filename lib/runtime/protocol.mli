@@ -83,6 +83,9 @@ type shared = {
       (** the fast walkers' boundary values ({!Walker.boundary_values}),
           forced before any rank runs; [None] for [Reference] and in
           [Timing] mode *)
+  coefs : Kernel.coefs option;
+      (** the fast walkers' static-let table ({!Walker.coefs}), forced
+          and [None] like [values] *)
   native : Native_kernel.fn option;
       (** the [Native] walker's row ({!Walker.native_row}), built once
           and shared by every rank; [None] for other walkers, in
@@ -110,7 +113,8 @@ val prepare :
     every LDS read against NaN poisoning like the reference walker
     does. A [Native] walker in [Full] mode has its row built (or its
     fallback reason found) here, once for all ranks; the fast walkers'
-    row table and boundary values are forced here too. *)
+    row table, boundary values and static-let table are forced here
+    too. *)
 
 val rank_program : ?overlap:bool -> shared -> comms -> int -> unit
 (** Execute one rank's whole tile chain. In [Full] mode each tile's

@@ -80,11 +80,21 @@ let fast_run ~check ~space ~kernel =
   let j = ref [||] in
   let src = Array.make n 0 in
   let out = Array.make width 0. in
-  (* the sequential walk has no LDS, so taps are *slot* deltas with the
-     field folded in — a different ABI from the walker's cell deltas;
-     the native row kernels therefore don't apply here and [Native]
-     runs the same row bodies as [Fastpath] *)
+  (* the row body reads cell deltas (slot deltas over [width]) and steps
+     the last coordinate; the static lets come from a table over the
+     space's box, built once per run. The native row kernels don't apply
+     here ([Native] runs the same row bodies as [Fastpath]), so a native
+     parallel run is checked against an independent implementation. *)
   let row_body = if check then None else kernel.Kernel.row in
+  let ctaps = Array.map (fun d -> d / width) deltas in
+  let jstep = Array.init n (fun k -> if k = n - 1 then 1 else 0) in
+  let coefs =
+    if row_body = None then Kernel.no_coefs
+    else
+      let bbox = Polyhedron.bounding_box space in
+      Kernel.coefs kernel ~lo:(Array.map fst bbox)
+        ~dims:(Array.map (fun (l, h) -> h - l + 1) bbox)
+  in
   let fail what i =
     failwith
       (Printf.sprintf "Seq_exec: %s at iteration %s read %d" what
@@ -150,8 +160,9 @@ let fast_run ~check ~space ~kernel =
         done;
       match row_body with
       | Some row ->
-        (* width = 1 (enforced by Kernel.make), so slots = cells *)
-        row ~la:gdata ~dst:g0 ~taps:deltas ~len
+        (* [fill] moved the row's last coordinate *)
+        jrow.(n - 1) <- start;
+        row ~la:gdata ~dst:(g0 / width) ~taps:ctaps ~len ~j:jrow ~jstep ~coefs
       | None ->
         cur := g0;
         for s = 0 to len - 1 do

@@ -13,10 +13,12 @@
     still unset, so [boundary] is called once per distinct out-of-space
     cell and field; each tap's in-space steps form one interval (one
     integer division per space constraint). Every row then runs the
-    kernel's row body, or its [compute] loop, from start to end.
-    [Native] runs the same OCaml row bodies as [Fastpath], never the
-    compiled [.so], so a native parallel run is still checked against an
-    independent implementation. All variants visit the space in the same
+    kernel's row body from start to end, its static lets read from a
+    table over the space's box built once per run ({!Kernel.coefs}); a
+    kernel without a row body, or a [check] run, takes the [compute]
+    loop. [Native] runs the same OCaml row bodies as [Fastpath], never
+    the compiled [.so], so a native parallel run is still checked against
+    an independent implementation. All variants visit the space in the same
     lexicographic order, so results are bit-for-bit identical on the
     space (the fast variants' grid also holds the boundary values
     outside it). *)
@@ -31,8 +33,8 @@ val run :
 (** [variant] defaults to {!Walker.Fastpath}; [check] (default false)
     makes the fast variants validate reads against NaN poisoning and
     confirm that every boundary-filled source lies outside the space
-    (and disables the unrolled row bodies, so rows take the [compute]
-    loop and every read is inspected). *)
+    (and disables the row bodies, so rows take the [compute] loop and
+    every read is inspected). *)
 
 type check = {
   err : float;  (** {!Grid.max_abs_diff} against the oracle *)

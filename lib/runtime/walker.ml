@@ -50,6 +50,8 @@ type t = {
   (* the table's boundary values ([Row_table.values]); empty for
      [Reference] *)
   values : Fbuf.t;
+  (* the kernel's static lets over the space's box ([coefs]) *)
+  coefs : Kernel.coefs;
   (* the run's compiled row entry when [variant = Native] and it built;
      [None] runs the OCaml row body *)
   native : Native_kernel.fn option;
@@ -75,7 +77,14 @@ let boundary_values ~plan ~kernel =
     ~key:(Kernel.content_key kernel) ~width:kernel.Kernel.width
     kernel.Kernel.boundary
 
-let make ?values ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
+let table_coefs (rt : Row_table.t) kernel =
+  Kernel.coefs kernel ~lo:rt.Row_table.glo ~dims:rt.Row_table.gdims
+    ~memo:(Row_table.coefs rt ~key:(Kernel.content_key kernel))
+
+let coefs ~plan ~kernel =
+  table_coefs (Plan.rows plan ~reads:(Array.of_list kernel.Kernel.reads)) kernel
+
+let make ?values ?coefs ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
   let tiling = plan.Plan.tiling in
   let comm = plan.Plan.comm in
   let mapping = plan.Plan.mapping in
@@ -123,6 +132,11 @@ let make ?values ~native ~plan ~kernel ~rank ~ntiles ~variant ~check () =
       | None, _ -> Fbuf.create 0
       | Some _, Some v -> v
       | Some _, None -> boundary_values ~plan ~kernel);
+    coefs =
+      (match (table, coefs) with
+      | None, _ -> Kernel.no_coefs
+      | Some _, Some c -> c
+      | Some rt, None -> table_coefs rt kernel);
     native =
       (match variant with Native -> native | Reference | Fastpath -> None);
     jrow = Array.make n 0;
@@ -319,8 +333,7 @@ let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
     | None -> (
       match rowfn with
       | Some rb ->
-        (* width = 1 (enforced by Kernel.make), so slots = cells *)
-        rb ~la ~dst:base ~taps:t.doffs ~len
+        rb ~la ~dst:base ~taps:t.doffs ~len ~j:t.jrow ~jstep ~coefs:t.coefs
       | None ->
         cur := base;
         Array.blit t.jrow 0 t.jcur 0 n;

@@ -8,10 +8,12 @@
     taps read outside the space. Their values ({!boundary_values}) are
     computed once per (plan, kernel) and land in the local array by one
     unpack-like blit before the rank's first tile, so no row looks up a
-    boundary value. The hot loop is then pure unsafe indexing on the
-    local array (an unboxed {!Tiles_util.Fbuf.t}) with index
-    increments: no [Vec] allocation, no [Lds.map], no Fourier–Motzkin
-    walk, no boundary test.
+    boundary value. Likewise the kernel's static lets ({!coefs}) are
+    tabulated once per (plan, kernel). Each row runs the kernel's row
+    body: pure unsafe indexing on the local array (an unboxed
+    {!Tiles_util.Fbuf.t}) and the table with index increments: no [Vec]
+    allocation, no [Lds.map], no Fourier–Motzkin walk, no boundary test,
+    no closure call per point.
 
     The table's rows come from the row-wise enumeration of
     {!Tiles_core.Tile_space.iter_slab_rows}: the space constraints
@@ -30,8 +32,8 @@ type variant =
   | Fastpath
       (** row enumeration + precomputed linear indices, contiguous-row
           blit pack/unpack, the boundary cells filled once per rank run,
-          and the kernel's unrolled [row] body on every row (width-1
-          kernels). The default. *)
+          and the kernel's [row] body on every row, its static lets read
+          from the plan's table ({!coefs}). The default. *)
   | Native
       (** [Fastpath] whose per-row work runs in a C-compiled,
           [dlopen]'d kernel built at plan time from the kernel's
@@ -69,8 +71,16 @@ val boundary_values :
     {!Kernel.content_key}: computed once per (plan, kernel), and on
     every call for a kernel without IR. *)
 
+val coefs : plan:Tiles_core.Plan.t -> kernel:Kernel.t -> Kernel.coefs
+(** {!Kernel.coefs} over the plan's row table's grid box (the table built
+    here if no Full run has built it yet), its data kept by
+    {!Tiles_core.Row_table.coefs} under {!Kernel.content_key}: evaluated
+    once per (plan, kernel), and on every call for a kernel without IR
+    (which has no static lets, so nothing is evaluated). *)
+
 val make :
   ?values:Tiles_util.Fbuf.t ->
+  ?coefs:Kernel.coefs ->
   native:Native_kernel.fn option ->
   plan:Tiles_core.Plan.t ->
   kernel:Kernel.t ->
@@ -82,14 +92,15 @@ val make :
   t
 (** [check] makes the fast variants validate every LDS read against NaN
     (uninitialised-cell poisoning) like the reference walker does; the
-    fast variants skip the check — and become eligible for the unrolled
-    row bodies — when it is false. [Reference] validates regardless.
+    fast variants skip the check — and run the kernel's row body — when
+    it is false. [Reference] validates regardless.
     [Native] runs each row through [native], the run's {!native_row}
     when it built; with [None] it runs the OCaml fast path. The other
     variants ignore [native]. The fast variants read the plan's row
     table (built here if no Full run has built it yet), fill the rank's
-    boundary cells from [values] (default {!boundary_values}) and
-    require [ntiles] to be the rank's chain length. *)
+    boundary cells from [values] (default {!boundary_values}), hand the
+    row body [coefs] (default {!coefs}) and require [ntiles] to be the
+    rank's chain length. *)
 
 val variant : t -> variant
 

@@ -23,14 +23,19 @@ module Triband = Tiles_apps.Triband
 
 let net = Netmodel.fast_ethernet_cluster
 
+(* the oracle is the boxed reference walk, which shares no row body with
+   the run it checks, and the two must agree bit for bit *)
 let check_equiv ~name ~nest ~kernel ~tiling ~m =
   let plan = Plan.make ~m nest tiling in
-  let seq = Seq_exec.run ~space:nest.Nest.space ~kernel () in
+  let seq =
+    Seq_exec.run ~variant:Tiles_runtime.Walker.Reference ~space:nest.Nest.space
+      ~kernel ()
+  in
   let r = Executor.run ~mode:Executor.Full ~plan ~kernel ~net () in
   match r.Executor.grid with
   | None -> Alcotest.fail "no grid"
   | Some g ->
-    Alcotest.(check (float 1e-6))
+    Alcotest.(check (float 0.))
       (name ^ ": parallel = sequential")
       0.
       (Grid.max_abs_diff g seq nest.Nest.space);
@@ -270,9 +275,10 @@ let test_schedule_gap_formula () =
 (* ---------- kernels derived from the IR ---------- *)
 
 (* the values each kernel was hand-written with before it became IR:
-   original-space reads in body order, width, nreads, uses_j, row body *)
+   original-space reads in body order, width, nreads, uses_j, and the
+   coordinates of its static lets; every IR kernel has a row body *)
 let test_derived_facts () =
-  let check name ir (k : Kernel.t) ~skew ~reads ~width ~uses_j ~row =
+  let check name ir (k : Kernel.t) ~skew ~reads ~width ~uses_j ~statics =
     let vecs = Alcotest.(list (array int)) in
     Alcotest.check vecs (name ^ " IR reads") reads (Kir.reads ir);
     Alcotest.check vecs (name ^ " kernel reads")
@@ -281,48 +287,73 @@ let test_derived_facts () =
     Alcotest.(check int) (name ^ " width") width k.Kernel.width;
     Alcotest.(check int) (name ^ " nreads") (List.length reads) (Kir.nreads ir);
     Alcotest.(check bool) (name ^ " uses_j") uses_j k.Kernel.uses_j;
-    Alcotest.(check bool) (name ^ " row") row (Option.is_some k.Kernel.row);
-    Alcotest.(check bool) (name ^ " has_row") row (Kir.has_row ir)
+    Alcotest.(check bool) (name ^ " row") true (Option.is_some k.Kernel.row);
+    Alcotest.(check (list (list int))) (name ^ " statics") statics
+      (List.map snd (Kir.statics ir));
+    Alcotest.(check (list (list int))) (name ^ " kernel statics") statics
+      (Array.to_list (Array.map fst k.Kernel.statics))
   in
   let id n = Intmat.identity n in
   check "sor" Sor.ckernel (Sor.kernel (Sor.make ~m_steps:2 ~size:2))
     ~skew:Sor.skew_matrix
     ~reads:
       [ [| 0; 1; 0 |]; [| 0; 0; 1 |]; [| 1; -1; 0 |]; [| 1; 0; -1 |]; [| 1; 0; 0 |] ]
-    ~width:1 ~uses_j:false ~row:true;
+    ~width:1 ~uses_j:false ~statics:[];
   check "jacobi" Jacobi.ckernel (Jacobi.kernel (Jacobi.make ~t_steps:2 ~size:2))
     ~skew:Jacobi.skew_matrix
     ~reads:
       [ [| 1; 0; 0 |]; [| 1; 1; 0 |]; [| 1; -1; 0 |]; [| 1; 0; 1 |]; [| 1; 0; -1 |] ]
-    ~width:1 ~uses_j:false ~row:true;
+    ~width:1 ~uses_j:false ~statics:[];
   check "adi" Adi.ckernel (Adi.kernel (Adi.make ~t_steps:2 ~size:2)) ~skew:(id 3)
     ~reads:[ [| 1; 0; 0 |]; [| 1; 0; 1 |]; [| 1; 1; 0 |] ]
-    ~width:2 ~uses_j:true ~row:false;
+    ~width:2 ~uses_j:true ~statics:[ [ 1; 2 ] ];
   check "triband" Triband.ckernel (Triband.kernel (Triband.make ~size:2))
     ~skew:(id 2)
     ~reads:[ [| 1; 0 |]; [| 1; 1 |]; [| 0; 1 |] ]
-    ~width:1 ~uses_j:true ~row:false
+    ~width:1 ~uses_j:true ~statics:[]
+
+(* unimodular skews under which the ADI and triband dependences stay
+   nonnegative, so rectangular tiles remain legal *)
+let adi_skew = Intmat.of_rows [ [ 1; 0; 0 ]; [ 1; 1; 0 ]; [ 2; 1; 1 ] ]
+let triband_skew = Intmat.of_rows [ [ 1; 0 ]; [ 1; 1 ] ]
 
 (* law: the generated row body and the generated compute, run in place
-   over the same random interior data, write the same bits *)
+   over the same random interior data from the same random first point
+   and step, write the same bits; the row reads its static lets from a
+   table over the box the points span *)
 let row_matches_compute (name, (k : Kernel.t)) =
-  let nreads = List.length k.Kernel.reads in
+  let nreads = List.length k.Kernel.reads and w = k.Kernel.width in
+  let n = k.Kernel.dim in
   QCheck.Test.make ~count:300 ~name:(name ^ ": row = compute")
     QCheck.(
-      triple
+      quad
         (array_of_size (Gen.return nreads) (int_range (-16) (-1)))
-        (int_range 1 24) int)
-    (fun (taps, len, seed) ->
+        (int_range 1 24)
+        (pair
+           (array_of_size (Gen.return n) (int_range (-6) 6))
+           (array_of_size (Gen.return n) (int_range (-2) 2)))
+        int)
+    (fun (taps, len, (j, jstep), seed) ->
       let rs = Random.State.make [| seed |] in
-      let init = Array.init (16 + len) (fun _ -> Random.State.float rs 4. -. 2.) in
+      let init =
+        Array.init ((16 + len) * w) (fun _ -> Random.State.float rs 4. +. 1.)
+      in
       let by_row = Fbuf.of_array init and by_compute = Fbuf.of_array init in
-      (Option.get k.Kernel.row) ~la:by_row ~dst:16 ~taps ~len;
-      let out = [| 0. |] in
-      for i = 16 to 16 + len - 1 do
+      let point s = Array.init n (fun c -> j.(c) + (s * jstep.(c))) in
+      let lo = Array.map2 min (point 0) (point (len - 1)) in
+      let dims =
+        Array.init n (fun c -> abs (jstep.(c) * (len - 1)) + 1)
+      in
+      let coefs = Kernel.coefs k ~lo ~dims in
+      (Option.get k.Kernel.row)
+        ~la:by_row ~dst:16 ~taps ~len ~j:(Array.copy j) ~jstep ~coefs;
+      let out = Array.make w 0. in
+      for s = 0 to len - 1 do
+        let i = 16 + s in
         k.Kernel.compute
-          ~read:(fun r _ -> by_compute.{i + taps.(r)})
-          ~j:[||] ~out;
-        by_compute.{i} <- out.(0)
+          ~read:(fun r f -> by_compute.{((i + taps.(r)) * w) + f})
+          ~j:(point s) ~out;
+        Array.iteri (fun f v -> by_compute.{(i * w) + f} <- v) out
       done;
       Array.for_all2
         (fun a b -> Int64.bits_of_float a = Int64.bits_of_float b)
@@ -511,9 +542,9 @@ let counting_kernel ?(ir = true) name =
   let calls = Atomic.make 0 in
   let row =
     Option.map
-      (fun row ~la ~dst ~taps ~len ->
+      (fun row ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
         Atomic.incr calls;
-        row ~la ~dst ~taps ~len)
+        row ~la ~dst ~taps ~len ~j ~jstep ~coefs)
       k.Kernel.row
   in
   let base = Option.get k.Kernel.ckernel in
@@ -766,6 +797,14 @@ let () =
              [
                ("sor", Sor.kernel (Sor.make ~m_steps:2 ~size:2));
                ("jacobi", Jacobi.kernel (Jacobi.make ~t_steps:2 ~size:2));
+               ("adi", Adi.kernel (Adi.make ~t_steps:2 ~size:2));
+               ("triband", Triband.kernel (Triband.make ~size:2));
+               ( "adi-skewed",
+                 Kernel.skewed (Adi.kernel (Adi.make ~t_steps:2 ~size:2))
+                   adi_skew );
+               ( "triband-skewed",
+                 Kernel.skewed (Triband.kernel (Triband.make ~size:2))
+                   triband_skew );
              ] );
       ( "structure",
         [

@@ -230,8 +230,15 @@ let test_sim_shm_counters_agree () =
         (Printf.sprintf "rank %d bytes" i)
         a.Stats.bytes b.Stats.bytes)
     agg.Stats.ranks;
-  (* and the shm run really computed the right answer *)
-  Alcotest.(check (float 1e-9)) "shm correct" 0. shm.Shm_executor.max_abs_err
+  (* and the shm run really computed the right answer: bit for bit the
+     boxed reference walk's *)
+  let plan, kernel = sor_plan () in
+  let space = plan.Plan.nest.Tiles_loop.Nest.space in
+  Alcotest.(check (float 0.)) "shm correct" 0.
+    (Tiles_runtime.Grid.max_abs_diff shm.Shm_executor.grid
+       (Tiles_runtime.Seq_exec.run ~variant:Tiles_runtime.Walker.Reference
+          ~space ~kernel ())
+       space)
 
 (* ---------------- aggregate stats ---------------- *)
 

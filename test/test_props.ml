@@ -750,7 +750,7 @@ let fill_kernel space n deps =
     done;
     out.(0) <- !acc
   in
-  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
+  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len ~j:_ ~jstep:_ ~coefs:_ =
     for i = dst to dst + len - 1 do
       let acc = ref 0.1 in
       for r = 0 to nr - 1 do

@@ -147,7 +147,7 @@ let width1_kernel n reads coeffs ~with_row =
       (if with_row then !acc
        else !acc +. (0.001 *. float_of_int j.(n - 1)))
   in
-  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len =
+  let row ~(la : Tiles_util.Fbuf.t) ~dst ~taps ~len ~j:_ ~jstep:_ ~coefs:_ =
     for i = dst to dst + len - 1 do
       let acc = ref 0.1 in
       for r = 0 to nr - 1 do
@@ -238,9 +238,9 @@ let test_seq_rows_whole () =
       sor with
       Kernel.row =
         Some
-          (fun ~la ~dst ~taps ~len ->
+          (fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
             covered := !covered + len;
-            body ~la ~dst ~taps ~len);
+            body ~la ~dst ~taps ~len ~j ~jstep ~coefs);
     }
   in
   let boundary_points =
@@ -792,6 +792,165 @@ let prop_walkers_bit_identical =
             && m = mr && b = br && p = pr)
           [ Walker.Fastpath; Walker.Native ])
 
+(* ---------- row bodies: every IR kernel runs as rows ---------- *)
+
+(* unimodular skews that keep the ADI and triband dependences
+   nonnegative, so rectangular tiles stay legal over the skewed space *)
+let adi_skew = Intmat.of_rows [ [ 1; 0; 0 ]; [ 1; 1; 0 ]; [ 2; 1; 1 ] ]
+let triband_skew = Intmat.of_rows [ [ 1; 0 ]; [ 1; 1 ] ]
+
+let row_kernels =
+  [ "sor"; "jacobi"; "adi"; "triband"; "adi-skewed"; "triband-skewed" ]
+
+(* (space, plan, kernel) of a kernel of [Defs.all] on its app's space and
+   tiling variant [vi], or of a [Kernel.skewed] copy of ADI or triband on
+   the skewed space under rectangular tiles; None when infeasible *)
+let row_case name vi (x, y, z) =
+  let module Sor = Tiles_apps.Sor in
+  let module Jacobi = Tiles_apps.Jacobi in
+  let module Adi = Tiles_apps.Adi in
+  let module Triband = Tiles_apps.Triband in
+  let pick vs = snd (List.nth vs (vi mod List.length vs)) in
+  let skewed (nest : Nest.t) t kernel =
+    let kernel = Kernel.skewed kernel t in
+    let space = Polyhedron.transform_unimodular t nest.Nest.space in
+    (Nest.make ~name:kernel.Kernel.name ~space ~deps:(Kernel.deps kernel), kernel)
+  in
+  let adi = Adi.make ~t_steps:5 ~size:8 and tri = Triband.make ~size:14 in
+  let nest, kernel, m, tiling =
+    match name with
+    | "sor" ->
+      let p = Sor.make ~m_steps:5 ~size:8 in
+      ( Sor.nest p, Sor.kernel p, Sor.mapping_dim,
+        fun () -> pick Sor.variants ~x ~y ~z )
+    | "jacobi" ->
+      let p = Jacobi.make ~t_steps:5 ~size:8 in
+      ( Jacobi.nest p, Jacobi.kernel p, Jacobi.mapping_dim,
+        fun () -> pick Jacobi.variants ~x ~y ~z )
+    | "adi" ->
+      ( Adi.nest adi, Adi.kernel adi, Adi.mapping_dim,
+        fun () -> pick Adi.variants ~x ~y ~z )
+    | "triband" ->
+      ( Triband.nest tri, Triband.kernel tri, 0,
+        fun () -> pick Triband.variants ~x:y ~y:z )
+    | "adi-skewed" ->
+      let nest, k = skewed (Adi.nest adi) adi_skew (Adi.kernel adi) in
+      (nest, k, 0, fun () -> Tiling.rectangular [ x; y; z ])
+    | _ ->
+      let nest, k = skewed (Triband.nest tri) triband_skew (Triband.kernel tri) in
+      (nest, k, 0, fun () -> Tiling.rectangular [ y; z ])
+  in
+  match Plan.make ~m nest (tiling ()) with
+  | plan -> Some (nest.Nest.space, plan, kernel)
+  | exception (Invalid_argument _ | Failure _) -> None
+
+(* law: for every IR kernel, skewed copies included, fast Full runs on
+   both backends in both schedules and the sequential fast walk, all of
+   which run the kernel's row body, equal the boxed reference oracle bit
+   for bit *)
+let prop_row_bodies =
+  QCheck.Test.make ~name:"row bodies = reference (every IR kernel, skewed too)"
+    ~count:24
+    (QCheck.make
+       ~print:(fun (name, vi, (x, y, z)) ->
+         Printf.sprintf "%s variant#%d %dx%dx%d" name vi x y z)
+       QCheck.Gen.(
+         triple (oneofl row_kernels) (int_range 0 3)
+           (triple (int_range 2 5) (int_range 3 7) (int_range 3 7))))
+    (fun (name, vi, factors) ->
+      match row_case name vi factors with
+      | None -> QCheck.assume_fail ()
+      | Some (space, plan, kernel) ->
+        let reference =
+          Seq_exec.run ~variant:Walker.Reference ~space ~kernel ()
+        in
+        let same g = Grid.max_abs_diff g reference space = 0. in
+        Option.is_some kernel.Kernel.row
+        && same (Seq_exec.run ~space ~kernel ())
+        && List.for_all
+             (fun (backend, overlap) ->
+               let g, _, _, _ =
+                 run_with backend ~overlap ~walker:Walker.Fastpath
+                   (plan, kernel)
+               in
+               same g)
+             [
+               (Sim_backend, false); (Sim_backend, true);
+               (Shm_backend, false); (Shm_backend, true);
+             ])
+
+(* ADI's static-let table is evaluated once per (plan, kernel), one
+   evaluation per entry: Full runs on the sim and on shm (whose ranks run
+   on other domains) reuse the table [Protocol.prepare] forced, and two
+   domains asking at once hold one table. Every grid is the boxed
+   reference's. *)
+let test_coefs_once () =
+  let module Adi = Tiles_apps.Adi in
+  let size = 9 in
+  let p = Adi.make ~t_steps:5 ~size in
+  let nest = Adi.nest p in
+  let space = nest.Nest.space in
+  let adi = Adi.kernel p in
+  let evals = Atomic.make 0 in
+  let kernel =
+    {
+      adi with
+      Kernel.statics =
+        Array.map
+          (fun (cs, f) ->
+            ( cs,
+              fun j ->
+                Atomic.incr evals;
+                f j ))
+          adi.Kernel.statics;
+    }
+  in
+  let reference = Seq_exec.run ~variant:Walker.Reference ~space ~kernel:adi () in
+  (* a shm run checks its grid against the oracle's digest, which its
+     fast walk (with a table of its own) computes once per problem:
+     remember it now, through the uncounted kernel of the same content,
+     so the counts below are the walkers' alone *)
+  ignore (Seq_exec.check ~space ~kernel:adi reference);
+  let plan () = Plan.make ~m:Adi.mapping_dim nest (Adi.nr3 ~x:3 ~y:4 ~z:4) in
+  let p1 = plan () in
+  let check_run name g =
+    Alcotest.(check (float 0.)) (name ^ " = reference") 0.
+      (Grid.max_abs_diff g reference space)
+  in
+  let sim () =
+    Option.get
+      (Executor.run ~mode:Executor.Full ~plan:p1 ~kernel ~net ()).Executor.grid
+  in
+  check_run "first sim run" (sim ());
+  (* J1 × J2 over the space's box *)
+  Alcotest.(check int) "one evaluation per entry" (size * size)
+    (Atomic.get evals);
+  check_run "second sim run" (sim ());
+  check_run "shm run" (Shm.run ~plan:p1 ~kernel ()).Shm.grid;
+  check_run "shm overlap run"
+    (Shm.run ~overlap:true ~plan:p1 ~kernel ()).Shm.grid;
+  Alcotest.(check int) "later runs evaluate nothing" (size * size)
+    (Atomic.get evals);
+  Alcotest.(check bool) "the next ask reuses the table" true
+    ((Walker.coefs ~plan:p1 ~kernel).Kernel.data
+    == (Walker.coefs ~plan:p1 ~kernel).Kernel.data);
+  let p2 = plan () in
+  ignore (Plan.rows p2 ~reads:(Array.of_list kernel.Kernel.reads));
+  let go = Atomic.make false in
+  let ask () =
+    Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        (Walker.coefs ~plan:p2 ~kernel).Kernel.data)
+  in
+  let a = ask () and b = ask () in
+  Atomic.set go true;
+  let da = Domain.join a and db = Domain.join b in
+  Alcotest.(check bool) "racing domains hold one table" true (da == db);
+  Alcotest.(check bool) "another plan evaluates its own" true
+    (Atomic.get evals >= 2 * size * size)
+
 (* the Reference walker tests membership on every tap, and check-mode
    fills on every filled source: a call must not allocate, so minor
    words may not grow with the number of calls *)
@@ -939,6 +1098,7 @@ let () =
           Alcotest.test_case "sequential interior rows take the row body"
             `Quick test_seq_rows_whole;
           q prop_walkers_bit_identical;
+          q prop_row_bodies;
         ] );
       ( "boundary",
         [
@@ -948,6 +1108,8 @@ let () =
             `Quick test_walker_boundary_once;
           Alcotest.test_case "boundary values once per plan and kernel"
             `Quick test_boundary_values_once;
+          Alcotest.test_case "static-let table once per plan and kernel"
+            `Quick test_coefs_once;
         ] );
       ( "memo",
         [ Alcotest.test_case "walk plan shared across ranks" `Quick
