@@ -9,9 +9,12 @@ open C_ast
 (* C identifier for a parameter *)
 let cname p = "P_" ^ p
 
-(* Constraints over (params, j^S, j): the parametric analogue of
-   Tile_space.combined_system. Variable layout: p parameters, then n tile
-   coordinates, then n iteration coordinates. *)
+(* Constraints over (params, j^S, j): the tile-membership band
+   0 <= h'_k·j − v_k·j^S_k <= v_k − 1 plus the parametric space lifted
+   onto j, for one tiling (Tile_space eliminates j once per H' over
+   (u, z, j) instead; here the parameters stay symbolic and one tiling
+   is printed). Variable layout: p parameters, then n tile coordinates,
+   then n iteration coordinates. *)
 let combined_system (pspace : Pspace.t) (tiling : Tiling.t) =
   let p = Pspace.nparams pspace in
   let n = tiling.Tiling.n in

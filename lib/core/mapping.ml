@@ -11,11 +11,11 @@ type t = {
 }
 
 let max_trip_dim (ts : Tile_space.t) =
-  let n = Array.length ts.bbox in
+  let bbox = Polyhedron.bounding_box ts.poly in
+  let trips = Array.map (fun (lo, hi) -> hi - lo + 1) bbox in
   let best = ref 0 in
-  for k = 1 to n - 1 do
-    if Tile_space.trip_count ts k > Tile_space.trip_count ts !best then
-      best := k
+  for k = 1 to Array.length trips - 1 do
+    if trips.(k) > trips.(!best) then best := k
   done;
   !best
 

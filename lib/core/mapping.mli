@@ -42,5 +42,7 @@ val valid : t -> pid:Tiles_util.Vec.t -> ts:int -> bool
 (** The paper's [valid()] — is [(pid, t^S)] a candidate tile? *)
 
 val max_trip_dim : Tile_space.t -> int
-(** The default mapping dimension: argmax of trip count (ties broken by
-    the smaller index). *)
+(** The default mapping dimension: argmax of trip count, the width of
+    the tile polyhedron's bounding box (ties broken by the smaller
+    index). The box takes [n] more eliminations over the tile
+    polyhedron, paid only by a {!make} without [~m]. *)

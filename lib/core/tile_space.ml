@@ -2,65 +2,189 @@ module Poly = Tiles_poly
 module Polyhedron = Tiles_poly.Polyhedron
 module Constr = Tiles_poly.Constr
 module Vec = Tiles_util.Vec
+module Ints = Tiles_util.Ints
 module Rat = Tiles_rat.Rat
 
-type t = {
-  tiling : Tiling.t;
-  space : Polyhedron.t;
-  poly : Polyhedron.t;
-  bbox : (int * int) array;
+type t = { tiling : Tiling.t; space : Polyhedron.t; poly : Polyhedron.t }
+
+(* A combination the elimination built whose integer tightening can
+   depend on the scales: with β, α and b its u, z and j coefficients,
+   the j terms share a factor [gb] > 1. Over (j^S, j) it reads
+   (α_k·v_k, b) with the constant c + β·(v − 1), which the elimination
+   for that one tiling floors modulo gcd(gb, α_k·v_k); this elimination
+   floored it by [rem]. Where every floor agrees, both eliminations
+   combine the same constraints and agree on every constant. *)
+type floor = {
+  alpha : int array;
+  beta : int array;
+  gb : int;
+  c : int;
+  rem : int;
 }
 
-(* Constraints over (j^S, j) ∈ Z^{2n}:  tile-membership band
-   0 <= h'_k·j − v_k·j^S_k <= v_k − 1  plus J^n lifted onto the j part. *)
-let combined_system space (tiling : Tiling.t) =
-  let n = tiling.n in
+(* One elimination over (u, z, j) and the floors it took: exact for every
+   tiling whose own floors are the same. *)
+type elimination = { floors : floor list; cs : Constr.t list }
+
+type family = {
+  fspace : Polyhedron.t;
+  h' : Tiles_linalg.Intmat.t;
+  eliminations : elimination list Atomic.t;
+}
+
+(* Constraints over (u, z, j) ∈ Z^{3n}, as raw coefficients and constant:
+   the tile-membership band 0 <= h'_k·j − z_k <= u_k, which is the
+   paper's band once z_k = v_k·j^S_k and u_k = v_k − 1, plus J^n lifted
+   onto the j part. *)
+let family_system space (h' : Tiles_linalg.Intmat.t) =
+  let n = Array.length h' in
   let lift c =
-    let coeffs = Array.make (2 * n) 0 in
+    let coeffs = Array.make (3 * n) 0 in
     for i = 0 to n - 1 do
-      coeffs.(n + i) <- Constr.coeff c i
+      coeffs.((2 * n) + i) <- Constr.coeff c i
     done;
-    Constr.make ~coeffs ~const:(Constr.const c)
+    (coeffs, Constr.const c)
   in
   let band k =
-    let lo = Array.make (2 * n) 0 and hi = Array.make (2 * n) 0 in
+    let lo = Array.make (3 * n) 0 and hi = Array.make (3 * n) 0 in
     for i = 0 to n - 1 do
-      lo.(n + i) <- tiling.h'.(k).(i);
-      hi.(n + i) <- -tiling.h'.(k).(i)
+      lo.((2 * n) + i) <- h'.(k).(i);
+      hi.((2 * n) + i) <- -h'.(k).(i)
     done;
-    lo.(k) <- -tiling.v.(k);
-    hi.(k) <- tiling.v.(k);
-    [ Constr.make ~coeffs:lo ~const:0;
-      Constr.make ~coeffs:hi ~const:(tiling.v.(k) - 1) ]
+    lo.(n + k) <- -1;
+    hi.(n + k) <- 1;
+    hi.(k) <- 1;
+    [ (lo, 0); (hi, 0) ]
   in
   List.map lift (Polyhedron.constraints space)
   @ List.concat (List.init n band)
 
-let make space tiling =
-  let n = Tiling.dim tiling in
-  if Polyhedron.dim space <> n then invalid_arg "Tile_space.make: dimension";
-  let sys = combined_system space tiling in
-  let projected =
-    Poly.Fourier_motzkin.eliminate_all_but sys ~dim:(2 * n)
-      ~keep:(List.init n (fun i -> i))
-  in
-  (* restrict constraints to the first n coordinates *)
-  let cs =
-    List.map
-      (fun c ->
-        let coeffs = Array.init n (Constr.coeff c) in
-        Constr.make ~coeffs ~const:(Constr.const c))
-      projected
-  in
-  let poly = Polyhedron.make ~dim:n cs in
-  let bbox = Polyhedron.bounding_box poly in
-  { tiling; space; poly; bbox }
+let floor_at (v : int array) fl =
+  let g = ref fl.gb and c = ref fl.c in
+  for k = 0 to Array.length v - 1 do
+    g := Ints.gcd !g (fl.alpha.(k) * v.(k));
+    c := !c + (fl.beta.(k) * (v.(k) - 1))
+  done;
+  Ints.fmod !c !g
 
+(* Eliminate j as the elimination over (j^S, j) for the scales [v]
+   floors, recording each floor that other scales could take otherwise *)
+let eliminate_j space h' v =
+  let n = Array.length h' in
+  let floors = ref [] in
+  let make ~coeffs ~const =
+    let gb = ref 0 in
+    for i = 2 * n to (3 * n) - 1 do
+      gb := Ints.gcd !gb coeffs.(i)
+    done;
+    if !gb <= 1 then Constr.make ~coeffs ~const
+    else begin
+      let fl =
+        {
+          alpha = Array.sub coeffs n n;
+          beta = Array.sub coeffs 0 n;
+          gb = !gb;
+          c = const;
+          rem = 0;
+        }
+      in
+      let fl = { fl with rem = floor_at v fl } in
+      floors := fl :: !floors;
+      Constr.make ~coeffs ~const:(const - fl.rem)
+    end
+  in
+  let cs =
+    Poly.Fourier_motzkin.eliminate_all_but ~make
+      (List.map (fun (coeffs, const) -> make ~coeffs ~const)
+         (family_system space h'))
+      ~dim:(3 * n)
+      ~keep:(List.init (2 * n) Fun.id)
+  in
+  { floors = List.sort_uniq compare !floors; cs }
+
+let build_family space h' =
+  if Polyhedron.dim space <> Array.length h' then
+    invalid_arg "Tile_space.make: dimension";
+  (* a bounded non-empty J^n has a bounded non-empty tile space, and H'
+     is non-singular: so these two checks, once per family, are what
+     rejects a space for every tiling of the family *)
+  if Polyhedron.is_empty_rational space then
+    invalid_arg "Tile_space.make: empty iteration space";
+  ignore (Polyhedron.bounding_box space);
+  { fspace = space; h'; eliminations = Atomic.make [] }
+
+(* Process-wide, most recently used first, shared by every domain: the
+   tuner's grids and plans, experiments and serve's plan misses all
+   instantiate the few families of the shapes they try. *)
+let memo_capacity = 64
+let max_eliminations = 8
+let memo : ((Constr.t list * Tiles_linalg.Intmat.t) * family) list ref = ref []
+let memo_lock = Mutex.create ()
+
+let family space h' =
+  let key = (Polyhedron.constraints space, h') in
+  let hit =
+    Mutex.protect memo_lock (fun () ->
+        match List.assoc_opt key !memo with
+        | Some f as hit ->
+          memo := (key, f) :: List.remove_assoc key !memo;
+          hit
+        | None -> None)
+  in
+  match hit with
+  | Some f -> f
+  | None ->
+    let f = build_family space h' in
+    Mutex.protect memo_lock (fun () ->
+        memo :=
+          (key, f)
+          :: List.filteri
+               (fun i _ -> i < memo_capacity - 1)
+               (List.remove_assoc key !memo));
+    f
+
+(* z_k = v_k·t_k and u_k = v_k − 1 turn each constraint over (u, z) into
+   one over t; then normalise, prune and drop what every t satisfies *)
+let instantiate f (tiling : Tiling.t) =
+  if tiling.h' <> f.h' then invalid_arg "Tile_space.instantiate: H' differs";
+  let n = tiling.n and v = tiling.v in
+  let exact e = List.for_all (fun fl -> floor_at v fl = fl.rem) e.floors in
+  let e =
+    match List.find_opt exact (Atomic.get f.eliminations) with
+    | Some e -> e
+    | None ->
+      let e = eliminate_j f.fspace f.h' v in
+      Mutex.protect memo_lock (fun () ->
+          Atomic.set f.eliminations
+            (e
+            :: List.filteri
+                 (fun i _ -> i < max_eliminations - 1)
+                 (Atomic.get f.eliminations)));
+      e
+  in
+  let subst c =
+    let const = ref (Constr.const c) in
+    for k = 0 to n - 1 do
+      const := !const + (Constr.coeff c k * (v.(k) - 1))
+    done;
+    Constr.make
+      ~coeffs:(Array.init n (fun k -> Constr.coeff c (n + k) * v.(k)))
+      ~const:!const
+  in
+  let cs =
+    List.filter
+      (fun c -> not (Constr.is_tautology c))
+      (List.map subst e.cs)
+  in
+  {
+    tiling;
+    space = f.fspace;
+    poly = Polyhedron.make ~dim:n (Poly.Fourier_motzkin.prune cs);
+  }
+
+let make space (tiling : Tiling.t) = instantiate (family space tiling.h') tiling
 let candidates t = Polyhedron.points t.poly
 let contains t s = Polyhedron.member t.poly s
-let trip_count t k =
-  let lo, hi = t.bbox.(k) in
-  hi - lo + 1
 
 (* Fast exact P'-application: P' = Q / den with integer Q. *)
 let applier_matrix (tiling : Tiling.t) =

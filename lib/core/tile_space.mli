@@ -2,32 +2,66 @@
 
     Following ref [7], the exact characterisation
     [v_kk·j^S_k <= h'_k·j <= v_kk·j^S_k + v_kk − 1] is joined with the
-    constraints of [J^n] in a [2n]-variable system and the [j] variables
-    are eliminated by Fourier–Motzkin, leaving a polyhedron over [j^S]
-    whose integer points are the candidate tiles. The projection is a
-    rational relaxation, so a few boundary candidates may contain no
-    iteration; they stay in the protocol (both communication end-points
-    agree on the same candidate set) and simply execute zero iterations. *)
+    constraints of [J^n] and the [j] variables are eliminated by
+    Fourier–Motzkin, leaving a polyhedron over [j^S] whose integer points
+    are the candidate tiles. The projection is a rational relaxation, so
+    a few boundary candidates may contain no iteration; they stay in the
+    protocol (both communication end-points agree on the same candidate
+    set) and simply execute zero iterations.
+
+    The scales [v] enter that system only through [z_k = v_kk·j^S_k] and
+    the constant [u_k = v_kk − 1]. So [j] is eliminated over [(u, z, j)]
+    once per (space, [H']) — a {!family} — and each tiling of the family
+    {!instantiate}s it by substitution. The result is the elimination
+    over [(j^S, j)] for that one tiling, constraint for constraint, with
+    one proviso: that elimination floors a combination's constant modulo
+    the gcd of its coefficients, and where the [j] terms share a factor
+    [g > 1] that gcd can involve [v]. So a family holds eliminations,
+    each built for one tiling's scales and recording every such
+    combination with the floor it took; a tiling whose floors all agree
+    reuses it, any other gets its own. A tuner that tries hundreds of
+    factor vectors per shape pays a few eliminations per shape.
+
+    No bounding box is stored: {!Mapping} computes one only when it has
+    to choose the mapping dimension. *)
 
 type t = private {
   tiling : Tiling.t;
   space : Tiles_poly.Polyhedron.t;  (** [J^n] *)
   poly : Tiles_poly.Polyhedron.t;   (** candidate tiles over [j^S] *)
-  bbox : (int * int) array;         (** per-dimension tile index range *)
 }
 
+type family
+(** The band joined with [J^n] over [(u, z, j)], [j] eliminated: the
+    tile spaces of every tiling of one [H'] over one space. Holds at most
+    8 eliminations, most recently built first; the first is built by the
+    first {!instantiate}. *)
+
+val family : Tiles_poly.Polyhedron.t -> Tiles_linalg.Intmat.t -> family
+(** [family space h'] — memoised for the whole process (most recently
+    used first, bounded, shared by every domain) and keyed by the
+    space's constraints and [h'], so the tuner, experiments and serve
+    share it with no handle to pass around. Raises [Invalid_argument]
+    on a dimension mismatch or a rationally empty space, and [Failure]
+    on an unbounded one: every tile space of such a space would be
+    empty or unbounded. *)
+
+val instantiate : family -> Tiling.t -> t
+(** Take the family's first elimination whose floors are the tiling's
+    (building one for the tiling if none is), substitute [z_k = v_kk·j^S_k] and
+    [u_k = v_kk − 1], normalise, drop tautologies and
+    {!Tiles_poly.Fourier_motzkin.prune} the result. Raises
+    [Invalid_argument] if the tiling's [H'] is not the family's. *)
+
 val make : Tiles_poly.Polyhedron.t -> Tiling.t -> t
+(** [make space tiling = instantiate (family space tiling.h') tiling];
+    raises like {!family}. *)
 
 val candidates : t -> Tiles_util.Vec.t list
 (** All candidate tiles, lexicographic. *)
 
 val contains : t -> Tiles_util.Vec.t -> bool
 (** Candidate-tile membership — the paper's [valid()] predicate. *)
-
-val trip_count : t -> int -> int
-(** [trip_count t k] — number of tile indices along dimension [k]
-    (bounding-box width); §3.1 maps the dimension with the maximum trip
-    count to the same processor. *)
 
 val tile_iterations : t -> Tiles_util.Vec.t -> int
 (** Exact number of iterations [j ∈ J^n] inside a given tile (enumerates

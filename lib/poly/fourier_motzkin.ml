@@ -8,7 +8,9 @@ let rec prune_sorted = function
   | a :: tl -> a :: prune_sorted tl
   | [] -> []
 
-let eliminate cs ~var =
+let prune cs = prune_sorted (List.sort_uniq Constr.compare cs)
+
+let eliminate ?(make = Constr.make) cs ~var =
   let pos = ref [] and neg = ref [] and zero = ref [] in
   List.iter
     (fun c ->
@@ -29,28 +31,24 @@ let eliminate cs ~var =
                   (b * Constr.coeff p i) + (a * Constr.coeff q i))
             in
             let const = (b * Constr.const p) + (a * Constr.const q) in
-            Constr.make ~coeffs ~const)
+            make ~coeffs ~const)
           !neg)
       !pos
   in
-  prune_sorted
-    (List.sort_uniq Constr.compare
-       (List.filter (fun c -> not (Constr.is_tautology c)) (!zero @ combos)))
+  prune (List.filter (fun c -> not (Constr.is_tautology c)) (!zero @ combos))
 
-let eliminate_all_but cs ~dim ~keep =
+let eliminate_all_but ?make cs ~dim ~keep =
   let rec go cs var =
     if var < 0 then cs
     else if List.mem var keep then go cs (var - 1)
-    else go (eliminate cs ~var) (var - 1)
+    else go (eliminate ?make cs ~var) (var - 1)
   in
   go cs (dim - 1)
 
 type projection = { dim : int; systems : Constr.t list array }
 
 let project cs ~dim =
-  let systems =
-    Array.make (max dim 1) (prune_sorted (List.sort_uniq Constr.compare cs))
-  in
+  let systems = Array.make (max dim 1) (prune cs) in
   for k = dim - 2 downto 0 do
     systems.(k) <- eliminate systems.(k + 1) ~var:(k + 1)
   done;

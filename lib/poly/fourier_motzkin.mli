@@ -6,24 +6,38 @@
     variable [x_k] must only mention [x_0 … x_(k-1)], so they are read off
     the system with [x_(k+1) … x_(n-1)] eliminated. *)
 
-val eliminate : Constr.t list -> var:int -> Constr.t list
+val prune : Constr.t list -> Constr.t list
+(** Sort by {!Constr.compare}, drop duplicates and, of the constraints
+    sharing one (gcd-normalised) coefficient vector, keep only the
+    tightest: the others are implied, so every integer bound is
+    unchanged while a system stops growing with parallel copies. *)
+
+val eliminate :
+  ?make:(coeffs:int array -> const:int -> Constr.t) ->
+  Constr.t list ->
+  var:int ->
+  Constr.t list
 (** Eliminate one variable. Tautologies are dropped; a contradiction (the
     rational relaxation is empty) is kept so emptiness remains visible.
-    Of the constraints sharing one (gcd-normalised) coefficient vector
-    only the tightest is kept: the others are implied, so every integer
-    bound is unchanged while the system stops growing with parallel
-    copies. *)
+    The result is {!prune}d. [make] builds each combination from its raw
+    coefficients and constant (default {!Constr.make}): a caller that
+    knows more about its variables may tighten the constant further. *)
 
-val eliminate_all_but : Constr.t list -> dim:int -> keep:int list -> Constr.t list
-(** Eliminate every variable not listed in [keep]. *)
+val eliminate_all_but :
+  ?make:(coeffs:int array -> const:int -> Constr.t) ->
+  Constr.t list ->
+  dim:int ->
+  keep:int list ->
+  Constr.t list
+(** Eliminate every variable not listed in [keep], each step like
+    {!eliminate}. *)
 
 type projection
 (** The chain [S_(n-1) ⊇ … ⊇ S_0] where [S_k] has variables
     [> k] eliminated. *)
 
 val project : Constr.t list -> dim:int -> projection
-(** The top system [S_(n-1)] is the input, pruned like {!eliminate}'s
-    output. *)
+(** The top system [S_(n-1)] is the input, {!prune}d. *)
 
 val bounds : projection -> var:int -> prefix:Tiles_util.Vec.t -> (int * int) option
 (** [bounds p ~var:k ~prefix] — numeric [lo, hi] range for [x_k] once

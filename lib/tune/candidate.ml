@@ -64,7 +64,9 @@ let rec splits budget slots =
         else [])
       (List.init budget (fun i -> i + 1))
 
-let generate ~nest ~procs ~factors ?mapping_dims () =
+(* the candidates, and every factor vector whose process count [measure]
+   tried, in the order tried *)
+let explore ~nest ~procs ~factors ?mapping_dims () =
   if procs < 1 then invalid_arg "Candidate.generate: procs < 1";
   if factors = [] then invalid_arg "Candidate.generate: empty factor sweep";
   let n = Nest.dim nest in
@@ -89,6 +91,7 @@ let generate ~nest ~procs ~factors ?mapping_dims () =
      mapping factors in order until one constructs (the mapping factor does
      not change the non-mapping trip counts, hence not the count itself) *)
   let measure_tbl = Hashtbl.create 64 in
+  let tried = ref [] in
   let measure rows m grid =
     let key = (List.map Array.to_list rows, m, Array.to_list grid) in
     match Hashtbl.find_opt measure_tbl key with
@@ -99,6 +102,7 @@ let generate ~nest ~procs ~factors ?mapping_dims () =
           (fun fm ->
             let c = { shape = ""; rows; factors = grid; m } in
             c.factors.(m) <- fm;
+            tried := { c with factors = Array.copy c.factors } :: !tried;
             match
               let t = tiling c in
               let ts = Tile_space.make nest.Nest.space t in
@@ -204,4 +208,10 @@ let generate ~nest ~procs ~factors ?mapping_dims () =
           out := { shape; rows; factors; m } :: !out)
         (List.sort_uniq compare factors))
     grids;
-  List.sort_uniq compare !out
+  (List.sort_uniq compare !out, List.rev !tried)
+
+let generate ~nest ~procs ~factors ?mapping_dims () =
+  fst (explore ~nest ~procs ~factors ?mapping_dims ())
+
+let measured ~nest ~procs ~factors ?mapping_dims () =
+  snd (explore ~nest ~procs ~factors ?mapping_dims ())

@@ -45,3 +45,15 @@ val generate :
     all). Every returned candidate's measured process count is [<= procs];
     grids that cannot reach the budget keep their closest-from-below
     adjustment. Duplicates are removed. *)
+
+val measured :
+  nest:Tiles_loop.Nest.t ->
+  procs:int ->
+  factors:int list ->
+  ?mapping_dims:int list ->
+  unit ->
+  t list
+(** Every factor vector whose process count {!generate} measures with the
+    same arguments, in the order tried (shape names are empty): the
+    tiling, tile space and mapping work of a search, exposed so tests
+    can hold each of those tile spaces to a reference. *)

@@ -8,10 +8,11 @@
 # reports (a) and (b) along with per-class latency percentiles.
 #
 # Determinism: the daemon runs with a single worker and the batch leads
-# with a tune job that occupies that worker for some 20 ms, far longer
-# than reading the burst takes, so the identical plan requests queued
-# behind it are all read -- and coalesced -- before any of them can
-# execute. The tune reply must name a best candidate with a positive
+# with a tune job (ADI 24/32 on 16 processes, the default factor sweep)
+# that occupies that worker for some 50 ms on a 2-core Xeon VM, over
+# 100 times the 0.2-0.4 ms the daemon takes to read the burst, so the
+# identical plan requests queued behind it are all read -- and
+# coalesced -- before any of them can execute. The tune reply must name a best candidate with a positive
 # simulated completion.
 #
 # Usage: python3 scripts/serve_smoke.py [path/to/tilec.exe]
@@ -40,11 +41,11 @@ def read_until(ids):
 
 plan = {"op": "plan", "app": "sor", "size1": 24, "size2": 32,
         "tile": [6, 8, 8]}
-# phase 1: the tune job occupies the single worker for some 20 ms, so
+# phase 1: the tune job occupies the single worker for some 50 ms, so
 # the identical plan burst behind it is read and coalesced before any
 # of it can execute
 send({"id": "warm", "op": "tune", "app": "adi", "variant": "nr1",
-      "size1": 10, "size2": 12, "procs": 4, "factors": [2, 3]})
+      "size1": 24, "size2": 32, "procs": 16})
 burst = [f"b{i}" for i in range(5)]
 for i in burst:
     send(dict(plan, id=i))

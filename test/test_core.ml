@@ -367,32 +367,40 @@ let test_comm_tile_too_small () =
   let comm = Comm.make (sor_nr 3 3 1) skewed_sor_deps ~m:2 in
   Alcotest.(check bool) "nr z=1 ok" true (List.length comm.Comm.ds > 0)
 
-(* A random 3-D case on which building the tile space takes about a
-   minute, while the tiling is rejected for a reason that needs none:
+(* Two random 3-D cases where Fourier–Motzkin blows up in the tile
+   polyhedron, not in the elimination of j that builds it. *)
+let c coeffs const = Tiles_poly.Constr.make ~coeffs ~const
+
+(* x0 <= 4, x2 - x0 >= 2, x1 - x0 - x2 >= -6, x1 - x0 >= 1, x0 - x1 >= -3,
+   x0 - x2 >= -4, x0 >= 2 *)
+let reach_space =
+  Polyhedron.make ~dim:3
+    [
+      c [| -1; 0; 0 |] 4;
+      c [| -1; 0; 1 |] (-2);
+      c [| -1; 1; -1 |] 6;
+      c [| -1; 1; 0 |] (-1);
+      c [| 1; -1; 0 |] 3;
+      c [| 1; 0; -1 |] 4;
+      c [| 1; 0; 0 |] (-2);
+    ]
+
+(* H = diag(1/v)·H' with H' = [2 3 3; 1 1 3; 1 3 -2], v = (4, 2, 3) *)
+let reach_tiling () =
+  Tiling.of_rows
+    [
+      [ r 2 4; r 3 4; r 3 4 ]; [ r 1 2; r 1 2; r 3 2 ]; [ r 1 3; i 1; r (-2) 3 ];
+    ]
+
+(* A case on which projecting the tile polyhedron takes many seconds,
+   while the tiling is rejected for a reason that needs none:
    H'·(0,1,1) = (6,4,1) reaches past v_0 = 4. [Plan.make] must find that
-   before it projects anything. *)
+   before it builds a tile space and its mapping. *)
 let test_plan_rejects_reach_first () =
-  let c coeffs const = Tiles_poly.Constr.make ~coeffs ~const in
-  let space =
-    Polyhedron.make ~dim:3
-      [
-        c [| -1; 0; 0 |] 4;  (* x0 <= 4 *)
-        c [| -1; 0; 1 |] (-2);  (* x2 - x0 >= 2 *)
-        c [| -1; 1; -1 |] 6;  (* x1 - x0 - x2 >= -6 *)
-        c [| -1; 1; 0 |] (-1);  (* x1 - x0 >= 1 *)
-        c [| 1; -1; 0 |] 3;  (* x0 - x1 >= -3 *)
-        c [| 1; 0; -1 |] 4;  (* x0 - x2 >= -4 *)
-        c [| 1; 0; 0 |] (-2);  (* x0 >= 2 *)
-      ]
-  in
-  (* H = diag(1/v)·H' with H' = [2 3 3; 1 1 3; 1 3 -2], v = (4, 2, 3) *)
-  let tiling =
-    Tiling.of_rows
-      [ [ r 2 4; r 3 4; r 3 4 ]; [ r 1 2; r 1 2; r 3 2 ]; [ r 1 3; i 1; r (-2) 3 ] ]
-  in
+  let tiling = reach_tiling () in
   Alcotest.(check int) "tile size" 24 (Tiling.tile_size tiling);
   let deps = Dependence.of_vectors [ [| 0; 1; 1 |] ] in
-  let nest = Nest.make ~name:"reach" ~space ~deps in
+  let nest = Nest.make ~name:"reach" ~space:reach_space ~deps in
   let t0 = Sys.time () in
   let msg =
     match Plan.make nest tiling with
@@ -408,6 +416,64 @@ let test_plan_rejects_reach_first () =
   Alcotest.(check bool)
     (Printf.sprintf "rejected in %.3f s CPU, under 1 s" secs)
     true (secs < 1.)
+
+(* The size of the tile polyhedron on the case above and on the slow
+   QCheck case {x0 <= 4, x1 <= 1, x2 <= 4, x0 >= 2, x1 >= 0, x2 >= 0,
+   x1 + x2 - x0 >= -3} under H' = [3 -2 2; 3 0 -1; 1 1 -2], v = (5,4,5):
+   counts, not wall time. Projecting these polyhedra (bounding box,
+   mapping, candidate enumeration) takes seconds, so the candidates are
+   counted by membership over the box that interval arithmetic gives
+   each h'_k·j/v_k on the space's own box. *)
+let test_fm_cases_pinned () =
+  let seed_space =
+    Polyhedron.make ~dim:3
+      [
+        c [| -1; 0; 0 |] 4;
+        c [| 0; -1; 0 |] 1;
+        c [| 0; 0; -1 |] 4;
+        c [| 1; 0; 0 |] (-2);
+        c [| 0; 1; 0 |] 0;
+        c [| 0; 0; 1 |] 0;
+        c [| -1; 1; 1 |] 3;
+      ]
+  in
+  let seed_tiling =
+    Tiling.of_rows
+      [
+        [ r 3 5; r (-2) 5; r 2 5 ];
+        [ r 3 4; i 0; r (-1) 4 ];
+        [ r 1 5; r 1 5; r (-2) 5 ];
+      ]
+  in
+  let count (ts : Tile_space.t) =
+    let tiling = ts.tiling in
+    let box = Polyhedron.bounding_box ts.space in
+    let range k =
+      let lo = ref 0 and hi = ref 0 in
+      Array.iteri
+        (fun i (l, h) ->
+          let a = tiling.Tiling.h'.(k).(i) in
+          lo := !lo + min (a * l) (a * h);
+          hi := !hi + max (a * l) (a * h))
+        box;
+      let v = tiling.Tiling.v.(k) in
+      (Tiles_util.Ints.cdiv (!lo - v + 1) v, Tiles_util.Ints.fdiv !hi v)
+    in
+    let tiles = Polyhedron.box (List.init 3 range) in
+    Polyhedron.fold_points tiles ~init:0 ~f:(fun n t ->
+        if Tile_space.contains ts t then n + 1 else n)
+  in
+  List.iter
+    (fun (name, space, tiling, constraints, candidates) ->
+      let ts = Tile_space.make space tiling in
+      Alcotest.(check int)
+        (name ^ ": constraints") constraints
+        (List.length (Polyhedron.constraints ts.Tile_space.poly));
+      Alcotest.(check int) (name ^ ": candidates") candidates (count ts))
+    [
+      ("reach", reach_space, reach_tiling (), 325, 49);
+      ("seed", seed_space, seed_tiling, 187, 14);
+    ]
 
 let test_comm_dm_projection () =
   let tiling = adi_nr3 3 2 4 in
@@ -641,6 +707,8 @@ let () =
           Alcotest.test_case "partition oblique2d" `Quick test_partition_oblique2d;
           Alcotest.test_case "slab fast count" `Quick test_slab_points_fast_count;
           Alcotest.test_case "tile points lex+inside" `Quick test_tile_points_lex_and_inside;
+          Alcotest.test_case "FM cases pinned by counts" `Quick
+            test_fm_cases_pinned;
         ] );
       ( "mapping",
         [

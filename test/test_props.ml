@@ -310,6 +310,194 @@ let gen_space n =
         (Polyhedron.add space (Tiles_poly.Constr.make ~coeffs:a ~const:c))
     else return space)
 
+(* ---------- tile space = direct elimination ---------- *)
+
+(* The reference: ref [7]'s system over (j^S, j) for one tiling, the
+   band 0 <= h'_k·j − v_k·j^S_k <= v_k − 1 plus J^n lifted onto j, and j
+   eliminated by Fourier–Motzkin: what Tile_space.make computed before
+   tile spaces came from families. (It then computed the bounding box
+   eagerly, and that is where it raised on an unbounded space.) *)
+let direct_tile_poly space (tiling : Tiling.t) =
+  let module Constr = Tiles_poly.Constr in
+  let n = tiling.Tiling.n in
+  let lift c =
+    let coeffs = Array.make (2 * n) 0 in
+    for i = 0 to n - 1 do
+      coeffs.(n + i) <- Constr.coeff c i
+    done;
+    Constr.make ~coeffs ~const:(Constr.const c)
+  in
+  let band k =
+    let lo = Array.make (2 * n) 0 and hi = Array.make (2 * n) 0 in
+    for i = 0 to n - 1 do
+      lo.(n + i) <- tiling.Tiling.h'.(k).(i);
+      hi.(n + i) <- -tiling.Tiling.h'.(k).(i)
+    done;
+    lo.(k) <- -tiling.Tiling.v.(k);
+    hi.(k) <- tiling.Tiling.v.(k);
+    [ Constr.make ~coeffs:lo ~const:0;
+      Constr.make ~coeffs:hi ~const:(tiling.Tiling.v.(k) - 1) ]
+  in
+  let projected =
+    Tiles_poly.Fourier_motzkin.eliminate_all_but
+      (List.map lift (Polyhedron.constraints space)
+      @ List.concat (List.init n band))
+      ~dim:(2 * n)
+      ~keep:(List.init n Fun.id)
+  in
+  Polyhedron.make ~dim:n
+    (List.map
+       (fun c ->
+         Constr.make ~coeffs:(Array.init n (Constr.coeff c))
+           ~const:(Constr.const c))
+       projected)
+
+(* make = the reference, constraint for constraint. The candidates, the
+   bounding box and every mapping's processors and chains are read off
+   that list, so they agree too; the tuner's-grids law below compares
+   them outright, while on random spaces a tile polyhedron can take
+   seconds to project. *)
+let same_constraints space tiling =
+  Polyhedron.constraints (Tile_space.make space tiling).Tile_space.poly
+  = Polyhedron.constraints (direct_tile_poly space tiling)
+
+(* the same tiling with every scale doubled, when it constructs: a second
+   tiling of the same family, often with other floors *)
+let doubled (t : Tiling.t) =
+  match
+    Tiling.make
+      (Array.map (Array.map (fun x -> Rat.div x (Rat.of_int 2))) t.Tiling.h)
+  with
+  | t' -> [ t; t' ]
+  | exception Invalid_argument _ -> [ t ]
+
+let prop_tile_space_direct n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "tile space = direct elimination (n=%d)" n)
+    ~count:(if n = 2 then 300 else 150)
+    (QCheck.pair
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n))
+    (fun (space, t) ->
+      match t with
+      | None -> QCheck.assume_fail ()
+      | Some t -> List.for_all (same_constraints space) (doubled t))
+
+(* make raises where the reference raised, and on one more input. An
+   unbounded space: the reference raised in its eager bounding box, make
+   raises in the family's check of the space itself, with the same
+   Failure. An empty space: the reference returned a tile space without
+   candidates (its box stayed bounded), make rejects it when it builds
+   the family. *)
+let test_tile_space_rejects () =
+  let module Constr = Tiles_poly.Constr in
+  let c coeffs const = Constr.make ~coeffs ~const in
+  let tilings =
+    [
+      Tiling.rectangular [ 2; 3 ];
+      Tiling.of_rows Rat.[ [ make 1 2; make 1 2 ]; [ zero; make 1 3 ] ];
+    ]
+  in
+  let unbounded =
+    Polyhedron.make ~dim:2 [ c [| 1; 0 |] 0; c [| 0; 1 |] 0; c [| 0; -1 |] 3 ]
+  in
+  let empty =
+    Polyhedron.make ~dim:2
+      [ c [| 1; 1 |] (-5); c [| -1; 0 |] 1; c [| 0; -1 |] 1; c [| 1; 0 |] 0;
+        c [| 0; 1 |] 0 ]
+  in
+  let outcome f =
+    match f () with
+    | _ -> "ok"
+    | exception Failure m -> "Failure: " ^ m
+    | exception Invalid_argument m -> "Invalid_argument: " ^ m
+  in
+  List.iter
+    (fun t ->
+      let reference space () =
+        let poly = direct_tile_poly space t in
+        ignore (Polyhedron.bounding_box poly);
+        List.length (Polyhedron.points poly)
+      in
+      Alcotest.(check string) "unbounded: reference"
+        "Failure: Polyhedron.bounding_box: unbounded"
+        (outcome (reference unbounded));
+      Alcotest.(check string) "unbounded: make"
+        "Failure: Polyhedron.bounding_box: unbounded"
+        (outcome (fun () -> Tile_space.make unbounded t));
+      Alcotest.(check int) "empty: reference has no candidates" 0
+        (reference empty ());
+      Alcotest.(check string) "empty: make"
+        "Invalid_argument: Tile_space.make: empty iteration space"
+        (outcome (fun () -> Tile_space.make empty t)))
+    tilings;
+  Alcotest.(check string) "dimension"
+    "Invalid_argument: Tile_space.make: dimension"
+    (outcome (fun () ->
+         Tile_space.make (Polyhedron.box [ (0, 3); (0, 3); (0, 3) ])
+           (List.hd tilings)))
+
+(* Mapping.make's (pid, t^S range) pairs read off a tile polyhedron with
+   coordinate m moved last, as its enumeration does *)
+let mapping_rows poly m =
+  let module Constr = Tiles_poly.Constr in
+  let n = Polyhedron.dim poly in
+  let permuted =
+    Polyhedron.make ~dim:n
+      (List.map
+         (fun c ->
+           Constr.make
+             ~coeffs:(Vec.permute_to_last (Array.init n (Constr.coeff c)) m)
+             ~const:(Constr.const c))
+         (Polyhedron.constraints poly))
+  in
+  let rows = ref [] in
+  Polyhedron.iter_rows permuted (fun x len ->
+      let last = x.(n - 1) in
+      rows := (Array.sub x 0 (n - 1), (last, last + len - 1)) :: !rows);
+  List.rev !rows
+
+(* Every factor vector the tuner measures in the seven profiled
+   configurations: the same constraints as the reference, and then
+   compared outright the same candidates, bounding box and, for every
+   mapping dimension, the same processors and chains. *)
+let test_tile_space_tuner_grids () =
+  let module Candidate = Tiles_tune.Candidate in
+  let module Mapping = Tiles_core.Mapping in
+  let checked = ref 0 in
+  List.iter
+    (fun (p : Profiled.config) ->
+      let space = p.nest.Nest.space in
+      List.iter
+        (fun c ->
+          match Candidate.tiling c with
+          | exception (Invalid_argument _ | Failure _) -> ()
+          | tiling ->
+            incr checked;
+            let ts = Tile_space.make space tiling in
+            let poly = direct_tile_poly space tiling in
+            let rows mp =
+              List.combine
+                (Array.to_list mp.Mapping.pids)
+                (Array.to_list mp.Mapping.chains)
+            in
+            let label = p.label ^ " " ^ Candidate.label c in
+            if
+              Polyhedron.constraints poly
+              <> Polyhedron.constraints ts.Tile_space.poly
+              || Polyhedron.points poly <> Tile_space.candidates ts
+              || Polyhedron.bounding_box poly
+                 <> Polyhedron.bounding_box ts.Tile_space.poly
+            then Alcotest.failf "%s: tile space differs" label;
+            List.iter
+              (fun m ->
+                if rows (Mapping.make ~m ts) <> mapping_rows poly m then
+                  Alcotest.failf "%s: mapping m=%d differs" label m)
+              (List.init (Tiling.dim tiling) Fun.id))
+        (Candidate.measured ~nest:p.nest ~procs:p.procs ~factors:p.factors ()))
+    Profiled.configs;
+  Alcotest.(check bool) "grids checked" true (!checked > 1000)
+
 (* a width-1 kernel reading along each dependence *)
 let deps_kernel n deps =
   let reads = Dependence.vectors deps in
@@ -1104,6 +1292,11 @@ let () =
         [
           q (prop_partition 2); q (prop_partition 3);
           q (prop_slab_count_fast 2); q (prop_slab_count_fast 3);
+          q (prop_tile_space_direct 2); q (prop_tile_space_direct 3);
+          Alcotest.test_case "tile space = direct elimination on tuner grids"
+            `Quick test_tile_space_tuner_grids;
+          Alcotest.test_case "tile space rejects as the reference did" `Quick
+            test_tile_space_rejects;
         ] );
       ( "plan",
         [

@@ -128,6 +128,49 @@ let test_jacobi_tune_pinned () =
   Alcotest.(check string) "best" "mix1 m=0 f=[2,9,9]"
     (Candidate.label r.Tune.best.Tune.cand)
 
+(* ---------------- byte identity with recorded outputs ---------------- *)
+
+(* Recorded before tile spaces came from one elimination per shape: the
+   candidate lists of the seven profiled configurations and the
+   benchmark's four tune results (the first four). Planning changes that
+   keep every plan must keep these bytes. *)
+let fixture name =
+  In_channel.with_open_bin (Filename.concat "fixtures" name)
+    In_channel.input_all
+
+let test_candidate_labels_recorded () =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (p : Profiled.config) ->
+      Buffer.add_string b ("# " ^ p.label ^ "\n");
+      List.iter
+        (fun c -> Buffer.add_string b (Candidate.label c ^ "\n"))
+        (Candidate.generate ~nest:p.nest ~procs:p.procs ~factors:p.factors ()))
+    Profiled.configs;
+  Alcotest.(check string) "candidate-labels.txt"
+    (fixture "candidate-labels.txt") (Buffer.contents b)
+
+let test_tune_results_recorded () =
+  List.iteri
+    (fun i (p : Profiled.config) ->
+      if i < 4 then begin
+        let options =
+          {
+            Tune.default_options with
+            Tune.procs = p.procs;
+            factors = p.factors;
+            top_k = 3;
+            workers = 1;
+            cache_dir = None;
+          }
+        in
+        let r = Tune.search ~options ~nest:p.nest ~kernel:p.kernel ~net () in
+        let name = "tune-" ^ p.file ^ ".json" in
+        Alcotest.(check string) name (fixture name)
+          (Tiles_util.Json.to_string (Tune.result_json r) ^ "\n")
+      end)
+    Profiled.configs
+
 let test_predictor_bounded_jacobi () =
   let p = Tiles_apps.Jacobi.make ~t_steps:16 ~size:24 in
   let nest = Tiles_apps.Jacobi.nest p in
@@ -568,6 +611,10 @@ let () =
             test_simulated_sorted_and_scored;
           Alcotest.test_case "shm backend" `Slow test_shm_backend_search;
           Alcotest.test_case "jacobi 4/6 pinned" `Quick test_jacobi_tune_pinned;
+          Alcotest.test_case "candidate lists as recorded" `Quick
+            test_candidate_labels_recorded;
+          Alcotest.test_case "tune results as recorded" `Quick
+            test_tune_results_recorded;
         ] );
       ( "cache",
         [
