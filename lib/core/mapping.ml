@@ -102,10 +102,8 @@ let join t ~pid ~ts =
 
 let valid t ~pid ~ts = Tile_space.contains t.tspace (join t ~pid ~ts)
 
+(* a chain's range is exact: every position in it is a candidate *)
 let tiles_of_rank t rank =
   let pid = t.pids.(rank) in
   let lo, hi = t.chains.(rank) in
-  List.filter_map
-    (fun ts ->
-      if valid t ~pid ~ts then Some (join t ~pid ~ts) else None)
-    (List.init (hi - lo + 1) (fun i -> lo + i))
+  List.init (hi - lo + 1) (fun i -> join t ~pid ~ts:(lo + i))

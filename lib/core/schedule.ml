@@ -2,19 +2,20 @@ module Vec = Tiles_util.Vec
 module Polyhedron = Tiles_poly.Polyhedron
 
 let step_range (plan : Plan.t) =
-  (* min / max of Π·j^S over candidate tiles: a 1-variable FM projection of
-     the tile polyhedron along the diagonal would do, but the candidate
-     sets are small; fold over them. *)
-  let tiles = Tile_space.candidates plan.Plan.tspace in
-  match tiles with
-  | [] -> invalid_arg "Schedule.step_range: empty tile space"
-  | first :: rest ->
-    List.fold_left
-      (fun (lo, hi) s ->
-        let v = Vec.sum s in
-        (min lo v, max hi v))
-      (Vec.sum first, Vec.sum first)
-      rest
+  (* min / max of Π·j^S over candidate tiles, read off the mapping: a
+     chain's range is exact (its innermost level is the unprojected
+     system), so the rank of pid p spans steps Σp + lo .. Σp + hi *)
+  let mp = plan.Plan.mapping in
+  if Mapping.nprocs mp = 0 then
+    invalid_arg "Schedule.step_range: empty tile space";
+  let lo = ref max_int and hi = ref min_int in
+  Array.iteri
+    (fun rank pid ->
+      let s = Vec.sum pid and tlo, thi = Mapping.chain mp rank in
+      lo := min !lo (s + tlo);
+      hi := max !hi (s + thi))
+    mp.Mapping.pids;
+  (!lo, !hi)
 
 let steps p =
   let lo, hi = step_range p in

@@ -9,7 +9,10 @@
     needing [j_max] in closed form. *)
 
 val steps : Plan.t -> int
-(** Exact number of wavefront steps of the plan's tile space. *)
+(** Exact number of wavefront steps of the plan's tile space, from the
+    mapping's chains in O(nprocs): every chain position is a candidate
+    tile and every candidate tile a chain position. Raises
+    [Invalid_argument] on an empty tile space. *)
 
 val last_point_step : Plan.t -> int
 (** The paper's §4 analytic quantity: [Π·⌊H·j_max⌋], the linear-schedule

@@ -4,6 +4,7 @@ module Intmat = Tiles_linalg.Intmat
 module Ratmat = Tiles_linalg.Ratmat
 module Ckernel = Tiles_codegen.Ckernel
 module Kir = Tiles_kir.Kir
+module A1 = Bigarray.Array1
 
 type coefs = { data : Fbuf.t; off : int array; str : int array array }
 
@@ -25,7 +26,7 @@ type t = {
   reads : Vec.t list;
   boundary : Vec.t -> int -> float;
   compute : read:(int -> int -> float) -> j:Vec.t -> out:float array -> unit;
-  row : row_body option;
+  row : row_body;
   statics : (int list * (int array -> float)) array;
   ckernel : Ckernel.t option;
   (* cumulative skew applied via [skewed]; identity for unskewed kernels.
@@ -41,16 +42,50 @@ let content_key t =
       Marshal.to_string (ir, t.skew, t.width, t.reads) [ Marshal.No_sharing ])
     t.ckernel
 
+(* [compute] point by point along the row; the scratch is the row's own,
+   since ranks on separate domains share the kernel *)
+let row_of_compute ~width compute ~(la : Fbuf.t) ~dst ~taps ~len ~j ~jstep
+    ~coefs:_ =
+  let out = Array.make width 0. and j = Array.copy j and cur = ref dst in
+  let read r f = A1.unsafe_get la (((!cur + taps.(r)) * width) + f) in
+  for _ = 1 to len do
+    compute ~read ~j ~out;
+    for f = 0 to width - 1 do
+      A1.unsafe_set la ((!cur * width) + f) (Array.unsafe_get out f)
+    done;
+    incr cur;
+    for k = 0 to Array.length j - 1 do
+      j.(k) <- j.(k) + jstep.(k)
+    done
+  done
+
 let make ~name ~dim ?(width = 1) ?(uses_j = true) ?row ~reads ~boundary
     ~compute () =
   if width <= 0 then invalid_arg "Kernel.make: width";
   if reads = [] then invalid_arg "Kernel.make: no reads";
   if List.exists (fun r -> Vec.dim r <> dim) reads then
     invalid_arg "Kernel.make: read offset dimension mismatch";
+  let row =
+    match row with Some row -> row | None -> row_of_compute ~width compute
+  in
   {
     name; dim; width; uses_j; reads; boundary; compute; row; statics = [||];
     ckernel = None; skew = Intmat.identity dim;
   }
+
+let unset_read ~(la : Fbuf.t) ~width ~dst ~taps ~len =
+  (* tap [r] reads below the row at steps [s < -taps.(r)] only *)
+  let reach = min len (-Array.fold_left min 0 taps) in
+  let rec unset c f =
+    f < width && (Float.is_nan la.{(c * width) + f} || unset c (f + 1))
+  in
+  let rec scan s r =
+    if s >= reach then None
+    else if r = Array.length taps then scan (s + 1) 0
+    else if s + taps.(r) < 0 && unset (dst + s + taps.(r)) 0 then Some (s, r)
+    else scan s (r + 1)
+  in
+  scan 0 0
 
 let of_ir ir ~compute ~row ~statics ~boundary () =
   let coords = List.map snd (Kir.statics ir) in
@@ -165,10 +200,7 @@ let skewed k t =
       (if k.uses_j then fun ~read ~j ~out -> k.compute ~read ~j:(unskew j) ~out
        else k.compute);
     row =
-      (match k.row with
-      | Some row when k.uses_j ->
-        Some
-          (fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
-            row ~la ~dst ~taps ~len ~j:(unskew j) ~jstep:(unskew jstep) ~coefs)
-      | row -> row);
+      (if k.uses_j then fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
+         k.row ~la ~dst ~taps ~len ~j:(unskew j) ~jstep:(unskew jstep) ~coefs
+       else k.row);
   }

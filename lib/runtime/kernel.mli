@@ -64,11 +64,12 @@ type t = {
   compute : read:(int -> int -> float) -> j:Tiles_util.Vec.t -> out:float array -> unit;
       (** [compute ~read ~j ~out] evaluates the body at iteration [j];
           [read i f] is field [f] at [j − reads.(i)]; results go into
-          [out.(0 .. width-1)]. *)
-  row : row_body option;
-      (** the row body; every {!of_ir} kernel has one. Without it (a
-          {!make} kernel, or a [check] run) the walkers call [compute]
-          point by point. *)
+          [out.(0 .. width-1)]. The reference walkers call it per point;
+          the fast ones only through a row {!make} derives from it. *)
+  row : row_body;
+      (** the row body, the only way the fast walkers compute: {!of_ir}'s
+          generated one, or the one {!make} derives from [compute] when
+          it is given no [~row]. *)
   statics : (int list * (int array -> float)) array;
       (** per static let: the original coordinates it mentions and its
           value at an original point, the expression [compute] evaluates
@@ -105,7 +106,26 @@ val make :
   compute:(read:(int -> int -> float) -> j:Tiles_util.Vec.t -> out:float array -> unit) ->
   unit ->
   t
-(** A kernel without a C body; {!of_ir} builds one with it. *)
+(** A kernel without a C body; {!of_ir} builds one with it. Without
+    [~row] the row body is derived from [compute]: point [j + s·jstep]
+    reads cell [dst + s + taps.(r)] and writes slots
+    [(dst + s)·width + f], its scratch allocated per row (ranks on
+    separate domains share the kernel). *)
+
+val unset_read :
+  la:Tiles_util.Fbuf.t ->
+  width:int ->
+  dst:int ->
+  taps:int array ->
+  len:int ->
+  (int * int) option
+(** Check mode's scan of a row before its body runs: the first step [s]
+    and read [r] (by step, then read) whose cell [dst + s + taps.(r)]
+    lies below [dst] and holds a NaN in some field. Tap deltas are
+    negative, so the row's other reads see cells it computes first, and
+    every writer (unpack, boundary fill, compute) fills all [width]
+    fields of a cell: a row passes exactly when none of its points reads
+    an uninitialised cell. *)
 
 val of_ir :
   Tiles_kir.Kir.t ->

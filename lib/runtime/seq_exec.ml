@@ -2,7 +2,6 @@ module Polyhedron = Tiles_poly.Polyhedron
 module Constr = Tiles_poly.Constr
 module Ints = Tiles_util.Ints
 module Vec = Tiles_util.Vec
-module A1 = Bigarray.Array1
 
 (* The oracle deliberately computes on a boxed [float array] (addressed
    through [Grid.index]) and publishes the result via [Grid.load_boxed]:
@@ -79,34 +78,22 @@ let fast_run ~check ~space ~kernel =
   let dot = Array.make ncons 0 in
   let j = ref [||] in
   let src = Array.make n 0 in
-  let out = Array.make width 0. in
   (* the row body reads cell deltas (slot deltas over [width]) and steps
      the last coordinate; the static lets come from a table over the
      space's box, built once per run. The native row kernels don't apply
      here ([Native] runs the same row bodies as [Fastpath]), so a native
      parallel run is checked against an independent implementation. *)
-  let row_body = if check then None else kernel.Kernel.row in
   let ctaps = Array.map (fun d -> d / width) deltas in
   let jstep = Array.init n (fun k -> if k = n - 1 then 1 else 0) in
   let coefs =
-    if row_body = None then Kernel.no_coefs
-    else
-      let bbox = Polyhedron.bounding_box space in
-      Kernel.coefs kernel ~lo:(Array.map fst bbox)
-        ~dims:(Array.map (fun (l, h) -> h - l + 1) bbox)
+    let bbox = Polyhedron.bounding_box space in
+    Kernel.coefs kernel ~lo:(Array.map fst bbox)
+      ~dims:(Array.map (fun (l, h) -> h - l + 1) bbox)
   in
   let fail what i =
     failwith
       (Printf.sprintf "Seq_exec: %s at iteration %s read %d" what
          (Vec.to_string !j) i)
-  in
-  (* slot of the current point; the read closure below is built once per
-     run and follows it *)
-  let cur = ref 0 in
-  let read i field =
-    let v = A1.unsafe_get gdata (!cur + deltas.(i) + field) in
-    if check && Float.is_nan v then fail "read of uninitialised grid cell" i;
-    v
   in
   (* steps s in [0, len-1] with a_i·j + k.(i) + a_i,n-1·s >= 0 for every
      constraint i (a_i·j is in [dot]): one division per constraint *)
@@ -158,21 +145,17 @@ let fast_run ~check ~space ~kernel =
             fill ~start ~g0 r (s1 + 1) (len - 1)
           end
         done;
-      match row_body with
-      | Some row ->
-        (* [fill] moved the row's last coordinate *)
-        jrow.(n - 1) <- start;
-        row ~la:gdata ~dst:(g0 / width) ~taps:ctaps ~len ~j:jrow ~jstep ~coefs
-      | None ->
-        cur := g0;
-        for s = 0 to len - 1 do
+      let dst = g0 / width in
+      if check then begin
+        match Kernel.unset_read ~la:gdata ~width ~dst ~taps:ctaps ~len with
+        | None -> ()
+        | Some (s, r) ->
           jrow.(n - 1) <- start + s;
-          kernel.Kernel.compute ~read ~j:jrow ~out;
-          for f = 0 to width - 1 do
-            A1.unsafe_set gdata (!cur + f) (Array.unsafe_get out f)
-          done;
-          cur := !cur + width
-        done);
+          fail "read of uninitialised grid cell" r
+      end;
+      (* [fill] moved the row's last coordinate *)
+      jrow.(n - 1) <- start;
+      kernel.Kernel.row ~la:gdata ~dst ~taps:ctaps ~len ~j:jrow ~jstep ~coefs);
   grid
 
 let run ?(variant = Walker.Fastpath) ?(check = false) ~space ~kernel () =

@@ -14,9 +14,8 @@
     cell and field; each tap's in-space steps form one interval (one
     integer division per space constraint). Every row then runs the
     kernel's row body from start to end, its static lets read from a
-    table over the space's box built once per run ({!Kernel.coefs}); a
-    kernel without a row body, or a [check] run, takes the [compute]
-    loop. [Native] runs the same OCaml row bodies as [Fastpath], never
+    table over the space's box built once per run ({!Kernel.coefs}).
+    [Native] runs the same OCaml row bodies as [Fastpath], never
     the compiled [.so], so a native parallel run is still checked against
     an independent implementation. All variants visit the space in the same
     lexicographic order, so results are bit-for-bit identical on the
@@ -31,10 +30,11 @@ val run :
   unit ->
   Grid.t
 (** [variant] defaults to {!Walker.Fastpath}; [check] (default false)
-    makes the fast variants validate reads against NaN poisoning and
-    confirm that every boundary-filled source lies outside the space
-    (and disables the row bodies, so rows take the [compute] loop and
-    every read is inspected). *)
+    makes the fast variants scan each row's reads below its first cell
+    for NaN poisoning before the row body runs ({!Kernel.unset_read}),
+    failing with "read of uninitialised grid cell" and the first
+    failing iteration, and confirm that every boundary-filled source
+    lies outside the space. *)
 
 type check = {
   err : float;  (** {!Grid.max_abs_diff} against the oracle *)

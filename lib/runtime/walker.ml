@@ -57,7 +57,7 @@ type t = {
   native : Native_kernel.fn option;
   (* scratch (one walker per rank; never shared across domains) *)
   jrow : int array;  (* global row start *)
-  jcur : int array;  (* global point cursor *)
+  jcur : int array;  (* the reference walker's local tap source *)
   src : int array;  (* tap source point *)
   doffs : int array;  (* per-tap LDS cell deltas for the current row *)
   out : float array;
@@ -188,6 +188,13 @@ let reset_written t ~(la : Fbuf.t) =
 
 (* ---------------- reference paths (the original per-point code) ------- *)
 
+let nan_error t j i =
+  failwith
+    (Printf.sprintf
+       "Protocol: rank %d read uninitialised LDS cell for iteration %s \
+        read %d"
+       t.rank (Vec.to_string j) i)
+
 let reference_compute t ~trel ~tile ~(la : Fbuf.t) grid =
   let n = t.n and width = t.width in
   let tiling = t.tiling and comm = t.comm in
@@ -206,12 +213,7 @@ let reference_compute t ~trel ~tile ~(la : Fbuf.t) grid =
           done;
           let j'' = Lds.map tiling comm ~t:trel t.jcur in
           let v = la.{(Lds.map_index t.shape j'' * width) + field} in
-          if Float.is_nan v then
-            failwith
-              (Printf.sprintf
-                 "Protocol: rank %d read uninitialised LDS cell for \
-                  iteration %s read %d"
-                 t.rank (Vec.to_string j) i);
+          if Float.is_nan v then nan_error t j i;
           v
         end
         else t.kernel.Kernel.boundary t.src field
@@ -255,13 +257,6 @@ let reference_unpack t ~trel ~pred_tile ~ds ~lo ~(la : Fbuf.t) ~(buf : Fbuf.t) =
 
 (* ---------------- fast paths: replay the plan's row table ----------- *)
 
-let nan_error t j i =
-  failwith
-    (Printf.sprintf
-       "Protocol: rank %d read uninitialised LDS cell for iteration %s \
-        read %d"
-       t.rank (Vec.to_string j) i)
-
 let get (a : Row_table.i32) i = Int32.to_int (A1.unsafe_get a i)
 
 (* The rank's boundary cells take their values before its first tile:
@@ -282,7 +277,6 @@ let fill_boundary t (rt : Row_table.t) ~(la : Fbuf.t) =
 let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
   let n = t.n and width = t.width and geo = t.geo in
   let kernel = t.kernel in
-  let needs_j = kernel.Kernel.uses_j || t.check in
   let jstep = geo.Row_table.jstep in
   let gdata = Grid.data grid and gstr = Grid.strides grid in
   (* the table's grid cells index the space's bounding box: the grid
@@ -298,17 +292,7 @@ let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
     gstep := !gstep + (gstr.(k) * jstep.(k))
   done;
   let gstep = !gstep in
-  let rowfn = if t.check then None else kernel.Kernel.row in
   let ntaps = Array.length t.doffs in
-  (* the compute loop's reads: unguarded, off precomputed cell deltas.
-     Defined outside the row loop so the closure is allocated once per
-     tile. *)
-  let cur = ref 0 in
-  let read i field =
-    let v = A1.unsafe_get la (((!cur + t.doffs.(i)) * width) + field) in
-    if t.check && Float.is_nan v then nan_error t t.jcur i;
-    v
-  in
   if trel = 0 then fill_boundary t rt ~la;
   let rows = rt.Row_table.rows in
   let e = t.entry0 + trel in
@@ -324,31 +308,22 @@ let fast_compute t (rt : Row_table.t) ~trel ~(la : Fbuf.t) grid =
       cls := cl;
       Array.blit t.taps (cl * ntaps) t.doffs 0 ntaps
     end;
-    if needs_j then Row_table.decode_global rt gcell t.jrow;
+    if kernel.Kernel.uses_j then Row_table.decode_global rt gcell t.jrow;
+    if t.check then begin
+      match Kernel.unset_read ~la ~width ~dst:base ~taps:t.doffs ~len with
+      | None -> ()
+      | Some (s, r) ->
+        Row_table.decode_global rt gcell t.jrow;
+        nan_error t (Array.mapi (fun k x -> x + (s * jstep.(k))) t.jrow) r
+    end;
     points := !points + len;
     log_write t base len;
     (match t.native with
     | Some fn ->
       Native_kernel.row fn ~la ~cur:base ~taps:t.doffs ~jrow:t.jrow ~len
-    | None -> (
-      match rowfn with
-      | Some rb ->
-        rb ~la ~dst:base ~taps:t.doffs ~len ~j:t.jrow ~jstep ~coefs:t.coefs
-      | None ->
-        cur := base;
-        Array.blit t.jrow 0 t.jcur 0 n;
-        for _s = 1 to len do
-          kernel.Kernel.compute ~read ~j:t.jcur ~out:t.out;
-          let slot = !cur * width in
-          for f = 0 to width - 1 do
-            A1.unsafe_set la (slot + f) (Array.unsafe_get t.out f)
-          done;
-          incr cur;
-          if needs_j then
-            for k = 0 to n - 1 do
-              t.jcur.(k) <- t.jcur.(k) + jstep.(k)
-            done
-        done));
+    | None ->
+      kernel.Kernel.row ~la ~dst:base ~taps:t.doffs ~len ~j:t.jrow ~jstep
+        ~coefs:t.coefs);
     (* the row's cells are final (unpack writes only halo cells), so
        they go to the grid now; both row ends were checked against the
        grid box when the table was built *)

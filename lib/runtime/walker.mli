@@ -39,8 +39,9 @@ type variant =
           [dlopen]'d kernel built at plan time from the kernel's
           [ckernel] body ({!Native_kernel}). Falls back to [Fastpath]
           behaviour when no C compiler is available, the kernel carries
-          no C body, or [check] is set (NaN validation needs the OCaml
-          read path); {!native_row} says which. *)
+          no C body, or [check] is set (check mode runs the OCaml row
+          body after scanning the row's reads); {!native_row} says
+          which. *)
 
 val variant_to_string : variant -> string
 
@@ -90,10 +91,11 @@ val make :
   check:bool ->
   unit ->
   t
-(** [check] makes the fast variants validate every LDS read against NaN
-    (uninitialised-cell poisoning) like the reference walker does; the
-    fast variants skip the check — and run the kernel's row body — when
-    it is false. [Reference] validates regardless.
+(** [check] makes the fast variants scan each row's reads below its
+    first cell for NaN (uninitialised-cell poisoning) before its row body
+    runs ({!Kernel.unset_read}): they refuse the reads the reference
+    walker refuses, with its message, naming the same first iteration.
+    [Reference] validates regardless.
     [Native] runs each row through [native], the run's {!native_row}
     when it built; with [None] it runs the OCaml fast path. The other
     variants ignore [native]. The fast variants read the plan's row

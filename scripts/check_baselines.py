@@ -29,8 +29,11 @@ import sys
 # the per-plan row table it replays (row_table.ml), the generated native
 # row kernels (rowgen.ml, native_kernel.ml, and emit_common.ml, whose
 # tables rowgen prints into every one of them), the
-# rank programs and executor entry points that drive them, the fiber
-# scheduler that runs shm's ranks (its wall clock), the grid
+# rank programs and executor entry points that drive them, the pool the
+# ranks borrow their LDS buffers from (lds_pool.ml, which moves walker
+# throughput), the count table that fixes every message and its cell
+# count (count_table.ml, the sim baselines' messages and bytes), the
+# fiber scheduler that runs shm's ranks (its wall clock), the grid
 # (the walkers' write-back target and the oracle's halo layout), and the
 # kernel IR that the walkers' row bodies are printed from at build time
 # (the printer, the generator and the kernel definitions). A change to
@@ -44,11 +47,13 @@ WATCHED = {
     "lib/runtime/protocol.ml",
     "lib/runtime/executor.ml",
     "lib/runtime/shm_executor.ml",
+    "lib/runtime/lds_pool.ml",
     "lib/mpisim/sched.ml",
     "lib/codegen/rowgen.ml",
     "lib/codegen/emit_common.ml",
     "lib/core/lds.ml",
     "lib/core/row_table.ml",
+    "lib/core/count_table.ml",
     "lib/util/fbuf.ml",
     "lib/kir/kir.ml",
     "lib/apps/kernels/gen_bodies.ml",

@@ -16,6 +16,10 @@ with that base, asserting its exit code:
     row kernel) fails with BENCH_kernels.json alone;
   - a grid change (write-back target and oracle halo layout) fails
     with BENCH_kernels.json alone and passes with both artifacts;
+  - an LDS-pool change (walker throughput) fails with perf baselines
+    alone and passes with both artifacts;
+  - a count-table change (every message and its cell count) fails with
+    BENCH_kernels.json alone and passes with both artifacts;
   - a Stats change (it folds the baselines' timed fields) fails without
     perf baselines and passes with them;
   - a fiber-scheduler change (it fixes contended virtual time and shm
@@ -39,6 +43,8 @@ FILES = [
     "lib/runtime/walker.ml",
     "lib/runtime/grid.ml",
     "lib/core/row_table.ml",
+    "lib/core/count_table.ml",
+    "lib/runtime/lds_pool.ml",
     "lib/codegen/emit_common.ml",
     "lib/apps/kernels/defs.ml",
     "lib/obs/stats.ml",
@@ -108,6 +114,16 @@ CASES = [
      ["lib/runtime/grid.ml", "BENCH_kernels.json"], 1),
     ("grid change with both artifacts",
      ["lib/runtime/grid.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("lds-pool change with perf baselines only",
+     ["lib/runtime/lds_pool.ml", "perf/baselines/sor-nonrect-sim.json"], 1),
+    ("lds-pool change with both artifacts",
+     ["lib/runtime/lds_pool.ml", "BENCH_kernels.json",
+      "perf/baselines/sor-nonrect-sim.json"], 0),
+    ("count-table change with BENCH_kernels.json only",
+     ["lib/core/count_table.ml", "BENCH_kernels.json"], 1),
+    ("count-table change with both artifacts",
+     ["lib/core/count_table.ml", "BENCH_kernels.json",
       "perf/baselines/sor-nonrect-sim.json"], 0),
     ("stats change without perf baselines",
      ["lib/obs/stats.ml"], 1),

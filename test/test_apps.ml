@@ -276,7 +276,7 @@ let test_schedule_gap_formula () =
 
 (* the values each kernel was hand-written with before it became IR:
    original-space reads in body order, width, nreads, uses_j, and the
-   coordinates of its static lets; every IR kernel has a row body *)
+   coordinates of its static lets *)
 let test_derived_facts () =
   let check name ir (k : Kernel.t) ~skew ~reads ~width ~uses_j ~statics =
     let vecs = Alcotest.(list (array int)) in
@@ -287,7 +287,6 @@ let test_derived_facts () =
     Alcotest.(check int) (name ^ " width") width k.Kernel.width;
     Alcotest.(check int) (name ^ " nreads") (List.length reads) (Kir.nreads ir);
     Alcotest.(check bool) (name ^ " uses_j") uses_j k.Kernel.uses_j;
-    Alcotest.(check bool) (name ^ " row") true (Option.is_some k.Kernel.row);
     Alcotest.(check (list (list int))) (name ^ " statics") statics
       (List.map snd (Kir.statics ir));
     Alcotest.(check (list (list int))) (name ^ " kernel statics") statics
@@ -317,7 +316,20 @@ let test_derived_facts () =
 let adi_skew = Intmat.of_rows [ [ 1; 0; 0 ]; [ 1; 1; 0 ]; [ 2; 1; 1 ] ]
 let triband_skew = Intmat.of_rows [ [ 1; 0 ]; [ 1; 1 ] ]
 
-(* law: the generated row body and the generated compute, run in place
+(* a closure kernel of width 2 that reads [j], given no [~row]: the law
+   below holds for the row {!Kernel.make} derives from its [compute],
+   skewed too *)
+let derived_kernel =
+  Kernel.make ~name:"derived" ~dim:3 ~width:2
+    ~reads:[ [| 1; 0; 0 |]; [| 1; 0; 1 |]; [| 1; 1; 0 |] ]
+    ~boundary:(fun _ _ -> 1.)
+    ~compute:(fun ~read ~j ~out ->
+      let a = 0.25 +. (0.125 *. float_of_int ((j.(1) - (2 * j.(2))) land 3)) in
+      out.(0) <- read 0 0 +. (a *. read 1 1) -. read 2 0;
+      out.(1) <- read 1 0 /. (a +. read 2 1))
+    ()
+
+(* law: the row body and [compute], run in place
    over the same random interior data from the same random first point
    and step, write the same bits; the row reads its static lets from a
    table over the box the points span *)
@@ -345,8 +357,7 @@ let row_matches_compute (name, (k : Kernel.t)) =
         Array.init n (fun c -> abs (jstep.(c) * (len - 1)) + 1)
       in
       let coefs = Kernel.coefs k ~lo ~dims in
-      (Option.get k.Kernel.row)
-        ~la:by_row ~dst:16 ~taps ~len ~j:(Array.copy j) ~jstep ~coefs;
+      k.Kernel.row ~la:by_row ~dst:16 ~taps ~len ~j:(Array.copy j) ~jstep ~coefs;
       let out = Array.make w 0. in
       for s = 0 to len - 1 do
         let i = 16 + s in
@@ -540,12 +551,9 @@ let test_run_spec_error_message () =
 let counting_kernel ?(ir = true) name =
   let k = Sor.kernel (Sor.make ~m_steps:2 ~size:2) in
   let calls = Atomic.make 0 in
-  let row =
-    Option.map
-      (fun row ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
-        Atomic.incr calls;
-        row ~la ~dst ~taps ~len ~j ~jstep ~coefs)
-      k.Kernel.row
+  let row ~la ~dst ~taps ~len ~j ~jstep ~coefs =
+    Atomic.incr calls;
+    k.Kernel.row ~la ~dst ~taps ~len ~j ~jstep ~coefs
   in
   let base = Option.get k.Kernel.ckernel in
   let ckernel =
@@ -805,6 +813,7 @@ let () =
                ( "triband-skewed",
                  Kernel.skewed (Triband.kernel (Triband.make ~size:2))
                    triband_skew );
+               ("derived-skewed", Kernel.skewed derived_kernel adi_skew);
              ] );
       ( "structure",
         [

@@ -1174,6 +1174,41 @@ let prop_digest n =
       && changed other_nan
       && changed (if bits = 0L then -0. else 0.))
 
+(* ---------- wavefront steps from the mapping's chains ---------- *)
+
+(* the mapping's chain positions are exactly the candidate tiles, and
+   [Schedule.steps], read off the chains, equals the fold of [Σ j^S]
+   over the candidates it used to take, kept here as the reference *)
+let prop_chain_steps n =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "chain steps = candidate fold (n=%d)" n)
+    ~count:(if n = 2 then 60 else 20)
+    (QCheck.triple
+       (QCheck.make ~print:(Format.asprintf "%a" Polyhedron.pp) (gen_space n))
+       (arb_tiling n) (QCheck.make (gen_deps n)))
+    (fun (space, t, deps) ->
+      match (t, deps) with
+      | Some t, Some deps when Tiling.legal_for t deps -> (
+        let nest = Nest.make ~name:"rand" ~space ~deps in
+        match Plan.make nest t with
+        | exception (Invalid_argument _ | Failure _) -> QCheck.assume_fail ()
+        | plan ->
+          let module Mapping = Tiles_core.Mapping in
+          let mapping = plan.Plan.mapping in
+          let chained =
+            List.concat
+              (List.init (Mapping.nprocs mapping) (Mapping.tiles_of_rank mapping))
+          in
+          let candidates = Tile_space.candidates plan.Plan.tspace in
+          let sums = List.map Vec.sum candidates in
+          let folded =
+            List.fold_left max min_int sums - List.fold_left min max_int sums + 1
+          in
+          candidates <> []
+          && List.sort Vec.compare_lex chained = candidates
+          && Tiles_core.Schedule.steps plan = folded)
+      | _ -> QCheck.assume_fail ())
+
 (* ---------- tile dependences: face sweep = whole-TTIS sweep ---------- *)
 
 (* the original whole-TTIS sweep, kept here as the oracle *)
@@ -1304,6 +1339,7 @@ let () =
           q (prop_count_table 2); q (prop_count_table 3);
           q (prop_row_table 2); q (prop_row_table 3);
           q (prop_schedule 2); q (prop_schedule 3);
+          q (prop_chain_steps 2); q (prop_chain_steps 3);
           q (prop_tile_deps 2); q (prop_tile_deps 3);
         ] );
       ( "boundary",

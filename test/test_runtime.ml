@@ -166,6 +166,22 @@ let test_kernel_skewed_unskews () =
   Alcotest.(check bool) "fresh arrays" true
     (match !seen with [ a; b ] -> a != b | _ -> false)
 
+(* check mode's row scan: the first (step, read) whose cell below the row
+   holds a NaN in any field; cells inside the row are the row's own *)
+let test_kernel_unset_read () =
+  let width = 2 and dst = 8 and len = 4 and taps = [| -1; -7 |] in
+  let la = Tiles_util.Fbuf.make (14 * width) 1. in
+  let scan () = Kernel.unset_read ~la ~width ~dst ~taps ~len in
+  let found = Alcotest.(option (pair int int)) in
+  for f = 0 to width - 1 do
+    la.{((dst + 1) * width) + f} <- Float.nan
+  done;
+  Alcotest.check found "cells of the row are its own" None (scan ());
+  la.{(3 * width) + 1} <- Float.nan;
+  Alcotest.check found "step 2 through the far tap" (Some (2, 1)) (scan ());
+  la.{7 * width} <- Float.nan;
+  Alcotest.check found "step 0 first" (Some (0, 0)) (scan ())
+
 (* ---------- Executor: parallel ≡ sequential ---------- *)
 
 let check_equiv ?m name nest kernel tiling =
@@ -521,6 +537,7 @@ let () =
           Alcotest.test_case "skewed equivalence" `Quick
             test_kernel_skewed_equivalence;
           Alcotest.test_case "skewed unskews" `Quick test_kernel_skewed_unskews;
+          Alcotest.test_case "unset read" `Quick test_kernel_unset_read;
         ] );
       ( "executor",
         [

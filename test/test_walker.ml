@@ -231,16 +231,14 @@ let test_seq_rows_whole () =
   let p = Sor.make ~m_steps:6 ~size:10 in
   let space = (Sor.nest p).Nest.space in
   let sor = Sor.kernel p in
-  let body = Option.get sor.Kernel.row in
   let covered = ref 0 in
   let kernel =
     {
       sor with
       Kernel.row =
-        Some
-          (fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
-            covered := !covered + len;
-            body ~la ~dst ~taps ~len ~j ~jstep ~coefs);
+        (fun ~la ~dst ~taps ~len ~j ~jstep ~coefs ->
+          covered := !covered + len;
+          sor.Kernel.row ~la ~dst ~taps ~len ~j ~jstep ~coefs);
     }
   in
   let boundary_points =
@@ -452,8 +450,10 @@ let test_boundary_values_once () =
 (* Build a walker for a rank whose first tile needs halo data, give it a
    freshly NaN-poisoned LDS and no received slabs: the reference walker
    and the fast walkers under ~check:true must refuse the uninitialised
-   read; the fast walker without check must sail through (the whole point
-   of the knob is skipping that per-read branch). *)
+   read, the fast one naming the iteration and read the reference names
+   although it checks whole rows before they run; the fast walker
+   without check must sail through (the whole point of the knob is
+   skipping that scan). *)
 let test_check_modes () =
   let nest = pascal_nest 12 9 in
   let plan = Plan.make nest (Tiling.rectangular [ 3; 4 ]) in
@@ -474,14 +474,16 @@ let test_check_modes () =
     let la = Fbuf.make (Walker.lds_total w * width) Float.nan in
     let grid = Grid.create plan.Plan.nest.Nest.space ~width in
     match Walker.compute_tile w ~trel:0 ~tile ~la ~grid with
-    | (_ : int) -> false
-    | exception Failure _ -> true
+    | (_ : int) -> None
+    | exception Failure msg -> Some msg
   in
+  let reference = fires ~variant:Walker.Reference ~check:false in
   Alcotest.(check bool) "reference always validates" true
-    (fires ~variant:Walker.Reference ~check:false);
-  Alcotest.(check bool) "fast + check validates" true
+    (Option.is_some reference);
+  Alcotest.(check (option string)) "fast + check names the same read"
+    reference
     (fires ~variant:Walker.Fastpath ~check:true);
-  Alcotest.(check bool) "fast without check skips validation" false
+  Alcotest.(check (option string)) "fast without check skips validation" None
     (fires ~variant:Walker.Fastpath ~check:false)
 
 (* ---------- native walker: build, fallback, recording ---------- *)
@@ -865,8 +867,7 @@ let prop_row_bodies =
           Seq_exec.run ~variant:Walker.Reference ~space ~kernel ()
         in
         let same g = Grid.max_abs_diff g reference space = 0. in
-        Option.is_some kernel.Kernel.row
-        && same (Seq_exec.run ~space ~kernel ())
+        same (Seq_exec.run ~space ~kernel ())
         && List.for_all
              (fun (backend, overlap) ->
                let g, _, _, _ =
@@ -1025,21 +1026,19 @@ let sim_grid ?check ~walker ~plan ~kernel () =
 (* A rank that raises gives its buffer to no one, and the ranks that
    completed reset theirs: the next runs, on either backend and every
    fast walker, are bit-exact, and a check-mode run finds every reused
-   buffer all NaN. The raising kernel has no row body, so the fast
-   walker calls [compute] per point. *)
+   buffer all NaN. The raising kernel is a closure kernel, so the fast
+   walker runs the row {!Kernel.make} derives from its [compute]. *)
 let test_pool_after_raise () =
   let space, plan, kernel = sor_case () in
   let oracle = Seq_exec.run ~space ~kernel () in
   let calls = Atomic.make 0 in
   let raising =
-    {
-      kernel with
-      Kernel.compute =
-        (fun ~read ~j ~out ->
-          if Atomic.fetch_and_add calls 1 = 40 then raise Exit;
-          kernel.Kernel.compute ~read ~j ~out);
-      row = None;
-    }
+    Kernel.make ~name:"raising" ~dim:kernel.Kernel.dim ~uses_j:false
+      ~reads:kernel.Kernel.reads ~boundary:kernel.Kernel.boundary
+      ~compute:(fun ~read ~j ~out ->
+        if Atomic.fetch_and_add calls 1 = 40 then raise Exit;
+        kernel.Kernel.compute ~read ~j ~out)
+      ()
   in
   List.iter
     (fun backend ->
